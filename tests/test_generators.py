@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -141,28 +142,35 @@ class TestSweep:
     def make_game(self):
         return generate(GeneratorSpec(kind="matching-pennies"))
 
-    def test_single_seed_matches_single_run(self):
+    def test_single_seed_matches_single_run(self, tmp_path):
         game = self.make_game()
         sch = default_schedule(game)
         ref = uniform_profile(game)
-        result = sweep(game, [sch], [3], iters=120, reference=ref, log_every=40)
-        assert len(result.runs) == 1
-        direct = run(
-            game, sch, make_regularizer("entropy"), 120, 3,
-            reference=ref, log_every=40,
+        result = sweep(
+            game, [sch], [3], iters=120, reference=ref, log_every=40,
+            out=tmp_path / "sweep",
         )
-        assert result.runs[0]["log"].rows == direct.rows
+        assert len(result.runs) == 1
+        run(
+            game, sch, make_regularizer("entropy"), 120, 3,
+            reference=ref, log_every=40, out_dir=tmp_path / "direct",
+        )
+        assert pathlib.Path(result.runs[0]["csv"]).read_bytes() == (
+            tmp_path / "direct" / "run.csv"
+        ).read_bytes()
 
-    def test_identical_seeds_identical_rows(self):
+    def test_identical_seeds_identical_rows(self, tmp_path):
         game = self.make_game()
         sch = default_schedule(game)
         result = sweep(
             game, [sch], [5, 5], iters=80,
             reference=uniform_profile(game), log_every=20,
         )
-        rows_a = result.runs[0]["log"].rows
-        rows_b = result.runs[1]["log"].rows
-        assert rows_a == rows_b
+        result.runs[0]["log"].write(tmp_path / "a")
+        result.runs[1]["log"].write(tmp_path / "b")
+        assert (tmp_path / "a" / "run.csv").read_bytes() == (
+            tmp_path / "b" / "run.csv"
+        ).read_bytes()
 
     def test_invalid_schedule_flagged_not_rejected(self):
         game = self.make_game()

@@ -129,16 +129,20 @@ class TestRun:
         game = generate(GeneratorSpec(kind="matching-pennies"))
         log = run(game, default_schedule(game), ENTROPY, 0, seed=0)
         np.testing.assert_allclose(log.final_state.policy.probs[0], [[0.5, 0.5]])
-        assert log.rows == []
+        assert log.diagnostics == []
         assert log.final_state.iteration == 0
 
-    def test_seed_reproducibility(self):
+    def test_seed_reproducibility(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
         sch = default_schedule(game)
         ref = uniform_profile(game)
-        a = run(game, sch, ENTROPY, 400, seed=11, reference=ref, log_every=100)
-        b = run(game, sch, ENTROPY, 400, seed=11, reference=ref, log_every=100)
-        assert a.rows == b.rows
+        a = run(game, sch, ENTROPY, 400, seed=11, reference=ref, log_every=100,
+                out_dir=tmp_path / "a")
+        b = run(game, sch, ENTROPY, 400, seed=11, reference=ref, log_every=100,
+                out_dir=tmp_path / "b")
+        assert (tmp_path / "a" / "run.csv").read_bytes() == (
+            tmp_path / "b" / "run.csv"
+        ).read_bytes()
         for x, y in zip(a.final_state.policy.probs, b.final_state.policy.probs):
             np.testing.assert_array_equal(x, y)
 
@@ -204,7 +208,7 @@ class TestRun:
         with open(tmp_path / "run.csv") as fh:
             rows = list(csv.reader(fh))
         assert tuple(rows[0]) == CSV_COLUMNS
-        assert len(rows) - 1 == len(log.rows)
+        assert len(rows) - 1 == len(log.diagnostics) * game.n_players
         ts = sorted({int(r[0]) for r in rows[1:]})
         assert ts == [25, 50, 75, 100]
         meta = json.loads((tmp_path / "run.json").read_text())
