@@ -42,16 +42,11 @@ def main(argv=None):
             game, schedule, reg, args.iters, seed,
             reference=star, log_every=args.log_every, compute_gaps=False,
         )
-        ts = log.checkpoint_times()
-        dist = {
-            t: float(
-                np.sqrt(sum(r["dist_to_ref"] ** 2 for r in log.rows if r["t"] == t))
-            )
-            for t in ts
-        }
-        earlies.append(dist[ts[1]])
-        finals.append(dist[ts[-1]])
-        print(f"seed {seed}: dist {dist[ts[1]]:.3f} -> {dist[ts[-1]]:.4f}")
+        early = log.diagnostics[1].profile_dist
+        final = log.diagnostics[-1].profile_dist
+        earlies.append(early)
+        finals.append(final)
+        print(f"seed {seed}: dist {early:.3f} -> {final:.4f}")
     print(
         f"median distance: early {np.median(earlies):.3f} "
         f"-> final {np.median(finals):.4f}"

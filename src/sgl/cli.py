@@ -170,10 +170,12 @@ def _cmd_gradient(args) -> int:
     return 0
 
 
-def _resolve_schedule(args, game) -> learner.Schedule:
+def _resolve_schedule(args, game, cert) -> learner.Schedule:
     if args.preset == "sqrt-horizon":
         return learner.sqrt_horizon_schedule(game, gamma_scale=args.gamma_scale)
-    base = learner.default_schedule(game, gamma_scale=args.gamma_scale)
+    # an explicit window parameter needs no certified mixing constant
+    tau = learner.certified_tau(cert) if args.horizon_param is None else 0.0
+    base = learner.default_schedule(game, tau=tau, gamma_scale=args.gamma_scale)
     return learner.Schedule(
         gamma_exp=args.gamma_exp if args.gamma_exp is not None else base.gamma_exp,
         delta_exp=args.delta_exp if args.delta_exp is not None else base.delta_exp,
@@ -191,12 +193,12 @@ def _resolve_schedule(args, game) -> learner.Schedule:
 def _cmd_learn(args) -> int:
     game = games.load_game(args.game)
     reg = mirror.make_regularizer(args.mirror)
-    schedule = _resolve_schedule(args, game)
+    cert = games.certify_mixing(game, games.certification_sample(game, rng=0))
+    schedule = _resolve_schedule(args, game, cert)
     reference = None if args.ref is None else _load_policy_arg(game, args.ref)
     init_policy = (
         None if args.init_policy is None else _load_policy_arg(game, args.init_policy)
     )
-    cert = games.certify_mixing(game, games.certification_sample(game, rng=0))
     report = learner.validate_schedule(schedule, cert.tau)
     if not report.ok:
         failing = [k for k, v in report.conditions.items() if not v]
@@ -224,17 +226,14 @@ def _cmd_learn(args) -> int:
         "clamped_steps": log.clamped_steps,
         "final_policy": [b.tolist() for b in final.policy.probs],
     }
-    if log.rows:
-        last_t = log.rows[-1]["t"]
-        last = [r for r in log.rows if r["t"] == last_t]
-        summary["final_values"] = [r["value"] for r in last]
-        summary["final_nash_gap"] = max(
-            (r["nash_gap"] for r in last if r["nash_gap"] is not None), default=None
+    if log.diagnostics:
+        last = log.diagnostics[-1]
+        summary["final_values"] = (
+            [None] * game.n_players if last.values is None else last.values.tolist()
         )
+        summary["final_nash_gap"] = last.max_gap
         if reference is not None:
-            summary["final_dist_to_ref"] = float(
-                np.sqrt(sum(r["dist_to_ref"] ** 2 for r in last))
-            )
+            summary["final_dist_to_ref"] = last.profile_dist
     print(json.dumps(summary, indent=1))
     return 0
 

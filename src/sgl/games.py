@@ -255,10 +255,6 @@ def profile_vector(policy: PolicyProfile) -> np.ndarray:
     return np.concatenate([b.ravel() for b in policy.probs])
 
 
-def profile_distance(a: PolicyProfile, b: PolicyProfile, ord=2) -> float:
-    return float(np.linalg.norm(profile_vector(a) - profile_vector(b), ord))
-
-
 # ---------------------------------------------------------------------------
 # induced chain
 
@@ -280,14 +276,6 @@ def joint_weight_matrix(game, policy) -> np.ndarray:
     w = np.ones((game.n_states, 1))
     for block in policy.probs:
         w = (w[:, :, None] * block[:, None, :]).reshape(game.n_states, -1)
-    return w
-
-
-def joint_action_weights(game, policy, state: int) -> np.ndarray:
-    """Probability of each joint action in `state` under the profile."""
-    w = np.ones(1)
-    for block in policy.probs:
-        w = (w[:, None] * block[state][None, :]).ravel()
     return w
 
 

@@ -162,7 +162,8 @@ class ExperimentResult:
         }
 
 
-def _quartiles(values: np.ndarray) -> dict:
+def _quartiles(values: list) -> dict:
+    values = np.array([math.nan if v is None else v for v in values])
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return {"q25": None, "median": None, "q75": None}
@@ -171,31 +172,22 @@ def _quartiles(values: np.ndarray) -> dict:
 
 
 def _aggregate(logs: list[RunLog]) -> list[dict]:
-    """Cross-seed quartiles of distance, gap, and coupling per checkpoint."""
+    """Cross-seed quartiles of distance, gap, and coupling per checkpoint.
+
+    The runs of one sweep share iters and log_every, so checkpoint k is the
+    same outer iteration in every log.
+    """
     if not logs:
         return []
-    times = logs[0].checkpoint_times()
     out = []
-    for t in times:
-        dist, gap, fen = [], [], []
-        for log in logs:
-            rows = [r for r in log.rows if r["t"] == t]
-            if not rows:
-                continue
-            d = [r["dist_to_ref"] for r in rows]
-            g = [r["nash_gap"] for r in rows]
-            f = [r["fenchel"] for r in rows]
-            dist.append(
-                math.sqrt(sum(x * x for x in d)) if None not in d else math.nan
-            )
-            gap.append(max(g) if None not in g else math.nan)
-            fen.append(sum(f) if None not in f else math.nan)
+    for k, first in enumerate(logs[0].diagnostics):
+        diags = [log.diagnostics[k] for log in logs]
         out.append(
             {
-                "t": t,
-                "dist_to_ref": _quartiles(np.array(dist)),
-                "nash_gap": _quartiles(np.array(gap)),
-                "fenchel": _quartiles(np.array(fen)),
+                "t": first.t,
+                "dist_to_ref": _quartiles([d.profile_dist for d in diags]),
+                "nash_gap": _quartiles([d.max_gap for d in diags]),
+                "fenchel": _quartiles([d.fenchel for d in diags]),
             }
         )
     return out
@@ -210,7 +202,6 @@ def sweep(
     reference: PolicyProfile | None = None,
     log_every: int = 100,
     out=None,
-    tau: float | None = None,
 ) -> ExperimentResult:
     """Run the learner for every (schedule, seed) pair and aggregate.
 
@@ -222,8 +213,7 @@ def sweep(
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     regularizer = regularizer or make_regularizer("entropy")
-    if tau is None:
-        tau = certify_mixing(game, certification_sample(game, rng=0)).tau
+    tau = certify_mixing(game, certification_sample(game, rng=0)).tau
     result = ExperimentResult(
         grid=grid,
         seeds=seeds,
@@ -295,16 +285,9 @@ def convergence_benchmark(
     schedule = default_schedule(game, tau=cert.tau, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
-    def profile_dist(log: RunLog, t: int) -> float:
-        rows = [r for r in log.rows if r["t"] == t]
-        return math.sqrt(sum(r["dist_to_ref"] ** 2 for r in rows))
-
-    def coupling(log: RunLog, t: int) -> float:
-        return sum(r["fenchel"] for r in log.rows if r["t"] == t)
-
-    logs = []
+    runs = []
     for seed in seeds:
-        logs.append(
+        runs.append(
             run(
                 game,
                 schedule,
@@ -314,22 +297,20 @@ def convergence_benchmark(
                 reference=reference,
                 log_every=log_every,
                 out_dir=None if out is None else f"{out}/{kind}_seed{seed}",
-            )
+            ).diagnostics
         )
 
-    times = logs[0].checkpoint_times()
-    t_early = min((t for t in times if t >= early_at), default=times[0])
-    t_end = times[-1]
+    times = [d.t for d in runs[0]]
+    k_early = next((k for k, t in enumerate(times) if t >= early_at), 0)
     decile = max(1, len(times) // 10)
-    first_win, last_win = times[:decile], times[-decile:]
 
-    end_dist = float(np.median([profile_dist(lg, t_end) for lg in logs]))
-    early_dist = float(np.median([profile_dist(lg, t_early) for lg in logs]))
+    end_dist = float(np.median([diags[-1].profile_dist for diags in runs]))
+    early_dist = float(np.median([diags[k_early].profile_dist for diags in runs]))
     fen_first = float(
-        np.median([np.median([coupling(lg, t) for t in first_win]) for lg in logs])
+        np.median([np.median([d.fenchel for d in diags[:decile]]) for diags in runs])
     )
     fen_last = float(
-        np.median([np.median([coupling(lg, t) for t in last_win]) for lg in logs])
+        np.median([np.median([d.fenchel for d in diags[-decile:]]) for diags in runs])
     )
     return {
         "game": kind,

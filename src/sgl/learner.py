@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ErgodicityError, ScheduleError
 from .games import (
+    MixingCertificate,
     PolicyProfile,
     StochasticGame,
     certification_sample,
@@ -79,6 +80,11 @@ class Schedule:
     def __post_init__(self):
         if self.horizon_mode not in ("log", "power"):
             raise ScheduleError(f"unknown horizon mode {self.horizon_mode!r}")
+        numbers = (
+            self.gamma_exp, self.delta_exp, self.gamma_scale, self.delta_scale, self.horizon_param
+        )
+        if not all(math.isfinite(v) for v in numbers):
+            raise ScheduleError(f"schedule parameters must be finite: {self}")
         if self.gamma_scale <= 0 or self.delta_scale <= 0:
             raise ScheduleError("schedule scales must be positive")
 
@@ -113,6 +119,18 @@ def min_safety_radius(game: StochasticGame) -> float:
     return min(radii)
 
 
+def certified_tau(cert: MixingCertificate) -> float:
+    """The certified mixing constant, or ScheduleError when the sampled
+    certificate failed and no finite log window can be derived from it."""
+    if not cert.ok:
+        raise ScheduleError(
+            f"mixing certificate failed at sampled profile {cert.failing_index} "
+            f"(contraction {cert.contraction}); the default log window needs a "
+            "finite mixing constant, use the sqrt-horizon preset instead"
+        )
+    return cert.tau
+
+
 def default_schedule(
     game: StochasticGame,
     tau: float | None = None,
@@ -123,7 +141,7 @@ def default_schedule(
     """Exponents (1, 1/3), query scale a quarter of the tightest safety
     radius, and a log window twice the certified mixing constant."""
     if tau is None:
-        tau = certify_mixing(game, certification_sample(game, rng=0)).tau
+        tau = certified_tau(certify_mixing(game, certification_sample(game, rng=0)))
     return Schedule(
         gamma_exp=gamma_exp,
         delta_exp=delta_exp,
@@ -247,10 +265,31 @@ class StepDiagnostics:
     dist_to_ref: np.ndarray | None
     decomposition: StepDecomposition | None
 
+    @property
+    def profile_dist(self) -> float | None:
+        """Euclidean distance of the whole profile to the reference."""
+        if self.dist_to_ref is None:
+            return None
+        return math.sqrt(sum(d * d for d in self.dist_to_ref.tolist()))
+
+    @property
+    def max_gap(self) -> float | None:
+        """Largest per-player Nash gap."""
+        return None if self.nash_gaps is None else max(self.nash_gaps.tolist())
+
+
+def _cells(per_player: np.ndarray | None, n_players: int) -> list[str]:
+    """run.csv cells of one per-player quantity: the repr of each float,
+    or empty cells when the checkpoint did not compute it."""
+    if per_player is None:
+        return [""] * n_players
+    return [repr(v) for v in per_player.tolist()]
+
 
 @dataclass
 class RunLog:
-    """Everything a single run produced."""
+    """Everything a single run produced; diagnostics holds one record per
+    checkpoint and is what run.csv is written from."""
 
     schedule: Schedule
     seed: int
@@ -258,22 +297,10 @@ class RunLog:
     game_digest: str
     iters: int
     log_every: int
-    rows: list[dict] = field(default_factory=list)
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     final_state: LearnerState | None = None
     clamped_steps: int = 0
     reference: PolicyProfile | None = None
-
-    def checkpoint_times(self) -> list[int]:
-        return sorted({row["t"] for row in self.rows})
-
-    def column(self, name: str, player: int | None = None) -> np.ndarray:
-        vals = [
-            row[name]
-            for row in self.rows
-            if player is None or row["player"] == player
-        ]
-        return np.array([math.nan if v is None else v for v in vals])
 
     def write(self, out_dir) -> None:
         import pathlib
@@ -283,10 +310,14 @@ class RunLog:
         with open(out / "run.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in self.rows:
-                writer.writerow(
-                    ["" if row[c] is None else repr(row[c]) if isinstance(row[c], float) else row[c] for c in CSV_COLUMNS]
+            for d in self.diagnostics:
+                n = len(d.estimate_norms)
+                per_player = (
+                    d.values, d.fenchel_per_player, d.nash_gaps, d.dist_to_ref, d.estimate_norms
                 )
+                head = [d.t, repr(float(d.gamma)), repr(float(d.delta)), d.horizon]
+                for i, cells in enumerate(zip(*(_cells(a, n) for a in per_player))):
+                    writer.writerow([*head, i, *cells])
         sidecar = {
             "schedule": self.schedule.to_dict(),
             "seed": self.seed,
@@ -563,36 +594,22 @@ def run(
                         for i in range(game.n_players)
                     ]
                 )
-            diag = StepDiagnostics(
-                t=t + 1,
-                gamma=gamma,
-                delta=delta,
-                horizon=horizon,
-                payoffs=payoffs,
-                estimate_norms=est_norms,
-                values=values,
-                fenchel=fen_total,
-                fenchel_per_player=fen_pp,
-                nash_gaps=gaps,
-                dist_to_ref=dist,
-                decomposition=decomposition,
-            )
-            log.diagnostics.append(diag)
-            for i in range(game.n_players):
-                log.rows.append(
-                    {
-                        "t": t + 1,
-                        "gamma": gamma,
-                        "delta": delta,
-                        "horizon": horizon,
-                        "player": i,
-                        "value": None if values is None else float(values[i]),
-                        "fenchel": None if fen_pp is None else float(fen_pp[i]),
-                        "nash_gap": None if gaps is None else float(gaps[i]),
-                        "dist_to_ref": None if dist is None else float(dist[i]),
-                        "est_norm": float(est_norms[i]),
-                    }
+            log.diagnostics.append(
+                StepDiagnostics(
+                    t=t + 1,
+                    gamma=gamma,
+                    delta=delta,
+                    horizon=horizon,
+                    payoffs=payoffs,
+                    estimate_norms=est_norms,
+                    values=values,
+                    fenchel=fen_total,
+                    fenchel_per_player=fen_pp,
+                    nash_gaps=gaps,
+                    dist_to_ref=dist,
+                    decomposition=decomposition,
                 )
+            )
 
     log.final_state = LearnerState(
         scores=scores,

@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from sgl.cli import main
-from sgl.games import save_game, save_policy, uniform_profile
+from sgl.games import StochasticGame, save_game, save_policy, uniform_profile
 from sgl.generators import GeneratorSpec, generate
 
 
@@ -153,6 +154,26 @@ class TestLearn:
         )
         assert code == 0
         assert "schedule conditions failing" in capsys.readouterr().err
+
+    def test_uncertified_mixing_exits_one(self, tmp_path, capsys):
+        # player 0 keeps or flips the state: the sampled certificate fails,
+        # so the default preset has no finite log window
+        rewards = np.zeros((2, 2, 4))
+        rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+        rewards[1] = 1.0 - rewards[0]
+        transitions = np.zeros((2, 4, 2))
+        for s in range(2):
+            transitions[s, :2, s] = 1.0
+            transitions[s, 2:, 1 - s] = 1.0
+        game_path = tmp_path / "stay_switch.json"
+        save_game(StochasticGame(2, (2, 2), rewards, transitions), game_path)
+        argv = ["learn", "--game", str(game_path), "--iters", "20", "--log-every", "10"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "mixing certificate failed at sampled profile" in err
+        # an explicit window needs no certified mixing constant
+        assert main([*argv, "--horizon", "power", "--horizon-param", "0.5"]) == 0
+        assert main([*argv, "--preset", "sqrt-horizon"]) == 0
 
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SGL_SEED", "123")

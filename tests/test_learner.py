@@ -7,7 +7,13 @@ import pytest
 
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ScheduleError
-from sgl.games import PolicyProfile, StochasticGame, uniform_profile
+from sgl.games import (
+    PolicyProfile,
+    StochasticGame,
+    certification_sample,
+    certify_mixing,
+    uniform_profile,
+)
 from sgl.generators import GeneratorSpec, generate
 from sgl.learner import (
     CSV_COLUMNS,
@@ -51,6 +57,19 @@ def dominant_action_game():
     return StochasticGame(1, (2, 2), rewards, np.ones((1, 4, 1)))
 
 
+def stay_switch_game():
+    """Player 0 either keeps the state or flips it, so the pure profiles
+    give reducible or periodic chains and the sampled certificate fails."""
+    rewards = np.zeros((2, 2, 4))
+    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+    rewards[1] = 1.0 - rewards[0]
+    transitions = np.zeros((2, 4, 2))
+    for s in range(2):
+        transitions[s, :2, s] = 1.0
+        transitions[s, 2:, 1 - s] = 1.0
+    return StochasticGame(2, (2, 2), rewards, transitions)
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -71,6 +90,23 @@ class TestSchedule:
             Schedule(1.0, 0.5, horizon_mode="fibonacci")
         with pytest.raises(ScheduleError):
             Schedule(1.0, 0.5, gamma_scale=0.0)
+
+    def test_non_finite_parameters_rejected(self):
+        names = ("gamma_exp", "delta_exp", "gamma_scale", "delta_scale", "horizon_param")
+        for name in names:
+            for bad in (math.inf, -math.inf, math.nan):
+                params = {"gamma_exp": 1.0, "delta_exp": 1 / 3, name: bad}
+                with pytest.raises(ScheduleError, match="finite"):
+                    Schedule(**params)
+
+    def test_default_schedule_refuses_failed_certificate(self):
+        game = stay_switch_game()
+        cert = certify_mixing(game, certification_sample(game, rng=0))
+        assert not cert.ok
+        with pytest.raises(ScheduleError, match=f"profile {cert.failing_index} "):
+            default_schedule(game)
+        with pytest.raises(ScheduleError, match="finite"):
+            default_schedule(game, tau=cert.tau)
 
     def test_default_schedule_scales(self):
         game = generate(GeneratorSpec(kind="matching-pennies"))
@@ -403,19 +439,10 @@ class TestVariationallyStableConvergence:
                 game, sch, ENTROPY, 25_000, seed=seed, reference=star,
                 log_every=500, compute_gaps=False,
             )
-            ts = log.checkpoint_times()
-            dist = {
-                t: math.sqrt(
-                    sum(r["dist_to_ref"] ** 2 for r in log.rows if r["t"] == t)
-                )
-                for t in ts
-            }
-            fen = {
-                t: sum(r["fenchel"] for r in log.rows if r["t"] == t) for t in ts
-            }
-            early.append(dist[ts[1]])
-            final.append(dist[ts[-1]])
-            fen_first.append(np.median([fen[t] for t in ts[:5]]))
-            fen_last.append(np.median([fen[t] for t in ts[-5:]]))
+            diags = log.diagnostics
+            early.append(diags[1].profile_dist)
+            final.append(diags[-1].profile_dist)
+            fen_first.append(np.median([d.fenchel for d in diags[:5]]))
+            fen_last.append(np.median([d.fenchel for d in diags[-5:]]))
         assert np.median(final) < np.median(early)
         assert np.median(fen_last) < np.median(fen_first)
