@@ -14,12 +14,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ErgodicityError
+from .errors import ContractError, DimensionError, DomainError, ErgodicityError
 from .games import (
     ChainAnalysis,
     PolicyProfile,
     StochasticGame,
     analyze_chain,
+    check_policy_block,
     induced_transition_matrix,
     joint_weight_matrix,
     random_profile,
@@ -97,7 +98,7 @@ class GapReport:
 
 
 def _stage_rewards(game, policy) -> np.ndarray:
-    w = joint_weight_matrix(game, policy)
+    w = joint_weight_matrix(policy.probs)
     return np.einsum("isj,sj->is", game.rewards, w)
 
 
@@ -106,6 +107,34 @@ def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
     chain = analyze_chain(game, policy)
     R = _stage_rewards(game, policy)
     return ValueReport(R @ chain.stationary, R, chain.stationary, chain)
+
+
+def exact_values(game: StochasticGame, blocks) -> np.ndarray:
+    """Long-run average payoffs of a stack of B profiles, shape (B, n_players).
+
+    blocks[i] is player i's (B, n_states, n_actions_i) policy stack; row k
+    of the result is exact_value(...).values of the profile formed by every
+    player's slice k. Each stack gets the PolicyProfile checks (errors name
+    the profile) and all B chains share one stacked stationary solve.
+    """
+    if len(blocks) != game.n_players:
+        raise DimensionError(
+            f"policy stack has {len(blocks)} players, game has {game.n_players}"
+        )
+    n_profiles = len(blocks[0])
+    checked = []
+    for i, (block, m) in enumerate(zip(blocks, game.n_actions)):
+        arr = np.asarray(block, dtype=float)
+        if arr.shape != (n_profiles, game.n_states, m):
+            raise DimensionError(
+                f"player {i} policy stack shape {arr.shape} != "
+                f"{(n_profiles, game.n_states, m)}"
+            )
+        checked.append(check_policy_block(arr, i))
+    w = joint_weight_matrix(checked)
+    p = stationary_distribution(np.einsum("bsj,sjt->bst", w, game.transitions))
+    stage = np.einsum("isj,bsj->bis", game.rewards, w)
+    return np.einsum("bis,bs->bi", stage, p)
 
 
 def opponent_weights(game, policy, state: int, player: int) -> np.ndarray:
@@ -174,24 +203,28 @@ def finite_difference_gradient(
     Returns per-player arrays of shape (n_states, n_actions - 1) holding the
     directional derivatives along e_a - e_last within each state, so the
     perturbed points remain valid policies. The policy must be interior by
-    more than `step` in every coordinate.
+    more than `step` in every coordinate. All plus and minus points share
+    one exact_values call.
     """
-    out = []
-    for i, m in enumerate(game.n_actions):
-        block = np.zeros((game.n_states, m - 1))
-        for s in range(game.n_states):
-            for a in range(m - 1):
-                direction = np.zeros(m)
-                direction[a] = 1.0
-                direction[m - 1] = -1.0
-                plus = np.array(policy.probs[i])
-                minus = np.array(policy.probs[i])
-                plus[s] += step * direction
-                minus[s] -= step * direction
-                v_plus = exact_value(game, policy.replace(i, plus)).values[i]
-                v_minus = exact_value(game, policy.replace(i, minus)).values[i]
-                block[s, a] = (v_plus - v_minus) / (2.0 * step)
-        out.append(block)
+    queries = [
+        (i, s, a)
+        for i, m in enumerate(game.n_actions)
+        for s in range(game.n_states)
+        for a in range(m - 1)
+    ]
+    out = [np.zeros((game.n_states, m - 1)) for m in game.n_actions]
+    if not queries:
+        return tuple(out)
+    # rows 2q and 2q + 1 of every stack are query q's plus and minus points
+    stacks = [np.repeat(b[None], 2 * len(queries), axis=0) for b in policy.probs]
+    for q, (i, s, a) in enumerate(queries):
+        last = game.n_actions[i] - 1
+        for row, sign in ((2 * q, 1.0), (2 * q + 1, -1.0)):
+            stacks[i][row, s, a] += sign * step
+            stacks[i][row, s, last] -= sign * step
+    values = exact_values(game, stacks)
+    for q, (i, s, a) in enumerate(queries):
+        out[i][s, a] = (values[2 * q, i] - values[2 * q + 1, i]) / (2.0 * step)
     return tuple(out)
 
 
@@ -263,8 +296,8 @@ def estimate_mismatch(game: StochasticGame, policy_samples) -> float:
     samples = list(policy_samples)
     if len(samples) < 2:
         raise DomainError("estimate_mismatch needs at least 2 sample policies")
-    dists = np.array(
-        [stationary_distribution(induced_transition_matrix(game, pi)) for pi in samples]
+    dists = stationary_distribution(
+        np.array([induced_transition_matrix(game, pi) for pi in samples])
     )
     return float((dists.max(axis=0) / dists.min(axis=0)).max())
 

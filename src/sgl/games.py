@@ -127,6 +127,35 @@ class StochasticGame:
         return float(np.abs(self.rewards[player]).max())
 
 
+def _stack_prefix(index, name: str) -> str:
+    """'name=k, ' for an error in slice k of a stack, '' for a single item."""
+    return f"{name}={int(index[0])}, " if len(index) else ""
+
+
+def check_policy_block(block: np.ndarray, player: int) -> np.ndarray:
+    """Clipped copy of one player's (..., states, actions) policy block.
+
+    Rejects entries below -ROW_SUM_TOL and rows whose sum is off one by more
+    than ROW_SUM_TOL (a NaN row too). A leading axis indexes a stack of
+    profiles, and errors then name the profile.
+    """
+    if (block < -ROW_SUM_TOL).any():
+        *k, s, a = np.argwhere(block < -ROW_SUM_TOL)[0]
+        raise GameFormatError(
+            f"policy entry ({_stack_prefix(k, 'profile')}player={player}, "
+            f"state={s}, action={a}) is negative"
+        )
+    sums = block.sum(axis=-1)
+    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
+    if off.any():
+        *k, s = np.argwhere(off)[0]
+        raise GameFormatError(
+            f"policy row ({_stack_prefix(k, 'profile')}player={player}, state={s}) "
+            f"sums to {sums[(*k, s)]!r}"
+        )
+    return np.clip(block, 0.0, None)
+
+
 @dataclass(frozen=True)
 class PolicyProfile:
     """One probability vector over actions per (player, state)."""
@@ -139,19 +168,7 @@ class PolicyProfile:
             arr = np.asarray(block, dtype=float)
             if arr.ndim != 2:
                 raise DimensionError(f"player {i} policy must be 2-d (states x actions)")
-            if (arr < -ROW_SUM_TOL).any():
-                s, a = np.argwhere(arr < -ROW_SUM_TOL)[0]
-                raise GameFormatError(
-                    f"policy entry (player={i}, state={s}, action={a}) is negative"
-                )
-            sums = arr.sum(axis=1)
-            off = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-            if off.size:
-                s = int(off[0][0])
-                raise GameFormatError(
-                    f"policy row (player={i}, state={s}) sums to {sums[s]!r}"
-                )
-            arr = np.clip(arr, 0.0, None)
+            arr = check_policy_block(arr, i)
             arr.flags.writeable = False
             blocks.append(arr)
         object.__setattr__(self, "probs", tuple(blocks))
@@ -271,11 +288,15 @@ def _check_compatible(game: StochasticGame, policy: PolicyProfile) -> None:
             )
 
 
-def joint_weight_matrix(game, policy) -> np.ndarray:
-    """(n_states, n_joint) probabilities of every joint action per state."""
-    w = np.ones((game.n_states, 1))
-    for block in policy.probs:
-        w = (w[:, :, None] * block[:, None, :]).reshape(game.n_states, -1)
+def joint_weight_matrix(blocks) -> np.ndarray:
+    """(..., n_states, n_joint) probabilities of every joint action per state.
+
+    blocks[i] is player i's (..., n_states, m_i) policy block; leading axes
+    index a stack of profiles.
+    """
+    w = np.ones(blocks[0].shape[:-1] + (1,))
+    for block in blocks:
+        w = (w[..., :, None] * block[..., None, :]).reshape(block.shape[:-1] + (-1,))
     return w
 
 
@@ -286,11 +307,13 @@ def induced_transition_matrix(game: StochasticGame, policy: PolicyProfile) -> np
     transition rows at s; rows sum to one within 1e-12 by construction.
     """
     _check_compatible(game, policy)
-    w = joint_weight_matrix(game, policy)
+    w = joint_weight_matrix(policy.probs)
     return np.einsum("sj,sjt->st", w, game.transitions)
 
 
-def _power_iteration(P: np.ndarray, tol: float = _POWER_TOL, cap: int = _POWER_CAP):
+def _power_iteration(
+    P: np.ndarray, where: str = "", tol: float = _POWER_TOL, cap: int = _POWER_CAP
+):
     n = P.shape[0]
     p = np.full(n, 1.0 / n)
     for _ in range(cap):
@@ -299,51 +322,82 @@ def _power_iteration(P: np.ndarray, tol: float = _POWER_TOL, cap: int = _POWER_C
             return nxt / nxt.sum()
         p = nxt
     raise ErgodicityError(
-        f"ergodicity check failed: power iteration did not converge in {cap} steps"
+        f"ergodicity check failed{where}: power iteration did not converge in {cap} steps"
     )
+
+
+def _slicewise(fn, stack: np.ndarray, check: str, at):
+    """fn(stack), with a LinAlgError turned into an ErgodicityError that
+    names the first slice fn fails on alone."""
+    try:
+        return fn(stack)
+    except np.linalg.LinAlgError:
+        for k in range(len(stack)):
+            try:
+                fn(stack[k : k + 1])
+            except np.linalg.LinAlgError as exc:
+                raise ErgodicityError(
+                    f"ergodicity check failed{at(k)}: {check} ({exc})"
+                ) from exc
+        raise ErgodicityError(f"ergodicity check failed: {check}") from None
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
     """Unique stationary distribution of an ergodic row-stochastic matrix.
 
-    Solves the balance equations directly (transpose system with a
-    normalization row appended); power iteration is the fallback and
-    cross-check. Raises ErgodicityError, naming the failing check, when the
-    chain is not ergodic.
+    P is one (S, S) matrix or a (B, S, S) stack, and the result has shape
+    (S,) or (B, S); a 2-d P is the stack of one. The unit-circle eigenvalue
+    count screens for reducible or periodic chains, then one stacked solve
+    of the balance equations, with their last row replaced by the
+    normalization, gives every distribution. Power iteration is the fallback
+    for a slice whose fixed-point residual fails. Raises ErgodicityError,
+    naming the failing check (and, for a stack, the slice), when a chain is
+    not ergodic; a singular solve is reported the same way.
     """
     P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+    if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
         raise DimensionError(f"transition matrix must be square, got {P.shape}")
-    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9 or (P < -ROW_SUM_TOL).any():
-        raise DomainError("matrix is not row-stochastic")
+    stack = P.reshape((-1,) + P.shape[-2:])
+    n = stack.shape[1]
 
-    eigvals = np.linalg.eigvals(P)
-    n_unit = int(np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL))
-    if n_unit != 1:
+    def at(k) -> str:
+        return f" at slice {k}" if P.ndim == 3 else ""
+
+    bad = ~(np.abs(stack.sum(axis=2) - 1.0) <= 1e-9).all(axis=1)
+    bad |= (stack < -ROW_SUM_TOL).any(axis=(1, 2))
+    if bad.any():
+        raise DomainError(f"matrix is not row-stochastic{at(np.flatnonzero(bad)[0])}")
+
+    eigvals = _slicewise(np.linalg.eigvals, stack, "eigenvalue computation failed", at)
+    n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
+    if (n_unit != 1).any():
+        k = np.flatnonzero(n_unit != 1)[0]
         raise ErgodicityError(
-            "ergodicity check failed: unit-circle eigenvalue count "
-            f"{n_unit} != 1 (chain reducible or periodic)"
+            f"ergodicity check failed{at(k)}: unit-circle eigenvalue count "
+            f"{n_unit[k]} != 1 (chain reducible or periodic)"
         )
 
-    n = P.shape[0]
-    A = np.vstack([P.T - np.eye(n), np.ones((1, n))])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    p, *_ = np.linalg.lstsq(A, b, rcond=None)
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0:
-        raise ErgodicityError("ergodicity check failed: linear solve degenerate")
+    A = np.swapaxes(stack, 1, 2) - np.eye(n)
+    A[:, -1, :] = 1.0
+    e = np.zeros((n, 1))
+    e[-1] = 1.0
+    p = _slicewise(lambda a: np.linalg.solve(a, e), A, "singular balance system", at)
+    p = np.clip(p[:, :, 0], 0.0, None)
+    total = p.sum(axis=1, keepdims=True)
+    if not (total > 0).all():
+        k = np.flatnonzero(~(total[:, 0] > 0))[0]
+        raise ErgodicityError(f"ergodicity check failed{at(k)}: linear solve degenerate")
     p = p / total
-    if np.abs(p @ P - p).sum() > STATIONARY_TOL:
-        p = _power_iteration(P)
-    residual = np.abs(p @ P - p).sum()
-    if residual > STATIONARY_TOL:
-        raise ErgodicityError(
-            f"ergodicity check failed: fixed-point residual {residual:.3e} "
-            f"> {STATIONARY_TOL}"
-        )
-    return p
+    residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
+    for k in np.flatnonzero(~(residual <= STATIONARY_TOL)):
+        p[k] = _power_iteration(stack[k], at(k))
+        r = np.abs(p[k] @ stack[k] - p[k]).sum()
+        if not r <= STATIONARY_TOL:
+            raise ErgodicityError(
+                f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
+                f"> {STATIONARY_TOL}"
+            )
+    return p.reshape(P.shape[:-1])
 
 
 def dobrushin_coefficient(P: np.ndarray) -> float:

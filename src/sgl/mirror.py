@@ -153,10 +153,11 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
     the mirrored point.
     """
     scores = [np.asarray(y, float) for y in scores]
+    conj = [_conjugate_block(reg, y) for y in scores]
     per_player = np.array(
         [
-            reg.block_value(p) + _conjugate_block(reg, y) - float(np.sum(y * p))
-            for p, y in zip(policy.probs, scores)
+            reg.block_value(p) + c - float(np.sum(y * p))
+            for p, y, c in zip(policy.probs, scores, conj)
         ]
     )
     mirrored = mirror_map(reg, scores)
@@ -172,7 +173,7 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
     return FenchelReport(
         value=float(per_player.sum()),
         per_player=per_player,
-        conjugate=conjugate(reg, scores),
+        conjugate=sum(conj),
         mirrored=mirrored,
         bregman=bregman,
         bregman_defined=interior,

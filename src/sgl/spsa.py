@@ -15,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ScheduleError
-from .games import PolicyProfile, StochasticGame
+from .games import PolicyProfile, StochasticGame, _stack_prefix
 
 REDUCED_TOL = 1e-12
+# sphere draws per stacked exact_values call in smoothed_gradient_estimate
+ORACLE_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -31,17 +33,25 @@ def reduce_block(block: np.ndarray) -> np.ndarray:
 
 
 def lift_block(x: np.ndarray) -> np.ndarray:
-    """Rebuild the full block; the last action gets 1 minus the row sum."""
+    """Rebuild the full block; the last action gets 1 minus the row sum.
+
+    x is one (states x (m-1)) block or an (n, states, m-1) stack of draws;
+    errors in a stack name the draw.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if (x < -REDUCED_TOL).any():
-        s, a = np.argwhere(x < -REDUCED_TOL)[0]
-        raise DomainError(f"reduced entry (state={s}, action={a}) is negative")
-    rest = 1.0 - x.sum(axis=1)
+        *k, s, a = np.argwhere(x < -REDUCED_TOL)[0]
+        raise DomainError(
+            f"reduced entry ({_stack_prefix(k, 'draw')}state={s}, action={a}) is negative"
+        )
+    rest = 1.0 - x.sum(axis=-1)
     if (rest < -REDUCED_TOL).any():
-        s = int(np.argwhere(rest < -REDUCED_TOL)[0][0])
-        raise DomainError(f"reduced row (state={s}) sums to more than 1")
+        *k, s = np.argwhere(rest < -REDUCED_TOL)[0]
+        raise DomainError(
+            f"reduced row ({_stack_prefix(k, 'draw')}state={s}) sums to more than 1"
+        )
     x = np.clip(x, 0.0, None)
-    return np.hstack([x, np.clip(rest, 0.0, None)[:, None]])
+    return np.concatenate([x, np.clip(rest, 0.0, None)[..., None]], axis=-1)
 
 
 def reduce_policy(policy: PolicyProfile) -> list[np.ndarray]:
@@ -146,18 +156,25 @@ def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.nd
     """Feasibility-adjusted query point x + delta * (z - (x - center)/radius).
 
     Equals the convex combination (1 - delta/radius) x + (delta/radius)
-    (center + radius z), hence stays feasible whenever delta < radius.
+    (center + radius z), hence stays feasible whenever delta < radius. z is
+    one flat direction, or an (n, d) stack of them giving (n,) + x.shape.
     """
     x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float).reshape(x.shape)
-    norm = np.linalg.norm(z)
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"perturbation direction has norm {norm!r}, expected 1")
+    z = np.asarray(z, dtype=float)
+    norms = np.linalg.norm(z, axis=-1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
+    if off.size:
+        k = off[0]
+        where = f" (draw {k})" if z.ndim > 1 else ""
+        raise DomainError(
+            f"perturbation direction{where} has norm {norms.flat[k]!r}, expected 1"
+        )
     if delta >= net.radius:
         raise ScheduleError(
             f"query radius {delta} exceeds safety radius {net.radius}"
         )
     lam = delta / net.radius
+    z = z.reshape(z.shape[:-1] + x.shape)
     return (1.0 - lam) * x + lam * (net.center + net.radius * z)
 
 
@@ -226,7 +243,7 @@ def smoothed_gradient_estimate(
     leaves the mean unchanged and shrinks the variance. Returns (means,
     stderrs) as per-player (states x (m-1)) arrays.
     """
-    from .analysis import exact_value
+    from .analysis import exact_value, exact_values
 
     nets = nets or _nets_for(game)
     base = reduce_policy(policy)
@@ -243,19 +260,25 @@ def smoothed_gradient_estimate(
 
     sums = {i: np.zeros_like(base[i]) for i in active}
     sq_sums = {i: np.zeros_like(base[i]) for i in active}
-    for _ in range(n_draws):
-        zs = {i: sample_sphere(dims[i], rng) for i in active}
+    for start in range(0, n_draws, ORACLE_BLOCK):
+        n = min(ORACLE_BLOCK, n_draws - start)
+        # draw-major, as one sample_sphere call per player per draw
+        zs = {i: np.empty((n, dims[i])) for i in active}
+        for k in range(n):
+            for i in active:
+                zs[i][k] = sample_sphere(dims[i], rng)
         queried = [
-            perturb(base[i], zs[i], delta, nets[i]) if i in active else base[i]
+            perturb(base[i], zs[i], delta, nets[i])
+            if i in active
+            else np.broadcast_to(base[i], (n,) + base[i].shape)
             for i in range(game.n_players)
         ]
-        values = exact_value(game, lift_policy(queried)).values
+        values = exact_values(game, [lift_block(x) for x in queried])
         for i in active:
-            sample = (dims[i] / delta) * (values[i] - base_values[i]) * zs[i].reshape(
-                base[i].shape
-            )
-            sums[i] += sample
-            sq_sums[i] += sample * sample
+            scale = (dims[i] / delta) * (values[:, i] - base_values[i])
+            samples = scale[:, None, None] * zs[i].reshape((n,) + base[i].shape)
+            sums[i] += samples.sum(axis=0)
+            sq_sums[i] += (samples * samples).sum(axis=0)
 
     means, stderrs = [], []
     for i in range(game.n_players):

@@ -8,13 +8,14 @@ from sgl.analysis import (
     estimate_mismatch,
     exact_gradient,
     exact_value,
+    exact_values,
     finite_difference_gradient,
     first_order_residual,
     lipschitz_probe,
     nash_gap,
     truncated_advantage_series,
 )
-from sgl.errors import ContractError, DomainError
+from sgl.errors import ContractError, DimensionError, DomainError, GameFormatError
 from sgl.games import (
     PolicyProfile,
     StochasticGame,
@@ -54,6 +55,15 @@ def action_independent_game(seed, n_states=2, n_actions=(2, 2)):
     n_joint = int(np.prod(n_actions))
     transitions = np.repeat(T[:, None, :], n_joint, axis=1)
     rewards = rng.random((len(n_actions), n_states, n_joint))
+    return StochasticGame(n_states, tuple(n_actions), rewards, transitions)
+
+
+def mixed_action_game(seed, n_states=3, n_actions=(3, 1, 2)):
+    """Random dense game whose players may have a single action."""
+    rng = np.random.default_rng(seed)
+    n_joint = int(np.prod(n_actions))
+    rewards = rng.random((len(n_actions), n_states, n_joint))
+    transitions = rng.dirichlet(np.ones(n_states), size=(n_states, n_joint))
     return StochasticGame(n_states, tuple(n_actions), rewards, transitions)
 
 
@@ -185,7 +195,55 @@ class TestAdvantages:
 # gradients
 
 
+class TestExactValues:
+    @pytest.mark.parametrize("n_actions", [(2, 2), (3, 1, 2)], ids=["2x2", "single-action"])
+    def test_rows_match_exact_value(self, n_actions):
+        game = mixed_action_game(3, n_actions=n_actions)
+        rng = np.random.default_rng(4)
+        profiles = [random_profile(game, rng) for _ in range(30)]
+        stacks = [np.stack([p.probs[i] for p in profiles]) for i in range(game.n_players)]
+        values = exact_values(game, stacks)
+        assert values.shape == (30, game.n_players)
+        for k, policy in enumerate(profiles):
+            np.testing.assert_allclose(
+                values[k], exact_value(game, policy).values, rtol=0, atol=1e-13
+            )
+
+    def test_checks_name_the_profile(self):
+        game = random_game(4)
+        stacks = [np.full((3, 2, 2), 0.5), np.full((3, 2, 2), 0.5)]
+        stacks[1][2, 1] = [1.2, -0.2]
+        with pytest.raises(GameFormatError, match=r"profile=2, player=1, state=1, action=1"):
+            exact_values(game, stacks)
+        stacks[1][2, 1] = [0.6, 0.6]
+        with pytest.raises(GameFormatError, match=r"row \(profile=2, player=1, state=1\)"):
+            exact_values(game, stacks)
+        with pytest.raises(DimensionError, match="3 players, game has 2"):
+            exact_values(game, stacks[:1] + stacks)
+        with pytest.raises(DimensionError, match="player 1 policy stack shape"):
+            exact_values(game, [stacks[0], stacks[1][:2]])
+
+
 class TestExactGradient:
+    def test_finite_differences_match_per_query_value_loop(self):
+        # the one-exact_value-per-point loop the stacked version replaced
+        game = mixed_action_game(5)
+        policy = random_profile(game, np.random.default_rng(6), margin=0.2)
+        step = 1e-5
+        fd = finite_difference_gradient(game, policy, step)
+        for i, m in enumerate(game.n_actions):
+            assert fd[i].shape == (game.n_states, m - 1)
+            for s in range(game.n_states):
+                for a in range(m - 1):
+                    plus = np.array(policy.probs[i])
+                    minus = np.array(policy.probs[i])
+                    plus[s, [a, m - 1]] += [step, -step]
+                    minus[s, [a, m - 1]] -= [step, -step]
+                    v_plus = exact_value(game, policy.replace(i, plus)).values[i]
+                    v_minus = exact_value(game, policy.replace(i, minus)).values[i]
+                    ref = (v_plus - v_minus) / (2.0 * step)
+                    assert fd[i][s, a] == pytest.approx(ref, rel=0, abs=1e-9)
+
     def test_single_state_two_player_oracle(self):
         game = single_state_game(21)
         policy = random_profile(game, np.random.default_rng(5))

@@ -80,6 +80,10 @@ class TestGameConstruction:
         with pytest.raises(GameFormatError, match="negative"):
             PolicyProfile((np.array([[1.2, -0.2]]),))
 
+    def test_policy_nan_row_checked(self):
+        with pytest.raises(GameFormatError, match="player=0, state=0"):
+            PolicyProfile((np.array([[np.nan, 1.0]]),))
+
 
 # ---------------------------------------------------------------------------
 # induced transition matrix
@@ -160,6 +164,42 @@ class TestStationary:
     def test_periodic_chain_rejected(self):
         with pytest.raises(ErgodicityError):
             stationary_distribution(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20])
+    def test_stack_equals_each_slice_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        P = rng.random((40, n, n))
+        P /= P.sum(axis=2, keepdims=True)
+        stacked = stationary_distribution(P)
+        assert stacked.shape == (40, n)
+        for k in range(40):
+            assert np.array_equal(stacked[k], stationary_distribution(P[k]))
+
+    @pytest.mark.parametrize(
+        "bad", [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], ids=["identity", "periodic"]
+    )
+    def test_stack_names_the_non_ergodic_slice(self, bad):
+        P = np.tile([[0.9, 0.1], [0.2, 0.8]], (5, 1, 1))
+        P[3] = bad
+        with pytest.raises(ErgodicityError, match="slice 3: unit-circle eigenvalue"):
+            stationary_distribution(P)
+
+    def test_singular_solve_is_ergodicity_error(self, monkeypatch):
+        # with the eigenvalue screen bypassed, the identity's balance system
+        # is singular: the solve must name the slice, never raise LinAlgError
+        monkeypatch.setattr(
+            np.linalg, "eigvals", lambda a: np.tile([1.0, 0.5], a.shape[:-2] + (1,))
+        )
+        P = np.tile([[0.9, 0.1], [0.2, 0.8]], (4, 1, 1))
+        P[2] = np.eye(2)
+        with pytest.raises(ErgodicityError, match="slice 2: singular balance system"):
+            stationary_distribution(P)
+        with pytest.raises(ErgodicityError, match="failed: singular balance system"):
+            stationary_distribution(np.eye(2))
+
+    def test_nan_matrix_is_not_row_stochastic(self):
+        with pytest.raises(DomainError, match="row-stochastic"):
+            stationary_distribution(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
     def test_fixed_point_residual(self):
         rng = np.random.default_rng(23)

@@ -141,6 +141,13 @@ class TestFenchelCoupling:
         report = fenchel_coupling(reg, mirrored, scores)
         assert report.value == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("reg", [ENTROPY, EUCLIDEAN], ids=["entropy", "euclidean"])
+    def test_conjugate_field_is_the_conjugate(self, reg):
+        rng = np.random.default_rng(8)
+        scores = random_scores(rng, SHAPES)
+        report = fenchel_coupling(reg, random_profile(game22(), rng), scores)
+        assert report.conjugate == conjugate(reg, scores)
+
     def test_entropy_coupling_is_kl(self):
         game = game22()
         rng = np.random.default_rng(4)

@@ -84,6 +84,18 @@ class TestReducedCoordinates:
 # safety nets
 
 
+def test_lift_block_stack_lifts_each_draw():
+    x = np.array([[[0.2, 0.3]], [[0.5, 0.1]], [[0.7, 0.5]]])
+    lifted = lift_block(x[:2])
+    for k in range(2):
+        assert np.array_equal(lifted[k], lift_block(x[k]))
+    with pytest.raises(DomainError, match=r"row \(draw=2, state=0\) sums to more than 1"):
+        lift_block(x)
+    x[1, 0, 1] = -0.1
+    with pytest.raises(DomainError, match=r"entry \(draw=1, state=0, action=1\)"):
+        lift_block(x)
+
+
 class TestSafetyNet:
     def test_two_actions_single_state(self):
         net = safety_net_for(1, 2)
@@ -153,6 +165,19 @@ class TestPerturb:
             np.testing.assert_allclose(
                 perturb(raw[idx], z[idx], delta, net), out[idx], atol=1e-14
             )
+
+    def test_stack_of_directions_matches_single_calls(self):
+        net = safety_net_for(2, 3)
+        rng = np.random.default_rng(3)
+        x = np.array([[0.3, 0.3], [0.2, 0.5]])
+        z = np.array([sample_sphere(4, rng) for _ in range(5)])
+        out = perturb(x, z, 0.1, net)
+        assert out.shape == (5, 2, 2)
+        for k in range(5):
+            assert np.array_equal(out[k], perturb(x, z[k], 0.1, net))
+        z[3] *= 2.0
+        with pytest.raises(DomainError, match=r"direction \(draw 3\) has norm"):
+            perturb(x, z, 0.1, net)
 
     def test_direction_must_be_unit(self):
         net = safety_net_for(1, 2)
@@ -242,6 +267,51 @@ class TestEstimator:
 
 # ---------------------------------------------------------------------------
 # smoothed-gradient diagnostics
+
+
+class TestSmoothedGradient:
+    def test_matches_per_draw_reference_loop(self):
+        # the one-exact_value-per-draw loop the stacked estimator replaced;
+        # 300 draws cross a stacked-block boundary and player 1 has a
+        # single action
+        rng = np.random.default_rng(9)
+        n_actions, S = (3, 1, 2), 3
+        n_joint = int(np.prod(n_actions))
+        game = StochasticGame(
+            S, n_actions, rng.random((3, S, n_joint)),
+            rng.dirichlet(np.ones(S), size=(S, n_joint)),
+        )
+        policy = random_profile(game, rng, margin=0.3)
+        delta, n_draws = 0.1, 300
+        nets = [safety_net_for(S, m) for m in n_actions]
+        base = reduce_policy(policy)
+        active = [0, 2]
+        dims = {i: reduced_dim(S, n_actions[i]) for i in active}
+        v0 = exact_value(game, policy).values
+        ref_rng = np.random.default_rng(17)
+        samples = {i: [] for i in active}
+        for _ in range(n_draws):
+            zs = {i: sample_sphere(dims[i], ref_rng) for i in active}
+            queried = [
+                perturb(base[i], zs[i], delta, nets[i]) if i in active else base[i]
+                for i in range(3)
+            ]
+            v = exact_value(game, lift_policy(queried)).values
+            for i in active:
+                samples[i].append(
+                    (dims[i] / delta) * (v[i] - v0[i]) * zs[i].reshape(base[i].shape)
+                )
+
+        rng = np.random.default_rng(17)
+        means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert means[1].shape == stderrs[1].shape == (S, 0)
+        for i in active:
+            ref = np.mean(samples[i], axis=0)
+            assert np.abs(means[i] - ref).max() <= 1e-12 * np.abs(ref).max()
+            np.testing.assert_allclose(
+                stderrs[i], np.std(samples[i], axis=0) / np.sqrt(n_draws), rtol=1e-9
+            )
 
 
 class TestBiasProbe:
