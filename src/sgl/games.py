@@ -384,8 +384,9 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     p = _slicewise(lambda a: np.linalg.solve(a, e), A, "singular balance system", at)
     p = np.clip(p[:, :, 0], 0.0, None)
     total = p.sum(axis=1, keepdims=True)
-    if not (total > 0).all():
-        k = np.flatnonzero(~(total[:, 0] > 0))[0]
+    degenerate = ~(total[:, 0] > 0)
+    if degenerate.any():
+        k = np.flatnonzero(degenerate)[0]
         raise ErgodicityError(f"ergodicity check failed{at(k)}: linear solve degenerate")
     p = p / total
     residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
