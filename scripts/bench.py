@@ -33,7 +33,7 @@ SIZES = {
     "20s2p4a": dict(n_states=20, n_players=2, n_actions=4, eps=0.01),
 }
 STACK = 256          # profiles per exact_values call, draws per smoothed gradient
-ROUNDS = 3           # interpreter runs per side
+ROUNDS = 5           # interpreter runs per side
 REPEATS = 7          # timed repeats per operation and run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
 

@@ -326,15 +326,15 @@ def _power_iteration(
     )
 
 
-def _slicewise(fn, stack: np.ndarray, check: str, at):
-    """fn(stack), with a LinAlgError turned into an ErgodicityError that
+def _slicewise(fn, check: str, at, *stacks):
+    """fn(*stacks), with a LinAlgError turned into an ErgodicityError that
     names the first slice fn fails on alone."""
     try:
-        return fn(stack)
+        return fn(*stacks)
     except np.linalg.LinAlgError:
-        for k in range(len(stack)):
+        for k in range(len(stacks[0])):
             try:
-                fn(stack[k : k + 1])
+                fn(*(s[k : k + 1] for s in stacks))
             except np.linalg.LinAlgError as exc:
                 raise ErgodicityError(
                     f"ergodicity check failed{at(k)}: {check} ({exc})"
@@ -368,7 +368,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if bad.any():
         raise DomainError(f"matrix is not row-stochastic{at(np.flatnonzero(bad)[0])}")
 
-    eigvals = _slicewise(np.linalg.eigvals, stack, "eigenvalue computation failed", at)
+    eigvals = _slicewise(np.linalg.eigvals, "eigenvalue computation failed", at, stack)
     n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
     if (n_unit != 1).any():
         k = np.flatnonzero(n_unit != 1)[0]
@@ -379,9 +379,9 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
     A = np.swapaxes(stack, 1, 2) - np.eye(n)
     A[:, -1, :] = 1.0
-    e = np.zeros((n, 1))
-    e[-1] = 1.0
-    p = _slicewise(lambda a: np.linalg.solve(a, e), A, "singular balance system", at)
+    b = np.zeros((len(A), n, 1))
+    b[:, -1] = 1.0
+    p = _slicewise(np.linalg.solve, "singular balance system", at, A, b)
     p = np.clip(p[:, :, 0], 0.0, None)
     total = p.sum(axis=1, keepdims=True)
     degenerate = ~(total[:, 0] > 0)
