@@ -363,15 +363,16 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     def at(k) -> str:
         return f" at slice {k}" if P.ndim == 3 else ""
 
-    bad = ~(np.abs(stack.sum(axis=2) - 1.0) <= 1e-9).all(axis=1)
-    bad |= (stack < -ROW_SUM_TOL).any(axis=(1, 2))
-    if bad.any():
-        raise DomainError(f"matrix is not row-stochastic{at(np.flatnonzero(bad)[0])}")
+    # each check reduces the whole stack first and locates the slice on failure
+    rows_ok = np.abs(stack.sum(axis=2) - 1.0) <= 1e-9
+    if not (rows_ok.all() and (stack >= -ROW_SUM_TOL).all()):
+        ok = rows_ok.all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
+        raise DomainError(f"matrix is not row-stochastic{at(np.argmin(ok))}")
 
     eigvals = _slicewise(np.linalg.eigvals, "eigenvalue computation failed", at, stack)
     n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
-    if (n_unit != 1).any():
-        k = np.flatnonzero(n_unit != 1)[0]
+    if not (n_unit == 1).all():
+        k = np.argmin(n_unit == 1)
         raise ErgodicityError(
             f"ergodicity check failed{at(k)}: unit-circle eigenvalue count "
             f"{n_unit[k]} != 1 (chain reducible or periodic)"
@@ -384,20 +385,20 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     p = _slicewise(np.linalg.solve, "singular balance system", at, A, b)
     p = np.clip(p[:, :, 0], 0.0, None)
     total = p.sum(axis=1, keepdims=True)
-    degenerate = ~(total[:, 0] > 0)
-    if degenerate.any():
-        k = np.flatnonzero(degenerate)[0]
+    if not (total > 0).all():
+        k = np.argmin(total[:, 0] > 0)
         raise ErgodicityError(f"ergodicity check failed{at(k)}: linear solve degenerate")
     p = p / total
-    residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
-    for k in np.flatnonzero(~(residual <= STATIONARY_TOL)):
-        p[k] = _power_iteration(stack[k], at(k))
-        r = np.abs(p[k] @ stack[k] - p[k]).sum()
-        if not r <= STATIONARY_TOL:
-            raise ErgodicityError(
-                f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
-                f"> {STATIONARY_TOL}"
-            )
+    settled = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1) <= STATIONARY_TOL
+    if not settled.all():
+        for k in np.flatnonzero(~settled):
+            p[k] = _power_iteration(stack[k], at(k))
+            r = np.abs(p[k] @ stack[k] - p[k]).sum()
+            if not r <= STATIONARY_TOL:
+                raise ErgodicityError(
+                    f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
+                    f"> {STATIONARY_TOL}"
+                )
     return p.reshape(P.shape[:-1])
 
 

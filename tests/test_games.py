@@ -200,6 +200,10 @@ class TestStationary:
     def test_nan_matrix_is_not_row_stochastic(self):
         with pytest.raises(DomainError, match="row-stochastic"):
             stationary_distribution(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+        P = np.tile([[0.9, 0.1], [0.2, 0.8]], (3, 1, 1))
+        P[1, 0] = [np.nan, 0.1]
+        with pytest.raises(DomainError, match="row-stochastic at slice 1"):
+            stationary_distribution(P)
 
     def test_fixed_point_residual(self):
         rng = np.random.default_rng(23)
