@@ -240,7 +240,8 @@ def smoothed_gradient_estimate(
     All players are perturbed jointly through their safety nets and the
     exact value at the queried profile plays the role of the observed
     payoff. The current value is subtracted as a control variate, which
-    leaves the mean unchanged and shrinks the variance. Returns (means,
+    leaves the mean unchanged and shrinks the variance. Queries are
+    evaluated ORACLE_BLOCK draws per exact_values call. Returns (means,
     stderrs) as per-player (states x (m-1)) arrays.
     """
     from .analysis import exact_value, exact_values
@@ -262,7 +263,8 @@ def smoothed_gradient_estimate(
     sq_sums = {i: np.zeros_like(base[i]) for i in active}
     for start in range(0, n_draws, ORACLE_BLOCK):
         n = min(ORACLE_BLOCK, n_draws - start)
-        # draw-major, as one sample_sphere call per player per draw
+        # one sample_sphere call per player per draw, draw-major, so the
+        # generator's stream is that of a draw-by-draw loop
         zs = {i: np.empty((n, dims[i])) for i in active}
         for k in range(n):
             for i in active:
