@@ -363,7 +363,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     def at(k) -> str:
         return f" at slice {k}" if P.ndim == 3 else ""
 
-    # each check reduces the whole stack first and locates the slice on failure
+    # checks reduce the whole stack first and locate the slice only on failure
     rows_ok = np.abs(stack.sum(axis=2) - 1.0) <= 1e-9
     if not (rows_ok.all() and (stack >= -ROW_SUM_TOL).all()):
         ok = rows_ok.all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
@@ -389,16 +389,15 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         k = np.argmin(total[:, 0] > 0)
         raise ErgodicityError(f"ergodicity check failed{at(k)}: linear solve degenerate")
     p = p / total
-    settled = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1) <= STATIONARY_TOL
-    if not settled.all():
-        for k in np.flatnonzero(~settled):
-            p[k] = _power_iteration(stack[k], at(k))
-            r = np.abs(p[k] @ stack[k] - p[k]).sum()
-            if not r <= STATIONARY_TOL:
-                raise ErgodicityError(
-                    f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
-                    f"> {STATIONARY_TOL}"
-                )
+    residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
+    for k in np.flatnonzero(~(residual <= STATIONARY_TOL)):
+        p[k] = _power_iteration(stack[k], at(k))
+        r = np.abs(p[k] @ stack[k] - p[k]).sum()
+        if not r <= STATIONARY_TOL:
+            raise ErgodicityError(
+                f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
+                f"> {STATIONARY_TOL}"
+            )
     return p.reshape(P.shape[:-1])
 
 
