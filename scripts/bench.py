@@ -5,9 +5,10 @@ Times exact_value, exact_values over a stack of 256 profiles,
 smoothed_gradient_estimate with 256 draws and nash_gap on three game sizes:
 (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with transition
 floor 0.01. With --baseline REV the same timings are also taken on that git
-revision's src/ (exported with git archive), in rounds that alternate which
-side runs first, and every row holds both sides. Each side runs in its own
-interpreter; an operation a side does not have is recorded as null.
+revision's src/ (exported with git archive) and every row holds both
+sides. Each operation and size is timed in fresh interpreters, a few rounds
+per side with the sides alternating; an operation a side does not have is
+recorded as null.
 
     python scripts/bench.py --baseline HEAD~1 --out BENCH_4.json
 """
@@ -33,8 +34,14 @@ SIZES = {
     "20s2p4a": dict(n_states=20, n_players=2, n_actions=4, eps=0.01),
 }
 STACK = 256          # profiles per exact_values call, draws per smoothed gradient
-ROUNDS = 5           # interpreter runs per side
-REPEATS = 7          # timed repeats per operation and run
+OPS = (
+    "exact_value",
+    f"exact_values[B={STACK}]",
+    f"smoothed_gradient_estimate[draws={STACK}]",
+    "nash_gap",
+)
+ROUNDS = 5           # interpreter runs per side, operation and size
+REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
 
 
@@ -57,43 +64,40 @@ def _time(fn) -> dict:
     return {"samples_us": samples, "calls_per_repeat": calls}
 
 
-def measure(src: pathlib.Path) -> dict:
-    """Timings of every operation at every size for the package under src."""
+def measure(src: pathlib.Path, op: str, size: str):
+    """Timing of one operation at one size for the package under src, or
+    None when that package does not have the operation."""
     sys.path.insert(0, str(src))
     import sgl
     from sgl import analysis, games, generators, spsa
 
     if not pathlib.Path(sgl.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
-    rows = {}
-    for label, size in SIZES.items():
-        game = generators.generate(
-            generators.GeneratorSpec(kind="random-ergodic", seed=0, **size)
+    game = generators.generate(
+        generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[size])
+    )
+    rng = np.random.default_rng(1)
+    policy = games.random_profile(game, rng, margin=0.3)
+    profiles = [games.random_profile(game, rng, margin=0.3) for _ in range(STACK)]
+    stacks = [np.stack([p.probs[i] for p in profiles]) for i in range(game.n_players)]
+    delta = 0.5 * min(
+        spsa.safety_net_for(game.n_states, m).radius for m in game.n_actions
+    )
+    if op == "exact_value":
+        return _time(lambda: analysis.exact_value(game, policy))
+    if op == f"exact_values[B={STACK}]":
+        if not hasattr(analysis, "exact_values"):
+            return None
+        return _time(lambda: analysis.exact_values(game, stacks))
+    if op == f"smoothed_gradient_estimate[draws={STACK}]":
+        return _time(
+            lambda: spsa.smoothed_gradient_estimate(
+                game, policy, delta, STACK, np.random.default_rng(0)
+            )
         )
-        rng = np.random.default_rng(1)
-        policy = games.random_profile(game, rng, margin=0.3)
-        profiles = [games.random_profile(game, rng, margin=0.3) for _ in range(STACK)]
-        stacks = [np.stack([p.probs[i] for p in profiles]) for i in range(game.n_players)]
-        delta = 0.5 * min(
-            spsa.safety_net_for(game.n_states, m).radius for m in game.n_actions
-        )
-        ops = {
-            "exact_value": lambda: analysis.exact_value(game, policy),
-            f"exact_values[B={STACK}]": (
-                (lambda: analysis.exact_values(game, stacks))
-                if hasattr(analysis, "exact_values")
-                else None
-            ),
-            f"smoothed_gradient_estimate[draws={STACK}]": lambda: (
-                spsa.smoothed_gradient_estimate(
-                    game, policy, delta, STACK, np.random.default_rng(0)
-                )
-            ),
-            "nash_gap": lambda: analysis.nash_gap(game, policy),
-        }
-        for op, fn in ops.items():
-            rows[f"{op} @ {label}"] = None if fn is None else _time(fn)
-    return rows
+    if op == "nash_gap":
+        return _time(lambda: analysis.nash_gap(game, policy))
+    raise SystemExit(f"unknown operation {op!r}")
 
 
 def _src_loc(src: pathlib.Path) -> int:
@@ -126,14 +130,38 @@ def _summary(samples: list, calls: int) -> dict:
     }
 
 
+def _row(sides: dict, op: str, size: str) -> dict:
+    """One operation at one size on every side. Each round starts one
+    interpreter per side, alternating which side goes first, so drift of
+    the host's speed hits both sides alike."""
+    runs = {side: [] for side in sides}
+    for r in range(ROUNDS):
+        for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
+            out = subprocess.run(
+                [sys.executable, __file__, "--measure", str(sides[side][0]), op, size],
+                check=True, capture_output=True, text=True,
+            ).stdout
+            runs[side].append(json.loads(out))
+    row = {"op": op, "size": size}
+    for side, timed in runs.items():
+        row[side] = None
+        if timed[0]:
+            samples = [s for t in timed for s in t["samples_us"]]
+            row[side] = _summary(samples, timed[0]["calls_per_repeat"])
+    if row.get("parent") and row["change"]:
+        row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
+    return row
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", help="BENCH_<n>.json file to write")
     ap.add_argument("--baseline", help="git revision timed next to the working tree")
-    ap.add_argument("--measure", help=argparse.SUPPRESS)  # child: time one src tree
+    ap.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)  # child: SRC OP SIZE
     args = ap.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(pathlib.Path(args.measure))))
+        src, op, size = args.measure
+        print(json.dumps(measure(pathlib.Path(src), op, size)))
         return 0
     if not args.out:
         ap.error("--out is required")
@@ -145,36 +173,11 @@ def main(argv=None) -> int:
         if args.baseline:
             commit = _git("rev-parse", args.baseline)
             sides = {"parent": (_export(commit, pathlib.Path(tmp)), commit), **sides}
-        runs = {side: [] for side in sides}
-        for r in range(ROUNDS):
-            for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
-                out = subprocess.run(
-                    [sys.executable, __file__, "--measure", str(sides[side][0])],
-                    check=True, capture_output=True, text=True,
-                ).stdout
-                runs[side].append(json.loads(out))
+        rows = [_row(sides, op, size) for size in SIZES for op in OPS]
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src)}
             for side, (src, commit) in sides.items()
         }
-
-    rows = []
-    for key in runs["change"][0]:
-        op, size = key.split(" @ ")
-        row = {"op": op, "size": size}
-        for side, side_runs in runs.items():
-            timed = [run[key] for run in side_runs if run.get(key)]
-            row[side] = (
-                _summary(
-                    [s for t in timed for s in t["samples_us"]],
-                    timed[0]["calls_per_repeat"],
-                )
-                if timed
-                else None
-            )
-        if row.get("parent") and row["change"]:
-            row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
-        rows.append(row)
 
     doc = {
         "env": {
@@ -190,7 +193,7 @@ def main(argv=None) -> int:
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for row in rows:
         cells = [
-            f"{side} {row[side]['us_per_call']:10.1f} us" if row[side] else f"{side} {'-':>13}"
+            f"{side} " + (f"{row[side]['us_per_call']:10.1f} us" if row[side] else f"{'-':>13}")
             for side in sides
         ]
         speed = f"  x{row['speedup']:.1f}" if "speedup" in row else ""
