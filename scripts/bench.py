@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Per-call timings of the exact oracle, written to a BENCH_<n>.json file.
+"""Per-call timings of the exact oracle and the learner, written to a
+BENCH_<n>.json file.
 
 Times exact_value, exact_values over a stack of 256 profiles,
 smoothed_gradient_estimate with 256 draws and nash_gap on three game sizes:
 (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with transition
-floor 0.01. With --baseline REV the same timings are also taken on that git
-revision's src/ (exported with git archive) and every row holds both
-sides. Each operation and size is timed in fresh interpreters, a few rounds
-per side with the sides alternating; an operation a side does not have is
-recorded as null.
+floor 0.01. The learner rows give microseconds per seed-iteration of B seeds
+(B = 1, 3, 10) on matching-pennies and zerosum-switching with the entropy
+mirror, the default schedule and log_every=1000: one run_batch call, or one
+run per seed on a side without run_batch. With --baseline REV the same
+timings are also taken on that git revision's src/ (exported with git
+archive) and every row holds both sides. Each operation and size is timed
+in fresh interpreters, a few rounds per side with the sides alternating; an
+operation a side does not have is recorded as null.
 
     python scripts/bench.py --baseline HEAD~1 --out BENCH_4.json
 """
@@ -40,6 +44,9 @@ OPS = (
     f"smoothed_gradient_estimate[draws={STACK}]",
     "nash_gap",
 )
+LEARNER_GAMES = ("matching-pennies", "zerosum-switching")
+BATCHES = (1, 3, 10)  # seeds per learner row
+LEARNER_ITERS = 1000  # outer iterations per seed and learner call
 ROUNDS = 5           # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
@@ -73,6 +80,8 @@ def measure(src: pathlib.Path, op: str, size: str):
 
     if not pathlib.Path(sgl.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
+    if op.startswith("learner"):
+        return _time_learner(op, size)
     game = generators.generate(
         generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[size])
     )
@@ -98,6 +107,24 @@ def measure(src: pathlib.Path, op: str, size: str):
     if op == "nash_gap":
         return _time(lambda: analysis.nash_gap(game, policy))
     raise SystemExit(f"unknown operation {op!r}")
+
+
+def _time_learner(op: str, kind: str) -> dict:
+    """Microseconds per seed-iteration of one learner call over B seeds."""
+    from sgl import generators, learner, mirror
+
+    seeds = list(range(int(op.removeprefix("learner[B=").removesuffix("]"))))
+    game = generators.generate(generators.GeneratorSpec(kind=kind))
+    schedule = learner.default_schedule(game)
+    reg = mirror.make_regularizer("entropy")
+    args = (game, schedule, reg, LEARNER_ITERS)
+    if hasattr(learner, "run_batch"):
+        timed = _time(lambda: learner.run_batch(*args, seeds, log_every=1000))
+    else:
+        timed = _time(lambda: [learner.run(*args, s, log_every=1000) for s in seeds])
+    per_call = LEARNER_ITERS * len(seeds)
+    timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
+    return timed
 
 
 def _src_loc(src: pathlib.Path) -> int:
@@ -174,6 +201,9 @@ def main(argv=None) -> int:
             commit = _git("rev-parse", args.baseline)
             sides = {"parent": (_export(commit, pathlib.Path(tmp)), commit), **sides}
         rows = [_row(sides, op, size) for size in SIZES for op in OPS]
+        rows += [
+            _row(sides, f"learner[B={b}]", kind) for kind in LEARNER_GAMES for b in BATCHES
+        ]
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src)}
             for side, (src, commit) in sides.items()
@@ -188,6 +218,14 @@ def main(argv=None) -> int:
         },
         "sides": env_sides,
         "sizes": SIZES,
+        "learner": {
+            "games": LEARNER_GAMES,
+            "batches": BATCHES,
+            "iters": LEARNER_ITERS,
+            "mirror": "entropy",
+            "log_every": 1000,
+            "unit": "us per seed-iteration",
+        },
         "rows": rows,
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
@@ -197,7 +235,7 @@ def main(argv=None) -> int:
             for side in sides
         ]
         speed = f"  x{row['speedup']:.1f}" if "speedup" in row else ""
-        print(f"{row['op']:36s} {row['size']:8s} " + "  ".join(cells) + speed)
+        print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")
     return 0
 

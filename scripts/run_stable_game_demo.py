@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from sgl import PolicyProfile, StochasticGame, nash_gap, run
+from sgl import PolicyProfile, StochasticGame, nash_gap, run_batch
 from sgl.learner import default_schedule
 from sgl.mirror import make_regularizer
 
@@ -36,12 +36,12 @@ def main(argv=None):
 
     schedule = default_schedule(game, gamma_scale=args.gamma_scale)
     reg = make_regularizer("entropy")
+    logs = run_batch(
+        game, schedule, reg, args.iters, args.seeds,
+        reference=star, log_every=args.log_every, compute_gaps=False,
+    )
     finals, earlies = [], []
-    for seed in args.seeds:
-        log = run(
-            game, schedule, reg, args.iters, seed,
-            reference=star, log_every=args.log_every, compute_gaps=False,
-        )
+    for seed, log in zip(args.seeds, logs):
         early = log.diagnostics[1].profile_dist
         final = log.diagnostics[-1].profile_dist
         earlies.append(early)

@@ -34,7 +34,8 @@ from .learner import (
     ScheduleReport,
     default_schedule,
     min_safety_radius,
-    run,
+    run,  # noqa: F401  the solo learner stays reachable as generators.run
+    run_batch,
     validate_schedule,
 )
 from .mirror import Regularizer, make_regularizer
@@ -205,8 +206,10 @@ def sweep(
 ) -> ExperimentResult:
     """Run the learner for every (schedule, seed) pair and aggregate.
 
-    Individual run failures are recorded and the sweep continues. When out
-    is given, per-run CSVs and a summary.json are written there.
+    The seeds of one schedule run as one run_batch. A seed that fails is
+    recorded and the batch is run again without it, so the other seeds
+    finish with the bits of their solo runs. When out is given, per-run
+    CSVs and a summary.json are written there.
     """
     grid = list(grid)
     seeds = [int(s) for s in seeds]
@@ -225,26 +228,33 @@ def sweep(
         out_path.mkdir(parents=True, exist_ok=True)
 
     for gi, schedule in enumerate(grid):
-        logs = []
-        for seed in seeds:
-            entry = {"schedule_index": gi, "seed": seed}
+        pending = list(range(len(seeds)))  # positions in seeds still to run
+        errors, batch = {}, []
+        while pending:
             try:
-                log = run(
+                batch = run_batch(
                     game,
                     schedule,
                     regularizer,
                     iters,
-                    seed,
+                    [seeds[k] for k in pending],
                     reference=reference,
                     log_every=log_every,
                 )
-            except Exception as exc:  # recorded, sweep continues
+                break
+            except Exception as exc:  # recorded, the other seeds run again
+                errors[pending.pop(getattr(exc, "seed_index", 0))] = str(exc)
+        by_position = dict(zip(pending, batch))
+        logs = []
+        for k, seed in enumerate(seeds):
+            if k in errors:
                 result.failures.append(
-                    {"schedule_index": gi, "seed": seed, "error": str(exc)}
+                    {"schedule_index": gi, "seed": seed, "error": errors[k]}
                 )
                 continue
+            log = by_position[k]
             logs.append(log)
-            entry["log"] = log
+            entry = {"schedule_index": gi, "seed": seed, "log": log}
             if out_path is not None:
                 run_dir = out_path / f"run_g{gi}_s{seed}"
                 log.write(run_dir)
@@ -272,7 +282,7 @@ def convergence_benchmark(
 ) -> dict:
     """Learner-vs-equilibrium benchmark on one zero-sum construction.
 
-    Runs one seed per entry with the default schedule (exponents (1, 1/3),
+    Runs all seeds as one run_batch with the default schedule (exponents (1, 1/3),
     log window at twice the certified mixing constant), measures distance to
     the per-state uniform equilibrium and the Fenchel coupling, and reports
     three clauses: median end distance at most 0.15, median end distance no
@@ -285,20 +295,17 @@ def convergence_benchmark(
     schedule = default_schedule(game, tau=cert.tau, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
-    runs = []
-    for seed in seeds:
-        runs.append(
-            run(
-                game,
-                schedule,
-                reg,
-                iters,
-                int(seed),
-                reference=reference,
-                log_every=log_every,
-                out_dir=None if out is None else f"{out}/{kind}_seed{seed}",
-            ).diagnostics
-        )
+    logs = run_batch(
+        game,
+        schedule,
+        reg,
+        iters,
+        [int(seed) for seed in seeds],
+        reference=reference,
+        log_every=log_every,
+        out_dirs=None if out is None else [f"{out}/{kind}_seed{seed}" for seed in seeds],
+    )
+    runs = [log.diagnostics for log in logs]
 
     times = [d.t for d in runs[0]]
     k_early = next((k for k, t in enumerate(times) if t >= early_at), 0)

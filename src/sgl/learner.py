@@ -11,6 +11,7 @@ the state carries over between outer iterations.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -32,15 +33,23 @@ from .games import (
 )
 from .mirror import ENTROPY, Regularizer, fenchel_coupling, _map_block
 from .spsa import (
+    SPHERE_FLOOR,
     Lifting,
     SafetyNet,
+    active_players,
     lift_block,
     lifting_for,
+    nets_for,
     perturb,
+    reread_sphere_stream,
     reduced_dim,
     reduced_from_full,
-    safety_net_for,
+    sphere_norms,
     smoothed_gradient_estimate,
+    _complete,
+    _one_point,
+    _perturb,
+    _tangent,
 )
 
 CSV_COLUMNS = (
@@ -87,6 +96,11 @@ class Schedule:
             raise ScheduleError(f"schedule parameters must be finite: {self}")
         if self.gamma_scale <= 0 or self.delta_scale <= 0:
             raise ScheduleError("schedule scales must be positive")
+        if self.horizon_mode == "log" and self.horizon_param < 0:
+            # ceil(param * log(t+2)) + 1 would fall below one stage
+            raise ScheduleError(
+                f"log-mode horizon_param must be nonnegative, got {self.horizon_param}"
+            )
 
     def gamma(self, t: int) -> float:
         return self.gamma_scale / (t + 1) ** self.gamma_exp
@@ -111,12 +125,11 @@ class Schedule:
 
 
 def min_safety_radius(game: StochasticGame) -> float:
-    radii = [
-        safety_net_for(game.n_states, m).radius for m in game.n_actions if m >= 2
-    ]
-    if not radii:
+    active = active_players(game)
+    if not active:
         raise DomainError("every player has a single action; nothing to learn")
-    return min(radii)
+    nets = nets_for(game)
+    return min(nets[i].radius for i in active)
 
 
 def certified_tau(cert: MixingCertificate) -> float:
@@ -374,9 +387,9 @@ def decompose_step(
     from .analysis import exact_gradient, exact_value
     from .spsa import reduce_policy
 
-    nets = nets or [safety_net_for(game.n_states, m) for m in game.n_actions]
+    nets = nets or nets_for(game)
     liftings = liftings or [lifting_for(game.n_states, m) for m in game.n_actions]
-    active = [i for i, m in enumerate(game.n_actions) if m >= 2]
+    active = active_players(game)
     reduced = reduce_policy(policy)
 
     if smoothed is None:
@@ -425,202 +438,300 @@ def run(
     regularizer: Regularizer,
     iters: int,
     seed: int,
+    out_dir=None,
+    **options,
+) -> RunLog:
+    """Run the bandit learner for `iters` outer iterations with one seed.
+
+    The one-seed case of run_batch, whose keywords `options` takes; out_dir,
+    when given, receives run.csv and run.json.
+    """
+    out_dirs = None if out_dir is None else [out_dir]
+    return run_batch(
+        game, schedule, regularizer, iters, [seed], out_dirs=out_dirs, **options
+    )[0]
+
+
+def _tagged(exc: Exception, index: int) -> Exception:
+    """Mark an error as raised for the seed at position index of a batch."""
+    exc.seed_index = index
+    return exc
+
+
+def _mirror_batch(reg: Regularizer, y: np.ndarray) -> np.ndarray:
+    """_map_block of every seed's (states x actions) block of y at once."""
+    try:
+        return _map_block(reg, y.reshape(-1, y.shape[-1])).reshape(y.shape)
+    except DomainError as exc:  # non-finite scores: name the first such seed
+        finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
+        raise _tagged(exc, int(np.argmin(finite)))
+
+
+def _checkpoint_oracle(game, regularizer, reference, blocks, scores, compute_gaps, t):
+    """Exact values, Nash gaps, Fenchel coupling and distance to the
+    reference of one seed's profile; the oracle parts are None (with a
+    warning) when the induced chain is not ergodic."""
+    from .analysis import exact_value, nash_gap
+
+    policy = PolicyProfile(blocks)
+    values = gaps = None
+    try:
+        values = exact_value(game, policy).values
+        if compute_gaps:
+            gaps = nash_gap(game, policy).gaps
+    except ErgodicityError as exc:
+        warnings.warn(f"checkpoint oracle skipped at t={t}: {exc}")
+    fen_total = fen_pp = dist = None
+    if reference is not None:
+        report = fenchel_coupling(regularizer, reference, scores)
+        fen_total, fen_pp = report.value, report.per_player
+        dist = np.array(
+            [
+                float(np.linalg.norm(policy.probs[i] - reference.probs[i]))
+                for i in range(game.n_players)
+            ]
+        )
+    return values, gaps, fen_total, fen_pp, dist
+
+
+def run_batch(
+    game: StochasticGame,
+    schedule: Schedule,
+    regularizer: Regularizer,
+    iters: int,
+    seeds,
     oracle_mode: bool = False,
     reference: PolicyProfile | None = None,
     start_state: int = 0,
     log_every: int = 1,
     init_policy: PolicyProfile | None = None,
-    out_dir=None,
+    out_dirs=None,
     decomposition_draws: int = 256,
     compute_gaps: bool = True,
-) -> RunLog:
-    """Run the bandit learner for `iters` outer iterations.
+) -> list[RunLog]:
+    """Run the bandit learner for `iters` outer iterations, once per seed.
 
-    Per iteration: draw one sphere direction per player, form the safety-net
-    adjusted query profile, play it for the scheduled window continuing the
-    shared trajectory, read the single instantaneous reward at the stage
-    after the window as the value sample, update dual scores with the
-    one-point estimate, and mirror them back to policies. Deterministic
-    given the seed. Checkpoints are taken every log_every iterations (and at
-    the end); oracle_mode adds the exact decomposition at checkpoints.
+    Per iteration and seed: draw one sphere direction per player, form the
+    safety-net adjusted query profile, play it for the scheduled window
+    continuing that seed's trajectory, read the single instantaneous reward
+    at the stage after the window as the value sample, update dual scores
+    with the one-point estimate, and mirror them back to policies.
+    Checkpoints are taken every log_every iterations (and at the end);
+    oracle_mode adds the exact decomposition at checkpoints.
+
+    Scores, policies and directions are arrays of shape (seeds, players,
+    states, actions), one per run of consecutive players with equal action
+    counts, so every step except the window walk and the checkpoint oracle
+    runs once for the whole batch. Seed s reads its own
+    np.random.default_rng(s) in the order a run of it alone does, so its
+    RunLog has the same bits alone or in any batch. out_dirs, when given,
+    holds one run.csv / run.json directory per seed. An error raised for one
+    seed carries the seed's position in `seeds` as its seed_index attribute.
     """
-    from .analysis import exact_value, nash_gap as nash_gap_fn
-
     if iters < 0:
         raise DomainError("iters must be nonnegative")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
-    rng = np.random.default_rng(seed)
+    seeds = list(seeds)
+    if not seeds:
+        raise DomainError("run_batch needs at least one seed")
+    if out_dirs is not None and len(out_dirs) != len(seeds):
+        raise DomainError("out_dirs needs one directory per seed")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    radius_cap = 0.99 * min_safety_radius(game)
 
-    nets = [safety_net_for(game.n_states, m) for m in game.n_actions]
-    liftings = [lifting_for(game.n_states, m) for m in game.n_actions]
-    dims = [reduced_dim(game.n_states, m) for m in game.n_actions]
-    active = [i for i, m in enumerate(game.n_actions) if m >= 2]
-    if not active:
-        raise DomainError("every player has a single action; nothing to learn")
-    radius_cap = 0.99 * min(nets[i].radius for i in active)
-    norm_cap = max(
-        dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active
-    )
-
-    scores = _initial_scores(regularizer, game, init_policy)
-    policy_blocks = [_map_block(regularizer, y) for y in scores]
-    reduced = [b[:, :-1].copy() for b in policy_blocks]
-
-    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(game.n_states)]
-    strides = [int(s) for s in np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:]]
-
-    log = RunLog(
-        schedule=schedule,
-        seed=seed,
-        mirror_kind=regularizer.kind,
-        game_digest=game_hash(game),
-        iters=iters,
-        log_every=max(1, int(log_every)),
-        reference=reference,
-    )
-    state = start_state
-
-    # hot-loop constants; the loop inlines perturb / lift / estimate for
-    # speed, with math identical to the public wrappers
-    n_players = game.n_players
-    n_states = game.n_states
-    centers = [nets[i].center for i in range(n_players)]
-    radii = [nets[i].radius for i in range(n_players)]
-    blocks_t = [liftings[i].block.T.copy() for i in range(n_players)]
+    n_batch = len(seeds)
+    n_players, n_states, n_actions = game.n_players, game.n_states, game.n_actions
     rewards = game.rewards
-    n_actions = game.n_actions
+    nets = nets_for(game)
+    liftings = [lifting_for(n_states, m) for m in n_actions]
+    dims = [reduced_dim(n_states, m) for m in n_actions]
+    active = active_players(game)
+    active_dims = [dims[i] for i in active]
+    norm_cap = max(dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active)
+
+    # group k holds players lo..hi-1; raw holds each seed's sphere draw, the
+    # active players' reduced coordinates side by side
+    spans, lo = [], 0
+    for _, members in itertools.groupby(n_actions):
+        hi = lo + len(list(members))
+        spans.append((lo, hi))
+        lo = hi
+    slots = [(k, i - lo) for k, (lo, hi) in enumerate(spans) for i in range(lo, hi)]
+    moving = [k for k, (lo, _) in enumerate(spans) if lo in active]
+    raw = np.empty((n_batch, sum(dims)))
+    segments, start = {}, 0
+    for k in moving:
+        lo, hi = spans[k]
+        width = (hi - lo) * dims[lo]
+        segments[k] = raw[:, start:start + width].reshape(n_batch, hi - lo, dims[lo])
+        start += width
+
+    init = _initial_scores(regularizer, game, init_policy)
+    scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
+    policy = [_mirror_batch(regularizer, y) for y in scores]
+    reduced = [p[..., :-1] for p in policy]
+
+    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(n_states)]
+    strides = [int(s) for s in np.cumprod((n_actions + (1,))[::-1])[::-1][1:]]
+
+    digest = game_hash(game)
+    logs = [
+        RunLog(
+            schedule=schedule,
+            seed=seed,
+            mirror_kind=regularizer.kind,
+            game_digest=digest,
+            iters=iters,
+            log_every=max(1, int(log_every)),
+            reference=reference,
+        )
+        for seed in seeds
+    ]
+    every = logs[0].log_every
+    states = [start_state] * n_batch
+    clamped = 0
+
+    def blocks_of(arrays, b):
+        return [arrays[k][b, j] for k, j in slots]
 
     for t in range(iters):
         gamma = schedule.gamma(t)
         delta_raw = schedule.delta(t)
         delta = min(delta_raw, radius_cap)
         if delta < delta_raw:
-            log.clamped_steps += 1
+            clamped += 1
         horizon = schedule.horizon(t)
+        checkpoint = (t + 1) % every == 0 or (t + 1) == iters
 
-        directions: list = [None] * n_players
-        played_blocks: list = [None] * n_players
-        for i in range(n_players):
-            if i not in active:
-                played_blocks[i] = policy_blocks[i]
-                continue
-            z = rng.standard_normal(dims[i])
-            z_norm = math.sqrt(float(z @ z))
-            while z_norm <= 1e-12:
-                z = rng.standard_normal(dims[i])
-                z_norm = math.sqrt(float(z @ z))
-            z /= z_norm
-            directions[i] = z
-            lam = delta / radii[i]
-            x_hat = (1.0 - lam) * reduced[i] + lam * (
-                centers[i] + radii[i] * z.reshape(n_states, n_actions[i] - 1)
-            )
-            block = np.empty((n_states, n_actions[i]))
-            block[:, :-1] = x_hat
-            block[:, -1] = 1.0 - x_hat.sum(axis=1)
-            np.clip(block, 0.0, None, out=block)  # roundoff dust only
-            played_blocks[i] = block
-
-        pol_cdf = [b.cumsum(axis=1).tolist() for b in played_blocks]
-        u = rng.random((horizon + 1, n_players + 1)).tolist()
-        s = state
-        payoffs = None
-        for step in range(horizon + 1):
-            row = u[step]
-            joint = 0
-            for i in range(n_players):
-                a = bisect_right(pol_cdf[i][s], row[i])
-                if a >= n_actions[i]:
-                    a = n_actions[i] - 1
-                joint += a * strides[i]
-            if step == horizon:
-                payoffs = rewards[:, s, joint].copy()
-            nxt = bisect_right(trans_cdf[s][joint], row[-1])
-            s = nxt if nxt < n_states else n_states - 1
-        state = s
-
-        checkpoint = (t + 1) % log.log_every == 0 or (t + 1) == iters
-        decomposition = None
-        if checkpoint and oracle_mode:
+        # each seed's generator reads the normals of its sphere draws in the
+        # order of a draw-by-draw, player-by-player loop
+        for b, rng in enumerate(rngs):
             try:
-                decomposition = decompose_step(
-                    game,
-                    PolicyProfile(tuple(policy_blocks)),
-                    directions,
-                    delta,
-                    payoffs,
-                    rng=rng,
-                    nets=nets,
-                    liftings=liftings,
-                    smoothing_draws=decomposition_draws,
-                )
-            except ErgodicityError as exc:
-                warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+                rng.standard_normal(out=raw[b])
+            except Exception as exc:
+                raise _tagged(exc, b)
+        norms = {k: sphere_norms(z) for k, z in segments.items()}
+        if min(x.min() for x in norms.values()) <= SPHERE_FLOOR:  # practically never
+            for b in range(n_batch):
+                if any(x[b].min() <= SPHERE_FLOOR for x in norms.values()):
+                    raw[b] = reread_sphere_stream(rngs[b], raw[b], 1, active_dims)[0]
+            norms = {k: sphere_norms(z) for k, z in segments.items()}
+        directions = {
+            k: (z / norms[k][..., None]).reshape(z.shape[:2] + reduced[k].shape[2:])
+            for k, z in segments.items()
+        }
 
-        est_norms = np.zeros(n_players)
+        played = list(policy)
+        for k in moving:
+            played[k] = _complete(_perturb(reduced[k], directions[k], delta, nets[spans[k][0]]))
+            np.maximum(played[k], 0.0, out=played[k])  # roundoff dust only
+        pol_cdf = [p.cumsum(axis=-1).tolist() for p in played]
+
+        sampled_states, sampled_joints = [], []
+        decompositions = [None] * n_batch
+        for b, rng in enumerate(rngs):
+            try:
+                cdf = [pol_cdf[k][b][j] for k, j in slots]
+                u = rng.random((horizon + 1, n_players + 1)).tolist()
+                s = states[b]
+                for row in u:
+                    joint = 0
+                    for i in range(n_players):
+                        a = bisect_right(cdf[i][s], row[i])
+                        if a >= n_actions[i]:
+                            a = n_actions[i] - 1
+                        joint += a * strides[i]
+                    sampled = s
+                    nxt = bisect_right(trans_cdf[s][joint], row[-1])
+                    s = nxt if nxt < n_states else n_states - 1
+                states[b] = s
+                sampled_states.append(sampled)
+                sampled_joints.append(joint)
+                if checkpoint and oracle_mode:
+                    try:
+                        decompositions[b] = decompose_step(
+                            game,
+                            PolicyProfile(tuple(blocks_of(policy, b))),
+                            [
+                                directions[k][b, j].ravel() if k in directions else None
+                                for k, j in slots
+                            ],
+                            delta,
+                            rewards[:, sampled, joint],
+                            rng=rng,
+                            nets=nets,
+                            liftings=liftings,
+                            smoothing_draws=decomposition_draws,
+                        )
+                    except ErgodicityError as exc:
+                        warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+            except Exception as exc:
+                raise _tagged(exc, b)
+        payoffs = rewards[:, sampled_states, sampled_joints].T
+
+        est_norms = np.zeros((n_batch, n_players))
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
-        for i in active:
-            k = n_actions[i] - 1
-            lifted = (
-                (dims[i] / delta) * float(payoffs[i]) * directions[i].reshape(n_states, k)
-            ) @ blocks_t[i]
-            norm = math.sqrt(float((lifted * lifted).sum()))
-            if norm > coeff_cap:
-                raise RuntimeError(
-                    f"estimate norm {norm} exceeds bound {norm_cap / delta} at t={t}"
+        for k in moving:
+            lo, hi = spans[k]
+            lifted = _tangent(_one_point(payoffs[:, lo:hi], directions[k], delta, dims[lo]))
+            norm = np.sqrt((lifted * lifted).reshape(n_batch, hi - lo, -1).sum(axis=-1))
+            if norm.max() > coeff_cap:
+                b, j = np.argwhere(norm > coeff_cap)[0]
+                # a solo run updates players lo..j-1 before it checks player
+                # j, so their non-finite scores are its first error
+                if not np.isfinite(scores[k][b, :j] + gamma * lifted[b, :j]).all():
+                    raise _tagged(DomainError("dual scores must be finite"), b)
+                raise _tagged(
+                    RuntimeError(
+                        f"estimate norm {float(norm[b, j])} exceeds bound "
+                        f"{norm_cap / delta} at t={t}"
+                    ),
+                    b,
                 )
-            est_norms[i] = norm
-            scores[i] = scores[i] + gamma * lifted
-            policy_blocks[i] = _map_block(regularizer, scores[i])
-            reduced[i] = policy_blocks[i][:, :-1]
+            est_norms[:, lo:hi] = norm
+            scores[k] = scores[k] + gamma * lifted
+            policy[k] = _mirror_batch(regularizer, scores[k])
+            reduced[k] = policy[k][..., :-1]
 
         if checkpoint:
-            policy_now = PolicyProfile(tuple(policy_blocks))
-            values = gaps = None
-            try:
-                values = exact_value(game, policy_now).values
-                if compute_gaps:
-                    gaps = nash_gap_fn(game, policy_now).gaps
-            except ErgodicityError as exc:
-                warnings.warn(f"checkpoint oracle skipped at t={t}: {exc}")
-            fen_total = fen_pp = dist = None
-            if reference is not None:
-                report = fenchel_coupling(regularizer, reference, scores)
-                fen_total, fen_pp = report.value, report.per_player
-                dist = np.array(
-                    [
-                        float(np.linalg.norm(policy_now.probs[i] - reference.probs[i]))
-                        for i in range(game.n_players)
-                    ]
+            for b, log in enumerate(logs):
+                try:
+                    values, gaps, fen_total, fen_pp, dist = _checkpoint_oracle(
+                        game, regularizer, reference, tuple(blocks_of(policy, b)),
+                        blocks_of(scores, b), compute_gaps, t,
+                    )
+                except Exception as exc:
+                    raise _tagged(exc, b)
+                log.diagnostics.append(
+                    StepDiagnostics(
+                        t=t + 1,
+                        gamma=gamma,
+                        delta=delta,
+                        horizon=horizon,
+                        payoffs=payoffs[b].copy(),
+                        estimate_norms=est_norms[b].copy(),
+                        values=values,
+                        fenchel=fen_total,
+                        fenchel_per_player=fen_pp,
+                        nash_gaps=gaps,
+                        dist_to_ref=dist,
+                        decomposition=decompositions[b],
+                    )
                 )
-            log.diagnostics.append(
-                StepDiagnostics(
-                    t=t + 1,
-                    gamma=gamma,
-                    delta=delta,
-                    horizon=horizon,
-                    payoffs=payoffs,
-                    estimate_norms=est_norms,
-                    values=values,
-                    fenchel=fen_total,
-                    fenchel_per_player=fen_pp,
-                    nash_gaps=gaps,
-                    dist_to_ref=dist,
-                    decomposition=decomposition,
-                )
-            )
 
-    log.final_state = LearnerState(
-        scores=scores,
-        policy=PolicyProfile(tuple(policy_blocks)),
-        reduced=reduced,
-        iteration=iters,
-        state=state,
-    )
-    if out_dir is not None:
-        log.write(out_dir)
-    return log
+    for b, log in enumerate(logs):
+        log.clamped_steps = clamped
+        log.final_state = LearnerState(
+            scores=[y.copy() for y in blocks_of(scores, b)],
+            policy=PolicyProfile(tuple(blocks_of(policy, b))),
+            reduced=[x.copy() for x in blocks_of(reduced, b)],
+            iteration=iters,
+            state=states[b],
+        )
+        if out_dirs is not None:
+            log.write(out_dirs[b])
+    return logs
 
 
 # ---------------------------------------------------------------------------

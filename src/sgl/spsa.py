@@ -20,6 +20,14 @@ from .games import PolicyProfile, StochasticGame, _stack_prefix
 REDUCED_TOL = 1e-12
 # sphere draws per stacked exact_values call in smoothed_gradient_estimate
 ORACLE_BLOCK = 256
+# a sphere draw whose norm is at most this is drawn again
+SPHERE_FLOOR = 1e-12
+
+
+def active_players(game: StochasticGame) -> list[int]:
+    """Players with at least two actions; single-action players are never
+    perturbed."""
+    return [i for i, m in enumerate(game.n_actions) if m >= 2]
 
 
 # ---------------------------------------------------------------------------
@@ -44,14 +52,22 @@ def lift_block(x: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"reduced entry ({_stack_prefix(k, 'draw')}state={s}, action={a}) is negative"
         )
-    rest = 1.0 - x.sum(axis=-1)
-    if (rest < -REDUCED_TOL).any():
-        *k, s = np.argwhere(rest < -REDUCED_TOL)[0]
+    block = _complete(x)
+    if (block[..., -1] < -REDUCED_TOL).any():
+        *k, s = np.argwhere(block[..., -1] < -REDUCED_TOL)[0]
         raise DomainError(
             f"reduced row ({_stack_prefix(k, 'draw')}state={s}) sums to more than 1"
         )
-    x = np.clip(x, 0.0, None)
-    return np.concatenate([x, np.clip(rest, 0.0, None)[..., None]], axis=-1)
+    return np.clip(block, 0.0, None, out=block)
+
+
+def _complete(x: np.ndarray) -> np.ndarray:
+    """Unchecked, unclipped full blocks of reduced points x (..., m-1): the
+    last action gets 1 minus the row sum."""
+    block = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    block[..., :-1] = x
+    block[..., -1] = 1.0 - x.sum(axis=-1)
+    return block
 
 
 def reduce_policy(policy: PolicyProfile) -> list[np.ndarray]:
@@ -94,7 +110,16 @@ class Lifting:
     def apply(self, reduced: np.ndarray) -> np.ndarray:
         """(states x (m-1)) or flat input -> (states x m) tangent tensor."""
         x = np.asarray(reduced, dtype=float).reshape(self.n_states, self.n_actions - 1)
-        return x @ self.block.T
+        return _tangent(x)
+
+
+def _tangent(x: np.ndarray) -> np.ndarray:
+    """Lift reduced vectors x (..., m-1) to simplex-tangent (..., m) tensors:
+    the last action coordinate is minus the sum of the others."""
+    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    out[..., :-1] = x
+    out[..., -1] = -x.sum(axis=-1)
+    return out
 
 
 def lifting_for(n_states: int, n_actions: int) -> Lifting:
@@ -123,6 +148,10 @@ class SafetyNet:
         return bool((x >= -tol).all() and (x.sum(axis=1) <= 1.0 + tol).all())
 
 
+def nets_for(game: StochasticGame) -> list[SafetyNet]:
+    return [safety_net_for(game.n_states, m) for m in game.n_actions]
+
+
 def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
     """Uniform-policy center with the exact inscribed Euclidean radius.
 
@@ -148,8 +177,40 @@ def sample_sphere(d: int, rng) -> np.ndarray:
     while True:
         z = rng.standard_normal(d)
         norm = np.linalg.norm(z)
-        if norm > 1e-12:
+        if norm > SPHERE_FLOOR:
             return z / norm
+
+
+def sphere_norms(z: np.ndarray) -> np.ndarray:
+    """Norms over the last axis with the bits of sample_sphere's norm (a
+    BLAS dot product, not a sum of squares)."""
+    return np.sqrt(np.vecdot(z, z))
+
+
+def reread_sphere_stream(rng, drawn: np.ndarray, n: int, dims) -> np.ndarray:
+    """The raw rows of n rounds of sample_sphere over the players, read from
+    a stream of standard normals that begins with `drawn`.
+
+    A one-shot draw of n rows cannot redraw a segment whose norm is at most
+    SPHERE_FLOOR; reading its values again as the draw-by-draw loop does,
+    and taking the values that loop reads past their end from rng, leaves
+    rows and generator exactly as that loop would.
+    """
+    stream = np.ravel(drawn).tolist()
+    rows, pos = [], 0
+    for _ in range(n):
+        row = []
+        for d in dims:
+            while True:
+                if pos + d > len(stream):
+                    stream += rng.standard_normal(pos + d - len(stream)).tolist()
+                z = np.array(stream[pos:pos + d])
+                pos += d
+                if np.linalg.norm(z) > SPHERE_FLOOR:
+                    break
+            row += z.tolist()
+        rows.append(row)
+    return np.array(rows)
 
 
 def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.ndarray:
@@ -173,8 +234,12 @@ def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.nd
         raise ScheduleError(
             f"query radius {delta} exceeds safety radius {net.radius}"
         )
+    return _perturb(x, z.reshape(z.shape[:-1] + x.shape), delta, net)
+
+
+def _perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.ndarray:
+    """Unchecked perturb for directions already shaped like (a stack of) x."""
     lam = delta / net.radius
-    z = z.reshape(z.shape[:-1] + x.shape)
     return (1.0 - lam) * x + lam * (net.center + net.radius * z)
 
 
@@ -202,10 +267,17 @@ def estimate_gradient(
     if delta <= 0.0:
         raise DomainError("delta must be positive")
     d = reduced_dim(lifting.n_states, lifting.n_actions)
-    reduced = (d / delta) * float(payoff) * np.asarray(z, float).reshape(
-        lifting.n_states, lifting.n_actions - 1
-    )
-    return GradientEstimate(reduced, lifting.apply(reduced), "spsa")
+    z = np.asarray(z, float).reshape(lifting.n_states, lifting.n_actions - 1)
+    reduced = _one_point(float(payoff), z, delta, d)
+    return GradientEstimate(reduced, _tangent(reduced), "spsa")
+
+
+def _one_point(payoff, z: np.ndarray, delta: float, d: int) -> np.ndarray:
+    """Unchecked reduced estimate (d / delta) * payoff * z; payoff is a
+    scalar or one value per leading index of a stack of (states x (m-1))
+    directions."""
+    coef = (d / delta) * np.asarray(payoff, dtype=float)
+    return coef[..., None, None] * z
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +293,6 @@ class BiasProbe:
     stderr: float
     n_draws: int
     delta: float
-
-
-def _nets_for(game: StochasticGame) -> list[SafetyNet]:
-    return [safety_net_for(game.n_states, m) for m in game.n_actions]
 
 
 def smoothed_gradient_estimate(
@@ -246,9 +314,9 @@ def smoothed_gradient_estimate(
     """
     from .analysis import exact_value, exact_values
 
-    nets = nets or _nets_for(game)
+    nets = nets or nets_for(game)
     base = reduce_policy(policy)
-    active = [i for i, m in enumerate(game.n_actions) if m >= 2]
+    active = active_players(game)
     if not active:
         raise DomainError("no player has at least 2 actions")
     for i in active:
@@ -257,28 +325,35 @@ def smoothed_gradient_estimate(
                 f"query radius {delta} exceeds safety radius {nets[i].radius}"
             )
     base_values = exact_value(game, policy).values
-    dims = {i: reduced_dim(game.n_states, game.n_actions[i]) for i in active}
+    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
+    starts = np.cumsum([0, *dims]).tolist()
 
     sums = {i: np.zeros_like(base[i]) for i in active}
     sq_sums = {i: np.zeros_like(base[i]) for i in active}
     for start in range(0, n_draws, ORACLE_BLOCK):
         n = min(ORACLE_BLOCK, n_draws - start)
-        # one sample_sphere call per player per draw, draw-major, so the
-        # generator's stream is that of a draw-by-draw loop
-        zs = {i: np.empty((n, dims[i])) for i in active}
-        for k in range(n):
-            for i in active:
-                zs[i][k] = sample_sphere(dims[i], rng)
+        # one row per draw, players side by side: the stream of a draw-by-draw
+        # loop of sample_sphere calls
+        raw = rng.standard_normal((n, starts[-1]))
+        segments = [raw[:, a:b] for a, b in zip(starts, starts[1:])]
+        norms = [sphere_norms(z) for z in segments]
+        bad = np.flatnonzero(np.min(norms, axis=0) <= SPHERE_FLOOR)
+        if bad.size:  # practically never
+            raw[bad[0]:] = reread_sphere_stream(rng, raw[bad[0]:], n - bad[0], dims)
+            norms = [sphere_norms(z) for z in segments]
+        zs = {
+            i: (segments[j] / norms[j][:, None]).reshape((n,) + base[i].shape)
+            for j, i in enumerate(active)
+        }
         queried = [
-            perturb(base[i], zs[i], delta, nets[i])
+            _perturb(base[i], zs[i], delta, nets[i])
             if i in active
             else np.broadcast_to(base[i], (n,) + base[i].shape)
             for i in range(game.n_players)
         ]
         values = exact_values(game, [lift_block(x) for x in queried])
-        for i in active:
-            scale = (dims[i] / delta) * (values[:, i] - base_values[i])
-            samples = scale[:, None, None] * zs[i].reshape((n,) + base[i].shape)
+        for j, i in enumerate(active):
+            samples = _one_point(values[:, i] - base_values[i], zs[i], delta, dims[j])
             sums[i] += samples.sum(axis=0)
             sq_sums[i] += (samples * samples).sum(axis=0)
 

@@ -175,6 +175,13 @@ class TestLearn:
         assert main([*argv, "--horizon", "power", "--horizon-param", "0.5"]) == 0
         assert main([*argv, "--preset", "sqrt-horizon"]) == 0
 
+    def test_negative_log_window_exits_one(self, tmp_path, capsys):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        argv = ["learn", "--game", str(game_path), "--iters", "20", "--horizon-param", "-5"]
+        assert main(argv) == 1
+        assert "horizon_param must be nonnegative" in capsys.readouterr().err
+
     def test_env_var_default_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SGL_SEED", "123")
         game = generate(GeneratorSpec(kind="matching-pennies"))

@@ -12,6 +12,7 @@ from sgl.analysis import (
 )
 from sgl.errors import ConfigError
 from sgl.games import (
+    StochasticGame,
     load_game,
     profile_vector,
     random_profile,
@@ -29,8 +30,6 @@ from sgl.generators import (
 )
 from sgl.learner import Schedule, default_schedule, run
 from sgl.mirror import make_regularizer
-
-import sgl.generators
 
 
 def gradient_vector(game, policy):
@@ -189,19 +188,61 @@ class TestSweep:
     def test_run_failure_recorded_and_sweep_continues(self, monkeypatch):
         game = self.make_game()
         sch = default_schedule(game)
-        real_run = sgl.generators.run
+        real_rng = np.random.default_rng
 
-        def flaky(game_, schedule_, reg_, iters_, seed_, **kw):
-            if seed_ == 13:
+        class FailingStream:
+            """Seed 13's generator; its first window draw fails inside the batch."""
+
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def random(self, *args, **kwargs):
                 raise RuntimeError("synthetic failure")
-            return real_run(game_, schedule_, reg_, iters_, seed_, **kw)
 
-        monkeypatch.setattr(sgl.generators, "run", flaky)
+        def flaky(seed=None):
+            return FailingStream(seed) if seed == 13 else real_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", flaky)
         result = sweep(game, [sch], [12, 13, 14], iters=30, log_every=10)
+        monkeypatch.undo()
         assert len(result.runs) == 2
         assert result.failures == [
             {"schedule_index": 0, "seed": 13, "error": "synthetic failure"}
         ]
+        # the other seeds finish with the bits of their solo runs
+        for entry in result.runs:
+            solo = run(game, sch, make_regularizer("entropy"), 30, entry["seed"], log_every=10)
+            for a, b in zip(entry["log"].final_state.scores, solo.final_state.scores):
+                assert np.array_equal(a, b)
+
+    def test_norm_cap_failure_names_its_seed(self, monkeypatch):
+        # a reward bound below the largest reward makes the estimate-norm
+        # cap, checked for the whole batch at once, fail for some seeds at
+        # different iterations
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=0))
+        sch = default_schedule(game)
+        monkeypatch.setattr(StochasticGame, "max_abs_reward", lambda self, i=None: 0.99)
+        seeds = list(range(8))
+        solo = {}
+        for seed in seeds:
+            try:
+                solo[seed] = run(game, sch, make_regularizer("entropy"), 4, seed)
+            except RuntimeError as exc:
+                solo[seed] = str(exc)
+        failed = [s for s in seeds if isinstance(solo[s], str)]
+        assert 0 < len(failed) < len(seeds)
+        result = sweep(game, [sch], seeds, iters=4, log_every=2)
+        assert result.failures == [
+            {"schedule_index": 0, "seed": s, "error": solo[s]} for s in failed
+        ]
+        assert [e["seed"] for e in result.runs] == [s for s in seeds if s not in failed]
+        for entry in result.runs:
+            alone = solo[entry["seed"]].final_state.scores
+            for a, b in zip(entry["log"].final_state.scores, alone):
+                assert np.array_equal(a, b)
 
     def test_aggregates_are_quartiles_over_seeds(self):
         game = self.make_game()

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 
@@ -22,6 +23,7 @@ from sgl.learner import (
     default_schedule,
     horizon_bias_check,
     run,
+    run_batch,
     sqrt_horizon_schedule,
     validate_schedule,
 )
@@ -98,6 +100,14 @@ class TestSchedule:
                 params = {"gamma_exp": 1.0, "delta_exp": 1 / 3, name: bad}
                 with pytest.raises(ScheduleError, match="finite"):
                     Schedule(**params)
+
+    def test_negative_log_window_rejected(self):
+        with pytest.raises(ScheduleError, match="nonnegative"):
+            Schedule(1.0, 1 / 3, horizon_mode="log", horizon_param=-5)
+        # a power window never falls below 2 stages; validate_schedule
+        # reports a nonpositive exponent instead
+        power = Schedule(1.0, 1 / 3, horizon_mode="power", horizon_param=-5)
+        assert min(power.horizon(t) for t in range(10)) == 2
 
     def test_default_schedule_refuses_failed_certificate(self):
         game = stay_switch_game()
@@ -265,6 +275,98 @@ class TestRun:
 
 # ---------------------------------------------------------------------------
 # diagnostics decomposition
+
+
+class TestRunBatch:
+    @staticmethod
+    def check_matches_solo_runs(tmp_path, game, seeds, reg=ENTROPY, iters=300, **kw):
+        """run_batch(seeds) against one run per seed: equal run.csv and
+        run.json bytes, bit-equal final scores, and checkpoint records that
+        own their arrays."""
+        sch = default_schedule(game)
+        solo = [
+            run(game, sch, reg, iters, seed, out_dir=tmp_path / f"solo{k}", **kw)
+            for k, seed in enumerate(seeds)
+        ]
+        batch = run_batch(
+            game, sch, reg, iters, seeds,
+            out_dirs=[tmp_path / f"batch{k}" for k in range(len(seeds))], **kw,
+        )
+        assert len(batch) == len(seeds)
+        for k, (a, b) in enumerate(zip(solo, batch)):
+            for name in ("run.csv", "run.json"):
+                assert (tmp_path / f"solo{k}" / name).read_bytes() == (
+                    tmp_path / f"batch{k}" / name
+                ).read_bytes()
+            assert a.final_state.state == b.final_state.state
+            for x, y in zip(a.final_state.scores, b.final_state.scores):
+                assert np.array_equal(x, y)
+        for log in batch:
+            for d in log.diagnostics:
+                assert d.payoffs.flags.owndata and d.estimate_norms.flags.owndata
+        for j, k in itertools.combinations(range(len(seeds)), 2):
+            for dj, dk in zip(batch[j].diagnostics, batch[k].diagnostics):
+                assert not np.shares_memory(dj.payoffs, dk.payoffs)
+                assert not np.shares_memory(dj.estimate_norms, dk.estimate_norms)
+        return solo, batch
+
+    @pytest.mark.parametrize("mirror", ("entropy", "euclidean"))
+    @pytest.mark.parametrize("kind", ("matching-pennies", "zerosum-switching"))
+    def test_zero_sum_games(self, kind, mirror, tmp_path):
+        game = generate(GeneratorSpec(kind=kind))
+        self.check_matches_solo_runs(
+            tmp_path, game, [0, 5, 11], make_regularizer(mirror),
+            reference=uniform_profile(game), log_every=50,
+        )
+
+    def test_single_action_player(self, tmp_path):
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=2, n_players=3, n_actions=(2, 1, 3), seed=3
+            )
+        )
+        _, batch = self.check_matches_solo_runs(
+            tmp_path, game, [1, 2], reference=uniform_profile(game), log_every=50
+        )
+        assert all(d.estimate_norms[1] == 0.0 for log in batch for d in log.diagnostics)
+
+    def test_oracle_mode_with_duplicate_seeds(self, tmp_path):
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=1))
+        solo, batch = self.check_matches_solo_runs(
+            tmp_path, game, [4, 4, 9], iters=60, oracle_mode=True,
+            reference=uniform_profile(game), log_every=20, decomposition_draws=32,
+        )
+        parts = ("gradient", "smoothing_bias", "noise", "window_bias")
+        for a, b in zip(solo, batch):
+            for da, db in zip(a.diagnostics, b.diagnostics):
+                for part in parts:
+                    pairs = zip(getattr(da.decomposition, part), getattr(db.decomposition, part))
+                    assert all(np.array_equal(x, y) for x, y in pairs)
+
+    def test_one_seed(self, tmp_path):
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        self.check_matches_solo_runs(
+            tmp_path, game, [7], reference=uniform_profile(game), log_every=100
+        )
+
+    def test_rejected_sphere_draw_is_drawn_again(self, monkeypatch, prefixed_stream):
+        # seed 5's stream starts with a direction of norm 0, which the kernel
+        # must draw again; the seed then runs as on the plain stream
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        sch = default_schedule(game)
+        plain = [run(game, sch, ENTROPY, 50, seed) for seed in (3, 5)]
+        real_rng = np.random.default_rng
+
+        def prefixed(seed=None):
+            rng = real_rng(seed)
+            return prefixed_stream(rng, [0.0, 0.0]) if seed == 5 else rng
+
+        monkeypatch.setattr(np.random, "default_rng", prefixed)
+        batch = run_batch(game, sch, ENTROPY, 50, [3, 5])
+        monkeypatch.undo()
+        for a, b in zip(plain, batch):
+            for x, y in zip(a.final_state.scores, b.final_state.scores):
+                assert np.array_equal(x, y)
 
 
 class TestDecomposition:

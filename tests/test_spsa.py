@@ -314,6 +314,20 @@ class TestSmoothedGradient:
             )
 
 
+    def test_rejected_draw_is_drawn_again(self, prefixed_stream):
+        # a first direction of norm 0 is drawn again, which leaves the
+        # estimate and the generator as on the stream without it
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=4))
+        policy = uniform_profile(game)
+        plain = np.random.default_rng(3)
+        prefixed = prefixed_stream(np.random.default_rng(3), [0.0, 0.0])
+        means, stderrs = smoothed_gradient_estimate(game, policy, 0.1, 40, plain)
+        again = smoothed_gradient_estimate(game, policy, 0.1, 40, prefixed)
+        assert prefixed.rng.bit_generator.state == plain.bit_generator.state
+        for a, b in zip(means + stderrs, again[0] + again[1]):
+            assert np.array_equal(a, b)
+
+
 class TestBiasProbe:
     def test_zero_reward_game_has_zero_probe(self):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=3))
