@@ -34,7 +34,7 @@ from .learner import (
     ScheduleReport,
     default_schedule,
     min_safety_radius,
-    run,  # noqa: F401  the solo learner stays reachable as generators.run
+    run,  # still importable from this module
     run_batch,
     validate_schedule,
 )
@@ -282,12 +282,12 @@ def convergence_benchmark(
 ) -> dict:
     """Learner-vs-equilibrium benchmark on one zero-sum construction.
 
-    Runs all seeds as one run_batch with the default schedule (exponents (1, 1/3),
-    log window at twice the certified mixing constant), measures distance to
-    the per-state uniform equilibrium and the Fenchel coupling, and reports
-    three clauses: median end distance at most 0.15, median end distance no
-    larger than at `early_at`, and median coupling over the last tenth of
-    checkpoints below the first tenth.
+    Runs all seeds as one run_batch with the default schedule (exponents
+    (1, 1/3), log window at twice the certified mixing constant), measures
+    distance to the per-state uniform equilibrium and the Fenchel coupling,
+    and reports three clauses: median end distance at most 0.15, median end
+    distance no larger than at `early_at`, and median coupling over the last
+    tenth of checkpoints below the first tenth.
     """
     game = generate(GeneratorSpec(kind=kind))
     reference = uniform_profile(game)
@@ -295,12 +295,13 @@ def convergence_benchmark(
     schedule = default_schedule(game, tau=cert.tau, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
+    seeds = [int(seed) for seed in seeds]
     logs = run_batch(
         game,
         schedule,
         reg,
         iters,
-        [int(seed) for seed in seeds],
+        seeds,
         reference=reference,
         log_every=log_every,
         out_dirs=None if out is None else [f"{out}/{kind}_seed{seed}" for seed in seeds],
@@ -324,7 +325,7 @@ def convergence_benchmark(
         "uniform_nash_gap": nash_gap(game, reference).max_gap,
         "schedule": schedule.to_dict(),
         "iters": iters,
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "median_end_dist": end_dist,
         "median_early_dist": early_dist,
         "median_fenchel_first_decile": fen_first,

@@ -41,14 +41,14 @@ from .spsa import (
     lifting_for,
     nets_for,
     perturb,
-    reread_sphere_stream,
     reduced_dim,
     reduced_from_full,
-    sphere_norms,
     smoothed_gradient_estimate,
     _complete,
     _one_point,
     _perturb,
+    _reread_sphere_stream,
+    _sphere_norms,
     _tangent,
 )
 
@@ -611,12 +611,12 @@ def run_batch(
                 rng.standard_normal(out=raw[b])
             except Exception as exc:
                 raise _tagged(exc, b)
-        norms = {k: sphere_norms(z) for k, z in segments.items()}
+        norms = {k: _sphere_norms(z) for k, z in segments.items()}
         if min(x.min() for x in norms.values()) <= SPHERE_FLOOR:  # practically never
             for b in range(n_batch):
                 if any(x[b].min() <= SPHERE_FLOOR for x in norms.values()):
-                    raw[b] = reread_sphere_stream(rngs[b], raw[b], 1, active_dims)[0]
-            norms = {k: sphere_norms(z) for k, z in segments.items()}
+                    raw[b] = _reread_sphere_stream(rngs[b], raw[b], 1, active_dims)[0]
+            norms = {k: _sphere_norms(z) for k, z in segments.items()}
         directions = {
             k: (z / norms[k][..., None]).reshape(z.shape[:2] + reduced[k].shape[2:])
             for k, z in segments.items()

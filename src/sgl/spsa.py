@@ -24,12 +24,6 @@ ORACLE_BLOCK = 256
 SPHERE_FLOOR = 1e-12
 
 
-def active_players(game: StochasticGame) -> list[int]:
-    """Players with at least two actions; single-action players are never
-    perturbed."""
-    return [i for i, m in enumerate(game.n_actions) if m >= 2]
-
-
 # ---------------------------------------------------------------------------
 # reduced coordinates
 
@@ -152,6 +146,12 @@ def nets_for(game: StochasticGame) -> list[SafetyNet]:
     return [safety_net_for(game.n_states, m) for m in game.n_actions]
 
 
+def active_players(game: StochasticGame) -> list[int]:
+    """Players with at least two actions; single-action players are never
+    perturbed."""
+    return [i for i, m in enumerate(game.n_actions) if m >= 2]
+
+
 def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
     """Uniform-policy center with the exact inscribed Euclidean radius.
 
@@ -181,13 +181,13 @@ def sample_sphere(d: int, rng) -> np.ndarray:
             return z / norm
 
 
-def sphere_norms(z: np.ndarray) -> np.ndarray:
+def _sphere_norms(z: np.ndarray) -> np.ndarray:
     """Norms over the last axis with the bits of sample_sphere's norm (a
     BLAS dot product, not a sum of squares)."""
     return np.sqrt(np.vecdot(z, z))
 
 
-def reread_sphere_stream(rng, drawn: np.ndarray, n: int, dims) -> np.ndarray:
+def _reread_sphere_stream(rng, drawn: np.ndarray, n: int, dims) -> np.ndarray:
     """The raw rows of n rounds of sample_sphere over the players, read from
     a stream of standard normals that begins with `drawn`.
 
@@ -336,11 +336,11 @@ def smoothed_gradient_estimate(
         # loop of sample_sphere calls
         raw = rng.standard_normal((n, starts[-1]))
         segments = [raw[:, a:b] for a, b in zip(starts, starts[1:])]
-        norms = [sphere_norms(z) for z in segments]
+        norms = [_sphere_norms(z) for z in segments]
         bad = np.flatnonzero(np.min(norms, axis=0) <= SPHERE_FLOOR)
         if bad.size:  # practically never
-            raw[bad[0]:] = reread_sphere_stream(rng, raw[bad[0]:], n - bad[0], dims)
-            norms = [sphere_norms(z) for z in segments]
+            raw[bad[0]:] = _reread_sphere_stream(rng, raw[bad[0]:], n - bad[0], dims)
+            norms = [_sphere_norms(z) for z in segments]
         zs = {
             i: (segments[j] / norms[j][:, None]).reshape((n,) + base[i].shape)
             for j, i in enumerate(active)

@@ -273,10 +273,6 @@ class TestRun:
         np.testing.assert_allclose(diag.nash_gaps, gaps, atol=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# diagnostics decomposition
-
-
 class TestRunBatch:
     @staticmethod
     def check_matches_solo_runs(tmp_path, game, seeds, reg=ENTROPY, iters=300, **kw):
@@ -367,6 +363,10 @@ class TestRunBatch:
         for a, b in zip(plain, batch):
             for x, y in zip(a.final_state.scores, b.final_state.scores):
                 assert np.array_equal(x, y)
+
+
+# ---------------------------------------------------------------------------
+# diagnostics decomposition
 
 
 class TestDecomposition:

@@ -313,7 +313,6 @@ class TestSmoothedGradient:
                 stderrs[i], np.std(samples[i], axis=0) / np.sqrt(n_draws), rtol=1e-9
             )
 
-
     def test_rejected_draw_is_drawn_again(self, prefixed_stream):
         # a first direction of norm 0 is drawn again, which leaves the
         # estimate and the generator as on the stream without it
