@@ -551,21 +551,21 @@ def run_batch(
     norm_cap = max(dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active)
 
     # group k holds players lo..hi-1; raw holds each seed's sphere draw, the
-    # active players' reduced coordinates side by side
+    # active players' reduced coordinates side by side, and segments[k] is
+    # an active group's (seeds, players, reduced dim) view of it
     spans, lo = [], 0
     for _, members in itertools.groupby(n_actions):
         hi = lo + len(list(members))
         spans.append((lo, hi))
         lo = hi
     slots = [(k, i - lo) for k, (lo, hi) in enumerate(spans) for i in range(lo, hi)]
-    moving = [k for k, (lo, _) in enumerate(spans) if lo in active]
     raw = np.empty((n_batch, sum(dims)))
     segments, start = {}, 0
-    for k in moving:
-        lo, hi = spans[k]
-        width = (hi - lo) * dims[lo]
-        segments[k] = raw[:, start:start + width].reshape(n_batch, hi - lo, dims[lo])
-        start += width
+    for k, (lo, hi) in enumerate(spans):
+        if lo in active:
+            width = (hi - lo) * dims[lo]
+            segments[k] = raw[:, start:start + width].reshape(n_batch, hi - lo, dims[lo])
+            start += width
 
     init = _initial_scores(regularizer, game, init_policy)
     scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
@@ -623,7 +623,7 @@ def run_batch(
         }
 
         played = list(policy)
-        for k in moving:
+        for k in segments:
             played[k] = _complete(_perturb(reduced[k], directions[k], delta, nets[spans[k][0]]))
             np.maximum(played[k], 0.0, out=played[k])  # roundoff dust only
         pol_cdf = [p.cumsum(axis=-1).tolist() for p in played]
@@ -672,7 +672,7 @@ def run_batch(
 
         est_norms = np.zeros((n_batch, n_players))
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
-        for k in moving:
+        for k in segments:
             lo, hi = spans[k]
             lifted = _tangent(_one_point(payoffs[:, lo:hi], directions[k], delta, dims[lo]))
             norm = np.sqrt((lifted * lifted).reshape(n_batch, hi - lo, -1).sum(axis=-1))
