@@ -3,18 +3,21 @@
 BENCH_<n>.json file.
 
 Times exact_value, exact_values over a stack of 256 profiles,
-smoothed_gradient_estimate with 256 draws and nash_gap on three game sizes:
+smoothed_gradient_estimate with 256 draws, nash_gap and horizon_bias_check
+(window 8, 1000 draws, contraction given) on three game sizes:
 (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with transition
 floor 0.01. The learner rows give microseconds per seed-iteration of B seeds
-(B = 1, 3, 10) on matching-pennies and zerosum-switching with the entropy
-mirror, the default schedule and log_every=1000: one run_batch call, or one
-run per seed on a side without run_batch. With --baseline REV the same
+with the entropy mirror, the default schedule and log_every=1000: B = 1, 3,
+10 on matching-pennies and zerosum-switching, whose windows are 2 stages,
+and B = 1, 3 on perfbench's slow-mixing mixing-window game (seed 7,
+certified tau 40), whose windows grow from 57 to 554 stages. Each is one
+run_batch call, or one run per seed on a side without run_batch. With --baseline REV the same
 timings are also taken on that git revision's src/ (exported with git
 archive) and every row holds both sides. Each operation and size is timed
 in fresh interpreters, a few rounds per side with the sides alternating; an
 operation a side does not have is recorded as null.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_4.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_6.json
 """
 
 import argparse
@@ -43,9 +46,14 @@ OPS = (
     f"exact_values[B={STACK}]",
     f"smoothed_gradient_estimate[draws={STACK}]",
     "nash_gap",
+    "horizon_bias_check[H=8,draws=1000]",
 )
-LEARNER_GAMES = ("matching-pennies", "zerosum-switching")
-BATCHES = (1, 3, 10)  # seeds per learner row
+LEARNER_BATCHES = {  # seeds per learner row, by game
+    "matching-pennies": (1, 3, 10),
+    "zerosum-switching": (1, 3, 10),
+    "mixing-window": (1, 3),
+}
+MIXING_SEED = 7  # perfbench mixing-window game seed
 LEARNER_ITERS = 1000  # outer iterations per seed and learner call
 ROUNDS = 5           # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
@@ -76,7 +84,7 @@ def measure(src: pathlib.Path, op: str, size: str):
     None when that package does not have the operation."""
     sys.path.insert(0, str(src))
     import sgl
-    from sgl import analysis, games, generators, spsa
+    from sgl import analysis, games, generators, learner, spsa
 
     if not pathlib.Path(sgl.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
@@ -106,6 +114,12 @@ def measure(src: pathlib.Path, op: str, size: str):
         )
     if op == "nash_gap":
         return _time(lambda: analysis.nash_gap(game, policy))
+    if op == "horizon_bias_check[H=8,draws=1000]":
+        return _time(
+            lambda: learner.horizon_bias_check(
+                game, policy, 8, 1000, rng=0, contraction=0.5
+            )
+        )
     raise SystemExit(f"unknown operation {op!r}")
 
 
@@ -114,7 +128,14 @@ def _time_learner(op: str, kind: str) -> dict:
     from sgl import generators, learner, mirror
 
     seeds = list(range(int(op.removeprefix("learner[B=").removesuffix("]"))))
-    game = generators.generate(generators.GeneratorSpec(kind=kind))
+    if kind == "mixing-window":
+        sys.path.append(str(REPO))
+        from perfbench.workloads import MixingWindow
+
+        workload = MixingWindow()
+        game = workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
+    else:
+        game = generators.generate(generators.GeneratorSpec(kind=kind))
     schedule = learner.default_schedule(game)
     reg = mirror.make_regularizer("entropy")
     args = (game, schedule, reg, LEARNER_ITERS)
@@ -202,7 +223,9 @@ def main(argv=None) -> int:
             sides = {"parent": (_export(commit, pathlib.Path(tmp)), commit), **sides}
         rows = [_row(sides, op, size) for size in SIZES for op in OPS]
         rows += [
-            _row(sides, f"learner[B={b}]", kind) for kind in LEARNER_GAMES for b in BATCHES
+            _row(sides, f"learner[B={b}]", kind)
+            for kind, batches in LEARNER_BATCHES.items()
+            for b in batches
         ]
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src)}
@@ -219,8 +242,8 @@ def main(argv=None) -> int:
         "sides": env_sides,
         "sizes": SIZES,
         "learner": {
-            "games": LEARNER_GAMES,
-            "batches": BATCHES,
+            "batches": LEARNER_BATCHES,
+            "mixing_window_seed": MIXING_SEED,
             "iters": LEARNER_ITERS,
             "mirror": "entropy",
             "log_every": 1000,

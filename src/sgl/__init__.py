@@ -21,7 +21,6 @@ from .games import (
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
-    TrajectoryStep,
     analyze_chain,
     certification_sample,
     certify_mixing,
@@ -35,7 +34,6 @@ from .games import (
     rollout,
     save_game,
     save_policy,
-    simulate,
     stationary_distribution,
     uniform_profile,
 )
@@ -68,7 +66,6 @@ from .mirror import (
     make_regularizer,
     mirror_map,
     project_simplex,
-    zero_scores,
 )
 from .spsa import (
     GradientEstimate,

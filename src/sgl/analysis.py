@@ -68,7 +68,6 @@ class ExactGradient:
     blocks: tuple[np.ndarray, ...]
     values: np.ndarray
     stationary: np.ndarray
-    provenance: str = "exact"
 
 
 @dataclass(frozen=True)

@@ -188,16 +188,6 @@ class PolicyProfile:
 
 
 @dataclass(frozen=True)
-class TrajectoryStep:
-    """One realized stage of play."""
-
-    t: int
-    state: int
-    joint_action: tuple[int, ...]
-    rewards: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChainAnalysis:
     """Induced chain of one policy profile plus its contraction certificate.
 
@@ -489,11 +479,49 @@ def _cdf_rows(mat: np.ndarray) -> list[list[float]]:
     return [np.cumsum(row).tolist() for row in mat]
 
 
+def _stage_tables(game: StochasticGame):
+    """The transition CDF rows and row-major joint-action strides _walk reads."""
+    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(game.n_states)]
+    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
+    return trans_cdf, strides
+
+
+_WALK_CHUNK = 4096  # rows turned into Python floats at a time: bounds a long rollout's memory
+
+
+def _walk(pol_cdf, trans_cdf, strides, n_actions, s, u):
+    """Play one stage per row of the uniforms u from state s.
+
+    pol_cdf[i][s] is player i's action CDF at state s and trans_cdf[s][j]
+    the next-state CDF after joint action j. Row t of u holds one uniform
+    per player, read against that player's CDF, then one for the next
+    state. Returns the (states, joints) lists of the stages played and the
+    state after the last one.
+    """
+    n_players, n_states = len(pol_cdf), len(trans_cdf)
+    states, joints = [], []
+    for lo in range(0, len(u), _WALK_CHUNK):
+        for row in u[lo:lo + _WALK_CHUNK].tolist():
+            joint = 0
+            for i in range(n_players):
+                a = bisect_right(pol_cdf[i][s], row[i])
+                if a >= n_actions[i]:  # guard cumulative rounding
+                    a = n_actions[i] - 1
+                joint += a * strides[i]
+            states.append(s)
+            joints.append(joint)
+            s = bisect_right(trans_cdf[s][joint], row[-1])
+            if s >= n_states:
+                s = n_states - 1
+    return states, joints, s
+
+
 def rollout(game, policy, start_state: int, horizon: int, rng):
     """Simulate `horizon` stages; returns (states, actions, rewards) arrays.
 
     states has shape (horizon,), actions (horizon, n_players) and rewards
-    (horizon, n_players). Deterministic given the rng seed.
+    (horizon, n_players). Deterministic given the rng seed, which is read
+    once for a (horizon, n_players + 1) array of uniforms.
     """
     _check_compatible(game, policy)
     if horizon < 1:
@@ -501,38 +529,11 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
 
-    n = game.n_players
     pol_cdf = [_cdf_rows(block) for block in policy.probs]
-    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(game.n_states)]
-    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:]  # row-major strides
-
-    u = rng.random((horizon, n + 1))
-    states = np.empty(horizon, dtype=int)
-    actions = np.empty((horizon, n), dtype=int)
-    rewards = np.empty((horizon, n))
-    s = start_state
-    for t in range(horizon):
-        joint = 0
-        row = u[t]
-        for i in range(n):
-            a = bisect_right(pol_cdf[i][s], row[i])
-            a = min(a, game.n_actions[i] - 1)  # guard cumulative rounding
-            actions[t, i] = a
-            joint += a * strides[i]
-        states[t] = s
-        rewards[t] = game.rewards[:, s, joint]
-        s = bisect_right(trans_cdf[s][joint], row[n])
-        s = min(s, game.n_states - 1)
-    return states, actions, rewards
-
-
-def simulate(game, policy, start_state, horizon, rng) -> list[TrajectoryStep]:
-    """Rollout packaged as a list of TrajectoryStep records."""
-    states, actions, rewards = rollout(game, policy, start_state, horizon, rng)
-    return [
-        TrajectoryStep(t, int(states[t]), tuple(int(a) for a in actions[t]), rewards[t])
-        for t in range(horizon)
-    ]
+    u = rng.random((horizon, game.n_players + 1))
+    states, joints, _ = _walk(pol_cdf, *_stage_tables(game), game.n_actions, start_state, u)
+    states, joints = np.array(states), np.array(joints)
+    return states, game.action_table[joints], game.rewards.transpose(1, 2, 0)[states, joints]
 
 
 # ---------------------------------------------------------------------------

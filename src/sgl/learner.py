@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,9 @@ from .games import (
     certification_sample,
     certify_mixing,
     game_hash,
-    rollout,
     _cdf_rows,
+    _stage_tables,
+    _walk,
 )
 from .mirror import ENTROPY, Regularizer, fenchel_coupling, _map_block
 from .spsa import (
@@ -572,8 +572,7 @@ def run_batch(
     policy = [_mirror_batch(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
-    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(n_states)]
-    strides = [int(s) for s in np.cumprod((n_actions + (1,))[::-1])[::-1][1:]]
+    trans_cdf, strides = _stage_tables(game)
 
     digest = game_hash(game)
     logs = [
@@ -632,20 +631,11 @@ def run_batch(
         decompositions = [None] * n_batch
         for b, rng in enumerate(rngs):
             try:
-                cdf = [pol_cdf[k][b][j] for k, j in slots]
-                u = rng.random((horizon + 1, n_players + 1)).tolist()
-                s = states[b]
-                for row in u:
-                    joint = 0
-                    for i in range(n_players):
-                        a = bisect_right(cdf[i][s], row[i])
-                        if a >= n_actions[i]:
-                            a = n_actions[i] - 1
-                        joint += a * strides[i]
-                    sampled = s
-                    nxt = bisect_right(trans_cdf[s][joint], row[-1])
-                    s = nxt if nxt < n_states else n_states - 1
-                states[b] = s
+                walked, joints, states[b] = _walk(
+                    [pol_cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
+                    states[b], rng.random((horizon + 1, n_players + 1)),
+                )
+                sampled, joint = walked[-1], joints[-1]
                 sampled_states.append(sampled)
                 sampled_joints.append(joint)
                 if checkpoint and oracle_mode:
@@ -773,16 +763,28 @@ def horizon_bias_check(
     """
     from .analysis import exact_value
 
+    if horizon < 0:
+        raise DomainError("horizon must be nonnegative")
+    if n_draws < 1:
+        raise DomainError("n_draws must be positive")
+    if not 0 <= start_state < game.n_states:
+        raise DomainError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(rng)
     if contraction is None:
         contraction = certify_mixing(
             game, certification_sample(game, rng=0)
         ).contraction
     exact = exact_value(game, policy).values
-    samples = np.empty((n_draws, game.n_players))
-    for k in range(n_draws):
-        _, _, rewards = rollout(game, policy, start_state, horizon + 1, rng)
-        samples[k] = rewards[-1]
+    pol_cdf = [_cdf_rows(block) for block in policy.probs]
+    tables = _stage_tables(game)
+    # the stream of n_draws rollouts of horizon + 1 stages, read in one call
+    u = rng.random((n_draws, horizon + 1, game.n_players + 1))
+    ends = []
+    for draw in u:
+        states, joints, _ = _walk(pol_cdf, *tables, game.n_actions, start_state, draw)
+        ends.append((states[-1], joints[-1]))
+    last_states, last_joints = np.array(ends).T
+    samples = game.rewards.transpose(1, 2, 0)[last_states, last_joints]
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
     bound = np.array(

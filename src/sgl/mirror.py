@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp, xlogy
 
 from .errors import DomainError
-from .games import PolicyProfile, StochasticGame
+from .games import PolicyProfile
 
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
@@ -54,11 +54,6 @@ class Regularizer:
 
 def make_regularizer(name: str) -> Regularizer:
     return Regularizer(name)
-
-
-def zero_scores(game: StochasticGame) -> list[np.ndarray]:
-    """Fresh all-zero dual scores shaped like a policy profile."""
-    return [np.zeros((game.n_states, m)) for m in game.n_actions]
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,6 @@ class Lifting:
 
     n_states: int
     n_actions: int
-    block: np.ndarray
-    matrix: np.ndarray
     op_norm: float
 
     def apply(self, reduced: np.ndarray) -> np.ndarray:
@@ -120,10 +118,8 @@ def lifting_for(n_states: int, n_actions: int) -> Lifting:
     if n_actions < 1:
         raise DomainError("n_actions must be positive")
     k = n_actions - 1
-    block = np.vstack([np.eye(k), -np.ones((1, k))]) if k else np.zeros((1, 0))
-    matrix = np.kron(np.eye(n_states), block)
-    op_norm = float(np.linalg.norm(block, 2)) if k else 0.0
-    return Lifting(n_states, n_actions, block, matrix, op_norm)
+    block = np.vstack([np.eye(k), -np.ones((1, k))])
+    return Lifting(n_states, n_actions, float(np.linalg.norm(block, 2)) if k else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +245,7 @@ def _perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.n
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Gradient-shaped estimate with its provenance.
+    """One-point gradient estimate in reduced and lifted coordinates.
 
     reduced is (states x (m-1)); lifted is the simplex-tangent (states x m)
     image whose last action coordinate is minus the sum of the others.
@@ -257,7 +253,6 @@ class GradientEstimate:
 
     reduced: np.ndarray
     lifted: np.ndarray
-    provenance: str
 
 
 def estimate_gradient(
@@ -269,7 +264,7 @@ def estimate_gradient(
     d = reduced_dim(lifting.n_states, lifting.n_actions)
     z = np.asarray(z, float).reshape(lifting.n_states, lifting.n_actions - 1)
     reduced = _one_point(float(payoff), z, delta, d)
-    return GradientEstimate(reduced, _tangent(reduced), "spsa")
+    return GradientEstimate(reduced, _tangent(reduced))
 
 
 def _one_point(payoff, z: np.ndarray, delta: float, d: int) -> np.ndarray:

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,33 @@ class PrefixedStream:
 @pytest.fixture
 def prefixed_stream():
     return PrefixedStream
+
+
+def _reference_rollout(game, policy, start_state, horizon, rng):
+    """games.rollout as a stage-by-stage loop that bisects each player's
+    action CDF and then the next-state CDF, one row of uniforms per stage."""
+    n = game.n_players
+    pol_cdf = [[np.cumsum(row).tolist() for row in block] for block in policy.probs]
+    trans_cdf = [[np.cumsum(row).tolist() for row in rows] for rows in game.transitions]
+    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:]
+    u = rng.random((horizon, n + 1))
+    states = np.empty(horizon, dtype=int)
+    actions = np.empty((horizon, n), dtype=int)
+    rewards = np.empty((horizon, n))
+    s = start_state
+    for t in range(horizon):
+        joint = 0
+        row = u[t]
+        for i in range(n):
+            a = min(bisect_right(pol_cdf[i][s], row[i]), game.n_actions[i] - 1)
+            actions[t, i] = a
+            joint += a * strides[i]
+        states[t] = s
+        rewards[t] = game.rewards[:, s, joint]
+        s = min(bisect_right(trans_cdf[s][joint], row[n]), game.n_states - 1)
+    return states, actions, rewards
+
+
+@pytest.fixture
+def reference_rollout():
+    return _reference_rollout

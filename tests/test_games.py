@@ -16,8 +16,8 @@ from sgl.games import (
     induced_transition_matrix,
     load_game,
     random_profile,
+    rollout,
     save_game,
-    simulate,
     stationary_distribution,
     uniform_profile,
 )
@@ -263,7 +263,7 @@ class TestCertifyMixing:
 # simulation
 
 
-class TestSimulate:
+class TestRollout:
     def test_deterministic_game_unique_trajectory(self):
         # action 0 cycles 0 -> 1 -> 0; rewards equal the current state
         transitions = np.zeros((2, 2, 2))
@@ -272,42 +272,60 @@ class TestSimulate:
         rewards = np.array([[[0.0, 0.0], [1.0, 1.0]]])
         game = StochasticGame(2, (2,), rewards, transitions)
         policy = deterministic_profile(game, [[0, 0]])
-        steps = simulate(game, policy, 0, 6, np.random.default_rng(0))
-        assert [s.state for s in steps] == [0, 1, 0, 1, 0, 1]
-        assert all(s.joint_action == (0,) for s in steps)
-        assert [s.rewards[0] for s in steps] == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+        states, actions, stage_rewards = rollout(game, policy, 0, 6, np.random.default_rng(0))
+        assert states.tolist() == [0, 1, 0, 1, 0, 1]
+        assert actions.tolist() == [[0]] * 6
+        assert stage_rewards[:, 0].tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_single_state_game_stays_put(self):
         game = small_random_game(9, n_states=1)
-        steps = simulate(game, uniform_profile(game), 0, 50, np.random.default_rng(1))
-        assert all(s.state == 0 for s in steps)
+        states, _, _ = rollout(game, uniform_profile(game), 0, 50, np.random.default_rng(1))
+        assert (states == 0).all()
 
     def test_rewards_match_tensor(self):
         game = small_random_game(12, n_states=3, n_actions=3)
         rng = np.random.default_rng(5)
-        for step in simulate(game, random_profile(game, rng), 1, 40, rng):
-            j = game.joint_index(step.joint_action)
-            np.testing.assert_array_equal(step.rewards, game.rewards[:, step.state, j])
+        states, actions, rewards = rollout(game, random_profile(game, rng), 1, 40, rng)
+        for s, a, r in zip(states, actions, rewards):
+            np.testing.assert_array_equal(r, game.rewards[:, s, game.joint_index(a)])
 
     def test_seed_reproducibility(self):
         game = small_random_game(4, n_states=3, n_actions=2)
         policy = random_profile(game, np.random.default_rng(8))
-        a = simulate(game, policy, 0, 100, np.random.default_rng(99))
-        b = simulate(game, policy, 0, 100, np.random.default_rng(99))
-        assert [s.state for s in a] == [s.state for s in b]
-        assert [s.joint_action for s in a] == [s.joint_action for s in b]
+        a = rollout(game, policy, 0, 100, np.random.default_rng(99))
+        b = rollout(game, policy, 0, 100, np.random.default_rng(99))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_bad_arguments(self):
         game = small_random_game(0)
         with pytest.raises(DomainError):
-            simulate(game, uniform_profile(game), 0, 0, np.random.default_rng(0))
+            rollout(game, uniform_profile(game), 0, 0, np.random.default_rng(0))
         with pytest.raises(DomainError):
-            simulate(game, uniform_profile(game), 5, 10, np.random.default_rng(0))
+            rollout(game, uniform_profile(game), 5, 10, np.random.default_rng(0))
+
+    def test_matches_stage_by_stage_reference(self, reference_rollout):
+        # 3 states, 3 players with 2, 3 and 2 actions; the walk must read
+        # the stream as the stage-by-stage loop it replaced did
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=3, n_players=3, n_actions=(2, 3, 2), seed=6
+            )
+        )
+        policy = random_profile(game, np.random.default_rng(1), margin=0.3)
+        for start, horizon, seed in ((0, 1, 0), (2, 500, 1), (1, 5000, 2)):
+            rng = np.random.default_rng(seed)
+            got = rollout(game, policy, start, horizon, rng)
+            ref_rng = np.random.default_rng(seed)
+            expected = reference_rollout(game, policy, start, horizon, ref_rng)
+            for x, y in zip(got, expected):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert np.array_equal(x, y)
+            assert rng.random() == ref_rng.random()
 
     def test_long_run_average_matches_exact_value(self):
         # Monte Carlo vs the closed form; batch means absorb autocorrelation
         from sgl.analysis import exact_value
-        from sgl.games import rollout
 
         game = small_random_game(21, n_states=2, n_players=2, n_actions=2)
         policy = random_profile(game, np.random.default_rng(2), margin=0.2)

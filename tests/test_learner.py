@@ -13,6 +13,7 @@ from sgl.games import (
     StochasticGame,
     certification_sample,
     certify_mixing,
+    random_profile,
     uniform_profile,
 )
 from sgl.generators import GeneratorSpec, generate
@@ -509,6 +510,41 @@ class TestHorizonBias:
         start[0] = 1.0
         expected = start @ np.linalg.matrix_power(T_mat, horizon) @ stage.T
         assert np.abs(report.mean - expected).max() <= 4.0 * report.stderr.max()
+
+    def test_matches_per_draw_rollout_loop(self, reference_rollout):
+        # the loop of one rollout per draw that the single stream replaced:
+        # 3 states, start state 1, and player 1 has a single action
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=3, n_players=3, n_actions=(2, 1, 3), seed=4
+            )
+        )
+        policy = random_profile(game, np.random.default_rng(2), margin=0.3)
+        horizon, n_draws = 7, 3000
+        report = horizon_bias_check(
+            game, policy, horizon, n_draws, rng=11, start_state=1, contraction=0.5
+        )
+        rng = np.random.default_rng(11)
+        samples = np.empty((n_draws, game.n_players))
+        for k in range(n_draws):
+            _, _, rewards = reference_rollout(game, policy, 1, horizon + 1, rng)
+            samples[k] = rewards[-1]
+        mean = samples.mean(axis=0)
+        assert np.array_equal(report.mean, mean)
+        assert np.array_equal(report.bias, np.abs(mean - exact_value(game, policy).values))
+        assert np.array_equal(
+            report.stderr, samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
+        )
+
+    def test_bad_arguments(self):
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=9))
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError):
+            horizon_bias_check(game, policy, -1, 10, rng=0)
+        with pytest.raises(DomainError):
+            horizon_bias_check(game, policy, 2, 10, rng=0, start_state=2)
+        with pytest.raises(DomainError):
+            horizon_bias_check(game, policy, 2, 0, rng=0)
 
     def test_longer_windows_shrink_the_bound(self):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=9))

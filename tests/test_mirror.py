@@ -15,7 +15,6 @@ from sgl.mirror import (
     make_regularizer,
     mirror_map,
     project_simplex,
-    zero_scores,
 )
 
 ENTROPY = make_regularizer("entropy")
@@ -47,7 +46,7 @@ class TestMirrorMap:
 
     def test_entropy_zero_scores_give_uniform(self):
         game = game22()
-        policy = mirror_map(ENTROPY, zero_scores(game))
+        policy = mirror_map(ENTROPY, [np.zeros((game.n_states, m)) for m in game.n_actions])
         for block, m in zip(policy.probs, game.n_actions):
             np.testing.assert_allclose(block, 1.0 / m, atol=1e-15)
 

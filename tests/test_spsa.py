@@ -253,15 +253,17 @@ class TestEstimator:
         z = np.array([0.5, -0.5, 0.5, -0.5])
         est = estimate_gradient(2.0, z, 0.1, lift)
         np.testing.assert_allclose(est.reduced, (4 / 0.1) * 2.0 * z.reshape(2, 2))
-        assert est.provenance == "spsa"
 
     def test_lifting_matrix_structure(self):
+        # per state: the identity on top of a row of -1, so columns sum to zero
         lift = lifting_for(2, 3)
-        assert lift.block.shape == (3, 2)
-        np.testing.assert_array_equal(lift.block.sum(axis=0), [0.0, 0.0])
-        assert lift.matrix.shape == (6, 4)
+        block = np.vstack([np.eye(2), -np.ones((1, 2))])
+        np.testing.assert_array_equal(block.sum(axis=0), [0.0, 0.0])
+        matrix = np.kron(np.eye(2), block)
+        assert matrix.shape == (6, 4)
+        assert lift.op_norm == np.linalg.norm(block, 2)
         z = sample_sphere(4, np.random.default_rng(3))
-        via_matrix = (lift.matrix @ z).reshape(2, 3)
+        via_matrix = (matrix @ z).reshape(2, 3)
         np.testing.assert_allclose(lift.apply(z), via_matrix, atol=1e-15)
 
 
