@@ -486,33 +486,29 @@ def _stage_tables(game: StochasticGame):
     return trans_cdf, strides
 
 
-_WALK_CHUNK = 4096  # rows turned into Python floats at a time: bounds a long rollout's memory
-
-
-def _walk(pol_cdf, trans_cdf, strides, n_actions, s, u):
-    """Play one stage per row of the uniforms u from state s.
+def _walk(pol_cdf, trans_cdf, strides, n_actions, s, rows):
+    """Play one stage per row of uniforms from state s.
 
     pol_cdf[i][s] is player i's action CDF at state s and trans_cdf[s][j]
-    the next-state CDF after joint action j. Row t of u holds one uniform
-    per player, read against that player's CDF, then one for the next
-    state. Returns the (states, joints) lists of the stages played and the
-    state after the last one.
+    the next-state CDF after joint action j. Each row holds one uniform per
+    player, read against that player's CDF, then one for the next state, as
+    Python floats. Returns the (states, joints) lists of the stages played
+    and the state after the last one.
     """
     n_players, n_states = len(pol_cdf), len(trans_cdf)
     states, joints = [], []
-    for lo in range(0, len(u), _WALK_CHUNK):
-        for row in u[lo:lo + _WALK_CHUNK].tolist():
-            joint = 0
-            for i in range(n_players):
-                a = bisect_right(pol_cdf[i][s], row[i])
-                if a >= n_actions[i]:  # guard cumulative rounding
-                    a = n_actions[i] - 1
-                joint += a * strides[i]
-            states.append(s)
-            joints.append(joint)
-            s = bisect_right(trans_cdf[s][joint], row[-1])
-            if s >= n_states:
-                s = n_states - 1
+    for row in rows:
+        joint = 0
+        for i in range(n_players):
+            a = bisect_right(pol_cdf[i][s], row[i])
+            if a >= n_actions[i]:  # guard cumulative rounding
+                a = n_actions[i] - 1
+            joint += a * strides[i]
+        states.append(s)
+        joints.append(joint)
+        s = bisect_right(trans_cdf[s][joint], row[-1])
+        if s >= n_states:
+            s = n_states - 1
     return states, joints, s
 
 
@@ -531,7 +527,9 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
 
     pol_cdf = [_cdf_rows(block) for block in policy.probs]
     u = rng.random((horizon, game.n_players + 1))
-    states, joints, _ = _walk(pol_cdf, *_stage_tables(game), game.n_actions, start_state, u)
+    # Python floats a chunk of rows at a time bound a long rollout's memory
+    rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
+    states, joints, _ = _walk(pol_cdf, *_stage_tables(game), game.n_actions, start_state, rows)
     states, joints = np.array(states), np.array(joints)
     return states, game.action_table[joints], game.rewards.transpose(1, 2, 0)[states, joints]
 

@@ -633,7 +633,7 @@ def run_batch(
             try:
                 walked, joints, states[b] = _walk(
                     [pol_cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
-                    states[b], rng.random((horizon + 1, n_players + 1)),
+                    states[b], rng.random((horizon + 1, n_players + 1)).tolist(),
                 )
                 sampled, joint = walked[-1], joints[-1]
                 sampled_states.append(sampled)
@@ -781,7 +781,7 @@ def horizon_bias_check(
     u = rng.random((n_draws, horizon + 1, game.n_players + 1))
     ends = []
     for draw in u:
-        states, joints, _ = _walk(pol_cdf, *tables, game.n_actions, start_state, draw)
+        states, joints, _ = _walk(pol_cdf, *tables, game.n_actions, start_state, draw.tolist())
         ends.append((states[-1], joints[-1]))
     last_states, last_joints = np.array(ends).T
     samples = game.rewards.transpose(1, 2, 0)[last_states, last_joints]
