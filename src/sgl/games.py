@@ -495,11 +495,11 @@ def _walk(pol_cdf, trans_cdf, strides, n_actions, s, rows):
     Python floats. Returns the (states, joints) lists of the stages played
     and the state after the last one.
     """
-    n_players, n_states = len(pol_cdf), len(trans_cdf)
+    players, n_states = range(len(pol_cdf)), len(trans_cdf)
     states, joints = [], []
     for row in rows:
         joint = 0
-        for i in range(n_players):
+        for i in players:
             a = bisect_right(pol_cdf[i][s], row[i])
             if a >= n_actions[i]:  # guard cumulative rounding
                 a = n_actions[i] - 1
