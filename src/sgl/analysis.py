@@ -19,6 +19,7 @@ from .games import (
     ChainAnalysis,
     PolicyProfile,
     StochasticGame,
+    _slicewise,
     analyze_chain,
     check_policy_block,
     induced_transition_matrix,
@@ -136,14 +137,28 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
     return np.einsum("bis,bs->bi", stage, p)
 
 
-def opponent_weights(game, policy, state: int, player: int) -> np.ndarray:
-    """Probability of each joint action's opponent part, per joint index."""
-    table = game.action_table
-    w = np.ones(game.n_joint)
-    for j, block in enumerate(policy.probs):
-        if j != player:
-            w *= block[state, table[:, j]]
-    return w
+def opponent_weights(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:
+    """(n_players, n_states, n_joint) probability of each joint action's
+    opponent part: entry (i, s, j) multiplies, in player order, every other
+    player's probability of its own action in joint action j at state s."""
+    n = game.n_players
+    offsets = np.cumsum((0,) + game.n_actions[:-1])
+    # factors[k, s, j]: player k's probability of its action in joint action j
+    factors = np.concatenate(policy.probs, axis=1)[:, (game.action_table + offsets).T]
+    factors = np.moveaxis(factors, 1, 0)
+    # entry (k, i) is 1 where k == i; reducing over the leading k axis
+    # multiplies in player order
+    others = np.where(np.eye(n, dtype=bool)[:, :, None, None], 1.0, factors[:, None])
+    return others.prod(axis=0)
+
+
+def _own_actions(game: StochasticGame) -> np.ndarray:
+    """(n_players, n_joint, max n_actions) one-hot map from each joint action
+    to each player's own action; the columns of actions a player lacks are 0."""
+    n, J = game.n_players, game.n_joint
+    onehot = np.zeros((n, J, max(game.n_actions)))
+    onehot[np.arange(n)[:, None], np.arange(J), game.action_table.T] = 1.0
+    return onehot
 
 
 def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
@@ -157,7 +172,7 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     report = exact_value(game, policy)
     P = report.chain.transition_matrix
     p = report.stationary
-    n, S, J = game.n_players, game.n_states, game.n_joint
+    n, S = game.n_players, game.n_states
 
     A = np.eye(S) - P + np.outer(np.ones(S), p)
     bias = np.empty((n, S))
@@ -169,22 +184,18 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
             f"ergodicity check failed: singular fundamental matrix ({exc})"
         ) from exc
 
-    joint = np.empty((n, S, J))
-    for s in range(S):
-        future = game.transitions[s] @ bias.T           # (J, n)
-        joint[:, s, :] = (
-            game.rewards[:, s, :] - report.values[:, None] + future.T
-        )
-
-    own = []
-    table = game.action_table
-    for i, m in enumerate(game.n_actions):
-        block = np.zeros((S, m))
-        for s in range(S):
-            w = opponent_weights(game, policy, s, i)
-            block[s] = np.bincount(table[:, i], weights=w * joint[i, s], minlength=m)
-        own.append(block)
-    return AdvantageTable(joint, tuple(own), bias, report.values, p)
+    future = np.moveaxis(game.transitions @ bias.T, 2, 0)   # (n, S, J)
+    joint = game.rewards - report.values[:, None, None] + future
+    weighted = opponent_weights(game, policy) * joint      # (n, S, J)
+    # sum over joint actions on a leading axis: in joint order, like a loop
+    own = (weighted[..., None] * _own_actions(game)[:, None]).sum(axis=2)
+    return AdvantageTable(
+        joint,
+        tuple(own[i, :, :m] for i, m in enumerate(game.n_actions)),
+        bias,
+        report.values,
+        p,
+    )
 
 
 def exact_gradient(game: StochasticGame, policy: PolicyProfile) -> ExactGradient:
@@ -301,31 +312,79 @@ def estimate_mismatch(game: StochasticGame, policy_samples) -> float:
     return float((dists.max(axis=0) / dists.min(axis=0)).max())
 
 
-def _frozen_mdp(game, policy, player):
-    """Single-agent average-reward MDP faced by `player` with others frozen."""
-    S, m = game.n_states, game.n_actions[player]
-    table = game.action_table
-    P = np.zeros((S, m, S))
-    R = np.zeros((S, m))
-    for s in range(S):
-        w = opponent_weights(game, policy, s, player)
-        for j in range(game.n_joint):
-            a = table[j, player]
-            P[s, a] += w[j] * game.transitions[s, j]
-            R[s, a] += w[j] * game.rewards[player, s, j]
-    return P, R
+def _frozen_mdps(game, policy, players):
+    """Single-agent average-reward MDPs faced by `players`, others frozen.
+
+    P[k, s, a] is the next-state law and R[k, s, a] the expected reward of
+    players[k] taking action a in state s. The action axis is padded to the
+    largest action count: a padded action has a zero transition row and
+    reward -inf, so no policy step ever picks it.
+    """
+    S = game.n_states
+    w = opponent_weights(game, policy)[players]           # (k, S, J)
+    onehot = _own_actions(game)[players]                  # (k, J, m)
+    # next-state law and reward side by side: one contraction gives both
+    transitions = np.broadcast_to(game.transitions, w.shape + (S,))
+    law = np.concatenate([transitions, game.rewards[players, ..., None]], axis=-1)
+    PR = np.swapaxes(onehot, 1, 2)[:, None] @ (w[..., None] * law)   # (k, S, m, S + 1)
+    missing = np.arange(onehot.shape[2]) >= np.asarray(game.n_actions)[players, None]
+    return PR[..., :S], np.where(missing[:, None, :], -np.inf, PR[..., S])
 
 
-def _evaluate_deterministic(P, R, actions):
-    S = P.shape[0]
-    rows = np.arange(S)
-    P_pi = P[rows, actions]
-    R_pi = R[rows, actions]
-    p = stationary_distribution(P_pi)
-    gain = float(p @ R_pi)
-    A = np.eye(S) - P_pi + np.outer(np.ones(S), p)
-    h = np.linalg.solve(A, R_pi - gain)
-    return gain, h
+def _evaluate_deterministic(P, R, actions, players):
+    """Gains (k,) and zero-mean biases (k, S) of one deterministic policy per
+    MDP of the stack: one stationary solve and one Poisson solve for all.
+    A non-ergodic candidate raises ErgodicityError naming its player."""
+    k, S = actions.shape
+    stack, rows = np.arange(k)[:, None], np.arange(S)
+    P_pi = P[stack, rows, actions]                        # (k, S, S)
+    R_pi = R[stack, rows, actions]                        # (k, S)
+    try:
+        p = stationary_distribution(P_pi)
+        gain = np.vecdot(p, R_pi)
+        A = np.eye(S) - P_pi + p[:, None, :]
+        h = _slicewise(
+            np.linalg.solve, "singular Poisson system", lambda i: f" at slice {i}",
+            A, (R_pi - gain[:, None])[..., None],
+        )
+    except ErgodicityError as exc:
+        i = getattr(exc, "slice_index", None)
+        if i is None:
+            raise
+        raise ErgodicityError(
+            f"best-response candidate {tuple(actions[i].tolist())} of player "
+            f"{players[i]}: {exc}"
+        ) from exc
+    return gain, h[..., 0]
+
+
+def _policy_iteration(P, R, players, max_iters: int = 1000):
+    """Howard policy iteration on a stack of MDPs, one row per player.
+
+    Every row starts from its greedy stage-reward policy; each sweep
+    evaluates all rows with stacked solves and moves a state to a better
+    action only when it wins by more than 1e-12, so the incumbent keeps
+    ties and the iteration terminates. Rows that have settled keep their
+    actions, and with them their gains, bit for bit. Returns the optimal
+    gains (k,) and actions (k, S).
+    """
+    actions = R.argmax(axis=2)
+    gain, h = _evaluate_deterministic(P, R, actions, players)
+    moved = np.ones(len(players), dtype=bool)
+    for _ in range(max_iters):
+        q = R + (P @ h[:, None, :, None])[..., 0]          # (k, S, m)
+        best = q.argmax(axis=2)
+        incumbent = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
+        nxt = np.where(q.max(axis=2) > incumbent + 1e-12, best, actions)
+        moved = (nxt != actions).any(axis=1)
+        if not moved.any():
+            return gain, actions
+        actions = nxt
+        gain, h = _evaluate_deterministic(P, R, actions, players)
+    unsettled = [players[i] for i in np.flatnonzero(moved)]
+    raise ErgodicityError(
+        f"policy iteration for players {unsettled} did not settle in {max_iters} sweeps"
+    )
 
 
 def best_response(
@@ -337,75 +396,56 @@ def best_response(
 ):
     """Optimal average reward of one player against a frozen profile.
 
-    policy-iteration runs Howard improvement over deterministic stationary
-    policies; enumerate scores every deterministic policy (use only when
-    n_actions ** n_states is small). Returns (value, actions, flags).
+    policy-iteration is this player's row of the stacked iteration that
+    nash_gap runs for every player; enumerate scores every deterministic
+    policy (use only when n_actions ** n_states is small). Returns (value,
+    actions, flags).
     """
-    P, R = _frozen_mdp(game, policy, player)
-    S, m = R.shape
-    flags: list[str] = []
-
-    if method == "enumerate":
-        best, best_actions = -np.inf, None
-        for combo in product(range(m), repeat=S):
-            actions = np.array(combo)
-            try:
-                gain, _ = _evaluate_deterministic(P, R, actions)
-            except ErgodicityError:
-                flags.append(f"player {player}: skipped non-ergodic candidate {combo}")
-                continue
-            if gain > best:
-                best, best_actions = gain, tuple(combo)
-        if best_actions is None:
-            raise ErgodicityError(
-                f"ergodicity check failed: no ergodic deterministic response "
-                f"for player {player}"
-            )
-        return best, best_actions, tuple(flags)
-
-    if method != "policy-iteration":
+    if not 0 <= player < game.n_players:
+        raise DomainError(f"player {player} out of range for {game.n_players} players")
+    P, R = _frozen_mdps(game, policy, [player])
+    if method == "policy-iteration":
+        gain, actions = _policy_iteration(P, R, [player], max_iters)
+        return float(gain[0]), tuple(actions[0].tolist()), ()
+    if method != "enumerate":
         raise DomainError(f"unknown best-response method {method!r}")
 
-    actions = np.asarray([int(np.argmax(R[s])) for s in range(S)])
-    gain, h = _evaluate_deterministic(P, R, actions)
-    for _ in range(max_iters):
-        q = R + P @ h                                  # (S, m)
-        nxt = actions.copy()
-        for s in range(S):
-            best_a = int(np.argmax(q[s]))
-            # keep the incumbent on ties so the iteration terminates
-            if q[s, best_a] > q[s, actions[s]] + 1e-12:
-                nxt[s] = best_a
-        if np.array_equal(nxt, actions):
-            return gain, tuple(int(a) for a in actions), tuple(flags)
-        actions = nxt
-        gain, h = _evaluate_deterministic(P, R, actions)
-    raise ErgodicityError(
-        f"policy iteration for player {player} did not settle in {max_iters} sweeps"
-    )
+    flags: list[str] = []
+    best, best_actions = -np.inf, None
+    for combo in product(range(game.n_actions[player]), repeat=game.n_states):
+        try:
+            gain, _ = _evaluate_deterministic(P, R, np.array([combo]), [player])
+        except ErgodicityError:
+            flags.append(f"player {player}: skipped non-ergodic candidate {combo}")
+            continue
+        if gain[0] > best:
+            best, best_actions = float(gain[0]), combo
+    if best_actions is None:
+        raise ErgodicityError(
+            f"ergodicity check failed: no ergodic deterministic response "
+            f"for player {player}"
+        )
+    return best, best_actions, tuple(flags)
 
 
-def nash_gap(
-    game: StochasticGame, policy: PolicyProfile, method: str = "policy-iteration"
-) -> GapReport:
+def nash_gap(game: StochasticGame, policy: PolicyProfile) -> GapReport:
     """Best unilateral improvement available to each player.
 
     gap_i = max over player i's stationary policies of her value against the
     frozen opponents, minus her current value; the inner maximum is exact
-    because a deterministic policy attains it.
+    because a deterministic policy attains it. One stacked policy iteration
+    finds every player's best response.
     """
     values = exact_value(game, policy).values
-    gaps = np.empty(game.n_players)
-    best_vals = np.empty(game.n_players)
-    best_actions = []
-    flags: list[str] = []
-    for i in range(game.n_players):
-        val, actions, f = best_response(game, policy, i, method=method)
-        best_vals[i] = val
-        gaps[i] = val - values[i]
-        best_actions.append(actions)
-        flags.extend(f)
-    return GapReport(gaps, values, best_vals, tuple(best_actions), tuple(flags))
+    players = list(range(game.n_players))
+    best_vals, actions = _policy_iteration(*_frozen_mdps(game, policy, players), players)
+    return GapReport(
+        best_vals - values,
+        values,
+        best_vals,
+        tuple(tuple(row) for row in actions.tolist()),
+        (),
+    )
 
 
 def first_order_residual(game: StochasticGame, policy: PolicyProfile) -> float:

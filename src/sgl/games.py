@@ -301,9 +301,14 @@ def induced_transition_matrix(game: StochasticGame, policy: PolicyProfile) -> np
     return np.einsum("sj,sjt->st", w, game.transitions)
 
 
-def _power_iteration(
-    P: np.ndarray, where: str = "", tol: float = _POWER_TOL, cap: int = _POWER_CAP
-):
+def _at_slice(message: str, k) -> ErgodicityError:
+    """An ErgodicityError about slice k of a stack; slice_index records k."""
+    exc = ErgodicityError(message)
+    exc.slice_index = int(k)
+    return exc
+
+
+def _power_iteration(P: np.ndarray, k, at, tol: float = _POWER_TOL, cap: int = _POWER_CAP):
     n = P.shape[0]
     p = np.full(n, 1.0 / n)
     for _ in range(cap):
@@ -311,8 +316,9 @@ def _power_iteration(
         if np.abs(nxt - p).sum() < tol:
             return nxt / nxt.sum()
         p = nxt
-    raise ErgodicityError(
-        f"ergodicity check failed{where}: power iteration did not converge in {cap} steps"
+    raise _at_slice(
+        f"ergodicity check failed{at(k)}: power iteration did not converge in {cap} steps",
+        k,
     )
 
 
@@ -326,8 +332,8 @@ def _slicewise(fn, check: str, at, *stacks):
             try:
                 fn(*(s[k : k + 1] for s in stacks))
             except np.linalg.LinAlgError as exc:
-                raise ErgodicityError(
-                    f"ergodicity check failed{at(k)}: {check} ({exc})"
+                raise _at_slice(
+                    f"ergodicity check failed{at(k)}: {check} ({exc})", k
                 ) from exc
         raise ErgodicityError(f"ergodicity check failed: {check}") from None
 
@@ -363,9 +369,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
     if not (n_unit == 1).all():
         k = np.argmin(n_unit == 1)
-        raise ErgodicityError(
+        raise _at_slice(
             f"ergodicity check failed{at(k)}: unit-circle eigenvalue count "
-            f"{n_unit[k]} != 1 (chain reducible or periodic)"
+            f"{n_unit[k]} != 1 (chain reducible or periodic)",
+            k,
         )
 
     A = np.swapaxes(stack, 1, 2) - np.eye(n)
@@ -377,16 +384,17 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     total = p.sum(axis=1, keepdims=True)
     if not (total > 0).all():
         k = np.argmin(total[:, 0] > 0)
-        raise ErgodicityError(f"ergodicity check failed{at(k)}: linear solve degenerate")
+        raise _at_slice(f"ergodicity check failed{at(k)}: linear solve degenerate", k)
     p = p / total
     residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
     for k in np.flatnonzero(~(residual <= STATIONARY_TOL)):
-        p[k] = _power_iteration(stack[k], at(k))
+        p[k] = _power_iteration(stack[k], k, at)
         r = np.abs(p[k] @ stack[k] - p[k]).sum()
         if not r <= STATIONARY_TOL:
-            raise ErgodicityError(
+            raise _at_slice(
                 f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
-                f"> {STATIONARY_TOL}"
+                f"> {STATIONARY_TOL}",
+                k,
             )
     return p.reshape(P.shape[:-1])
 

@@ -58,3 +58,99 @@ def _reference_rollout(game, policy, start_state, horizon, rng):
 @pytest.fixture
 def reference_rollout():
     return _reference_rollout
+
+
+def _reference_frozen_mdp(game, policy, player):
+    """The single-agent MDP one player faces, as a loop over states and
+    joint actions with the opponent weights of each state built in player
+    order. Returns P (S, m, S) and R (S, m)."""
+    S, m = game.n_states, game.n_actions[player]
+    table = game.action_table
+    P = np.zeros((S, m, S))
+    R = np.zeros((S, m))
+    for s in range(S):
+        w = np.ones(game.n_joint)
+        for k, block in enumerate(policy.probs):
+            if k != player:
+                w *= block[s, table[:, k]]
+        for j in range(game.n_joint):
+            a = table[j, player]
+            P[s, a] += w[j] * game.transitions[s, j]
+            R[s, a] += w[j] * game.rewards[player, s, j]
+    return P, R
+
+
+def _reference_own_advantages(game, policy, joint):
+    """Own-action advantages: joint advantages marginalised over opponents
+    one (player, state) at a time with bincount."""
+    table = game.action_table
+    own = []
+    for i, m in enumerate(game.n_actions):
+        block = np.zeros((game.n_states, m))
+        for s in range(game.n_states):
+            w = np.ones(game.n_joint)
+            for k, other in enumerate(policy.probs):
+                if k != i:
+                    w *= other[s, table[:, k]]
+            block[s] = np.bincount(table[:, i], weights=w * joint[i, s], minlength=m)
+        own.append(block)
+    return own
+
+
+def _reference_best_response(game, policy, player, max_iters=1000):
+    """Howard policy iteration for one player, one candidate at a time, each
+    evaluated with its own 2-d stationary and Poisson solves. Returns
+    (value, actions)."""
+    from sgl.games import stationary_distribution
+
+    P, R = _reference_frozen_mdp(game, policy, player)
+    S = R.shape[0]
+    rows = np.arange(S)
+
+    def evaluate(actions):
+        P_pi, R_pi = P[rows, actions], R[rows, actions]
+        p = stationary_distribution(P_pi)
+        gain = float(p @ R_pi)
+        A = np.eye(S) - P_pi + np.outer(np.ones(S), p)
+        return gain, np.linalg.solve(A, R_pi - gain)
+
+    actions = np.asarray([int(np.argmax(R[s])) for s in range(S)])
+    gain, h = evaluate(actions)
+    for _ in range(max_iters):
+        q = R + P @ h
+        nxt = actions.copy()
+        for s in range(S):
+            best_a = int(np.argmax(q[s]))
+            if q[s, best_a] > q[s, actions[s]] + 1e-12:
+                nxt[s] = best_a
+        if np.array_equal(nxt, actions):
+            return gain, tuple(int(a) for a in actions)
+        actions = nxt
+        gain, h = evaluate(actions)
+    raise RuntimeError("reference policy iteration did not settle")
+
+
+def _reference_nash_gap(game, policy):
+    """nash_gap as a loop over players, each with its own policy iteration.
+    Returns (gaps, best_values, best_actions)."""
+    from sgl.analysis import exact_value
+
+    values = exact_value(game, policy).values
+    best = [_reference_best_response(game, policy, i) for i in range(game.n_players)]
+    best_values = np.array([v for v, _ in best])
+    return best_values - values, best_values, tuple(a for _, a in best)
+
+
+@pytest.fixture
+def reference_frozen_mdp():
+    return _reference_frozen_mdp
+
+
+@pytest.fixture
+def reference_own_advantages():
+    return _reference_own_advantages
+
+
+@pytest.fixture
+def reference_nash_gap():
+    return _reference_nash_gap

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgl.analysis import (
+    _frozen_mdps,
     advantages,
     best_response,
     check_gradient_dominance,
@@ -15,7 +16,13 @@ from sgl.analysis import (
     nash_gap,
     truncated_advantage_series,
 )
-from sgl.errors import ContractError, DimensionError, DomainError, GameFormatError
+from sgl.errors import (
+    ContractError,
+    DimensionError,
+    DomainError,
+    ErgodicityError,
+    GameFormatError,
+)
 from sgl.games import (
     PolicyProfile,
     StochasticGame,
@@ -169,6 +176,15 @@ class TestAdvantages:
                             w *= policy.probs[other][s, act]
                     total += w * table.joint[i, s, j]
                 assert table.own[i][s, a] == pytest.approx(total, abs=1e-10)
+
+    @pytest.mark.parametrize("n_actions", [(2, 3, 1), (3, 3, 3)])
+    def test_own_matches_per_state_loop(self, n_actions, reference_own_advantages):
+        game = mixed_action_game(13, n_actions=n_actions)
+        policy = random_profile(game, np.random.default_rng(6), margin=0.1)
+        table = advantages(game, policy)
+        reference = reference_own_advantages(game, policy, table.joint)
+        for got, want in zip(table.own, reference, strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
     def test_matches_truncated_series_oracle(self):
         rng = np.random.default_rng(9)
@@ -379,6 +395,32 @@ class TestMismatch:
 
 
 # ---------------------------------------------------------------------------
+# frozen single-agent MDPs
+
+
+class TestFrozenMDPs:
+    @pytest.mark.parametrize("n_actions", [(2, 3, 1), (3, 3, 3)])
+    def test_match_per_state_loop(self, n_actions, reference_frozen_mdp):
+        game = mixed_action_game(11, n_actions=n_actions)
+        policy = random_profile(game, np.random.default_rng(4), margin=0.1)
+        P, R = _frozen_mdps(game, policy, list(range(game.n_players)))
+        for i, m in enumerate(n_actions):
+            ref_P, ref_R = reference_frozen_mdp(game, policy, i)
+            np.testing.assert_allclose(P[i, :, :m], ref_P, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(R[i, :, :m], ref_R, rtol=1e-15, atol=0)
+            # padded actions can never be chosen
+            assert (P[i, :, m:] == 0.0).all()
+            assert (R[i, :, m:] == -np.inf).all()
+
+    def test_rows_of_a_subset_equal_the_full_stack(self):
+        game = mixed_action_game(12, n_actions=(2, 3, 1))
+        policy = random_profile(game, np.random.default_rng(5), margin=0.1)
+        P, R = _frozen_mdps(game, policy, [0, 1, 2])
+        P1, R1 = _frozen_mdps(game, policy, [1])
+        assert np.array_equal(P1[0], P[1]) and np.array_equal(R1[0], R[1])
+
+
+# ---------------------------------------------------------------------------
 # nash gap and residual
 
 
@@ -406,10 +448,65 @@ class TestNashGap:
         for g in range(10):
             game = random_game(900 + g, n_states=2, n_actions=3)
             policy = random_profile(game, rng, margin=0.05)
-            pi_report = nash_gap(game, policy, method="policy-iteration")
+            pi_report = nash_gap(game, policy)
             for i in range(game.n_players):
                 val, _, _ = best_response(game, policy, i, method="enumerate")
                 assert pi_report.best_values[i] == pytest.approx(val, abs=1e-9)
+
+    @pytest.mark.parametrize("n_actions", [(2, 3, 1), (3, 3, 3)])
+    def test_stacked_matches_per_player_reference(self, n_actions, reference_nash_gap):
+        rng = np.random.default_rng(7)
+        for seed in range(10):
+            game = mixed_action_game(100 + seed, n_actions=n_actions)
+            policy = random_profile(game, rng, margin=0.1)
+            report = nash_gap(game, policy)
+            gaps, best_values, best_actions = reference_nash_gap(game, policy)
+            assert report.best_actions == best_actions
+            np.testing.assert_allclose(report.gaps, gaps, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(report.best_values, best_values, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n_actions", [(2, 3, 1), (3, 3, 3)])
+    def test_best_response_is_the_stacked_row(self, n_actions):
+        rng = np.random.default_rng(8)
+        for seed in range(4):
+            game = mixed_action_game(200 + seed, n_actions=n_actions)
+            policy = random_profile(game, rng, margin=0.1)
+            report = nash_gap(game, policy)
+            for i in range(game.n_players):
+                value, actions, flags = best_response(game, policy, i)
+                assert value == report.best_values[i]
+                assert actions == report.best_actions[i]
+                assert flags == ()
+                enumerated, _, _ = best_response(game, policy, i, method="enumerate")
+                assert value == pytest.approx(enumerated, abs=1e-12)
+
+    def test_unknown_player_or_method_rejected(self):
+        game = random_game(3)
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match="out of range"):
+            best_response(game, policy, 2)
+        with pytest.raises(DomainError, match="unknown best-response method"):
+            best_response(game, policy, 0, method="value-iteration")
+
+    def test_reducible_candidate_names_its_player(self):
+        # player 1 keeps (a1 = 0) or flips (a1 = 1) the state and is paid for
+        # keeping it, so its greedy first candidate keeps both states: the
+        # identity chain, reducible although the profile itself is ergodic
+        rewards = np.random.default_rng(3).random((2, 2, 4))
+        rewards[1] = [[1.0, 0.0, 1.0, 0.0]] * 2   # joint index 2 * a0 + a1
+        transitions = np.zeros((2, 4, 2))
+        for s in range(2):
+            transitions[s, 0::2, s] = 1.0
+            transitions[s, 1::2, 1 - s] = 1.0
+        game = StochasticGame(2, (2, 2), rewards, transitions)
+        policy = uniform_profile(game)
+        exact_value(game, policy)
+        best_response(game, policy, 0)
+        named = r"candidate \(0, 0\) of player 1: .*unit-circle eigenvalue count 2"
+        with pytest.raises(ErgodicityError, match=named):
+            nash_gap(game, policy)
+        with pytest.raises(ErgodicityError, match=named):
+            best_response(game, policy, 1)
 
     def test_residual_zero_iff_gap_zero_on_matching_pennies(self):
         game = generate(GeneratorSpec(kind="matching-pennies"))
