@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import DomainError
 from .games import PolicyProfile
@@ -126,7 +126,13 @@ def mirror_map(reg: Regularizer, scores) -> PolicyProfile:
 
 def _conjugate_block(reg: Regularizer, y: np.ndarray) -> float:
     if reg.kind == ENTROPY:
-        return float(logsumexp(y, axis=1).sum())
+        # max-shifted log-sum-exp per row; the maxima leave the sum and enter
+        # as log(count), so a row with one maximum is top + log1p(rest)
+        top = y.max(axis=1, keepdims=True)
+        is_top = y == top
+        rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=1)
+        count = is_top.sum(axis=1)
+        return float((np.log1p(rest / count) + np.log(count) + top[:, 0]).sum())
     q = project_simplex(y)
     return float(np.sum(y * q) - 0.5 * np.sum(q * q))
 

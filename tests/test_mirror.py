@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from sgl.errors import DomainError
 from sgl.games import PolicyProfile, random_profile
@@ -114,6 +115,17 @@ class TestConjugate:
         expected = float(np.sum(y * x) - 0.5 * np.sum(x * x))
         assert conjugate(EUCLIDEAN, [y]) == pytest.approx(expected, abs=1e-12)
         assert conjugate(EUCLIDEAN, [y]) == pytest.approx(0.19, abs=1e-12)
+
+    def test_entropy_matches_scipy_logsumexp(self):
+        # rows with tied maxima, near-zero results and scores far apart
+        rng = np.random.default_rng(9)
+        for scale in (1e-3, 1.0, 30.0, 1e4):
+            for _ in range(200):
+                y = scale * rng.standard_normal((4, 3))
+                y[0, 1] = y[0, 0] = y[0].max()
+                y[1] = 2.0
+                want = float(logsumexp(y, axis=1).sum())
+                assert conjugate(ENTROPY, [y]) == pytest.approx(want, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("reg", [ENTROPY, EUCLIDEAN], ids=["entropy", "euclidean"])
     def test_fenchel_young_inequality(self, reg):
