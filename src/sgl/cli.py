@@ -193,7 +193,7 @@ def _resolve_schedule(args, game, cert) -> learner.Schedule:
 def _cmd_learn(args) -> int:
     game = games.load_game(args.game)
     reg = mirror.make_regularizer(args.mirror)
-    cert = games.certify_mixing(game, games.certification_sample(game, rng=0))
+    cert = game.mixing_certificate
     schedule = _resolve_schedule(args, game, cert)
     reference = None if args.ref is None else _load_policy_arg(game, args.ref)
     init_policy = (

@@ -9,6 +9,7 @@ shares that convention, so indices are bit-exact across I/O and oracles.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -125,6 +126,12 @@ class StochasticGame:
         if player is None:
             return float(np.abs(self.rewards).max())
         return float(np.abs(self.rewards[player]).max())
+
+    @functools.cached_property
+    def mixing_certificate(self) -> "MixingCertificate":
+        """The game's default certificate, certify_mixing over
+        certification_sample(game, rng=0), computed on first use and kept."""
+        return certify_mixing(self, certification_sample(self, rng=0))
 
 
 def _stack_prefix(index, name: str) -> str:

@@ -22,8 +22,6 @@ from .errors import ConfigError
 from .games import (
     PolicyProfile,
     StochasticGame,
-    certification_sample,
-    certify_mixing,
     load_game,
     load_policy,
     uniform_profile,
@@ -216,7 +214,7 @@ def sweep(
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     regularizer = regularizer or make_regularizer("entropy")
-    tau = certify_mixing(game, certification_sample(game, rng=0)).tau
+    tau = game.mixing_certificate.tau
     result = ExperimentResult(
         grid=grid,
         seeds=seeds,
@@ -291,8 +289,9 @@ def convergence_benchmark(
     """
     game = generate(GeneratorSpec(kind=kind))
     reference = uniform_profile(game)
-    cert = certify_mixing(game, certification_sample(game, rng=0))
-    schedule = default_schedule(game, tau=cert.tau, gamma_scale=gamma_scale)
+    schedule = default_schedule(
+        game, tau=game.mixing_certificate.tau, gamma_scale=gamma_scale
+    )
     reg = make_regularizer("entropy")
 
     seeds = [int(seed) for seed in seeds]

@@ -10,6 +10,7 @@ the state carries over between outer iterations.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import json
@@ -24,8 +25,6 @@ from .games import (
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
-    certification_sample,
-    certify_mixing,
     game_hash,
     _cdf_rows,
     _stage_tables,
@@ -154,7 +153,7 @@ def default_schedule(
     """Exponents (1, 1/3), query scale a quarter of the tightest safety
     radius, and a log window twice the certified mixing constant."""
     if tau is None:
-        tau = certified_tau(certify_mixing(game, certification_sample(game, rng=0)))
+        tau = certified_tau(game.mixing_certificate)
     return Schedule(
         gamma_exp=gamma_exp,
         delta_exp=delta_exp,
@@ -476,11 +475,16 @@ def _checkpoint_oracle(game, regularizer, reference, blocks, scores, compute_gap
     policy = PolicyProfile(blocks)
     values = gaps = None
     try:
-        values = exact_value(game, policy).values
         if compute_gaps:
-            gaps = nash_gap(game, policy).gaps
+            report = nash_gap(game, policy)
+            values, gaps = report.values, report.gaps
+        else:
+            values = exact_value(game, policy).values
     except ErgodicityError as exc:
         warnings.warn(f"checkpoint oracle skipped at t={t}: {exc}")
+        if compute_gaps:  # a best response can fail where the value does not
+            with contextlib.suppress(ErgodicityError):
+                values = exact_value(game, policy).values
     fen_total = fen_pp = dist = None
     if reference is not None:
         report = fenchel_coupling(regularizer, reference, scores)
@@ -771,9 +775,7 @@ def horizon_bias_check(
         raise DomainError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(rng)
     if contraction is None:
-        contraction = certify_mixing(
-            game, certification_sample(game, rng=0)
-        ).contraction
+        contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values
     pol_cdf = [_cdf_rows(block) for block in policy.probs]
     tables = _stage_tables(game)

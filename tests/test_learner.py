@@ -130,6 +130,25 @@ class TestSchedule:
         assert sqrt_sch.horizon(3) == 3  # ceil(sqrt(4)) + 1
 
 
+class TestMixingCertificate:
+    def test_default_certificate_is_computed_once_per_game(self, monkeypatch):
+        import sgl.games as games
+        from sgl.generators import sweep
+
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=3))
+        expected = certify_mixing(game, certification_sample(game, rng=0))
+        calls = []
+        real = games.certify_mixing
+        monkeypatch.setattr(
+            games, "certify_mixing", lambda *args: calls.append(1) or real(*args)
+        )
+        assert game.mixing_certificate == expected
+        schedule = default_schedule(game)
+        horizon_bias_check(game, uniform_profile(game), 2, 10, rng=0)
+        sweep(game, [schedule], [0], 5, log_every=5)
+        assert len(calls) == 1
+
+
 class TestValidateSchedule:
     def test_reference_exponents_pass(self):
         sch = Schedule(1.0, 1 / 3, horizon_mode="log", horizon_param=2.0)
@@ -272,6 +291,33 @@ class TestRun:
         np.testing.assert_allclose(diag.values, report.values, atol=1e-12)
         gaps = nash_gap(game, log.final_state.policy).gaps
         np.testing.assert_allclose(diag.nash_gaps, gaps, atol=1e-9)
+
+
+    def test_checkpoint_evaluates_the_profile_once(self, monkeypatch):
+        # the values come from the Nash-gap report, which evaluates the
+        # profile itself, so each checkpoint makes one exact_value call
+        import sgl.analysis as analysis
+
+        calls = []
+        real = analysis.exact_value
+        monkeypatch.setattr(
+            analysis, "exact_value", lambda game, policy: calls.append(1) or real(game, policy)
+        )
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        log = run(game, default_schedule(game), ENTROPY, 30, seed=1, log_every=10)
+        assert len(log.diagnostics) == 3
+        assert len(calls) == len(log.diagnostics)
+
+    def test_values_kept_where_a_best_response_is_reducible(self):
+        # player 0's greedy candidate keeps both states (a reducible chain),
+        # so the Nash gap fails while the profile's values do not
+        game = stay_switch_game()
+        with pytest.warns(UserWarning, match="candidate .* of player 0"):
+            log = run(game, sqrt_horizon_schedule(game), ENTROPY, 20, seed=0, log_every=10)
+        skipped = [d for d in log.diagnostics if d.nash_gaps is None]
+        assert skipped
+        for diag in skipped:
+            assert diag.values is not None and np.isfinite(diag.values).all()
 
 
 class TestRunBatch:
