@@ -187,7 +187,7 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     future = np.moveaxis(game.transitions @ bias.T, 2, 0)   # (n, S, J)
     joint = game.rewards - report.values[:, None, None] + future
     weighted = opponent_weights(game, policy) * joint      # (n, S, J)
-    # sum over joint actions on a leading axis: in joint order, like a loop
+    # a sum over a non-last axis adds the joint actions one at a time, in order
     own = (weighted[..., None] * _own_actions(game)[:, None]).sum(axis=2)
     return AdvantageTable(
         joint,
