@@ -10,7 +10,7 @@ stationary-weight times average advantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -142,10 +142,10 @@ def opponent_weights(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:
     opponent part: entry (i, s, j) multiplies, in player order, every other
     player's probability of its own action in joint action j at state s."""
     n = game.n_players
-    offsets = np.cumsum((0,) + game.n_actions[:-1])
+    offsets = list(accumulate(game.n_actions[:-1], initial=0))
     # factors[k, s, j]: player k's probability of its action in joint action j
-    factors = np.concatenate(policy.probs, axis=1)[:, (game.action_table + offsets).T]
-    factors = np.moveaxis(factors, 1, 0)
+    columns = (game.action_table + offsets).T
+    factors = np.concatenate(policy.probs, axis=1)[:, columns].transpose(1, 0, 2)
     # entry (k, i) is 1 where k == i; reducing over the leading k axis
     # multiplies in player order
     others = np.where(np.eye(n, dtype=bool)[:, :, None, None], 1.0, factors[:, None])
@@ -184,7 +184,7 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
             f"ergodicity check failed: singular fundamental matrix ({exc})"
         ) from exc
 
-    future = np.moveaxis(game.transitions @ bias.T, 2, 0)   # (n, S, J)
+    future = (game.transitions @ bias.T).transpose(2, 0, 1)   # (n, S, J)
     joint = game.rewards - report.values[:, None, None] + future
     weighted = opponent_weights(game, policy) * joint      # (n, S, J)
     # a sum over a non-last axis adds the joint actions one at a time, in order
@@ -326,7 +326,7 @@ def _frozen_mdps(game, policy, players):
     # next-state law and reward side by side: one contraction gives both
     transitions = np.broadcast_to(game.transitions, w.shape + (S,))
     law = np.concatenate([transitions, game.rewards[players, ..., None]], axis=-1)
-    PR = np.swapaxes(onehot, 1, 2)[:, None] @ (w[..., None] * law)   # (k, S, m, S + 1)
+    PR = onehot.transpose(0, 2, 1)[:, None] @ (w[..., None] * law)   # (k, S, m, S + 1)
     missing = np.arange(onehot.shape[2]) >= np.asarray(game.n_actions)[players, None]
     return PR[..., :S], np.where(missing[:, None, :], -np.inf, PR[..., S])
 
@@ -368,13 +368,14 @@ def _policy_iteration(P, R, players, max_iters: int = 1000):
     actions, and with them their gains, bit for bit. Returns the optimal
     gains (k,) and actions (k, S).
     """
+    stack, rows = np.arange(len(players))[:, None], np.arange(R.shape[1])
     actions = R.argmax(axis=2)
     gain, h = _evaluate_deterministic(P, R, actions, players)
     moved = np.ones(len(players), dtype=bool)
     for _ in range(max_iters):
         q = R + (P @ h[:, None, :, None])[..., 0]          # (k, S, m)
         best = q.argmax(axis=2)
-        incumbent = np.take_along_axis(q, actions[..., None], axis=2)[..., 0]
+        incumbent = q[stack, rows, actions]
         nxt = np.where(q.max(axis=2) > incumbent + 1e-12, best, actions)
         moved = (nxt != actions).any(axis=1)
         if not moved.any():
