@@ -432,7 +432,7 @@ def best_response(
 def nash_gap(game: StochasticGame, policy: PolicyProfile) -> GapReport:
     """Best unilateral improvement available to each player.
 
-    gap_i = max over player i's stationary policies of her value against the
+    gap_i = max over player i's stationary policies of its value against the
     frozen opponents, minus her current value; the inner maximum is exact
     because a deterministic policy attains it. One stacked policy iteration
     finds every player's best response.
