@@ -25,6 +25,7 @@ from .games import (
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
+    certify_mixing,  # still importable from this module
     game_hash,
     _cdf_rows,
     _stage_tables,
