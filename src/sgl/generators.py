@@ -289,9 +289,7 @@ def convergence_benchmark(
     """
     game = generate(GeneratorSpec(kind=kind))
     reference = uniform_profile(game)
-    schedule = default_schedule(
-        game, tau=game.mixing_certificate.tau, gamma_scale=gamma_scale
-    )
+    schedule = default_schedule(game, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
     seeds = [int(seed) for seed in seeds]
