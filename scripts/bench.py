@@ -3,21 +3,25 @@
 BENCH_<n>.json file.
 
 Times exact_value, exact_values over a stack of 256 profiles,
-smoothed_gradient_estimate with 256 draws, nash_gap and horizon_bias_check
+smoothed_gradient_estimate with 256 draws, exact_gradient, nash_gap,
+fenchel_coupling (entropy mirror, uniform reference) and horizon_bias_check
 (window 8, 1000 draws, contraction given) on three game sizes:
 (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with transition
 floor 0.01. The learner rows give microseconds per seed-iteration of B seeds
 with the entropy mirror, the default schedule and log_every=1000: B = 1, 3,
 10 on matching-pennies and zerosum-switching, whose windows are 2 stages,
 and B = 1, 3 on perfbench's slow-mixing mixing-window game (seed 7,
-certified tau 40), whose windows grow from 57 to 554 stages. Each is one
+certified tau 40), whose windows grow from 57 to 554 stages. The
+log_every=1 rows run the checkpoint oracle (value, Nash gap and Fenchel
+coupling to the uniform reference) after every one of 100 iterations, on
+both zero-sum games and on the (3, 3, 3) game. Each is one
 run_batch call, or one run per seed on a side without run_batch. With --baseline REV the same
 timings are also taken on that git revision's src/ (exported with git
 archive) and every row holds both sides. Each operation and size is timed
 in fresh interpreters, a few rounds per side with the sides alternating; an
 operation a side does not have is recorded as null.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_6.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_7.json
 """
 
 import argparse
@@ -45,7 +49,9 @@ OPS = (
     "exact_value",
     f"exact_values[B={STACK}]",
     f"smoothed_gradient_estimate[draws={STACK}]",
+    "exact_gradient",
     "nash_gap",
+    "fenchel_coupling",
     "horizon_bias_check[H=8,draws=1000]",
 )
 LEARNER_BATCHES = {  # seeds per learner row, by game
@@ -53,8 +59,14 @@ LEARNER_BATCHES = {  # seeds per learner row, by game
     "zerosum-switching": (1, 3, 10),
     "mixing-window": (1, 3),
 }
+ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
+    "matching-pennies": (1, 3),
+    "zerosum-switching": (1, 3),
+    "3s3p3a": (1,),
+}
 MIXING_SEED = 7  # perfbench mixing-window game seed
 LEARNER_ITERS = 1000  # outer iterations per seed and learner call
+ORACLE_ITERS = 100    # the same, with a checkpoint after every iteration
 ROUNDS = 5           # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
@@ -84,7 +96,7 @@ def measure(src: pathlib.Path, op: str, size: str):
     None when that package does not have the operation."""
     sys.path.insert(0, str(src))
     import sgl
-    from sgl import analysis, games, generators, learner, spsa
+    from sgl import analysis, games, generators, learner, mirror, spsa
 
     if not pathlib.Path(sgl.__file__).resolve().is_relative_to(src.resolve()):
         raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
@@ -112,8 +124,15 @@ def measure(src: pathlib.Path, op: str, size: str):
                 game, policy, delta, STACK, np.random.default_rng(0)
             )
         )
+    if op == "exact_gradient":
+        return _time(lambda: analysis.exact_gradient(game, policy))
     if op == "nash_gap":
         return _time(lambda: analysis.nash_gap(game, policy))
+    if op == "fenchel_coupling":
+        reg = mirror.make_regularizer("entropy")
+        scores = [rng.standard_normal((game.n_states, m)) for m in game.n_actions]
+        reference = games.uniform_profile(game)
+        return _time(lambda: mirror.fenchel_coupling(reg, reference, scores))
     if op == "horizon_bias_check[H=8,draws=1000]":
         return _time(
             lambda: learner.horizon_bias_check(
@@ -124,26 +143,37 @@ def measure(src: pathlib.Path, op: str, size: str):
 
 
 def _time_learner(op: str, kind: str) -> dict:
-    """Microseconds per seed-iteration of one learner call over B seeds."""
-    from sgl import generators, learner, mirror
+    """Microseconds per seed-iteration of one learner call over B seeds:
+    op is learner[B=b] (log_every=1000) or learner[B=b,log_every=1]."""
+    from sgl import games, generators, learner, mirror
 
-    seeds = list(range(int(op.removeprefix("learner[B=").removesuffix("]"))))
+    batch, _, every = op.removeprefix("learner[B=").removesuffix("]").partition(",")
+    seeds = list(range(int(batch)))
     if kind == "mixing-window":
         sys.path.append(str(REPO))
         from perfbench.workloads import MixingWindow
 
         workload = MixingWindow()
         game = workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
+    elif kind in SIZES:
+        game = generators.generate(
+            generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[kind])
+        )
     else:
         game = generators.generate(generators.GeneratorSpec(kind=kind))
     schedule = learner.default_schedule(game)
     reg = mirror.make_regularizer("entropy")
-    args = (game, schedule, reg, LEARNER_ITERS)
-    if hasattr(learner, "run_batch"):
-        timed = _time(lambda: learner.run_batch(*args, seeds, log_every=1000))
+    if every:  # a checkpoint, with the Fenchel coupling, after every iteration
+        iters = ORACLE_ITERS
+        options = {"log_every": 1, "reference": games.uniform_profile(game)}
     else:
-        timed = _time(lambda: [learner.run(*args, s, log_every=1000) for s in seeds])
-    per_call = LEARNER_ITERS * len(seeds)
+        iters, options = LEARNER_ITERS, {"log_every": 1000}
+    args = (game, schedule, reg, iters)
+    if hasattr(learner, "run_batch"):
+        timed = _time(lambda: learner.run_batch(*args, seeds, **options))
+    else:
+        timed = _time(lambda: [learner.run(*args, s, **options) for s in seeds])
+    per_call = iters * len(seeds)
     timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
     return timed
 
@@ -227,6 +257,11 @@ def main(argv=None) -> int:
             for kind, batches in LEARNER_BATCHES.items()
             for b in batches
         ]
+        rows += [
+            _row(sides, f"learner[B={b},log_every=1]", kind)
+            for kind, batches in ORACLE_BATCHES.items()
+            for b in batches
+        ]
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src)}
             for side, (src, commit) in sides.items()
@@ -247,6 +282,8 @@ def main(argv=None) -> int:
             "iters": LEARNER_ITERS,
             "mirror": "entropy",
             "log_every": 1000,
+            "oracle_batches": ORACLE_BATCHES,
+            "oracle_iters": ORACLE_ITERS,
             "unit": "us per seed-iteration",
         },
         "rows": rows,
