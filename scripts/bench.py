@@ -15,13 +15,18 @@ certified tau 40), whose windows grow from 57 to 554 stages. The
 log_every=1 rows run the checkpoint oracle (value, Nash gap and Fenchel
 coupling to the uniform reference) after every one of 100 iterations, on
 both zero-sum games and on the (3, 3, 3) game. Each is one
-run_batch call, or one run per seed on a side without run_batch. With --baseline REV the same
+run_batch call, or one run per seed on a side without run_batch. The
+window rows time the last stage of B windows of H + 1 stages on the
+mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8): once as
+one games._window_ends call and once as B scalar games._walk calls; from
+them the change side's crossover, the stage-rows B * (H + 1) at which the
+two cost the same, is recorded. With --baseline REV the same
 timings are also taken on that git revision's src/ (exported with git
 archive) and every row holds both sides. Each operation and size is timed
 in fresh interpreters, a few rounds per side with the sides alternating; an
 operation a side does not have is recorded as null.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_7.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_8.json
 """
 
 import argparse
@@ -57,8 +62,9 @@ OPS = (
 LEARNER_BATCHES = {  # seeds per learner row, by game
     "matching-pennies": (1, 3, 10),
     "zerosum-switching": (1, 3, 10),
-    "mixing-window": (1, 3),
+    "mixing-window": (1, 3, 10),
 }
+WINDOWS = ((3, 1), (3, 450), (1000, 8))  # (B, H) of the window rows
 ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
     "matching-pennies": (1, 3),
     "zerosum-switching": (1, 3),
@@ -102,6 +108,8 @@ def measure(src: pathlib.Path, op: str, size: str):
         raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
     if op.startswith("learner"):
         return _time_learner(op, size)
+    if op.startswith(("_window_ends", "_walk")):
+        return _time_window(op)
     game = generators.generate(
         generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[size])
     )
@@ -150,11 +158,7 @@ def _time_learner(op: str, kind: str) -> dict:
     batch, _, every = op.removeprefix("learner[B=").removesuffix("]").partition(",")
     seeds = list(range(int(batch)))
     if kind == "mixing-window":
-        sys.path.append(str(REPO))
-        from perfbench.workloads import MixingWindow
-
-        workload = MixingWindow()
-        game = workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
+        game = _mixing_window_game()
     elif kind in SIZES:
         game = generators.generate(
             generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[kind])
@@ -176,6 +180,73 @@ def _time_learner(op: str, kind: str) -> dict:
     per_call = iters * len(seeds)
     timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
     return timed
+
+
+def _mixing_window_game():
+    sys.path.append(str(REPO))
+    from perfbench.workloads import MixingWindow
+
+    workload = MixingWindow()
+    return workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
+
+
+def _time_window(op: str):
+    """Microseconds for the last stage of B windows of H + 1 stages from
+    state 0, each row with its own random profile: op is
+    _window_ends[B=b,H=h] (one kernel call) or _walk[B=b,H=h] (b scalar
+    walks), or None when the side has no _window_ends."""
+    from sgl import games
+
+    name, _, shape = op.partition("[B=")
+    batch, height = (int(x) for x in shape.removesuffix("]").split(",H="))
+    if not hasattr(games, name):
+        return None
+    game = _mixing_window_game()
+    rng = np.random.default_rng(1)
+    blocks = [
+        np.stack(blocks)
+        for blocks in zip(*(games.random_profile(game, rng, 0.3).probs for _ in range(batch)))
+    ]
+    u = rng.random((batch, height + 1, game.n_players + 1))
+    cdf = np.cumsum(game.transitions, axis=2)
+    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
+    if name == "_window_ends":
+        cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
+        starts = np.zeros(batch, dtype=int)
+        return _time(lambda: games._window_ends(cols, cdf[..., :-1], strides, starts, u))
+    pol_cdf = [np.cumsum(b, axis=2).tolist() for b in blocks]
+    trans_cdf = cdf.tolist()
+
+    def walks():
+        for r in range(batch):
+            games._walk(
+                [c[r] for c in pol_cdf], trans_cdf, strides, game.n_actions, 0, u[r].tolist()
+            )
+
+    return _time(walks)
+
+
+def _crossover(rows: list) -> dict | None:
+    """Stage-rows B * (H + 1) at which one _window_ends call costs as much as
+    B scalar walks on the change side: the kernel's cost as fixed plus
+    per-stage-row from its (3, 1) and (3, 450) rows, the walk's as
+    per-stage-row from its (3, 450) row."""
+    us = {
+        row["op"]: row["change"]["us_per_call"] for row in rows
+        if row["op"].startswith(("_window_ends", "_walk")) and row["change"]
+    }
+    short, long_ = "[B=3,H=1]", "[B=3,H=450]"
+    if f"_window_ends{short}" not in us:
+        return None
+    slope = (us[f"_window_ends{long_}"] - us[f"_window_ends{short}"]) / (3 * 451 - 3 * 2)
+    fixed = us[f"_window_ends{short}"] - slope * 3 * 2
+    walk = us[f"_walk{long_}"] / (3 * 451)
+    return {
+        "kernel_fixed_us": fixed,
+        "kernel_us_per_stage_row": slope,
+        "walk_us_per_stage_row": walk,
+        "stage_rows": fixed / (walk - slope),
+    }
 
 
 def _src_loc(src: pathlib.Path) -> int:
@@ -262,6 +333,11 @@ def main(argv=None) -> int:
             for kind, batches in ORACLE_BATCHES.items()
             for b in batches
         ]
+        rows += [
+            _row(sides, f"{name}[B={b},H={h}]", "mixing-window")
+            for b, h in WINDOWS
+            for name in ("_window_ends", "_walk")
+        ]
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src)}
             for side, (src, commit) in sides.items()
@@ -286,6 +362,8 @@ def main(argv=None) -> int:
             "oracle_iters": ORACLE_ITERS,
             "unit": "us per seed-iteration",
         },
+        "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
+        "window_crossover": _crossover(rows),
         "rows": rows,
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")

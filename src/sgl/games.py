@@ -26,6 +26,9 @@ STATIONARY_TOL = 1e-10
 _UNIT_EIG_TOL = 1e-9
 _POWER_TOL = 1e-12
 _POWER_CAP = 1_000_000
+# (rows x states x stages) cells of the largest integer array _window_ends
+# builds at once; a longer window is played this many cells at a time
+_WINDOW_CHUNK = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -495,10 +498,12 @@ def _cdf_rows(mat: np.ndarray) -> list[list[float]]:
 
 
 def _stage_tables(game: StochasticGame):
-    """The transition CDF rows and row-major joint-action strides _walk reads."""
-    trans_cdf = [_cdf_rows(game.transitions[s]) for s in range(game.n_states)]
+    """The transition CDF rows and row-major joint-action strides _walk
+    reads, and the transition CDF columns but the last that _window_ends
+    reads."""
+    cdf = np.cumsum(game.transitions, axis=2)
     strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
-    return trans_cdf, strides
+    return cdf.tolist(), strides, cdf[..., :-1]
 
 
 def _walk(pol_cdf, trans_cdf, strides, n_actions, s, rows):
@@ -527,6 +532,65 @@ def _walk(pol_cdf, trans_cdf, strides, n_actions, s, rows):
     return states, joints, s
 
 
+def _stage_maps(pol_cols, trans_cols, strides, u):
+    """Every stage's joint action and next state from every state.
+
+    u holds the (rows, 1, L, n + 1) uniforms of L stages, and pol_cols and
+    trans_cols are as in _window_ends. Returns two (rows, S, L) arrays: the
+    flat index s * J + joint action of each stage's transition row and the
+    next state. A player's action is the count of its CDF columns <= u, all
+    but the last column, which is bisect_right with _walk's clamp; the next
+    state is the same count over the transition row.
+    """
+    n_states, n_joint = trans_cols.shape[:2]
+    at = np.arange(n_states)[:, None] * n_joint
+    for i, cols in enumerate(pol_cols):
+        for k in range(cols.shape[-1]):
+            at = at + strides[i] * (cols[..., k, None] <= u[..., i])
+    at = np.broadcast_to(at, (len(u), n_states, u.shape[2]))  # all players may have one action
+    after = np.zeros(at.shape, dtype=int)
+    for col in trans_cols.reshape(n_states * n_joint, -1).T.copy():
+        after += col.take(at) <= u[..., -1]
+    return at, after
+
+
+def _window_ends(pol_cols, trans_cols, strides, starts, u):
+    """The last stage of one window per row, with _walk's bits.
+
+    pol_cols[i] is player i's (rows, S, m_i - 1) action-CDF columns, all but
+    the last, of each row's profile; trans_cols the (S, J, S - 1)
+    next-state CDF columns but the last; starts the rows' start states; u
+    the (rows, H + 1, n + 1) uniforms _walk would read row by row. Every
+    stage is played from every state at once, and each start state follows
+    the first H stage maps by pointer doubling: log2(H) rounds of integer
+    gathers. Returns the (states, joints) of the last stage and the states
+    after it, as (rows,) integer arrays.
+    """
+    rows, n_states = len(u), len(trans_cols)
+    row, state = np.arange(rows), np.asarray(starts)
+    u = u[:, None]
+    horizon = u.shape[2] - 1
+    step = max(1, _WINDOW_CHUNK // (rows * n_states))
+    lo = 0
+    while True:  # stages lo..hi, each chunk ending where the next begins
+        hi = min(lo + step, horizon)
+        at, maps = _stage_maps(pol_cols, trans_cols, strides, u[:, :, lo:hi + 1])
+        # node (r, s, h) is index (r * S + s) * width + h and points to the
+        # node of its next state one stage on; the end column points to itself
+        width = hi - lo + 1
+        node = np.arange(rows * n_states * width).reshape(rows, n_states, width)
+        jump = np.empty_like(node)
+        jump[..., :-1] = maps[..., :-1] * width + node[:, :1, 1:]
+        jump[..., -1] = node[..., -1]
+        for _ in range((hi - lo - 1).bit_length()):
+            jump = jump.take(jump)
+        state = jump[row, state, 0] // width % n_states
+        if hi == horizon:
+            joint = at[row, state, -1] - state * trans_cols.shape[1]
+            return state, joint, maps[row, state, -1]
+        lo = hi
+
+
 def rollout(game, policy, start_state: int, horizon: int, rng):
     """Simulate `horizon` stages; returns (states, actions, rewards) arrays.
 
@@ -544,7 +608,8 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     u = rng.random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
-    states, joints, _ = _walk(pol_cdf, *_stage_tables(game), game.n_actions, start_state, rows)
+    trans_cdf, strides, _ = _stage_tables(game)
+    states, joints, _ = _walk(pol_cdf, trans_cdf, strides, game.n_actions, start_state, rows)
     states, joints = np.array(states), np.array(joints)
     return states, game.action_table[joints], game.rewards.transpose(1, 2, 0)[states, joints]
 

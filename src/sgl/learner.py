@@ -27,11 +27,18 @@ from .games import (
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
-    _cdf_rows,
+    _WINDOW_CHUNK,
     _stage_tables,
     _walk,
+    _window_ends,
 )
-from .mirror import ENTROPY, Regularizer, fenchel_coupling, _map_block
+from .mirror import (
+    ENTROPY,
+    Regularizer,
+    fenchel_coupling,  # still importable from this module
+    _coupling_terms,
+    _map_block,
+)
 from .spsa import (
     SPHERE_FLOOR,
     Lifting,
@@ -51,6 +58,11 @@ from .spsa import (
     _sphere_norms,
     _tangent,
 )
+
+# a window of n_batch * (horizon + 1) stage-rows at least this long is played
+# by the array kernel _window_ends, a shorter one by one scalar _walk per seed
+# (the kernel's fixed cost per call is that of about 120 scalar stages)
+_KERNEL_STAGE_ROWS = 120
 
 CSV_COLUMNS = (
     "t",
@@ -488,8 +500,9 @@ def _checkpoint_oracle(game, regularizer, reference, blocks, scores, compute_gap
                 values = exact_value(game, policy).values
     fen_total = fen_pp = dist = None
     if reference is not None:
-        report = fenchel_coupling(regularizer, reference, scores)
-        fen_total, fen_pp = report.value, report.per_player
+        # the terms of fenchel_coupling's value, without its Bregman cross-check
+        fen_pp = _coupling_terms(regularizer, reference, scores)[0]
+        fen_total = float(fen_pp.sum())
         dist = np.array(
             [
                 float(np.linalg.norm(policy.probs[i] - reference.probs[i]))
@@ -526,8 +539,10 @@ def run_batch(
 
     Scores, policies and directions are arrays of shape (seeds, players,
     states, actions), one per run of consecutive players with equal action
-    counts, so every step except the window walk and the checkpoint oracle
-    runs once for the whole batch. Seed s reads its own
+    counts, so every step except the checkpoint oracle runs once for the
+    whole batch. A window of at least _KERNEL_STAGE_ROWS stage-rows over
+    all seeds is played by one _window_ends call, a shorter one by one
+    scalar _walk per seed; both give the same bits. Seed s reads its own
     np.random.default_rng(s) in the order a run of it alone does, so its
     RunLog has the same bits alone or in any batch. out_dirs, when given,
     holds one run.csv / run.json directory per seed. An error raised for one
@@ -577,7 +592,7 @@ def run_batch(
     policy = [_mirror_batch(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
-    trans_cdf, strides = _stage_tables(game)
+    trans_cdf, strides, trans_cols = _stage_tables(game)
 
     digest = game_hash(game)
     logs = [
@@ -593,7 +608,7 @@ def run_batch(
         for seed in seeds
     ]
     every = logs[0].log_every
-    states = [start_state] * n_batch
+    states = np.full(n_batch, start_state)
     clamped = 0
 
     def blocks_of(arrays, b):
@@ -630,39 +645,53 @@ def run_batch(
         for k in segments:
             played[k] = _complete(_perturb(reduced[k], directions[k], delta, nets[spans[k][0]]))
             np.maximum(played[k], 0.0, out=played[k])  # roundoff dust only
-        pol_cdf = [p.cumsum(axis=-1).tolist() for p in played]
+        cdf = [p.cumsum(axis=-1) for p in played]
+        if n_batch * (horizon + 1) < _KERNEL_STAGE_ROWS:
+            sampled_states, sampled_joints = [], []
+            cdf = [c.tolist() for c in cdf]
+            for b, rng in enumerate(rngs):
+                try:
+                    walked, joints, states[b] = _walk(
+                        [cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
+                        states[b], rng.random((horizon + 1, n_players + 1)).tolist(),
+                    )
+                except Exception as exc:
+                    raise _tagged(exc, b)
+                sampled_states.append(walked[-1])
+                sampled_joints.append(joints[-1])
+        else:
+            uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
+            for b, rng in enumerate(rngs):
+                try:
+                    rng.random(out=uniforms[b])
+                except Exception as exc:
+                    raise _tagged(exc, b)
+            sampled_states, sampled_joints, states = _window_ends(
+                [cdf[k][:, j, :, :-1] for k, j in slots], trans_cols, strides, states, uniforms
+            )
 
-        sampled_states, sampled_joints = [], []
         decompositions = [None] * n_batch
-        for b, rng in enumerate(rngs):
-            try:
-                walked, joints, states[b] = _walk(
-                    [pol_cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
-                    states[b], rng.random((horizon + 1, n_players + 1)).tolist(),
-                )
-                sampled, joint = walked[-1], joints[-1]
-                sampled_states.append(sampled)
-                sampled_joints.append(joint)
-                if checkpoint and oracle_mode:
-                    try:
-                        decompositions[b] = decompose_step(
-                            game,
-                            PolicyProfile(tuple(blocks_of(policy, b))),
-                            [
-                                directions[k][b, j].ravel() if k in directions else None
-                                for k, j in slots
-                            ],
-                            delta,
-                            rewards[:, sampled, joint],
-                            rng=rng,
-                            nets=nets,
-                            liftings=liftings,
-                            smoothing_draws=decomposition_draws,
-                        )
-                    except ErgodicityError as exc:
-                        warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
-            except Exception as exc:
-                raise _tagged(exc, b)
+        if checkpoint and oracle_mode:
+            for b, rng in enumerate(rngs):
+                try:
+                    decompositions[b] = decompose_step(
+                        game,
+                        PolicyProfile(tuple(blocks_of(policy, b))),
+                        [
+                            directions[k][b, j].ravel() if k in directions else None
+                            for k, j in slots
+                        ],
+                        delta,
+                        rewards[:, sampled_states[b], sampled_joints[b]],
+                        rng=rng,
+                        nets=nets,
+                        liftings=liftings,
+                        smoothing_draws=decomposition_draws,
+                    )
+                except ErgodicityError as exc:
+                    warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+                except Exception as exc:
+                    raise _tagged(exc, b)
         payoffs = rewards[:, sampled_states, sampled_joints].T
 
         est_norms = np.zeros((n_batch, n_players))
@@ -722,7 +751,7 @@ def run_batch(
             policy=PolicyProfile(tuple(blocks_of(policy, b))),
             reduced=[x.copy() for x in blocks_of(reduced, b)],
             iteration=iters,
-            state=states[b],
+            state=int(states[b]),
         )
         if out_dirs is not None:
             log.write(out_dirs[b])
@@ -778,15 +807,20 @@ def horizon_bias_check(
     if contraction is None:
         contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values
-    pol_cdf = [_cdf_rows(block) for block in policy.probs]
-    tables = _stage_tables(game)
+    _, strides, trans_cols = _stage_tables(game)
+    pol_cols = [np.cumsum(block, axis=1)[:, :-1] for block in policy.probs]
     # the stream of n_draws rollouts of horizon + 1 stages, read in one call
     u = rng.random((n_draws, horizon + 1, game.n_players + 1))
-    ends = []
-    for draw in u:
-        states, joints, _ = _walk(pol_cdf, *tables, game.n_actions, start_state, draw.tolist())
-        ends.append((states[-1], joints[-1]))
-    last_states, last_joints = np.array(ends).T
+    # one kernel row per draw; a batch of draws per call bounds its arrays
+    batch = max(1, _WINDOW_CHUNK // (game.n_states * (horizon + 1)))
+    ends = [
+        _window_ends(
+            [np.broadcast_to(c, (len(rows),) + c.shape) for c in pol_cols],
+            trans_cols, strides, np.full(len(rows), start_state), rows,
+        )[:2]
+        for rows in np.split(u, range(batch, n_draws, batch))
+    ]
+    last_states, last_joints = np.concatenate(ends, axis=1)
     samples = game.rewards.transpose(1, 2, 0)[last_states, last_joints]
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_draws)

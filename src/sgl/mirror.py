@@ -146,6 +146,19 @@ def conjugate(reg: Regularizer, scores) -> float:
 # couplings
 
 
+def _coupling_terms(reg: Regularizer, policy: PolicyProfile, scores):
+    """Each player's coupling h(p_i) + h*(y_i) - <y_i, p_i> as an array,
+    and the list of conjugates h*(y_i); scores are float arrays."""
+    conj = [_conjugate_block(reg, y) for y in scores]
+    per_player = np.array(
+        [
+            reg.block_value(p) + c - float(np.sum(y * p))
+            for p, y, c in zip(policy.probs, scores, conj)
+        ]
+    )
+    return per_player, conj
+
+
 def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> FenchelReport:
     """F(p, y) = h(p) + h*(y) - <y, p>, with the Bregman cross-check.
 
@@ -154,13 +167,7 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
     the mirrored point.
     """
     scores = [np.asarray(y, float) for y in scores]
-    conj = [_conjugate_block(reg, y) for y in scores]
-    per_player = np.array(
-        [
-            reg.block_value(p) + c - float(np.sum(y * p))
-            for p, y, c in zip(policy.probs, scores, conj)
-        ]
-    )
+    per_player, conj = _coupling_terms(reg, policy, scores)
     mirrored = mirror_map(reg, scores)
     interior = all((b > 0.0).all() for b in mirrored.probs)
     bregman = None

@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgl import games
 from sgl.errors import DimensionError, DomainError, ErgodicityError, GameFormatError
 from sgl.games import (
     PolicyProfile,
@@ -335,6 +337,62 @@ class TestRollout:
         mean = batches.mean(axis=0)
         se = batches.std(axis=0, ddof=1) / np.sqrt(1000)
         assert (np.abs(mean - exact) <= 3.0 * se).all()
+
+
+def _cdf_table(rng, shape, n_out):
+    """Cumulative sums of random probability rows with zero entries (tied
+    CDF entries); some rows are scaled to end just below one."""
+    weights = rng.integers(0, 3, size=(*shape, n_out)).astype(float)
+    weights[..., rng.integers(n_out)] += 1.0  # at least one positive entry
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    probs *= np.where(rng.random(shape) < 0.3, 1.0 - 2.0**-40, 1.0)[..., None]
+    return np.cumsum(probs, axis=-1)
+
+
+class TestWindowEnds:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_states=st.sampled_from([1, 2, 3]),
+        n_actions=st.sampled_from([(2,), (1,), (2, 1, 3), (3, 3), (1, 2), (2, 2, 2)]),
+        horizon=st.sampled_from([0, 1, 2, 3, 64]),
+        rows=st.integers(1, 4),
+        chunk=st.sampled_from([games._WINDOW_CHUNK, 1, 7]),
+    )
+    def test_matches_scalar_walk_per_row(self, seed, n_states, n_actions, horizon, rows, chunk):
+        rng = np.random.default_rng(seed)
+        n = len(n_actions)
+        n_joint = int(np.prod(n_actions))
+        strides = np.cumprod((n_actions + (1,))[::-1])[::-1][1:].tolist()
+        pol_cdf = [_cdf_table(rng, (rows, n_states), m) for m in n_actions]
+        trans_cdf = _cdf_table(rng, (n_states, n_joint), n_states)
+        u = rng.random((rows, horizon + 1, n + 1))
+        # some uniforms equal a CDF entry, and some lie above every entry
+        for r, h, i in zip(*(rng.integers(0, k, 20) for k in u.shape)):
+            table = trans_cdf if i == n else pol_cdf[i][r]
+            u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
+        for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
+            u[r, h, i] = 1.0 - 2.0**-50
+        starts = rng.integers(0, n_states, rows)
+
+        with mock.patch.object(games, "_WINDOW_CHUNK", chunk):
+            got = games._window_ends(
+                [c[..., :-1] for c in pol_cdf], trans_cdf[..., :-1], strides, starts, u
+            )
+        for r in range(rows):
+            states, joints, after = games._walk(
+                [c[r].tolist() for c in pol_cdf], trans_cdf.tolist(), strides, n_actions,
+                int(starts[r]), u[r].tolist(),
+            )
+            assert (got[0][r], got[1][r], got[2][r]) == (states[-1], joints[-1], after)
+
+    def test_stage_tables_are_the_per_row_cumsums(self):
+        game = small_random_game(3, n_states=3, n_players=2, n_actions=3)
+        trans_cdf, strides, trans_cols = games._stage_tables(game)
+        rows = [[np.cumsum(row).tolist() for row in game.transitions[s]] for s in range(3)]
+        assert trans_cdf == rows
+        assert np.array_equal(trans_cols, np.array(rows)[..., :-1])
+        assert strides == [3, 1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from sgl import learner
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ScheduleError
 from sgl.games import (
@@ -391,6 +392,33 @@ class TestRunBatch:
         self.check_matches_solo_runs(
             tmp_path, game, [7], reference=uniform_profile(game), log_every=100
         )
+
+    def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # a slow-mixing 3-state game has windows of 25-150 stages; the
+        # crossover at 0 plays every window with the array kernel, at
+        # infinity with one scalar walk per seed
+        base = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_actions=3, eps=0.1, seed=7)
+        )
+        stay = 0.9 * np.eye(3)[:, None, :] + 0.1 * base.transitions
+        game = StochasticGame(3, (3, 3), base.rewards, stay)
+        sch = default_schedule(game)
+        assert sch.horizon(0) >= 20
+        logs = {}
+        for crossover in (0, math.inf):
+            monkeypatch.setattr(learner, "_KERNEL_STAGE_ROWS", crossover)
+            logs[crossover] = run_batch(
+                game, sch, make_regularizer("euclidean"), 80, [0, 3], oracle_mode=True,
+                reference=uniform_profile(game), log_every=20, decomposition_draws=16,
+                out_dirs=[tmp_path / f"{crossover}-{k}" for k in range(2)],
+            )
+        for k in range(2):
+            for name in ("run.csv", "run.json"):
+                assert (tmp_path / f"0-{k}" / name).read_bytes() == (
+                    tmp_path / f"inf-{k}" / name
+                ).read_bytes()
+            assert logs[0][k].final_state.state == logs[math.inf][k].final_state.state
+            assert type(logs[0][k].final_state.state) is int
 
     def test_rejected_sphere_draw_is_drawn_again(self, monkeypatch, prefixed_stream):
         # seed 5's stream starts with a direction of norm 0, which the kernel
