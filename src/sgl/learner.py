@@ -608,7 +608,7 @@ def run_batch(
         for seed in seeds
     ]
     every = logs[0].log_every
-    states = np.full(n_batch, start_state)
+    states = [start_state] * n_batch
     clamped = 0
 
     def blocks_of(arrays, b):
@@ -666,9 +666,10 @@ def run_batch(
                     rng.random(out=uniforms[b])
                 except Exception as exc:
                     raise _tagged(exc, b)
-            sampled_states, sampled_joints, states = _window_ends(
+            sampled_states, sampled_joints, after = _window_ends(
                 [cdf[k][:, j, :, :-1] for k, j in slots], trans_cols, strides, states, uniforms
             )
+            states = after.tolist()
 
         decompositions = [None] * n_batch
         if checkpoint and oracle_mode:
@@ -751,7 +752,7 @@ def run_batch(
             policy=PolicyProfile(tuple(blocks_of(policy, b))),
             reduced=[x.copy() for x in blocks_of(reduced, b)],
             iteration=iters,
-            state=int(states[b]),
+            state=states[b],
         )
         if out_dirs is not None:
             log.write(out_dirs[b])
