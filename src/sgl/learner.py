@@ -648,11 +648,11 @@ def run_batch(
         cdf = [p.cumsum(axis=-1) for p in played]
         if n_batch * (horizon + 1) < _KERNEL_STAGE_ROWS:
             sampled_states, sampled_joints = [], []
-            cdf = [c.tolist() for c in cdf]
+            pol_cdf = [c.tolist() for c in cdf]
             for b, rng in enumerate(rngs):
                 try:
                     walked, joints, states[b] = _walk(
-                        [cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
+                        [pol_cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
                         states[b], rng.random((horizon + 1, n_players + 1)).tolist(),
                     )
                 except Exception as exc:
