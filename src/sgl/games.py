@@ -29,6 +29,10 @@ _POWER_CAP = 1_000_000
 # (rows x states x stages) cells of the largest integer array _window_ends
 # builds at once; a longer window is played this many cells at a time
 _WINDOW_CHUNK = 1 << 18
+# cells rows * states * (CDF columns of every player and of the transitions)
+# of one stage over every state above which _window_ends steps its rows one
+# stage at a time instead; the two cost the same near 10**4 cells
+_STAGE_MAP_CELLS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +558,19 @@ def _stage_maps(pol_cols, trans_cols, strides, u):
     return at, after
 
 
+def _step_rows(pol_cols, trans_cols, strides, state, u):
+    """_window_ends played one stage at a time for all rows at once, from
+    each row's own state only: one Python step per stage, but no stage is
+    played from every state."""
+    row = np.arange(len(u))
+    for stage in u.transpose(1, 0, 2):
+        joint = np.zeros(len(u), dtype=int)
+        for i, cols in enumerate(pol_cols):
+            joint += strides[i] * (cols[row, state] <= stage[:, i, None]).sum(axis=1)
+        last, state = (state, joint), (trans_cols[state, joint] <= stage[:, -1:]).sum(axis=1)
+    return *last, state
+
+
 def _window_ends(pol_cols, trans_cols, strides, starts, u):
     """The last stage of one window per row, with _walk's bits.
 
@@ -563,11 +580,15 @@ def _window_ends(pol_cols, trans_cols, strides, starts, u):
     the (rows, H + 1, n + 1) uniforms _walk would read row by row. Every
     stage is played from every state at once, and each start state follows
     the first H stage maps by pointer doubling: log2(H) rounds of integer
-    gathers. Returns the (states, joints) of the last stage and the states
-    after it, as (rows,) integer arrays.
+    gathers. Many rows of a many-state game are instead stepped one stage
+    at a time (_step_rows). Returns the (states, joints) of the last stage
+    and the states after it, as (rows,) integer arrays.
     """
     rows, n_states = len(u), len(trans_cols)
     row, state = np.arange(rows), np.asarray(starts)
+    columns = trans_cols.shape[2] + sum(cols.shape[-1] for cols in pol_cols)
+    if rows * n_states * columns > _STAGE_MAP_CELLS:
+        return _step_rows(pol_cols, trans_cols, strides, state, u)
     u = u[:, None]
     horizon = u.shape[2] - 1
     step = max(1, _WINDOW_CHUNK // (rows * n_states))

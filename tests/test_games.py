@@ -358,8 +358,11 @@ class TestWindowEnds:
         horizon=st.sampled_from([0, 1, 2, 3, 64]),
         rows=st.integers(1, 4),
         chunk=st.sampled_from([games._WINDOW_CHUNK, 1, 7]),
+        stage_cells=st.sampled_from([games._STAGE_MAP_CELLS, 0]),
     )
-    def test_matches_scalar_walk_per_row(self, seed, n_states, n_actions, horizon, rows, chunk):
+    def test_matches_scalar_walk_per_row(
+        self, seed, n_states, n_actions, horizon, rows, chunk, stage_cells
+    ):
         rng = np.random.default_rng(seed)
         n = len(n_actions)
         n_joint = int(np.prod(n_actions))
@@ -375,7 +378,8 @@ class TestWindowEnds:
             u[r, h, i] = 1.0 - 2.0**-50
         starts = rng.integers(0, n_states, rows)
 
-        with mock.patch.object(games, "_WINDOW_CHUNK", chunk):
+        # stage_cells 0 steps the rows one stage at a time
+        with mock.patch.multiple(games, _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells):
             got = games._window_ends(
                 [c[..., :-1] for c in pol_cdf], trans_cdf[..., :-1], strides, starts, u
             )
