@@ -26,6 +26,10 @@ STATIONARY_TOL = 1e-10
 _UNIT_EIG_TOL = 1e-9
 _POWER_TOL = 1e-12
 _POWER_CAP = 1_000_000
+# a window of rows * (horizon + 1) stage-rows at least this long is played
+# by _window_ends's array kernel, a shorter one by one scalar _walk per row
+# (the kernel's fixed cost per call is that of about 120 scalar stages)
+_KERNEL_STAGE_ROWS = 120
 # (rows x states x stages) cells of the largest integer array _window_ends
 # builds at once; a longer window is played this many cells at a time
 _WINDOW_CHUNK = 1 << 18
@@ -497,42 +501,32 @@ def certification_sample(game, n_random: int = 8, rng=None, corner_cap: int = 64
 # simulation
 
 
-def _cdf_rows(mat: np.ndarray) -> list[list[float]]:
-    return [np.cumsum(row).tolist() for row in mat]
-
-
 def _stage_tables(game: StochasticGame):
-    """The transition CDF rows and row-major joint-action strides _walk
-    reads, and the transition CDF columns but the last that _window_ends
-    reads."""
-    cdf = np.cumsum(game.transitions, axis=2)
+    """The row-major joint-action strides and the transition CDF columns,
+    all but the last, that _walk and _window_ends read."""
     strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
-    return cdf.tolist(), strides, cdf[..., :-1]
+    return strides, np.cumsum(game.transitions, axis=2)[..., :-1]
 
 
-def _walk(pol_cdf, trans_cdf, strides, n_actions, s, rows):
+def _walk(pol_cols, trans_cols, strides, s, rows):
     """Play one stage per row of uniforms from state s.
 
-    pol_cdf[i][s] is player i's action CDF at state s and trans_cdf[s][j]
-    the next-state CDF after joint action j. Each row holds one uniform per
-    player, read against that player's CDF, then one for the next state, as
-    Python floats. Returns the (states, joints) lists of the stages played
-    and the state after the last one.
+    pol_cols[i][s] is player i's action CDF at state s and trans_cols[s][j]
+    the next-state CDF after joint action j, as lists of all but the last
+    column. Each row holds one uniform per player, read against that
+    player's CDF, then one for the next state, as Python floats; an action
+    is the count of CDF columns <= u. Returns the (states, joints) lists of
+    the stages played and the state after the last one.
     """
-    players, n_states = range(len(pol_cdf)), len(trans_cdf)
+    players = range(len(pol_cols))
     states, joints = [], []
     for row in rows:
         joint = 0
         for i in players:
-            a = bisect_right(pol_cdf[i][s], row[i])
-            if a >= n_actions[i]:  # guard cumulative rounding
-                a = n_actions[i] - 1
-            joint += a * strides[i]
+            joint += strides[i] * bisect_right(pol_cols[i][s], row[i])
         states.append(s)
         joints.append(joint)
-        s = bisect_right(trans_cdf[s][joint], row[-1])
-        if s >= n_states:
-            s = n_states - 1
+        s = bisect_right(trans_cols[s][joint], row[-1])
     return states, joints, s
 
 
@@ -543,8 +537,8 @@ def _stage_maps(pol_cols, trans_cols, strides, u):
     trans_cols are as in _window_ends. Returns two (rows, S, L) arrays: the
     flat index s * J + joint action of each stage's transition row and the
     next state. A player's action is the count of its CDF columns <= u, all
-    but the last column, which is bisect_right with _walk's clamp; the next
-    state is the same count over the transition row.
+    but the last column, as in _walk; the next state is the same count over
+    the transition row.
     """
     n_states, n_joint = trans_cols.shape[:2]
     at = np.arange(n_states)[:, None] * n_joint
@@ -572,23 +566,32 @@ def _step_rows(pol_cols, trans_cols, strides, state, u):
 
 
 def _window_ends(pol_cols, trans_cols, strides, starts, u):
-    """The last stage of one window per row, with _walk's bits.
+    """The last stage of one window per row: the only way a window is played.
 
     pol_cols[i] is player i's (rows, S, m_i - 1) action-CDF columns, all but
     the last, of each row's profile; trans_cols the (S, J, S - 1)
-    next-state CDF columns but the last; starts the rows' start states; u
-    the (rows, H + 1, n + 1) uniforms _walk would read row by row. Every
-    stage is played from every state at once, and each start state follows
-    the first H stage maps by pointer doubling: log2(H) rounds of integer
-    gathers. Many rows of a many-state game are instead stepped one stage
-    at a time (_step_rows). Returns the (states, joints) of the last stage
-    and the states after it, as (rows,) integer arrays.
+    next-state CDF columns but the last; starts the rows' start states, as
+    Python ints; u the (rows, H + 1, n + 1) uniforms, one row of n + 1 per
+    stage. Fewer than _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are
+    played by one scalar _walk per row. Otherwise every stage is played from
+    every state at once, and each start state follows the first H stage maps
+    by pointer doubling: log2(H) rounds of integer gathers; many rows of a
+    many-state game are instead stepped one stage at a time (_step_rows).
+    All three give the same bits. Returns the (states, joints) of the last
+    stage and the states after it, as lists of Python ints.
     """
     rows, n_states = len(u), len(trans_cols)
+    if rows * u.shape[1] < _KERNEL_STAGE_ROWS:
+        pol, trans = [cols.tolist() for cols in pol_cols], trans_cols.tolist()
+        ends = []
+        for r, (s, stages) in enumerate(zip(starts, u.tolist())):
+            states, joints, s = _walk([cols[r] for cols in pol], trans, strides, s, stages)
+            ends.append((states[-1], joints[-1], s))
+        return tuple(map(list, zip(*ends)))
     row, state = np.arange(rows), np.asarray(starts)
     columns = trans_cols.shape[2] + sum(cols.shape[-1] for cols in pol_cols)
     if rows * n_states * columns > _STAGE_MAP_CELLS:
-        return _step_rows(pol_cols, trans_cols, strides, state, u)
+        return tuple(x.tolist() for x in _step_rows(pol_cols, trans_cols, strides, state, u))
     u = u[:, None]
     horizon = u.shape[2] - 1
     step = max(1, _WINDOW_CHUNK // (rows * n_states))
@@ -608,7 +611,7 @@ def _window_ends(pol_cols, trans_cols, strides, starts, u):
         state = jump[row, state, 0] // width % n_states
         if hi == horizon:
             joint = at[row, state, -1] - state * trans_cols.shape[1]
-            return state, joint, maps[row, state, -1]
+            return state.tolist(), joint.tolist(), maps[row, state, -1].tolist()
         lo = hi
 
 
@@ -625,12 +628,12 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
 
-    pol_cdf = [_cdf_rows(block) for block in policy.probs]
+    pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]
     u = rng.random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
-    trans_cdf, strides, _ = _stage_tables(game)
-    states, joints, _ = _walk(pol_cdf, trans_cdf, strides, game.n_actions, start_state, rows)
+    strides, trans_cols = _stage_tables(game)
+    states, joints, _ = _walk(pol_cols, trans_cols.tolist(), strides, start_state, rows)
     states, joints = np.array(states), np.array(joints)
     return states, game.action_table[joints], game.rewards.transpose(1, 2, 0)[states, joints]
 

@@ -27,9 +27,7 @@ from .games import (
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
-    _WINDOW_CHUNK,
     _stage_tables,
-    _walk,
     _window_ends,
 )
 from .mirror import (
@@ -58,11 +56,6 @@ from .spsa import (
     _sphere_norms,
     _tangent,
 )
-
-# a window of n_batch * (horizon + 1) stage-rows at least this long is played
-# by the array kernel _window_ends, a shorter one by one scalar _walk per seed
-# (the kernel's fixed cost per call is that of about 120 scalar stages)
-_KERNEL_STAGE_ROWS = 120
 
 CSV_COLUMNS = (
     "t",
@@ -540,13 +533,12 @@ def run_batch(
     Scores, policies and directions are arrays of shape (seeds, players,
     states, actions), one per run of consecutive players with equal action
     counts, so every step except the checkpoint oracle runs once for the
-    whole batch. A window of at least _KERNEL_STAGE_ROWS stage-rows over
-    all seeds is played by one _window_ends call, a shorter one by one
-    scalar _walk per seed; both give the same bits. Seed s reads its own
-    np.random.default_rng(s) in the order a run of it alone does, so its
-    RunLog has the same bits alone or in any batch. out_dirs, when given,
-    holds one run.csv / run.json directory per seed. An error raised for one
-    seed carries the seed's position in `seeds` as its seed_index attribute.
+    whole batch, and one games._window_ends call plays every seed's window.
+    Seed s reads its own np.random.default_rng(s) in the order a run of it
+    alone does, so its RunLog has the same bits alone or in any batch.
+    out_dirs, when given, holds one run.csv / run.json directory per seed.
+    An error raised for one seed carries the seed's position in `seeds` as
+    its seed_index attribute.
     """
     if iters < 0:
         raise DomainError("iters must be nonnegative")
@@ -592,7 +584,7 @@ def run_batch(
     policy = [_mirror_batch(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
-    trans_cdf, strides, trans_cols = _stage_tables(game)
+    strides, trans_cols = _stage_tables(game)
 
     digest = game_hash(game)
     logs = [
@@ -646,30 +638,15 @@ def run_batch(
             played[k] = _complete(_perturb(reduced[k], directions[k], delta, nets[spans[k][0]]))
             np.maximum(played[k], 0.0, out=played[k])  # roundoff dust only
         cdf = [p.cumsum(axis=-1) for p in played]
-        if n_batch * (horizon + 1) < _KERNEL_STAGE_ROWS:
-            sampled_states, sampled_joints = [], []
-            pol_cdf = [c.tolist() for c in cdf]
-            for b, rng in enumerate(rngs):
-                try:
-                    walked, joints, states[b] = _walk(
-                        [pol_cdf[k][b][j] for k, j in slots], trans_cdf, strides, n_actions,
-                        states[b], rng.random((horizon + 1, n_players + 1)).tolist(),
-                    )
-                except Exception as exc:
-                    raise _tagged(exc, b)
-                sampled_states.append(walked[-1])
-                sampled_joints.append(joints[-1])
-        else:
-            uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
-            for b, rng in enumerate(rngs):
-                try:
-                    rng.random(out=uniforms[b])
-                except Exception as exc:
-                    raise _tagged(exc, b)
-            sampled_states, sampled_joints, after = _window_ends(
-                [cdf[k][:, j, :, :-1] for k, j in slots], trans_cols, strides, states, uniforms
-            )
-            states = after.tolist()
+        uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
+        for b, rng in enumerate(rngs):
+            try:
+                rng.random(out=uniforms[b])
+            except Exception as exc:
+                raise _tagged(exc, b)
+        sampled_states, sampled_joints, states = _window_ends(
+            [cdf[k][:, j, :, :-1] for k, j in slots], trans_cols, strides, states, uniforms
+        )
 
         decompositions = [None] * n_batch
         if checkpoint and oracle_mode:
@@ -808,20 +785,14 @@ def horizon_bias_check(
     if contraction is None:
         contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values
-    _, strides, trans_cols = _stage_tables(game)
+    strides, trans_cols = _stage_tables(game)
     pol_cols = [np.cumsum(block, axis=1)[:, :-1] for block in policy.probs]
-    # the stream of n_draws rollouts of horizon + 1 stages, read in one call
-    u = rng.random((n_draws, horizon + 1, game.n_players + 1))
-    # one kernel row per draw; a batch of draws per call bounds its arrays
-    batch = max(1, _WINDOW_CHUNK // (game.n_states * (horizon + 1)))
-    ends = [
-        _window_ends(
-            [np.broadcast_to(c, (len(rows),) + c.shape) for c in pol_cols],
-            trans_cols, strides, np.full(len(rows), start_state), rows,
-        )[:2]
-        for rows in np.split(u, range(batch, n_draws, batch))
-    ]
-    last_states, last_joints = np.concatenate(ends, axis=1)
+    # one window per draw, all with the same policy and start state, read
+    # from the stream in one call
+    last_states, last_joints, _ = _window_ends(
+        [np.broadcast_to(c, (n_draws,) + c.shape) for c in pol_cols], trans_cols, strides,
+        [start_state] * n_draws, rng.random((n_draws, horizon + 1, game.n_players + 1)),
+    )
     samples = game.rewards.transpose(1, 2, 0)[last_states, last_joints]
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_draws)

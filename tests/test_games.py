@@ -1,4 +1,5 @@
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -359,9 +360,10 @@ class TestWindowEnds:
         rows=st.integers(1, 4),
         chunk=st.sampled_from([games._WINDOW_CHUNK, 1, 7]),
         stage_cells=st.sampled_from([games._STAGE_MAP_CELLS, 0]),
+        kernel_rows=st.sampled_from([games._KERNEL_STAGE_ROWS, 0, math.inf]),
     )
     def test_matches_scalar_walk_per_row(
-        self, seed, n_states, n_actions, horizon, rows, chunk, stage_cells
+        self, seed, n_states, n_actions, horizon, rows, chunk, stage_cells, kernel_rows
     ):
         rng = np.random.default_rng(seed)
         n = len(n_actions)
@@ -376,25 +378,28 @@ class TestWindowEnds:
             u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
         for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
             u[r, h, i] = 1.0 - 2.0**-50
-        starts = rng.integers(0, n_states, rows)
+        starts = rng.integers(0, n_states, rows).tolist()
+        pol_cols, trans_cols = [c[..., :-1] for c in pol_cdf], trans_cdf[..., :-1]
 
-        # stage_cells 0 steps the rows one stage at a time
-        with mock.patch.multiple(games, _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells):
-            got = games._window_ends(
-                [c[..., :-1] for c in pol_cdf], trans_cdf[..., :-1], strides, starts, u
-            )
+        # kernel_rows infinity walks each row, 0 plays the array kernel, in
+        # which stage_cells 0 steps the rows one stage at a time
+        with mock.patch.multiple(
+            games, _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells,
+            _KERNEL_STAGE_ROWS=kernel_rows,
+        ):
+            got = games._window_ends(pol_cols, trans_cols, strides, starts, u)
+        assert all(type(x) is int for ends in got for x in ends)
         for r in range(rows):
             states, joints, after = games._walk(
-                [c[r].tolist() for c in pol_cdf], trans_cdf.tolist(), strides, n_actions,
-                int(starts[r]), u[r].tolist(),
+                [c[r].tolist() for c in pol_cols], trans_cols.tolist(), strides,
+                starts[r], u[r].tolist(),
             )
             assert (got[0][r], got[1][r], got[2][r]) == (states[-1], joints[-1], after)
 
     def test_stage_tables_are_the_per_row_cumsums(self):
         game = small_random_game(3, n_states=3, n_players=2, n_actions=3)
-        trans_cdf, strides, trans_cols = games._stage_tables(game)
+        strides, trans_cols = games._stage_tables(game)
         rows = [[np.cumsum(row).tolist() for row in game.transitions[s]] for s in range(3)]
-        assert trans_cdf == rows
         assert np.array_equal(trans_cols, np.array(rows)[..., :-1])
         assert strides == [3, 1]
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgl import learner
+from sgl import games
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ScheduleError
 from sgl.games import (
@@ -133,7 +133,6 @@ class TestSchedule:
 
 class TestMixingCertificate:
     def test_default_certificate_is_computed_once_per_game(self, monkeypatch):
-        import sgl.games as games
         from sgl.generators import sweep
 
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=3))
@@ -395,8 +394,8 @@ class TestRunBatch:
 
     def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
         # a slow-mixing 3-state game has windows of 25-150 stages; the
-        # crossover at 0 plays every window with the array kernel, at
-        # infinity with one scalar walk per seed
+        # window kernel's crossover at 0 plays every window with the array
+        # kernel, at infinity with one scalar walk per seed
         base = generate(
             GeneratorSpec(kind="random-ergodic", n_states=3, n_actions=3, eps=0.1, seed=7)
         )
@@ -406,7 +405,7 @@ class TestRunBatch:
         assert sch.horizon(0) >= 20
         logs = {}
         for crossover in (0, math.inf):
-            monkeypatch.setattr(learner, "_KERNEL_STAGE_ROWS", crossover)
+            monkeypatch.setattr(games, "_KERNEL_STAGE_ROWS", crossover)
             logs[crossover] = run_batch(
                 game, sch, make_regularizer("euclidean"), 80, [0, 3], oracle_mode=True,
                 reference=uniform_profile(game), log_every=20, decomposition_draws=16,
@@ -606,6 +605,25 @@ class TestHorizonBias:
         mean = samples.mean(axis=0)
         assert np.array_equal(report.mean, mean)
         assert np.array_equal(report.bias, np.abs(mean - exact_value(game, policy).values))
+        assert np.array_equal(
+            report.stderr, samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
+        )
+
+    def test_many_state_game_in_one_call_matches_per_draw_rollouts(self, reference_rollout):
+        # more draws than one call of the old batched loop played, on a
+        # 20-state game whose rows the kernel steps one stage at a time
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=20, eps=0.01, seed=6))
+        policy = random_profile(game, np.random.default_rng(3), margin=0.2)
+        horizon, n_draws = 8, 1500
+        assert n_draws > games._WINDOW_CHUNK // (game.n_states * (horizon + 1))
+        report = horizon_bias_check(
+            game, policy, horizon, n_draws, rng=4, start_state=5, contraction=0.5
+        )
+        rng = np.random.default_rng(4)
+        samples = np.array(
+            [reference_rollout(game, policy, 5, horizon + 1, rng)[2][-1] for _ in range(n_draws)]
+        )
+        assert np.array_equal(report.mean, samples.mean(axis=0))
         assert np.array_equal(
             report.stderr, samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
         )
