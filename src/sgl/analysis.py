@@ -9,6 +9,7 @@ stationary-weight times average advantage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -216,6 +217,8 @@ def finite_difference_gradient(
     more than `step` in every coordinate. All plus and minus points share
     one exact_values call.
     """
+    if not 0.0 < step < math.inf:
+        raise DomainError("step must be positive and finite")
     queries = [
         (i, s, a)
         for i, m in enumerate(game.n_actions)

@@ -309,6 +309,10 @@ def smoothed_gradient_estimate(
     """
     from .analysis import exact_value, exact_values
 
+    if n_draws < 1:
+        raise DomainError("n_draws must be positive")
+    if not delta > 0.0:
+        raise DomainError("delta must be positive")
     nets = nets or nets_for(game)
     base = reduce_policy(policy)
     active = active_players(game)

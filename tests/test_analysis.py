@@ -260,6 +260,12 @@ class TestExactGradient:
                     ref = (v_plus - v_minus) / (2.0 * step)
                     assert fd[i][s, a] == pytest.approx(ref, rel=0, abs=1e-9)
 
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("inf"), float("nan")])
+    def test_finite_differences_reject_a_bad_step(self, step):
+        game = mixed_action_game(5)
+        with pytest.raises(DomainError, match="step"):
+            finite_difference_gradient(game, uniform_profile(game), step)
+
     def test_single_state_two_player_oracle(self):
         game = single_state_game(21)
         policy = random_profile(game, np.random.default_rng(5))

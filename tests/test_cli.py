@@ -109,6 +109,21 @@ class TestGradient:
         assert doc["draws"] == 2000
         assert doc["max_abs_diff_vs_exact"] < 0.5  # loose Monte Carlo sanity
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "spsa", "--draws", "0"],
+            ["--method", "spsa", "--draws", "-3"],
+            ["--method", "spsa", "--delta", "0"],
+            ["--method", "spsa", "--delta", "-0.05"],
+            ["--method", "fd", "--step", "0"],
+        ],
+    )
+    def test_bad_estimator_argument_exits_one(self, game_file, capsys, flags):
+        argv = ["gradient", "--game", str(game_file), "--policy", "uniform", *flags]
+        assert main(argv) == 1
+        assert "must be positive" in capsys.readouterr().err
+
     def test_policy_file_argument(self, game_file, tmp_path, capsys):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=1))
         pol_path = tmp_path / "policy.json"

@@ -329,6 +329,38 @@ class TestSmoothedGradient:
             assert np.array_equal(a, b)
 
 
+    @pytest.mark.parametrize("n_draws, delta", [(0, 0.1), (-3, 0.1), (40, 0.0), (40, -0.05)])
+    def test_bad_draws_or_delta_rejected(self, n_draws, delta):
+        # through the estimator: the bias probe, the step decomposition and
+        # the learner's oracle decomposition at a checkpoint
+        from sgl.learner import decompose_step, default_schedule, run_batch
+        from sgl.mirror import make_regularizer
+
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=4))
+        policy = uniform_profile(game)
+        dims = [reduced_dim(game.n_states, m) for m in game.n_actions]
+        directions = [sample_sphere(d, np.random.default_rng(0)) for d in dims]
+        rng = np.random.default_rng(0)
+        calls = [
+            lambda: smoothed_gradient_estimate(game, policy, delta, n_draws, rng),
+            lambda: bias_probe(game, policy, delta, n_draws=n_draws, rng=0),
+            lambda: decompose_step(
+                game, policy, directions, delta, np.zeros(2), rng=0, smoothing_draws=n_draws
+            ),
+        ]
+        if delta > 0:  # the learner's own schedule sets its radius
+            calls.append(
+                lambda: run_batch(
+                    game, default_schedule(game), make_regularizer("entropy"), 1, [0],
+                    oracle_mode=True,
+                    decomposition_draws=n_draws,
+                )
+            )
+        for call in calls:
+            with pytest.raises(DomainError, match="n_draws" if n_draws < 1 else "delta"):
+                call()
+
+
 class TestBiasProbe:
     def test_zero_reward_game_has_zero_probe(self):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=3))
