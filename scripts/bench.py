@@ -18,18 +18,19 @@ both zero-sum games and on the (3, 3, 3) game. Each is one
 run_batch call, or one run per seed on a side without run_batch. The
 window rows time the last stage of B windows of H + 1 stages on the
 mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8): once as
-one games._window_ends call and once as B scalar games._walk calls; from
-them the change side's crossover, the stage-rows B * (H + 1) at which the
-two cost the same, is recorded. With --baseline REV the same
-timings are also taken on that git revision's src/ (exported with git
-archive) and every row holds both sides. Each operation and size is timed
-in fresh interpreters, a few rounds per side with the sides alternating; an
-operation a side does not have is recorded as null.
+one games._window_ends call with its array kernel forced and once as B
+scalar games._walk calls; from them the change side's crossover, the
+stage-rows B * (H + 1) at which the two cost the same, is recorded. With
+--baseline REV the same timings are also taken on that git revision's src/
+(exported with git archive) and every row holds both sides. Each operation
+and size is timed in fresh interpreters, a few rounds per side with the
+sides alternating; an operation a side does not have is recorded as null.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_8.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_9.json
 """
 
 import argparse
+import inspect
 import io
 import json
 import os
@@ -193,8 +194,11 @@ def _mixing_window_game():
 def _time_window(op: str):
     """Microseconds for the last stage of B windows of H + 1 stages from
     state 0, each row with its own random profile: op is
-    _window_ends[B=b,H=h] (one kernel call) or _walk[B=b,H=h] (b scalar
-    walks), or None when the side has no _window_ends."""
+    _window_ends[B=b,H=h] (one call, with the array kernel forced where the
+    side's _window_ends also walks short windows) or _walk[B=b,H=h] (b
+    scalar walks, over full CDF lists on a side whose _walk takes
+    n_actions, else over all CDF columns but the last), or None when the
+    side has no _window_ends."""
     from sgl import games
 
     name, _, shape = op.partition("[B=")
@@ -211,17 +215,21 @@ def _time_window(op: str):
     cdf = np.cumsum(game.transitions, axis=2)
     strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
     if name == "_window_ends":
+        if hasattr(games, "_KERNEL_STAGE_ROWS"):
+            games._KERNEL_STAGE_ROWS = 0
         cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
         starts = np.zeros(batch, dtype=int)
         return _time(lambda: games._window_ends(cols, cdf[..., :-1], strides, starts, u))
-    pol_cdf = [np.cumsum(b, axis=2).tolist() for b in blocks]
-    trans_cdf = cdf.tolist()
+    if "n_actions" in inspect.signature(games._walk).parameters:
+        pol = [np.cumsum(b, axis=2).tolist() for b in blocks]
+        trans, extra = cdf.tolist(), (game.n_actions,)
+    else:
+        pol = [np.cumsum(b, axis=2)[..., :-1].tolist() for b in blocks]
+        trans, extra = cdf[..., :-1].tolist(), ()
 
     def walks():
         for r in range(batch):
-            games._walk(
-                [c[r] for c in pol_cdf], trans_cdf, strides, game.n_actions, 0, u[r].tolist()
-            )
+            games._walk([c[r] for c in pol], trans, strides, *extra, 0, u[r].tolist())
 
     return _time(walks)
 
