@@ -394,8 +394,8 @@ class TestRunBatch:
 
     def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
         # a slow-mixing 3-state game has windows of 25-150 stages; the
-        # window kernel's crossover at 0 plays every window with the array
-        # kernel, at infinity with one scalar walk per seed
+        # crossover at 0 plays every window with the array kernel, at
+        # infinity with one scalar walk per seed
         base = generate(
             GeneratorSpec(kind="random-ergodic", n_states=3, n_actions=3, eps=0.1, seed=7)
         )

@@ -328,7 +328,6 @@ class TestSmoothedGradient:
         for a, b in zip(means + stderrs, again[0] + again[1]):
             assert np.array_equal(a, b)
 
-
     @pytest.mark.parametrize("n_draws, delta", [(0, 0.1), (-3, 0.1), (40, 0.0), (40, -0.05)])
     def test_bad_draws_or_delta_rejected(self, n_draws, delta):
         # through the estimator: the bias probe, the step decomposition and
@@ -352,8 +351,7 @@ class TestSmoothedGradient:
             calls.append(
                 lambda: run_batch(
                     game, default_schedule(game), make_regularizer("entropy"), 1, [0],
-                    oracle_mode=True,
-                    decomposition_draws=n_draws,
+                    oracle_mode=True, decomposition_draws=n_draws,
                 )
             )
         for call in calls:
