@@ -18,18 +18,22 @@ both zero-sum games and on the (3, 3, 3) game. Each is one
 run_batch call, or one run per seed on a side without run_batch. The
 window rows time the last stage of B windows of H + 1 stages on the
 mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8): once as
-one games._window_ends call with its array kernel forced and once as B
-scalar games._walk calls; from them the change side's crossover, the
-stage-rows B * (H + 1) at which the two cost the same, is recorded. With
---baseline REV the same timings are also taken on that git revision's src/
-(exported with git archive) and every row holds both sides. Each operation
-and size is timed in fresh interpreters, a few rounds per side with the
-sides alternating; an operation a side does not have is recorded as null.
+one games._window_ends call with its array kernel forced (with the
+signature the side has) and once as B scalar games._walk calls; from them
+the change side's crossover, the stage-rows B * (H + 1) at which the two
+cost the same, is recorded. With --baseline REV the same timings are also
+taken on that git revision's src/ (exported with git archive) and every
+row holds both sides. Each operation and size is timed in fresh
+interpreters, a few rounds per side with the sides alternating; an
+operation a side does not have is recorded as null. Each side also records
+its src/sgl line count and its counts of defaulted function parameters and
+defaulted dataclass fields.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_9.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_10.json
 """
 
 import argparse
+import ast
 import inspect
 import io
 import json
@@ -195,7 +199,8 @@ def _time_window(op: str):
     """Microseconds for the last stage of B windows of H + 1 stages from
     state 0, each row with its own random profile: op is
     _window_ends[B=b,H=h] (one call, with the array kernel forced where the
-    side's _window_ends also walks short windows) or _walk[B=b,H=h] (b
+    side's _window_ends also walks short windows, taking the game where the
+    side's signature does) or _walk[B=b,H=h] (b
     scalar walks, over full CDF lists on a side whose _walk takes
     n_actions, else over all CDF columns but the last), or None when the
     side has no _window_ends."""
@@ -219,6 +224,8 @@ def _time_window(op: str):
             games._KERNEL_STAGE_ROWS = 0
         cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
         starts = np.zeros(batch, dtype=int)
+        if "game" in inspect.signature(games._window_ends).parameters:
+            return _time(lambda: games._window_ends(game, cols, starts, u))
         return _time(lambda: games._window_ends(cols, cdf[..., :-1], strides, starts, u))
     if "n_actions" in inspect.signature(games._walk).parameters:
         pol = [np.cumsum(b, axis=2).tolist() for b in blocks]
@@ -259,6 +266,25 @@ def _crossover(rows: list) -> dict | None:
 
 def _src_loc(src: pathlib.Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (src / "sgl").glob("*.py"))
+
+
+def _defaults(src: pathlib.Path) -> dict:
+    """Counts of defaulted parameters of every function and lambda, and of
+    defaulted fields of every @dataclass class, in src/sgl."""
+    params = fields = 0
+    for path in (src / "sgl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                fields += sum(
+                    isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                    for stmt in node.body
+                )
+    return {"defaulted_params": params, "defaulted_dataclass_fields": fields}
 
 
 def _git(*args) -> str:
@@ -347,7 +373,7 @@ def main(argv=None) -> int:
             for name in ("_window_ends", "_walk")
         ]
         env_sides = {
-            side: {"commit": commit, "src_loc": _src_loc(src)}
+            side: {"commit": commit, "src_loc": _src_loc(src), **_defaults(src)}
             for side, (src, commit) in sides.items()
         }
 

@@ -29,6 +29,9 @@ from .games import (
     stationary_distribution,
 )
 
+# policy-iteration sweeps after which a row that still moves is an error
+_MAX_SWEEPS = 1000
+
 
 @dataclass(frozen=True)
 class ValueReport:
@@ -274,13 +277,12 @@ def check_gradient_dominance(
     policy: PolicyProfile,
     deviation_policy: PolicyProfile,
     mismatch: float,
-    tol: float = 1e-8,
 ) -> DominanceCheck:
     """Value gain of a unilateral deviation versus its linearized bound.
 
     lhs is the deviating player's value improvement, rhs is mismatch times
     the inner product of her payoff gradient with the policy difference;
-    holds means lhs <= rhs + tol.
+    holds means lhs <= rhs + 1e-8.
     """
     movers = [
         i
@@ -297,7 +299,7 @@ def check_gradient_dominance(
     grad = exact_gradient(game, policy).blocks[i]
     lhs = float(moved - base)
     rhs = float(mismatch * np.sum(grad * (deviation_policy.probs[i] - policy.probs[i])))
-    return DominanceCheck(lhs, rhs, lhs <= rhs + tol)
+    return DominanceCheck(lhs, rhs, lhs <= rhs + 1e-8)
 
 
 def estimate_mismatch(game: StochasticGame, policy_samples) -> float:
@@ -361,7 +363,7 @@ def _evaluate_deterministic(P, R, actions, players):
     return gain, h[..., 0]
 
 
-def _policy_iteration(P, R, players, max_iters: int = 1000):
+def _policy_iteration(P, R, players):
     """Howard policy iteration on a stack of MDPs, one row per player.
 
     Every row starts from its greedy stage-reward policy; each sweep
@@ -375,7 +377,7 @@ def _policy_iteration(P, R, players, max_iters: int = 1000):
     actions = R.argmax(axis=2)
     gain, h = _evaluate_deterministic(P, R, actions, players)
     moved = np.ones(len(players), dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(_MAX_SWEEPS):
         q = R + (P @ h[:, None, :, None])[..., 0]          # (k, S, m)
         best = q.argmax(axis=2)
         incumbent = q[stack, rows, actions]
@@ -387,7 +389,7 @@ def _policy_iteration(P, R, players, max_iters: int = 1000):
         gain, h = _evaluate_deterministic(P, R, actions, players)
     unsettled = [players[i] for i in np.flatnonzero(moved)]
     raise ErgodicityError(
-        f"policy iteration for players {unsettled} did not settle in {max_iters} sweeps"
+        f"policy iteration for players {unsettled} did not settle in {_MAX_SWEEPS} sweeps"
     )
 
 
@@ -396,7 +398,6 @@ def best_response(
     policy: PolicyProfile,
     player: int,
     method: str = "policy-iteration",
-    max_iters: int = 1000,
 ):
     """Optimal average reward of one player against a frozen profile.
 
@@ -409,7 +410,7 @@ def best_response(
         raise DomainError(f"player {player} out of range for {game.n_players} players")
     P, R = _frozen_mdps(game, policy, [player])
     if method == "policy-iteration":
-        gain, actions = _policy_iteration(P, R, [player], max_iters)
+        gain, actions = _policy_iteration(P, R, [player])
         return float(gain[0]), tuple(actions[0].tolist()), ()
     if method != "enumerate":
         raise DomainError(f"unknown best-response method {method!r}")
@@ -470,20 +471,20 @@ def lipschitz_probe(
     n_pairs: int | None = None,
     rng=None,
     pairs=None,
-    margin: float = 0.05,
 ) -> float:
     """Empirical Lipschitz constant of the stacked payoff gradient.
 
-    Maximum over sampled policy pairs of the sup-norm gradient difference
-    divided by the sup-norm policy difference. Identical pairs are skipped;
-    if every pair is identical the probe is undefined.
+    Maximum over policy pairs, drawn with random_profile at margin 0.05 when
+    not given, of the sup-norm gradient difference divided by the sup-norm
+    policy difference. Identical pairs are skipped; if every pair is
+    identical the probe is undefined.
     """
     rng = np.random.default_rng(rng)
     if pairs is None:
         if n_pairs is None or n_pairs < 1:
             raise DomainError("lipschitz_probe needs n_pairs >= 1 or explicit pairs")
         pairs = [
-            (random_profile(game, rng, margin), random_profile(game, rng, margin))
+            (random_profile(game, rng, 0.05), random_profile(game, rng, 0.05))
             for _ in range(n_pairs)
         ]
     best = None

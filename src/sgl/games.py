@@ -26,6 +26,8 @@ STATIONARY_TOL = 1e-10
 _UNIT_EIG_TOL = 1e-9
 _POWER_TOL = 1e-12
 _POWER_CAP = 1_000_000
+# pure-profile corners certification_sample enumerates; above it, it draws half as many
+_CORNER_CAP = 64
 # a window of rows * (horizon + 1) stage-rows at least this long is played
 # by _window_ends's array kernel, a shorter one by one scalar _walk per row
 # (the kernel's fixed cost per call is that of about 120 scalar stages)
@@ -143,6 +145,17 @@ class StochasticGame:
         """The game's default certificate, certify_mixing over
         certification_sample(game, rng=0), computed on first use and kept."""
         return certify_mixing(self, certification_sample(self, rng=0))
+
+    @functools.cached_property
+    def _stage_tables(self):
+        """What rollout and _window_ends play stages from, built on first use
+        and kept: the row-major joint-action strides, the (S, J, S - 1)
+        next-state CDF columns but the last as an array and as nested lists,
+        and the (S, J, n_players) reward view."""
+        strides = np.cumprod((self.n_actions + (1,))[::-1])[::-1][1:].tolist()
+        cols = np.cumsum(self.transitions, axis=2)[..., :-1]
+        cols.flags.writeable = False  # shared by every call, like transitions
+        return strides, cols, cols.tolist(), self.rewards.transpose(1, 2, 0)
 
 
 def _stack_prefix(index, name: str) -> str:
@@ -326,16 +339,17 @@ def _at_slice(message: str, k) -> ErgodicityError:
     return exc
 
 
-def _power_iteration(P: np.ndarray, k, at, tol: float = _POWER_TOL, cap: int = _POWER_CAP):
+def _power_iteration(P: np.ndarray, k, at):
     n = P.shape[0]
     p = np.full(n, 1.0 / n)
-    for _ in range(cap):
+    for _ in range(_POWER_CAP):
         nxt = p @ P
-        if np.abs(nxt - p).sum() < tol:
+        if np.abs(nxt - p).sum() < _POWER_TOL:
             return nxt / nxt.sum()
         p = nxt
     raise _at_slice(
-        f"ergodicity check failed{at(k)}: power iteration did not converge in {cap} steps",
+        f"ergodicity check failed{at(k)}: power iteration did not converge in "
+        f"{_POWER_CAP} steps",
         k,
     )
 
@@ -472,14 +486,14 @@ def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
     )
 
 
-def certification_sample(game, n_random: int = 8, rng=None, corner_cap: int = 64):
+def certification_sample(game, n_random: int = 8, rng=None):
     """Uniform profile, pure-profile corners (capped), and random draws."""
     rng = np.random.default_rng(rng)
     samples = [uniform_profile(game)]
     n_corners = 1
     for m in game.n_actions:
         n_corners *= m ** game.n_states
-    if n_corners <= corner_cap:
+    if n_corners <= _CORNER_CAP:
         per_player = [
             list(product(range(m), repeat=game.n_states)) for m in game.n_actions
         ]
@@ -487,7 +501,7 @@ def certification_sample(game, n_random: int = 8, rng=None, corner_cap: int = 64
             actions = [[combo[i][s] for s in range(game.n_states)] for i in range(game.n_players)]
             samples.append(deterministic_profile(game, actions))
     else:
-        for _ in range(corner_cap // 2):
+        for _ in range(_CORNER_CAP // 2):
             actions = [
                 rng.integers(0, m, size=game.n_states) for m in game.n_actions
             ]
@@ -499,13 +513,6 @@ def certification_sample(game, n_random: int = 8, rng=None, corner_cap: int = 64
 
 # ---------------------------------------------------------------------------
 # simulation
-
-
-def _stage_tables(game: StochasticGame):
-    """The row-major joint-action strides and the transition CDF columns,
-    all but the last, that _walk and _window_ends read."""
-    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
-    return strides, np.cumsum(game.transitions, axis=2)[..., :-1]
 
 
 def _walk(pol_cols, trans_cols, strides, s, rows):
@@ -533,8 +540,9 @@ def _walk(pol_cols, trans_cols, strides, s, rows):
 def _stage_maps(pol_cols, trans_cols, strides, u):
     """Every stage's joint action and next state from every state.
 
-    u holds the (rows, 1, L, n + 1) uniforms of L stages, and pol_cols and
-    trans_cols are as in _window_ends. Returns two (rows, S, L) arrays: the
+    u holds the (rows, 1, L, n + 1) uniforms of L stages, pol_cols is as in
+    _window_ends and trans_cols the game's (S, J, S - 1) next-state CDF
+    columns but the last. Returns two (rows, S, L) arrays: the
     flat index s * J + joint action of each stage's transition row and the
     next state. A player's action is the count of its CDF columns <= u, all
     but the last column, as in _walk; the next state is the same count over
@@ -565,33 +573,36 @@ def _step_rows(pol_cols, trans_cols, strides, state, u):
     return *last, state
 
 
-def _window_ends(pol_cols, trans_cols, strides, starts, u):
+def _window_ends(game, pol_cols, starts, u):
     """The last stage of one window per row: the only way a window is played.
 
     pol_cols[i] is player i's (rows, S, m_i - 1) action-CDF columns, all but
-    the last, of each row's profile; trans_cols the (S, J, S - 1)
-    next-state CDF columns but the last; starts the rows' start states, as
+    the last, of each row's profile; starts the rows' start states, as
     Python ints; u the (rows, H + 1, n + 1) uniforms, one row of n + 1 per
-    stage. Fewer than _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are
-    played by one scalar _walk per row. Otherwise every stage is played from
-    every state at once, and each start state follows the first H stage maps
-    by pointer doubling: log2(H) rounds of integer gathers; many rows of a
-    many-state game are instead stepped one stage at a time (_step_rows).
-    All three give the same bits. Returns the (states, joints) of the last
-    stage and the states after it, as lists of Python ints.
+    stage. The game's _stage_tables give the rest. Fewer than
+    _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are played by one scalar
+    _walk per row. Otherwise every stage is played from every state at once,
+    and each start state follows the first H stage maps by pointer doubling:
+    log2(H) rounds of integer gathers; many rows of a many-state game are
+    instead stepped one stage at a time (_step_rows). All three give the
+    same bits. Returns the (rows, n_players) payoffs of the last stage and
+    the states after it, as a list of Python ints.
     """
-    rows, n_states = len(u), len(trans_cols)
+    strides, trans_cols, trans_lists, rewards = game._stage_tables
+    rows, n_states = len(u), game.n_states
     if rows * u.shape[1] < _KERNEL_STAGE_ROWS:
-        pol, trans = [cols.tolist() for cols in pol_cols], trans_cols.tolist()
+        pol = [cols.tolist() for cols in pol_cols]
         ends = []
         for r, (s, stages) in enumerate(zip(starts, u.tolist())):
-            states, joints, s = _walk([cols[r] for cols in pol], trans, strides, s, stages)
+            states, joints, s = _walk([cols[r] for cols in pol], trans_lists, strides, s, stages)
             ends.append((states[-1], joints[-1], s))
-        return tuple(map(list, zip(*ends)))
+        states, joints, after = map(list, zip(*ends))
+        return rewards[states, joints], after
     row, state = np.arange(rows), np.asarray(starts)
     columns = trans_cols.shape[2] + sum(cols.shape[-1] for cols in pol_cols)
     if rows * n_states * columns > _STAGE_MAP_CELLS:
-        return tuple(x.tolist() for x in _step_rows(pol_cols, trans_cols, strides, state, u))
+        state, joint, after = _step_rows(pol_cols, trans_cols, strides, state, u)
+        return rewards[state, joint], after.tolist()
     u = u[:, None]
     horizon = u.shape[2] - 1
     step = max(1, _WINDOW_CHUNK // (rows * n_states))
@@ -610,8 +621,8 @@ def _window_ends(pol_cols, trans_cols, strides, starts, u):
             jump = jump.take(jump)
         state = jump[row, state, 0] // width % n_states
         if hi == horizon:
-            joint = at[row, state, -1] - state * trans_cols.shape[1]
-            return state.tolist(), joint.tolist(), maps[row, state, -1].tolist()
+            joint = at[row, state, -1] - state * game.n_joint
+            return rewards[state, joint], maps[row, state, -1].tolist()
         lo = hi
 
 
@@ -632,10 +643,10 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     u = rng.random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
-    strides, trans_cols = _stage_tables(game)
-    states, joints, _ = _walk(pol_cols, trans_cols.tolist(), strides, start_state, rows)
+    strides, _, trans_lists, rewards = game._stage_tables
+    states, joints, _ = _walk(pol_cols, trans_lists, strides, start_state, rows)
     states, joints = np.array(states), np.array(joints)
-    return states, game.action_table[joints], game.rewards.transpose(1, 2, 0)[states, joints]
+    return states, game.action_table[joints], rewards[states, joints]
 
 
 # ---------------------------------------------------------------------------

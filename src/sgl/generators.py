@@ -275,7 +275,6 @@ def convergence_benchmark(
     seeds,
     log_every: int = 1000,
     gamma_scale: float = 1.0,
-    early_at: int = 1000,
     out=None,
 ) -> dict:
     """Learner-vs-equilibrium benchmark on one zero-sum construction.
@@ -284,7 +283,7 @@ def convergence_benchmark(
     (1, 1/3), log window at twice the certified mixing constant), measures
     distance to the per-state uniform equilibrium and the Fenchel coupling,
     and reports three clauses: median end distance at most 0.15, median end
-    distance no larger than at `early_at`, and median coupling over the last
+    distance no larger than at t = 1000, and median coupling over the last
     tenth of checkpoints below the first tenth.
     """
     game = generate(GeneratorSpec(kind=kind))
@@ -306,7 +305,7 @@ def convergence_benchmark(
     runs = [log.diagnostics for log in logs]
 
     times = [d.t for d in runs[0]]
-    k_early = next((k for k, t in enumerate(times) if t >= early_at), 0)
+    k_early = next((k for k, t in enumerate(times) if t >= 1000), 0)
     decile = max(1, len(times) // 10)
 
     end_dist = float(np.median([diags[-1].profile_dist for diags in runs]))

@@ -27,7 +27,6 @@ from .games import (
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
-    _stage_tables,
     _window_ends,
 )
 from .mirror import (
@@ -39,8 +38,6 @@ from .mirror import (
 )
 from .spsa import (
     SPHERE_FLOOR,
-    Lifting,
-    SafetyNet,
     active_players,
     lift_block,
     lifting_for,
@@ -150,19 +147,15 @@ def certified_tau(cert: MixingCertificate) -> float:
 
 
 def default_schedule(
-    game: StochasticGame,
-    tau: float | None = None,
-    gamma_exp: float = 1.0,
-    delta_exp: float = 1.0 / 3.0,
-    gamma_scale: float = 1.0,
+    game: StochasticGame, tau: float | None = None, gamma_scale: float = 1.0
 ) -> Schedule:
     """Exponents (1, 1/3), query scale a quarter of the tightest safety
     radius, and a log window twice the certified mixing constant."""
     if tau is None:
         tau = certified_tau(game.mixing_certificate)
     return Schedule(
-        gamma_exp=gamma_exp,
-        delta_exp=delta_exp,
+        gamma_exp=1.0,
+        delta_exp=1.0 / 3.0,
         gamma_scale=gamma_scale,
         delta_scale=0.25 * min_safety_radius(game),
         horizon_mode="log",
@@ -377,8 +370,6 @@ def decompose_step(
     delta: float,
     payoffs,
     rng=None,
-    nets: list[SafetyNet] | None = None,
-    liftings: list[Lifting] | None = None,
     smoothing_draws: int = 256,
     smoothed=None,
 ) -> StepDecomposition:
@@ -392,16 +383,13 @@ def decompose_step(
     from .analysis import exact_gradient, exact_value
     from .spsa import reduce_policy
 
-    nets = nets or nets_for(game)
-    liftings = liftings or [lifting_for(game.n_states, m) for m in game.n_actions]
+    nets = nets_for(game)
     active = active_players(game)
     reduced = reduce_policy(policy)
 
     if smoothed is None:
         rng = np.random.default_rng(rng)
-        smoothed, _ = smoothed_gradient_estimate(
-            game, policy, delta, smoothing_draws, rng, nets=nets
-        )
+        smoothed, _ = smoothed_gradient_estimate(game, policy, delta, smoothing_draws, rng)
 
     queried = [
         perturb(reduced[i], directions[i], delta, nets[i]) if i in active else reduced[i]
@@ -421,13 +409,12 @@ def decompose_step(
             noise.append(zeros.copy())
             window.append(zeros.copy())
             continue
-        lift = liftings[i]
         d = reduced_dim(game.n_states, m)
-        g = lift.apply(reduced_from_full(exact.blocks[i]))
-        sm = lift.apply(smoothed[i])
         z = np.asarray(directions[i], float).reshape(game.n_states, m - 1)
-        at_query = (d / delta) * query_values[i] * lift.apply(z)
-        realized = (d / delta) * float(payoffs[i]) * lift.apply(z)
+        g = _tangent(reduced_from_full(exact.blocks[i]))
+        sm = _tangent(np.reshape(smoothed[i], z.shape))
+        at_query = _tangent(_one_point(query_values[i], z, delta, d))
+        realized = _tangent(_one_point(payoffs[i], z, delta, d))
         grad.append(g)
         smooth_bias.append(sm - g)
         noise.append(at_query - sm)
@@ -554,7 +541,6 @@ def run_batch(
 
     n_batch = len(seeds)
     n_players, n_states, n_actions = game.n_players, game.n_states, game.n_actions
-    rewards = game.rewards
     nets = nets_for(game)
     liftings = [lifting_for(n_states, m) for m in n_actions]
     dims = [reduced_dim(n_states, m) for m in n_actions]
@@ -583,8 +569,6 @@ def run_batch(
     scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
     policy = [_mirror_batch(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
-
-    strides, trans_cols = _stage_tables(game)
 
     digest = game_hash(game)
     logs = [
@@ -644,8 +628,8 @@ def run_batch(
                 rng.random(out=uniforms[b])
             except Exception as exc:
                 raise _tagged(exc, b)
-        sampled_states, sampled_joints, states = _window_ends(
-            [cdf[k][:, j, :, :-1] for k, j in slots], trans_cols, strides, states, uniforms
+        payoffs, states = _window_ends(
+            game, [cdf[k][:, j, :, :-1] for k, j in slots], states, uniforms
         )
 
         decompositions = [None] * n_batch
@@ -660,17 +644,14 @@ def run_batch(
                             for k, j in slots
                         ],
                         delta,
-                        rewards[:, sampled_states[b], sampled_joints[b]],
+                        payoffs[b],
                         rng=rng,
-                        nets=nets,
-                        liftings=liftings,
                         smoothing_draws=decomposition_draws,
                     )
                 except ErgodicityError as exc:
                     warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
                 except Exception as exc:
                     raise _tagged(exc, b)
-        payoffs = rewards[:, sampled_states, sampled_joints].T
 
         est_norms = np.zeros((n_batch, n_players))
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
@@ -680,10 +661,6 @@ def run_batch(
             norm = np.sqrt((lifted * lifted).reshape(n_batch, hi - lo, -1).sum(axis=-1))
             if norm.max() > coeff_cap:
                 b, j = np.argwhere(norm > coeff_cap)[0]
-                # a solo run updates players lo..j-1 before it checks player
-                # j, so their non-finite scores are its first error
-                if not np.isfinite(scores[k][b, :j] + gamma * lifted[b, :j]).all():
-                    raise _tagged(DomainError("dual scores must be finite"), b)
                 raise _tagged(
                     RuntimeError(
                         f"estimate norm {float(norm[b, j])} exceeds bound "
@@ -777,23 +754,21 @@ def horizon_bias_check(
 
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
-    if n_draws < 1:
-        raise DomainError("n_draws must be positive")
+    if n_draws < 2:
+        raise DomainError("n_draws must be at least 2 for a standard error")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
     rng = np.random.default_rng(rng)
     if contraction is None:
         contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values
-    strides, trans_cols = _stage_tables(game)
     pol_cols = [np.cumsum(block, axis=1)[:, :-1] for block in policy.probs]
     # one window per draw, all with the same policy and start state, read
     # from the stream in one call
-    last_states, last_joints, _ = _window_ends(
-        [np.broadcast_to(c, (n_draws,) + c.shape) for c in pol_cols], trans_cols, strides,
+    samples, _ = _window_ends(
+        game, [np.broadcast_to(c, (n_draws,) + c.shape) for c in pol_cols],
         [start_state] * n_draws, rng.random((n_draws, horizon + 1, game.n_players + 1)),
     )
-    samples = game.rewards.transpose(1, 2, 0)[last_states, last_joints]
     mean = samples.mean(axis=0)
     stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
     bound = np.array(

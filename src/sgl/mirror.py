@@ -23,10 +23,11 @@ KINDS = (ENTROPY, EUCLIDEAN)
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Per-player regularizer; same kind and modulus for every player."""
+    """Per-player regularizer; same kind for every player, and both kinds
+    are 1-strongly convex, so the modulus is a constant."""
 
     kind: str
-    modulus: float = 1.0
+    modulus = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -189,10 +190,10 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
 
 
 def fenchel_step_bound_check(
-    reg: Regularizer, policy: PolicyProfile, scores, new_scores, slack: float = 1e-9
+    reg: Regularizer, policy: PolicyProfile, scores, new_scores
 ) -> BoundCheck:
     """Check the one-step coupling bound
-    F(p, y') <= F(p, y) + <y' - y, Q(y) - p> + ||y' - y||^2 / (2 K)."""
+    F(p, y') <= F(p, y) + <y' - y, Q(y) - p> + ||y' - y||^2 / (2 K), to 1e-9."""
     scores = [np.asarray(y, float) for y in scores]
     new_scores = [np.asarray(y, float) for y in new_scores]
     before = fenchel_coupling(reg, policy, scores)
@@ -203,4 +204,4 @@ def fenchel_step_bound_check(
     )
     sq = sum(float(np.sum((y2 - y1) ** 2)) for y1, y2 in zip(scores, new_scores))
     rhs = before.value + cross + sq / (2.0 * reg.modulus)
-    return BoundCheck(after.value, rhs, after.value <= rhs + slack)
+    return BoundCheck(after.value, rhs, after.value <= rhs + 1e-9)

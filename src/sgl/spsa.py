@@ -133,9 +133,9 @@ class SafetyNet:
     center: np.ndarray
     radius: float
 
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool((x >= -tol).all() and (x.sum(axis=1) <= 1.0 + tol).all())
+        return bool((x >= -REDUCED_TOL).all() and (x.sum(axis=1) <= 1.0 + REDUCED_TOL).all())
 
 
 def nets_for(game: StochasticGame) -> list[SafetyNet]:
@@ -296,7 +296,6 @@ def smoothed_gradient_estimate(
     delta: float,
     n_draws: int,
     rng,
-    nets: list[SafetyNet] | None = None,
 ):
     """Monte Carlo mean of the oracle-payoff estimator, in reduced coordinates.
 
@@ -313,7 +312,7 @@ def smoothed_gradient_estimate(
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    nets = nets or nets_for(game)
+    nets = nets_for(game)
     base = reduce_policy(policy)
     active = active_players(game)
     if not active:
@@ -375,7 +374,6 @@ def bias_probe(
     delta: float,
     n_draws: int = 20000,
     rng=None,
-    nets: list[SafetyNet] | None = None,
 ) -> BiasProbe:
     """Sup-norm distance between the smoothed and exact reduced gradients.
 
@@ -386,9 +384,7 @@ def bias_probe(
     from .analysis import exact_gradient
 
     rng = np.random.default_rng(rng)
-    means, stderrs = smoothed_gradient_estimate(
-        game, policy, delta, n_draws, rng, nets=nets
-    )
+    means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
     exact = [reduced_from_full(b) for b in exact_gradient(game, policy).blocks]
     diffs = tuple(m - e for m, e in zip(means, exact))
     finite = [np.abs(d).max() for d in diffs if d.size]

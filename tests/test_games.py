@@ -340,14 +340,13 @@ class TestRollout:
         assert (np.abs(mean - exact) <= 3.0 * se).all()
 
 
-def _cdf_table(rng, shape, n_out):
-    """Cumulative sums of random probability rows with zero entries (tied
-    CDF entries); some rows are scaled to end just below one."""
+def _prob_rows(rng, shape, n_out):
+    """Random probability rows with zero entries (tied CDF entries); some
+    rows are scaled to sum to just below one."""
     weights = rng.integers(0, 3, size=(*shape, n_out)).astype(float)
     weights[..., rng.integers(n_out)] += 1.0  # at least one positive entry
     probs = weights / weights.sum(axis=-1, keepdims=True)
-    probs *= np.where(rng.random(shape) < 0.3, 1.0 - 2.0**-40, 1.0)[..., None]
-    return np.cumsum(probs, axis=-1)
+    return probs * np.where(rng.random(shape) < 0.3, 1.0 - 2.0**-40, 1.0)[..., None]
 
 
 class TestWindowEnds:
@@ -369,8 +368,14 @@ class TestWindowEnds:
         n = len(n_actions)
         n_joint = int(np.prod(n_actions))
         strides = np.cumprod((n_actions + (1,))[::-1])[::-1][1:].tolist()
-        pol_cdf = [_cdf_table(rng, (rows, n_states), m) for m in n_actions]
-        trans_cdf = _cdf_table(rng, (n_states, n_joint), n_states)
+        # every (player, state, joint action) has its own reward, so a payoff
+        # names the last stage it was read at
+        rewards = np.arange(n * n_states * n_joint, dtype=float).reshape(n, n_states, n_joint)
+        game = StochasticGame(
+            n_states, n_actions, rewards, _prob_rows(rng, (n_states, n_joint), n_states)
+        )
+        pol_cdf = [np.cumsum(_prob_rows(rng, (rows, n_states), m), axis=-1) for m in n_actions]
+        trans_cdf = np.cumsum(game.transitions, axis=-1)
         u = rng.random((rows, horizon + 1, n + 1))
         # some uniforms equal a CDF entry, and some lie above every entry
         for r, h, i in zip(*(rng.integers(0, k, 20) for k in u.shape)):
@@ -387,21 +392,26 @@ class TestWindowEnds:
             games, _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells,
             _KERNEL_STAGE_ROWS=kernel_rows,
         ):
-            got = games._window_ends(pol_cols, trans_cols, strides, starts, u)
-        assert all(type(x) is int for ends in got for x in ends)
+            payoffs, after = games._window_ends(game, pol_cols, starts, u)
+        assert payoffs.shape == (rows, n)
+        assert all(type(x) is int for x in after)
         for r in range(rows):
-            states, joints, after = games._walk(
+            states, joints, end = games._walk(
                 [c[r].tolist() for c in pol_cols], trans_cols.tolist(), strides,
                 starts[r], u[r].tolist(),
             )
-            assert (got[0][r], got[1][r], got[2][r]) == (states[-1], joints[-1], after)
+            assert np.array_equal(payoffs[r], rewards[:, states[-1], joints[-1]])
+            assert after[r] == end
 
     def test_stage_tables_are_the_per_row_cumsums(self):
         game = small_random_game(3, n_states=3, n_players=2, n_actions=3)
-        strides, trans_cols = games._stage_tables(game)
+        strides, cols, col_lists, rewards = game._stage_tables
         rows = [[np.cumsum(row).tolist() for row in game.transitions[s]] for s in range(3)]
-        assert np.array_equal(trans_cols, np.array(rows)[..., :-1])
+        assert np.array_equal(cols, np.array(rows)[..., :-1])
+        assert col_lists == cols.tolist()
         assert strides == [3, 1]
+        assert np.array_equal(rewards, np.moveaxis(game.rewards, 0, -1))
+        assert game._stage_tables is game._stage_tables  # built once per game
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,135 @@
+"""Property test: on small random games every public entry point returns
+finite numbers or raises one of the package's own errors.
+
+The games cover 1-3 states, single-action players, transition rows with
+zero entries (so chains may be reducible or periodic) and rewards up to
+1e6; profiles are uniform, random or pure (on the faces of the simplex).
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgl import errors
+from sgl.analysis import (
+    exact_gradient,
+    exact_value,
+    exact_values,
+    finite_difference_gradient,
+    nash_gap,
+)
+from sgl.games import (
+    StochasticGame,
+    deterministic_profile,
+    random_profile,
+    rollout,
+    uniform_profile,
+)
+from sgl.learner import default_schedule, horizon_bias_check, run
+from sgl.mirror import make_regularizer
+from sgl.spsa import nets_for, smoothed_gradient_estimate
+
+PACKAGE_ERRORS = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
+
+
+def _finite(*items) -> bool:
+    """Every number in items, arrays, sequences and dataclasses included, is
+    finite; None and strings are skipped."""
+    for item in items:
+        if item is None or isinstance(item, (str, bool, int)):
+            continue
+        if dataclasses.is_dataclass(item):
+            if not _finite(*(getattr(item, f.name) for f in dataclasses.fields(item))):
+                return False
+        elif isinstance(item, (list, tuple)):
+            if not _finite(*item):
+                return False
+        elif not np.isfinite(np.asarray(item, dtype=float)).all():
+            return False
+    return True
+
+
+@st.composite
+def games(draw):
+    n_states = draw(st.integers(1, 3))
+    n_actions = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    n_joint = int(np.prod(n_actions))
+    # integer weights 0..3 give zero-floor rows; one entry is always positive
+    weights = rng.integers(0, 4, size=(n_states, n_joint, n_states)).astype(float)
+    weights[..., 0] += weights.sum(axis=-1) == 0
+    transitions = weights / weights.sum(axis=-1, keepdims=True)
+    rewards = rng.uniform(-scale, scale, size=(len(n_actions), n_states, n_joint))
+    return StochasticGame(n_states, n_actions, rewards, transitions), rng
+
+
+def _profile(game, rng, kind):
+    if kind == "uniform":
+        return uniform_profile(game)
+    if kind == "random":
+        return random_profile(game, rng)
+    actions = [rng.integers(0, m, size=game.n_states) for m in game.n_actions]
+    return deterministic_profile(game, actions)
+
+
+def _check(fn, *finite_parts):
+    """Call fn; its result, through finite_parts, must be finite, unless it
+    raises a package error."""
+    try:
+        out = fn()
+    except PACKAGE_ERRORS:
+        return
+    assert _finite(*(part(out) for part in finite_parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=games(),
+    kind=st.sampled_from(["uniform", "random", "pure"]),
+    mirror=st.sampled_from(["entropy", "euclidean"]),
+    horizon=st.integers(0, 5),
+    n_draws=st.integers(1, 40),
+)
+def test_entry_points_are_finite_or_raise_package_errors(drawn, kind, mirror, horizon, n_draws):
+    game, rng = drawn
+    policy = _profile(game, rng, kind)
+    other = _profile(game, rng, "random")
+    stacks = [np.stack([a, b]) for a, b in zip(policy.probs, other.probs)]
+    radius = min(net.radius for net in nets_for(game))
+    seed = int(rng.integers(2**31))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # skipped checkpoint oracles warn
+        _check(
+            lambda: exact_value(game, policy),
+            lambda r: (r.values, r.stage_rewards, r.stationary),
+        )
+        _check(lambda: exact_values(game, stacks), lambda v: v)
+        _check(lambda: nash_gap(game, policy), lambda r: (r.gaps, r.values, r.best_values))
+        _check(lambda: exact_gradient(game, policy), lambda g: g)
+        _check(lambda: finite_difference_gradient(game, policy), lambda g: g)
+        _check(
+            lambda: smoothed_gradient_estimate(
+                game, policy, 0.5 * radius, n_draws, np.random.default_rng(seed)
+            ),
+            lambda out: out,
+        )
+        _check(
+            lambda: rollout(game, policy, 0, horizon + 1, np.random.default_rng(seed)),
+            lambda out: out,
+        )
+        _check(lambda: horizon_bias_check(game, policy, horizon, n_draws, rng=seed), lambda r: r)
+        _check(
+            lambda: run(
+                game, default_schedule(game), make_regularizer(mirror), 6, seed,
+                oracle_mode=True, reference=uniform_profile(game), log_every=3,
+                decomposition_draws=8,
+            ),
+            lambda log: (log.diagnostics, log.final_state.scores, log.final_state.policy),
+        )
