@@ -26,10 +26,11 @@ taken on that git revision's src/ (exported with git archive) and every
 row holds both sides. Each operation and size is timed in fresh
 interpreters, a few rounds per side with the sides alternating; an
 operation a side does not have is recorded as null. Each side also records
-its src/sgl line count and its counts of defaulted function parameters and
-defaulted dataclass fields.
+its src/sgl line count, the number of names in sgl.__all__, its count of
+defaulted function parameters, and its counts of dataclass fields and of
+those with a default.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_10.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_11.json
 """
 
 import argparse
@@ -268,10 +269,11 @@ def _src_loc(src: pathlib.Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (src / "sgl").glob("*.py"))
 
 
-def _defaults(src: pathlib.Path) -> dict:
-    """Counts of defaulted parameters of every function and lambda, and of
-    defaulted fields of every @dataclass class, in src/sgl."""
-    params = fields = 0
+def _surface(src: pathlib.Path) -> dict:
+    """Counts of the names in sgl.__all__, of defaulted parameters of every
+    function and lambda, and of the fields of every @dataclass class and of
+    those with a default, in src/sgl."""
+    params = fields = defaulted = 0
     for path in (src / "sgl").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
@@ -280,11 +282,19 @@ def _defaults(src: pathlib.Path) -> dict:
             elif isinstance(node, ast.ClassDef) and any(
                 "dataclass" in ast.unparse(d) for d in node.decorator_list
             ):
-                fields += sum(
-                    isinstance(stmt, ast.AnnAssign) and stmt.value is not None
-                    for stmt in node.body
-                )
-    return {"defaulted_params": params, "defaulted_dataclass_fields": fields}
+                annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                fields += len(annotated)
+                defaulted += sum(s.value is not None for s in annotated)
+    names = subprocess.run(
+        [sys.executable, "-c", "import sgl; print(len(sgl.__all__))"],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True, capture_output=True, text=True,
+    ).stdout
+    return {
+        "public_names": int(names),
+        "defaulted_params": params,
+        "dataclass_fields": fields,
+        "defaulted_dataclass_fields": defaulted,
+    }
 
 
 def _git(*args) -> str:
@@ -373,7 +383,7 @@ def main(argv=None) -> int:
             for name in ("_window_ends", "_walk")
         ]
         env_sides = {
-            side: {"commit": commit, "src_loc": _src_loc(src), **_defaults(src)}
+            side: {"commit": commit, "src_loc": _src_loc(src), **_surface(src)}
             for side, (src, commit) in sides.items()
         }
 

@@ -31,6 +31,8 @@ from .games import (
 
 # policy-iteration sweeps after which a row that still moves is an error
 _MAX_SWEEPS = 1000
+# stages truncated_advantage_series sums
+_SERIES_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -168,26 +170,21 @@ def _own_actions(game: StochasticGame) -> np.ndarray:
 def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     """Advantage tables computed through the relative-value route.
 
-    Solves (I - P + 1 p) h_i = R_i - V_i 1 per player (so p . h_i = 0), then
+    Solves (I - P + 1 p) h_i = R_i - V_i 1 (so p . h_i = 0) for every player
+    in one stacked solve, then
     joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i. The
     infinite-sum definition is recovered exactly; the truncated sum is kept
     as a test oracle.
     """
     report = exact_value(game, policy)
-    P = report.chain.transition_matrix
     p = report.stationary
     n, S = game.n_players, game.n_states
-
-    A = np.eye(S) - P + np.outer(np.ones(S), p)
-    bias = np.empty((n, S))
-    try:
-        for i in range(n):
-            bias[i] = np.linalg.solve(A, report.stage_rewards[i] - report.values[i])
-    except np.linalg.LinAlgError as exc:
-        raise ErgodicityError(
-            f"ergodicity check failed: singular fundamental matrix ({exc})"
-        ) from exc
-
+    bias = _poisson(
+        np.broadcast_to(report.chain.transition_matrix, (n, S, S)),
+        np.broadcast_to(p, (n, S)),
+        report.stage_rewards - report.values[:, None],
+        lambda i: f" for player {i}",
+    )
     future = (game.transitions @ bias.T).transpose(2, 0, 1)   # (n, S, J)
     joint = game.rewards - report.values[:, None, None] + future
     weighted = opponent_weights(game, policy) * joint      # (n, S, J)
@@ -244,12 +241,10 @@ def finite_difference_gradient(
     return tuple(out)
 
 
-def truncated_advantage_series(
-    game: StochasticGame, policy: PolicyProfile, n_terms: int = 200
-) -> np.ndarray:
+def truncated_advantage_series(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:
     """Direct forward-recursion oracle for the advantage definition.
 
-    Sums expected reward-minus-value terms for n_terms stages starting from
+    Sums expected reward-minus-value terms for _SERIES_TERMS stages starting from
     each (state, joint action); the tail is geometrically small once the
     chain has mixed. Shape (n_players, n_states, n_joint).
     """
@@ -261,7 +256,7 @@ def truncated_advantage_series(
     total = game.rewards - report.values[:, None, None]
     # mu[s, j] is the state distribution after taking joint action j in s
     mu = game.transitions.reshape(S * J, S).copy()
-    for _ in range(1, n_terms + 1):
+    for _ in range(1, _SERIES_TERMS + 1):
         term = mu @ R.T - report.values            # (S*J, n)
         total += term.T.reshape(game.n_players, S, J)
         mu = mu @ P
@@ -336,6 +331,15 @@ def _frozen_mdps(game, policy, players):
     return PR[..., :S], np.where(missing[:, None, :], -np.inf, PR[..., S])
 
 
+def _poisson(P, p, r, at):
+    """Zero-mean biases (k, S) of a (k, S, S) stack of ergodic chains: row i
+    solves (I - P[i] + 1 p[i]) h = r[i], with r[i] the stage rewards minus
+    the gain, so p[i] . h = 0. One solve per slice, all in one stacked call;
+    a singular slice raises ErgodicityError, located by at(i)."""
+    A = np.eye(P.shape[-1]) - P + p[:, None, :]
+    return _slicewise(np.linalg.solve, "singular Poisson system", at, A, r[..., None])[..., 0]
+
+
 def _evaluate_deterministic(P, R, actions, players):
     """Gains (k,) and zero-mean biases (k, S) of one deterministic policy per
     MDP of the stack: one stationary solve and one Poisson solve for all.
@@ -347,11 +351,7 @@ def _evaluate_deterministic(P, R, actions, players):
     try:
         p = stationary_distribution(P_pi)
         gain = np.vecdot(p, R_pi)
-        A = np.eye(S) - P_pi + p[:, None, :]
-        h = _slicewise(
-            np.linalg.solve, "singular Poisson system", lambda i: f" at slice {i}",
-            A, (R_pi - gain[:, None])[..., None],
-        )
+        h = _poisson(P_pi, p, R_pi - gain[:, None], lambda i: f" at slice {i}")
     except ErgodicityError as exc:
         i = getattr(exc, "slice_index", None)
         if i is None:
@@ -360,7 +360,7 @@ def _evaluate_deterministic(P, R, actions, players):
             f"best-response candidate {tuple(actions[i].tolist())} of player "
             f"{players[i]}: {exc}"
         ) from exc
-    return gain, h[..., 0]
+    return gain, h
 
 
 def _policy_iteration(P, R, players):

@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: validate, analyze (alias: report), gradient, learn, generate,
-sweep. Exit codes: 0 success, 1 validation/config error, 2 runtime error.
+sweep. Exit codes: 0 success, 1 validation/config error or a non-ergodic
+chain, 2 runtime error.
 The environment variable SGL_SEED provides the default seed.
 """
 
@@ -20,6 +21,7 @@ from .errors import (
     ContractError,
     DimensionError,
     DomainError,
+    ErgodicityError,
     GameFormatError,
     ScheduleError,
 )
@@ -31,6 +33,7 @@ _VALIDATION_ERRORS = (
     DimensionError,
     ContractError,
     ScheduleError,
+    ErgodicityError,
     FileNotFoundError,
     IsADirectoryError,
 )

@@ -13,7 +13,7 @@ class ErgodicityError(RuntimeError):
     """The induced state chain failed an ergodicity check.
 
     The message names the check that failed (eigenvalue multiplicity,
-    fixed-point residual, power-iteration convergence). An error about one
+    singular solve, fixed-point residual). An error about one
     chain of a stacked call carries its position there as slice_index.
     """
 

@@ -24,8 +24,6 @@ from .errors import DimensionError, DomainError, ErgodicityError, GameFormatErro
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 _UNIT_EIG_TOL = 1e-9
-_POWER_TOL = 1e-12
-_POWER_CAP = 1_000_000
 # pure-profile corners certification_sample enumerates; above it, it draws half as many
 _CORNER_CAP = 64
 # a window of rows * (horizon + 1) stage-rows at least this long is played
@@ -121,23 +119,11 @@ class StochasticGame:
         return self.transitions.shape[1]
 
     @property
-    def players(self) -> list[tuple[int, int]]:
-        return list(enumerate(self.n_actions))
-
-    @property
     def action_table(self) -> np.ndarray:
         """(n_joint, n_players) array mapping joint index to action ids."""
         return self._action_table
 
-    def joint_index(self, actions) -> int:
-        return int(np.ravel_multi_index(tuple(actions), self.n_actions))
-
-    def joint_actions(self, index: int) -> tuple[int, ...]:
-        return tuple(int(a) for a in np.unravel_index(index, self.n_actions))
-
-    def max_abs_reward(self, player: int | None = None) -> float:
-        if player is None:
-            return float(np.abs(self.rewards).max())
+    def max_abs_reward(self, player: int) -> float:
         return float(np.abs(self.rewards[player]).max())
 
     @functools.cached_property
@@ -220,17 +206,10 @@ class PolicyProfile:
 
 @dataclass(frozen=True)
 class ChainAnalysis:
-    """Induced chain of one policy profile plus its contraction certificate.
-
-    contraction is the Dobrushin coefficient of the transition matrix; it
-    upper-bounds the one-step l1 contraction factor of the chain, and
-    tau = -1/log(contraction) is the implied mixing constant.
-    """
+    """Induced chain of one policy profile and its stationary distribution."""
 
     transition_matrix: np.ndarray
     stationary: np.ndarray
-    contraction: float
-    tau: float
 
 
 @dataclass(frozen=True)
@@ -246,13 +225,8 @@ class MixingCertificate:
     contraction: float
     tau: float
     ok: bool
-    n_policies: int
     failing_index: int | None
     eps_floor: float
-
-    @property
-    def instant_mixing(self) -> bool:
-        return self.contraction == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +260,6 @@ def deterministic_profile(game: StochasticGame, actions) -> PolicyProfile:
             block[s, actions[i][s]] = 1.0
         blocks.append(block)
     return PolicyProfile(tuple(blocks))
-
-
-def profile_vector(policy: PolicyProfile) -> np.ndarray:
-    """Flatten a profile into one vector (players concatenated)."""
-    return np.concatenate([b.ravel() for b in policy.probs])
 
 
 # ---------------------------------------------------------------------------
@@ -339,21 +308,6 @@ def _at_slice(message: str, k) -> ErgodicityError:
     return exc
 
 
-def _power_iteration(P: np.ndarray, k, at):
-    n = P.shape[0]
-    p = np.full(n, 1.0 / n)
-    for _ in range(_POWER_CAP):
-        nxt = p @ P
-        if np.abs(nxt - p).sum() < _POWER_TOL:
-            return nxt / nxt.sum()
-        p = nxt
-    raise _at_slice(
-        f"ergodicity check failed{at(k)}: power iteration did not converge in "
-        f"{_POWER_CAP} steps",
-        k,
-    )
-
-
 def _slicewise(fn, check: str, at, *stacks):
     """fn(*stacks), with a LinAlgError turned into an ErgodicityError that
     names the first slice fn fails on alone."""
@@ -377,10 +331,10 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     (S,) or (B, S); a 2-d P is the stack of one. The unit-circle eigenvalue
     count screens for reducible or periodic chains, then one stacked solve
     of the balance equations, with their last row replaced by the
-    normalization, gives every distribution. Power iteration is the fallback
-    for a slice whose fixed-point residual fails. Raises ErgodicityError,
-    naming the failing check (and, for a stack, the slice), when a chain is
-    not ergodic; a singular solve is reported the same way.
+    normalization, gives every distribution. Raises ErgodicityError, naming
+    the failing check (and, for a stack, the slice), when a chain is not
+    ergodic; a singular solve, or a solution whose fixed-point residual
+    exceeds STATIONARY_TOL, is reported the same way.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
@@ -419,15 +373,13 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         raise _at_slice(f"ergodicity check failed{at(k)}: linear solve degenerate", k)
     p = p / total
     residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
-    for k in np.flatnonzero(~(residual <= STATIONARY_TOL)):
-        p[k] = _power_iteration(stack[k], k, at)
-        r = np.abs(p[k] @ stack[k] - p[k]).sum()
-        if not r <= STATIONARY_TOL:
-            raise _at_slice(
-                f"ergodicity check failed{at(k)}: fixed-point residual {r:.3e} "
-                f"> {STATIONARY_TOL}",
-                k,
-            )
+    if not (residual <= STATIONARY_TOL).all():
+        k = np.argmin(residual <= STATIONARY_TOL)
+        raise _at_slice(
+            f"ergodicity check failed{at(k)}: fixed-point residual {residual[k]:.3e} "
+            f"> {STATIONARY_TOL}",
+            k,
+        )
     return p.reshape(P.shape[:-1])
 
 
@@ -453,9 +405,7 @@ def _tau_from_contraction(c: float) -> float:
 
 def analyze_chain(game: StochasticGame, policy: PolicyProfile) -> ChainAnalysis:
     P = induced_transition_matrix(game, policy)
-    p = stationary_distribution(P)
-    c = dobrushin_coefficient(P)
-    return ChainAnalysis(P, p, c, _tau_from_contraction(c))
+    return ChainAnalysis(P, stationary_distribution(P))
 
 
 def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
@@ -480,7 +430,6 @@ def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
         contraction=worst,
         tau=_tau_from_contraction(worst) if ok else math.inf,
         ok=ok,
-        n_policies=len(policies),
         failing_index=failing,
         eps_floor=float(game.transitions.min()),
     )

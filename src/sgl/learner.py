@@ -235,8 +235,6 @@ class LearnerState:
 
     scores: list[np.ndarray]
     policy: PolicyProfile
-    reduced: list[np.ndarray]
-    iteration: int
     state: int
 
 
@@ -311,7 +309,6 @@ class RunLog:
     diagnostics: list[StepDiagnostics] = field(default_factory=list)
     final_state: LearnerState | None = None
     clamped_steps: int = 0
-    reference: PolicyProfile | None = None
 
     def write(self, out_dir) -> None:
         import pathlib
@@ -529,6 +526,8 @@ def run_batch(
     """
     if iters < 0:
         raise DomainError("iters must be nonnegative")
+    if log_every < 1:
+        raise DomainError("log_every must be at least 1")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
     seeds = list(seeds)
@@ -578,8 +577,7 @@ def run_batch(
             mirror_kind=regularizer.kind,
             game_digest=digest,
             iters=iters,
-            log_every=max(1, int(log_every)),
-            reference=reference,
+            log_every=int(log_every),
         )
         for seed in seeds
     ]
@@ -704,8 +702,6 @@ def run_batch(
         log.final_state = LearnerState(
             scores=[y.copy() for y in blocks_of(scores, b)],
             policy=PolicyProfile(tuple(blocks_of(policy, b))),
-            reduced=[x.copy() for x in blocks_of(reduced, b)],
-            iteration=iters,
             state=states[b],
         )
         if out_dirs is not None:

@@ -99,11 +99,6 @@ class Lifting:
     n_actions: int
     op_norm: float
 
-    def apply(self, reduced: np.ndarray) -> np.ndarray:
-        """(states x (m-1)) or flat input -> (states x m) tangent tensor."""
-        x = np.asarray(reduced, dtype=float).reshape(self.n_states, self.n_actions - 1)
-        return _tangent(x)
-
 
 def _tangent(x: np.ndarray) -> np.ndarray:
     """Lift reduced vectors x (..., m-1) to simplex-tangent (..., m) tensors:
@@ -132,10 +127,6 @@ class SafetyNet:
 
     center: np.ndarray
     radius: float
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= -REDUCED_TOL).all() and (x.sum(axis=1) <= 1.0 + REDUCED_TOL).all())
 
 
 def nets_for(game: StochasticGame) -> list[SafetyNet]:

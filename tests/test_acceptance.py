@@ -103,7 +103,7 @@ def test_criterion_2_advantage_identities(suite_200):
     worst_series = worst_mean = worst_excess = 0.0
     for game, policy in suite_200:
         table = advantages(game, policy)
-        series = truncated_advantage_series(game, policy, n_terms=200)
+        series = truncated_advantage_series(game, policy)
         worst_series = max(worst_series, float(np.abs(series - table.joint).max()))
         for i in range(game.n_players):
             mean = float(

@@ -92,7 +92,7 @@ class TestExactValue:
                     expected += (
                         policy.probs[0][0, a]
                         * policy.probs[1][0, b]
-                        * game.rewards[i, 0, game.joint_index((a, b))]
+                        * game.rewards[i, 0, np.ravel_multi_index((a, b), game.n_actions)]
                     )
             assert report.values[i] == pytest.approx(expected, abs=1e-12)
         np.testing.assert_allclose(report.stationary, [1.0])
@@ -111,7 +111,7 @@ class TestExactValue:
                 sum(
                     policy.probs[0][s, a]
                     * policy.probs[1][s, b]
-                    * rewards[i, s, game.joint_index((a, b))]
+                    * rewards[i, s, np.ravel_multi_index((a, b), game.n_actions)]
                     for a in range(2)
                     for b in range(2)
                 )
@@ -167,7 +167,7 @@ class TestAdvantages:
             for a in range(2):
                 total = 0.0
                 for j in range(game.n_joint):
-                    acts = game.joint_actions(j)
+                    acts = np.unravel_index(j, game.n_actions)
                     if acts[i] != a:
                         continue
                     w = 1.0
@@ -192,7 +192,7 @@ class TestAdvantages:
             game = random_game(200 + g, n_states=3, n_actions=2)
             policy = random_profile(game, rng, margin=0.05)
             table = advantages(game, policy)
-            series = truncated_advantage_series(game, policy, n_terms=200)
+            series = truncated_advantage_series(game, policy)
             assert np.abs(series - table.joint).max() <= 1e-6
 
     def test_bounded_by_mixing_constant(self):
@@ -275,7 +275,7 @@ class TestExactGradient:
         for a in range(2):
             expected = (
                 sum(
-                    policy.probs[1][0, b] * game.rewards[0, 0, game.joint_index((a, b))]
+                    policy.probs[1][0, b] * game.rewards[0, 0, np.ravel_multi_index((a, b), game.n_actions)]
                     for b in range(2)
                 )
                 - value[0]

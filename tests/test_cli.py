@@ -132,6 +132,15 @@ class TestGradient:
             ["gradient", "--game", str(game_file), "--policy", str(pol_path)]
         ) == 0
 
+    def test_non_ergodic_profile_exits_one(self, tmp_path, capsys):
+        # every joint action keeps the state: the uniform profile's chain is
+        # the identity, which has two unit-circle eigenvalues
+        transitions = np.stack([np.tile(np.eye(2)[s], (2, 1)) for s in range(2)])
+        game_path = tmp_path / "identity.json"
+        save_game(StochasticGame(2, (2,), np.zeros((1, 2, 2)), transitions), game_path)
+        assert main(["gradient", "--game", str(game_path), "--policy", "uniform"]) == 1
+        assert "error: ergodicity check failed" in capsys.readouterr().err
+
 
 class TestLearn:
     def test_matching_pennies_with_sqrt_horizon_preset(self, tmp_path, capsys):
@@ -189,6 +198,13 @@ class TestLearn:
         # an explicit window needs no certified mixing constant
         assert main([*argv, "--horizon", "power", "--horizon-param", "0.5"]) == 0
         assert main([*argv, "--preset", "sqrt-horizon"]) == 0
+
+    def test_log_every_below_one_exits_one(self, tmp_path, capsys):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        argv = ["learn", "--game", str(game_path), "--iters", "20", "--log-every", "0"]
+        assert main(argv) == 1
+        assert "log_every must be at least 1" in capsys.readouterr().err
 
     def test_negative_log_window_exits_one(self, tmp_path, capsys):
         game_path = tmp_path / "mp.json"

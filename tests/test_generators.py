@@ -14,7 +14,6 @@ from sgl.errors import ConfigError
 from sgl.games import (
     StochasticGame,
     load_game,
-    profile_vector,
     random_profile,
     save_game,
     uniform_profile,
@@ -34,6 +33,11 @@ from sgl.mirror import make_regularizer
 
 def gradient_vector(game, policy):
     return np.concatenate([b.ravel() for b in exact_gradient(game, policy).blocks])
+
+
+def profile_vector(policy):
+    """A profile as one vector, players' blocks concatenated."""
+    return np.concatenate([b.ravel() for b in policy.probs])
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ class TestSweep:
         # different iterations
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=0))
         sch = default_schedule(game)
-        monkeypatch.setattr(StochasticGame, "max_abs_reward", lambda self, i=None: 0.99)
+        monkeypatch.setattr(StochasticGame, "max_abs_reward", lambda self, i: 0.99)
         seeds = list(range(8))
         solo = {}
         for seed in seeds:

@@ -15,6 +15,8 @@ from sgl.spsa import (
     reduce_block,
     reduce_policy,
     reduced_dim,
+    REDUCED_TOL,
+    _tangent,
     reduced_from_full,
     safety_net_for,
     sample_sphere,
@@ -96,6 +98,11 @@ def test_lift_block_stack_lifts_each_draw():
         lift_block(x)
 
 
+def in_reduced_set(x):
+    """Every state's reduced row is nonnegative and sums to at most one."""
+    return bool((x >= -REDUCED_TOL).all() and (x.sum(axis=1) <= 1.0 + REDUCED_TOL).all())
+
+
 class TestSafetyNet:
     def test_two_actions_single_state(self):
         net = safety_net_for(1, 2)
@@ -114,13 +121,13 @@ class TestSafetyNet:
             d = n_states * (n_actions - 1)
             for _ in range(1000):
                 u = sample_sphere(d, rng).reshape(net.center.shape)
-                assert net.contains(net.center + net.radius * u)
+                assert in_reduced_set(net.center + net.radius * u)
             # stepping just past the radius along the sum facet normal fails
             k = n_actions - 1
             u = np.zeros((n_states, k))
             u[0] = 1.0 / np.sqrt(k)
             x = net.center + net.radius * (1 + 1e-6) * u
-            assert not net.contains(x)
+            assert not in_reduced_set(x)
 
     def test_single_action_player_degenerates(self):
         net = safety_net_for(2, 1)
@@ -264,7 +271,7 @@ class TestEstimator:
         assert lift.op_norm == np.linalg.norm(block, 2)
         z = sample_sphere(4, np.random.default_rng(3))
         via_matrix = (matrix @ z).reshape(2, 3)
-        np.testing.assert_allclose(lift.apply(z), via_matrix, atol=1e-15)
+        np.testing.assert_allclose(_tangent(z.reshape(2, 2)), via_matrix, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
