@@ -6,6 +6,8 @@ from sgl.errors import DomainError, ScheduleError
 from sgl.games import StochasticGame, random_profile, uniform_profile
 from sgl.generators import GeneratorSpec, generate
 from sgl.spsa import (
+    REDUCED_TOL,
+    _tangent,
     bias_probe,
     estimate_gradient,
     lift_block,
@@ -15,8 +17,6 @@ from sgl.spsa import (
     reduce_block,
     reduce_policy,
     reduced_dim,
-    REDUCED_TOL,
-    _tangent,
     reduced_from_full,
     safety_net_for,
     sample_sphere,
