@@ -27,10 +27,12 @@ row holds both sides. Each operation and size is timed in fresh
 interpreters, a few rounds per side with the sides alternating; an
 operation a side does not have is recorded as null. Each side also records
 its src/sgl line count, the number of names in sgl.__all__, its count of
-defaulted function parameters, and its counts of dataclass fields and of
-those with a default.
+defaulted function parameters, its counts of dataclass fields and of
+those with a default, the wall time of a cold `import sgl` (median and
+IQR over fresh interpreters, the sides alternating) and the number of
+modules that import loads.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_11.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_12.json
 """
 
 import argparse
@@ -297,6 +299,34 @@ def _surface(src: pathlib.Path) -> dict:
     }
 
 
+def _import_cost(sides: dict) -> dict:
+    """Per side: median and IQR of the seconds a cold `import sgl` takes, over
+    ROUNDS * REPEATS fresh interpreters with the sides alternating, and the
+    number of modules it adds to sys.modules."""
+    code = (
+        "import sys, time; n = len(sys.modules); start = time.perf_counter(); "
+        "import sgl; print(time.perf_counter() - start, len(sys.modules) - n)"
+    )
+    runs = {side: [] for side in sides}
+    for r in range(ROUNDS * REPEATS):
+        for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
+            out = subprocess.run(
+                [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(sides[side])},
+                check=True, capture_output=True, text=True,
+            ).stdout.split()
+            runs[side].append((float(out[0]), int(out[1])))
+    cost = {}
+    for side, timed in runs.items():
+        q1, median, q3 = np.percentile([s for s, _ in timed], [25, 50, 75])
+        cost[side] = {
+            "import_s": float(median),
+            "import_iqr_s": float(q3 - q1),
+            "import_runs": len(timed),
+            "import_modules": timed[0][1],
+        }
+    return cost
+
+
 def _git(*args) -> str:
     return subprocess.run(
         ["git", *args], cwd=REPO, check=True, capture_output=True, text=True
@@ -382,8 +412,9 @@ def main(argv=None) -> int:
             for b, h in WINDOWS
             for name in ("_window_ends", "_walk")
         ]
+        imports = _import_cost({side: src for side, (src, _) in sides.items()})
         env_sides = {
-            side: {"commit": commit, "src_loc": _src_loc(src), **_surface(src)}
+            side: {"commit": commit, "src_loc": _src_loc(src), **_surface(src), **imports[side]}
             for side, (src, commit) in sides.items()
         }
 

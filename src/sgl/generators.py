@@ -206,8 +206,9 @@ def sweep(
 
     The seeds of one schedule run as one run_batch. A seed that fails is
     recorded and the batch is run again without it, so the other seeds
-    finish with the bits of their solo runs. When out is given, per-run
-    CSVs and a summary.json are written there.
+    finish with the bits of their solo runs; an error of the whole batch
+    propagates. When out is given, per-run CSVs and a summary.json are
+    written there.
     """
     grid = list(grid)
     seeds = [int(s) for s in seeds]
@@ -240,8 +241,10 @@ def sweep(
                     log_every=log_every,
                 )
                 break
-            except Exception as exc:  # recorded, the other seeds run again
-                errors[pending.pop(getattr(exc, "seed_index", 0))] = str(exc)
+            except Exception as exc:  # a seed's own error: recorded, the others run again
+                if not hasattr(exc, "seed_index"):
+                    raise
+                errors[pending.pop(exc.seed_index)] = str(exc)
         by_position = dict(zip(pending, batch))
         logs = []
         for k, seed in enumerate(seeds):
@@ -376,9 +379,9 @@ def run_sweep_config(path) -> ExperimentResult:
         game,
         grid,
         cfg["seeds"],
-        int(cfg["iters"]),
+        cfg["iters"],
         regularizer=make_regularizer(cfg.get("mirror", "entropy")),
         reference=reference,
-        log_every=int(cfg.get("log_every", 100)),
+        log_every=cfg.get("log_every", 100),
         out=cfg.get("out"),
     )

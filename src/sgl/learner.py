@@ -15,11 +15,14 @@ import csv
 import itertools
 import json
 import math
+import operator
+import pathlib
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import exact_gradient, exact_value, nash_gap
 from .errors import DomainError, ErgodicityError, ScheduleError
 from .games import (
     MixingCertificate,
@@ -43,6 +46,7 @@ from .spsa import (
     lifting_for,
     nets_for,
     perturb,
+    reduce_policy,
     reduced_dim,
     reduced_from_full,
     smoothed_gradient_estimate,
@@ -311,8 +315,6 @@ class RunLog:
     clamped_steps: int = 0
 
     def write(self, out_dir) -> None:
-        import pathlib
-
         out = pathlib.Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "run.csv", "w", newline="") as fh:
@@ -368,25 +370,19 @@ def decompose_step(
     payoffs,
     rng=None,
     smoothing_draws: int = 256,
-    smoothed=None,
 ) -> StepDecomposition:
     """Oracle decomposition of one realized estimate.
 
     directions[i] is the sphere draw used for player i (None for a skipped
-    single-action player) and payoffs[i] the realized value sample. The
-    smoothed gradient may be passed in (reduced coordinates, e.g. cached at
-    a checkpoint) or is estimated here with smoothing_draws oracle queries.
+    single-action player), payoffs[i] the realized value sample, and the
+    smoothed gradient is estimated from rng with smoothing_draws queries.
     """
-    from .analysis import exact_gradient, exact_value
-    from .spsa import reduce_policy
-
     nets = nets_for(game)
     active = active_players(game)
     reduced = reduce_policy(policy)
-
-    if smoothed is None:
-        rng = np.random.default_rng(rng)
-        smoothed, _ = smoothed_gradient_estimate(game, policy, delta, smoothing_draws, rng)
+    smoothed, _ = smoothed_gradient_estimate(
+        game, policy, delta, smoothing_draws, np.random.default_rng(rng)
+    )
 
     queried = [
         perturb(reduced[i], directions[i], delta, nets[i]) if i in active else reduced[i]
@@ -460,8 +456,6 @@ def _checkpoint_oracle(game, regularizer, reference, blocks, scores, compute_gap
     """Exact values, Nash gaps, Fenchel coupling and distance to the
     reference of one seed's profile; the oracle parts are None (with a
     warning) when the induced chain is not ergodic."""
-    from .analysis import exact_value, nash_gap
-
     policy = PolicyProfile(blocks)
     values = gaps = None
     try:
@@ -524,6 +518,10 @@ def run_batch(
     An error raised for one seed carries the seed's position in `seeds` as
     its seed_index attribute.
     """
+    try:  # a float count fails instead of being truncated
+        iters, log_every = operator.index(iters), operator.index(log_every)
+    except TypeError:
+        raise DomainError(f"iters={iters!r}, log_every={log_every!r}: need integers") from None
     if iters < 0:
         raise DomainError("iters must be nonnegative")
     if log_every < 1:
@@ -577,11 +575,10 @@ def run_batch(
             mirror_kind=regularizer.kind,
             game_digest=digest,
             iters=iters,
-            log_every=int(log_every),
+            log_every=log_every,
         )
         for seed in seeds
     ]
-    every = logs[0].log_every
     states = [start_state] * n_batch
     clamped = 0
 
@@ -595,7 +592,7 @@ def run_batch(
         if delta < delta_raw:
             clamped += 1
         horizon = schedule.horizon(t)
-        checkpoint = (t + 1) % every == 0 or (t + 1) == iters
+        checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
 
         # each seed's generator reads the normals of its sphere draws in the
         # order of a draw-by-draw, player-by-player loop
@@ -746,8 +743,6 @@ def horizon_bias_check(
     against the exact value. The bound is n_states * max|reward| times the
     certified contraction to the power horizon.
     """
-    from .analysis import exact_value
-
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     if n_draws < 2:

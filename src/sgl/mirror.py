@@ -8,10 +8,10 @@ convex in the Euclidean norm on the product of simplices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import DomainError
 from .games import PolicyProfile
@@ -37,7 +37,12 @@ class Regularizer:
         """Regularizer value of one player's (states x actions) policy block."""
         block = np.asarray(block, dtype=float)
         if self.kind == ENTROPY:
-            return float(xlogy(block, block).sum())   # 0 log 0 = 0
+            if (block < 0.0).any():
+                raise DomainError("entropy value undefined for negative entries")
+            # libm's log, 0 log 0 = 0, summed in block's layout: xlogy's bits
+            terms = np.empty_like(block)
+            terms.flat = [v * math.log(v) if v else 0.0 for v in block.ravel().tolist()]
+            return float(terms.sum())
         return 0.5 * float(np.sum(block * block))
 
     def value(self, policy: PolicyProfile) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import exact_gradient, exact_value, exact_values
 from .errors import DomainError, ScheduleError
 from .games import PolicyProfile, StochasticGame, _stack_prefix
 
@@ -297,8 +298,6 @@ def smoothed_gradient_estimate(
     evaluated ORACLE_BLOCK draws per exact_values call. Returns (means,
     stderrs) as per-player (states x (m-1)) arrays.
     """
-    from .analysis import exact_value, exact_values
-
     if n_draws < 1:
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
@@ -372,8 +371,6 @@ def bias_probe(
     the exact gradient comes from the closed-form analysis. The reported
     stderr is the largest per-coordinate Monte Carlo standard error.
     """
-    from .analysis import exact_gradient
-
     rng = np.random.default_rng(rng)
     means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
     exact = [reduced_from_full(b) for b in exact_gradient(game, policy).blocks]

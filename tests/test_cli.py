@@ -268,3 +268,27 @@ class TestSweepCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["completed"] == 2
         assert (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("log_every", 0, "log_every must be at least 1"),
+            ("log_every", 2.9, "need integers"),
+            ("iters", -5, "iters must be nonnegative"),
+            ("iters", 10.5, "need integers"),
+        ],
+    )
+    def test_batch_wide_error_exits_one(self, tmp_path, capsys, key, value, message):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        cfg = {
+            "game": str(game_path),
+            "grid": [{"p": 1.0, "q": 1 / 3, "horizon": "log", "T0": 0.0}],
+            "seeds": [0, 1],
+            "iters": 10,
+            key: value,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err

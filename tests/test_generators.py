@@ -4,13 +4,14 @@ import pathlib
 import numpy as np
 import pytest
 
+from sgl import generators
 from sgl.analysis import (
     estimate_mismatch,
     exact_gradient,
     exact_value,
     nash_gap,
 )
-from sgl.errors import ConfigError
+from sgl.errors import ConfigError, DomainError
 from sgl.games import (
     StochasticGame,
     load_game,
@@ -247,6 +248,32 @@ class TestSweep:
             alone = solo[entry["seed"]].final_state.scores
             for a, b in zip(entry["log"].final_state.scores, alone):
                 assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"log_every": 0}, "log_every must be at least 1"),
+            ({"log_every": 2.9}, "need integers"),
+            ({"iters": -5}, "iters must be nonnegative"),
+        ],
+    )
+    def test_batch_wide_error_raises(self, kw, message, monkeypatch):
+        # an error that names no seed is not charged to the seeds: the
+        # sweep raises it after one run_batch call
+        game = self.make_game()
+        sch = default_schedule(game)
+        calls = []
+        real = generators.run_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generators, "run_batch", counted)
+        args = {"iters": 10, "log_every": 5, **kw}
+        with pytest.raises(DomainError, match=message):
+            sweep(game, [sch], [0, 1], args["iters"], log_every=args["log_every"])
+        assert len(calls) == 1
 
     def test_aggregates_are_quartiles_over_seeds(self):
         game = self.make_game()

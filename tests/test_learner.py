@@ -402,6 +402,26 @@ class TestRunBatch:
         with pytest.raises(DomainError, match="log_every must be at least 1"):
             run_batch(game, default_schedule(game), ENTROPY, 10, [0, 1], log_every=log_every)
 
+    @pytest.mark.parametrize("counts", [{"log_every": 2.9}, {"log_every": 2.0}, {"iters": 6.5}])
+    def test_non_integer_counts_rejected(self, counts):
+        # a float is refused, not truncated: log_every 2.9 once ran as 2
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        args = {"iters": 6, "log_every": 2, **counts}
+        with pytest.raises(DomainError, match="need integers"):
+            run_batch(game, default_schedule(game), ENTROPY, args["iters"], [0],
+                      log_every=args["log_every"])
+
+    def test_numpy_integer_counts_accepted(self, tmp_path):
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = default_schedule(game)
+        log = run(game, sch, ENTROPY, np.int64(6), 0, log_every=np.int32(2),
+                  out_dir=tmp_path / "np")
+        plain = run(game, sch, ENTROPY, 6, 0, log_every=2, out_dir=tmp_path / "int")
+        assert [d.t for d in log.diagnostics] == [2, 4, 6]
+        assert type(log.log_every) is int and type(log.iters) is int
+        for name in ("run.csv", "run.json"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
     def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
         # a slow-mixing 3-state game has windows of 25-150 stages; the
         # crossover at 0 plays every window with the array kernel, at
@@ -506,10 +526,11 @@ class TestDecomposition:
         policy = PolicyProfile((np.array([[0.6, 0.4]]), np.array([[0.3, 0.7]])))
         rng = np.random.default_rng(0)
         delta = 0.2
-        smoothed, stderrs = smoothed_gradient_estimate(game, policy, delta, 4000, rng)
+        _, stderrs = smoothed_gradient_estimate(game, policy, delta, 4000, rng)
         z = [sample_sphere(1, rng) for _ in range(2)]
+        # a fresh stream of seed 0 gives decompose_step the estimate above
         dec = decompose_step(
-            game, policy, z, delta, np.array([0.5, 0.5]), rng=rng, smoothed=smoothed
+            game, policy, z, delta, np.array([0.5, 0.5]), rng=0, smoothing_draws=4000
         )
         for i in range(2):
             tol = 8.0 * max(stderrs[i].max(), 1e-12)

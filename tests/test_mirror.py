@@ -1,10 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
+import sgl
 from sgl.errors import DomainError
 from sgl.games import PolicyProfile, random_profile
 from sgl.generators import GeneratorSpec, generate
@@ -287,6 +293,39 @@ class TestRegularizerGeometry:
     def test_entropy_boundary_value_is_finite(self):
         block = np.array([[1.0, 0.0], [0.5, 0.5]])
         assert ENTROPY.block_value(block) == pytest.approx(np.log(0.5), abs=1e-12)
+
+    def test_entropy_value_is_xlogy_bit_for_bit(self):
+        # the Fenchel cells of the golden traces depend on these bits
+        rng = np.random.default_rng(0)
+        blocks = []
+        for shape in [(1, 2), (2, 3), (5, 4), (20, 4), (20, 2), (7, 1)]:
+            interior = rng.dirichlet(np.ones(shape[1]), size=shape[0])
+            zeros = np.where(rng.random(shape) < 0.3, 0.0, interior)
+            one_hot = np.eye(shape[1])[rng.integers(0, shape[1], shape[0])]
+            tiny = interior * 10.0 ** rng.uniform(-310, -295, shape)
+            blocks += [interior, zeros, one_hot, tiny, np.asfortranarray(interior)]
+        blocks += [b.T for b in blocks] + [b[::2] for b in blocks]
+        for block in blocks:
+            assert ENTROPY.block_value(block) == float(xlogy(block, block).sum())
+        # one entry per block, so every term's bits show: a vectorized log
+        # that differs from libm's in the last bit on a few inputs in a
+        # thousand fails here
+        values = np.concatenate([rng.random(20000), rng.random(100) * 1e-300])
+        terms = [ENTROPY.block_value(np.array([[v]])) for v in values]
+        assert np.array_equal(terms, xlogy(values, values))
+
+    def test_entropy_value_rejects_negative_entries(self):
+        with pytest.raises(DomainError, match="negative"):
+            ENTROPY.block_value(np.array([[1.1, -0.1], [0.5, 0.5]]))
+
+    def test_import_loads_no_scipy(self):
+        src = pathlib.Path(sgl.__file__).resolve().parents[1]
+        code = "import sgl, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            check=True, capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_reciprocity_along_rays(self):
         # scores on the ray toward log p mirror to p; the coupling vanishes
