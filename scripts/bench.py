@@ -4,40 +4,38 @@ BENCH_<n>.json file.
 
 Times exact_value, exact_values over a stack of 256 profiles,
 smoothed_gradient_estimate with 256 draws, exact_gradient, nash_gap,
-fenchel_coupling (entropy mirror, uniform reference) and horizon_bias_check
-(window 8, 1000 draws, contraction given) on three game sizes:
-(2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with transition
-floor 0.01. The learner rows give microseconds per seed-iteration of B seeds
-with the entropy mirror, the default schedule and log_every=1000: B = 1, 3,
-10 on matching-pennies and zerosum-switching, whose windows are 2 stages,
-and B = 1, 3 on perfbench's slow-mixing mixing-window game (seed 7,
-certified tau 40), whose windows grow from 57 to 554 stages. The
-log_every=1 rows run the checkpoint oracle (value, Nash gap and Fenchel
-coupling to the uniform reference) after every one of 100 iterations, on
-both zero-sum games and on the (3, 3, 3) game. Each is one
-run_batch call, or one run per seed on a side without run_batch. The
-window rows time the last stage of B windows of H + 1 stages on the
-mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8): once as
-one games._window_ends call with its array kernel forced (with the
-signature the side has) and once as B scalar games._walk calls; from them
-the change side's crossover, the stage-rows B * (H + 1) at which the two
-cost the same, is recorded. With --baseline REV the same timings are also
-taken on that git revision's src/ (exported with git archive) and every
-row holds both sides. Each operation and size is timed in fresh
-interpreters, a few rounds per side with the sides alternating; an
-operation a side does not have is recorded as null. Each side also records
-its src/sgl line count, the number of names in sgl.__all__, its count of
-defaulted function parameters, its counts of dataclass fields and of
-those with a default, the wall time of a cold `import sgl` (median and
-IQR over fresh interpreters, the sides alternating) and the number of
-modules that import loads.
+fenchel_coupling (entropy mirror, uniform reference) and
+horizon_bias_check (window 8, 1000 draws, contraction given) on three game
+sizes: (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with
+transition floor 0.01. The learner rows give microseconds per seed-
+iteration of B seeds with the entropy mirror, the default schedule and
+log_every=1000: B = 1, 3, 10 on matching-pennies and zerosum-switching,
+whose windows are 2 stages, and on perfbench's slow-mixing mixing-window
+game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
+The log_every=1 rows run the checkpoint oracle (value, Nash gap and
+Fenchel coupling to the uniform reference) after every one of 100
+iterations, on both zero-sum games and on the (3, 3, 3) game. Each is one
+run_batch call. The window rows time the last stage of B windows of H + 1
+stages on the mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000,
+8): once as one games._window_ends call with its array kernel forced and
+once as B scalar games._walk calls; from them the change side's crossover,
+the stage-rows B * (H + 1) at which the two cost the same, is recorded.
+With --baseline REV the same timings are also taken on that git revision's
+src/ (exported with git archive) and every row holds both sides. Each
+operation and size is timed in fresh interpreters, a few rounds per side
+with the sides alternating. The baseline must have this API, as every
+revision from dbf9f10 on does. Each side also records its src/sgl line
+count, the number of names in sgl.__all__, its count of defaulted function
+parameters, its counts of dataclass fields and of those with a default,
+the wall time of a cold `import sgl` (median and IQR over fresh
+interpreters, the sides alternating) and the number of modules that import
+loads.
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_12.json
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_<n>.json
 """
 
 import argparse
 import ast
-import inspect
 import io
 import json
 import os
@@ -105,9 +103,8 @@ def _time(fn) -> dict:
     return {"samples_us": samples, "calls_per_repeat": calls}
 
 
-def measure(src: pathlib.Path, op: str, size: str):
-    """Timing of one operation at one size for the package under src, or
-    None when that package does not have the operation."""
+def measure(src: pathlib.Path, op: str, size: str) -> dict:
+    """Timing of one operation at one size for the package under src."""
     sys.path.insert(0, str(src))
     import sgl
     from sgl import analysis, games, generators, learner, mirror, spsa
@@ -131,8 +128,6 @@ def measure(src: pathlib.Path, op: str, size: str):
     if op == "exact_value":
         return _time(lambda: analysis.exact_value(game, policy))
     if op == f"exact_values[B={STACK}]":
-        if not hasattr(analysis, "exact_values"):
-            return None
         return _time(lambda: analysis.exact_values(game, stacks))
     if op == f"smoothed_gradient_estimate[draws={STACK}]":
         return _time(
@@ -180,11 +175,7 @@ def _time_learner(op: str, kind: str) -> dict:
         options = {"log_every": 1, "reference": games.uniform_profile(game)}
     else:
         iters, options = LEARNER_ITERS, {"log_every": 1000}
-    args = (game, schedule, reg, iters)
-    if hasattr(learner, "run_batch"):
-        timed = _time(lambda: learner.run_batch(*args, seeds, **options))
-    else:
-        timed = _time(lambda: [learner.run(*args, s, **options) for s in seeds])
+    timed = _time(lambda: learner.run_batch(game, schedule, reg, iters, seeds, **options))
     per_call = iters * len(seeds)
     timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
     return timed
@@ -198,21 +189,15 @@ def _mixing_window_game():
     return workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
 
 
-def _time_window(op: str):
+def _time_window(op: str) -> dict:
     """Microseconds for the last stage of B windows of H + 1 stages from
     state 0, each row with its own random profile: op is
-    _window_ends[B=b,H=h] (one call, with the array kernel forced where the
-    side's _window_ends also walks short windows, taking the game where the
-    side's signature does) or _walk[B=b,H=h] (b
-    scalar walks, over full CDF lists on a side whose _walk takes
-    n_actions, else over all CDF columns but the last), or None when the
-    side has no _window_ends."""
+    _window_ends[B=b,H=h] (one call, with the array kernel forced) or
+    _walk[B=b,H=h] (b scalar walks over all CDF columns but the last)."""
     from sgl import games
 
     name, _, shape = op.partition("[B=")
     batch, height = (int(x) for x in shape.removesuffix("]").split(",H="))
-    if not hasattr(games, name):
-        return None
     game = _mixing_window_game()
     rng = np.random.default_rng(1)
     blocks = [
@@ -220,42 +205,32 @@ def _time_window(op: str):
         for blocks in zip(*(games.random_profile(game, rng, 0.3).probs for _ in range(batch)))
     ]
     u = rng.random((batch, height + 1, game.n_players + 1))
-    cdf = np.cumsum(game.transitions, axis=2)
-    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
     if name == "_window_ends":
-        if hasattr(games, "_KERNEL_STAGE_ROWS"):
-            games._KERNEL_STAGE_ROWS = 0
+        games._KERNEL_STAGE_ROWS = 0
         cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
         starts = np.zeros(batch, dtype=int)
-        if "game" in inspect.signature(games._window_ends).parameters:
-            return _time(lambda: games._window_ends(game, cols, starts, u))
-        return _time(lambda: games._window_ends(cols, cdf[..., :-1], strides, starts, u))
-    if "n_actions" in inspect.signature(games._walk).parameters:
-        pol = [np.cumsum(b, axis=2).tolist() for b in blocks]
-        trans, extra = cdf.tolist(), (game.n_actions,)
-    else:
-        pol = [np.cumsum(b, axis=2)[..., :-1].tolist() for b in blocks]
-        trans, extra = cdf[..., :-1].tolist(), ()
+        return _time(lambda: games._window_ends(game, cols, starts, u))
+    pol = [np.cumsum(b, axis=2)[..., :-1].tolist() for b in blocks]
+    trans = np.cumsum(game.transitions, axis=2)[..., :-1].tolist()
+    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
 
     def walks():
         for r in range(batch):
-            games._walk([c[r] for c in pol], trans, strides, *extra, 0, u[r].tolist())
+            games._walk([c[r] for c in pol], trans, strides, 0, u[r].tolist())
 
     return _time(walks)
 
 
-def _crossover(rows: list) -> dict | None:
+def _crossover(rows: list) -> dict:
     """Stage-rows B * (H + 1) at which one _window_ends call costs as much as
     B scalar walks on the change side: the kernel's cost as fixed plus
     per-stage-row from its (3, 1) and (3, 450) rows, the walk's as
     per-stage-row from its (3, 450) row."""
     us = {
         row["op"]: row["change"]["us_per_call"] for row in rows
-        if row["op"].startswith(("_window_ends", "_walk")) and row["change"]
+        if row["op"].startswith(("_window_ends", "_walk"))
     }
     short, long_ = "[B=3,H=1]", "[B=3,H=450]"
-    if f"_window_ends{short}" not in us:
-        return None
     slope = (us[f"_window_ends{long_}"] - us[f"_window_ends{short}"]) / (3 * 451 - 3 * 2)
     fixed = us[f"_window_ends{short}"] - slope * 3 * 2
     walk = us[f"_walk{long_}"] / (3 * 451)
@@ -367,11 +342,9 @@ def _row(sides: dict, op: str, size: str) -> dict:
             runs[side].append(json.loads(out))
     row = {"op": op, "size": size}
     for side, timed in runs.items():
-        row[side] = None
-        if timed[0]:
-            samples = [s for t in timed for s in t["samples_us"]]
-            row[side] = _summary(samples, timed[0]["calls_per_repeat"])
-    if row.get("parent") and row["change"]:
+        samples = [s for t in timed for s in t["samples_us"]]
+        row[side] = _summary(samples, timed[0]["calls_per_repeat"])
+    if "parent" in row:
         row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
     return row
 
@@ -443,10 +416,7 @@ def main(argv=None) -> int:
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for row in rows:
-        cells = [
-            f"{side} " + (f"{row[side]['us_per_call']:10.1f} us" if row[side] else f"{'-':>13}")
-            for side in sides
-        ]
+        cells = [f"{side} {row[side]['us_per_call']:10.1f} us" for side in sides]
         speed = f"  x{row['speedup']:.1f}" if "speedup" in row else ""
         print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")

@@ -38,7 +38,7 @@ def main(argv=None):
     reg = make_regularizer("entropy")
     logs = run_batch(
         game, schedule, reg, args.iters, args.seeds,
-        reference=star, log_every=args.log_every, compute_gaps=False,
+        reference=star, log_every=args.log_every,
     )
     finals, earlies = [], []
     for seed, log in zip(args.seeds, logs):

@@ -466,31 +466,28 @@ def first_order_residual(game: StochasticGame, policy: PolicyProfile) -> float:
     return total
 
 
-def lipschitz_probe(
-    game: StochasticGame,
-    n_pairs: int | None = None,
-    rng=None,
-    pairs=None,
-) -> float:
+def lipschitz_probe(game: StochasticGame, n_pairs: int, rng=None) -> float:
     """Empirical Lipschitz constant of the stacked payoff gradient.
 
-    Maximum over policy pairs, drawn with random_profile at margin 0.05 when
-    not given, of the sup-norm gradient difference divided by the sup-norm
+    Maximum over n_pairs policy pairs, drawn with random_profile at margin
+    0.05, of the sup-norm gradient difference divided by the sup-norm
     policy difference. Identical pairs are skipped; if every pair is
-    identical the probe is undefined.
+    identical, as when every player has one action, the probe is undefined.
     """
+    if n_pairs < 1:
+        raise DomainError("lipschitz_probe needs n_pairs >= 1")
     rng = np.random.default_rng(rng)
-    if pairs is None:
-        if n_pairs is None or n_pairs < 1:
-            raise DomainError("lipschitz_probe needs n_pairs >= 1 or explicit pairs")
-        pairs = [
-            (random_profile(game, rng, 0.05), random_profile(game, rng, 0.05))
-            for _ in range(n_pairs)
-        ]
     best = None
-    for a, b in pairs:
+    for _ in range(n_pairs):
+        a, b = random_profile(game, rng, 0.05), random_profile(game, rng, 0.05)
+        # a lone action's probability is 1 up to the sampler's roundoff
         diff = max(
-            float(np.abs(pa - pb).max()) for pa, pb in zip(a.probs, b.probs)
+            (
+                float(np.abs(pa - pb).max())
+                for pa, pb, m in zip(a.probs, b.probs, game.n_actions)
+                if m > 1
+            ),
+            default=0.0,
         )
         if diff == 0.0:
             continue

@@ -9,6 +9,7 @@ The environment variable SGL_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -173,31 +174,27 @@ def _cmd_gradient(args) -> int:
     return 0
 
 
-def _resolve_schedule(args, game, cert) -> learner.Schedule:
-    if args.preset == "sqrt-horizon":
-        return learner.sqrt_horizon_schedule(game, gamma_scale=args.gamma_scale)
+def _resolve_schedule(args, game) -> learner.Schedule:
+    """The preset of the horizon mode (--horizon, else the --preset's mode)
+    with every schedule flag that was given applied over it."""
+    mode = args.horizon or ("power" if args.preset == "sqrt-horizon" else "log")
     # an explicit window parameter needs no certified mixing constant
-    tau = learner.certified_tau(cert) if args.horizon_param is None else 0.0
-    base = learner.default_schedule(game, tau=tau, gamma_scale=args.gamma_scale)
-    return learner.Schedule(
-        gamma_exp=args.gamma_exp if args.gamma_exp is not None else base.gamma_exp,
-        delta_exp=args.delta_exp if args.delta_exp is not None else base.delta_exp,
-        gamma_scale=args.gamma_scale,
-        delta_scale=args.delta_scale
-        if args.delta_scale is not None
-        else base.delta_scale,
-        horizon_mode=args.horizon if args.horizon else base.horizon_mode,
-        horizon_param=args.horizon_param
-        if args.horizon_param is not None
-        else base.horizon_param,
-    )
+    tau = None if args.horizon_param is None else 0.0
+    base = learner._preset_schedule(game, mode, tau, args.gamma_scale)
+    overrides = {
+        "gamma_exp": args.gamma_exp,
+        "delta_exp": args.delta_exp,
+        "delta_scale": args.delta_scale,
+        "horizon_param": args.horizon_param,
+    }
+    return dataclasses.replace(base, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_learn(args) -> int:
     game = games.load_game(args.game)
     reg = mirror.make_regularizer(args.mirror)
     cert = game.mixing_certificate
-    schedule = _resolve_schedule(args, game, cert)
+    schedule = _resolve_schedule(args, game)
     reference = None if args.ref is None else _load_policy_arg(game, args.ref)
     init_policy = (
         None if args.init_policy is None else _load_policy_arg(game, args.init_policy)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,10 +32,10 @@ from .learner import (
     Schedule,
     ScheduleReport,
     default_schedule,
-    min_safety_radius,
     run,  # still importable from this module
     run_batch,
     validate_schedule,
+    _preset_schedule,
 )
 from .mirror import Regularizer, make_regularizer
 
@@ -143,7 +144,7 @@ class ExperimentResult:
         return {
             "grid": [
                 {
-                    **schedule.to_dict(),
+                    **asdict(schedule),
                     "theorem_conditions": {
                         **report.conditions,
                         "ok": report.ok,
@@ -192,6 +193,15 @@ def _aggregate(logs: list[RunLog]) -> list[dict]:
     return out
 
 
+def _int_seeds(seeds) -> list[int]:
+    """The seeds as ints; a float or string seed fails instead of being
+    truncated or parsed."""
+    try:
+        return [operator.index(seed) for seed in seeds]
+    except TypeError:
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}") from None
+
+
 def sweep(
     game: StochasticGame,
     grid,
@@ -211,7 +221,7 @@ def sweep(
     written there.
     """
     grid = list(grid)
-    seeds = [int(s) for s in seeds]
+    seeds = _int_seeds(seeds)
     if not seeds:
         raise ConfigError("sweep needs at least one seed")
     regularizer = regularizer or make_regularizer("entropy")
@@ -294,7 +304,7 @@ def convergence_benchmark(
     schedule = default_schedule(game, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
-    seeds = [int(seed) for seed in seeds]
+    seeds = _int_seeds(seeds)
     logs = run_batch(
         game,
         schedule,
@@ -322,7 +332,7 @@ def convergence_benchmark(
     return {
         "game": kind,
         "uniform_nash_gap": nash_gap(game, reference).max_gap,
-        "schedule": schedule.to_dict(),
+        "schedule": asdict(schedule),
         "iters": iters,
         "seeds": seeds,
         "median_end_dist": end_dist,
@@ -343,23 +353,36 @@ def load_sweep_config(path) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"sweep config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("sweep config must be a JSON object")
     for key in ("game", "grid", "seeds", "iters"):
         if key not in cfg:
             raise ConfigError(f"sweep config missing key {key!r}")
+    for key in ("game", "ref", "out"):  # ref and out may be null
+        value = cfg.get(key)
+        if not isinstance(value, str) and (key == "game" or value is not None):
+            raise ConfigError(f"sweep config {key!r} must be a string, got {value!r}")
+    for key in ("grid", "seeds"):
+        if not isinstance(cfg[key], list):
+            raise ConfigError(f"sweep config {key!r} must be a list, got {cfg[key]!r}")
     return cfg
 
 
 def schedule_from_grid_entry(entry: dict, game: StochasticGame) -> Schedule:
+    """The grid entry's exponents p, q and window parameter T0 over the
+    preset of its horizon mode (default log), whose scales gamma0 and
+    delta0 override."""
     try:
-        return Schedule(
+        base = _preset_schedule(game, str(entry.get("horizon", "log")), 0.0, 1.0)
+        return replace(
+            base,
             gamma_exp=float(entry["p"]),
             delta_exp=float(entry["q"]),
-            gamma_scale=float(entry.get("gamma0", 1.0)),
-            delta_scale=float(entry.get("delta0", 0.25 * min_safety_radius(game))),
-            horizon_mode=str(entry.get("horizon", "log")),
+            gamma_scale=float(entry.get("gamma0", base.gamma_scale)),
+            delta_scale=float(entry.get("delta0", base.delta_scale)),
             horizon_param=float(entry["T0"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid entry {entry!r}: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ import math
 import operator
 import pathlib
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,16 +119,6 @@ class Schedule:
             return int(math.ceil(self.horizon_param * math.log(t + 2))) + 1
         return int(math.ceil((t + 1) ** self.horizon_param)) + 1
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_exp": self.gamma_exp,
-            "delta_exp": self.delta_exp,
-            "gamma_scale": self.gamma_scale,
-            "delta_scale": self.delta_scale,
-            "horizon_mode": self.horizon_mode,
-            "horizon_param": self.horizon_param,
-        }
-
 
 def min_safety_radius(game: StochasticGame) -> float:
     active = active_players(game)
@@ -150,34 +140,39 @@ def certified_tau(cert: MixingCertificate) -> float:
     return cert.tau
 
 
+def _preset_schedule(
+    game: StochasticGame, horizon_mode: str, tau: float | None, gamma_scale: float
+) -> Schedule:
+    """Exponents (1, 1/3), query scale a quarter of the tightest safety
+    radius, and the mode's window parameter: twice the mixing constant tau
+    (the certified one when tau is None) in log mode, 1/2 in power mode."""
+    if horizon_mode == "log":
+        if tau is None:
+            tau = certified_tau(game.mixing_certificate)
+        horizon_param = 2.0 * tau
+    else:
+        horizon_param = 0.5
+    return Schedule(
+        gamma_exp=1.0,
+        delta_exp=1.0 / 3.0,
+        gamma_scale=gamma_scale,
+        delta_scale=0.25 * min_safety_radius(game),
+        horizon_mode=horizon_mode,
+        horizon_param=horizon_param,
+    )
+
+
 def default_schedule(
     game: StochasticGame, tau: float | None = None, gamma_scale: float = 1.0
 ) -> Schedule:
-    """Exponents (1, 1/3), query scale a quarter of the tightest safety
-    radius, and a log window twice the certified mixing constant."""
-    if tau is None:
-        tau = certified_tau(game.mixing_certificate)
-    return Schedule(
-        gamma_exp=1.0,
-        delta_exp=1.0 / 3.0,
-        gamma_scale=gamma_scale,
-        delta_scale=0.25 * min_safety_radius(game),
-        horizon_mode="log",
-        horizon_param=2.0 * tau,
-    )
+    """The preset with a log window twice the (certified) mixing constant."""
+    return _preset_schedule(game, "log", tau, gamma_scale)
 
 
 def sqrt_horizon_schedule(game: StochasticGame, gamma_scale: float = 1.0) -> Schedule:
-    """Preset with exponents (1, 1/3) and window ceil(sqrt(t+1)) + 1, usable
-    when the mixing constant is unknown."""
-    return Schedule(
-        gamma_exp=1.0,
-        delta_exp=1.0 / 3.0,
-        gamma_scale=gamma_scale,
-        delta_scale=0.25 * min_safety_radius(game),
-        horizon_mode="power",
-        horizon_param=0.5,
-    )
+    """The preset with window ceil(sqrt(t+1)) + 1, usable when the mixing
+    constant is unknown."""
+    return _preset_schedule(game, "power", None, gamma_scale)
 
 
 SCHEDULE_PRESETS = ("default", "sqrt-horizon")
@@ -188,7 +183,6 @@ class ScheduleReport:
     """Pass/fail record of the summability conditions a schedule must meet."""
 
     conditions: dict
-    notes: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -201,10 +195,11 @@ def validate_schedule(schedule: Schedule, tau: float) -> ScheduleReport:
     The five requirements: both step sequences vanish, the step sizes still
     sum to infinity, gamma * delta is summable, (gamma/delta)^2 is summable,
     and the window term (gamma/delta) * e^(-T/tau) is summable. Failing
-    schedules are reported, never rejected.
+    schedules are reported, never rejected. A power window decays the bias
+    term faster than any polynomial; an instantly mixing chain (tau 0) has
+    none; a chain with no finite certified tau fails the window condition.
     """
     p, q = schedule.gamma_exp, schedule.delta_exp
-    notes: list[str] = []
     conditions = {
         "vanishing_steps": p > 0 and q > 0,
         "infinite_travel": p <= 1,
@@ -213,19 +208,15 @@ def validate_schedule(schedule: Schedule, tau: float) -> ScheduleReport:
     }
     if schedule.horizon_mode == "power":
         conditions["horizon_term_summable"] = schedule.horizon_param > 0
-        if schedule.horizon_param > 0:
-            notes.append("power window decays the bias term faster than any polynomial")
     elif tau <= 0.0:
         conditions["horizon_term_summable"] = True
-        notes.append("chain mixes instantly; the window bias term is zero")
     elif not math.isfinite(tau):
         conditions["horizon_term_summable"] = False
-        notes.append("no finite mixing constant certified")
     else:
         conditions["horizon_term_summable"] = (
             p - q + schedule.horizon_param / tau > 1.0
         )
-    return ScheduleReport(conditions, tuple(notes))
+    return ScheduleReport(conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +263,17 @@ class StepDiagnostics:
     payoffs: np.ndarray
     estimate_norms: np.ndarray
     values: np.ndarray | None
-    fenchel: float | None
     fenchel_per_player: np.ndarray | None
     nash_gaps: np.ndarray | None
     dist_to_ref: np.ndarray | None
     decomposition: StepDecomposition | None
+
+    @property
+    def fenchel(self) -> float | None:
+        """Fenchel coupling of the whole profile: the per-player sum."""
+        if self.fenchel_per_player is None:
+            return None
+        return float(self.fenchel_per_player.sum())
 
     @property
     def profile_dist(self) -> float | None:
@@ -329,7 +326,7 @@ class RunLog:
                 for i, cells in enumerate(zip(*(_cells(a, n) for a in per_player))):
                     writer.writerow([*head, i, *cells])
         sidecar = {
-            "schedule": self.schedule.to_dict(),
+            "schedule": asdict(self.schedule),
             "seed": self.seed,
             "mirror": self.mirror_kind,
             "game_hash": self.game_digest,
@@ -452,35 +449,31 @@ def _mirror_batch(reg: Regularizer, y: np.ndarray) -> np.ndarray:
         raise _tagged(exc, int(np.argmin(finite)))
 
 
-def _checkpoint_oracle(game, regularizer, reference, blocks, scores, compute_gaps, t):
-    """Exact values, Nash gaps, Fenchel coupling and distance to the
-    reference of one seed's profile; the oracle parts are None (with a
-    warning) when the induced chain is not ergodic."""
+def _checkpoint_oracle(game, regularizer, reference, blocks, scores, t):
+    """Exact values, Nash gaps, per-player Fenchel couplings and distances
+    to the reference of one seed's profile; the oracle parts are None (with
+    a warning) when the induced chain is not ergodic."""
     policy = PolicyProfile(blocks)
     values = gaps = None
     try:
-        if compute_gaps:
-            report = nash_gap(game, policy)
-            values, gaps = report.values, report.gaps
-        else:
-            values = exact_value(game, policy).values
+        report = nash_gap(game, policy)
+        values, gaps = report.values, report.gaps
     except ErgodicityError as exc:
         warnings.warn(f"checkpoint oracle skipped at t={t}: {exc}")
-        if compute_gaps:  # a best response can fail where the value does not
-            with contextlib.suppress(ErgodicityError):
-                values = exact_value(game, policy).values
-    fen_total = fen_pp = dist = None
+        # a best response can fail where the value does not
+        with contextlib.suppress(ErgodicityError):
+            values = exact_value(game, policy).values
+    fen_pp = dist = None
     if reference is not None:
         # the terms of fenchel_coupling's value, without its Bregman cross-check
         fen_pp = _coupling_terms(regularizer, reference, scores)[0]
-        fen_total = float(fen_pp.sum())
         dist = np.array(
             [
                 float(np.linalg.norm(policy.probs[i] - reference.probs[i]))
                 for i in range(game.n_players)
             ]
         )
-    return values, gaps, fen_total, fen_pp, dist
+    return values, gaps, fen_pp, dist
 
 
 def run_batch(
@@ -496,7 +489,6 @@ def run_batch(
     init_policy: PolicyProfile | None = None,
     out_dirs=None,
     decomposition_draws: int = 256,
-    compute_gaps: bool = True,
 ) -> list[RunLog]:
     """Run the bandit learner for `iters` outer iterations, once per seed.
 
@@ -671,9 +663,9 @@ def run_batch(
         if checkpoint:
             for b, log in enumerate(logs):
                 try:
-                    values, gaps, fen_total, fen_pp, dist = _checkpoint_oracle(
+                    values, gaps, fen_pp, dist = _checkpoint_oracle(
                         game, regularizer, reference, tuple(blocks_of(policy, b)),
-                        blocks_of(scores, b), compute_gaps, t,
+                        blocks_of(scores, b), t,
                     )
                 except Exception as exc:
                     raise _tagged(exc, b)
@@ -686,7 +678,6 @@ def run_batch(
                         payoffs=payoffs[b].copy(),
                         estimate_norms=est_norms[b].copy(),
                         values=values,
-                        fenchel=fen_total,
                         fenchel_per_player=fen_pp,
                         nash_gaps=gaps,
                         dist_to_ref=dist,
@@ -715,9 +706,7 @@ class HorizonBiasReport:
     """Measured one-step value-sample bias against the mixing bound."""
 
     horizon: int
-    n_draws: int
     mean: np.ndarray
-    exact: np.ndarray
     bias: np.ndarray
     bound: np.ndarray
     stderr: np.ndarray
@@ -770,9 +759,7 @@ def horizon_bias_check(
     )
     return HorizonBiasReport(
         horizon=horizon,
-        n_draws=n_draws,
         mean=mean,
-        exact=exact,
         bias=np.abs(mean - exact),
         bound=bound,
         stderr=stderr,

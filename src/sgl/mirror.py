@@ -71,7 +71,6 @@ class FenchelReport:
     """
 
     value: float
-    per_player: np.ndarray
     conjugate: float
     mirrored: PolicyProfile
     bregman: float | None
@@ -186,7 +185,6 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
             )
     return FenchelReport(
         value=float(per_player.sum()),
-        per_player=per_player,
         conjugate=sum(conj),
         mirrored=mirrored,
         bregman=bregman,

@@ -276,10 +276,7 @@ class BiasProbe:
     """Monte Carlo estimate of the smoothing bias of the estimator."""
 
     value: float
-    per_player: tuple[np.ndarray, ...]
     stderr: float
-    n_draws: int
-    delta: float
 
 
 def smoothed_gradient_estimate(
@@ -374,13 +371,9 @@ def bias_probe(
     rng = np.random.default_rng(rng)
     means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
     exact = [reduced_from_full(b) for b in exact_gradient(game, policy).blocks]
-    diffs = tuple(m - e for m, e in zip(means, exact))
-    finite = [np.abs(d).max() for d in diffs if d.size]
+    finite = [np.abs(m - e).max() for m, e in zip(means, exact) if m.size]
     err = [s.max() for s in stderrs if s.size]
     return BiasProbe(
         value=float(max(finite)) if finite else 0.0,
-        per_player=diffs,
         stderr=float(max(err)) if err else 0.0,
-        n_draws=n_draws,
-        delta=delta,
     )

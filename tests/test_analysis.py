@@ -537,10 +537,10 @@ class TestLipschitzProbe:
         assert lipschitz_probe(zero, n_pairs=20, rng=0) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_pair_is_degenerate(self):
-        game = random_game(2)
-        policy = uniform_profile(game)
+        # with one action per player every sampled pair is identical
+        game = mixed_action_game(2, n_actions=(1, 1))
         with pytest.raises(DomainError, match="degenerate pair"):
-            lipschitz_probe(game, pairs=[(policy, policy)])
+            lipschitz_probe(game, n_pairs=3, rng=0)
 
     def test_single_state_grid_oracle(self):
         # brute-force the ratio over a 50x50 grid of profiles; the random

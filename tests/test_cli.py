@@ -165,6 +165,45 @@ class TestLearn:
         assert ts == sorted(ts)
         assert set(ts) == {100, 200, 300}
 
+    def test_sqrt_horizon_preset_takes_overrides(self, tmp_path, capsys):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        out_dir = tmp_path / "run"
+        code = main(
+            [
+                "learn", "--game", str(game_path), "--iters", "10", "--log-every", "5",
+                "--preset", "sqrt-horizon", "--gamma-exp", "0.9", "--delta-scale", "0.05",
+                "--horizon-param", "0.7", "--out", str(out_dir),
+            ]
+        )
+        assert code == 0
+        schedule = json.loads((out_dir / "run.json").read_text())["schedule"]
+        assert schedule == {
+            "gamma_exp": 0.9,
+            "delta_exp": 1 / 3,
+            "gamma_scale": 1.0,
+            "delta_scale": 0.05,
+            "horizon_mode": "power",
+            "horizon_param": 0.7,
+        }
+
+    def test_power_horizon_defaults_to_square_root_window(self, tmp_path, capsys):
+        # a 3-state game that keeps its state with probability 0.9: its
+        # certified tau (about 15.5) must not become a power-window exponent
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=3, seed=7))
+        transitions = 0.9 * np.eye(3)[:, None, :] + 0.1 * game.transitions
+        game_path = tmp_path / "sticky.json"
+        save_game(StochasticGame(3, (2, 2), game.rewards, transitions), game_path)
+        out_dir = tmp_path / "run"
+        argv = [
+            "learn", "--game", str(game_path), "--iters", "6", "--log-every", "3",
+            "--horizon", "power", "--out", str(out_dir),
+        ]
+        assert main(argv) == 0
+        schedule = json.loads((out_dir / "run.json").read_text())["schedule"]
+        assert schedule["horizon_mode"] == "power"
+        assert schedule["horizon_param"] == 0.5
+
     def test_schedule_warning_on_bad_exponents(self, tmp_path, capsys):
         game = generate(GeneratorSpec(kind="matching-pennies"))
         game_path = tmp_path / "mp.json"
@@ -286,6 +325,35 @@ class TestSweepCommand:
             "grid": [{"p": 1.0, "q": 1 / 3, "horizon": "log", "T0": 0.0}],
             "seeds": [0, 1],
             "iters": 10,
+            key: value,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(cfg_path)]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("game", 3, "'game' must be a string"),
+            ("ref", 3, "'ref' must be a string"),
+            ("out", 3, "'out' must be a string"),
+            ("grid", 3, "'grid' must be a list"),
+            ("grid", [3], "bad grid entry 3"),
+            ("seeds", 3, "'seeds' must be a list"),
+            ("seeds", ["x"], "seeds must be a list of integers"),
+            ("seeds", [1.5], "seeds must be a list of integers"),
+        ],
+    )
+    def test_mistyped_config_exits_one(self, tmp_path, capsys, key, value, message):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        cfg = {
+            "game": str(game_path),
+            "grid": [{"p": 1.0, "q": 1 / 3, "horizon": "log", "T0": 0.0}],
+            "seeds": [0, 1],
+            "iters": 10,
+            "log_every": 5,
             key: value,
         }
         cfg_path = tmp_path / "sweep.json"

@@ -318,6 +318,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="missing key"):
             load_sweep_config(cfg_path)
 
+    def test_config_must_be_an_object(self, tmp_path):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text("3")
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_sweep_config(cfg_path)
+
     def test_grid_entry_parsing(self):
         game = self.make_game()
         sch = schedule_from_grid_entry(

@@ -17,7 +17,7 @@ from sgl.games import (
     random_profile,
     uniform_profile,
 )
-from sgl.generators import GeneratorSpec, generate
+from sgl.generators import GeneratorSpec, generate, schedule_from_grid_entry
 from sgl.learner import (
     CSV_COLUMNS,
     Schedule,
@@ -136,6 +136,45 @@ class TestSchedule:
         sqrt_sch = sqrt_horizon_schedule(game)
         assert sqrt_sch.horizon_mode == "power"
         assert sqrt_sch.horizon(3) == 3  # ceil(sqrt(4)) + 1
+
+    def test_presets_and_grid_entries_keep_their_fields(self):
+        # every field of each built schedule, pinned
+        third = 0.3333333333333333
+        mp = generate(GeneratorSpec(kind="matching-pennies"))
+        mixed = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_actions=(2, 3), seed=4)
+        )
+        r = 0.05892556509887895  # a quarter of mixed's safety radius
+        log_entry = {"p": 1.0, "q": 0.25, "T0": 2.0}
+        power_entry = {
+            "p": 0.9, "q": 0.3, "horizon": "power", "T0": 0.5, "gamma0": 0.5, "delta0": 0.01
+        }
+        cases = [
+            (default_schedule(mp), Schedule(1.0, third, 1.0, 0.125, "log", 0.0)),
+            (
+                default_schedule(mp, tau=1.5, gamma_scale=0.25),
+                Schedule(1.0, third, 0.25, 0.125, "log", 3.0),
+            ),
+            (sqrt_horizon_schedule(mp), Schedule(1.0, third, 1.0, 0.125, "power", 0.5)),
+            (
+                schedule_from_grid_entry(log_entry, mp),
+                Schedule(1.0, 0.25, 1.0, 0.125, "log", 2.0),
+            ),
+            (default_schedule(mixed), Schedule(1.0, third, 1.0, r, "log", 2.1541018422087155)),
+            (
+                sqrt_horizon_schedule(mixed, gamma_scale=0.5),
+                Schedule(1.0, third, 0.5, r, "power", 0.5),
+            ),
+            (schedule_from_grid_entry(log_entry, mixed), Schedule(1.0, 0.25, 1.0, r, "log", 2.0)),
+            (
+                schedule_from_grid_entry(power_entry, mixed),
+                Schedule(0.9, 0.3, 0.5, 0.01, "power", 0.5),
+            ),
+        ]
+        # repr per field: an int 1 in place of 1.0 would change run.json's bytes
+        for built, literal in cases:
+            for name in Schedule.__dataclass_fields__:
+                assert repr(getattr(built, name)) == repr(getattr(literal, name)), name
 
 
 class TestMixingCertificate:
@@ -693,7 +732,7 @@ class TestVariationallyStableConvergence:
         for seed in range(5):
             log = run(
                 game, sch, ENTROPY, 25_000, seed=seed, reference=star,
-                log_every=500, compute_gaps=False,
+                log_every=500,
             )
             diags = log.diagnostics
             early.append(diags[1].profile_dist)
