@@ -15,11 +15,16 @@ game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
 The log_every=1 rows run the checkpoint oracle (value, Nash gap and
 Fenchel coupling to the uniform reference) after every one of 100
 iterations, on both zero-sum games and on the (3, 3, 3) game. Each is one
-run_batch call. The window rows time the last stage of B windows of H + 1
-stages on the mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000,
-8): once as one games._window_ends call with its array kernel forced and
-once as B scalar games._walk calls; from them the change side's crossover,
-the stage-rows B * (H + 1) at which the two cost the same, is recorded.
+run_batch call. Every learner row also records, per side, the cProfile
+count of Python and C function calls of one such call divided by its
+iterations (calls_per_iter) and by its seed-iterations
+(calls_per_seed_iter); unlike the times, the counts do not move with the
+host. The window rows time the last stage of B windows of H + 1 stages on
+the mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
+games._window_ends call: once with its array kernel forced (the
+_window_ends rows) and once with every window walked by the scalar
+games._walk (the _walk rows); from them the change side's crossover, the
+stage-rows B * (H + 1) at which the two cost the same, is recorded.
 With --baseline REV the same timings are also taken on that git revision's
 src/ (exported with git archive) and every row holds both sides. Each
 operation and size is timed in fresh interpreters, a few rounds per side
@@ -36,11 +41,14 @@ loads.
 
 import argparse
 import ast
+import cProfile
 import io
 import json
+import math
 import os
 import pathlib
 import platform
+import pstats
 import subprocess
 import sys
 import tarfile
@@ -154,7 +162,8 @@ def measure(src: pathlib.Path, op: str, size: str) -> dict:
 
 
 def _time_learner(op: str, kind: str) -> dict:
-    """Microseconds per seed-iteration of one learner call over B seeds:
+    """Microseconds per seed-iteration of one learner call over B seeds, and
+    the call's profiled function calls per iteration and per seed-iteration:
     op is learner[B=b] (log_every=1000) or learner[B=b,log_every=1]."""
     from sgl import games, generators, learner, mirror
 
@@ -178,6 +187,11 @@ def _time_learner(op: str, kind: str) -> dict:
     timed = _time(lambda: learner.run_batch(game, schedule, reg, iters, seeds, **options))
     per_call = iters * len(seeds)
     timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
+    profile = cProfile.Profile()
+    profile.runcall(learner.run_batch, game, schedule, reg, iters, seeds, **options)
+    calls = pstats.Stats(profile).total_calls
+    timed["calls_per_iter"] = calls / iters
+    timed["calls_per_seed_iter"] = calls / per_call
     return timed
 
 
@@ -190,10 +204,10 @@ def _mixing_window_game():
 
 
 def _time_window(op: str) -> dict:
-    """Microseconds for the last stage of B windows of H + 1 stages from
-    state 0, each row with its own random profile: op is
-    _window_ends[B=b,H=h] (one call, with the array kernel forced) or
-    _walk[B=b,H=h] (b scalar walks over all CDF columns but the last)."""
+    """Microseconds of one games._window_ends call for the last stage of B
+    windows of H + 1 stages from state 0, each row with its own random
+    profile: op is _window_ends[B=b,H=h] (the array kernel forced) or
+    _walk[B=b,H=h] (every window walked by the scalar _walk)."""
     from sgl import games
 
     name, _, shape = op.partition("[B=")
@@ -205,20 +219,10 @@ def _time_window(op: str) -> dict:
         for blocks in zip(*(games.random_profile(game, rng, 0.3).probs for _ in range(batch)))
     ]
     u = rng.random((batch, height + 1, game.n_players + 1))
-    if name == "_window_ends":
-        games._KERNEL_STAGE_ROWS = 0
-        cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
-        starts = np.zeros(batch, dtype=int)
-        return _time(lambda: games._window_ends(game, cols, starts, u))
-    pol = [np.cumsum(b, axis=2)[..., :-1].tolist() for b in blocks]
-    trans = np.cumsum(game.transitions, axis=2)[..., :-1].tolist()
-    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
-
-    def walks():
-        for r in range(batch):
-            games._walk([c[r] for c in pol], trans, strides, 0, u[r].tolist())
-
-    return _time(walks)
+    cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
+    starts = [0] * batch
+    games._KERNEL_STAGE_ROWS = 0 if name == "_window_ends" else math.inf
+    return _time(lambda: games._window_ends(game, cols, starts, u))
 
 
 def _crossover(rows: list) -> dict:
@@ -344,6 +348,9 @@ def _row(sides: dict, op: str, size: str) -> dict:
     for side, timed in runs.items():
         samples = [s for t in timed for s in t["samples_us"]]
         row[side] = _summary(samples, timed[0]["calls_per_repeat"])
+        for key in ("calls_per_iter", "calls_per_seed_iter"):
+            if key in timed[0]:  # the same in every round
+                row[side][key] = timed[0][key]
     if "parent" in row:
         row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
     return row
@@ -409,6 +416,7 @@ def main(argv=None) -> int:
             "oracle_batches": ORACLE_BATCHES,
             "oracle_iters": ORACLE_ITERS,
             "unit": "us per seed-iteration",
+            "calls": "cProfile calls of one call / iters (calls_per_iter) and / (iters * B)",
         },
         "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
         "window_crossover": _crossover(rows),
@@ -417,6 +425,10 @@ def main(argv=None) -> int:
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for row in rows:
         cells = [f"{side} {row[side]['us_per_call']:10.1f} us" for side in sides]
+        cells += [
+            f"{side} {row[side]['calls_per_iter']:6.1f} calls/it"
+            for side in sides if "calls_per_iter" in row[side]
+        ]
         speed = f"  x{row['speedup']:.1f}" if "speedup" in row else ""
         print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")

@@ -27,7 +27,7 @@ _UNIT_EIG_TOL = 1e-9
 # pure-profile corners certification_sample enumerates; above it, it draws half as many
 _CORNER_CAP = 64
 # a window of rows * (horizon + 1) stage-rows at least this long is played
-# by _window_ends's array kernel, a shorter one by one scalar _walk per row
+# by _window_ends's array kernel, a shorter one by one scalar _walk call
 # (the kernel's fixed cost per call is that of about 120 scalar stages)
 _KERNEL_STAGE_ROWS = 120
 # (rows x states x stages) cells of the largest integer array _window_ends
@@ -137,11 +137,12 @@ class StochasticGame:
         """What rollout and _window_ends play stages from, built on first use
         and kept: the row-major joint-action strides, the (S, J, S - 1)
         next-state CDF columns but the last as an array and as nested lists,
-        and the (S, J, n_players) reward view."""
+        and the (S, J, n_players) rewards as a view and as nested lists."""
         strides = np.cumprod((self.n_actions + (1,))[::-1])[::-1][1:].tolist()
         cols = np.cumsum(self.transitions, axis=2)[..., :-1]
         cols.flags.writeable = False  # shared by every call, like transitions
-        return strides, cols, cols.tolist(), self.rewards.transpose(1, 2, 0)
+        rewards = self.rewards.transpose(1, 2, 0)
+        return strides, cols, cols.tolist(), rewards, rewards.tolist()
 
 
 def _stack_prefix(index, name: str) -> str:
@@ -464,26 +465,32 @@ def certification_sample(game, n_random: int = 8, rng=None):
 # simulation
 
 
-def _walk(pol_cols, trans_cols, strides, s, rows):
-    """Play one stage per row of uniforms from state s.
+def _walk(pols, trans_cols, strides, starts, windows, trace):
+    """Play windows of stages, window r from state starts[r] under policy
+    pols[r].
 
-    pol_cols[i][s] is player i's action CDF at state s and trans_cols[s][j]
+    pols[r][i][s] is player i's action CDF at state s and trans_cols[s][j]
     the next-state CDF after joint action j, as lists of all but the last
-    column. Each row holds one uniform per player, read against that
-    player's CDF, then one for the next state, as Python floats; an action
-    is the count of CDF columns <= u. Returns the (states, joints) lists of
-    the stages played and the state after the last one.
+    column. Each row of a window holds one uniform per player, read against
+    that player's CDF, then one for the next state, as Python floats; an
+    action is the count of CDF columns <= u. Unless trace is None, every
+    stage's state and joint action are appended to the lists trace[0] and
+    trace[1]. Returns one (state, joint action, next state) tuple per
+    window, for its last stage.
     """
-    players = range(len(pol_cols))
-    states, joints = [], []
-    for row in rows:
-        joint = 0
-        for i in players:
-            joint += strides[i] * bisect_right(pol_cols[i][s], row[i])
-        states.append(s)
-        joints.append(joint)
-        s = bisect_right(trans_cols[s][joint], row[-1])
-    return states, joints, s
+    players = range(len(strides))
+    ends = []
+    for pol, s, rows in zip(pols, starts, windows):
+        for row in rows:
+            joint = 0
+            for i in players:
+                joint += strides[i] * bisect_right(pol[i][s], row[i])
+            if trace is not None:
+                trace[0].append(s)
+                trace[1].append(joint)
+            last, s = s, bisect_right(trans_cols[s][joint], row[-1])
+        ends.append((last, joint, s))
+    return ends
 
 
 def _stage_maps(pol_cols, trans_cols, strides, u):
@@ -530,23 +537,19 @@ def _window_ends(game, pol_cols, starts, u):
     Python ints; u the (rows, H + 1, n + 1) uniforms, one row of n + 1 per
     stage. The game's _stage_tables give the rest. Fewer than
     _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are played by one scalar
-    _walk per row. Otherwise every stage is played from every state at once,
-    and each start state follows the first H stage maps by pointer doubling:
-    log2(H) rounds of integer gathers; many rows of a many-state game are
-    instead stepped one stage at a time (_step_rows). All three give the
-    same bits. Returns the (rows, n_players) payoffs of the last stage and
+    _walk over every row. Otherwise every stage is played from every state
+    at once, and each start state follows the first H stage maps by pointer
+    doubling: log2(H) rounds of integer gathers; many rows of a many-state
+    game are instead stepped one stage at a time (_step_rows). All three
+    give the same bits. Returns the (rows, n_players) payoffs of the last stage and
     the states after it, as a list of Python ints.
     """
-    strides, trans_cols, trans_lists, rewards = game._stage_tables
+    strides, trans_cols, trans_lists, rewards, reward_lists = game._stage_tables
     rows, n_states = len(u), game.n_states
     if rows * u.shape[1] < _KERNEL_STAGE_ROWS:
-        pol = [cols.tolist() for cols in pol_cols]
-        ends = []
-        for r, (s, stages) in enumerate(zip(starts, u.tolist())):
-            states, joints, s = _walk([cols[r] for cols in pol], trans_lists, strides, s, stages)
-            ends.append((states[-1], joints[-1], s))
-        states, joints, after = map(list, zip(*ends))
-        return rewards[states, joints], after
+        pols = zip(*[cols.tolist() for cols in pol_cols])
+        ends = _walk(pols, trans_lists, strides, starts, u.tolist(), None)
+        return np.array([reward_lists[s][j] for s, j, _ in ends]), [s for _, _, s in ends]
     row, state = np.arange(rows), np.asarray(starts)
     columns = trans_cols.shape[2] + sum(cols.shape[-1] for cols in pol_cols)
     if rows * n_states * columns > _STAGE_MAP_CELLS:
@@ -592,8 +595,9 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     u = rng.random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
-    strides, _, trans_lists, rewards = game._stage_tables
-    states, joints, _ = _walk(pol_cols, trans_lists, strides, start_state, rows)
+    strides, _, trans_lists, rewards, _ = game._stage_tables
+    states, joints = [], []
+    _walk([pol_cols], trans_lists, strides, [start_state], [rows], (states, joints))
     states, joints = np.array(states), np.array(joints)
     return states, game.action_table[joints], rewards[states, joints]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import pathlib
 from dataclasses import asdict, dataclass, field, replace
@@ -371,16 +372,23 @@ def load_sweep_config(path) -> dict:
 def schedule_from_grid_entry(entry: dict, game: StochasticGame) -> Schedule:
     """The grid entry's exponents p, q and window parameter T0 over the
     preset of its horizon mode (default log), whose scales gamma0 and
-    delta0 override."""
+    delta0 override. Each of the five is a JSON number: a string or a bool
+    is a ConfigError, not converted."""
+
+    def real(key, value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"bad grid entry {entry!r}: {key!r} must be a number, not {value!r}")
+        return float(value)
+
     try:
         base = _preset_schedule(game, str(entry.get("horizon", "log")), 0.0, 1.0)
         return replace(
             base,
-            gamma_exp=float(entry["p"]),
-            delta_exp=float(entry["q"]),
-            gamma_scale=float(entry.get("gamma0", base.gamma_scale)),
-            delta_scale=float(entry.get("delta0", base.delta_scale)),
-            horizon_param=float(entry["T0"]),
+            gamma_exp=real("p", entry["p"]),
+            delta_exp=real("q", entry["q"]),
+            gamma_scale=real("gamma0", entry.get("gamma0", base.gamma_scale)),
+            delta_scale=real("delta0", entry.get("delta0", base.delta_scale)),
+            horizon_param=real("T0", entry["T0"]),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid entry {entry!r}: {exc}") from exc

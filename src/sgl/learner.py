@@ -50,13 +50,16 @@ from .spsa import (
     reduced_dim,
     reduced_from_full,
     smoothed_gradient_estimate,
-    _complete,
     _one_point,
     _perturb,
     _reread_sphere_stream,
     _sphere_norms,
     _tangent,
 )
+
+# largest (seeds, H + 1, players + 1) float array of window uniforms a run
+# may need; run_batch refuses a run whose last window would need more
+MAX_WINDOW_BYTES = 1 << 30
 
 CSV_COLUMNS = (
     "t",
@@ -507,8 +510,10 @@ def run_batch(
     Seed s reads its own np.random.default_rng(s) in the order a run of it
     alone does, so its RunLog has the same bits alone or in any batch.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
-    An error raised for one seed carries the seed's position in `seeds` as
-    its seed_index attribute.
+    A run whose last window overflows, or whose uniforms would take more
+    than MAX_WINDOW_BYTES, is refused with ScheduleError before its first
+    iteration. An error raised for one seed carries the seed's position in
+    `seeds` as its seed_index attribute.
     """
     try:  # a float count fails instead of being truncated
         iters, log_every = operator.index(iters), operator.index(log_every)
@@ -525,6 +530,18 @@ def run_batch(
         raise DomainError("run_batch needs at least one seed")
     if out_dirs is not None and len(out_dirs) != len(seeds):
         raise DomainError("out_dirs needs one directory per seed")
+    if iters:
+        # windows never shrink as t grows, so the last one is the longest
+        try:
+            longest = schedule.horizon(iters - 1)
+        except OverflowError:
+            raise ScheduleError(f"the window at t={iters - 1} overflows") from None
+        size = len(seeds) * (longest + 1) * (game.n_players + 1) * 8
+        if size > MAX_WINDOW_BYTES:
+            raise ScheduleError(
+                f"the window of {longest} stages at t={iters - 1} needs {size} bytes of "
+                f"uniforms for {len(seeds)} seeds, over the {MAX_WINDOW_BYTES}-byte cap"
+            )
     rngs = [np.random.default_rng(seed) for seed in seeds]
     radius_cap = 0.99 * min_safety_radius(game)
 
@@ -537,9 +554,12 @@ def run_batch(
     active_dims = [dims[i] for i in active]
     norm_cap = max(dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active)
 
-    # group k holds players lo..hi-1; raw holds each seed's sphere draw, the
-    # active players' reduced coordinates side by side, and segments[k] is
-    # an active group's (seeds, players, reduced dim) view of it
+    # group k holds players lo..hi-1 and cdf_cols[k] their played action-CDF
+    # columns but the last (none for single-action players); raw holds each
+    # seed's sphere draw, the active players' reduced coordinates side by
+    # side. Active group g is groups[g] = (k, lo, hi); segments[g] is its
+    # (seeds, players, reduced dim) view of raw and shaped[g] the same view
+    # shaped like the group's reduced policies.
     spans, lo = [], 0
     for _, members in itertools.groupby(n_actions):
         hi = lo + len(list(members))
@@ -547,12 +567,18 @@ def run_batch(
         lo = hi
     slots = [(k, i - lo) for k, (lo, hi) in enumerate(spans) for i in range(lo, hi)]
     raw = np.empty((n_batch, sum(dims)))
-    segments, start = {}, 0
+    cdf_cols = [np.empty((n_batch, hi - lo, n_states, n_actions[lo] - 1)) for lo, hi in spans]
+    groups, segments, shaped, start = [], [], [], 0
     for k, (lo, hi) in enumerate(spans):
         if lo in active:
             width = (hi - lo) * dims[lo]
-            segments[k] = raw[:, start:start + width].reshape(n_batch, hi - lo, dims[lo])
+            z = raw[:, start:start + width].reshape(n_batch, hi - lo, dims[lo])
+            groups.append((k, lo, hi))
+            segments.append(z)
+            shaped.append(z.reshape(cdf_cols[k].shape))
             start += width
+    raw_rows = list(raw)
+    pol_cols = [cdf_cols[k][:, j] for k, j in slots]
 
     init = _initial_scores(regularizer, game, init_policy)
     scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
@@ -573,63 +599,59 @@ def run_batch(
     ]
     states = [start_state] * n_batch
     clamped = 0
+    est_norms = np.zeros((n_batch, n_players))
+    uniforms = np.empty((n_batch, 0, n_players + 1))
 
     def blocks_of(arrays, b):
         return [arrays[k][b, j] for k, j in slots]
 
     for t in range(iters):
         gamma = schedule.gamma(t)
-        delta_raw = schedule.delta(t)
-        delta = min(delta_raw, radius_cap)
-        if delta < delta_raw:
+        delta = schedule.delta(t)
+        if delta > radius_cap:
+            delta = radius_cap
             clamped += 1
         horizon = schedule.horizon(t)
         checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
 
         # each seed's generator reads the normals of its sphere draws in the
         # order of a draw-by-draw, player-by-player loop
-        for b, rng in enumerate(rngs):
+        for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
             try:
-                rng.standard_normal(out=raw[b])
+                rng.standard_normal(out=row)
             except Exception as exc:
                 raise _tagged(exc, b)
-        norms = {k: _sphere_norms(z) for k, z in segments.items()}
-        if min(x.min() for x in norms.values()) <= SPHERE_FLOOR:  # practically never
-            for b in range(n_batch):
-                if any(x[b].min() <= SPHERE_FLOOR for x in norms.values()):
+        norms = [_sphere_norms(z) for z in segments]
+        if min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
+            for b in range(n_batch):  # practically never
+                if any(x[b].min() <= SPHERE_FLOOR for x in norms):
                     raw[b] = _reread_sphere_stream(rngs[b], raw[b], 1, active_dims)[0]
-            norms = {k: _sphere_norms(z) for k, z in segments.items()}
-        directions = {
-            k: (z / norms[k][..., None]).reshape(z.shape[:2] + reduced[k].shape[2:])
-            for k, z in segments.items()
-        }
+            norms = [_sphere_norms(z) for z in segments]
+        directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
 
-        played = list(policy)
-        for k in segments:
-            played[k] = _complete(_perturb(reduced[k], directions[k], delta, nets[spans[k][0]]))
-            np.maximum(played[k], 0.0, out=played[k])  # roundoff dust only
-        cdf = [p.cumsum(axis=-1) for p in played]
-        uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
-        for b, rng in enumerate(rngs):
+        for (k, lo, _), d in zip(groups, directions):
+            x = _perturb(reduced[k], d, delta, nets[lo])
+            np.maximum(x, 0.0, out=x)  # roundoff dust only
+            np.add.accumulate(x, axis=-1, out=cdf_cols[k])  # cumsum's ufunc
+        if uniforms.shape[1] != horizon + 1:
+            uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
+            u_rows = list(uniforms)
+        for b, (rng, row) in enumerate(zip(rngs, u_rows)):
             try:
-                rng.random(out=uniforms[b])
+                rng.random(out=row)
             except Exception as exc:
                 raise _tagged(exc, b)
-        payoffs, states = _window_ends(
-            game, [cdf[k][:, j, :, :-1] for k, j in slots], states, uniforms
-        )
+        payoffs, states = _window_ends(game, pol_cols, states, uniforms)
 
         decompositions = [None] * n_batch
         if checkpoint and oracle_mode:
+            drawn = {k: d for (k, _, _), d in zip(groups, directions)}
             for b, rng in enumerate(rngs):
                 try:
                     decompositions[b] = decompose_step(
                         game,
                         PolicyProfile(tuple(blocks_of(policy, b))),
-                        [
-                            directions[k][b, j].ravel() if k in directions else None
-                            for k, j in slots
-                        ],
+                        [drawn[k][b, j].ravel() if k in drawn else None for k, j in slots],
                         delta,
                         payoffs[b],
                         rng=rng,
@@ -640,13 +662,12 @@ def run_batch(
                 except Exception as exc:
                     raise _tagged(exc, b)
 
-        est_norms = np.zeros((n_batch, n_players))
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
-        for k in segments:
-            lo, hi = spans[k]
-            lifted = _tangent(_one_point(payoffs[:, lo:hi], directions[k], delta, dims[lo]))
-            norm = np.sqrt((lifted * lifted).reshape(n_batch, hi - lo, -1).sum(axis=-1))
-            if norm.max() > coeff_cap:
+        for (k, lo, hi), d in zip(groups, directions):
+            lifted = _tangent(_one_point(payoffs[:, lo:hi], d, delta, dims[lo]))
+            squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
+            norm = np.sqrt(np.add.reduce(squares, axis=-1))
+            if np.maximum.reduce(norm, axis=None) > coeff_cap:
                 b, j = np.argwhere(norm > coeff_cap)[0]
                 raise _tagged(
                     RuntimeError(

@@ -89,9 +89,10 @@ class BoundCheck:
 
 
 def softmax_rows(y: np.ndarray) -> np.ndarray:
-    shifted = y - y.max(axis=1, keepdims=True)
+    # the ufunc reductions behind y.max and e.sum, called directly
+    shifted = y - np.maximum.reduce(y, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -113,7 +114,7 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    if not np.isfinite(y).all():
+    if not np.logical_and.reduce(np.isfinite(y), axis=None):
         raise DomainError("dual scores must be finite")
     if reg.kind == ENTROPY:
         return softmax_rows(y)

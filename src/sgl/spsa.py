@@ -104,10 +104,7 @@ class Lifting:
 def _tangent(x: np.ndarray) -> np.ndarray:
     """Lift reduced vectors x (..., m-1) to simplex-tangent (..., m) tensors:
     the last action coordinate is minus the sum of the others."""
-    out = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
-    out[..., :-1] = x
-    out[..., -1] = -x.sum(axis=-1)
-    return out
+    return np.concatenate((x, -np.add.reduce(x, axis=-1, keepdims=True)), axis=-1)
 
 
 def lifting_for(n_states: int, n_actions: int) -> Lifting:

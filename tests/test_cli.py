@@ -204,6 +204,20 @@ class TestLearn:
         assert schedule["horizon_mode"] == "power"
         assert schedule["horizon_param"] == 0.5
 
+    @pytest.mark.parametrize("iters, message", [("2", "byte cap"), ("10000000000", "overflows")])
+    def test_oversized_power_window_exits_one(self, tmp_path, capsys, iters, message):
+        # a window of 2**31 + 1 stages at t = 1 asked numpy for 48 GiB and
+        # exited 2; the run is now refused before its first iteration
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        argv = [
+            "learn", "--game", str(game_path), "--iters", iters,
+            "--horizon", "power", "--horizon-param", "31",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_schedule_warning_on_bad_exponents(self, tmp_path, capsys):
         game = generate(GeneratorSpec(kind="matching-pennies"))
         game_path = tmp_path / "mp.json"
@@ -343,6 +357,11 @@ class TestSweepCommand:
             ("seeds", 3, "'seeds' must be a list"),
             ("seeds", ["x"], "seeds must be a list of integers"),
             ("seeds", [1.5], "seeds must be a list of integers"),
+            ("grid", [{"p": "1.0", "q": True, "T0": "0"}], "'p' must be a number, not '1.0'"),
+            ("grid", [{"p": 1.0, "q": True, "T0": 0.0}], "'q' must be a number, not True"),
+            ("grid", [{"p": 1, "q": 0.3, "T0": "0"}], "'T0' must be a number, not '0'"),
+            ("grid", [{"p": 1, "q": 0.3, "T0": 0, "gamma0": "1"}], "'gamma0' must be a number"),
+            ("grid", [{"p": 1, "q": 0.3, "T0": 0, "delta0": False}], "'delta0' must be a number"),
         ],
     )
     def test_mistyped_config_exits_one(self, tmp_path, capsys, key, value, message):

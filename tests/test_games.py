@@ -457,21 +457,22 @@ class TestWindowEnds:
         assert payoffs.shape == (rows, n)
         assert all(type(x) is int for x in after)
         for r in range(rows):
-            states, joints, end = games._walk(
-                [c[r].tolist() for c in pol_cols], trans_cols.tolist(), strides,
-                starts[r], u[r].tolist(),
+            [(last, joint, end)] = games._walk(
+                [[c[r].tolist() for c in pol_cols]], trans_cols.tolist(), strides,
+                [starts[r]], [u[r].tolist()], None,
             )
-            assert np.array_equal(payoffs[r], rewards[:, states[-1], joints[-1]])
+            assert np.array_equal(payoffs[r], rewards[:, last, joint])
             assert after[r] == end
 
     def test_stage_tables_are_the_per_row_cumsums(self):
         game = small_random_game(3, n_states=3, n_players=2, n_actions=3)
-        strides, cols, col_lists, rewards = game._stage_tables
+        strides, cols, col_lists, rewards, reward_lists = game._stage_tables
         rows = [[np.cumsum(row).tolist() for row in game.transitions[s]] for s in range(3)]
         assert np.array_equal(cols, np.array(rows)[..., :-1])
         assert col_lists == cols.tolist()
         assert strides == [3, 1]
         assert np.array_equal(rewards, np.moveaxis(game.rewards, 0, -1))
+        assert reward_lists == game.rewards.transpose(1, 2, 0).tolist()
         assert game._stage_tables is game._stage_tables  # built once per game
 
 

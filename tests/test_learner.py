@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgl import games
+from sgl import games, learner
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ScheduleError
 from sgl.games import (
@@ -460,6 +460,29 @@ class TestRunBatch:
         assert type(log.log_every) is int and type(log.iters) is int
         for name in ("run.csv", "run.json"):
             assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+    def test_overflowing_window_is_refused(self):
+        # (t + 1) ** 31.0 overflows a float at the last iteration, t = 10**10 - 1
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = Schedule(1.0, 1.0 / 3.0, horizon_mode="power", horizon_param=31.0)
+        with pytest.raises(ScheduleError, match="overflows"):
+            run_batch(game, sch, ENTROPY, 10**10, [0])
+
+    def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
+        # the 2**31 + 1 stages of t = 1 would take 48 GiB of uniforms; the run
+        # is refused before its first iteration allocates any
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = Schedule(1.0, 1.0 / 3.0, horizon_mode="power", horizon_param=31.0)
+        with pytest.raises(ScheduleError, match="byte cap"):
+            run_batch(game, sch, ENTROPY, 2, [0])
+        # the cap covers the whole batch: two seeds of 2-stage windows (tau 0)
+        # with a uniform per player and one for the next state
+        sch = default_schedule(game)
+        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8)
+        assert len(run_batch(game, sch, ENTROPY, 5, [0, 1])) == 2
+        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8 - 1)
+        with pytest.raises(ScheduleError, match="byte cap"):
+            run_batch(game, sch, ENTROPY, 5, [0, 1])
 
     def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
         # a slow-mixing 3-state game has windows of 25-150 stages; the
