@@ -14,11 +14,14 @@ whose windows are 2 stages, and on perfbench's slow-mixing mixing-window
 game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
 The log_every=1 rows run the checkpoint oracle (value, Nash gap and
 Fenchel coupling to the uniform reference) after every one of 100
-iterations, on both zero-sum games and on the (3, 3, 3) game. Each is one
-run_batch call. Every learner row also records, per side, the cProfile
-count of Python and C function calls of one such call divided by its
-iterations (calls_per_iter) and by its seed-iterations
-(calls_per_seed_iter); unlike the times, the counts do not move with the
+iterations, on both zero-sum games and on the (3, 3, 3) game. The
+learner[oracle_mode] row is perfbench's oracle-audit job on the (3, 3, 3)
+game: one seed, 40 iterations in oracle_mode with log_every=10 and 256
+decomposition draws, so each checkpoint adds the step decomposition to
+the oracle. Each is one run_batch call. Every learner row also records,
+per side, the cProfile count of Python and C function calls of one such
+call divided by its iterations (calls_per_iter) and by its
+seed-iterations (calls_per_seed_iter); unlike the times, the counts do not move with the
 host. The window rows time the last stage of B windows of H + 1 stages on
 the mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
 games._window_ends call: once with its array kernel forced (the
@@ -87,6 +90,8 @@ ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
 MIXING_SEED = 7  # perfbench mixing-window game seed
 LEARNER_ITERS = 1000  # outer iterations per seed and learner call
 ORACLE_ITERS = 100    # the same, with a checkpoint after every iteration
+ORACLE_MODE_ITERS = 40  # iterations of the oracle_mode row (perfbench oracle-audit)
+ORACLE_MODE_EVERY = 10  # and its iterations per checkpoint
 ROUNDS = 5           # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
@@ -164,10 +169,14 @@ def measure(src: pathlib.Path, op: str, size: str) -> dict:
 def _time_learner(op: str, kind: str) -> dict:
     """Microseconds per seed-iteration of one learner call over B seeds, and
     the call's profiled function calls per iteration and per seed-iteration:
-    op is learner[B=b] (log_every=1000) or learner[B=b,log_every=1]."""
+    op is learner[B=b] (log_every=1000), learner[B=b,log_every=1] or
+    learner[oracle_mode] (one seed, perfbench's oracle-audit job)."""
     from sgl import games, generators, learner, mirror
 
-    batch, _, every = op.removeprefix("learner[B=").removesuffix("]").partition(",")
+    if op == "learner[oracle_mode]":
+        batch, every = "1", "oracle_mode"
+    else:
+        batch, _, every = op.removeprefix("learner[B=").removesuffix("]").partition(",")
     seeds = list(range(int(batch)))
     if kind == "mixing-window":
         game = _mixing_window_game()
@@ -179,7 +188,15 @@ def _time_learner(op: str, kind: str) -> dict:
         game = generators.generate(generators.GeneratorSpec(kind=kind))
     schedule = learner.default_schedule(game)
     reg = mirror.make_regularizer("entropy")
-    if every:  # a checkpoint, with the Fenchel coupling, after every iteration
+    if every == "oracle_mode":  # a decomposition at every checkpoint
+        iters = ORACLE_MODE_ITERS
+        options = {
+            "log_every": ORACLE_MODE_EVERY,
+            "reference": games.uniform_profile(game),
+            "oracle_mode": True,
+            "decomposition_draws": STACK,
+        }
+    elif every:  # a checkpoint, with the Fenchel coupling, after every iteration
         iters = ORACLE_ITERS
         options = {"log_every": 1, "reference": games.uniform_profile(game)}
     else:
@@ -387,6 +404,7 @@ def main(argv=None) -> int:
             for kind, batches in ORACLE_BATCHES.items()
             for b in batches
         ]
+        rows.append(_row(sides, "learner[oracle_mode]", "3s3p3a"))
         rows += [
             _row(sides, f"{name}[B={b},H={h}]", "mixing-window")
             for b, h in WINDOWS
@@ -415,6 +433,10 @@ def main(argv=None) -> int:
             "log_every": 1000,
             "oracle_batches": ORACLE_BATCHES,
             "oracle_iters": ORACLE_ITERS,
+            "oracle_mode": {
+                "size": "3s3p3a", "iters": ORACLE_MODE_ITERS,
+                "log_every": ORACLE_MODE_EVERY, "draws": STACK, "seeds": 1,
+            },
             "unit": "us per seed-iteration",
             "calls": "cProfile calls of one call / iters (calls_per_iter) and / (iters * B)",
         },

@@ -144,6 +144,12 @@ class StochasticGame:
         rewards = self.rewards.transpose(1, 2, 0)
         return strides, cols, cols.tolist(), rewards, rewards.tolist()
 
+    @functools.cached_property
+    def _digest(self) -> str:
+        """game_hash's digest, computed on first use and kept."""
+        blob = json.dumps(game_to_dict(self), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
+
 
 def _stack_prefix(index, name: str) -> str:
     """'name=k, ' for an error in slice k of a stack, '' for a single item."""
@@ -330,12 +336,17 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
 
     P is one (S, S) matrix or a (B, S, S) stack, and the result has shape
     (S,) or (B, S); a 2-d P is the stack of one. The unit-circle eigenvalue
-    count screens for reducible or periodic chains, then one stacked solve
-    of the balance equations, with their last row replaced by the
-    normalization, gives every distribution. Raises ErgodicityError, naming
-    the failing check (and, for a stack, the slice), when a chain is not
-    ergodic; a singular solve, or a solution whose fixed-point residual
-    exceeds STATIONARY_TOL, is reported the same way.
+    count screens for reducible or periodic chains. It runs only on slices
+    whose Doeblin coefficient alpha = sum_t min_s P[s, t] is at most
+    2 * _UNIT_EIG_TOL: every eigenvalue of P but the unit one has modulus at
+    most 1 - alpha, so a slice with a larger alpha (a column positive in
+    every row) passes the count, with one tolerance of margin for rounding.
+    Then one stacked solve of the balance equations, with their last row
+    replaced by the normalization, gives every distribution. Raises
+    ErgodicityError, naming the failing check (and, for a stack, the
+    slice), when a chain is not ergodic; a singular solve, or a solution
+    whose fixed-point residual exceeds STATIONARY_TOL, is reported the same
+    way.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
@@ -352,15 +363,27 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         ok = rows_ok.all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
         raise DomainError(f"matrix is not row-stochastic{at(np.argmin(ok))}")
 
-    eigvals = _slicewise(np.linalg.eigvals, "eigenvalue computation failed", at, stack)
-    n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
-    if not (n_unit == 1).all():
-        k = np.argmin(n_unit == 1)
-        raise _at_slice(
-            f"ergodicity check failed{at(k)}: unit-circle eigenvalue count "
-            f"{n_unit[k]} != 1 (chain reducible or periodic)",
-            k,
-        )
+    # the Doeblin screen: only these slices are counted, and counted slice k
+    # is slice doubtful[k] of the stack
+    doubtful = np.flatnonzero(stack.min(axis=1).sum(axis=1) <= 2 * _UNIT_EIG_TOL)
+    if len(doubtful):
+        try:
+            eigvals = _slicewise(
+                np.linalg.eigvals, "eigenvalue computation failed",
+                lambda k: at(doubtful[k]), stack[doubtful],
+            )
+        except ErgodicityError as exc:
+            if hasattr(exc, "slice_index"):
+                exc.slice_index = int(doubtful[exc.slice_index])
+            raise
+        n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
+        if not (n_unit == 1).all():
+            k = np.argmin(n_unit == 1)
+            raise _at_slice(
+                f"ergodicity check failed{at(doubtful[k])}: unit-circle eigenvalue count "
+                f"{n_unit[k]} != 1 (chain reducible or periodic)",
+                doubtful[k],
+            )
 
     A = np.swapaxes(stack, 1, 2) - np.eye(n)
     A[:, -1, :] = 1.0
@@ -648,8 +671,10 @@ def load_game(path) -> StochasticGame:
 
 
 def game_hash(game: StochasticGame) -> str:
-    blob = json.dumps(game_to_dict(game), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """SHA-256 hex digest of the game's document, game_to_dict(game) as JSON
+    with sorted keys. It is computed once per game and kept: the game's
+    arrays are read-only, and meta is hashed as it was at the first call."""
+    return game._digest
 
 
 def policy_to_dict(policy: PolicyProfile) -> dict:

@@ -49,16 +49,16 @@ from .spsa import (
     reduce_policy,
     reduced_dim,
     reduced_from_full,
-    smoothed_gradient_estimate,
     _one_point,
     _perturb,
     _reread_sphere_stream,
+    _smoothed_gradient,
     _sphere_norms,
     _tangent,
 )
 
-# largest (seeds, H + 1, players + 1) float array of window uniforms a run
-# may need; run_batch refuses a run whose last window would need more
+# largest (rows, H + 1, players + 1) float array of window uniforms, rows
+# being a run's seeds or horizon_bias_check's draws; both refuse more
 MAX_WINDOW_BYTES = 1 << 30
 
 CSV_COLUMNS = (
@@ -380,8 +380,10 @@ def decompose_step(
     nets = nets_for(game)
     active = active_players(game)
     reduced = reduce_policy(policy)
-    smoothed, _ = smoothed_gradient_estimate(
-        game, policy, delta, smoothing_draws, np.random.default_rng(rng)
+    # the gradient evaluates the profile once, for itself and for the
+    # smoothed estimate's control variate
+    smoothed, _, exact = _smoothed_gradient(
+        game, policy, delta, smoothing_draws, np.random.default_rng(rng), exact_gradient
     )
 
     queried = [
@@ -391,7 +393,6 @@ def decompose_step(
     query_values = exact_value(
         game, PolicyProfile(tuple(lift_block(x) for x in queried))
     ).values
-    exact = exact_gradient(game, policy)
 
     grad, smooth_bias, noise, window = [], [], [], []
     for i, m in enumerate(game.n_actions):
@@ -415,6 +416,12 @@ def decompose_step(
     return StepDecomposition(
         tuple(grad), tuple(smooth_bias), tuple(noise), tuple(window), query_values
     )
+
+
+def _window_bytes(rows: int, horizon: int, game: StochasticGame) -> int:
+    """Bytes of the float uniforms of rows windows of horizon + 1 stages: one
+    per player and one for the next state at every stage."""
+    return rows * (horizon + 1) * (game.n_players + 1) * 8
 
 
 def run(
@@ -536,7 +543,7 @@ def run_batch(
             longest = schedule.horizon(iters - 1)
         except OverflowError:
             raise ScheduleError(f"the window at t={iters - 1} overflows") from None
-        size = len(seeds) * (longest + 1) * (game.n_players + 1) * 8
+        size = _window_bytes(len(seeds), longest, game)
         if size > MAX_WINDOW_BYTES:
             raise ScheduleError(
                 f"the window of {longest} stages at t={iters - 1} needs {size} bytes of "
@@ -751,7 +758,8 @@ def horizon_bias_check(
     Runs n_draws independent rollouts of horizon + 1 stages from
     start_state, reads the reward at the final stage, and compares the mean
     against the exact value. The bound is n_states * max|reward| times the
-    certified contraction to the power horizon.
+    certified contraction to the power horizon. Draws whose uniforms would
+    take more than MAX_WINDOW_BYTES are refused with DomainError.
     """
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
@@ -759,6 +767,12 @@ def horizon_bias_check(
         raise DomainError("n_draws must be at least 2 for a standard error")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
+    size = _window_bytes(n_draws, horizon, game)
+    if size > MAX_WINDOW_BYTES:
+        raise DomainError(
+            f"{n_draws} windows of {horizon + 1} stages need {size} bytes of "
+            f"uniforms, over the {MAX_WINDOW_BYTES}-byte cap"
+        )
     rng = np.random.default_rng(rng)
     if contraction is None:
         contraction = game.mixing_certificate.contraction

@@ -287,11 +287,22 @@ def smoothed_gradient_estimate(
 
     All players are perturbed jointly through their safety nets and the
     exact value at the queried profile plays the role of the observed
-    payoff. The current value is subtracted as a control variate, which
-    leaves the mean unchanged and shrinks the variance. Queries are
-    evaluated ORACLE_BLOCK draws per exact_values call. Returns (means,
-    stderrs) as per-player (states x (m-1)) arrays.
+    payoff. The current value, exact_value(game, policy).values, is
+    subtracted as a control variate, which leaves the mean unchanged and
+    shrinks the variance. Queries are evaluated ORACLE_BLOCK draws per
+    exact_values call. Returns (means, stderrs) as per-player
+    (states x (m-1)) arrays.
     """
+    means, stderrs, _ = _smoothed_gradient(game, policy, delta, n_draws, rng, exact_value)
+    return means, stderrs
+
+
+def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
+    """smoothed_gradient_estimate with the current profile evaluated by
+    evaluate(game, policy), whose .values is the control variate; returns
+    (means, stderrs, that evaluation). decompose_step passes exact_gradient,
+    whose values are exact_value's bit for bit, so it evaluates the profile
+    once for both."""
     if n_draws < 1:
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
@@ -306,7 +317,8 @@ def smoothed_gradient_estimate(
             raise ScheduleError(
                 f"query radius {delta} exceeds safety radius {nets[i].radius}"
             )
-    base_values = exact_value(game, policy).values
+    evaluated = evaluate(game, policy)
+    base_values = evaluated.values
     dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
     starts = np.cumsum([0, *dims]).tolist()
 
@@ -349,7 +361,7 @@ def smoothed_gradient_estimate(
         var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
         means.append(mean)
         stderrs.append(np.sqrt(var / n_draws))
-    return means, stderrs
+    return means, stderrs, evaluated
 
 
 def bias_probe(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from unittest import mock
@@ -176,7 +177,13 @@ class TestStationary:
             assert np.array_equal(stacked[k], stationary_distribution(P[k]))
 
     @pytest.mark.parametrize(
-        "bad", [np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])], ids=["identity", "periodic"]
+        "bad",
+        [
+            np.eye(2),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            np.array([[1 - 1e-12, 1e-12], [1e-12, 1 - 1e-12]]),
+        ],
+        ids=["identity", "periodic", "nearly-reducible"],
     )
     def test_stack_names_the_non_ergodic_slice(self, bad):
         P = np.tile([[0.9, 0.1], [0.2, 0.8]], (5, 1, 1))
@@ -187,15 +194,113 @@ class TestStationary:
     def test_singular_solve_is_ergodicity_error(self, monkeypatch):
         # with the eigenvalue screen bypassed, the identity's balance system
         # is singular: the solve must name the slice, never raise LinAlgError
-        monkeypatch.setattr(
-            np.linalg, "eigvals", lambda a: np.tile([1.0, 0.5], a.shape[:-2] + (1,))
-        )
+        counted = []
+
+        def one_unit_eigenvalue(a):
+            counted.append(a.copy())
+            return np.tile([1.0, 0.5], a.shape[:-2] + (1,))
+
+        monkeypatch.setattr(np.linalg, "eigvals", one_unit_eigenvalue)
         P = np.tile([[0.9, 0.1], [0.2, 0.8]], (4, 1, 1))
         P[2] = np.eye(2)
         with pytest.raises(ErgodicityError, match="slice 2: singular balance system"):
             stationary_distribution(P)
         with pytest.raises(ErgodicityError, match="failed: singular balance system"):
             stationary_distribution(np.eye(2))
+        # the identity (alpha 0) is counted, alone; the positive slices are not
+        assert [c.tolist() for c in counted] == [[np.eye(2).tolist()]] * 2
+
+    @staticmethod
+    def ergodic_stack(n, size, seed):
+        """size positive (hence Doeblin-screened) n-state chains, n >= 3,
+        with an ergodic chain that has no positive column (alpha 0) at
+        slice 1, so a later slice's position in the counted sub-stack is
+        not its own."""
+        rng = np.random.default_rng(seed)
+        P = rng.random((size, n, n)) + 0.1
+        P /= P.sum(axis=2, keepdims=True)
+        P[1] = np.roll(np.eye(n), 1, axis=1)
+        P[1, -1] = 0.0
+        P[1, -1, [0, -1]] = 0.5  # a self-loop makes the cycle aperiodic
+        return P
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.roll(np.eye(3), 1, axis=1),
+            np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]]),
+            (1 - 3e-12) * np.eye(3) + 1e-12,
+        ],
+        ids=["periodic", "reducible", "nearly-reducible"],
+    )
+    def test_screened_stack_names_the_callers_slice(self, bad):
+        P = self.ergodic_stack(3, 8, seed=5)
+        P[5] = bad
+        assert stationary_distribution(np.delete(P, 5, axis=0)).shape == (7, 3)
+        with pytest.raises(ErgodicityError, match="at slice 5: unit-circle eigenvalue") as exc:
+            stationary_distribution(P)
+        assert exc.value.slice_index == 5
+        with pytest.raises(ErgodicityError, match="failed: unit-circle eigenvalue"):
+            stationary_distribution(bad)
+
+    def test_failed_eigenvalue_computation_names_the_callers_slice(self, monkeypatch):
+        real = np.linalg.eigvals
+
+        def fails_on_the_identity(a):
+            if any(np.array_equal(s, np.eye(3)) for s in a):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", fails_on_the_identity)
+        P = self.ergodic_stack(3, 8, seed=6)
+        P[5] = np.eye(3)
+        with pytest.raises(ErgodicityError, match="at slice 5: eigenvalue computation") as exc:
+            stationary_distribution(P)
+        assert exc.value.slice_index == 5
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scale", [2 * (1 + 1e-3), 2 * (1 - 1e-3), 1 + 1e-3, 1 - 1e-3])
+    def test_screen_verdict_matches_the_eigenvalue_count(self, n, scale, monkeypatch):
+        # slice 3 is the n-cycle mixed with a column of ones at weight a, so
+        # alpha = a and every eigenvalue but 1 has modulus 1 - a exactly: a
+        # just above or below 2 tolerances straddles the screen, just above
+        # or below one tolerance straddles the count's own verdict
+        a = scale * games._UNIT_EIG_TOL
+        chain = (1 - a) * np.roll(np.eye(n), 1, axis=1)
+        chain[:, 0] += a
+        assert chain.min(axis=0).sum() == pytest.approx(a, rel=1e-6)
+        expected = np.sum(np.abs(np.linalg.eigvals(chain)) > 1 - games._UNIT_EIG_TOL) == 1
+        counted = []
+        real = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda s: counted.append(len(s)) or real(s))
+        P = self.ergodic_stack(n, 6, seed=n)
+        P[3] = chain
+        try:
+            stationary_distribution(P)
+            verdict = True
+        except ErgodicityError as exc:
+            assert exc.slice_index == 3
+            verdict = False
+        assert verdict == expected
+        assert verdict == (scale > 1)
+        # slice 1 is always counted; slice 3 only at or below 2 tolerances
+        assert counted == [1 if scale > 2 else 2]
+
+    def test_oracle_audit_stack_needs_no_eigenvalues(self, monkeypatch):
+        # a 0.1 transition floor gives every induced chain a positive column,
+        # so a 256-profile stack on the 3 x 3 x 3 game passes the screen
+        from sgl.analysis import exact_values
+
+        game = small_random_game(0, n_states=3, n_players=3, n_actions=3, eps=0.1)
+        rng = np.random.default_rng(1)
+        stacks = [rng.dirichlet(np.ones(3), size=(256, 3)) for _ in range(3)]
+        expected = exact_values(game, stacks)
+
+        def no_eigvals(a):
+            raise AssertionError("eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        assert np.array_equal(exact_values(game, stacks), expected)
 
     def test_wrong_balance_solution_fails_the_residual_check(self, monkeypatch):
         # a solve that returns a wrong vector for one slice must raise, naming
@@ -579,3 +684,11 @@ class TestGameFiles:
         b = small_random_game(2)
         assert game_hash(a) != game_hash(b)
         assert game_hash(a) == game_hash(small_random_game(1))
+
+    def test_hash_is_computed_once_per_game(self, monkeypatch):
+        game = small_random_game(3, n_states=3, n_players=3, n_actions=3)
+        first = game_hash(game)
+        blob = json.dumps(games.game_to_dict(game), sort_keys=True).encode()
+        monkeypatch.setattr(games, "game_to_dict", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(json, "dumps", mock.Mock(side_effect=AssertionError))
+        assert game_hash(game) == first == hashlib.sha256(blob).hexdigest()

@@ -576,6 +576,39 @@ class TestDecomposition:
             direct = (dims[i] / delta) * payoffs[i] * tangent(z[i], game.n_states)
             np.testing.assert_allclose(total, direct, atol=1e-10)
 
+    def test_evaluates_the_profile_once(self, monkeypatch):
+        # the exact gradient's values are the smoothed estimate's control
+        # variate: one exact_value call for the decomposed profile, one for
+        # the query, and the same bits as the public estimator's
+        from sgl import analysis, spsa
+        from sgl.analysis import exact_gradient
+
+        game = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3)
+        )
+        rng = np.random.default_rng(2)
+        policy = random_profile(game, rng, margin=0.3)
+        z = [sample_sphere(reduced_dim(3, 3), rng) for _ in range(3)]
+        delta, payoffs = 0.05, np.array([0.3, 0.6, 0.1])
+        seen = []
+        real = analysis.exact_value
+        for module in (analysis, spsa, learner):
+            monkeypatch.setattr(
+                module, "exact_value", lambda g, pi: seen.append(pi) or real(g, pi)
+            )
+        dec = decompose_step(game, policy, z, delta, payoffs, rng=0, smoothing_draws=16)
+        assert len(seen) == 2 and seen[0] is policy
+        assert np.array_equal(dec.query_values, real(game, seen[1]).values)
+
+        smoothed, _ = smoothed_gradient_estimate(
+            game, policy, delta, 16, np.random.default_rng(0)
+        )
+        exact = exact_gradient(game, policy)
+        for i in range(3):
+            g = spsa._tangent(spsa.reduced_from_full(exact.blocks[i]))
+            assert np.array_equal(dec.gradient[i], g)
+            assert np.array_equal(dec.smoothing_bias[i], spsa._tangent(smoothed[i]) - g)
+
     def test_linear_game_has_no_smoothing_bias(self):
         # rewards depend only on the player's own action, so values are
         # linear in reduced coordinates and symmetric averaging is exact
@@ -670,6 +703,20 @@ class TestHorizonBias:
         start[0] = 1.0
         expected = start @ np.linalg.matrix_power(T_mat, horizon) @ stage.T
         assert np.abs(report.mean - expected).max() <= 4.0 * report.stderr.max()
+
+    def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
+        # 1000 windows of 10**9 + 1 stages would take 21.8 TiB of uniforms
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match="byte cap"):
+            horizon_bias_check(game, policy, 10**9, 1000, rng=0)
+        # 4 windows of 3 stages, a uniform per player and one for the next
+        # state: at the cap the check runs, one byte under it is refused
+        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8)
+        assert horizon_bias_check(game, policy, 2, 4, rng=0).mean.shape == (2,)
+        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8 - 1)
+        with pytest.raises(DomainError, match="byte cap"):
+            horizon_bias_check(game, policy, 2, 4, rng=0)
 
     def test_matches_per_draw_rollout_loop(self, reference_rollout):
         # the loop of one rollout per draw that the single stream replaced:
