@@ -37,7 +37,12 @@ count, the number of names in sgl.__all__, its count of defaulted function
 parameters, its counts of dataclass fields and of those with a default,
 the wall time of a cold `import sgl` (median and IQR over fresh
 interpreters, the sides alternating) and the number of modules that import
-loads.
+loads. Times differ more between interpreters than within one, so every
+row also records, per side, the IQR of the per-interpreter medians
+(round_iqr_us) and, with a baseline, in how many rounds the change's
+interpreter had the lower median (change_faster_rounds of ROUNDS); a
+speedup whose rounds split, or that sits inside round_iqr_us, is
+unresolved.
 
     python scripts/bench.py --baseline HEAD~1 --out BENCH_<n>.json
 """
@@ -362,14 +367,20 @@ def _row(sides: dict, op: str, size: str) -> dict:
             ).stdout
             runs[side].append(json.loads(out))
     row = {"op": op, "size": size}
+    medians = {side: [np.median(t["samples_us"]) for t in timed] for side, timed in runs.items()}
     for side, timed in runs.items():
         samples = [s for t in timed for s in t["samples_us"]]
         row[side] = _summary(samples, timed[0]["calls_per_repeat"])
+        q1, q3 = np.percentile(medians[side], [25, 75])
+        row[side]["round_iqr_us"] = float(q3 - q1)
         for key in ("calls_per_iter", "calls_per_seed_iter"):
             if key in timed[0]:  # the same in every round
                 row[side][key] = timed[0][key]
     if "parent" in row:
         row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
+        row["change_faster_rounds"] = sum(
+            int(c < p) for p, c in zip(medians["parent"], medians["change"])
+        )
     return row
 
 
@@ -440,6 +451,11 @@ def main(argv=None) -> int:
             "unit": "us per seed-iteration",
             "calls": "cProfile calls of one call / iters (calls_per_iter) and / (iters * B)",
         },
+        "rounds": {
+            "count": ROUNDS,
+            "round_iqr_us": "IQR over the rounds of each interpreter's median",
+            "change_faster_rounds": "rounds whose change interpreter's median beat the parent's",
+        },
         "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
         "window_crossover": _crossover(rows),
         "rows": rows,
@@ -451,7 +467,9 @@ def main(argv=None) -> int:
             f"{side} {row[side]['calls_per_iter']:6.1f} calls/it"
             for side in sides if "calls_per_iter" in row[side]
         ]
-        speed = f"  x{row['speedup']:.1f}" if "speedup" in row else ""
+        speed = ""
+        if "speedup" in row:
+            speed = f"  x{row['speedup']:.2f} ({row['change_faster_rounds']}/{ROUNDS} rounds)"
         print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")
     return 0

@@ -14,8 +14,10 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,14 +51,16 @@ class StochasticGame:
 
     rewards has shape (n_players, n_states, n_joint) and transitions has
     shape (n_states, n_joint, n_states); the joint-action axis uses the
-    shared row-major flattening (last player fastest).
+    shared row-major flattening (last player fastest). meta is kept as a
+    read-only copy, its mappings read-only and its lists tuples, so the
+    game's digest cannot go stale.
     """
 
     n_states: int
     n_actions: tuple[int, ...]
     rewards: np.ndarray
     transitions: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_states < 1:
@@ -65,6 +69,7 @@ class StochasticGame:
         if not n_actions or any(m < 1 for m in n_actions):
             raise GameFormatError("every player needs at least one action")
         object.__setattr__(self, "n_actions", n_actions)
+        object.__setattr__(self, "meta", _frozen(self.meta))
 
         rewards = np.asarray(self.rewards, dtype=float)
         transitions = np.asarray(self.transitions, dtype=float)
@@ -149,6 +154,25 @@ class StochasticGame:
         """game_hash's digest, computed on first use and kept."""
         blob = json.dumps(game_to_dict(self), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _frozen(value):
+    """Read-only copy of a JSON-like value: mappings become read-only
+    mappings and lists tuples, all the way down."""
+    if isinstance(value, (dict, MappingProxyType)):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _thawed(value):
+    """The plain dicts and lists of a _frozen value."""
+    if isinstance(value, MappingProxyType):
+        return {k: _thawed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_thawed(v) for v in value]
+    return value
 
 
 def _stack_prefix(index, name: str) -> str:
@@ -637,7 +661,7 @@ def game_to_dict(game: StochasticGame) -> dict:
         "transitions": game.transitions.tolist(),
     }
     if game.meta:
-        out["meta"] = game.meta
+        out["meta"] = _thawed(game.meta)
     return out
 
 
@@ -673,7 +697,7 @@ def load_game(path) -> StochasticGame:
 def game_hash(game: StochasticGame) -> str:
     """SHA-256 hex digest of the game's document, game_to_dict(game) as JSON
     with sorted keys. It is computed once per game and kept: the game's
-    arrays are read-only, and meta is hashed as it was at the first call."""
+    arrays and meta are read-only."""
     return game._digest
 
 

@@ -51,7 +51,6 @@ from .spsa import (
     reduced_from_full,
     _one_point,
     _perturb,
-    _reread_sphere_stream,
     _smoothed_gradient,
     _sphere_norms,
     _tangent,
@@ -515,7 +514,8 @@ def run_batch(
     counts, so every step except the checkpoint oracle runs once for the
     whole batch, and one games._window_ends call plays every seed's window.
     Seed s reads its own np.random.default_rng(s) in the order a run of it
-    alone does, so its RunLog has the same bits alone or in any batch.
+    alone does, so its RunLog has the same bits alone or in any batch; its
+    sphere draw is one row of normals, redrawn whole under SPHERE_FLOOR.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
     A run whose last window overflows, or whose uniforms would take more
     than MAX_WINDOW_BYTES, is refused with ScheduleError before its first
@@ -558,7 +558,6 @@ def run_batch(
     liftings = [lifting_for(n_states, m) for m in n_actions]
     dims = [reduced_dim(n_states, m) for m in n_actions]
     active = active_players(game)
-    active_dims = [dims[i] for i in active]
     norm_cap = max(dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active)
 
     # group k holds players lo..hi-1 and cdf_cols[k] their played action-CDF
@@ -621,18 +620,18 @@ def run_batch(
         horizon = schedule.horizon(t)
         checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
 
-        # each seed's generator reads the normals of its sphere draws in the
-        # order of a draw-by-draw, player-by-player loop
+        # each seed's generator reads one row of normals, drawn again whole
+        # while it fails SPHERE_FLOOR
         for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
             try:
                 rng.standard_normal(out=row)
             except Exception as exc:
                 raise _tagged(exc, b)
         norms = [_sphere_norms(z) for z in segments]
-        if min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
-            for b in range(n_batch):  # practically never
-                if any(x[b].min() <= SPHERE_FLOOR for x in norms):
-                    raw[b] = _reread_sphere_stream(rngs[b], raw[b], 1, active_dims)[0]
+        while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
+            for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
+                if min([x[b].min() for x in norms]) <= SPHERE_FLOOR:
+                    rng.standard_normal(out=row)
             norms = [_sphere_norms(z) for z in segments]
         directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
 

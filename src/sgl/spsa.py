@@ -21,7 +21,8 @@ from .games import PolicyProfile, StochasticGame, _stack_prefix
 REDUCED_TOL = 1e-12
 # sphere draws per stacked exact_values call in smoothed_gradient_estimate
 ORACLE_BLOCK = 256
-# a sphere draw whose norm is at most this is drawn again
+# a sphere draw is one row of normals, every active player's segment side by
+# side; a row with a segment of norm at most this is drawn again whole
 SPHERE_FLOOR = 1e-12
 
 
@@ -172,32 +173,6 @@ def _sphere_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(z, z))
 
 
-def _reread_sphere_stream(rng, drawn: np.ndarray, n: int, dims) -> np.ndarray:
-    """The raw rows of n rounds of sample_sphere over the players, read from
-    a stream of standard normals that begins with `drawn`.
-
-    A one-shot draw of n rows cannot redraw a segment whose norm is at most
-    SPHERE_FLOOR; reading its values again as the draw-by-draw loop does,
-    and taking the values that loop reads past their end from rng, leaves
-    rows and generator exactly as that loop would.
-    """
-    stream = np.ravel(drawn).tolist()
-    rows, pos = [], 0
-    for _ in range(n):
-        row = []
-        for d in dims:
-            while True:
-                if pos + d > len(stream):
-                    stream += rng.standard_normal(pos + d - len(stream)).tolist()
-                z = np.array(stream[pos:pos + d])
-                pos += d
-                if np.linalg.norm(z) > SPHERE_FLOOR:
-                    break
-            row += z.tolist()
-        rows.append(row)
-    return np.array(rows)
-
-
 def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.ndarray:
     """Feasibility-adjusted query point x + delta * (z - (x - center)/radius).
 
@@ -290,8 +265,9 @@ def smoothed_gradient_estimate(
     payoff. The current value, exact_value(game, policy).values, is
     subtracted as a control variate, which leaves the mean unchanged and
     shrinks the variance. Queries are evaluated ORACLE_BLOCK draws per
-    exact_values call. Returns (means, stderrs) as per-player
-    (states x (m-1)) arrays.
+    exact_values call. Each draw is one row of normals, redrawn whole under
+    SPHERE_FLOOR's rule, so rng is read as by a row-by-row loop. Returns
+    (means, stderrs) as per-player (states x (m-1)) arrays.
     """
     means, stderrs, _ = _smoothed_gradient(game, policy, delta, n_draws, rng, exact_value)
     return means, stderrs
@@ -326,14 +302,15 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
     sq_sums = {i: np.zeros_like(base[i]) for i in active}
     for start in range(0, n_draws, ORACLE_BLOCK):
         n = min(ORACLE_BLOCK, n_draws - start)
-        # one row per draw, players side by side: the stream of a draw-by-draw
-        # loop of sample_sphere calls
+        # one row per draw; a failing row is dropped, the rows after it move
+        # up and a new last row is drawn, as in a row-by-row loop
         raw = rng.standard_normal((n, starts[-1]))
         segments = [raw[:, a:b] for a, b in zip(starts, starts[1:])]
         norms = [_sphere_norms(z) for z in segments]
-        bad = np.flatnonzero(np.min(norms, axis=0) <= SPHERE_FLOOR)
-        if bad.size:  # practically never
-            raw[bad[0]:] = _reread_sphere_stream(rng, raw[bad[0]:], n - bad[0], dims)
+        while np.min(norms) <= SPHERE_FLOOR:  # practically never
+            k = np.flatnonzero(np.min(norms, axis=0) <= SPHERE_FLOOR)[0]
+            raw[k:-1] = raw[k + 1:]
+            rng.standard_normal(out=raw[-1])
             norms = [_sphere_norms(z) for z in segments]
         zs = {
             i: (segments[j] / norms[j][:, None]).reshape((n,) + base[i].shape)

@@ -68,6 +68,22 @@ class TestAnalyze:
         assert doc["mixing"]["ok"] is True
         assert doc["mismatch_estimate"]["certificate"] == "sampled lower bound"
 
+    def test_reports_the_certificate_learn_uses(self, tmp_path, capsys):
+        # the oracle-audit game: a certificate from --samples and --seed
+        # reported tau 1.275 while learn ran with 1.768
+        game = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3,
+                          eps=0.1, seed=0)
+        )
+        path = tmp_path / "game.json"
+        save_game(game, path)
+        cert = game.mixing_certificate
+        for seed in ("0", "1"):
+            assert main(["analyze", "--game", str(path), "--seed", seed]) == 0
+            mixing = json.loads(capsys.readouterr().out)["mixing"]
+            assert mixing["tau"] == cert.tau
+            assert mixing["contraction"] == cert.contraction
+
     def test_report_alias(self, game_file, capsys):
         assert main(["report", "--game", str(game_file), "--samples", "3"]) == 0
         doc = json.loads(capsys.readouterr().out)

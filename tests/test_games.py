@@ -692,3 +692,27 @@ class TestGameFiles:
         monkeypatch.setattr(games, "game_to_dict", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(json, "dumps", mock.Mock(side_effect=AssertionError))
         assert game_hash(game) == first == hashlib.sha256(blob).hexdigest()
+
+    def test_meta_is_a_read_only_copy(self):
+        # the game copies meta at construction and nothing can edit it, so
+        # the kept digest is always that of the game's document
+        meta = {"kind": "custom", "tags": ["a", {"k": [1, 2]}], "sub": {"x": 1.5}}
+        src = small_random_game(4)
+        game = StochasticGame(
+            src.n_states, src.n_actions, src.rewards, src.transitions, meta
+        )
+        first = game_hash(game)
+        meta["kind"] = "edited"
+        meta["tags"][1]["k"].append(3)
+        meta["sub"]["y"] = 2
+        with pytest.raises(TypeError):
+            game.meta["kind"] = "edited"
+        with pytest.raises(TypeError):
+            game.meta["sub"]["y"] = 2
+        with pytest.raises(AttributeError):
+            game.meta["tags"][1]["k"].append(3)
+        doc = games.game_to_dict(game)
+        assert doc["meta"] == {"kind": "custom", "tags": ["a", {"k": [1, 2]}], "sub": {"x": 1.5}}
+        assert type(doc["meta"]["tags"]) is list and type(doc["meta"]["sub"]) is dict
+        blob = json.dumps(doc, sort_keys=True).encode()
+        assert game_hash(game) == first == hashlib.sha256(blob).hexdigest()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgl import games, learner
+from sgl import games, learner, spsa
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ScheduleError
 from sgl.games import (
@@ -512,23 +512,47 @@ class TestRunBatch:
             assert type(logs[0][k].final_state.state) is int
 
     def test_rejected_sphere_draw_is_drawn_again(self, monkeypatch, prefixed_stream):
-        # seed 5's stream starts with a direction of norm 0, which the kernel
-        # must draw again; the seed then runs as on the plain stream
+        # seed 5's stream starts with a row whose first or last segment has
+        # norm 0, which the kernel must draw again whole; the seed then runs
+        # as on the plain stream
         game = generate(GeneratorSpec(kind="zerosum-switching"))
         sch = default_schedule(game)
         plain = [run(game, sch, ENTROPY, 50, seed) for seed in (3, 5)]
         real_rng = np.random.default_rng
+        for prefix in ([0.0, 0.0, 0.5, -1.2], [0.5, -1.2, 0.0, 0.0]):
 
-        def prefixed(seed=None):
-            rng = real_rng(seed)
-            return prefixed_stream(rng, [0.0, 0.0]) if seed == 5 else rng
+            def prefixed(seed=None):
+                rng = real_rng(seed)
+                return prefixed_stream(rng, prefix) if seed == 5 else rng
 
-        monkeypatch.setattr(np.random, "default_rng", prefixed)
-        batch = run_batch(game, sch, ENTROPY, 50, [3, 5])
-        monkeypatch.undo()
-        for a, b in zip(plain, batch):
-            for x, y in zip(a.final_state.scores, b.final_state.scores):
-                assert np.array_equal(x, y)
+            monkeypatch.setattr(np.random, "default_rng", prefixed)
+            batch = run_batch(game, sch, ENTROPY, 50, [3, 5])
+            monkeypatch.undo()
+            for a, b in zip(plain, batch):
+                for x, y in zip(a.final_state.scores, b.final_state.scores):
+                    assert np.array_equal(x, y)
+
+    def test_rows_drawn_again_under_a_high_floor_match_solo_runs(self, tmp_path, monkeypatch):
+        # with SPHERE_FLOOR at 1 in the learner and in the oracle
+        # decomposition, about 45% of the sphere rows fail; each seed of a
+        # batch still runs as it does alone
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=2, n_players=3, n_actions=(2, 1, 3), seed=3
+            )
+        )
+        options = dict(
+            iters=40, oracle_mode=True, reference=uniform_profile(game),
+            log_every=20, decomposition_draws=32,
+        )
+        unpatched = run(game, default_schedule(game), ENTROPY, seed=1, **options)
+        monkeypatch.setattr(learner, "SPHERE_FLOOR", 1.0)
+        monkeypatch.setattr(spsa, "SPHERE_FLOOR", 1.0)
+        solo, _ = self.check_matches_solo_runs(tmp_path, game, [1, 2, 3], **options)
+        for i in (0, 2):
+            assert not np.array_equal(
+                unpatched.final_state.scores[i], solo[0].final_state.scores[i]
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sgl import spsa
 from sgl.analysis import exact_gradient, exact_value
 from sgl.errors import DomainError, ScheduleError
 from sgl.games import StochasticGame, random_profile, uniform_profile
@@ -323,17 +324,80 @@ class TestSmoothedGradient:
             )
 
     def test_rejected_draw_is_drawn_again(self, prefixed_stream):
-        # a first direction of norm 0 is drawn again, which leaves the
-        # estimate and the generator as on the stream without it
+        # a first row with a segment of norm 0, the first player's or the
+        # last's, is drawn again whole, which leaves the estimate and the
+        # generator as on the stream without it
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=4))
         policy = uniform_profile(game)
         plain = np.random.default_rng(3)
-        prefixed = prefixed_stream(np.random.default_rng(3), [0.0, 0.0])
         means, stderrs = smoothed_gradient_estimate(game, policy, 0.1, 40, plain)
-        again = smoothed_gradient_estimate(game, policy, 0.1, 40, prefixed)
-        assert prefixed.rng.bit_generator.state == plain.bit_generator.state
+        for prefix in ([0.0, 0.0, 0.5, -1.2], [0.5, -1.2, 0.0, 0.0]):
+            prefixed = prefixed_stream(np.random.default_rng(3), prefix)
+            again = smoothed_gradient_estimate(game, policy, 0.1, 40, prefixed)
+            assert prefixed.rng.bit_generator.state == plain.bit_generator.state
+            for a, b in zip(means + stderrs, again[0] + again[1]):
+                assert np.array_equal(a, b)
+
+    def test_rows_are_drawn_again_whole_under_a_high_floor(self, monkeypatch, prefixed_stream):
+        # with SPHERE_FLOOR at 1 about 63% of the rows fail, among them
+        # consecutive rows and the last rows of both blocks (256 and 44
+        # rows); the estimate equals the one on the rows a row-by-row loop
+        # accepts, and the generator ends as that loop's
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=4))
+        policy = uniform_profile(game)
+        n_draws = 300
+        ref_rng = np.random.default_rng(4)
+        accepted, failed_for = [], []
+        while len(accepted) < n_draws:
+            row = ref_rng.standard_normal(4)  # two players, reduced dim 2 each
+            if min(np.linalg.norm(row[:2]), np.linalg.norm(row[2:])) <= 1.0:
+                failed_for.append(len(accepted))
+            else:
+                accepted.append(row)
+        assert len(failed_for) > len(set(failed_for)) and {255, 299} <= set(failed_for)
+
+        monkeypatch.setattr(spsa, "SPHERE_FLOOR", 1.0)
+        rng = np.random.default_rng(4)
+        means, stderrs = smoothed_gradient_estimate(game, policy, 0.1, n_draws, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        monkeypatch.undo()
+        fed = prefixed_stream(np.random.default_rng(0), np.concatenate(accepted))
+        again = smoothed_gradient_estimate(game, policy, 0.1, n_draws, fed)
         for a, b in zip(means + stderrs, again[0] + again[1]):
             assert np.array_equal(a, b)
+
+    def test_one_active_player_matches_sample_sphere_under_a_high_floor(self, monkeypatch):
+        # one row is one segment, so the rule is sample_sphere's: under a
+        # floor that fails about 31% of the draws, the estimate equals a
+        # per-draw loop of sample_sphere calls and the generator ends as it
+        monkeypatch.setattr(spsa, "SPHERE_FLOOR", 1.5)
+        rng = np.random.default_rng(2)
+        game = StochasticGame(
+            2, (3, 1), rng.random((2, 2, 3)), rng.dirichlet(np.ones(2), size=(2, 3))
+        )
+        policy = random_profile(game, rng, margin=0.3)
+        delta, n_draws = 0.1, 300
+        net, base = safety_net_for(2, 3), reduce_policy(policy)
+        v0 = exact_value(game, policy).values[0]
+        ref_rng = np.random.default_rng(8)
+        samples = []
+        for _ in range(n_draws):
+            z = sample_sphere(4, ref_rng)
+            queried = lift_policy([perturb(base[0], z, delta, net), base[1]])
+            v = exact_value(game, queried).values[0]
+            samples.append((4 / delta) * (v - v0) * z.reshape(base[0].shape))
+        unrejected = np.random.default_rng(8)
+        unrejected.standard_normal((n_draws, 4))
+        assert unrejected.bit_generator.state != ref_rng.bit_generator.state
+
+        rng = np.random.default_rng(8)
+        means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        ref = np.mean(samples, axis=0)
+        assert np.abs(means[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(
+            stderrs[0], np.std(samples, axis=0) / np.sqrt(n_draws), rtol=1e-9
+        )
 
     @pytest.mark.parametrize("n_draws, delta", [(0, 0.1), (-3, 0.1), (40, 0.0), (40, -0.05)])
     def test_bad_draws_or_delta_rejected(self, n_draws, delta):
