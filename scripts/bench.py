@@ -35,14 +35,15 @@ with the sides alternating. The baseline must have this API, as every
 revision from dbf9f10 on does. Each side also records its src/sgl line
 count, the number of names in sgl.__all__, its count of defaulted function
 parameters, its counts of dataclass fields and of those with a default,
-the wall time of a cold `import sgl` (median and IQR over fresh
-interpreters, the sides alternating) and the number of modules that import
-loads. Times differ more between interpreters than within one, so every
-row also records, per side, the IQR of the per-interpreter medians
-(round_iqr_us) and, with a baseline, in how many rounds the change's
-interpreter had the lower median (change_faster_rounds of ROUNDS); a
-speedup whose rounds split, or that sits inside round_iqr_us, is
-unresolved.
+the number of arguments (options and positionals, not -h) of each sgl
+subcommand as sgl.cli.build_parser() defines them, the wall time of a
+cold `import sgl` (median and IQR over fresh interpreters, the sides
+alternating) and the number of modules that import loads. Times differ
+more between interpreters than within one, so every row also records,
+per side, the IQR of the per-interpreter medians (round_iqr_us) and, with
+a baseline, in how many rounds the change's interpreter had the lower
+median (change_faster_rounds of ROUNDS); a speedup whose rounds split, or
+that sits inside round_iqr_us, is unresolved.
 
     python scripts/bench.py --baseline HEAD~1 --out BENCH_<n>.json
 """
@@ -272,10 +273,20 @@ def _src_loc(src: pathlib.Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (src / "sgl").glob("*.py"))
 
 
+_CLI_COUNTS = """
+import argparse, json, sgl, sgl.cli
+sub = next(a for a in sgl.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(json.dumps({"public_names": len(sgl.__all__), "cli_options": {
+    name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+    for name, p in sub.choices.items()}}))
+"""
+
+
 def _surface(src: pathlib.Path) -> dict:
     """Counts of the names in sgl.__all__, of defaulted parameters of every
-    function and lambda, and of the fields of every @dataclass class and of
-    those with a default, in src/sgl."""
+    function and lambda, of the fields of every @dataclass class and of
+    those with a default, in src/sgl, and of the arguments of each sgl
+    subcommand."""
     params = fields = defaulted = 0
     for path in (src / "sgl").glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -288,15 +299,16 @@ def _surface(src: pathlib.Path) -> dict:
                 annotated = [s for s in node.body if isinstance(s, ast.AnnAssign)]
                 fields += len(annotated)
                 defaulted += sum(s.value is not None for s in annotated)
-    names = subprocess.run(
-        [sys.executable, "-c", "import sgl; print(len(sgl.__all__))"],
+    counts = json.loads(subprocess.run(
+        [sys.executable, "-c", _CLI_COUNTS],
         env={**os.environ, "PYTHONPATH": str(src)}, check=True, capture_output=True, text=True,
-    ).stdout
+    ).stdout)
     return {
-        "public_names": int(names),
+        "public_names": counts["public_names"],
         "defaulted_params": params,
         "dataclass_fields": fields,
         "defaulted_dataclass_fields": defaulted,
+        "cli_options": counts["cli_options"],
     }
 
 

@@ -33,7 +33,6 @@ from .games import (
     random_profile,
     rollout,
     save_game,
-    save_policy,
     stationary_distribution,
     uniform_profile,
 )

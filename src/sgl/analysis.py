@@ -92,7 +92,6 @@ class GapReport:
     values: np.ndarray
     best_values: np.ndarray
     best_actions: tuple[tuple[int, ...], ...]
-    flags: tuple[str, ...]
 
     @property
     def max_gap(self) -> float:
@@ -449,7 +448,6 @@ def nash_gap(game: StochasticGame, policy: PolicyProfile) -> GapReport:
         values,
         best_vals,
         tuple(tuple(row) for row in actions.tolist()),
-        (),
     )
 
 

@@ -1,8 +1,9 @@
 """Command-line harness.
 
-Subcommands: validate, analyze (alias: report), gradient, learn, generate,
-sweep. Exit codes: 0 success, 1 validation/config error or a non-ergodic
-chain, 2 runtime error.
+Subcommands: validate, analyze, gradient, learn, generate, sweep. Each
+prints strict JSON (validate and generate one line of text). Exit codes:
+0 success, 1 validation/config error, a non-ergodic chain or a non-finite
+number in the output, 2 runtime error.
 The environment variable SGL_SEED provides the default seed.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -50,7 +52,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SGL_SEED", "0"))
+    value = os.environ.get("SGL_SEED", "0")
+    if not value.isdecimal():  # digits only: no sign, no blank
+        raise ConfigError(f"SGL_SEED must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def _load_policy_arg(game, value):
@@ -59,8 +64,25 @@ def _load_policy_arg(game, value):
     return games.load_policy(value)
 
 
+def _nonfinite_key(value, key: str) -> str | None:
+    """The key path (e.g. mixing.tau, stderr[0][1]) of the first NaN or
+    infinity in a JSON value under key, or None."""
+    if isinstance(value, dict):
+        children = ((f"{key}.{k}".lstrip("."), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple)):
+        children = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return key if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_nonfinite_key(v, k) for k, v in children)), None)
+
+
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=1)
+    """Write doc as strict JSON to out, or print it; a NaN or infinity in
+    it is a DomainError naming its key."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError:  # a NaN or infinity
+        raise DomainError(f"{_nonfinite_key(doc, '')} is not a finite number") from None
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -95,7 +117,7 @@ def _cmd_analyze(args) -> int:
         },
         "mixing": {
             "contraction": cert.contraction,
-            "tau": cert.tau,
+            "tau": cert.tau if cert.ok else None,  # infinite when the certificate fails
             "ok": cert.ok,
             "certificate": "sampled",
             "eps_floor": cert.eps_floor,
@@ -173,17 +195,13 @@ def _cmd_gradient(args) -> int:
 
 
 def _resolve_schedule(args, game) -> learner.Schedule:
-    """The preset of the horizon mode (--horizon, else the --preset's mode)
-    with every schedule flag that was given applied over it."""
-    mode = args.horizon or ("power" if args.preset == "sqrt-horizon" else "log")
-    # an explicit window parameter needs no certified mixing constant
-    tau = None if args.horizon_param is None else 0.0
-    base = learner._preset_schedule(game, mode, tau, args.gamma_scale)
+    """The preset of --horizon with --horizon-param and --gamma-scale, and
+    every other schedule flag that was given applied over it."""
+    base = learner._preset_schedule(game, args.horizon, args.horizon_param, args.gamma_scale)
     overrides = {
         "gamma_exp": args.gamma_exp,
         "delta_exp": args.delta_exp,
         "delta_scale": args.delta_scale,
-        "horizon_param": args.horizon_param,
     }
     return dataclasses.replace(base, **{k: v for k, v in overrides.items() if v is not None})
 
@@ -232,7 +250,7 @@ def _cmd_learn(args) -> int:
         summary["final_nash_gap"] = last.max_gap
         if reference is not None:
             summary["final_dist_to_ref"] = last.profile_dist
-    print(json.dumps(summary, indent=1))
+    _emit(summary, None)
     return 0
 
 
@@ -247,7 +265,6 @@ def _cmd_generate(args) -> int:
         reward_low=args.reward_low,
         reward_high=args.reward_high,
         seed=args.seed,
-        path=args.path,
     )
     game = generators.generate(spec)
     games.save_game(game, args.out)
@@ -261,16 +278,14 @@ def _cmd_generate(args) -> int:
 def _cmd_sweep(args) -> int:
     result = generators.run_sweep_config(args.config)
     doc = result.summary()
-    print(
-        json.dumps(
-            {
-                "schedules": len(doc["grid"]),
-                "seeds": doc["seeds"],
-                "completed": len(doc["runs"]),
-                "failures": doc["failures"],
-            },
-            indent=1,
-        )
+    _emit(
+        {
+            "schedules": len(doc["grid"]),
+            "seeds": doc["seeds"],
+            "completed": len(doc["runs"]),
+            "failures": doc["failures"],
+        },
+        None,
     )
     return 0
 
@@ -287,14 +302,13 @@ def build_parser() -> _Parser:
     p.add_argument("game")
     p.set_defaults(func=_cmd_validate)
 
-    for name in ("analyze", "report"):
-        p = sub.add_parser(name, help="exact analysis document for a game")
-        p.add_argument("--game", required=True)
-        p.add_argument("--policy", default=None, help="policy file or 'uniform'")
-        p.add_argument("--samples", type=int, default=8)
-        p.add_argument("--seed", type=int, default=_default_seed())
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_analyze)
+    p = sub.add_parser("analyze", help="exact analysis document for a game")
+    p.add_argument("--game", required=True)
+    p.add_argument("--policy", default=None, help="policy file or 'uniform'")
+    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("gradient", help="payoff gradient in reduced coordinates")
     p.add_argument("--game", required=True)
@@ -312,12 +326,11 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--mirror", choices=mirror.KINDS, default="entropy")
-    p.add_argument("--preset", choices=learner.SCHEDULE_PRESETS, default="default")
     p.add_argument("--gamma-exp", type=float, default=None)
     p.add_argument("--delta-exp", type=float, default=None)
     p.add_argument("--gamma-scale", type=float, default=1.0)
     p.add_argument("--delta-scale", type=float, default=None)
-    p.add_argument("--horizon", choices=("log", "power"), default=None)
+    p.add_argument("--horizon", choices=("log", "power"), default="log")
     p.add_argument("--horizon-param", type=float, default=None)
     p.add_argument("--oracle", action="store_true")
     p.add_argument("--ref", default=None, help="reference policy file or 'uniform'")
@@ -336,7 +349,6 @@ def build_parser() -> _Parser:
     p.add_argument("--reward-low", type=float, default=0.0)
     p.add_argument("--reward-high", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--path", default=None, help="source file for kind custom-file")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -348,13 +360,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)  # reads SGL_SEED
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ STATIONARY_TOL = 1e-10
 _UNIT_EIG_TOL = 1e-9
 # pure-profile corners certification_sample enumerates; above it, it draws half as many
 _CORNER_CAP = 64
+_RANDOM_PROFILES = 8  # random profiles certification_sample adds
 # a window of rows * (horizon + 1) stage-rows at least this long is played
 # by _window_ends's array kernel, a shorter one by one scalar _walk call
 # (the kernel's fixed cost per call is that of about 120 scalar stages)
@@ -483,8 +484,9 @@ def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
     )
 
 
-def certification_sample(game, n_random: int = 8, rng=None):
-    """Uniform profile, pure-profile corners (capped), and random draws."""
+def certification_sample(game, rng=None):
+    """Uniform profile, pure-profile corners (capped), and _RANDOM_PROFILES
+    random draws."""
     rng = np.random.default_rng(rng)
     samples = [uniform_profile(game)]
     n_corners = 1
@@ -503,7 +505,7 @@ def certification_sample(game, n_random: int = 8, rng=None):
                 rng.integers(0, m, size=game.n_states) for m in game.n_actions
             ]
             samples.append(deterministic_profile(game, actions))
-    for _ in range(n_random):
+    for _ in range(_RANDOM_PROFILES):
         samples.append(random_profile(game, rng))
     return samples
 
@@ -711,12 +713,6 @@ def policy_from_dict(data: dict) -> PolicyProfile:
     except (KeyError, TypeError, ValueError) as exc:
         raise GameFormatError(f"malformed policy document: {exc}") from exc
     return PolicyProfile(blocks)
-
-
-def save_policy(policy: PolicyProfile, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(policy_to_dict(policy), fh, indent=1)
-        fh.write("\n")
 
 
 def load_policy(path) -> PolicyProfile:

@@ -40,7 +40,7 @@ from .learner import (
 )
 from .mirror import Regularizer, make_regularizer
 
-KINDS = ("random-ergodic", "matching-pennies", "zerosum-switching", "custom-file")
+KINDS = ("random-ergodic", "matching-pennies", "zerosum-switching")
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,6 @@ class GeneratorSpec:
     reward_low: float = 0.0
     reward_high: float = 1.0
     seed: int = 0
-    path: str | None = None
 
     def action_counts(self) -> tuple[int, ...]:
         if isinstance(self.n_actions, int):
@@ -118,10 +117,6 @@ def generate(spec: GeneratorSpec) -> StochasticGame:
         return _zerosum_switching()
     if spec.kind == "random-ergodic":
         return _random_ergodic(spec)
-    if spec.kind == "custom-file":
-        if not spec.path:
-            raise ConfigError("custom-file kind needs a path")
-        return load_game(spec.path)
     raise ConfigError(f"unknown generator kind {spec.kind!r}; use one of {KINDS}")
 
 
@@ -370,10 +365,11 @@ def load_sweep_config(path) -> dict:
 
 
 def schedule_from_grid_entry(entry: dict, game: StochasticGame) -> Schedule:
-    """The grid entry's exponents p, q and window parameter T0 over the
-    preset of its horizon mode (default log), whose scales gamma0 and
-    delta0 override. Each of the five is a JSON number: a string or a bool
-    is a ConfigError, not converted."""
+    """The preset of the entry's horizon mode (default log) with its window
+    parameter T0, its scale gamma0 (default 1) and its exponents p, q; its
+    delta0 overrides the preset's query scale. Each of the five is a JSON
+    number, checked in the order p, q, gamma0, delta0, T0: a string or a
+    bool is a ConfigError, not converted."""
 
     def real(key, value):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -381,15 +377,13 @@ def schedule_from_grid_entry(entry: dict, game: StochasticGame) -> Schedule:
         return float(value)
 
     try:
-        base = _preset_schedule(game, str(entry.get("horizon", "log")), 0.0, 1.0)
-        return replace(
-            base,
-            gamma_exp=real("p", entry["p"]),
-            delta_exp=real("q", entry["q"]),
-            gamma_scale=real("gamma0", entry.get("gamma0", base.gamma_scale)),
-            delta_scale=real("delta0", entry.get("delta0", base.delta_scale)),
-            horizon_param=real("T0", entry["T0"]),
-        )
+        overrides = {"gamma_exp": real("p", entry["p"]), "delta_exp": real("q", entry["q"])}
+        gamma0 = real("gamma0", entry.get("gamma0", 1.0))
+        if "delta0" in entry:
+            overrides["delta_scale"] = real("delta0", entry["delta0"])
+        horizon = str(entry.get("horizon", "log"))
+        base = _preset_schedule(game, horizon, real("T0", entry["T0"]), gamma0)
+        return replace(base, **overrides)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid entry {entry!r}: {exc}") from exc
 

@@ -137,23 +137,23 @@ def certified_tau(cert: MixingCertificate) -> float:
         raise ScheduleError(
             f"mixing certificate failed at sampled profile {cert.failing_index} "
             f"(contraction {cert.contraction}); the default log window needs a "
-            "finite mixing constant, use the sqrt-horizon preset instead"
+            "finite mixing constant, use a power window or give the window parameter"
         )
     return cert.tau
 
 
 def _preset_schedule(
-    game: StochasticGame, horizon_mode: str, tau: float | None, gamma_scale: float
+    game: StochasticGame, horizon_mode: str, horizon_param: float | None, gamma_scale: float
 ) -> Schedule:
     """Exponents (1, 1/3), query scale a quarter of the tightest safety
-    radius, and the mode's window parameter: twice the mixing constant tau
-    (the certified one when tau is None) in log mode, 1/2 in power mode."""
-    if horizon_mode == "log":
-        if tau is None:
-            tau = certified_tau(game.mixing_certificate)
-        horizon_param = 2.0 * tau
-    else:
-        horizon_param = 0.5
+    radius, and the window parameter horizon_param; when it is None, the
+    mode's own: twice the certified mixing constant in log mode, 1/2 in
+    power mode."""
+    if horizon_param is None:
+        if horizon_mode == "log":
+            horizon_param = 2.0 * certified_tau(game.mixing_certificate)
+        else:
+            horizon_param = 0.5
     return Schedule(
         gamma_exp=1.0,
         delta_exp=1.0 / 3.0,
@@ -168,16 +168,13 @@ def default_schedule(
     game: StochasticGame, tau: float | None = None, gamma_scale: float = 1.0
 ) -> Schedule:
     """The preset with a log window twice the (certified) mixing constant."""
-    return _preset_schedule(game, "log", tau, gamma_scale)
+    return _preset_schedule(game, "log", None if tau is None else 2.0 * tau, gamma_scale)
 
 
 def sqrt_horizon_schedule(game: StochasticGame, gamma_scale: float = 1.0) -> Schedule:
     """The preset with window ceil(sqrt(t+1)) + 1, usable when the mixing
     constant is unknown."""
     return _preset_schedule(game, "power", None, gamma_scale)
-
-
-SCHEDULE_PRESETS = ("default", "sqrt-horizon")
 
 
 @dataclass(frozen=True)

@@ -391,7 +391,7 @@ class TestMismatch:
         # transition floor 0.1 keeps every stationary weight in [0.1, 0.9]
         game = random_game(44, n_states=2, eps=0.1)
         rng = np.random.default_rng(3)
-        samples = certification_sample(game, n_random=10, rng=rng)
+        samples = certification_sample(game, rng=rng)
         assert estimate_mismatch(game, samples) <= 9.0 + 1e-9
 
     def test_needs_two_samples(self):

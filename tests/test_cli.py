@@ -4,8 +4,30 @@ import numpy as np
 import pytest
 
 from sgl.cli import main
-from sgl.games import StochasticGame, save_game, save_policy, uniform_profile
+from sgl import learner
+from sgl.games import StochasticGame, policy_to_dict, save_game, uniform_profile
 from sgl.generators import GeneratorSpec, generate
+
+
+def stay_switch_game():
+    """Player 0 keeps or flips the state: the sampled certificate fails."""
+    rewards = np.zeros((2, 2, 4))
+    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+    rewards[1] = 1.0 - rewards[0]
+    transitions = np.zeros((2, 4, 2))
+    for s in range(2):
+        transitions[s, :2, s] = 1.0
+        transitions[s, 2:, 1 - s] = 1.0
+    return StochasticGame(2, (2, 2), rewards, transitions)
+
+
+def scaled_matching_pennies(scale):
+    game = generate(GeneratorSpec(kind="matching-pennies"))
+    return StochasticGame(1, (2, 2), scale * game.rewards, game.transitions)
+
+
+def _refuse(constant):
+    raise AssertionError(f"non-strict JSON constant {constant}")
 
 
 @pytest.fixture
@@ -84,10 +106,22 @@ class TestAnalyze:
             assert mixing["tau"] == cert.tau
             assert mixing["contraction"] == cert.contraction
 
-    def test_report_alias(self, game_file, capsys):
-        assert main(["report", "--game", str(game_file), "--samples", "3"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert "values" in doc
+    def test_failed_certificate_writes_null_tau(self, tmp_path, capsys):
+        # the certificate's tau is infinite; strict JSON has no Infinity
+        game_path = tmp_path / "stay_switch.json"
+        save_game(stay_switch_game(), game_path)
+        assert main(["analyze", "--game", str(game_path)]) == 0
+        mixing = json.loads(capsys.readouterr().out, parse_constant=_refuse)["mixing"]
+        assert mixing["ok"] is False and mixing["tau"] is None
+
+    def test_infinite_estimate_exits_one(self, tmp_path, capsys):
+        # payoffs near the float range: the Lipschitz ratio overflows
+        game_path = tmp_path / "mp_huge.json"
+        save_game(scaled_matching_pennies(1e308), game_path)
+        assert main(["analyze", "--game", str(game_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: lipschitz_estimate is not a finite number" in captured.err
 
 
 class TestGradient:
@@ -143,7 +177,7 @@ class TestGradient:
     def test_policy_file_argument(self, game_file, tmp_path, capsys):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=1))
         pol_path = tmp_path / "policy.json"
-        save_policy(uniform_profile(game), pol_path)
+        pol_path.write_text(json.dumps(policy_to_dict(uniform_profile(game))))
         assert main(
             ["gradient", "--game", str(game_file), "--policy", str(pol_path)]
         ) == 0
@@ -157,6 +191,19 @@ class TestGradient:
         assert main(["gradient", "--game", str(game_path), "--policy", "uniform"]) == 1
         assert "error: ergodicity check failed" in capsys.readouterr().err
 
+    def test_nan_stderr_exits_one(self, tmp_path, capsys):
+        # squared samples of payoffs near 1e200 overflow: the variance is NaN
+        game_path = tmp_path / "mp_huge.json"
+        save_game(scaled_matching_pennies(1e200), game_path)
+        argv = [
+            "gradient", "--game", str(game_path), "--policy", "uniform",
+            "--method", "spsa", "--draws", "2000",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: stderr[0][0][0] is not a finite number" in captured.err
+
 
 class TestLearn:
     def test_matching_pennies_with_sqrt_horizon_preset(self, tmp_path, capsys):
@@ -167,7 +214,7 @@ class TestLearn:
         code = main(
             [
                 "learn", "--game", str(game_path), "--iters", "300",
-                "--seed", "0", "--preset", "sqrt-horizon", "--ref", "uniform",
+                "--seed", "0", "--horizon", "power", "--ref", "uniform",
                 "--log-every", "100", "--out", str(out_dir),
             ]
         )
@@ -188,7 +235,7 @@ class TestLearn:
         code = main(
             [
                 "learn", "--game", str(game_path), "--iters", "10", "--log-every", "5",
-                "--preset", "sqrt-horizon", "--gamma-exp", "0.9", "--delta-scale", "0.05",
+                "--horizon", "power", "--gamma-exp", "0.9", "--delta-scale", "0.05",
                 "--horizon-param", "0.7", "--out", str(out_dir),
             ]
         )
@@ -249,24 +296,54 @@ class TestLearn:
         assert "schedule conditions failing" in capsys.readouterr().err
 
     def test_uncertified_mixing_exits_one(self, tmp_path, capsys):
-        # player 0 keeps or flips the state: the sampled certificate fails,
-        # so the default preset has no finite log window
-        rewards = np.zeros((2, 2, 4))
-        rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
-        rewards[1] = 1.0 - rewards[0]
-        transitions = np.zeros((2, 4, 2))
-        for s in range(2):
-            transitions[s, :2, s] = 1.0
-            transitions[s, 2:, 1 - s] = 1.0
+        # the certificate fails, so the default log window is not finite
         game_path = tmp_path / "stay_switch.json"
-        save_game(StochasticGame(2, (2, 2), rewards, transitions), game_path)
+        save_game(stay_switch_game(), game_path)
         argv = ["learn", "--game", str(game_path), "--iters", "20", "--log-every", "10"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "mixing certificate failed at sampled profile" in err
         # an explicit window needs no certified mixing constant
         assert main([*argv, "--horizon", "power", "--horizon-param", "0.5"]) == 0
-        assert main([*argv, "--preset", "sqrt-horizon"]) == 0
+        assert main([*argv, "--horizon", "power"]) == 0
+
+    def test_given_window_parameter_skips_certified_tau(self, tmp_path, capsys, monkeypatch):
+        def refuse(cert):
+            raise AssertionError("certified_tau called")
+
+        monkeypatch.setattr(learner, "certified_tau", refuse)
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        out_dir = tmp_path / "run"
+        argv = [
+            "learn", "--game", str(game_path), "--iters", "4", "--log-every", "2",
+            "--horizon-param", "3", "--out", str(out_dir),
+        ]
+        assert main(argv) == 0
+        schedule = json.loads((out_dir / "run.json").read_text())["schedule"]
+        assert (schedule["horizon_mode"], schedule["horizon_param"]) == ("log", 3.0)
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "game": str(game_path),
+                    "grid": [{"p": 1.0, "q": 0.25, "T0": 3.0}],
+                    "seeds": [0],
+                    "iters": 4,
+                    "log_every": 2,
+                }
+            )
+        )
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 1
+
+    def test_preset_flag_is_gone(self, tmp_path, capsys):
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        argv = ["learn", "--game", str(game_path), "--iters", "4", "--preset", "default"]
+        assert main(argv) == 1
+        assert "unrecognized arguments: --preset" in capsys.readouterr().err
 
     def test_log_every_below_one_exits_one(self, tmp_path, capsys):
         game_path = tmp_path / "mp.json"
@@ -292,6 +369,15 @@ class TestLearn:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 123
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+    def test_malformed_env_seed_exits_one(self, game_file, capsys, monkeypatch, value):
+        # read when the parser is built, so even validate, which takes no seed
+        monkeypatch.setenv("SGL_SEED", value)
+        assert main(["validate", str(game_file)]) == 1
+        assert f"error: SGL_SEED must be a nonnegative integer, got {value!r}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestGenerateCommand:
