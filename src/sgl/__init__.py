@@ -1,5 +1,7 @@
 """Bandit learning of Nash equilibria in average-payoff stochastic games."""
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     AdvantageTable,
     ExactGradient,
@@ -82,5 +84,8 @@ from .spsa import (
     smoothed_gradient_estimate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [  # the submodules, which dir() also lists, are not names
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

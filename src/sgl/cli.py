@@ -2,8 +2,8 @@
 
 Subcommands: validate, analyze, gradient, learn, generate, sweep. Each
 prints strict JSON (validate and generate one line of text). Exit codes:
-0 success, 1 validation/config error, a non-ergodic chain or a non-finite
-number in the output, 2 runtime error.
+0 success; 1 bad usage, a package error (sgl.errors.SglError) or an OS
+error on a path argument; 2 anything else, which is a defect in sgl.
 The environment variable SGL_SEED provides the default seed.
 """
 
@@ -19,27 +19,7 @@ import sys
 import numpy as np
 
 from . import analysis, games, generators, learner, mirror, spsa
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    DomainError,
-    ErgodicityError,
-    GameFormatError,
-    ScheduleError,
-)
-
-_VALIDATION_ERRORS = (
-    GameFormatError,
-    ConfigError,
-    DomainError,
-    DimensionError,
-    ContractError,
-    ScheduleError,
-    ErgodicityError,
-    FileNotFoundError,
-    IsADirectoryError,
-)
+from .errors import ConfigError, DomainError, SglError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,11 +31,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    value = os.environ.get("SGL_SEED", "0")
-    if not value.isdecimal():  # digits only: no sign, no blank
-        raise ConfigError(f"SGL_SEED must be a nonnegative integer, got {value!r}")
-    return int(value)
+def _seed(text: str) -> int:
+    """A seed from --seed or from SGL_SEED: a nonnegative decimal integer.
+    argparse turns a bad --seed into its own usage error, so only a bad
+    SGL_SEED shows this message."""
+    if not text.isdecimal():  # digits only: no sign, no blank
+        raise ConfigError(f"SGL_SEED must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
+_seed.__name__ = "seed"  # argparse's "invalid seed value: '-1'"
 
 
 def _load_policy_arg(game, value):
@@ -185,12 +170,12 @@ def _cmd_gradient(args) -> int:
             float(np.abs(m - np.asarray(e)).max()) if m.size else 0.0
             for m, e in zip(means, exact)
         )
+    _emit(doc, args.out)
     if "max_abs_diff_vs_exact" in doc:
         print(
             f"max abs difference vs exact: {doc['max_abs_diff_vs_exact']:.3e}",
             file=sys.stderr,
         )
-    _emit(doc, args.out)
     return 0
 
 
@@ -296,6 +281,7 @@ def _cmd_sweep(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sgl", description=__doc__)
+    seed = _seed(os.environ.get("SGL_SEED", "0"))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("validate", help="check a game file against its invariants")
@@ -306,7 +292,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", required=True)
     p.add_argument("--policy", default=None, help="policy file or 'uniform'")
     p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
@@ -317,14 +303,14 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--draws", type=int, default=20000)
     p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gradient)
 
     p = sub.add_parser("learn", help="run the bandit learner")
     p.add_argument("--game", required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--mirror", choices=mirror.KINDS, default="entropy")
     p.add_argument("--gamma-exp", type=float, default=None)
     p.add_argument("--delta-exp", type=float, default=None)
@@ -348,7 +334,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=0.1)
     p.add_argument("--reward-low", type=float, default=0.0)
     p.add_argument("--reward-high", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -365,10 +351,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except _VALIDATION_ERRORS as exc:
+    except (SglError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # anything else is a runtime failure
+    except Exception as exc:  # anything else is a defect
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -673,7 +673,7 @@ def game_from_dict(data: dict) -> StochasticGame:
         actions = tuple(int(m) for m in data["actions"])
         rewards = np.asarray(data["rewards"], dtype=float)
         transitions = np.asarray(data["transitions"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400)
         raise GameFormatError(f"malformed game document: {exc}") from exc
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
@@ -691,8 +691,8 @@ def load_game(path) -> StochasticGame:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(f"not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
+            raise GameFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return game_from_dict(data)
 
 
@@ -719,6 +719,6 @@ def load_policy(path) -> PolicyProfile:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GameFormatError(f"not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
+            raise GameFormatError(f"not valid UTF-8 JSON: {exc}") from exc
     return policy_from_dict(data)

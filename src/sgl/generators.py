@@ -90,6 +90,8 @@ def _random_ergodic(spec: GeneratorSpec) -> StochasticGame:
         )
     if spec.reward_high < spec.reward_low:
         raise ConfigError("reward_high must be at least reward_low")
+    if spec.seed < 0:
+        raise ConfigError(f"seed {spec.seed} is negative; the seed must be a nonnegative integer")
     rng = np.random.default_rng(spec.seed)
     n_joint = int(np.prod(actions))
     raw = rng.random((spec.n_states, n_joint, spec.n_states))
@@ -191,11 +193,15 @@ def _aggregate(logs: list[RunLog]) -> list[dict]:
 
 def _int_seeds(seeds) -> list[int]:
     """The seeds as ints; a float or string seed fails instead of being
-    truncated or parsed."""
+    truncated or parsed, and a negative one is refused by name."""
     try:
-        return [operator.index(seed) for seed in seeds]
+        seeds = [operator.index(seed) for seed in seeds]
     except TypeError:
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}") from None
+    for seed in seeds:
+        if seed < 0:
+            raise ConfigError(f"seed {seed} is negative; seeds must be nonnegative integers")
+    return seeds
 
 
 def sweep(
@@ -347,8 +353,8 @@ def load_sweep_config(path) -> dict:
     with open(path) as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"sweep config is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
+            raise ConfigError(f"sweep config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("sweep config must be a JSON object")
     for key in ("game", "grid", "seeds", "iters"):

@@ -514,10 +514,11 @@ def run_batch(
     alone does, so its RunLog has the same bits alone or in any batch; its
     sphere draw is one row of normals, redrawn whole under SPHERE_FLOOR.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
-    A run whose last window overflows, or whose uniforms would take more
-    than MAX_WINDOW_BYTES, is refused with ScheduleError before its first
-    iteration. An error raised for one seed carries the seed's position in
-    `seeds` as its seed_index attribute.
+    A run whose schedule overflows at its last iteration, or whose uniforms
+    would take more than MAX_WINDOW_BYTES, is refused with ScheduleError
+    before its first iteration. An error raised for one seed (a negative
+    seed, say) carries the seed's position in `seeds` as its seed_index
+    attribute.
     """
     try:  # a float count fails instead of being truncated
         iters, log_every = operator.index(iters), operator.index(log_every)
@@ -535,17 +536,24 @@ def run_batch(
     if out_dirs is not None and len(out_dirs) != len(seeds):
         raise DomainError("out_dirs needs one directory per seed")
     if iters:
-        # windows never shrink as t grows, so the last one is the longest
+        # windows never shrink and (t+1)**p is monotone in t, so the last
+        # iteration has the longest window and is the first to overflow
         try:
+            schedule.gamma(iters - 1), schedule.delta(iters - 1)
             longest = schedule.horizon(iters - 1)
-        except OverflowError:
-            raise ScheduleError(f"the window at t={iters - 1} overflows") from None
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ScheduleError(
+                f"the schedule at t={iters - 1} overflows or underflows to zero ({exc})"
+            ) from None
         size = _window_bytes(len(seeds), longest, game)
         if size > MAX_WINDOW_BYTES:
             raise ScheduleError(
                 f"the window of {longest} stages at t={iters - 1} needs {size} bytes of "
                 f"uniforms for {len(seeds)} seeds, over the {MAX_WINDOW_BYTES}-byte cap"
             )
+    for b, seed in enumerate(seeds):
+        if seed < 0:  # numpy's default_rng says only "expected non-negative integer"
+            raise _tagged(DomainError(f"seed {seed} is negative"), b)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     radius_cap = 0.99 * min_safety_radius(game)
 
@@ -673,9 +681,10 @@ def run_batch(
             if np.maximum.reduce(norm, axis=None) > coeff_cap:
                 b, j = np.argwhere(norm > coeff_cap)[0]
                 raise _tagged(
-                    RuntimeError(
-                        f"estimate norm {float(norm[b, j])} exceeds bound "
-                        f"{norm_cap / delta} at t={t}"
+                    DomainError(
+                        f"estimate norm {float(norm[b, j])} exceeds bound {norm_cap / delta} "
+                        f"at t={t}: the estimate's norm overflowed for rewards this large "
+                        "at this query radius"
                     ),
                     b,
                 )

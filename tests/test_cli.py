@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from sgl import cli, errors, learner
 from sgl.cli import main
-from sgl import learner
 from sgl.games import StochasticGame, policy_to_dict, save_game, uniform_profile
 from sgl.generators import GeneratorSpec, generate
 
@@ -21,9 +24,11 @@ def stay_switch_game():
     return StochasticGame(2, (2, 2), rewards, transitions)
 
 
-def scaled_matching_pennies(scale):
-    game = generate(GeneratorSpec(kind="matching-pennies"))
-    return StochasticGame(1, (2, 2), scale * game.rewards, game.transitions)
+def scaled_game(kind, scale):
+    """The generated game of this kind with 2 states, players and actions (the
+    zero-sum kinds have their own sizes) and its rewards times scale."""
+    game = generate(GeneratorSpec(kind=kind, n_states=2, n_players=2, n_actions=2, seed=3))
+    return StochasticGame(game.n_states, game.n_actions, scale * game.rewards, game.transitions)
 
 
 def _refuse(constant):
@@ -117,7 +122,7 @@ class TestAnalyze:
     def test_infinite_estimate_exits_one(self, tmp_path, capsys):
         # payoffs near the float range: the Lipschitz ratio overflows
         game_path = tmp_path / "mp_huge.json"
-        save_game(scaled_matching_pennies(1e308), game_path)
+        save_game(scaled_game("matching-pennies", 1e308), game_path)
         assert main(["analyze", "--game", str(game_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -194,7 +199,7 @@ class TestGradient:
     def test_nan_stderr_exits_one(self, tmp_path, capsys):
         # squared samples of payoffs near 1e200 overflow: the variance is NaN
         game_path = tmp_path / "mp_huge.json"
-        save_game(scaled_matching_pennies(1e200), game_path)
+        save_game(scaled_game("matching-pennies", 1e200), game_path)
         argv = [
             "gradient", "--game", str(game_path), "--policy", "uniform",
             "--method", "spsa", "--draws", "2000",
@@ -203,6 +208,8 @@ class TestGradient:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: stderr[0][0][0] is not a finite number" in captured.err
+        # the stderr summary follows the check, so a refused document has none
+        assert "max abs difference" not in captured.err
 
 
 class TestLearn:
@@ -481,3 +488,142 @@ class TestSweepCommand:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(cfg_path)]) == 1
         assert message in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CLI property: every run exits 0 with strict JSON or 1 with a package
+# error; exit 2 is a defect
+
+
+JSON_COMMANDS = ("analyze", "gradient", "learn", "sweep")
+
+
+def run_quietly(argv):
+    """main(argv) in-process with warnings silenced: exit code, stdout, stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def property_grid(tmp_path):
+    """The argv of every run: each subcommand on each generated game at each
+    reward scale and --seed, and generate at each --seed."""
+    runs = []
+    for kind in ("random-ergodic", "matching-pennies", "zerosum-switching"):
+        for scale in (1.0, 1e100, 1e200, 1e300):
+            game = tmp_path / f"{kind}_{scale:g}.json"
+            save_game(scaled_game(kind, scale), game)
+            runs.append(["validate", str(game)])
+            for seed in ("-1", "0"):
+                on_game = ["--game", str(game), "--seed", seed]
+                learn = ["learn", *on_game, "--iters", "4", "--log-every", "2"]
+                config = tmp_path / f"sweep_{kind}_{scale:g}_{seed}.json"
+                config.write_text(json.dumps({
+                    "game": str(game), "grid": [{"p": 1.0, "q": 1 / 3, "T0": 1.0}],
+                    "seeds": [int(seed)], "iters": 4, "log_every": 2,
+                }))
+                runs += [
+                    ["analyze", *on_game, "--samples", "2"],
+                    ["gradient", *on_game, "--policy", "uniform", "--method", "exact"],
+                    ["gradient", *on_game, "--policy", "uniform", "--method", "fd"],
+                    ["gradient", *on_game, "--policy", "uniform", "--method", "spsa",
+                     "--draws", "16"],
+                    learn,
+                    [*learn, "--oracle", "--ref", "uniform", "--mirror", "euclidean"],
+                    ["sweep", "--config", str(config)],
+                ]
+    for seed in ("-1", "0"):
+        out = tmp_path / f"generated_{seed}.json"
+        runs.append(["generate", "--kind", "random-ergodic", "--seed", seed, "--out", str(out)])
+    return runs
+
+
+def malformed_inputs(tmp_path):
+    """The argv of runs on inputs outside what the package accepts, each of
+    which must exit 1."""
+    game = tmp_path / "mp.json"
+    save_game(generate(GeneratorSpec(kind="matching-pennies")), game)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"n_states": 1, "meta": {"name": "caf\xe9"}}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n_states": 1e400, "actions": [2], "rewards": [], "transitions": []}')
+    negative_seed = tmp_path / "negative_seed.json"
+    negative_seed.write_text(json.dumps({
+        "game": str(game), "grid": [{"p": 1.0, "q": 1 / 3, "T0": 1.0}],
+        "seeds": [-1], "iters": 4,
+    }))
+    # (t+1)**400 overflows, and (t+1)**-400 underflows to 0, from t = 5 or 6
+    learn = ["learn", "--game", str(game), "--iters", "10", "--log-every", "5"]
+    return [
+        ["validate", str(game / "under_a_file.json")],
+        ["validate", str(latin1)],
+        ["validate", str(deep)],
+        ["validate", str(huge)],
+        ["gradient", "--game", str(game), "--policy", str(latin1)],
+        ["sweep", "--config", str(latin1)],
+        ["sweep", "--config", str(negative_seed)],
+        [*learn, "--gamma-exp", "400"],
+        [*learn, "--delta-exp", "400"],
+        [*learn, "--delta-exp", "-400"],
+    ]
+
+
+class TestExitCodes:
+    def test_property_grid_exits_zero_or_one(self, tmp_path):
+        defects, loose = [], []
+        for argv in property_grid(tmp_path):
+            code, out, err = run_quietly(argv)
+            if code not in (0, 1):
+                defects.append((argv, code, err))
+            elif code == 0 and argv[0] in JSON_COMMANDS:
+                try:
+                    json.loads(out, parse_constant=_refuse)
+                except (AssertionError, ValueError) as exc:
+                    loose.append((argv, str(exc)))
+        assert defects == [] and loose == []
+
+    def test_malformed_inputs_exit_one(self, tmp_path):
+        runs = [(argv, *run_quietly(argv)) for argv in malformed_inputs(tmp_path)]
+        assert [(argv, code) for argv, code, _, _ in runs if code != 1] == []
+        assert all(err.splitlines()[-1].startswith("error: ") for *_, err in runs)
+
+    def test_negative_seed_flag_is_a_usage_error(self, game_file, capsys):
+        argv = ["analyze", "--game", str(game_file), "--seed", "-1"]
+        assert main(argv) == 1
+        assert "argument --seed: invalid seed value: '-1'" in capsys.readouterr().err
+
+    def test_a_bare_runtime_error_is_a_defect(self, game_file, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("an sgl defect")
+
+        monkeypatch.setattr(cli, "_cmd_validate", broken)
+        assert main(["validate", str(game_file)]) == 2
+        assert capsys.readouterr().err == "runtime error: an sgl defect\n"
+
+    def test_a_new_package_error_exits_one(self, game_file, monkeypatch, capsys):
+        class FreshError(errors.SglError):
+            pass
+
+        def refusing(args):
+            raise FreshError("refused")
+
+        monkeypatch.setattr(cli, "_cmd_validate", refusing)
+        assert main(["validate", str(game_file)]) == 1
+        assert capsys.readouterr().err == "error: refused\n"
+
+    def test_every_package_error_is_an_sgl_error(self):
+        classes = [
+            v for v in vars(errors).values()
+            if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == errors.__name__
+        ]
+        assert errors.SglError in classes and errors.ConfigError in classes
+        for c in classes:
+            assert issubclass(c, errors.SglError)
+            # the built-in base stays, so except ValueError / RuntimeError still catch it
+            base = RuntimeError if c is errors.ErgodicityError else ValueError
+            assert c is errors.SglError or issubclass(c, base)

@@ -679,6 +679,34 @@ class TestGameFiles:
         with pytest.raises(GameFormatError):
             load_game(path)
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            b'{"n_states": 1, "meta": {"name": "caf\xe9"}}',  # Latin-1, not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # deeper than the decoder recurses
+            b'{"n_states": ' + b"9" * 5000 + b"}",  # past int's 4300-digit limit
+        ],
+        ids=["latin1", "deep", "long-int"],
+    )
+    def test_undecodable_game_file_is_a_format_error(self, tmp_path, document):
+        path = tmp_path / "game.json"
+        path.write_bytes(document)
+        with pytest.raises(GameFormatError, match="not valid UTF-8 JSON"):
+            load_game(path)
+
+    def test_non_utf8_policy_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"probs": [[[1.0]]], "note": "caf\xe9"}')
+        with pytest.raises(GameFormatError, match="not valid UTF-8 JSON"):
+            games.load_policy(path)
+
+    def test_infinite_state_count_is_a_format_error(self, tmp_path):
+        # JSON's 1e400 parses as float infinity, which int() refuses with OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text('{"n_states": 1e400, "actions": [2], "rewards": [], "transitions": []}')
+        with pytest.raises(GameFormatError, match="malformed game document"):
+            load_game(path)
+
     def test_hash_tracks_content(self):
         a = small_random_game(1)
         b = small_random_game(2)

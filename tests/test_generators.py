@@ -88,6 +88,10 @@ class TestGenerate:
         with pytest.raises(ConfigError, match="unknown generator kind 'custom-file'"):
             generate(GeneratorSpec(kind="custom-file"))
 
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ConfigError, match="seed -1 is negative"):
+            generate(GeneratorSpec(kind="random-ergodic", seed=-1))
+
     def test_generated_games_reload_through_validation(self, tmp_path):
         for kind in ("matching-pennies", "zerosum-switching", "random-ergodic"):
             game = generate(GeneratorSpec(kind=kind, seed=1))
@@ -228,7 +232,7 @@ class TestSweep:
         for seed in seeds:
             try:
                 solo[seed] = run(game, sch, make_regularizer("entropy"), 4, seed)
-            except RuntimeError as exc:
+            except DomainError as exc:
                 solo[seed] = str(exc)
         failed = [s for s in seeds if isinstance(solo[s], str)]
         assert 0 < len(failed) < len(seeds)
@@ -310,6 +314,17 @@ class TestSweep:
         cfg_path.write_text(json.dumps({"game": "x.json"}))
         with pytest.raises(ConfigError, match="missing key"):
             load_sweep_config(cfg_path)
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_bytes(b'{"game": "caf\xe9.json"}')
+        with pytest.raises(ConfigError, match="not valid UTF-8 JSON"):
+            load_sweep_config(cfg_path)
+
+    def test_negative_seed_is_named(self):
+        game = self.make_game()
+        with pytest.raises(ConfigError, match="seed -1 is negative"):
+            sweep(game, [default_schedule(game)], [0, -1], iters=4, log_every=2)
 
     def test_config_must_be_an_object(self, tmp_path):
         cfg_path = tmp_path / "sweep.json"

@@ -468,6 +468,31 @@ class TestRunBatch:
         with pytest.raises(ScheduleError, match="overflows"):
             run_batch(game, sch, ENTROPY, 10**10, [0])
 
+    @pytest.mark.parametrize(
+        "exponents", [{"gamma_exp": 400.0}, {"delta_exp": 400.0}, {"delta_exp": -400.0}]
+    )
+    def test_overflowing_steps_are_refused(self, exponents):
+        # (t + 1) ** 400 overflows, and (t + 1) ** -400 underflows to a zero
+        # divisor, from t = 5 or 6 on; the check evaluates the last t, 9
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = Schedule(**{"gamma_exp": 1.0, "delta_exp": 1.0 / 3.0, **exponents})
+        with pytest.raises(ScheduleError, match="schedule at t=9"):
+            run_batch(game, sch, ENTROPY, 10, [0])
+
+    def test_negative_seed_names_its_position(self):
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        with pytest.raises(DomainError, match="seed -1 is negative") as info:
+            run_batch(game, default_schedule(game), ENTROPY, 4, [0, 2, -1])
+        assert info.value.seed_index == 2
+
+    def test_overflowing_estimate_is_a_domain_error(self):
+        # one-point estimates of rewards near 1e200 overflow at the query radius
+        base = generate(GeneratorSpec(kind="matching-pennies"))
+        game = StochasticGame(1, (2, 2), 1e200 * base.rewards, base.transitions)
+        with pytest.raises(DomainError, match="overflowed for rewards this large") as info:
+            run_batch(game, default_schedule(game), ENTROPY, 4, [0, 1])
+        assert info.value.seed_index == 0
+
     def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
         # the 2**31 + 1 stages of t = 1 would take 48 GiB of uniforms; the run
         # is refused before its first iteration allocates any
