@@ -3,7 +3,8 @@
 BENCH_<n>.json file.
 
 Times exact_value, exact_values over a stack of 256 profiles,
-smoothed_gradient_estimate with 256 draws, exact_gradient, nash_gap,
+smoothed_gradient_estimate with 256 draws, exact_gradient,
+finite_difference_gradient (default step, one exact_values call), nash_gap,
 fenchel_coupling (entropy mirror, uniform reference) and
 horizon_bias_check (window 8, 1000 draws, contraction given) on three game
 sizes: (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with
@@ -78,6 +79,7 @@ OPS = (
     f"exact_values[B={STACK}]",
     f"smoothed_gradient_estimate[draws={STACK}]",
     "exact_gradient",
+    "finite_difference_gradient",
     "nash_gap",
     "fenchel_coupling",
     "horizon_bias_check[H=8,draws=1000]",
@@ -156,6 +158,8 @@ def measure(src: pathlib.Path, op: str, size: str) -> dict:
         )
     if op == "exact_gradient":
         return _time(lambda: analysis.exact_gradient(game, policy))
+    if op == "finite_difference_gradient":
+        return _time(lambda: analysis.finite_difference_gradient(game, policy))
     if op == "nash_gap":
         return _time(lambda: analysis.nash_gap(game, policy))
     if op == "fenchel_coupling":

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ErgodicityError
 from .games import (
+    ROW_SUM_TOL,
     ChainAnalysis,
     PolicyProfile,
     StochasticGame,
@@ -119,15 +120,18 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
 
     blocks[i] is player i's (B, n_states, n_actions_i) policy stack; row k
     of the result is exact_value(...).values of the profile formed by every
-    player's slice k. Each stack gets the PolicyProfile checks (errors name
-    the profile) and all B chains share one stacked stationary solve.
+    player's slice k, equal to it to roundoff (the products and sums run in
+    another order). Each stack gets the PolicyProfile checks (errors name
+    the profile) and is evaluated batch-last by _batch_values, whose B
+    chains share one stacked stationary solve. B = 0 gives a (0,
+    n_players) array.
     """
     if len(blocks) != game.n_players:
         raise DimensionError(
             f"policy stack has {len(blocks)} players, game has {game.n_players}"
         )
     n_profiles = len(blocks[0])
-    checked = []
+    cols = []
     for i, (block, m) in enumerate(zip(blocks, game.n_actions)):
         arr = np.asarray(block, dtype=float)
         if arr.shape != (n_profiles, game.n_states, m):
@@ -135,11 +139,33 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
                 f"player {i} policy stack shape {arr.shape} != "
                 f"{(n_profiles, game.n_states, m)}"
             )
-        checked.append(check_policy_block(arr, i))
-    w = joint_weight_matrix(checked)
-    p = stationary_distribution(np.einsum("bsj,sjt->bst", w, game.transitions))
-    stage = np.einsum("isj,bsj->bis", game.rewards, w)
-    return np.einsum("bis,bs->bi", stage, p)
+        cols.append(arr.transpose(1, 2, 0).copy())
+    if not n_profiles:
+        return np.zeros((0, game.n_players))
+    return _batch_values(game, cols).T
+
+
+def _batch_values(game: StochasticGame, cols) -> np.ndarray:
+    """Long-run average payoffs (n_players, B) of B profiles stored
+    batch-last: cols[i] is player i's (n_states, n_actions_i, B) stack,
+    which this checks as check_policy_block does (on a failure
+    check_policy_block itself raises, naming the profile) and clips in
+    place. With the profile axis innermost, the joint weights, the induced
+    chains and the stage rewards each run a few long loops, the last two as
+    one matmul against the game's _joint_tables."""
+    S, B = game.n_states, cols[0].shape[-1]
+    for i, x in enumerate(cols):
+        if (x < -ROW_SUM_TOL).any() or not (np.abs(x.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
+            check_policy_block(x.transpose(2, 0, 1), i)
+        np.clip(x, 0.0, None, out=x)
+    # joint actions row-major, the last player's action fastest
+    w = cols[0]
+    for x in cols[1:]:
+        w = (w[:, :, None] * x[:, None]).reshape(S, -1, B)
+    transitions, rewards = game._joint_tables
+    p = stationary_distribution((transitions @ w).transpose(2, 0, 1))   # (B, S)
+    stage = rewards @ w                                                 # (S, n, B)
+    return (stage * p.T[:, None]).sum(axis=0)
 
 
 def opponent_weights(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:

@@ -74,7 +74,7 @@ class StochasticGame:
 
         rewards = np.asarray(self.rewards, dtype=float)
         transitions = np.asarray(self.transitions, dtype=float)
-        n_joint = int(np.prod(n_actions))
+        n_joint = math.prod(n_actions)
         if rewards.shape != (len(n_actions), self.n_states, n_joint):
             raise GameFormatError(
                 f"rewards shape {rewards.shape} != "
@@ -149,6 +149,18 @@ class StochasticGame:
         cols.flags.writeable = False  # shared by every call, like transitions
         rewards = self.rewards.transpose(1, 2, 0)
         return strides, cols, cols.tolist(), rewards, rewards.tolist()
+
+    @functools.cached_property
+    def _joint_tables(self):
+        """What exact_values contracts the joint actions of a batch-last
+        stack against, built on first use and kept: the (S, S, J)
+        transitions with the next state before the joint action, and the
+        (S, n_players, J) rewards."""
+        transitions = np.ascontiguousarray(self.transitions.transpose(0, 2, 1))
+        rewards = np.ascontiguousarray(self.rewards.transpose(1, 0, 2))
+        # shared by every call, like transitions
+        transitions.flags.writeable = rewards.flags.writeable = False
+        return transitions, rewards
 
     @functools.cached_property
     def _digest(self) -> str:

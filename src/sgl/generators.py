@@ -29,6 +29,7 @@ from .games import (
     uniform_profile,
 )
 from .learner import (
+    MAX_WINDOW_BYTES,
     RunLog,
     Schedule,
     ScheduleReport,
@@ -84,6 +85,12 @@ def _random_ergodic(spec: GeneratorSpec) -> StochasticGame:
     actions = spec.action_counts()
     if spec.n_states < 1 or any(m < 1 for m in actions):
         raise ConfigError("sizes must be positive")
+    n_joint = math.prod(actions)
+    if 8 * spec.n_states * n_joint * spec.n_states > MAX_WINDOW_BYTES:
+        raise ConfigError(
+            f"{n_joint} joint actions over {spec.n_states} states need a transition "
+            f"tensor over the {MAX_WINDOW_BYTES}-byte cap"
+        )
     if spec.eps < 0 or spec.eps * spec.n_states >= 1.0:
         raise ConfigError(
             f"need eps * n_states < 1, got {spec.eps} * {spec.n_states}"
@@ -93,7 +100,6 @@ def _random_ergodic(spec: GeneratorSpec) -> StochasticGame:
     if spec.seed < 0:
         raise ConfigError(f"seed {spec.seed} is negative; the seed must be a nonnegative integer")
     rng = np.random.default_rng(spec.seed)
-    n_joint = int(np.prod(actions))
     raw = rng.random((spec.n_states, n_joint, spec.n_states))
     raw /= raw.sum(axis=2, keepdims=True)
     transitions = spec.eps + (1.0 - spec.eps * spec.n_states) * raw

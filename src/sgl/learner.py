@@ -675,7 +675,7 @@ def run_batch(
 
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
         for (k, lo, hi), d in zip(groups, directions):
-            lifted = _tangent(_one_point(payoffs[:, lo:hi], d, delta, dims[lo]))
+            lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
             squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
             norm = np.sqrt(np.add.reduce(squares, axis=-1))
             if np.maximum.reduce(norm, axis=None) > coeff_cap:

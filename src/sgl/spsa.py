@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import exact_gradient, exact_value, exact_values
+from .analysis import _batch_values, exact_gradient, exact_value
 from .errors import DomainError, ScheduleError
 from .games import PolicyProfile, StochasticGame, _stack_prefix
 
 REDUCED_TOL = 1e-12
-# sphere draws per stacked exact_values call in smoothed_gradient_estimate
+# sphere draws smoothed_gradient_estimate evaluates at once, as one
+# batch-last (states, actions, draws) stack per player and one stacked
+# stationary solve
 ORACLE_BLOCK = 256
 # a sphere draw is one row of normals, every active player's segment side by
 # side; a row with a segment of norm at most this is drawn again whole
@@ -54,6 +56,18 @@ def lift_block(x: np.ndarray) -> np.ndarray:
         raise DomainError(
             f"reduced row ({_stack_prefix(k, 'draw')}state={s}) sums to more than 1"
         )
+    return np.clip(block, 0.0, None, out=block)
+
+
+def _lift_columns(x: np.ndarray) -> np.ndarray:
+    """lift_block of a batch-last (states, m-1, n) stack of draws, as a
+    clipped (states, m, n) stack; its checks run on that layout and, on a
+    failure, lift_block itself raises, naming the draw."""
+    block = np.empty((x.shape[0], x.shape[1] + 1, x.shape[2]))
+    block[:, :-1] = x
+    block[:, -1] = 1.0 - x.sum(axis=1)
+    if (x < -REDUCED_TOL).any() or (block[:, -1] < -REDUCED_TOL).any():
+        lift_block(x.transpose(2, 0, 1))
     return np.clip(block, 0.0, None, out=block)
 
 
@@ -233,10 +247,8 @@ def estimate_gradient(
 
 def _one_point(payoff, z: np.ndarray, delta: float, d: int) -> np.ndarray:
     """Unchecked reduced estimate (d / delta) * payoff * z; payoff is a
-    scalar or one value per leading index of a stack of (states x (m-1))
-    directions."""
-    coef = (d / delta) * np.asarray(payoff, dtype=float)
-    return coef[..., None, None] * z
+    scalar or an array that broadcasts against a stack of directions z."""
+    return (d / delta) * np.asarray(payoff, dtype=float) * z
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +276,14 @@ def smoothed_gradient_estimate(
     exact value at the queried profile plays the role of the observed
     payoff. The current value, exact_value(game, policy).values, is
     subtracted as a control variate, which leaves the mean unchanged and
-    shrinks the variance. Queries are evaluated ORACLE_BLOCK draws per
-    exact_values call. Each draw is one row of normals, redrawn whole under
-    SPHERE_FLOOR's rule, so rng is read as by a row-by-row loop. Returns
-    (means, stderrs) as per-player (states x (m-1)) arrays.
+    shrinks the variance. Each draw is one row of normals, redrawn whole
+    under SPHERE_FLOOR's rule, so rng is read as by a row-by-row loop.
+    Queries are evaluated ORACLE_BLOCK draws at a time: the block's
+    directions are transposed once, and the perturbation, the lift (with
+    lift_block's checks, naming the draw), the one-point samples and their
+    sums run with the draw axis innermost, on exact_values' batch-last core.
+    The means equal those of a per-draw exact_value loop to roundoff.
+    Returns (means, stderrs) as per-player (states x (m-1)) arrays.
     """
     means, stderrs, _ = _smoothed_gradient(game, policy, delta, n_draws, rng, exact_value)
     return means, stderrs
@@ -296,6 +312,8 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
     evaluated = evaluate(game, policy)
     base_values = evaluated.values
     dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
+    # the nets with their centers shaped like one batch-last draw
+    column_nets = {i: SafetyNet(nets[i].center[..., None], nets[i].radius) for i in active}
     starts = np.cumsum([0, *dims]).tolist()
 
     sums = {i: np.zeros_like(base[i]) for i in active}
@@ -312,21 +330,23 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
             raw[k:-1] = raw[k + 1:]
             rng.standard_normal(out=raw[-1])
             norms = [_sphere_norms(z) for z in segments]
+        # batch-last from here on: the draw axis is innermost
+        columns = raw.T.copy()
         zs = {
-            i: (segments[j] / norms[j][:, None]).reshape((n,) + base[i].shape)
-            for j, i in enumerate(active)
+            i: (columns[a:b] / norms[j]).reshape(base[i].shape + (n,))
+            for j, (i, a, b) in enumerate(zip(active, starts, starts[1:]))
         }
         queried = [
-            _perturb(base[i], zs[i], delta, nets[i])
+            _perturb(base[i][..., None], zs[i], delta, column_nets[i])
             if i in active
-            else np.broadcast_to(base[i], (n,) + base[i].shape)
+            else np.broadcast_to(base[i][..., None], base[i].shape + (n,))
             for i in range(game.n_players)
         ]
-        values = exact_values(game, [lift_block(x) for x in queried])
+        values = _batch_values(game, [_lift_columns(x) for x in queried])
         for j, i in enumerate(active):
-            samples = _one_point(values[:, i] - base_values[i], zs[i], delta, dims[j])
-            sums[i] += samples.sum(axis=0)
-            sq_sums[i] += (samples * samples).sum(axis=0)
+            samples = _one_point(values[i] - base_values[i], zs[i], delta, dims[j])
+            sums[i] += samples.sum(axis=-1)
+            sq_sums[i] += (samples * samples).sum(axis=-1)
 
     means, stderrs = [], []
     for i in range(game.n_players):

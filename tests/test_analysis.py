@@ -212,18 +212,36 @@ class TestAdvantages:
 
 
 class TestExactValues:
-    @pytest.mark.parametrize("n_actions", [(2, 2), (3, 1, 2)], ids=["2x2", "single-action"])
-    def test_rows_match_exact_value(self, n_actions):
-        game = mixed_action_game(3, n_actions=n_actions)
+    @pytest.mark.parametrize(
+        "n_states, n_actions, n_profiles",
+        [
+            (3, (2, 2), 30),
+            (3, (3, 1, 2), 30),
+            (20, (4, 4), 30),
+            (3, (9, 2), 30),
+            (3, (2, 3), 1),
+        ],
+        ids=["2x2", "single-action", "20s2p4a", "9-action", "one-profile"],
+    )
+    def test_rows_match_exact_value(self, n_states, n_actions, n_profiles):
+        game = mixed_action_game(3, n_states=n_states, n_actions=n_actions)
         rng = np.random.default_rng(4)
-        profiles = [random_profile(game, rng) for _ in range(30)]
+        profiles = [random_profile(game, rng) for _ in range(n_profiles)]
         stacks = [np.stack([p.probs[i] for p in profiles]) for i in range(game.n_players)]
         values = exact_values(game, stacks)
-        assert values.shape == (30, game.n_players)
+        assert values.shape == (n_profiles, game.n_players)
         for k, policy in enumerate(profiles):
             np.testing.assert_allclose(
                 values[k], exact_value(game, policy).values, rtol=0, atol=1e-13
             )
+
+    def test_empty_stack(self):
+        game = mixed_action_game(3)
+        stacks = [np.zeros((0, 3, m)) for m in game.n_actions]
+        values = exact_values(game, stacks)
+        assert values.shape == (0, 3)
+        with pytest.raises(DimensionError, match="player 1 policy stack shape"):
+            exact_values(game, [stacks[0], np.zeros((0, 3, 2)), stacks[2]])
 
     def test_checks_name_the_profile(self):
         game = random_game(4)

@@ -410,6 +410,19 @@ class TestGenerateCommand:
         )
         assert code == 1
 
+    def test_too_many_joint_actions_exits_one(self, tmp_path, capsys):
+        # 3**40 joint actions; an int64 product would wrap to a negative size
+        out = tmp_path / "x.json"
+        code = main(
+            [
+                "generate", "--kind", "random-ergodic", "--players", "40",
+                "--actions", "3", "--eps", "0", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert f"{3**40} joint actions" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_sweep_from_config(self, tmp_path, capsys):

@@ -64,6 +64,12 @@ class TestGameConstruction:
         with pytest.raises(GameFormatError, match="not finite"):
             StochasticGame(1, (2,), rewards, transitions)
 
+    def test_joint_action_count_does_not_wrap(self):
+        # 2**64 joint actions: an int64 product wraps to 0 and would let
+        # these empty joint axes pass the shape checks
+        with pytest.raises(GameFormatError, match=f"rewards shape .* != \\(64, 1, {2**64}\\)"):
+            StochasticGame(1, (2,) * 64, np.zeros((64, 1, 0)), np.zeros((1, 0, 1)))
+
     def test_joint_index_last_player_fastest(self):
         game = small_random_game(0, n_states=1, n_actions=(2, 3))
         np.testing.assert_array_equal(

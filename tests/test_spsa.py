@@ -399,6 +399,33 @@ class TestSmoothedGradient:
             stderrs[0], np.std(samples, axis=0) / np.sqrt(n_draws), rtol=1e-9
         )
 
+    def test_query_off_the_simplex_names_the_draw(self, monkeypatch):
+        # nets with an oversized radius let delta * z carry a query out of
+        # the simplex; the lift refuses it with lift_block's error, naming the
+        # first draw that leaves, of the first player with one
+        game = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3, seed=2)
+        )
+        policy = random_profile(game, np.random.default_rng(5), margin=0.3)
+        delta, n_draws = 0.3, 40
+        nets = [spsa.SafetyNet(net.center, 10.0) for net in spsa.nets_for(game)]
+        monkeypatch.setattr(spsa, "nets_for", lambda g: nets)
+        rows = np.random.default_rng(6).standard_normal((n_draws, 3 * 6))
+        base = reduce_policy(policy)
+        expected = None
+        for i in range(3):
+            z = rows[:, 6 * i : 6 * (i + 1)]
+            z = z / np.linalg.norm(z, axis=1, keepdims=True)
+            try:
+                lift_block(perturb(base[i], z, delta, nets[i]))
+            except DomainError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None and "draw=" in expected
+        with pytest.raises(DomainError) as caught:
+            smoothed_gradient_estimate(game, policy, delta, n_draws, np.random.default_rng(6))
+        assert str(caught.value) == expected
+
     @pytest.mark.parametrize("n_draws, delta", [(0, 0.1), (-3, 0.1), (40, 0.0), (40, -0.05)])
     def test_bad_draws_or_delta_rejected(self, n_draws, delta):
         # through the estimator: the bias probe, the step decomposition and
