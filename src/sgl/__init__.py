@@ -19,7 +19,6 @@ from .analysis import (
     nash_gap,
 )
 from .games import (
-    ChainAnalysis,
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
@@ -56,7 +55,6 @@ from .learner import (
     horizon_bias_check,
     run,
     run_batch,
-    sqrt_horizon_schedule,
     validate_schedule,
 )
 from .mirror import (

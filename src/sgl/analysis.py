@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ContractError, DimensionError, DomainError, ErgodicityError
 from .games import (
     ROW_SUM_TOL,
-    ChainAnalysis,
     PolicyProfile,
     StochasticGame,
     _slicewise,
@@ -29,6 +28,7 @@ from .games import (
     random_profile,
     stationary_distribution,
 )
+from .mirror import BoundCheck
 
 # policy-iteration sweeps after which a row that still moves is an error
 _MAX_SWEEPS = 1000
@@ -38,15 +38,15 @@ _SERIES_TERMS = 200
 
 @dataclass(frozen=True)
 class ValueReport:
-    """Per-player long-run average values and expected stage rewards.
+    """Long-run values, stage rewards, and the induced chain with its stationary law.
 
     values[i] equals stationary . stage_rewards[i] by construction.
     """
 
-    values: np.ndarray          # (n_players,)
-    stage_rewards: np.ndarray   # (n_players, n_states)
-    stationary: np.ndarray      # (n_states,)
-    chain: ChainAnalysis
+    values: np.ndarray             # (n_players,)
+    stage_rewards: np.ndarray      # (n_players, n_states)
+    stationary: np.ndarray         # (n_states,)
+    transition_matrix: np.ndarray  # (n_states, n_states)
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,6 @@ class ExactGradient:
 
 
 @dataclass(frozen=True)
-class DominanceCheck:
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class GapReport:
     """Unilateral best-response improvements per player."""
 
@@ -103,16 +96,11 @@ class GapReport:
 # values and advantages
 
 
-def _stage_rewards(game, policy) -> np.ndarray:
-    w = joint_weight_matrix(policy.probs)
-    return np.einsum("isj,sj->is", game.rewards, w)
-
-
 def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
     """Long-run average payoff of every player under a stationary profile."""
-    chain = analyze_chain(game, policy)
-    R = _stage_rewards(game, policy)
-    return ValueReport(R @ chain.stationary, R, chain.stationary, chain)
+    P, p = analyze_chain(game, policy)
+    R = np.einsum("isj,sj->is", game.rewards, joint_weight_matrix(policy.probs))
+    return ValueReport(R @ p, R, p, P)
 
 
 def exact_values(game: StochasticGame, blocks) -> np.ndarray:
@@ -205,7 +193,7 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     p = report.stationary
     n, S = game.n_players, game.n_states
     bias = _poisson(
-        np.broadcast_to(report.chain.transition_matrix, (n, S, S)),
+        np.broadcast_to(report.transition_matrix, (n, S, S)),
         np.broadcast_to(p, (n, S)),
         report.stage_rewards - report.values[:, None],
         lambda i: f" for player {i}",
@@ -274,7 +262,7 @@ def truncated_advantage_series(game: StochasticGame, policy: PolicyProfile) -> n
     chain has mixed. Shape (n_players, n_states, n_joint).
     """
     report = exact_value(game, policy)
-    P = report.chain.transition_matrix
+    P = report.transition_matrix
     R = report.stage_rewards                      # (n, S)
     S, J = game.n_states, game.n_joint
 
@@ -297,7 +285,7 @@ def check_gradient_dominance(
     policy: PolicyProfile,
     deviation_policy: PolicyProfile,
     mismatch: float,
-) -> DominanceCheck:
+) -> BoundCheck:
     """Value gain of a unilateral deviation versus its linearized bound.
 
     lhs is the deviating player's value improvement, rhs is mismatch times
@@ -312,14 +300,14 @@ def check_gradient_dominance(
     if len(movers) > 1:
         raise ContractError(f"deviation changes players {movers}; exactly one allowed")
     if not movers:
-        return DominanceCheck(0.0, 0.0, True)
+        return BoundCheck(0.0, 0.0, True)
     i = movers[0]
     base = exact_value(game, policy).values[i]
     moved = exact_value(game, policy.replace(i, deviation_policy.probs[i])).values[i]
     grad = exact_gradient(game, policy).blocks[i]
     lhs = float(moved - base)
     rhs = float(mismatch * np.sum(grad * (deviation_policy.probs[i] - policy.probs[i])))
-    return DominanceCheck(lhs, rhs, lhs <= rhs + 1e-8)
+    return BoundCheck(lhs, rhs, lhs <= rhs + 1e-8)
 
 
 def estimate_mismatch(game: StochasticGame, policy_samples) -> float:

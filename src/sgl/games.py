@@ -249,14 +249,6 @@ class PolicyProfile:
 
 
 @dataclass(frozen=True)
-class ChainAnalysis:
-    """Induced chain of one policy profile and its stationary distribution."""
-
-    transition_matrix: np.ndarray
-    stationary: np.ndarray
-
-
-@dataclass(frozen=True)
 class MixingCertificate:
     """Sampled contraction certificate over a finite set of policies.
 
@@ -285,7 +277,9 @@ def uniform_profile(game: StochasticGame) -> PolicyProfile:
 
 def random_profile(game, rng, margin: float = 0.0) -> PolicyProfile:
     """Random policy profile; margin blends toward uniform so that every
-    action keeps probability at least margin / n_actions."""
+    action keeps probability at least margin / n_actions. rng is a seed or
+    a Generator."""
+    rng = np.random.default_rng(rng)
     blocks = []
     for m in game.n_actions:
         raw = rng.dirichlet(np.ones(m), size=game.n_states)
@@ -464,9 +458,11 @@ def _tau_from_contraction(c: float) -> float:
     return -1.0 / math.log(c)
 
 
-def analyze_chain(game: StochasticGame, policy: PolicyProfile) -> ChainAnalysis:
+def analyze_chain(game: StochasticGame, policy: PolicyProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(P, p): the induced chain and its stationary law, exact_value's chain
+    step; a function of its own only because perfbench's tracer times it."""
     P = induced_transition_matrix(game, policy)
-    return ChainAnalysis(P, stationary_distribution(P))
+    return P, stationary_distribution(P)
 
 
 def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
@@ -643,8 +639,8 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     """Simulate `horizon` stages; returns (states, actions, rewards) arrays.
 
     states has shape (horizon,), actions (horizon, n_players) and rewards
-    (horizon, n_players). Deterministic given the rng seed, which is read
-    once for a (horizon, n_players + 1) array of uniforms.
+    (horizon, n_players). Deterministic given rng, a seed or a Generator,
+    which is read once for a (horizon, n_players + 1) array of uniforms.
     """
     _check_compatible(game, policy)
     if horizon < 1:
@@ -653,7 +649,7 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
         raise DomainError(f"start_state {start_state} out of range")
 
     pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]
-    u = rng.random((horizon, game.n_players + 1))
+    u = np.random.default_rng(rng).random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
     strides, _, trans_lists, rewards, _ = game._stage_tables
@@ -699,13 +695,18 @@ def save_game(game: StochasticGame, path) -> None:
         fh.write("\n")
 
 
-def load_game(path) -> StochasticGame:
+def _read_json(path, error, message: str):
+    """The JSON document at path. Bad JSON or UTF-8, too deep a nesting or
+    too long an int raises error(f"{message}: <the decoder's text>")."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
-            raise GameFormatError(f"not valid UTF-8 JSON: {exc}") from exc
-    return game_from_dict(data)
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{message}: {exc}") from exc
+
+
+def load_game(path) -> StochasticGame:
+    return game_from_dict(_read_json(path, GameFormatError, "not valid UTF-8 JSON"))
 
 
 def game_hash(game: StochasticGame) -> str:
@@ -713,10 +714,6 @@ def game_hash(game: StochasticGame) -> str:
     with sorted keys. It is computed once per game and kept: the game's
     arrays and meta are read-only."""
     return game._digest
-
-
-def policy_to_dict(policy: PolicyProfile) -> dict:
-    return {"probs": [block.tolist() for block in policy.probs]}
 
 
 def policy_from_dict(data: dict) -> PolicyProfile:
@@ -728,9 +725,4 @@ def policy_from_dict(data: dict) -> PolicyProfile:
 
 
 def load_policy(path) -> PolicyProfile:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
-            raise GameFormatError(f"not valid UTF-8 JSON: {exc}") from exc
-    return policy_from_dict(data)
+    return policy_from_dict(_read_json(path, GameFormatError, "not valid UTF-8 JSON"))

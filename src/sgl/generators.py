@@ -27,6 +27,7 @@ from .games import (
     load_game,
     load_policy,
     uniform_profile,
+    _read_json,
 )
 from .learner import (
     MAX_WINDOW_BYTES,
@@ -356,11 +357,7 @@ def convergence_benchmark(
 
 
 def load_sweep_config(path) -> dict:
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, a long int
-            raise ConfigError(f"sweep config is not valid UTF-8 JSON: {exc}") from exc
+    cfg = _read_json(path, ConfigError, "sweep config is not valid UTF-8 JSON")
     if not isinstance(cfg, dict):
         raise ConfigError("sweep config must be a JSON object")
     for key in ("game", "grid", "seeds", "iters"):

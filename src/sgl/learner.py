@@ -171,12 +171,6 @@ def default_schedule(
     return _preset_schedule(game, "log", None if tau is None else 2.0 * tau, gamma_scale)
 
 
-def sqrt_horizon_schedule(game: StochasticGame, gamma_scale: float = 1.0) -> Schedule:
-    """The preset with window ceil(sqrt(t+1)) + 1, usable when the mixing
-    constant is unknown."""
-    return _preset_schedule(game, "power", None, gamma_scale)
-
-
 @dataclass(frozen=True)
 class ScheduleReport:
     """Pass/fail record of the summability conditions a schedule must meet."""
@@ -364,8 +358,8 @@ def decompose_step(
     directions,
     delta: float,
     payoffs,
-    rng=None,
-    smoothing_draws: int = 256,
+    rng,
+    smoothing_draws: int,
 ) -> StepDecomposition:
     """Oracle decomposition of one realized estimate.
 
@@ -379,7 +373,7 @@ def decompose_step(
     # the gradient evaluates the profile once, for itself and for the
     # smoothed estimate's control variate
     smoothed, _, exact = _smoothed_gradient(
-        game, policy, delta, smoothing_draws, np.random.default_rng(rng), exact_gradient
+        game, policy, delta, smoothing_draws, rng, exact_gradient
     )
 
     queried = [

@@ -79,6 +79,8 @@ class FenchelReport:
 
 @dataclass(frozen=True)
 class BoundCheck:
+    """lhs <= rhs checked to a tolerance; holds is the verdict."""
+
     lhs: float
     rhs: float
     holds: bool

@@ -32,12 +32,6 @@ SPHERE_FLOOR = 1e-12
 # reduced coordinates
 
 
-def reduce_block(block: np.ndarray) -> np.ndarray:
-    """Drop the last action column of one player's (states x actions) block."""
-    block = np.asarray(block, dtype=float)
-    return np.array(block[:, :-1])
-
-
 def lift_block(x: np.ndarray) -> np.ndarray:
     """Rebuild the full block; the last action gets 1 minus the row sum.
 
@@ -81,7 +75,8 @@ def _complete(x: np.ndarray) -> np.ndarray:
 
 
 def reduce_policy(policy: PolicyProfile) -> list[np.ndarray]:
-    return [reduce_block(b) for b in policy.probs]
+    """Every player's block without its last action column, as a copy."""
+    return [np.array(b[:, :-1]) for b in policy.probs]
 
 
 def lift_policy(blocks) -> PolicyProfile:
@@ -171,9 +166,10 @@ def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
 
 
 def sample_sphere(d: int, rng) -> np.ndarray:
-    """Uniform draw from the unit sphere in d dimensions."""
+    """Uniform draw from the unit sphere in d dimensions; rng: a seed or a Generator."""
     if d < 1:
         raise DomainError("sphere dimension must be at least 1")
+    rng = np.random.default_rng(rng)
     while True:
         z = rng.standard_normal(d)
         norm = np.linalg.norm(z)
@@ -276,8 +272,9 @@ def smoothed_gradient_estimate(
     exact value at the queried profile plays the role of the observed
     payoff. The current value, exact_value(game, policy).values, is
     subtracted as a control variate, which leaves the mean unchanged and
-    shrinks the variance. Each draw is one row of normals, redrawn whole
-    under SPHERE_FLOOR's rule, so rng is read as by a row-by-row loop.
+    shrinks the variance. rng is a seed or a Generator. Each draw is one row
+    of normals, redrawn whole under SPHERE_FLOOR's rule, so rng is read as
+    by a row-by-row loop.
     Queries are evaluated ORACLE_BLOCK draws at a time: the block's
     directions are transposed once, and the perturbation, the lift (with
     lift_block's checks, naming the draw), the one-point samples and their
@@ -299,6 +296,7 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
         raise DomainError("delta must be positive")
+    rng = np.random.default_rng(rng)
     nets = nets_for(game)
     base = reduce_policy(policy)
     active = active_players(game)
@@ -374,7 +372,6 @@ def bias_probe(
     the exact gradient comes from the closed-form analysis. The reported
     stderr is the largest per-coordinate Monte Carlo standard error.
     """
-    rng = np.random.default_rng(rng)
     means, stderrs = smoothed_gradient_estimate(game, policy, delta, n_draws, rng)
     exact = [reduced_from_full(b) for b in exact_gradient(game, policy).blocks]
     finite = [np.abs(m - e).max() for m, e in zip(means, exact) if m.size]

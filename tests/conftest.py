@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 
-class PrefixedStream:
+class PrefixedStream(np.random.Generator):
     """A numpy Generator whose stream of standard normals starts with extra
-    values; every other draw is delegated unchanged."""
+    values. It shares rng's bit generator, so every other draw reads rng's
+    stream unchanged, and np.random.default_rng passes it through."""
 
     def __init__(self, rng, prefix):
+        super().__init__(rng.bit_generator)
         self.rng = rng
         self._prefix = list(prefix)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
 
     def standard_normal(self, size=None, out=None):
         n = out.size if out is not None else int(np.prod(size))

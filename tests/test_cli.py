@@ -8,7 +8,7 @@ import pytest
 
 from sgl import cli, errors, learner
 from sgl.cli import main
-from sgl.games import StochasticGame, policy_to_dict, save_game, uniform_profile
+from sgl.games import StochasticGame, save_game
 from sgl.generators import GeneratorSpec, generate
 
 
@@ -180,9 +180,10 @@ class TestGradient:
         assert "must be positive" in capsys.readouterr().err
 
     def test_policy_file_argument(self, game_file, tmp_path, capsys):
-        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=1))
         pol_path = tmp_path / "policy.json"
-        pol_path.write_text(json.dumps(policy_to_dict(uniform_profile(game))))
+        # the uniform profile of game_file's 2 states, 2 players of 2 actions
+        uniform = [[[0.5, 0.5], [0.5, 0.5]]] * 2
+        pol_path.write_text(json.dumps({"probs": uniform}))
         assert main(
             ["gradient", "--game", str(game_file), "--policy", str(pol_path)]
         ) == 0

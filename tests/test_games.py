@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgl import games
+from sgl import games, spsa
 from sgl.errors import DimensionError, DomainError, ErgodicityError, GameFormatError
 from sgl.games import (
     PolicyProfile,
@@ -510,6 +510,28 @@ class TestRollout:
         mean = batches.mean(axis=0)
         se = batches.std(axis=0, ddof=1) / np.sqrt(1000)
         assert (np.abs(mean - exact) <= 3.0 * se).all()
+
+
+# every public function that takes rng reads a seed as its Generator
+SEEDED = {
+    "random_profile": lambda game, rng: random_profile(game, rng, 0.1).probs,
+    "rollout": lambda game, rng: rollout(game, uniform_profile(game), 1, 30, rng),
+    "sample_sphere": lambda game, rng: [spsa.sample_sphere(5, rng)],
+    "smoothed_gradient_estimate": lambda game, rng: sum(
+        spsa.smoothed_gradient_estimate(game, uniform_profile(game), 0.05, 300, rng), []
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_int_seed_gives_its_generators_bits(name):
+    game = small_random_game(3)
+    for seed in (0, 7):
+        got = SEEDED[name](game, seed)
+        expected = SEEDED[name](game, np.random.default_rng(seed))
+        assert len(got) == len(expected)
+        for x, y in zip(got, expected):
+            assert np.array_equal(x, y)
 
 
 def _prob_rows(rng, shape, n_out):

@@ -19,7 +19,7 @@ import pytest
 from sgl.cli import main as cli_main
 from sgl.games import save_game, uniform_profile
 from sgl.generators import GeneratorSpec, convergence_benchmark, generate, sweep
-from sgl.learner import default_schedule, run, sqrt_horizon_schedule
+from sgl.learner import _preset_schedule, default_schedule, run
 from sgl.mirror import make_regularizer
 
 PINS = pathlib.Path(__file__).with_name("golden") / "traces.json"
@@ -63,7 +63,8 @@ def trace_sweep(out_dir) -> str:
     """sha256 of summary.json with the output directory written as <out>."""
     game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=0))
     sweep(
-        game, [default_schedule(game), sqrt_horizon_schedule(game)], SEEDS, ITERS,
+        game, [default_schedule(game), _preset_schedule(game, "power", None, 1.0)],
+        SEEDS, ITERS,
         regularizer=make_regularizer("euclidean"), reference=uniform_profile(game),
         log_every=LOG_EVERY, out=out_dir,
     )

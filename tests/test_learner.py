@@ -26,7 +26,6 @@ from sgl.learner import (
     horizon_bias_check,
     run,
     run_batch,
-    sqrt_horizon_schedule,
     validate_schedule,
 )
 from sgl.mirror import make_regularizer, mirror_map
@@ -133,7 +132,7 @@ class TestSchedule:
         assert sch.gamma_exp == 1.0 and sch.delta_exp == pytest.approx(1 / 3)
         assert sch.delta_scale == pytest.approx(0.25 * 0.5)  # quarter of radius
         assert sch.horizon_param == 0.0  # instant mixing
-        sqrt_sch = sqrt_horizon_schedule(game)
+        sqrt_sch = learner._preset_schedule(game, "power", None, 1.0)
         assert sqrt_sch.horizon_mode == "power"
         assert sqrt_sch.horizon(3) == 3  # ceil(sqrt(4)) + 1
 
@@ -155,14 +154,17 @@ class TestSchedule:
                 default_schedule(mp, tau=1.5, gamma_scale=0.25),
                 Schedule(1.0, third, 0.25, 0.125, "log", 3.0),
             ),
-            (sqrt_horizon_schedule(mp), Schedule(1.0, third, 1.0, 0.125, "power", 0.5)),
+            (
+                learner._preset_schedule(mp, "power", None, 1.0),
+                Schedule(1.0, third, 1.0, 0.125, "power", 0.5),
+            ),
             (
                 schedule_from_grid_entry(log_entry, mp),
                 Schedule(1.0, 0.25, 1.0, 0.125, "log", 2.0),
             ),
             (default_schedule(mixed), Schedule(1.0, third, 1.0, r, "log", 2.1541018422087155)),
             (
-                sqrt_horizon_schedule(mixed, gamma_scale=0.5),
+                learner._preset_schedule(mixed, "power", None, 0.5),
                 Schedule(1.0, third, 0.5, r, "power", 0.5),
             ),
             (schedule_from_grid_entry(log_entry, mixed), Schedule(1.0, 0.25, 1.0, r, "log", 2.0)),
@@ -356,7 +358,8 @@ class TestRun:
         # so the Nash gap fails while the profile's values do not
         game = stay_switch_game()
         with pytest.warns(UserWarning, match="candidate .* of player 0"):
-            log = run(game, sqrt_horizon_schedule(game), ENTROPY, 20, seed=0, log_every=10)
+            schedule = learner._preset_schedule(game, "power", None, 1.0)
+            log = run(game, schedule, ENTROPY, 20, seed=0, log_every=10)
         skipped = [d for d in log.diagnostics if d.nash_gaps is None]
         assert skipped
         for diag in skipped:

@@ -4,7 +4,7 @@ import pytest
 from sgl import spsa
 from sgl.analysis import exact_gradient, exact_value
 from sgl.errors import DomainError, ScheduleError
-from sgl.games import StochasticGame, random_profile, uniform_profile
+from sgl.games import PolicyProfile, StochasticGame, random_profile, uniform_profile
 from sgl.generators import GeneratorSpec, generate
 from sgl.spsa import (
     REDUCED_TOL,
@@ -15,7 +15,6 @@ from sgl.spsa import (
     lift_policy,
     lifting_for,
     perturb,
-    reduce_block,
     reduce_policy,
     reduced_dim,
     reduced_from_full,
@@ -39,7 +38,8 @@ def single_state_game(seed, n_actions=(2, 2)):
 
 class TestReducedCoordinates:
     def test_uniform_three_actions(self):
-        x = reduce_block(np.array([[1 / 3, 1 / 3, 1 / 3]]))
+        probs = np.array([[1 / 3, 1 / 3, 1 / 3]])
+        (x,) = reduce_policy(PolicyProfile((probs,)))
         np.testing.assert_allclose(x, [[1 / 3, 1 / 3]])
 
     def test_round_trip_is_exact(self):
