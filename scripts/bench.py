@@ -15,7 +15,8 @@ whose windows are 2 stages, and on perfbench's slow-mixing mixing-window
 game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
 The log_every=1 rows run the checkpoint oracle (value, Nash gap and
 Fenchel coupling to the uniform reference) after every one of 100
-iterations, on both zero-sum games and on the (3, 3, 3) game. The
+iterations, at B = 1, 3 and 10 on both zero-sum games and at B = 1 and 3
+on the (3, 3, 3) game. The
 learner[oracle_mode] row is perfbench's oracle-audit job on the (3, 3, 3)
 game: one seed, 40 iterations in oracle_mode with log_every=10 and 256
 decomposition draws, so each checkpoint adds the step decomposition to
@@ -91,9 +92,9 @@ LEARNER_BATCHES = {  # seeds per learner row, by game
 }
 WINDOWS = ((3, 1), (3, 450), (1000, 8))  # (B, H) of the window rows
 ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
-    "matching-pennies": (1, 3),
-    "zerosum-switching": (1, 3),
-    "3s3p3a": (1,),
+    "matching-pennies": (1, 3, 10),
+    "zerosum-switching": (1, 3, 10),
+    "3s3p3a": (1, 3),
 }
 MIXING_SEED = 7  # perfbench mixing-window game seed
 LEARNER_ITERS = 1000  # outer iterations per seed and learner call

@@ -20,6 +20,8 @@ from .games import (
     ROW_SUM_TOL,
     PolicyProfile,
     StochasticGame,
+    _at_slice,
+    _check_compatible,
     _slicewise,
     analyze_chain,
     check_policy_block,
@@ -40,7 +42,9 @@ _SERIES_TERMS = 200
 class ValueReport:
     """Long-run values, stage rewards, and the induced chain with its stationary law.
 
-    values[i] equals stationary . stage_rewards[i] by construction.
+    values[i] equals stationary . stage_rewards[i] by construction. The
+    shapes are those of one profile; _evaluate's report of a stack of
+    profiles adds a leading profile axis to each.
     """
 
     values: np.ndarray             # (n_players,)
@@ -97,10 +101,49 @@ class GapReport:
 
 
 def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
-    """Long-run average payoff of every player under a stationary profile."""
+    """Long-run average payoff of every player under a stationary profile.
+
+    It has _evaluate's bits, on its own path only because perfbench's
+    tracer pins the call tree exact_value -> analyze_chain.
+    """
     P, p = analyze_chain(game, policy)
     R = np.einsum("isj,sj->is", game.rewards, joint_weight_matrix(policy.probs))
     return ValueReport(R @ p, R, p, P)
+
+
+def _evaluate(game: StochasticGame, profiles):
+    """The row-layout value core: (clipped blocks, ValueReport).
+
+    profiles is one PolicyProfile, whose blocks are checked already, or
+    one (K, S, m_i) policy stack per player, each checked once here by
+    check_policy_block (an error names the profile). Then come the joint
+    weights, the K chains, one stacked stationary solve, the stage rewards
+    and the values, each slice with exact_value's bits. Below about ten
+    profiles this is faster than the batch-last _batch_values, which wins
+    on the smoothed gradient's stacks of 256. A chain of a stack that
+    fails the solve raises the error it raises alone, with its position as
+    slice_index.
+    """
+    if isinstance(profiles, PolicyProfile):
+        blocks = profiles.probs
+        _check_compatible(game, blocks)
+    else:
+        _check_compatible(game, profiles)
+        blocks = [check_policy_block(np.asarray(b, dtype=float), i) for i, b in enumerate(profiles)]
+    w = joint_weight_matrix(blocks)
+    P = np.einsum("...sj,sjt->...st", w, game.transitions)
+    try:
+        p = stationary_distribution(P)
+    except ErgodicityError as exc:
+        k = getattr(exc, "slice_index", None)
+        if P.ndim == 3 and k is not None:
+            try:
+                stationary_distribution(P[k])
+            except ErgodicityError as alone:  # the text a lone evaluation gives
+                raise _at_slice(str(alone), k) from None
+        raise
+    R = np.einsum("isj,...sj->...is", game.rewards, w)
+    return blocks, ValueReport((R @ p[..., None])[..., 0], R, p, P)
 
 
 def exact_values(game: StochasticGame, blocks) -> np.ndarray:
@@ -140,7 +183,8 @@ def _batch_values(game: StochasticGame, cols) -> np.ndarray:
     check_policy_block itself raises, naming the profile) and clips in
     place. With the profile axis innermost, the joint weights, the induced
     chains and the stage rewards each run a few long loops, the last two as
-    one matmul against the game's _joint_tables."""
+    one matmul against the game's _joint_tables. Above about ten profiles
+    this beats the row-layout _evaluate."""
     S, B = game.n_states, cols[0].shape[-1]
     for i, x in enumerate(cols):
         if (x < -ROW_SUM_TOL).any() or not (np.abs(x.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
@@ -156,67 +200,86 @@ def _batch_values(game: StochasticGame, cols) -> np.ndarray:
     return (stage * p.T[:, None]).sum(axis=0)
 
 
-def opponent_weights(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:
-    """(n_players, n_states, n_joint) probability of each joint action's
+def opponent_weights(game: StochasticGame, blocks) -> np.ndarray:
+    """(..., n_players, n_states, n_joint) probability of each joint action's
     opponent part: entry (i, s, j) multiplies, in player order, every other
-    player's probability of its own action in joint action j at state s."""
+    player's probability of its own action in joint action j at state s.
+    blocks[i] is player i's (..., n_states, n_actions_i) policy block."""
     n = game.n_players
     offsets = list(accumulate(game.n_actions[:-1], initial=0))
-    # factors[k, s, j]: player k's probability of its action in joint action j
+    # factors[k, ..., s, j]: player k's probability of its action in joint action j
     columns = (game.action_table + offsets).T
-    factors = np.concatenate(policy.probs, axis=1)[:, columns].transpose(1, 0, 2)
-    # entry (k, i) is 1 where k == i; reducing over the leading k axis
+    factors = np.moveaxis(np.concatenate(blocks, axis=-1)[..., columns], -2, 0)
+    # entry (k, ..., i) is 1 where k == i; reducing over the leading k axis
     # multiplies in player order
-    others = np.where(np.eye(n, dtype=bool)[:, :, None, None], 1.0, factors[:, None])
+    own = np.eye(n, dtype=bool).reshape((n,) + (1,) * (factors.ndim - 3) + (n, 1, 1))
+    others = np.where(own, 1.0, factors[..., None, :, :])
     return others.prod(axis=0)
 
 
-def _own_actions(game: StochasticGame) -> np.ndarray:
-    """(n_players, n_joint, max n_actions) one-hot map from each joint action
-    to each player's own action; the columns of actions a player lacks are 0."""
-    n, J = game.n_players, game.n_joint
-    onehot = np.zeros((n, J, max(game.n_actions)))
-    onehot[np.arange(n)[:, None], np.arange(J), game.action_table.T] = 1.0
-    return onehot
+def _own_advantages(game: StochasticGame, blocks, report: ValueReport):
+    """(joint, own, bias) of the profiles _evaluate returned blocks and
+    report for, each with the profiles' leading axes: own is (..., n, S,
+    max n_actions), zero past a player's action count.
+
+    Solves (I - P + 1 p) h_i = R_i - V_i 1 (so p . h_i = 0) for every
+    profile and player in one stacked solve, then
+    joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i.
+    """
+    n, S = game.n_players, game.n_states
+    lead = report.values.shape[:-1]
+    P = np.broadcast_to(report.transition_matrix[..., None, :, :], lead + (n, S, S))
+    p = np.broadcast_to(report.stationary[..., None, :], lead + (n, S))
+    bias = _poisson(
+        P.reshape(-1, S, S),
+        p.reshape(-1, S),
+        (report.stage_rewards - report.values[..., None]).reshape(-1, S),
+        lambda k: f" for player {k % n}",
+    ).reshape(lead + (n, S))
+    future = np.moveaxis(game.transitions @ np.swapaxes(bias, -1, -2)[..., None, :, :], -1, -3)
+    joint = game.rewards - report.values[..., None, None] + future   # (..., n, S, J)
+    weighted = opponent_weights(game, blocks) * joint
+    # a sum over a non-last axis adds the joint actions one at a time, in order
+    own = (weighted[..., None] * game._own_actions[:, None]).sum(axis=-2)
+    return joint, own, bias
+
+
+def _gradients(game: StochasticGame, blocks, report: ValueReport) -> np.ndarray:
+    """(..., n, S, max n_actions) payoff gradients of the profiles
+    _evaluate returned blocks and report for: stationary weight times own
+    advantage, zero past a player's action count."""
+    return report.stationary[..., None, :, None] * _own_advantages(game, blocks, report)[1]
 
 
 def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     """Advantage tables computed through the relative-value route.
 
-    Solves (I - P + 1 p) h_i = R_i - V_i 1 (so p . h_i = 0) for every player
-    in one stacked solve, then
-    joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i. The
-    infinite-sum definition is recovered exactly; the truncated sum is kept
-    as a test oracle.
+    The one-profile case of _own_advantages: joint[i, s, a] = r_i(s, a) -
+    V_i + transitions[s, a] . h_i, with the biases from one stacked
+    Poisson solve. The infinite-sum definition is recovered exactly; the
+    truncated sum is kept as a test oracle.
     """
-    report = exact_value(game, policy)
-    p = report.stationary
-    n, S = game.n_players, game.n_states
-    bias = _poisson(
-        np.broadcast_to(report.transition_matrix, (n, S, S)),
-        np.broadcast_to(p, (n, S)),
-        report.stage_rewards - report.values[:, None],
-        lambda i: f" for player {i}",
-    )
-    future = (game.transitions @ bias.T).transpose(2, 0, 1)   # (n, S, J)
-    joint = game.rewards - report.values[:, None, None] + future
-    weighted = opponent_weights(game, policy) * joint      # (n, S, J)
-    # a sum over a non-last axis adds the joint actions one at a time, in order
-    own = (weighted[..., None] * _own_actions(game)[:, None]).sum(axis=2)
+    blocks, report = _evaluate(game, policy)
+    joint, own, bias = _own_advantages(game, blocks, report)
     return AdvantageTable(
         joint,
         tuple(own[i, :, :m] for i, m in enumerate(game.n_actions)),
         bias,
         report.values,
-        p,
+        report.stationary,
     )
 
 
 def exact_gradient(game: StochasticGame, policy: PolicyProfile) -> ExactGradient:
-    """Per-player payoff gradient: stationary weight times own advantage."""
-    table = advantages(game, policy)
-    blocks = tuple(table.stationary[:, None] * block for block in table.own)
-    return ExactGradient(blocks, table.values, table.stationary)
+    """Per-player payoff gradient: stationary weight times own advantage,
+    the one-profile case of _gradients."""
+    blocks, report = _evaluate(game, policy)
+    grad = _gradients(game, blocks, report)
+    return ExactGradient(
+        tuple(grad[i, :, :m] for i, m in enumerate(game.n_actions)),
+        report.values,
+        report.stationary,
+    )
 
 
 def finite_difference_gradient(
@@ -302,9 +365,11 @@ def check_gradient_dominance(
     if not movers:
         return BoundCheck(0.0, 0.0, True)
     i = movers[0]
-    base = exact_value(game, policy).values[i]
+    # the gradient's values are the base value, with exact_value's bits
+    gradient = exact_gradient(game, policy)
+    base = gradient.values[i]
     moved = exact_value(game, policy.replace(i, deviation_policy.probs[i])).values[i]
-    grad = exact_gradient(game, policy).blocks[i]
+    grad = gradient.blocks[i]
     lhs = float(moved - base)
     rhs = float(mismatch * np.sum(grad * (deviation_policy.probs[i] - policy.probs[i])))
     return BoundCheck(lhs, rhs, lhs <= rhs + 1e-8)
@@ -325,21 +390,23 @@ def estimate_mismatch(game: StochasticGame, policy_samples) -> float:
     return float((dists.max(axis=0) / dists.min(axis=0)).max())
 
 
-def _frozen_mdps(game, policy, players):
+def _frozen_mdps(game, blocks, players):
     """Single-agent average-reward MDPs faced by `players`, others frozen.
 
-    P[k, s, a] is the next-state law and R[k, s, a] the expected reward of
-    players[k] taking action a in state s. The action axis is padded to the
-    largest action count: a padded action has a zero transition row and
-    reward -inf, so no policy step ever picks it.
+    blocks[i] is player i's (..., S, m_i) policy block; leading axes index
+    a stack of profiles and lead the results. P[..., k, s, a] is the
+    next-state law and R[..., k, s, a] the expected reward of players[k]
+    taking action a in state s. The action axis is padded to the largest
+    action count: a padded action has a zero transition row and reward
+    -inf, so no policy step ever picks it.
     """
     S = game.n_states
-    w = opponent_weights(game, policy)[players]           # (k, S, J)
-    onehot = _own_actions(game)[players]                  # (k, J, m)
+    w = opponent_weights(game, blocks)[..., players, :, :]    # (..., k, S, J)
+    onehot = game._own_actions[players]                       # (k, J, m)
     # next-state law and reward side by side: one contraction gives both
-    transitions = np.broadcast_to(game.transitions, w.shape + (S,))
+    transitions = np.broadcast_to(game.transitions, (len(players),) + game.transitions.shape)
     law = np.concatenate([transitions, game.rewards[players, ..., None]], axis=-1)
-    PR = onehot.transpose(0, 2, 1)[:, None] @ (w[..., None] * law)   # (k, S, m, S + 1)
+    PR = onehot.transpose(0, 2, 1)[:, None] @ (w[..., None] * law)   # (..., k, S, m, S + 1)
     missing = np.arange(onehot.shape[2]) >= np.asarray(game.n_actions)[players, None]
     return PR[..., :S], np.where(missing[:, None, :], -np.inf, PR[..., S])
 
@@ -415,13 +482,14 @@ def best_response(
     """Optimal average reward of one player against a frozen profile.
 
     policy-iteration is this player's row of the stacked iteration that
-    nash_gap runs for every player; enumerate scores every deterministic
-    policy (use only when n_actions ** n_states is small). Returns (value,
+    nash_gap runs for every player (_best_responses); enumerate scores
+    every deterministic policy (use only when n_actions ** n_states is
+    small). Returns (value,
     actions, flags).
     """
     if not 0 <= player < game.n_players:
         raise DomainError(f"player {player} out of range for {game.n_players} players")
-    P, R = _frozen_mdps(game, policy, [player])
+    P, R = _frozen_mdps(game, policy.probs, [player])
     if method == "policy-iteration":
         gain, actions = _policy_iteration(P, R, [player])
         return float(gain[0]), tuple(actions[0].tolist()), ()
@@ -446,20 +514,37 @@ def best_response(
     return best, best_actions, tuple(flags)
 
 
+def _best_responses(game: StochasticGame, blocks):
+    """Optimal gains (..., n) and actions (..., n, S) of every player
+    against the others frozen, for the profile or stack of profiles blocks
+    holds (as _evaluate's clipped blocks): one _frozen_mdps and one
+    _policy_iteration over all (profile, player) rows. A row's result does
+    not depend on the rows beside it; an error in a stack names the
+    player, and its slice is the row's position in the stack."""
+    n, S = game.n_players, game.n_states
+    P, R = _frozen_mdps(game, blocks, list(range(n)))
+    lead = R.shape[:-3]
+    rows = list(range(n)) * math.prod(lead)
+    gain, actions = _policy_iteration(
+        P.reshape((-1,) + P.shape[-3:]), R.reshape((-1,) + R.shape[-2:]), rows
+    )
+    return gain.reshape(lead + (n,)), actions.reshape(lead + (n, S))
+
+
 def nash_gap(game: StochasticGame, policy: PolicyProfile) -> GapReport:
     """Best unilateral improvement available to each player.
 
     gap_i = max over player i's stationary policies of its value against the
     frozen opponents, minus her current value; the inner maximum is exact
-    because a deterministic policy attains it. One stacked policy iteration
+    because a deterministic policy attains it. The one-profile case of
+    _evaluate and _best_responses, whose one stacked policy iteration
     finds every player's best response.
     """
-    values = exact_value(game, policy).values
-    players = list(range(game.n_players))
-    best_vals, actions = _policy_iteration(*_frozen_mdps(game, policy, players), players)
+    blocks, report = _evaluate(game, policy)
+    best_vals, actions = _best_responses(game, blocks)
     return GapReport(
-        best_vals - values,
-        values,
+        best_vals - report.values,
+        report.values,
         best_vals,
         tuple(tuple(row) for row in actions.tolist()),
     )

@@ -163,6 +163,17 @@ class StochasticGame:
         return transitions, rewards
 
     @functools.cached_property
+    def _own_actions(self) -> np.ndarray:
+        """(n_players, n_joint, max n_actions) one-hot map from each joint
+        action to each player's own action, built on first use and kept
+        read-only; the columns of actions a player lacks are 0."""
+        n, J = self.n_players, self.n_joint
+        onehot = np.zeros((n, J, max(self.n_actions)))
+        onehot[np.arange(n)[:, None], np.arange(J), self.action_table.T] = 1.0
+        onehot.flags.writeable = False
+        return onehot
+
+    @functools.cached_property
     def _digest(self) -> str:
         """game_hash's digest, computed on first use and kept."""
         blob = json.dumps(game_to_dict(self), sort_keys=True).encode()
@@ -200,21 +211,25 @@ def check_policy_block(block: np.ndarray, player: int) -> np.ndarray:
     than ROW_SUM_TOL (a NaN row too). A leading axis indexes a stack of
     profiles, and errors then name the profile.
     """
-    if (block < -ROW_SUM_TOL).any():
-        *k, s, a = np.argwhere(block < -ROW_SUM_TOL)[0]
-        raise GameFormatError(
-            f"policy entry ({_stack_prefix(k, 'profile')}player={player}, "
-            f"state={s}, action={a}) is negative"
-        )
-    sums = block.sum(axis=-1)
-    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    if off.any():
-        *k, s = np.argwhere(off)[0]
+    # one reduction per check over the whole block (a NaN fails it); the
+    # offending entry is located only on failure
+    sums = np.add.reduce(block, axis=-1)
+    if not (
+        np.minimum.reduce(block, axis=None, initial=0.0) >= -ROW_SUM_TOL
+        and np.maximum.reduce(np.abs(sums - 1.0), axis=None, initial=0.0) <= ROW_SUM_TOL
+    ):
+        if (block < -ROW_SUM_TOL).any():
+            *k, s, a = np.argwhere(block < -ROW_SUM_TOL)[0]
+            raise GameFormatError(
+                f"policy entry ({_stack_prefix(k, 'profile')}player={player}, "
+                f"state={s}, action={a}) is negative"
+            )
+        *k, s = np.argwhere(~(np.abs(sums - 1.0) <= ROW_SUM_TOL))[0]
         raise GameFormatError(
             f"policy row ({_stack_prefix(k, 'profile')}player={player}, state={s}) "
             f"sums to {sums[(*k, s)]!r}"
         )
-    return np.clip(block, 0.0, None)
+    return np.maximum(block, 0.0)
 
 
 @dataclass(frozen=True)
@@ -304,13 +319,12 @@ def deterministic_profile(game: StochasticGame, actions) -> PolicyProfile:
 # induced chain
 
 
-def _check_compatible(game: StochasticGame, policy: PolicyProfile) -> None:
-    if policy.n_players != game.n_players:
-        raise DimensionError(
-            f"policy has {policy.n_players} players, game has {game.n_players}"
-        )
-    for i, (block, m) in enumerate(zip(policy.probs, game.n_actions)):
-        if block.shape != (game.n_states, m):
+def _check_compatible(game: StochasticGame, blocks) -> None:
+    """Refuse policy blocks (each (..., states, actions)) that do not fit the game."""
+    if len(blocks) != game.n_players:
+        raise DimensionError(f"policy has {len(blocks)} players, game has {game.n_players}")
+    for i, (block, m) in enumerate(zip(blocks, game.n_actions)):
+        if block.shape[-2:] != (game.n_states, m):
             raise DimensionError(
                 f"player {i} policy shape {block.shape} != {(game.n_states, m)}"
             )
@@ -334,7 +348,7 @@ def induced_transition_matrix(game: StochasticGame, policy: PolicyProfile) -> np
     Row s is the joint-action-probability-weighted mixture of the raw
     transition rows at s; rows sum to one within 1e-12 by construction.
     """
-    _check_compatible(game, policy)
+    _check_compatible(game, policy.probs)
     w = joint_weight_matrix(policy.probs)
     return np.einsum("sj,sjt->st", w, game.transitions)
 
@@ -388,16 +402,21 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     def at(k) -> str:
         return f" at slice {k}" if P.ndim == 3 else ""
 
-    # checks reduce the whole stack first and locate the slice only on failure
-    rows_ok = np.abs(stack.sum(axis=2) - 1.0) <= 1e-9
-    if not (rows_ok.all() and (stack >= -ROW_SUM_TOL).all()):
-        ok = rows_ok.all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
+    # each check is one ufunc reduction over the whole stack (a NaN fails
+    # it), and the failing slice is located only on failure
+    rows_off = np.abs(np.add.reduce(stack, axis=2) - 1.0)
+    if not (
+        np.maximum.reduce(rows_off, axis=None, initial=0.0) <= 1e-9
+        and np.minimum.reduce(stack, axis=None, initial=0.0) >= -ROW_SUM_TOL
+    ):
+        ok = (rows_off <= 1e-9).all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
         raise DomainError(f"matrix is not row-stochastic{at(np.argmin(ok))}")
 
     # the Doeblin screen: only these slices are counted, and counted slice k
     # is slice doubtful[k] of the stack
-    doubtful = np.flatnonzero(stack.min(axis=1).sum(axis=1) <= 2 * _UNIT_EIG_TOL)
-    if len(doubtful):
+    alpha = np.add.reduce(np.minimum.reduce(stack, axis=1), axis=1)
+    if not np.minimum.reduce(alpha, initial=1.0) > 2 * _UNIT_EIG_TOL:
+        doubtful = np.flatnonzero(alpha <= 2 * _UNIT_EIG_TOL)
         try:
             eigvals = _slicewise(
                 np.linalg.eigvals, "eigenvalue computation failed",
@@ -421,14 +440,14 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     b = np.zeros((len(A), n, 1))
     b[:, -1] = 1.0
     p = _slicewise(np.linalg.solve, "singular balance system", at, A, b)
-    p = np.clip(p[:, :, 0], 0.0, None)
-    total = p.sum(axis=1, keepdims=True)
-    if not (total > 0).all():
+    p = np.maximum(p[:, :, 0], 0.0)
+    total = np.add.reduce(p, axis=1, keepdims=True)
+    if not np.minimum.reduce(total, axis=None, initial=1.0) > 0:
         k = np.argmin(total[:, 0] > 0)
         raise _at_slice(f"ergodicity check failed{at(k)}: linear solve degenerate", k)
     p = p / total
-    residual = np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p).sum(axis=1)
-    if not (residual <= STATIONARY_TOL).all():
+    residual = np.add.reduce(np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p), axis=1)
+    if not np.maximum.reduce(residual, initial=0.0) <= STATIONARY_TOL:
         k = np.argmin(residual <= STATIONARY_TOL)
         raise _at_slice(
             f"ergodicity check failed{at(k)}: fixed-point residual {residual[k]:.3e} "
@@ -642,7 +661,7 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     (horizon, n_players). Deterministic given rng, a seed or a Generator,
     which is read once for a (horizon, n_players + 1) array of uniforms.
     """
-    _check_compatible(game, policy)
+    _check_compatible(game, policy.probs)
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
     if not 0 <= start_state < game.n_states:

@@ -22,14 +22,22 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .analysis import exact_gradient, exact_value, nash_gap
-from .errors import DomainError, ErgodicityError, ScheduleError
+from .analysis import (
+    ValueReport,
+    _best_responses,
+    _evaluate,
+    _gradients,
+    exact_value,
+    nash_gap,
+)
+from .errors import DomainError, ErgodicityError, ScheduleError, SglError
 from .games import (
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
+    _check_compatible,
     _window_ends,
 )
 from .mirror import (
@@ -49,6 +57,7 @@ from .spsa import (
     reduce_policy,
     reduced_dim,
     reduced_from_full,
+    _check_smoothing,
     _one_point,
     _perturb,
     _smoothed_gradient,
@@ -329,8 +338,7 @@ class RunLog:
             "columns": list(CSV_COLUMNS),
         }
         with open(out / "run.json", "w") as fh:
-            json.dump(sidecar, fh, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(sidecar, indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -366,45 +374,76 @@ def decompose_step(
     directions[i] is the sphere draw used for player i (None for a skipped
     single-action player), payoffs[i] the realized value sample, and the
     smoothed gradient is estimated from rng with smoothing_draws queries.
+    The one-seed case of run_batch's oracle checkpoint: one _evaluate call
+    for the profile and its query, then _decomposition.
     """
+    _check_smoothing(game, delta, smoothing_draws)
     nets = nets_for(game)
     active = active_players(game)
     reduced = reduce_policy(policy)
-    # the gradient evaluates the profile once, for itself and for the
-    # smoothed estimate's control variate
-    smoothed, _, exact = _smoothed_gradient(
-        game, policy, delta, smoothing_draws, rng, exact_gradient
+    queried = [
+        lift_block(perturb(reduced[i], directions[i], delta, nets[i])) if i in active else block
+        for i, block in enumerate(policy.probs)
+    ]
+    values, grads, _ = _exact_parts(
+        game, [b[None] for b in policy.probs], [q[None] for q in queried], None
+    )
+    z = [
+        np.asarray(directions[i], float).reshape(x.shape) if i in active else None
+        for i, x in enumerate(reduced)
+    ]
+    return _decomposition(
+        game, reduced, values[0, 0], grads[0], values[1, 0], z, delta, payoffs, rng,
+        smoothing_draws,
     )
 
-    queried = [
-        perturb(reduced[i], directions[i], delta, nets[i]) if i in active else reduced[i]
-        for i in range(game.n_players)
-    ]
-    query_values = exact_value(
-        game, PolicyProfile(tuple(lift_block(x) for x in queried))
-    ).values
 
+def _exact_parts(game, before, queried, after):
+    """One _evaluate call over B seeds' decomposed profiles (before), their
+    queries and their updated profiles (after), each None or one (B, S,
+    m_i) stack per player. Returns the values (arguments given, B, n), the
+    (B, n, S, max m) gradients of before and the (B, n) best-response gains
+    against after (None where not given). Reads no stream; a failing chain
+    or best response raises."""
+    stacks = [x for x in (before, queried, after) if x is not None]
+    B = len(stacks[0][0])
+    blocks, report = _evaluate(game, [np.concatenate(players) for players in zip(*stacks)])
+    values = report.values.reshape(len(stacks), B, game.n_players)
+    grads = best = None
+    if before is not None:
+        first = ValueReport(*(x[:B] for x in vars(report).values()))
+        grads = _gradients(game, [x[:B] for x in blocks], first)
+    if after is not None:
+        best = _best_responses(game, [x[-B:] for x in blocks])[0]
+    return values, grads, best
+
+
+def _decomposition(
+    game, base, base_values, gradient, query_values, z, delta, payoffs, rng, draws
+) -> StepDecomposition:
+    """One seed's StepDecomposition from its exact parts: the decomposed
+    profile's reduced blocks base, its values (the smoothed gradient's
+    control variate) and (n, S, max m) gradient, the query's values, and
+    each player's (S, m_i - 1) direction z[i] (None for a single action).
+    Reads rng for the smoothed gradient's draws."""
+    smoothed, _ = _smoothed_gradient(game, base, base_values, delta, draws, rng)
     grad, smooth_bias, noise, window = [], [], [], []
     for i, m in enumerate(game.n_actions):
-        if i not in active:
-            zeros = np.zeros((game.n_states, m))
-            grad.append(zeros)
-            smooth_bias.append(zeros.copy())
-            noise.append(zeros.copy())
-            window.append(zeros.copy())
+        if z[i] is None:
+            for part in (grad, smooth_bias, noise, window):
+                part.append(np.zeros((game.n_states, m)))
             continue
         d = reduced_dim(game.n_states, m)
-        z = np.asarray(directions[i], float).reshape(game.n_states, m - 1)
-        g = _tangent(reduced_from_full(exact.blocks[i]))
-        sm = _tangent(np.reshape(smoothed[i], z.shape))
-        at_query = _tangent(_one_point(query_values[i], z, delta, d))
-        realized = _tangent(_one_point(payoffs[i], z, delta, d))
+        g = _tangent(reduced_from_full(gradient[i, :, :m]))
+        sm = _tangent(smoothed[i])
+        at_query = _tangent(_one_point(query_values[i], z[i], delta, d))
+        realized = _tangent(_one_point(payoffs[i], z[i], delta, d))
         grad.append(g)
         smooth_bias.append(sm - g)
         noise.append(at_query - sm)
         window.append(realized - at_query)
     return StepDecomposition(
-        tuple(grad), tuple(smooth_bias), tuple(noise), tuple(window), query_values
+        tuple(grad), tuple(smooth_bias), tuple(noise), tuple(window), query_values.copy()
     )
 
 
@@ -449,12 +488,75 @@ def _mirror_batch(reg: Regularizer, y: np.ndarray) -> np.ndarray:
         raise _tagged(exc, int(np.argmin(finite)))
 
 
-def _checkpoint_oracle(game, regularizer, reference, blocks, scores, t):
-    """Exact values, Nash gaps, per-player Fenchel couplings and distances
-    to the reference of one seed's profile; the oracle parts are None (with
-    a warning) when the induced chain is not ergodic."""
-    policy = PolicyProfile(blocks)
-    values = gaps = None
+def _checkpoint_oracle(game, t, after, decomposed):
+    """Every seed's values, Nash gaps and, in oracle_mode, StepDecomposition
+    at checkpoint t, as three per-seed lists.
+
+    after holds one (B, S, m_i) policy stack per player; decomposed is None,
+    or (before, z, delta, payoffs, rngs, draws) with before stacked like
+    after, z[i] player i's (B, S, m_i - 1) directions (None for a single
+    action) and one payoff row and stream per seed. One _exact_parts call
+    covers every seed; the smoothed gradients stay per seed. If it fails,
+    each seed is evaluated alone through decompose_step and nash_gap, with
+    the same bits, and a part whose chain or best response fails is None,
+    with a warning. An error raised for one seed, other than an
+    ErgodicityError, carries its position as seed_index.
+    """
+    n_batch = len(after[0])
+    values, gaps, decompositions = [None] * n_batch, [None] * n_batch, [None] * n_batch
+    before = queried = None
+    if decomposed is not None:
+        before, z, delta, payoffs, rngs, draws = decomposed
+        _check_smoothing(game, delta, draws)
+        queried = [
+            x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
+            for x, d, net in zip(before, z, nets_for(game))
+        ]
+    try:
+        parts = _exact_parts(game, before, queried, after)
+    except SglError:
+        parts = None
+    for b in range(n_batch):
+        try:
+            if parts is None:
+                values[b], gaps[b], decompositions[b] = _seed_alone(
+                    game, t, [x[b] for x in after],
+                    None if decomposed is None else (
+                        PolicyProfile(tuple(x[b] for x in before)),
+                        [None if d is None else d[b].ravel() for d in z],
+                        delta, payoffs[b], rngs[b], draws,
+                    ),
+                )
+                continue
+            seed_values, grads, best = parts
+            values[b] = seed_values[-1, b].copy()
+            gaps[b] = best[b] - values[b]
+            if decomposed is not None:
+                try:
+                    decompositions[b] = _decomposition(
+                        game, [x[b, :, :-1] for x in before], seed_values[0, b], grads[b],
+                        seed_values[1, b], [None if d is None else d[b] for d in z],
+                        delta, payoffs[b], rngs[b], draws,
+                    )
+                except ErgodicityError as exc:
+                    warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+        except Exception as exc:
+            raise _tagged(exc, b)
+    return values, gaps, decompositions
+
+
+def _seed_alone(game, t, blocks, decomposed):
+    """One seed's checkpoint through the one-profile calls: (values, gaps,
+    decomposition), with a warning and None for a part whose chain or best
+    response fails. decomposed is None or decompose_step's arguments after
+    the game."""
+    decomposition = values = gaps = None
+    if decomposed is not None:
+        try:
+            decomposition = decompose_step(game, *decomposed)
+        except ErgodicityError as exc:
+            warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+    policy = PolicyProfile(tuple(blocks))
     try:
         report = nash_gap(game, policy)
         values, gaps = report.values, report.gaps
@@ -463,17 +565,7 @@ def _checkpoint_oracle(game, regularizer, reference, blocks, scores, t):
         # a best response can fail where the value does not
         with contextlib.suppress(ErgodicityError):
             values = exact_value(game, policy).values
-    fen_pp = dist = None
-    if reference is not None:
-        # the terms of fenchel_coupling's value, without its Bregman cross-check
-        fen_pp = _coupling_terms(regularizer, reference, scores)[0]
-        dist = np.array(
-            [
-                float(np.linalg.norm(policy.probs[i] - reference.probs[i]))
-                for i in range(game.n_players)
-            ]
-        )
-    return values, gaps, fen_pp, dist
+    return values, gaps, decomposition
 
 
 def run_batch(
@@ -502,8 +594,10 @@ def run_batch(
 
     Scores, policies and directions are arrays of shape (seeds, players,
     states, actions), one per run of consecutive players with equal action
-    counts, so every step except the checkpoint oracle runs once for the
-    whole batch, and one games._window_ends call plays every seed's window.
+    counts, so every step runs once for the whole batch: one
+    games._window_ends call plays every seed's window, and one
+    _checkpoint_oracle call evaluates every seed's checkpoint (only
+    oracle_mode's smoothed-gradient draws stay per seed).
     Seed s reads its own np.random.default_rng(s) in the order a run of it
     alone does, so its RunLog has the same bits alone or in any batch; its
     sphere draw is one row of normals, redrawn whole under SPHERE_FLOOR.
@@ -590,6 +684,15 @@ def run_batch(
     policy = [_mirror_batch(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
+    if reference is not None:
+        _check_compatible(game, reference.probs)
+        # the reference's blocks and regularizer values, by group
+        ref_blocks = [np.stack(reference.probs[lo:hi]) for lo, hi in spans]
+        ref_h = [
+            np.array([regularizer.block_value(x) for x in reference.probs[lo:hi]])
+            for lo, hi in spans
+        ]
+
     digest = game_hash(game)
     logs = [
         RunLog(
@@ -648,25 +751,7 @@ def run_batch(
                 raise _tagged(exc, b)
         payoffs, states = _window_ends(game, pol_cols, states, uniforms)
 
-        decompositions = [None] * n_batch
-        if checkpoint and oracle_mode:
-            drawn = {k: d for (k, _, _), d in zip(groups, directions)}
-            for b, rng in enumerate(rngs):
-                try:
-                    decompositions[b] = decompose_step(
-                        game,
-                        PolicyProfile(tuple(blocks_of(policy, b))),
-                        [drawn[k][b, j].ravel() if k in drawn else None for k, j in slots],
-                        delta,
-                        payoffs[b],
-                        rng=rng,
-                        smoothing_draws=decomposition_draws,
-                    )
-                except ErgodicityError as exc:
-                    warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
-                except Exception as exc:
-                    raise _tagged(exc, b)
-
+        before = policy[:]
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
         for (k, lo, hi), d in zip(groups, directions):
             lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
@@ -688,14 +773,31 @@ def run_batch(
             reduced[k] = policy[k][..., :-1]
 
         if checkpoint:
+            decomposed = None
+            if oracle_mode:
+                # the decomposition of the step just taken, from x_t: no
+                # stream is read between that step and here
+                drawn = {k: d for (k, _, _), d in zip(groups, directions)}
+                decomposed = (
+                    [before[k][:, j] for k, j in slots],
+                    [drawn[k][:, j] if k in drawn else None for k, j in slots],
+                    delta, payoffs, rngs, decomposition_draws,
+                )
+            values, gaps, decompositions = _checkpoint_oracle(
+                game, t, [policy[k][:, j] for k, j in slots], decomposed
+            )
+            fen_pp = dist = None
+            if reference is not None:
+                # the terms of fenchel_coupling's value, without its Bregman
+                # cross-check, and the distances, as (seeds, players) arrays
+                fen_pp, dist = np.empty((n_batch, n_players)), np.empty((n_batch, n_players))
+                for k, (lo, hi) in enumerate(spans):
+                    fen_pp[:, lo:hi] = _coupling_terms(
+                        regularizer, ref_h[k], ref_blocks[k], scores[k]
+                    )[0]
+                    diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
+                    dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
             for b, log in enumerate(logs):
-                try:
-                    values, gaps, fen_pp, dist = _checkpoint_oracle(
-                        game, regularizer, reference, tuple(blocks_of(policy, b)),
-                        blocks_of(scores, b), t,
-                    )
-                except Exception as exc:
-                    raise _tagged(exc, b)
                 log.diagnostics.append(
                     StepDiagnostics(
                         t=t + 1,
@@ -704,10 +806,10 @@ def run_batch(
                         horizon=horizon,
                         payoffs=payoffs[b].copy(),
                         estimate_norms=est_norms[b].copy(),
-                        values=values,
-                        fenchel_per_player=fen_pp,
-                        nash_gaps=gaps,
-                        dist_to_ref=dist,
+                        values=values[b],
+                        fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
+                        nash_gaps=gaps[b],
+                        dist_to_ref=None if dist is None else dist[b].copy(),
                         decomposition=decompositions[b],
                     )
                 )

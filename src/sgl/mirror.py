@@ -132,39 +132,37 @@ def mirror_map(reg: Regularizer, scores) -> PolicyProfile:
     return PolicyProfile(tuple(_map_block(reg, np.asarray(y, float)) for y in scores))
 
 
-def _conjugate_block(reg: Regularizer, y: np.ndarray) -> float:
+def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
+    """Conjugate of every (states x actions) block of a (..., states,
+    actions) stack of scores, each with the bits of its block alone."""
     if reg.kind == ENTROPY:
         # max-shifted log-sum-exp per row; the maxima leave the sum and enter
         # as log(count), so a row with one maximum is top + log1p(rest)
-        top = y.max(axis=1, keepdims=True)
+        top = y.max(axis=-1, keepdims=True)
         is_top = y == top
-        rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=1)
-        count = is_top.sum(axis=1)
-        return float((np.log1p(rest / count) + np.log(count) + top[:, 0]).sum())
-    q = project_simplex(y)
-    return float(np.sum(y * q) - 0.5 * np.sum(q * q))
+        rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=-1)
+        count = is_top.sum(axis=-1)
+        return (np.log1p(rest / count) + np.log(count) + top[..., 0]).sum(axis=-1)
+    q = project_simplex(y.reshape(-1, y.shape[-1])).reshape(y.shape)
+    return (y * q).sum(axis=(-2, -1)) - 0.5 * (q * q).sum(axis=(-2, -1))
 
 
 def conjugate(reg: Regularizer, scores) -> float:
     """Convex conjugate of the aggregate regularizer at the given scores."""
-    return sum(_conjugate_block(reg, np.asarray(y, float)) for y in scores)
+    return sum(float(_conjugates(reg, np.asarray(y, float))) for y in scores)
 
 
 # ---------------------------------------------------------------------------
 # couplings
 
 
-def _coupling_terms(reg: Regularizer, policy: PolicyProfile, scores):
-    """Each player's coupling h(p_i) + h*(y_i) - <y_i, p_i> as an array,
-    and the list of conjugates h*(y_i); scores are float arrays."""
-    conj = [_conjugate_block(reg, y) for y in scores]
-    per_player = np.array(
-        [
-            reg.block_value(p) + c - float(np.sum(y * p))
-            for p, y, c in zip(policy.probs, scores, conj)
-        ]
-    )
-    return per_player, conj
+def _coupling_terms(reg: Regularizer, h_p, p: np.ndarray, y: np.ndarray):
+    """Couplings h(p) + h*(y) - <y, p> of a (..., states, actions) stack of
+    float scores y against policy blocks p that broadcast against it, given
+    h_p = h(p), which broadcasts against the stack's leading axes; and the
+    conjugates h*(y). Each entry has the bits of its block alone."""
+    conj = _conjugates(reg, y)
+    return h_p + conj - (y * p).sum(axis=(-2, -1)), conj
 
 
 def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> FenchelReport:
@@ -175,7 +173,10 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
     the mirrored point.
     """
     scores = [np.asarray(y, float) for y in scores]
-    per_player, conj = _coupling_terms(reg, policy, scores)
+    terms = [
+        _coupling_terms(reg, reg.block_value(p), p, y) for p, y in zip(policy.probs, scores)
+    ]
+    per_player = np.array([float(f) for f, _ in terms])
     mirrored = mirror_map(reg, scores)
     interior = all((b > 0.0).all() for b in mirrored.probs)
     bregman = None
@@ -188,7 +189,7 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
             )
     return FenchelReport(
         value=float(per_player.sum()),
-        conjugate=sum(conj),
+        conjugate=sum(float(c) for _, c in terms),
         mirrored=mirrored,
         bregman=bregman,
         bregman_defined=interior,

@@ -282,23 +282,20 @@ def smoothed_gradient_estimate(
     The means equal those of a per-draw exact_value loop to roundoff.
     Returns (means, stderrs) as per-player (states x (m-1)) arrays.
     """
-    means, stderrs, _ = _smoothed_gradient(game, policy, delta, n_draws, rng, exact_value)
-    return means, stderrs
+    _check_smoothing(game, delta, n_draws)
+    return _smoothed_gradient(
+        game, reduce_policy(policy), exact_value(game, policy).values, delta, n_draws, rng
+    )
 
 
-def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
-    """smoothed_gradient_estimate with the current profile evaluated by
-    evaluate(game, policy), whose .values is the control variate; returns
-    (means, stderrs, that evaluation). decompose_step passes exact_gradient,
-    whose values are exact_value's bit for bit, so it evaluates the profile
-    once for both."""
+def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
+    """The smoothed gradient's argument checks: a positive draw count, and a
+    positive query radius inside every active player's safety radius."""
     if n_draws < 1:
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    rng = np.random.default_rng(rng)
     nets = nets_for(game)
-    base = reduce_policy(policy)
     active = active_players(game)
     if not active:
         raise DomainError("no player has at least 2 actions")
@@ -307,8 +304,17 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
             raise ScheduleError(
                 f"query radius {delta} exceeds safety radius {nets[i].radius}"
             )
-    evaluated = evaluate(game, policy)
-    base_values = evaluated.values
+
+
+def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
+    """smoothed_gradient_estimate about the reduced profile base (each
+    player's block without its last column), with base_values, the
+    profile's exact values, as the control variate; its arguments must
+    have passed _check_smoothing. The learner's oracle passes the values
+    of its row-layout evaluation, which have exact_value's bits."""
+    rng = np.random.default_rng(rng)
+    nets = nets_for(game)
+    active = active_players(game)
     dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
     # the nets with their centers shaped like one batch-last draw
     column_nets = {i: SafetyNet(nets[i].center[..., None], nets[i].radius) for i in active}
@@ -356,7 +362,7 @@ def _smoothed_gradient(game, policy, delta, n_draws, rng, evaluate):
         var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
         means.append(mean)
         stderrs.append(np.sqrt(var / n_draws))
-    return means, stderrs, evaluated
+    return means, stderrs
 
 
 def bias_probe(

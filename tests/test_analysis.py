@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from sgl import analysis, games
 from sgl.analysis import (
+    _best_responses,
+    _evaluate,
     _frozen_mdps,
+    _gradients,
     advantages,
     best_response,
     check_gradient_dominance,
@@ -32,6 +36,7 @@ from sgl.games import (
     uniform_profile,
 )
 from sgl.generators import GeneratorSpec, generate
+from sgl.mirror import BoundCheck
 from sgl.spsa import reduced_from_full
 
 
@@ -388,6 +393,128 @@ class TestGradientDominance:
             )
             assert check_gradient_dominance(game, policy, dev, mismatch).holds
 
+    def test_two_chain_solves(self, monkeypatch):
+        # the base value is the gradient's own value, with exact_value's
+        # bits, so the base profile is solved once and the deviation once
+        game = random_game(5, n_states=3)
+        rng = np.random.default_rng(5)
+        policy = random_profile(game, rng, margin=0.1)
+        dev = policy.replace(1, random_profile(game, rng).probs[1])
+        grad = exact_gradient(game, policy).blocks[1]
+        lhs = float(exact_value(game, dev).values[1] - exact_value(game, policy).values[1])
+        rhs = float(0.7 * np.sum(grad * (dev.probs[1] - policy.probs[1])))
+        solves = []
+        real = games.stationary_distribution
+        for module in (games, analysis):
+            monkeypatch.setattr(
+                module, "stationary_distribution", lambda P: solves.append(1) or real(P)
+            )
+        check = check_gradient_dominance(game, policy, dev, 0.7)
+        assert len(solves) == 2
+        assert check == BoundCheck(lhs, rhs, lhs <= rhs + 1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the stacked row-layout oracle
+
+
+def face_profiles(game, rng, count):
+    """Random profiles with one action of each multi-action player set to
+    zero in one state: points on faces of the simplex."""
+    out = []
+    for k in range(count):
+        blocks = [b.copy() for b in random_profile(game, rng, margin=0.1).probs]
+        for block in blocks:
+            m = block.shape[1]
+            if m > 1:
+                s, a = k % game.n_states, k % m
+                block[s, a] = 0.0
+                block[s] /= block[s].sum()
+        out.append(PolicyProfile(tuple(blocks)))
+    return out
+
+
+class TestStackedOracle:
+    """_evaluate, _gradients and _best_responses over a stack of profiles
+    against the one-profile exact_value, exact_gradient and nash_gap."""
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            generate(GeneratorSpec(kind="zerosum-switching")),
+            random_game(0, n_states=3, n_players=3, n_actions=3),
+            mixed_action_game(4, n_actions=(2, 1, 3)),
+            random_game(2, n_states=20, n_players=2, n_actions=4, eps=0.01),
+        ],
+        ids=["zerosum-switching", "3s3p3a", "single-action", "20s2p4a"],
+    )
+    def test_rows_equal_one_profile_calls_bit_for_bit(self, game):
+        rng = np.random.default_rng(9)
+        interior = [random_profile(game, rng, margin=0.05) for _ in range(5)]
+        profiles = interior + face_profiles(game, rng, 4)
+        stacks = [np.stack([pi.probs[i] for pi in profiles]) for i in range(game.n_players)]
+        blocks, report = _evaluate(game, stacks)
+        grads = _gradients(game, blocks, report)
+        best, actions = _best_responses(game, blocks)
+        for k, pi in enumerate(profiles):
+            value = exact_value(game, pi)
+            assert np.array_equal(report.values[k], value.values)
+            assert np.array_equal(report.stationary[k], value.stationary)
+            assert np.array_equal(report.transition_matrix[k], value.transition_matrix)
+            gradient = exact_gradient(game, pi)
+            for i, m in enumerate(game.n_actions):
+                assert np.array_equal(grads[k, i, :, :m], gradient.blocks[i])
+                assert (grads[k, i, :, m:] == 0.0).all()
+            gap = nash_gap(game, pi)
+            assert np.array_equal(best[k] - report.values[k], gap.gaps)
+            assert np.array_equal(best[k], gap.best_values)
+            assert tuple(map(tuple, actions[k].tolist())) == gap.best_actions
+
+    def test_one_profile_without_a_stack_axis(self):
+        game = random_game(3, n_states=3)
+        policy = random_profile(game, np.random.default_rng(1), margin=0.1)
+        blocks, report = _evaluate(game, policy.probs)
+        value = exact_value(game, policy)
+        assert report.values.shape == (game.n_players,)
+        assert np.array_equal(report.values, value.values)
+        assert np.array_equal(report.stage_rewards, value.stage_rewards)
+
+    def test_checks_name_the_profile(self):
+        game = random_game(3)
+        stacks = [np.full((3, 2, 2), 0.5) for _ in range(2)]
+        stacks[1][2, 1] = [0.7, 0.4]
+        with pytest.raises(GameFormatError, match=r"row \(profile=2, player=1, state=1\)"):
+            _evaluate(game, stacks)
+        with pytest.raises(DimensionError, match="3 players, game has 2"):
+            _evaluate(game, stacks + stacks[:1])
+
+    def test_a_failing_chain_raises_its_own_error(self):
+        # player 0 keeps the state under its first action: profile 1 of the
+        # stack is reducible and raises what it raises alone, naming no slice
+        rewards = np.zeros((2, 2, 4))
+        transitions = np.zeros((2, 4, 2))
+        for s in range(2):
+            transitions[s, :2, s] = 1.0
+            transitions[s, 2:] = 0.5
+        game = StochasticGame(2, (2, 2), rewards, transitions)
+        stacks = [np.full((3, 2, 2), 0.5), np.full((3, 2, 2), 0.5)]
+        stacks[0][1] = [[1.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(ErgodicityError) as alone:
+            exact_value(game, PolicyProfile((stacks[0][1], stacks[1][1])))
+        with pytest.raises(ErgodicityError) as stacked:
+            _evaluate(game, stacks)
+        assert str(stacked.value) == str(alone.value)
+        assert "slice" not in str(stacked.value)
+        assert stacked.value.slice_index == 1
+
+    def test_own_actions_are_built_once_and_read_only(self):
+        game = random_game(6, n_players=3)
+        onehot = game._own_actions
+        assert onehot is game._own_actions
+        assert not onehot.flags.writeable
+        for i in range(game.n_players):
+            assert np.array_equal(onehot[i].argmax(axis=1), game.action_table[:, i])
+
 
 # ---------------------------------------------------------------------------
 # mismatch coefficient
@@ -427,7 +554,7 @@ class TestFrozenMDPs:
     def test_match_per_state_loop(self, n_actions, reference_frozen_mdp):
         game = mixed_action_game(11, n_actions=n_actions)
         policy = random_profile(game, np.random.default_rng(4), margin=0.1)
-        P, R = _frozen_mdps(game, policy, list(range(game.n_players)))
+        P, R = _frozen_mdps(game, policy.probs, list(range(game.n_players)))
         for i, m in enumerate(n_actions):
             ref_P, ref_R = reference_frozen_mdp(game, policy, i)
             np.testing.assert_allclose(P[i, :, :m], ref_P, rtol=1e-15, atol=0)
@@ -439,8 +566,8 @@ class TestFrozenMDPs:
     def test_rows_of_a_subset_equal_the_full_stack(self):
         game = mixed_action_game(12, n_actions=(2, 3, 1))
         policy = random_profile(game, np.random.default_rng(5), margin=0.1)
-        P, R = _frozen_mdps(game, policy, [0, 1, 2])
-        P1, R1 = _frozen_mdps(game, policy, [1])
+        P, R = _frozen_mdps(game, policy.probs, [0, 1, 2])
+        P1, R1 = _frozen_mdps(game, policy.probs, [1])
         assert np.array_equal(P1[0], P[1]) and np.array_equal(R1[0], R[1])
 
 

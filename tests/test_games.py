@@ -91,6 +91,12 @@ class TestGameConstruction:
         with pytest.raises(GameFormatError, match="player=0, state=0"):
             PolicyProfile((np.array([[np.nan, 1.0]]),))
 
+    def test_policy_dust_below_zero_is_clipped_in_a_copy(self):
+        block = np.array([[1.0 + 5e-13, -5e-13], [0.25, 0.75]])
+        policy = PolicyProfile((block,))
+        assert np.array_equal(policy.probs[0], [[1.0 + 5e-13, 0.0], [0.25, 0.75]])
+        assert not np.shares_memory(policy.probs[0], block)
+
 
 # ---------------------------------------------------------------------------
 # induced transition matrix

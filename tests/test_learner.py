@@ -1,7 +1,9 @@
 import csv
+import io
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +329,11 @@ class TestRun:
         assert meta["columns"] == list(CSV_COLUMNS)
         assert meta["game_hash"]
         assert meta["schedule"]["gamma_exp"] == 1.0
+        # one json.dumps write gives json.dump's bytes
+        buf = io.StringIO()
+        json.dump(meta, buf, indent=1)
+        buf.write("\n")
+        assert (tmp_path / "run.json").read_text() == buf.getvalue()
 
     def test_checkpoint_values_match_exact_analysis(self):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -339,15 +346,16 @@ class TestRun:
 
 
     def test_checkpoint_evaluates_the_profile_once(self, monkeypatch):
-        # the values come from the Nash-gap report, which evaluates the
-        # profile itself, so each checkpoint makes one exact_value call
+        # the values and the Nash gaps come from one row-layout core call
+        # per checkpoint, which evaluates the profile itself
         import sgl.analysis as analysis
 
         calls = []
-        real = analysis.exact_value
-        monkeypatch.setattr(
-            analysis, "exact_value", lambda game, policy: calls.append(1) or real(game, policy)
-        )
+        real = analysis._evaluate
+        for module in (analysis, learner):
+            monkeypatch.setattr(
+                module, "_evaluate", lambda game, blocks: calls.append(1) or real(game, blocks)
+            )
         game = generate(GeneratorSpec(kind="zerosum-switching"))
         log = run(game, default_schedule(game), ENTROPY, 30, seed=1, log_every=10)
         assert len(log.diagnostics) == 3
@@ -431,6 +439,57 @@ class TestRunBatch:
                 for part in parts:
                     pairs = zip(getattr(da.decomposition, part), getattr(db.decomposition, part))
                     assert all(np.array_equal(x, y) for x, y in pairs)
+
+    def test_oracle_mode_on_three_players(self, tmp_path):
+        # one stacked evaluation per checkpoint for all three seeds' profiles,
+        # queries and updated profiles gives each seed its solo bits
+        game = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3, seed=2)
+        )
+        solo, batch = self.check_matches_solo_runs(
+            tmp_path, game, [3, 8, 21], iters=40, oracle_mode=True,
+            reference=uniform_profile(game), log_every=10, decomposition_draws=32,
+        )
+        parts = ("gradient", "smoothing_bias", "noise", "window_bias")
+        for a, b in zip(solo, batch):
+            for da, db in zip(a.diagnostics, b.diagnostics):
+                assert np.array_equal(da.decomposition.query_values, db.decomposition.query_values)
+                for part in parts:
+                    pairs = zip(getattr(da.decomposition, part), getattr(db.decomposition, part))
+                    assert all(np.array_equal(x, y) for x, y in pairs)
+
+    def test_only_the_seed_with_a_reducible_best_response_warns(self, tmp_path):
+        # seed 9 alone meets a reducible best-response candidate, at its last
+        # checkpoint; the batch's stacked checkpoint fails there, each seed
+        # is evaluated alone, and only seed 9 warns and loses its gaps
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        seeds = [6, 9, 7]
+        kw = dict(reference=uniform_profile(game), log_every=5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = run_batch(
+                game, sch, ENTROPY, 20, seeds,
+                out_dirs=[tmp_path / f"batch{k}" for k in range(3)], **kw,
+            )
+        messages = [str(w.message) for w in caught]
+        assert len(messages) == 1
+        assert messages[0].startswith(
+            "checkpoint oracle skipped at t=19: best-response candidate"
+        )
+        assert "of player 0" in messages[0]
+        assert [d.nash_gaps is None for d in batch[1].diagnostics] == [False] * 3 + [True]
+        assert np.isfinite(batch[1].diagnostics[-1].values).all()
+        assert all(d.nash_gaps is not None for k in (0, 2) for d in batch[k].diagnostics)
+        for k, seed in enumerate(seeds):
+            with warnings.catch_warnings(record=True) as alone:
+                warnings.simplefilter("always")
+                run(game, sch, ENTROPY, 20, seed, out_dir=tmp_path / f"solo{k}", **kw)
+            assert [str(w.message) for w in alone] == (messages if seed == 9 else [])
+            for name in ("run.csv", "run.json"):
+                assert (tmp_path / f"solo{k}" / name).read_bytes() == (
+                    tmp_path / f"batch{k}" / name
+                ).read_bytes()
 
     def test_one_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -629,9 +688,10 @@ class TestDecomposition:
             np.testing.assert_allclose(total, direct, atol=1e-10)
 
     def test_evaluates_the_profile_once(self, monkeypatch):
-        # the exact gradient's values are the smoothed estimate's control
-        # variate: one exact_value call for the decomposed profile, one for
-        # the query, and the same bits as the public estimator's
+        # one row-layout core call evaluates the decomposed profile and its
+        # query together, and the parts have the bits of the one-profile
+        # calls: exact_value at the query, exact_gradient and the public
+        # smoothed estimator at the profile
         from sgl import analysis, spsa
         from sgl.analysis import exact_gradient
 
@@ -643,14 +703,22 @@ class TestDecomposition:
         z = [sample_sphere(reduced_dim(3, 3), rng) for _ in range(3)]
         delta, payoffs = 0.05, np.array([0.3, 0.6, 0.1])
         seen = []
-        real = analysis.exact_value
-        for module in (analysis, spsa, learner):
+        real = analysis._evaluate
+        for module in (analysis, learner):
             monkeypatch.setattr(
-                module, "exact_value", lambda g, pi: seen.append(pi) or real(g, pi)
+                module, "_evaluate", lambda g, blocks: seen.append(blocks) or real(g, blocks)
             )
         dec = decompose_step(game, policy, z, delta, payoffs, rng=0, smoothing_draws=16)
-        assert len(seen) == 2 and seen[0] is policy
-        assert np.array_equal(dec.query_values, real(game, seen[1]).values)
+        monkeypatch.undo()
+        assert len(seen) == 1
+        assert [x.shape for x in seen[0]] == [(2, 3, 3)] * 3
+        assert all(np.array_equal(x[0], b) for x, b in zip(seen[0], policy.probs))
+        nets = [safety_net_for(3, 3)] * 3
+        query = lift_policy(
+            [perturb(x, d, delta, net) for x, d, net in zip(reduce_policy(policy), z, nets)]
+        )
+        assert all(np.array_equal(x[1], b) for x, b in zip(seen[0], query.probs))
+        assert np.array_equal(dec.query_values, exact_value(game, query).values)
 
         smoothed, _ = smoothed_gradient_estimate(
             game, policy, delta, 16, np.random.default_rng(0)
