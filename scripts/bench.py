@@ -16,7 +16,10 @@ game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
 The log_every=1 rows run the checkpoint oracle (value, Nash gap and
 Fenchel coupling to the uniform reference) after every one of 100
 iterations, at B = 1, 3 and 10 on both zero-sum games and at B = 1 and 3
-on the (3, 3, 3) game. The
+on the (3, 3, 3) game. The learner[failing,B=b,log_every=1] rows do the
+same at B = 1 and 6 on the stay/switch game, with the power window preset:
+player 0 keeps or flips the state, so best responses and chains fail at
+many checkpoints and the failure path is timed (its warnings ignored). The
 learner[oracle_mode] row is perfbench's oracle-audit job on the (3, 3, 3)
 game: one seed, 40 iterations in oracle_mode with log_every=10 and 256
 decomposition draws, so each checkpoint adds the step decomposition to
@@ -32,7 +35,7 @@ games._walk (the _walk rows); from them the change side's crossover, the
 stage-rows B * (H + 1) at which the two cost the same, is recorded.
 With --baseline REV the same timings are also taken on that git revision's
 src/ (exported with git archive) and every row holds both sides. Each
-operation and size is timed in fresh interpreters, a few rounds per side
+operation and size is timed in fresh interpreters, ten rounds per side
 with the sides alternating. The baseline must have this API, as every
 revision from dbf9f10 on does. Each side also records its src/sgl line
 count, the number of names in sgl.__all__, its count of defaulted function
@@ -65,6 +68,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -99,9 +103,10 @@ ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
 MIXING_SEED = 7  # perfbench mixing-window game seed
 LEARNER_ITERS = 1000  # outer iterations per seed and learner call
 ORACLE_ITERS = 100    # the same, with a checkpoint after every iteration
+FAILING_BATCHES = (1, 6)  # seeds per learner[failing,...] row, on the stay/switch game
 ORACLE_MODE_ITERS = 40  # iterations of the oracle_mode row (perfbench oracle-audit)
 ORACLE_MODE_EVERY = 10  # and its iterations per checkpoint
-ROUNDS = 5           # interpreter runs per side, operation and size
+ROUNDS = 10          # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
 
@@ -180,24 +185,34 @@ def measure(src: pathlib.Path, op: str, size: str) -> dict:
 def _time_learner(op: str, kind: str) -> dict:
     """Microseconds per seed-iteration of one learner call over B seeds, and
     the call's profiled function calls per iteration and per seed-iteration:
-    op is learner[B=b] (log_every=1000), learner[B=b,log_every=1] or
+    op is learner[B=b] (log_every=1000), learner[B=b,log_every=1],
+    learner[failing,B=b,log_every=1] (kind stay-switch) or
     learner[oracle_mode] (one seed, perfbench's oracle-audit job)."""
     from sgl import games, generators, learner, mirror
 
     if op == "learner[oracle_mode]":
         batch, every = "1", "oracle_mode"
     else:
-        batch, _, every = op.removeprefix("learner[B=").removesuffix("]").partition(",")
+        batch, _, every = (
+            op.removeprefix("learner[").removeprefix("failing,").removeprefix("B=")
+            .removesuffix("]").partition(",")
+        )
     seeds = list(range(int(batch)))
     if kind == "mixing-window":
         game = _mixing_window_game()
+    elif kind == "stay-switch":
+        game = _stay_switch_game()
     elif kind in SIZES:
         game = generators.generate(
             generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[kind])
         )
     else:
         game = generators.generate(generators.GeneratorSpec(kind=kind))
-    schedule = learner.default_schedule(game)
+    if kind == "stay-switch":  # no certified mixing constant: the power window
+        schedule = learner._preset_schedule(game, "power", None, 1.0)
+        warnings.simplefilter("ignore")
+    else:
+        schedule = learner.default_schedule(game)
     reg = mirror.make_regularizer("entropy")
     if every == "oracle_mode":  # a decomposition at every checkpoint
         iters = ORACLE_MODE_ITERS
@@ -221,6 +236,23 @@ def _time_learner(op: str, kind: str) -> dict:
     timed["calls_per_iter"] = calls / iters
     timed["calls_per_seed_iter"] = calls / per_call
     return timed
+
+
+def _stay_switch_game():
+    """Two states, two players with two actions: player 0's first action
+    keeps the state and its second flips it, so its pure responses give
+    reducible or periodic chains; the rewards are matching pennies'
+    with the roles swapping between the states."""
+    from sgl import games
+
+    rewards = np.zeros((2, 2, 4))
+    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+    rewards[1] = 1.0 - rewards[0]
+    transitions = np.zeros((2, 4, 2))
+    for s in range(2):
+        transitions[s, :2, s] = 1.0
+        transitions[s, 2:, 1 - s] = 1.0
+    return games.StochasticGame(2, (2, 2), rewards, transitions)
 
 
 def _mixing_window_game():
@@ -432,6 +464,10 @@ def main(argv=None) -> int:
             for kind, batches in ORACLE_BATCHES.items()
             for b in batches
         ]
+        rows += [
+            _row(sides, f"learner[failing,B={b},log_every=1]", "stay-switch")
+            for b in FAILING_BATCHES
+        ]
         rows.append(_row(sides, "learner[oracle_mode]", "3s3p3a"))
         rows += [
             _row(sides, f"{name}[B={b},H={h}]", "mixing-window")
@@ -461,6 +497,7 @@ def main(argv=None) -> int:
             "log_every": 1000,
             "oracle_batches": ORACLE_BATCHES,
             "oracle_iters": ORACLE_ITERS,
+            "failing_batches": {"stay-switch": FAILING_BATCHES, "horizon": "power"},
             "oracle_mode": {
                 "size": "3s3p3a", "iters": ORACLE_MODE_ITERS,
                 "log_every": ORACLE_MODE_EVERY, "draws": STACK, "seeds": 1,

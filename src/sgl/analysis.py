@@ -135,15 +135,24 @@ def _evaluate(game: StochasticGame, profiles):
     try:
         p = stationary_distribution(P)
     except ErgodicityError as exc:
-        k = getattr(exc, "slice_index", None)
-        if P.ndim == 3 and k is not None:
-            try:
-                stationary_distribution(P[k])
-            except ErgodicityError as alone:  # the text a lone evaluation gives
-                raise _at_slice(str(alone), k) from None
+        if P.ndim == 3:
+            _raise_alone(exc, 1, lambda k: stationary_distribution(P[k]))
         raise
     R = np.einsum("isj,...sj->...is", game.rewards, w)
     return blocks, ValueReport((R @ p[..., None])[..., 0], R, p, P)
+
+
+def _raise_alone(exc, rows, alone):
+    """Raise exc, an ErgodicityError about row k of a stack of profiles of
+    `rows` rows each, as one about profile q = k // rows: q is its
+    slice_index and alone(q), the profile's own solve, gives its text."""
+    if hasattr(exc, "slice_index"):
+        q = exc.slice_index // rows
+        try:
+            alone(q)
+        except ErgodicityError as lone:
+            raise _at_slice(str(lone), q) from None
+    raise exc
 
 
 def exact_values(game: StochasticGame, blocks) -> np.ndarray:
@@ -171,8 +180,6 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
                 f"{(n_profiles, game.n_states, m)}"
             )
         cols.append(arr.transpose(1, 2, 0).copy())
-    if not n_profiles:
-        return np.zeros((0, game.n_players))
     return _batch_values(game, cols).T
 
 
@@ -193,7 +200,7 @@ def _batch_values(game: StochasticGame, cols) -> np.ndarray:
     # joint actions row-major, the last player's action fastest
     w = cols[0]
     for x in cols[1:]:
-        w = (w[:, :, None] * x[:, None]).reshape(S, -1, B)
+        w = (w[:, :, None] * x[:, None]).reshape(S, w.shape[1] * x.shape[1], B)
     transitions, rewards = game._joint_tables
     p = stationary_distribution((transitions @ w).transpose(2, 0, 1))   # (B, S)
     stage = rewards @ w                                                 # (S, n, B)
@@ -224,18 +231,25 @@ def _own_advantages(game: StochasticGame, blocks, report: ValueReport):
 
     Solves (I - P + 1 p) h_i = R_i - V_i 1 (so p . h_i = 0) for every
     profile and player in one stacked solve, then
-    joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i.
+    joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i. A singular
+    system's error names the player, and its slice_index is the profile's
+    position in the flattened stack.
     """
     n, S = game.n_players, game.n_states
     lead = report.values.shape[:-1]
     P = np.broadcast_to(report.transition_matrix[..., None, :, :], lead + (n, S, S))
     p = np.broadcast_to(report.stationary[..., None, :], lead + (n, S))
-    bias = _poisson(
-        P.reshape(-1, S, S),
-        p.reshape(-1, S),
-        (report.stage_rewards - report.values[..., None]).reshape(-1, S),
-        lambda k: f" for player {k % n}",
-    ).reshape(lead + (n, S))
+    try:
+        bias = _poisson(
+            P.reshape(-1, S, S),
+            p.reshape(-1, S),
+            (report.stage_rewards - report.values[..., None]).reshape(-1, S),
+            lambda k: f" for player {k % n}",
+        ).reshape(lead + (n, S))
+    except ErgodicityError as exc:
+        if hasattr(exc, "slice_index"):  # row k is player k % n of profile k // n
+            exc.slice_index //= n
+        raise
     future = np.moveaxis(game.transitions @ np.swapaxes(bias, -1, -2)[..., None, :, :], -1, -3)
     joint = game.rewards - report.values[..., None, None] + future   # (..., n, S, J)
     weighted = opponent_weights(game, blocks) * joint
@@ -423,7 +437,8 @@ def _poisson(P, p, r, at):
 def _evaluate_deterministic(P, R, actions, players):
     """Gains (k,) and zero-mean biases (k, S) of one deterministic policy per
     MDP of the stack: one stationary solve and one Poisson solve for all.
-    A non-ergodic candidate raises ErgodicityError naming its player."""
+    A non-ergodic candidate raises ErgodicityError naming its player, with
+    its row as slice_index."""
     k, S = actions.shape
     stack, rows = np.arange(k)[:, None], np.arange(S)
     P_pi = P[stack, rows, actions]                        # (k, S, S)
@@ -436,9 +451,9 @@ def _evaluate_deterministic(P, R, actions, players):
         i = getattr(exc, "slice_index", None)
         if i is None:
             raise
-        raise ErgodicityError(
+        raise _at_slice(
             f"best-response candidate {tuple(actions[i].tolist())} of player "
-            f"{players[i]}: {exc}"
+            f"{players[i]}: {exc}", i
         ) from exc
     return gain, h
 
@@ -451,7 +466,8 @@ def _policy_iteration(P, R, players):
     action only when it wins by more than 1e-12, so the incumbent keeps
     ties and the iteration terminates. Rows that have settled keep their
     actions, and with them their gains, bit for bit. Returns the optimal
-    gains (k,) and actions (k, S).
+    gains (k,) and actions (k, S). An error's slice_index is the row of
+    the failing candidate, or of the first row that did not settle.
     """
     stack, rows = np.arange(len(players))[:, None], np.arange(R.shape[1])
     actions = R.argmax(axis=2)
@@ -468,8 +484,9 @@ def _policy_iteration(P, R, players):
         actions = nxt
         gain, h = _evaluate_deterministic(P, R, actions, players)
     unsettled = [players[i] for i in np.flatnonzero(moved)]
-    raise ErgodicityError(
-        f"policy iteration for players {unsettled} did not settle in {_MAX_SWEEPS} sweeps"
+    raise _at_slice(
+        f"policy iteration for players {unsettled} did not settle in {_MAX_SWEEPS} sweeps",
+        np.argmax(moved),
     )
 
 
@@ -519,15 +536,21 @@ def _best_responses(game: StochasticGame, blocks):
     against the others frozen, for the profile or stack of profiles blocks
     holds (as _evaluate's clipped blocks): one _frozen_mdps and one
     _policy_iteration over all (profile, player) rows. A row's result does
-    not depend on the rows beside it; an error in a stack names the
-    player, and its slice is the row's position in the stack."""
+    not depend on the rows beside it, so a failing profile raises what it
+    raises alone (its n rows run again for the text), naming the player,
+    with its position in the flattened stack as slice_index."""
     n, S = game.n_players, game.n_states
     P, R = _frozen_mdps(game, blocks, list(range(n)))
     lead = R.shape[:-3]
-    rows = list(range(n)) * math.prod(lead)
-    gain, actions = _policy_iteration(
-        P.reshape((-1,) + P.shape[-3:]), R.reshape((-1,) + R.shape[-2:]), rows
-    )
+    P, R = P.reshape((-1,) + P.shape[-3:]), R.reshape((-1,) + R.shape[-2:])
+    try:
+        gain, actions = _policy_iteration(P, R, list(range(n)) * math.prod(lead))
+    except ErgodicityError as exc:  # profile q's players are rows q * n .. q * n + n - 1
+        if lead:  # one unstacked profile raises its own text already
+            _raise_alone(
+                exc, n, lambda q: _policy_iteration(P[q * n:][:n], R[q * n:][:n], list(range(n)))
+            )
+        raise
     return gain.reshape(lead + (n,)), actions.reshape(lead + (n, S))
 
 
@@ -590,7 +613,8 @@ def lipschitz_probe(game: StochasticGame, n_pairs: int, rng=None) -> float:
             continue
         ga = exact_gradient(game, a).blocks
         gb = exact_gradient(game, b).blocks
-        gdiff = max(float(np.abs(x - y).max()) for x, y in zip(ga, gb))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge rewards: an inf ratio
+            gdiff = max(float(np.abs(x - y).max()) for x, y in zip(ga, gb))
         ratio = gdiff / diff
         best = ratio if best is None else max(best, ratio)
     if best is None:

@@ -22,8 +22,8 @@ class ErgodicityError(SglError, RuntimeError):
     """The induced state chain failed an ergodicity check.
 
     The message names the check that failed (eigenvalue multiplicity,
-    singular solve, fixed-point residual). An error about one
-    chain of a stacked call carries its position there as slice_index.
+    singular solve, fixed-point residual). An error about one chain or
+    profile of a stacked call carries its position there as slice_index.
     """
 
 

@@ -338,7 +338,9 @@ def joint_weight_matrix(blocks) -> np.ndarray:
     """
     w = np.ones(blocks[0].shape[:-1] + (1,))
     for block in blocks:
-        w = (w[..., :, None] * block[..., None, :]).reshape(block.shape[:-1] + (-1,))
+        w = (w[..., :, None] * block[..., None, :]).reshape(
+            block.shape[:-1] + (w.shape[-1] * block.shape[-1],)
+        )
     return w
 
 

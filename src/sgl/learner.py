@@ -10,7 +10,6 @@ the state carries over between outer iterations.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 import json
@@ -28,9 +27,8 @@ from .analysis import (
     _evaluate,
     _gradients,
     exact_value,
-    nash_gap,
 )
-from .errors import DomainError, ErgodicityError, ScheduleError, SglError
+from .errors import DomainError, ErgodicityError, ScheduleError
 from .games import (
     MixingCertificate,
     PolicyProfile,
@@ -385,9 +383,11 @@ def decompose_step(
         lift_block(perturb(reduced[i], directions[i], delta, nets[i])) if i in active else block
         for i, block in enumerate(policy.probs)
     ]
-    values, grads, _ = _exact_parts(
+    values, grads, _, failures = _exact_parts(
         game, [b[None] for b in policy.probs], [q[None] for q in queried], None
     )
+    if failures:
+        raise next(iter(failures.values()))
     z = [
         np.asarray(directions[i], float).reshape(x.shape) if i in active else None
         for i, x in enumerate(reduced)
@@ -401,21 +401,69 @@ def decompose_step(
 def _exact_parts(game, before, queried, after):
     """One _evaluate call over B seeds' decomposed profiles (before), their
     queries and their updated profiles (after), each None or one (B, S,
-    m_i) stack per player. Returns the values (arguments given, B, n), the
-    (B, n, S, max m) gradients of before and the (B, n) best-response gains
-    against after (None where not given). Reads no stream; a failing chain
-    or best response raises."""
+    m_i) stack per player, then _gradients of before and _best_responses
+    against after. Returns the values (arguments given, B, n), the (B, n,
+    S, max m) gradients, the (B, n) best-response gains (None where not
+    given) and the failures {(seed, part): the error its profile raises
+    alone}. A seed's part is its "decomposition" (x_t and the query), its
+    "value" (x_{t+1}) or its "gap" (best responses); a stage runs again
+    without a failing part, whose results are NaN. Reads no stream."""
     stacks = [x for x in (before, queried, after) if x is not None]
     B = len(stacks[0][0])
-    blocks, report = _evaluate(game, [np.concatenate(players) for players in zip(*stacks)])
-    values = report.values.reshape(len(stacks), B, game.n_players)
+    N, failures = len(stacks) * B, {}
+    cat = [np.concatenate(players) for players in zip(*stacks)]
+    kept, (blocks, report) = _dropping(  # stacked row r: seed r % B's profile in stacks[r // B]
+        lambda rows: _evaluate(game, [x[rows] for x in cat]), 0, N, None, failures,
+        lambda r: (r % B, "value" if after is not None and r >= N - B else "decomposition"),
+    )
+    if kept is not None:  # full-size stacks again, NaN in the dropped rows
+        blocks = [_placed(x, kept, 0, N) for x in blocks]
+        report = ValueReport(*(_placed(x, kept, 0, N) for x in vars(report).values()))
+    values = report.values.reshape(-1, B, game.n_players)
     grads = best = None
     if before is not None:
-        first = ValueReport(*(x[:B] for x in vars(report).values()))
-        grads = _gradients(game, [x[:B] for x in blocks], first)
+        rows, grads = _dropping(
+            lambda rows: _gradients(
+                game, [x[rows] for x in blocks],
+                ValueReport(*(x[rows] for x in vars(report).values())),
+            ),
+            0, B, kept, failures, lambda r: (r, "decomposition"),
+        )
+        grads = _placed(grads, rows, 0, B)
     if after is not None:
-        best = _best_responses(game, [x[-B:] for x in blocks])[0]
-    return values, grads, best
+        rows, best = _dropping(
+            lambda rows: _best_responses(game, [x[rows] for x in blocks])[0],
+            N - B, N, kept, failures, lambda r: (r % B, "gap"),
+        )
+        best = _placed(best, rows, N - B, N)
+    return values, grads, best, failures
+
+
+def _dropping(run, lo, hi, kept, failures, part):
+    """(rows, run(rows)) on the stacked rows lo..hi-1 in kept (None: all);
+    until a row fails, rows is None and run reads the slice lo:hi. An
+    ErgodicityError about slice k goes to failures under part(row k), and
+    run repeats without that part's rows."""
+    rows = None if kept is None else [r for r in kept if lo <= r < hi]
+    while True:
+        try:
+            return rows, run(slice(lo, hi) if rows is None else rows)
+        except ErgodicityError as exc:
+            if not hasattr(exc, "slice_index"):
+                raise
+            rows = list(range(lo, hi)) if rows is None else rows
+            failures[part(rows[exc.slice_index])] = exc
+            rows = [r for r in rows if part(r) not in failures]
+
+
+def _placed(x, rows, lo, hi):
+    """x, a stage's results for the stacked rows `rows` of lo..hi-1 (None:
+    all), as hi - lo rows with NaN where a row is missing."""
+    if rows is None:
+        return x
+    out = np.full((hi - lo,) + x.shape[1:], np.nan)
+    out[[r - lo for r in rows]] = x
+    return out
 
 
 def _decomposition(
@@ -496,11 +544,11 @@ def _checkpoint_oracle(game, t, after, decomposed):
     or (before, z, delta, payoffs, rngs, draws) with before stacked like
     after, z[i] player i's (B, S, m_i - 1) directions (None for a single
     action) and one payoff row and stream per seed. One _exact_parts call
-    covers every seed; the smoothed gradients stay per seed. If it fails,
-    each seed is evaluated alone through decompose_step and nash_gap, with
-    the same bits, and a part whose chain or best response fails is None,
-    with a warning. An error raised for one seed, other than an
-    ErgodicityError, carries its position as seed_index.
+    covers every seed; the smoothed gradients stay per seed. A failed part
+    is None, with the warnings of the seed's solo run, in seed order; the
+    values stay where only the best responses fail. An error raised for
+    one seed, other than an ErgodicityError, carries its position as
+    seed_index.
     """
     n_batch = len(after[0])
     values, gaps, decompositions = [None] * n_batch, [None] * n_batch, [None] * n_batch
@@ -512,26 +560,10 @@ def _checkpoint_oracle(game, t, after, decomposed):
             x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
             for x, d, net in zip(before, z, nets_for(game))
         ]
-    try:
-        parts = _exact_parts(game, before, queried, after)
-    except SglError:
-        parts = None
+    seed_values, grads, best, failures = _exact_parts(game, before, queried, after)
     for b in range(n_batch):
         try:
-            if parts is None:
-                values[b], gaps[b], decompositions[b] = _seed_alone(
-                    game, t, [x[b] for x in after],
-                    None if decomposed is None else (
-                        PolicyProfile(tuple(x[b] for x in before)),
-                        [None if d is None else d[b].ravel() for d in z],
-                        delta, payoffs[b], rngs[b], draws,
-                    ),
-                )
-                continue
-            seed_values, grads, best = parts
-            values[b] = seed_values[-1, b].copy()
-            gaps[b] = best[b] - values[b]
-            if decomposed is not None:
+            if decomposed is not None and (b, "decomposition") not in failures:
                 try:
                     decompositions[b] = _decomposition(
                         game, [x[b, :, :-1] for x in before], seed_values[0, b], grads[b],
@@ -539,33 +571,18 @@ def _checkpoint_oracle(game, t, after, decomposed):
                         delta, payoffs[b], rngs[b], draws,
                     )
                 except ErgodicityError as exc:
-                    warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
+                    failures[b, "decomposition"] = exc
+            for part in ("decomposition", "value", "gap"):
+                if (b, part) in failures:
+                    what = {"decomposition": "oracle decomposition"}.get(part, "checkpoint oracle")
+                    warnings.warn(f"{what} skipped at t={t}: {failures[b, part]}")
+            if (b, "value") not in failures:
+                values[b] = seed_values[-1, b].copy()
+                if (b, "gap") not in failures:
+                    gaps[b] = best[b] - values[b]
         except Exception as exc:
             raise _tagged(exc, b)
     return values, gaps, decompositions
-
-
-def _seed_alone(game, t, blocks, decomposed):
-    """One seed's checkpoint through the one-profile calls: (values, gaps,
-    decomposition), with a warning and None for a part whose chain or best
-    response fails. decomposed is None or decompose_step's arguments after
-    the game."""
-    decomposition = values = gaps = None
-    if decomposed is not None:
-        try:
-            decomposition = decompose_step(game, *decomposed)
-        except ErgodicityError as exc:
-            warnings.warn(f"oracle decomposition skipped at t={t}: {exc}")
-    policy = PolicyProfile(tuple(blocks))
-    try:
-        report = nash_gap(game, policy)
-        values, gaps = report.values, report.gaps
-    except ErgodicityError as exc:
-        warnings.warn(f"checkpoint oracle skipped at t={t}: {exc}")
-        # a best response can fail where the value does not
-        with contextlib.suppress(ErgodicityError):
-            values = exact_value(game, policy).values
-    return values, gaps, decomposition
 
 
 def run_batch(
@@ -754,9 +771,10 @@ def run_batch(
         before = policy[:]
         coeff_cap = norm_cap / delta * (1.0 + 1e-9)
         for (k, lo, hi), d in zip(groups, directions):
-            lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
-            squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
-            norm = np.sqrt(np.add.reduce(squares, axis=-1))
+            with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses an inf
+                lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
+                squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
+                norm = np.sqrt(np.add.reduce(squares, axis=-1))
             if np.maximum.reduce(norm, axis=None) > coeff_cap:
                 b, j = np.argwhere(norm > coeff_cap)[0]
                 raise _tagged(

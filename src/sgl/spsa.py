@@ -10,6 +10,7 @@ vectors back to simplex-tangent policy-shaped tensors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,20 +148,22 @@ def active_players(game: StochasticGame) -> list[int]:
     return [i for i, m in enumerate(game.n_actions) if m >= 2]
 
 
+@functools.cache
 def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
     """Uniform-policy center with the exact inscribed Euclidean radius.
 
     Per state the binding facets sit at distance 1/m (coordinate floors) and
     (1/m)/sqrt(m-1) (the row-sum cap); the product over states keeps the
     same minimum. Single-action players get an empty net and are skipped by
-    perturbation.
+    perturbation. Each net is built once and shared, its center read-only.
     """
     if n_actions < 1:
         raise DomainError("n_actions must be positive")
     k = n_actions - 1
-    if k == 0:
-        return SafetyNet(np.zeros((n_states, 0)), np.inf)
     center = np.full((n_states, k), 1.0 / n_actions)
+    center.flags.writeable = False
+    if k == 0:
+        return SafetyNet(center, np.inf)
     radius = min(1.0 / n_actions, (1.0 / n_actions) / np.sqrt(k))
     return SafetyNet(center, float(radius))
 
@@ -347,10 +350,13 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             for i in range(game.n_players)
         ]
         values = _batch_values(game, [_lift_columns(x) for x in queried])
-        for j, i in enumerate(active):
-            samples = _one_point(values[i] - base_values[i], zs[i], delta, dims[j])
-            sums[i] += samples.sum(axis=-1)
-            sq_sums[i] += (samples * samples).sum(axis=-1)
+        # payoffs near the float range overflow here and below; the stderr is
+        # then not finite, which the callers' checks refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, i in enumerate(active):
+                samples = _one_point(values[i] - base_values[i], zs[i], delta, dims[j])
+                sums[i] += samples.sum(axis=-1)
+                sq_sums[i] += (samples * samples).sum(axis=-1)
 
     means, stderrs = [], []
     for i in range(game.n_players):
@@ -359,7 +365,8 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             stderrs.append(np.zeros((game.n_states, 0)))
             continue
         mean = sums[i] / n_draws
-        var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
         means.append(mean)
         stderrs.append(np.sqrt(var / n_draws))
     return means, stderrs

@@ -153,3 +153,26 @@ def reference_own_advantages():
 @pytest.fixture
 def reference_nash_gap():
     return _reference_nash_gap
+
+
+def _stay_switch_game():
+    """Two states, two players with two actions: player 0's first action
+    keeps the state and its second flips it, so its pure responses give
+    reducible or periodic chains and the sampled certificate fails; the
+    rewards are matching pennies' with the roles swapping between the
+    states."""
+    from sgl.games import StochasticGame
+
+    rewards = np.zeros((2, 2, 4))
+    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
+    rewards[1] = 1.0 - rewards[0]
+    transitions = np.zeros((2, 4, 2))
+    for s in range(2):
+        transitions[s, :2, s] = 1.0
+        transitions[s, 2:, 1 - s] = 1.0
+    return StochasticGame(2, (2, 2), rewards, transitions)
+
+
+@pytest.fixture
+def stay_switch_game():
+    return _stay_switch_game

@@ -507,6 +507,71 @@ class TestStackedOracle:
         assert "slice" not in str(stacked.value)
         assert stacked.value.slice_index == 1
 
+    def test_a_failing_best_response_raises_its_own_error(self, stay_switch_game):
+        # player 0 keeps or flips the state; against player 1's mixes in
+        # profiles 1 and 2 its greedy candidate keeps both states or flips
+        # both, so those best responses fail, each as it fails alone
+        game = stay_switch_game()
+        mixes = ([[0.8, 0.2], [0.8, 0.2]], [[0.8, 0.2], [0.2, 0.8]],
+                 [[0.2, 0.8], [0.8, 0.2]], [[0.3, 0.7], [0.3, 0.7]])
+        profiles = [PolicyProfile((np.full((2, 2), 0.5), np.array(m))) for m in mixes]
+        alone = []
+        for k in (1, 2):
+            with pytest.raises(ErgodicityError) as info:
+                nash_gap(game, profiles[k])
+            alone.append(str(info.value))
+        for picked, k in (([0, 1, 2, 3], 1), ([3, 0, 2], 2)):
+            blocks = [np.stack([profiles[j].probs[i] for j in picked]) for i in range(2)]
+            with pytest.raises(ErgodicityError) as stacked:
+                _best_responses(game, blocks)
+            assert str(stacked.value) == alone[k - 1]
+            assert stacked.value.slice_index == picked.index(k)
+        assert "of player 0: ergodicity check failed at slice 0:" in alone[0]
+
+    def test_an_unsettled_best_response_names_its_profile(self, monkeypatch):
+        # no sweep is allowed, so every row is unsettled: the error names the
+        # first profile and its players only, as that profile alone does
+        game = random_game(5, n_states=3, n_players=2)
+        rng = np.random.default_rng(2)
+        profiles = [random_profile(game, rng, margin=0.1) for _ in range(3)]
+        blocks = [np.stack([pi.probs[i] for pi in profiles]) for i in range(2)]
+        monkeypatch.setattr(analysis, "_MAX_SWEEPS", 0)
+        with pytest.raises(ErgodicityError, match=r"players \[0, 1\] did not settle") as info:
+            _best_responses(game, blocks)
+        assert info.value.slice_index == 0
+
+    def test_a_singular_poisson_row_names_its_profile(self, monkeypatch):
+        # the stacked Poisson solve has one row per (profile, player): a
+        # failure at row 3 of two-player profiles is profile 1's
+        game = random_game(5, n_states=3, n_players=2)
+        rng = np.random.default_rng(4)
+        profiles = [random_profile(game, rng, margin=0.1) for _ in range(3)]
+        blocks, report = _evaluate(
+            game, [np.stack([pi.probs[i] for pi in profiles]) for i in range(2)]
+        )
+
+        def singular(P, p, r, at):
+            raise games._at_slice(f"ergodicity check failed{at(3)}: singular Poisson system", 3)
+
+        monkeypatch.setattr(analysis, "_poisson", singular)
+        with pytest.raises(ErgodicityError, match="for player 1: singular") as info:
+            _gradients(game, blocks, report)
+        assert info.value.slice_index == 1
+
+    def test_empty_stacks(self):
+        # a checkpoint whose profiles all failed runs a stage on no profile
+        game = mixed_action_game(4, n_actions=(2, 1, 3))
+        n, S = game.n_players, game.n_states
+        stacks = [np.zeros((0, S, m)) for m in game.n_actions]
+        assert games.joint_weight_matrix(stacks).shape == (0, S, game.n_joint)
+        assert exact_values(game, stacks).shape == (0, n)
+        blocks, report = _evaluate(game, stacks)
+        assert report.values.shape == (0, n)
+        assert report.transition_matrix.shape == (0, S, S)
+        assert _gradients(game, blocks, report).shape == (0, n, S, 3)
+        best, actions = _best_responses(game, blocks)
+        assert best.shape == (0, n) and actions.shape == (0, n, S)
+
     def test_own_actions_are_built_once_and_read_only(self):
         game = random_game(6, n_players=3)
         onehot = game._own_actions

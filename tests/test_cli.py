@@ -12,18 +12,6 @@ from sgl.games import StochasticGame, save_game
 from sgl.generators import GeneratorSpec, generate
 
 
-def stay_switch_game():
-    """Player 0 keeps or flips the state: the sampled certificate fails."""
-    rewards = np.zeros((2, 2, 4))
-    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
-    rewards[1] = 1.0 - rewards[0]
-    transitions = np.zeros((2, 4, 2))
-    for s in range(2):
-        transitions[s, :2, s] = 1.0
-        transitions[s, 2:, 1 - s] = 1.0
-    return StochasticGame(2, (2, 2), rewards, transitions)
-
-
 def scaled_game(kind, scale):
     """The generated game of this kind with 2 states, players and actions (the
     zero-sum kinds have their own sizes) and its rewards times scale."""
@@ -111,7 +99,7 @@ class TestAnalyze:
             assert mixing["tau"] == cert.tau
             assert mixing["contraction"] == cert.contraction
 
-    def test_failed_certificate_writes_null_tau(self, tmp_path, capsys):
+    def test_failed_certificate_writes_null_tau(self, tmp_path, capsys, stay_switch_game):
         # the certificate's tau is infinite; strict JSON has no Infinity
         game_path = tmp_path / "stay_switch.json"
         save_game(stay_switch_game(), game_path)
@@ -119,6 +107,7 @@ class TestAnalyze:
         mixing = json.loads(capsys.readouterr().out, parse_constant=_refuse)["mixing"]
         assert mixing["ok"] is False and mixing["tau"] is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_estimate_exits_one(self, tmp_path, capsys):
         # payoffs near the float range: the Lipschitz ratio overflows
         game_path = tmp_path / "mp_huge.json"
@@ -197,6 +186,7 @@ class TestGradient:
         assert main(["gradient", "--game", str(game_path), "--policy", "uniform"]) == 1
         assert "error: ergodicity check failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_stderr_exits_one(self, tmp_path, capsys):
         # squared samples of payoffs near 1e200 overflow: the variance is NaN
         game_path = tmp_path / "mp_huge.json"
@@ -303,7 +293,7 @@ class TestLearn:
         assert code == 0
         assert "schedule conditions failing" in capsys.readouterr().err
 
-    def test_uncertified_mixing_exits_one(self, tmp_path, capsys):
+    def test_uncertified_mixing_exits_one(self, tmp_path, capsys, stay_switch_game):
         # the certificate fails, so the default log window is not finite
         game_path = tmp_path / "stay_switch.json"
         save_game(stay_switch_game(), game_path)

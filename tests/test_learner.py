@@ -69,19 +69,6 @@ def dominant_action_game():
     return StochasticGame(1, (2, 2), rewards, np.ones((1, 4, 1)))
 
 
-def stay_switch_game():
-    """Player 0 either keeps the state or flips it, so the pure profiles
-    give reducible or periodic chains and the sampled certificate fails."""
-    rewards = np.zeros((2, 2, 4))
-    rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
-    rewards[1] = 1.0 - rewards[0]
-    transitions = np.zeros((2, 4, 2))
-    for s in range(2):
-        transitions[s, :2, s] = 1.0
-        transitions[s, 2:, 1 - s] = 1.0
-    return StochasticGame(2, (2, 2), rewards, transitions)
-
-
 # ---------------------------------------------------------------------------
 # schedules
 
@@ -119,7 +106,7 @@ class TestSchedule:
         power = Schedule(1.0, 1 / 3, horizon_mode="power", horizon_param=-5)
         assert min(power.horizon(t) for t in range(10)) == 2
 
-    def test_default_schedule_refuses_failed_certificate(self):
+    def test_default_schedule_refuses_failed_certificate(self, stay_switch_game):
         game = stay_switch_game()
         cert = certify_mixing(game, certification_sample(game, rng=0))
         assert not cert.ok
@@ -361,7 +348,7 @@ class TestRun:
         assert len(log.diagnostics) == 3
         assert len(calls) == len(log.diagnostics)
 
-    def test_values_kept_where_a_best_response_is_reducible(self):
+    def test_values_kept_where_a_best_response_is_reducible(self, stay_switch_game):
         # player 0's greedy candidate keeps both states (a reducible chain),
         # so the Nash gap fails while the profile's values do not
         game = stay_switch_game()
@@ -458,10 +445,10 @@ class TestRunBatch:
                     pairs = zip(getattr(da.decomposition, part), getattr(db.decomposition, part))
                     assert all(np.array_equal(x, y) for x, y in pairs)
 
-    def test_only_the_seed_with_a_reducible_best_response_warns(self, tmp_path):
+    def test_only_the_seed_with_a_reducible_best_response_warns(self, tmp_path, stay_switch_game):
         # seed 9 alone meets a reducible best-response candidate, at its last
-        # checkpoint; the batch's stacked checkpoint fails there, each seed
-        # is evaluated alone, and only seed 9 warns and loses its gaps
+        # checkpoint; the batch drops seed 9's profile from its stacked best
+        # responses there, and only seed 9 warns and loses its gaps
         game = stay_switch_game()
         sch = learner._preset_schedule(game, "power", None, 1.0)
         seeds = [6, 9, 7]
@@ -490,6 +477,108 @@ class TestRunBatch:
                 assert (tmp_path / f"solo{k}" / name).read_bytes() == (
                     tmp_path / f"batch{k}" / name
                 ).read_bytes()
+
+    def test_a_failing_best_response_is_dropped_from_the_stack(
+        self, monkeypatch, stay_switch_game
+    ):
+        # the batch of the test above: every checkpoint makes one _evaluate
+        # call for all three seeds, and at t=19 the best responses run again
+        # for seeds 6 and 7 together, never alone. No checkpoint goes through
+        # the one-profile API, also where chains and decompositions fail
+        import sgl.analysis as analysis
+
+        evaluated, responded, inside, forbidden = [], [], [], []
+        def counted(real, seen):
+            return lambda g, blocks: seen.append(len(blocks[0])) or real(g, blocks)
+
+        def watched(real, name):
+            return lambda *a, **k: (inside and forbidden.append(name)) or real(*a, **k)
+
+        for name, seen in (("_evaluate", evaluated), ("_best_responses", responded)):
+            monkeypatch.setattr(learner, name, counted(getattr(learner, name), seen))
+        for module, name in (
+            (learner, "decompose_step"), (learner, "PolicyProfile"), (learner, "exact_value"),
+            (analysis, "exact_value"), (analysis, "nash_gap"),
+        ):
+            monkeypatch.setattr(module, name, watched(getattr(module, name), name))
+        real_oracle = learner._checkpoint_oracle
+
+        def oracle(*args):
+            inside.append(True)
+            try:
+                return real_oracle(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(learner, "_checkpoint_oracle", oracle)
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            logs = run_batch(
+                game, sch, ENTROPY, 20, [6, 9, 7], reference=uniform_profile(game), log_every=5
+            )
+            assert evaluated == [3] * 4
+            assert responded == [3, 3, 3, 3, 2]
+            assert logs[1].diagnostics[-1].nash_gaps is None
+            evaluated.clear()
+            logs = run_batch(
+                game, sch, make_regularizer("euclidean"), 30, range(6), oracle_mode=True,
+                log_every=5, decomposition_draws=16,
+            )
+        assert len(evaluated) > 6  # failing chains: some checkpoints evaluate again
+        assert any(d.values is None for log in logs for d in log.diagnostics)
+        assert any(d.decomposition is None for log in logs for d in log.diagnostics)
+        assert forbidden == []
+
+    @pytest.mark.parametrize("oracle_mode", (False, True))
+    @pytest.mark.parametrize("mirror", ("entropy", "euclidean"))
+    def test_failing_checkpoints_match_solo_runs(
+        self, mirror, oracle_mode, tmp_path, stay_switch_game
+    ):
+        # on the stay/switch game best responses fail at many checkpoints and,
+        # under the Euclidean mirror, chains of x_{t+1} (empty value cells) and
+        # of x_t or its query (skipped decompositions) too; every seed of the
+        # batch writes its solo bytes, and the batch's warnings are the solo
+        # runs' merged by checkpoint in seed order
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        reg = make_regularizer(mirror)
+        seeds = list(range(6))
+        kw = dict(
+            reference=uniform_profile(game), log_every=5, oracle_mode=oracle_mode,
+            decomposition_draws=16,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = run_batch(
+                game, sch, reg, 30, seeds, out_dirs=[tmp_path / f"batch{k}" for k in seeds], **kw
+            )
+        solo = []
+        for k in seeds:
+            with warnings.catch_warnings(record=True) as alone:
+                warnings.simplefilter("always")
+                log = run(game, sch, reg, 30, k, out_dir=tmp_path / f"solo{k}", **kw)
+            solo.append([str(w.message) for w in alone])
+            for name in ("run.csv", "run.json"):
+                assert (tmp_path / f"solo{k}" / name).read_bytes() == (
+                    tmp_path / f"batch{k}" / name
+                ).read_bytes()
+            for x, y in zip(log.final_state.scores, batch[k].final_state.scores):
+                assert np.array_equal(x, y)
+
+        def t_of(message):
+            return int(message.split(" skipped at t=")[1].split(":")[0])
+
+        merged = [m for t in range(30) for messages in solo for m in messages if t_of(m) == t]
+        messages = [str(w.message) for w in caught]
+        assert messages == merged
+        assert any("best-response candidate" in m for m in messages)
+        if mirror == "euclidean":
+            assert any(d.values is None for log in batch for d in log.diagnostics)
+            assert any(
+                m.startswith("oracle decomposition skipped") for m in messages
+            ) == oracle_mode
 
     def test_one_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -547,6 +636,7 @@ class TestRunBatch:
             run_batch(game, default_schedule(game), ENTROPY, 4, [0, 2, -1])
         assert info.value.seed_index == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_estimate_is_a_domain_error(self):
         # one-point estimates of rewards near 1e200 overflow at the query radius
         base = generate(GeneratorSpec(kind="matching-pennies"))

@@ -14,6 +14,7 @@ from sgl.spsa import (
     lift_block,
     lift_policy,
     lifting_for,
+    nets_for,
     perturb,
     reduce_policy,
     reduced_dim,
@@ -135,6 +136,17 @@ class TestSafetyNet:
         assert net.center.shape == (2, 0)
         assert net.radius == np.inf
         assert reduced_dim(2, 1) == 0
+
+    def test_built_once_with_a_read_only_center(self):
+        # nets_for runs several times per checkpoint: every call shares one net
+        for n_states, n_actions in ((2, 1), (3, 2), (2, 4)):
+            net = safety_net_for(n_states, n_actions)
+            assert safety_net_for(n_states, n_actions) is net
+            assert not net.center.flags.writeable
+            with pytest.raises(ValueError):
+                net.center[...] = 0.0
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, n_actions=(2, 3)))
+        assert all(a is b for a, b in zip(nets_for(game), nets_for(game)))
 
 
 class TestPerturb:
