@@ -33,6 +33,18 @@ games._window_ends call: once with its array kernel forced (the
 _window_ends rows) and once with every window walked by the scalar
 games._walk (the _walk rows); from them the change side's crossover, the
 stage-rows B * (H + 1) at which the two cost the same, is recorded.
+The job rows run perfbench's three job shapes end to end in one
+interpreter with one BLAS thread, as perfbench does: the mixing-window
+sweep (600 iterations, 3 seeds, Euclidean mirror), the zerosum
+convergence_benchmark on both games (2000 iterations, 3 seeds) and the
+oracle-audit run (40 iterations in oracle_mode, 256 draws), with the
+workloads' parameters and seed 7's games and learner seeds. Each side's
+src/sgl is copied under its own package name (sgl_parent, sgl_change; the
+package imports only relatively), so both load in the same interpreter,
+and for JOB_ROUNDS rounds every shape runs one job per side, the sides
+alternating which goes first. Each job row records per side the median and
+IQR of the seed-iterations per second, and with a baseline the median of
+the per-round ratios change / parent and the rounds the change was faster.
 With --baseline REV the same timings are also taken on that git revision's
 src/ (exported with git archive) and every row holds both sides. Each
 operation and size is timed in fresh interpreters, ten rounds per side
@@ -56,6 +68,7 @@ that sits inside round_iqr_us, is unresolved.
 import argparse
 import ast
 import cProfile
+import importlib
 import io
 import json
 import math
@@ -63,6 +76,7 @@ import os
 import pathlib
 import platform
 import pstats
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -106,6 +120,8 @@ ORACLE_ITERS = 100    # the same, with a checkpoint after every iteration
 FAILING_BATCHES = (1, 6)  # seeds per learner[failing,...] row, on the stay/switch game
 ORACLE_MODE_ITERS = 40  # iterations of the oracle_mode row (perfbench oracle-audit)
 ORACLE_MODE_EVERY = 10  # and its iterations per checkpoint
+JOB_SHAPES = ("zerosum-converge", "mixing-window", "oracle-audit")  # perfbench's jobs
+JOB_ROUNDS = 30      # interleaved rounds of one job per shape and side
 ROUNDS = 10          # interpreter runs per side, operation and size
 REPEATS = 7          # timed repeats per interpreter run
 MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
@@ -285,6 +301,117 @@ def _time_window(op: str) -> dict:
     return _time(lambda: games._window_ends(game, cols, starts, u))
 
 
+def _jobs(pkg, out: pathlib.Path) -> dict:
+    """perfbench's three job shapes on the package pkg, by name: (run, n),
+    where run(k) plays item k of the shape's pool, cycling through it, and a
+    job is n seed-iterations."""
+    from perfbench.workloads import WORKLOADS, _learner_seeds
+
+    games, generators, learner, mirror = pkg.games, pkg.generators, pkg.learner, pkg.mirror
+    zerosum, mixing, audit = (WORKLOADS[name] for name in JOB_SHAPES)
+    zerosum_items = _learner_seeds(MIXING_SEED, (zerosum.pool, zerosum.seeds_per_job))
+    mixing_items = _learner_seeds(MIXING_SEED, (mixing.pool, mixing.seeds_per_job))
+    audit_items = _learner_seeds(MIXING_SEED, audit.pool)
+
+    slow = _mixing_window_game()  # built by the working tree's sgl
+    slow = games.StochasticGame(
+        slow.n_states, slow.n_actions, slow.rewards, slow.transitions, dict(slow.meta)
+    )
+    slow_schedule = learner.default_schedule(slow, tau=slow.mixing_certificate.tau)
+    euclidean = mirror.make_regularizer("euclidean")
+    oracle_game = generators.generate(
+        generators.GeneratorSpec(
+            kind="random-ergodic", n_states=3, n_players=3, n_actions=3, eps=0.1,
+            seed=MIXING_SEED,
+        )
+    )
+    oracle_schedule = learner.default_schedule(oracle_game)
+    entropy = mirror.make_regularizer("entropy")
+
+    def run_zerosum(k):
+        for kind in zerosum.kinds:
+            generators.convergence_benchmark(
+                kind, zerosum.iters, zerosum_items[k % zerosum.pool],
+                log_every=zerosum.log_every, out=str(out / kind),
+            )
+
+    def run_mixing(k):
+        generators.sweep(
+            slow, [slow_schedule], mixing_items[k % mixing.pool], mixing.iters,
+            regularizer=euclidean, reference=games.uniform_profile(slow),
+            log_every=mixing.log_every, out=str(out / mixing.name),
+        )
+
+    def run_audit(k):
+        learner.run(
+            oracle_game, oracle_schedule, entropy, audit.iters, audit_items[k % audit.pool],
+            oracle_mode=True, reference=games.uniform_profile(oracle_game),
+            log_every=audit.log_every, out_dir=str(out / audit.name),
+            decomposition_draws=audit.draws,
+        )
+
+    return {
+        zerosum.name: (run_zerosum, zerosum.iters * zerosum.seeds_per_job * len(zerosum.kinds)),
+        mixing.name: (run_mixing, mixing.iters * mixing.seeds_per_job),
+        audit.name: (run_audit, audit.iters),
+    }
+
+
+def _measure_jobs(packages: pathlib.Path, names: list) -> dict:
+    """Seed-iterations per second of JOB_ROUNDS jobs of every shape on each
+    package under packages, by package and shape, the packages alternating
+    which goes first in each round."""
+    sys.path.insert(0, str(packages))
+    # perfbench.workloads, and the working tree's sgl, which it imports
+    sys.path += [str(REPO), str(REPO / "src")]
+    jobs = {}
+    for name in names:
+        pkg = importlib.import_module(name)
+        if not pathlib.Path(pkg.__file__).resolve().is_relative_to(packages.resolve()):
+            raise SystemExit(f"imported {pkg.__file__}, not the package under {packages}")
+        jobs[name] = _jobs(pkg, packages / f"{name}_out")
+    for name in names:  # first calls fill each game's caches
+        for run, _ in jobs[name].values():
+            run(0)
+    rates = {name: {shape: [] for shape in JOB_SHAPES} for name in names}
+    for r in range(JOB_ROUNDS):
+        for shape in JOB_SHAPES:
+            for name in names[:: 1 if r % 2 == 0 else -1]:
+                run, n = jobs[name][shape]
+                start = time.perf_counter()
+                run(r)
+                rates[name][shape].append(n / (time.perf_counter() - start))
+    return rates
+
+
+def _job_rows(sides: dict, tmp: pathlib.Path) -> list:
+    """The interleaved job rows: one interpreter runs every side's copy of
+    src/sgl, each under its own package name."""
+    packages = tmp / "packages"
+    names = []
+    for side, (src, _) in sides.items():
+        shutil.copytree(src / "sgl", packages / f"sgl_{side}")
+        names.append(f"sgl_{side}")
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    one_thread = {var: "1" for var in threads}  # as perfbench/run.py sets them
+    rates = json.loads(subprocess.run(
+        [sys.executable, __file__, "--measure", str(packages), "jobs", ",".join(names)],
+        env={**os.environ, **one_thread}, check=True, capture_output=True, text=True,
+    ).stdout)
+    rows = []
+    for shape in JOB_SHAPES:
+        row = {"op": f"job[{shape}]", "rounds": JOB_ROUNDS}
+        for side in sides:
+            q1, median, q3 = np.percentile(rates[f"sgl_{side}"][shape], [25, 50, 75])
+            row[side] = {"seed_iters_per_s": float(median), "round_iqr": float(q3 - q1)}
+        if "parent" in sides:
+            parent, change = rates["sgl_parent"][shape], rates["sgl_change"][shape]
+            row["ratio"] = float(np.median([c / p for p, c in zip(parent, change)]))
+            row["change_faster_rounds"] = sum(int(c > p) for p, c in zip(parent, change))
+        rows.append(row)
+    return rows
+
+
 def _crossover(rows: list) -> dict:
     """Stage-rows B * (H + 1) at which one _window_ends call costs as much as
     B scalar walks on the change side: the kernel's cost as fixed plus
@@ -437,11 +564,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", help="BENCH_<n>.json file to write")
     ap.add_argument("--baseline", help="git revision timed next to the working tree")
-    ap.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)  # child: SRC OP SIZE
+    ap.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.measure:
+    if args.measure:  # a child: SRC OP SIZE, or PACKAGES jobs NAMES
         src, op, size = args.measure
-        print(json.dumps(measure(pathlib.Path(src), op, size)))
+        if op == "jobs":
+            print(json.dumps(_measure_jobs(pathlib.Path(src), size.split(","))))
+        else:
+            print(json.dumps(measure(pathlib.Path(src), op, size)))
         return 0
     if not args.out:
         ap.error("--out is required")
@@ -474,6 +604,7 @@ def main(argv=None) -> int:
             for b, h in WINDOWS
             for name in ("_window_ends", "_walk")
         ]
+        jobs = _job_rows(sides, pathlib.Path(tmp))
         imports = _import_cost({side: src for side, (src, _) in sides.items()})
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src), **_surface(src), **imports[side]}
@@ -512,7 +643,14 @@ def main(argv=None) -> int:
         },
         "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
         "window_crossover": _crossover(rows),
+        "jobs": {
+            "shapes": JOB_SHAPES,
+            "seed": MIXING_SEED,
+            "unit": "seed-iterations per second, median over the rounds",
+            "ratio": "median over the rounds of change / parent",
+        },
         "rows": rows,
+        "job_rows": jobs,
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for row in rows:
@@ -525,6 +663,12 @@ def main(argv=None) -> int:
         if "speedup" in row:
             speed = f"  x{row['speedup']:.2f} ({row['change_faster_rounds']}/{ROUNDS} rounds)"
         print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
+    for row in jobs:
+        cells = [f"{side} {row[side]['seed_iters_per_s']:10.1f} /s" for side in sides]
+        speed = ""
+        if "ratio" in row:
+            speed = f"  x{row['ratio']:.2f} ({row['change_faster_rounds']}/{JOB_ROUNDS} rounds)"
+        print(f"{row['op']:36s} {'interleaved':17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")
     return 0
 

@@ -142,13 +142,17 @@ class StochasticGame:
     def _stage_tables(self):
         """What rollout and _window_ends play stages from, built on first use
         and kept: the row-major joint-action strides, the (S, J, S - 1)
-        next-state CDF columns but the last as an array and as nested lists,
-        and the (S, J, n_players) rewards as a view and as nested lists."""
+        next-state CDF columns but the last as an array, the same columns
+        transposed to a contiguous (S - 1, S * J) array, one row per column
+        over the flat index s * J + joint action, and as nested lists, and
+        the (S, J, n_players) rewards as a view and as nested lists."""
         strides = np.cumprod((self.n_actions + (1,))[::-1])[::-1][1:].tolist()
         cols = np.cumsum(self.transitions, axis=2)[..., :-1]
-        cols.flags.writeable = False  # shared by every call, like transitions
+        flat = np.ascontiguousarray(cols.reshape(self.n_states * self.n_joint, -1).T)
+        # shared by every call, like transitions
+        cols.flags.writeable = flat.flags.writeable = False
         rewards = self.rewards.transpose(1, 2, 0)
-        return strides, cols, cols.tolist(), rewards, rewards.tolist()
+        return strides, cols, flat, cols.tolist(), rewards, rewards.tolist()
 
     @functools.cached_property
     def _joint_tables(self):
@@ -571,26 +575,33 @@ def _walk(pols, trans_cols, strides, starts, windows, trace):
     return ends
 
 
-def _stage_maps(pol_cols, trans_cols, strides, u):
+def _stage_maps(pol_cols, flat_cols, strides, u):
     """Every stage's joint action and next state from every state.
 
-    u holds the (rows, 1, L, n + 1) uniforms of L stages, pol_cols is as in
-    _window_ends and trans_cols the game's (S, J, S - 1) next-state CDF
-    columns but the last. Returns two (rows, S, L) arrays: the
-    flat index s * J + joint action of each stage's transition row and the
-    next state. A player's action is the count of its CDF columns <= u, all
-    but the last column, as in _walk; the next state is the same count over
-    the transition row.
+    u holds the uniforms of L stages as (n + 1, rows, L) columns, one per
+    player and the last for the next state, each row's L stages contiguous;
+    pol_cols is as in _window_ends and flat_cols the game's (S - 1, S * J)
+    transposed next-state CDF columns but the last. Returns two (rows, S, L)
+    intp arrays: the flat index s * J + joint action of each stage's
+    transition row and the next state. A player's action is the count of
+    its CDF columns <= u, all but the last column, as in _walk; the next
+    state is the same count over the transition row.
     """
-    n_states, n_joint = trans_cols.shape[:2]
-    at = np.arange(n_states)[:, None] * n_joint
+    n_states = pol_cols[0].shape[1]
+    n_joint = flat_cols.shape[1] // n_states
+    at = np.empty((u.shape[1], n_states, u.shape[2]), dtype=np.intp)
+    at[...] = np.arange(0, n_states * n_joint, n_joint)[:, None]
+    below = np.empty(at.shape, dtype=bool)
     for i, cols in enumerate(pol_cols):
+        column = u[i][:, None]
         for k in range(cols.shape[-1]):
-            at = at + strides[i] * (cols[..., k, None] <= u[..., i])
-    at = np.broadcast_to(at, (len(u), n_states, u.shape[2]))  # all players may have one action
-    after = np.zeros(at.shape, dtype=int)
-    for col in trans_cols.reshape(n_states * n_joint, -1).T.copy():
-        after += col.take(at) <= u[..., -1]
+            np.less_equal(cols[..., k, None], column, out=below)
+            at += below if strides[i] == 1 else strides[i] * below
+    after = np.zeros(at.shape, dtype=np.intp)
+    column = u[-1][:, None]
+    for col in flat_cols:
+        np.less_equal(col.take(at), column, out=below)
+        after += below
     return at, after
 
 
@@ -616,13 +627,15 @@ def _window_ends(game, pol_cols, starts, u):
     stage. The game's _stage_tables give the rest. Fewer than
     _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are played by one scalar
     _walk over every row. Otherwise every stage is played from every state
-    at once, and each start state follows the first H stage maps by pointer
-    doubling: log2(H) rounds of integer gathers; many rows of a many-state
-    game are instead stepped one stage at a time (_step_rows). All three
-    give the same bits. Returns the (rows, n_players) payoffs of the last stage and
-    the states after it, as a list of Python ints.
+    at once by _stage_maps, from u transposed once into contiguous
+    (n + 1, rows, H + 1) columns, and each start state follows the first H
+    stage maps by pointer doubling: log2(H) rounds of integer gathers; many
+    rows of a many-state game are instead stepped one stage at a time
+    (_step_rows). All three give the same bits. Returns the (rows,
+    n_players) payoffs of the last stage and the states after it, as a list
+    of Python ints.
     """
-    strides, trans_cols, trans_lists, rewards, reward_lists = game._stage_tables
+    strides, trans_cols, flat_cols, trans_lists, rewards, reward_lists = game._stage_tables
     rows, n_states = len(u), game.n_states
     if rows * u.shape[1] < _KERNEL_STAGE_ROWS:
         pols = zip(*[cols.tolist() for cols in pol_cols])
@@ -633,13 +646,13 @@ def _window_ends(game, pol_cols, starts, u):
     if rows * n_states * columns > _STAGE_MAP_CELLS:
         state, joint, after = _step_rows(pol_cols, trans_cols, strides, state, u)
         return rewards[state, joint], after.tolist()
-    u = u[:, None]
+    u = np.ascontiguousarray(u.transpose(2, 0, 1))
     horizon = u.shape[2] - 1
     step = max(1, _WINDOW_CHUNK // (rows * n_states))
     lo = 0
     while True:  # stages lo..hi, each chunk ending where the next begins
         hi = min(lo + step, horizon)
-        at, maps = _stage_maps(pol_cols, trans_cols, strides, u[:, :, lo:hi + 1])
+        at, maps = _stage_maps(pol_cols, flat_cols, strides, u[..., lo:hi + 1])
         # node (r, s, h) is index (r * S + s) * width + h and points to the
         # node of its next state one stage on; the end column points to itself
         width = hi - lo + 1
@@ -673,7 +686,7 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     u = np.random.default_rng(rng).random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
-    strides, _, trans_lists, rewards, _ = game._stage_tables
+    strides, _, _, trans_lists, rewards, _ = game._stage_tables
     states, joints = [], []
     _walk([pol_cols], trans_lists, strides, [start_state], [rows], (states, joints))
     states, joints = np.array(states), np.array(joints)

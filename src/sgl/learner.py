@@ -528,9 +528,10 @@ def _tagged(exc: Exception, index: int) -> Exception:
 
 
 def _mirror_batch(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    """_map_block of every seed's (states x actions) block of y at once."""
+    """_map_block of every seed's (states x actions) block of y at once: both
+    mirror maps act on the last axis of any stack."""
     try:
-        return _map_block(reg, y.reshape(-1, y.shape[-1])).reshape(y.shape)
+        return _map_block(reg, y)
     except DomainError as exc:  # non-finite scores: name the first such seed
         finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
         raise _tagged(exc, int(np.argmin(finite)))
@@ -623,7 +624,8 @@ def run_batch(
     would take more than MAX_WINDOW_BYTES, is refused with ScheduleError
     before its first iteration. An error raised for one seed (a negative
     seed, say) carries the seed's position in `seeds` as its seed_index
-    attribute.
+    attribute. The iterations run under one np.errstate(over="ignore",
+    invalid="ignore") and the checkpoints under the caller's error state.
     """
     try:  # a float count fails instead of being truncated
         iters, log_every = operator.index(iters), operator.index(log_every)
@@ -730,107 +732,113 @@ def run_batch(
     def blocks_of(arrays, b):
         return [arrays[k][b, j] for k, j in slots]
 
-    for t in range(iters):
-        gamma = schedule.gamma(t)
-        delta = schedule.delta(t)
-        if delta > radius_cap:
-            delta = radius_cap
-            clamped += 1
-        horizon = schedule.horizon(t)
-        checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
+    # one error state for the whole loop: an estimate whose norm overflows,
+    # on rewards near the float range, reaches the norm check below without
+    # a RuntimeWarning, and the checkpoints run under the caller's state
+    caller_errors = np.geterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(iters):
+            gamma = schedule.gamma(t)
+            delta = schedule.delta(t)
+            if delta > radius_cap:
+                delta = radius_cap
+                clamped += 1
+            horizon = schedule.horizon(t)
+            checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
 
-        # each seed's generator reads one row of normals, drawn again whole
-        # while it fails SPHERE_FLOOR
-        for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
-            try:
-                rng.standard_normal(out=row)
-            except Exception as exc:
-                raise _tagged(exc, b)
-        norms = [_sphere_norms(z) for z in segments]
-        while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
-            for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
-                if min([x[b].min() for x in norms]) <= SPHERE_FLOOR:
+            # each seed's generator reads one row of normals, drawn again whole
+            # while it fails SPHERE_FLOOR
+            for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
+                try:
                     rng.standard_normal(out=row)
+                except Exception as exc:
+                    raise _tagged(exc, b)
             norms = [_sphere_norms(z) for z in segments]
-        directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
+            while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
+                for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
+                    if min([x[b].min() for x in norms]) <= SPHERE_FLOOR:
+                        rng.standard_normal(out=row)
+                norms = [_sphere_norms(z) for z in segments]
+            directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
 
-        for (k, lo, _), d in zip(groups, directions):
-            x = _perturb(reduced[k], d, delta, nets[lo])
-            np.maximum(x, 0.0, out=x)  # roundoff dust only
-            np.add.accumulate(x, axis=-1, out=cdf_cols[k])  # cumsum's ufunc
-        if uniforms.shape[1] != horizon + 1:
-            uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
-            u_rows = list(uniforms)
-        for b, (rng, row) in enumerate(zip(rngs, u_rows)):
-            try:
-                rng.random(out=row)
-            except Exception as exc:
-                raise _tagged(exc, b)
-        payoffs, states = _window_ends(game, pol_cols, states, uniforms)
+            for (k, lo, _), d in zip(groups, directions):
+                x = _perturb(reduced[k], d, delta, nets[lo])
+                np.maximum(x, 0.0, out=x)  # roundoff dust only
+                np.add.accumulate(x, axis=-1, out=cdf_cols[k])  # cumsum's ufunc
+            if uniforms.shape[1] != horizon + 1:
+                uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
+                u_rows = list(uniforms)
+            for b, (rng, row) in enumerate(zip(rngs, u_rows)):
+                try:
+                    rng.random(out=row)
+                except Exception as exc:
+                    raise _tagged(exc, b)
+            payoffs, states = _window_ends(game, pol_cols, states, uniforms)
 
-        before = policy[:]
-        coeff_cap = norm_cap / delta * (1.0 + 1e-9)
-        for (k, lo, hi), d in zip(groups, directions):
-            with np.errstate(over="ignore", invalid="ignore"):  # the check below refuses an inf
+            before = policy[:]
+            coeff_cap = norm_cap / delta * (1.0 + 1e-9)
+            for (k, lo, hi), d in zip(groups, directions):
                 lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
                 squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
                 norm = np.sqrt(np.add.reduce(squares, axis=-1))
-            if np.maximum.reduce(norm, axis=None) > coeff_cap:
-                b, j = np.argwhere(norm > coeff_cap)[0]
-                raise _tagged(
-                    DomainError(
-                        f"estimate norm {float(norm[b, j])} exceeds bound {norm_cap / delta} "
-                        f"at t={t}: the estimate's norm overflowed for rewards this large "
-                        "at this query radius"
-                    ),
-                    b,
-                )
-            est_norms[:, lo:hi] = norm
-            scores[k] = scores[k] + gamma * lifted
-            policy[k] = _mirror_batch(regularizer, scores[k])
-            reduced[k] = policy[k][..., :-1]
-
-        if checkpoint:
-            decomposed = None
-            if oracle_mode:
-                # the decomposition of the step just taken, from x_t: no
-                # stream is read between that step and here
-                drawn = {k: d for (k, _, _), d in zip(groups, directions)}
-                decomposed = (
-                    [before[k][:, j] for k, j in slots],
-                    [drawn[k][:, j] if k in drawn else None for k, j in slots],
-                    delta, payoffs, rngs, decomposition_draws,
-                )
-            values, gaps, decompositions = _checkpoint_oracle(
-                game, t, [policy[k][:, j] for k, j in slots], decomposed
-            )
-            fen_pp = dist = None
-            if reference is not None:
-                # the terms of fenchel_coupling's value, without its Bregman
-                # cross-check, and the distances, as (seeds, players) arrays
-                fen_pp, dist = np.empty((n_batch, n_players)), np.empty((n_batch, n_players))
-                for k, (lo, hi) in enumerate(spans):
-                    fen_pp[:, lo:hi] = _coupling_terms(
-                        regularizer, ref_h[k], ref_blocks[k], scores[k]
-                    )[0]
-                    diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
-                    dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
-            for b, log in enumerate(logs):
-                log.diagnostics.append(
-                    StepDiagnostics(
-                        t=t + 1,
-                        gamma=gamma,
-                        delta=delta,
-                        horizon=horizon,
-                        payoffs=payoffs[b].copy(),
-                        estimate_norms=est_norms[b].copy(),
-                        values=values[b],
-                        fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
-                        nash_gaps=gaps[b],
-                        dist_to_ref=None if dist is None else dist[b].copy(),
-                        decomposition=decompositions[b],
+                if np.maximum.reduce(norm, axis=None) > coeff_cap:
+                    b, j = np.argwhere(norm > coeff_cap)[0]
+                    raise _tagged(
+                        DomainError(
+                            f"estimate norm {float(norm[b, j])} exceeds bound {norm_cap / delta} "
+                            f"at t={t}: the estimate's norm overflowed for rewards this large "
+                            "at this query radius"
+                        ),
+                        b,
                     )
-                )
+                est_norms[:, lo:hi] = norm
+                scores[k] = scores[k] + gamma * lifted
+                policy[k] = _mirror_batch(regularizer, scores[k])
+                reduced[k] = policy[k][..., :-1]
+
+            if checkpoint:
+                decomposed = None
+                if oracle_mode:
+                    # the decomposition of the step just taken, from x_t: no
+                    # stream is read between that step and here
+                    drawn = {k: d for (k, _, _), d in zip(groups, directions)}
+                    decomposed = (
+                        [before[k][:, j] for k, j in slots],
+                        [drawn[k][:, j] if k in drawn else None for k, j in slots],
+                        delta, payoffs, rngs, decomposition_draws,
+                    )
+                with np.errstate(**caller_errors):
+                    values, gaps, decompositions = _checkpoint_oracle(
+                        game, t, [policy[k][:, j] for k, j in slots], decomposed
+                    )
+                    fen_pp = dist = None
+                    if reference is not None:
+                        # the terms of fenchel_coupling's value, without its Bregman
+                        # cross-check, and the distances, as (seeds, players) arrays
+                        fen_pp = np.empty((n_batch, n_players))
+                        dist = np.empty((n_batch, n_players))
+                        for k, (lo, hi) in enumerate(spans):
+                            fen_pp[:, lo:hi] = _coupling_terms(
+                                regularizer, ref_h[k], ref_blocks[k], scores[k]
+                            )[0]
+                            diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
+                            dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
+                for b, log in enumerate(logs):
+                    log.diagnostics.append(
+                        StepDiagnostics(
+                            t=t + 1,
+                            gamma=gamma,
+                            delta=delta,
+                            horizon=horizon,
+                            payoffs=payoffs[b].copy(),
+                            estimate_norms=est_norms[b].copy(),
+                            values=values[b],
+                            fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
+                            nash_gaps=gaps[b],
+                            dist_to_ref=None if dist is None else dist[b].copy(),
+                            decomposition=decompositions[b],
+                        )
+                    )
 
     for b, log in enumerate(logs):
         log.clamped_steps = clamped

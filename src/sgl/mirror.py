@@ -91,28 +91,31 @@ class BoundCheck:
 
 
 def softmax_rows(y: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of y, any number of leading axes."""
     # the ufunc reductions behind y.max and e.sum, called directly
-    shifted = y - np.maximum.reduce(y, axis=1, keepdims=True)
+    shifted = y - np.maximum.reduce(y, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection of each row onto the probability simplex.
+    """Exact Euclidean projection onto the probability simplex of each row
+    of y, a vector, a matrix or a stack of them; a vector comes back as one
+    row.
 
     Sort-based: find the largest support size k with threshold
-    (cumsum - 1) / k below the k-th sorted value, then clip.
+    (cumsum - 1) / k below the k-th sorted value, then clip. The ufuncs
+    behind np.cumsum, np.argmax and np.clip are called directly.
     """
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    m = y.shape[1]
-    sorted_desc = -np.sort(-y, axis=1)
-    cumsum = np.cumsum(sorted_desc, axis=1)
-    counts = np.arange(1, m + 1)
-    theta = (cumsum - 1.0) / counts
+    rows = y.reshape(-1, y.shape[-1])
+    m = rows.shape[1]
+    sorted_desc = -np.sort(-rows, axis=1)
+    theta = (np.add.accumulate(sorted_desc, axis=1) - 1.0) / np.arange(1, m + 1)
     ok = sorted_desc - theta > 0
-    k = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)   # last True per row
-    row_theta = theta[np.arange(y.shape[0]), k]
-    return np.clip(y - row_theta[:, None], 0.0, None)
+    k = m - 1 - ok[:, ::-1].argmax(axis=1)   # last True per row
+    row_theta = theta[np.arange(len(rows)), k]
+    return np.maximum(rows - row_theta[:, None], 0.0).reshape(y.shape)
 
 
 def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
@@ -143,7 +146,7 @@ def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
         rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=-1)
         count = is_top.sum(axis=-1)
         return (np.log1p(rest / count) + np.log(count) + top[..., 0]).sum(axis=-1)
-    q = project_simplex(y.reshape(-1, y.shape[-1])).reshape(y.shape)
+    q = project_simplex(y)
     return (y * q).sum(axis=(-2, -1)) - 0.5 * (q * q).sum(axis=(-2, -1))
 
 

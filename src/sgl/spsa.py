@@ -118,7 +118,10 @@ def _tangent(x: np.ndarray) -> np.ndarray:
     return np.concatenate((x, -np.add.reduce(x, axis=-1, keepdims=True)), axis=-1)
 
 
+@functools.cache
 def lifting_for(n_states: int, n_actions: int) -> Lifting:
+    """The lifting of one player's reduced coordinates, with the spectral
+    norm of its per-state block; each is built once and shared."""
     if n_actions < 1:
         raise DomainError("n_actions must be positive")
     k = n_actions - 1

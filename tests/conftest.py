@@ -79,6 +79,26 @@ def _reference_frozen_mdp(game, policy, player):
     return P, R
 
 
+def _reference_project_simplex(y):
+    """mirror.project_simplex as written with the np.cumsum, np.argmax and
+    np.clip wrappers."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    m = y.shape[1]
+    sorted_desc = -np.sort(-y, axis=1)
+    cumsum = np.cumsum(sorted_desc, axis=1)
+    counts = np.arange(1, m + 1)
+    theta = (cumsum - 1.0) / counts
+    ok = sorted_desc - theta > 0
+    k = ok.shape[1] - 1 - np.argmax(ok[:, ::-1], axis=1)   # last True per row
+    row_theta = theta[np.arange(y.shape[0]), k]
+    return np.clip(y - row_theta[:, None], 0.0, None)
+
+
+@pytest.fixture
+def reference_project_simplex():
+    return _reference_project_simplex
+
+
 def _reference_own_advantages(game, policy, joint):
     """Own-action advantages: joint advantages marginalised over opponents
     one (player, state) at a time with bincount."""

@@ -549,6 +549,48 @@ def _prob_rows(rng, shape, n_out):
     return probs * np.where(rng.random(shape) < 0.3, 1.0 - 2.0**-40, 1.0)[..., None]
 
 
+def _window_case(rng, n_states, n_actions, horizon, rows):
+    """A game whose every (player, state, joint action) has its own reward,
+    so a payoff names the last stage it was read at, and rows windows of
+    horizon + 1 stages on it, each row with its own profile: (game,
+    pol_cols, starts, u)."""
+    n = len(n_actions)
+    n_joint = int(np.prod(n_actions))
+    rewards = np.arange(n * n_states * n_joint, dtype=float).reshape(n, n_states, n_joint)
+    game = StochasticGame(
+        n_states, n_actions, rewards, _prob_rows(rng, (n_states, n_joint), n_states)
+    )
+    pol_cdf = [np.cumsum(_prob_rows(rng, (rows, n_states), m), axis=-1) for m in n_actions]
+    trans_cdf = np.cumsum(game.transitions, axis=-1)
+    u = rng.random((rows, horizon + 1, n + 1))
+    # some uniforms equal a CDF entry, and some lie above every entry
+    for r, h, i in zip(*(rng.integers(0, k, 20) for k in u.shape)):
+        table = trans_cdf if i == n else pol_cdf[i][r]
+        u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
+    for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
+        u[r, h, i] = 1.0 - 2.0**-50
+    starts = rng.integers(0, n_states, rows).tolist()
+    return game, [c[..., :-1] for c in pol_cdf], starts, u
+
+
+def _assert_walks_each_row(game, pol_cols, starts, u, **constants):
+    """_window_ends under the given module constants equals one scalar _walk
+    per row."""
+    strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
+    trans_cols = np.cumsum(game.transitions, axis=-1)[..., :-1]
+    with mock.patch.multiple(games, **constants):
+        payoffs, after = games._window_ends(game, pol_cols, starts, u)
+    assert payoffs.shape == (len(u), game.n_players)
+    assert all(type(x) is int for x in after)
+    for r in range(len(u)):
+        [(last, joint, end)] = games._walk(
+            [[c[r].tolist() for c in pol_cols]], trans_cols.tolist(), strides,
+            [starts[r]], [u[r].tolist()], None,
+        )
+        assert np.array_equal(payoffs[r], game.rewards[:, last, joint])
+        assert after[r] == end
+
+
 class TestWindowEnds:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -564,50 +606,33 @@ class TestWindowEnds:
     def test_matches_scalar_walk_per_row(
         self, seed, n_states, n_actions, horizon, rows, chunk, stage_cells, kernel_rows
     ):
-        rng = np.random.default_rng(seed)
-        n = len(n_actions)
-        n_joint = int(np.prod(n_actions))
-        strides = np.cumprod((n_actions + (1,))[::-1])[::-1][1:].tolist()
-        # every (player, state, joint action) has its own reward, so a payoff
-        # names the last stage it was read at
-        rewards = np.arange(n * n_states * n_joint, dtype=float).reshape(n, n_states, n_joint)
-        game = StochasticGame(
-            n_states, n_actions, rewards, _prob_rows(rng, (n_states, n_joint), n_states)
-        )
-        pol_cdf = [np.cumsum(_prob_rows(rng, (rows, n_states), m), axis=-1) for m in n_actions]
-        trans_cdf = np.cumsum(game.transitions, axis=-1)
-        u = rng.random((rows, horizon + 1, n + 1))
-        # some uniforms equal a CDF entry, and some lie above every entry
-        for r, h, i in zip(*(rng.integers(0, k, 20) for k in u.shape)):
-            table = trans_cdf if i == n else pol_cdf[i][r]
-            u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
-        for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
-            u[r, h, i] = 1.0 - 2.0**-50
-        starts = rng.integers(0, n_states, rows).tolist()
-        pol_cols, trans_cols = [c[..., :-1] for c in pol_cdf], trans_cdf[..., :-1]
-
         # kernel_rows infinity walks each row, 0 plays the array kernel, in
         # which stage_cells 0 steps the rows one stage at a time
-        with mock.patch.multiple(
-            games, _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells,
-            _KERNEL_STAGE_ROWS=kernel_rows,
-        ):
-            payoffs, after = games._window_ends(game, pol_cols, starts, u)
-        assert payoffs.shape == (rows, n)
-        assert all(type(x) is int for x in after)
-        for r in range(rows):
-            [(last, joint, end)] = games._walk(
-                [[c[r].tolist() for c in pol_cols]], trans_cols.tolist(), strides,
-                [starts[r]], [u[r].tolist()], None,
-            )
-            assert np.array_equal(payoffs[r], rewards[:, last, joint])
-            assert after[r] == end
+        _assert_walks_each_row(
+            *_window_case(np.random.default_rng(seed), n_states, n_actions, horizon, rows),
+            _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells, _KERNEL_STAGE_ROWS=kernel_rows,
+        )
+
+    @pytest.mark.parametrize("stages", [1, 7, None])
+    @pytest.mark.parametrize("horizon", [450, 513])
+    def test_long_windows_match_scalar_walk_per_row(self, horizon, stages):
+        # mixing-window's windows: 3 states, two 3-action players, the stage
+        # maps and pointer doubling forced, in chunks of 1 or 7 stages (a
+        # chunk holds _WINDOW_CHUNK rows * states * stages cells) or the default
+        chunk = games._WINDOW_CHUNK if stages is None else stages * 3 * 3
+        _assert_walks_each_row(
+            *_window_case(np.random.default_rng(horizon), 3, (3, 3), horizon, 3),
+            _WINDOW_CHUNK=chunk, _KERNEL_STAGE_ROWS=0,
+        )
 
     def test_stage_tables_are_the_per_row_cumsums(self):
         game = small_random_game(3, n_states=3, n_players=2, n_actions=3)
-        strides, cols, col_lists, rewards, reward_lists = game._stage_tables
+        strides, cols, flat, col_lists, rewards, reward_lists = game._stage_tables
         rows = [[np.cumsum(row).tolist() for row in game.transitions[s]] for s in range(3)]
         assert np.array_equal(cols, np.array(rows)[..., :-1])
+        # column k over the flat index s * J + joint action, contiguous
+        assert np.array_equal(flat, cols.reshape(3 * game.n_joint, 2).T)
+        assert flat.flags.c_contiguous and not flat.flags.writeable
         assert col_lists == cols.tolist()
         assert strides == [3, 1]
         assert np.array_equal(rewards, np.moveaxis(game.rewards, 0, -1))

@@ -645,6 +645,41 @@ class TestRunBatch:
             run_batch(game, default_schedule(game), ENTROPY, 4, [0, 1])
         assert info.value.seed_index == 0
 
+    def test_the_callers_error_state_is_kept(self):
+        # the loop runs under its own error state, entered once per call
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        huge = StochasticGame(1, (2, 2), 1e200 * game.rewards, game.transitions)
+        sch = default_schedule(game)
+        for caller in ({"over": "raise", "invalid": "warn"}, {"all": "ignore"}, {}):
+            with np.errstate(**caller):
+                state = np.geterr()
+                run_batch(game, sch, ENTROPY, 6, [0, 1], log_every=2,
+                          reference=uniform_profile(game))
+                assert np.geterr() == state
+                with pytest.raises(DomainError, match="seed -1 is negative"):
+                    run_batch(game, sch, ENTROPY, 6, [0, -1])
+                assert np.geterr() == state
+                with pytest.raises(DomainError, match="overflowed for rewards this large"):
+                    run_batch(huge, default_schedule(huge), ENTROPY, 4, [0, 1])
+                assert np.geterr() == state
+
+    @pytest.mark.parametrize("operands", [(1e308, 10.0), (np.inf, 0.0)])
+    def test_a_checkpoint_warning_reaches_the_caller(self, monkeypatch, operands):
+        # the checkpoint oracle runs under the caller's error state, so a
+        # numpy overflow or invalid operation in it still warns
+        oracle = learner._checkpoint_oracle
+
+        def warning_oracle(*args):
+            np.float64(operands[0]) * np.float64(operands[1])
+            return oracle(*args)
+
+        monkeypatch.setattr(learner, "_checkpoint_oracle", warning_oracle)
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="encountered in scalar multiply"):
+                run_batch(game, default_schedule(game), ENTROPY, 4, [0, 1], log_every=2)
+
     def test_window_over_the_byte_cap_is_refused(self, monkeypatch):
         # the 2**31 + 1 stages of t = 1 would take 48 GiB of uniforms; the run
         # is refused before its first iteration allocates any

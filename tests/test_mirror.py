@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp, xlogy
@@ -22,6 +22,7 @@ from sgl.mirror import (
     make_regularizer,
     mirror_map,
     project_simplex,
+    softmax_rows,
 )
 
 ENTROPY = make_regularizer("entropy")
@@ -92,6 +93,45 @@ class TestMirrorMap:
         np.testing.assert_allclose(x.sum(axis=1), 1.0, atol=1e-9)
         # projection is idempotent
         np.testing.assert_allclose(project_simplex(x), x, atol=1e-9)
+
+    # the fixture returns a stateless function, so sharing it across
+    # examples is safe
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=st.integers(1, 5),
+        m=st.integers(1, 12),
+        exponent=st.integers(-6, 6),
+        equal_rows=st.booleans(),
+        data=st.data(),
+    )
+    def test_projection_bits_match_the_reference(
+        self, reference_project_simplex, rows, m, exponent, equal_rows, data
+    ):
+        # ties, signed zeros and rows of one repeated entry, at scales 1e-6 to 1e6
+        entries = st.one_of(
+            st.sampled_from([0.0, -0.0]),
+            st.integers(-8, 8).map(lambda k: k / 4),
+            st.floats(-4.0, 4.0),
+        )
+        y = data.draw(arrays(float, (rows, m), elements=entries)) * 10.0**exponent
+        if equal_rows:
+            y[:] = y[:, :1]
+        got, want = project_simplex(y), reference_project_simplex(y)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_maps_of_a_stack_are_the_maps_of_its_rows(self):
+        # the learner mirrors a (seeds, players, states, actions) stack at once
+        rng = np.random.default_rng(12)
+        for m in range(1, 41):
+            for scale in (1e-3, 1.0, 30.0):
+                y = scale * rng.standard_normal((3, 2, 4, m))
+                for mirror in (softmax_rows, project_simplex):
+                    rows = mirror(y.reshape(-1, m)).reshape(y.shape)
+                    assert np.array_equal(mirror(y), rows)
 
     def test_projection_against_quadratic_search(self):
         # oracle: dense grid search of the nearest simplex point

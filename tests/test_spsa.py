@@ -268,6 +268,17 @@ class TestEstimator:
                 )
                 assert np.all(est.lifted.sum(axis=1) == 0.0)
 
+    def test_lifting_built_once_with_the_block_norm(self):
+        # run_batch asks for every player's lifting on every call
+        for n_states, n_actions in ((1, 1), (2, 2), (3, 3), (2, 5)):
+            lift = lifting_for(n_states, n_actions)
+            assert lifting_for(n_states, n_actions) is lift
+            k = n_actions - 1
+            block = np.vstack([np.eye(k), -np.ones((1, k))])
+            assert lift.op_norm == (np.linalg.norm(block, 2) if k else 0.0)
+        with pytest.raises(DomainError):
+            lifting_for(2, 0)
+
     def test_scaling_uses_reduced_dimension(self):
         lift = lifting_for(2, 3)  # reduced dimension 4
         z = np.array([0.5, -0.5, 0.5, -0.5])
