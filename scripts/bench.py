@@ -1,75 +1,78 @@
 #!/usr/bin/env python3
-"""Per-call timings of the exact oracle and the learner, written to a
-BENCH_<n>.json file.
+"""Per-call timings of the exact oracle, the learner, window play and
+perfbench's jobs, written to a BENCH_<n>.json file.
 
-Times exact_value, exact_values over a stack of 256 profiles,
-smoothed_gradient_estimate with 256 draws, exact_gradient,
+    python scripts/bench.py --baseline HEAD~1 --out BENCH_<n>.json
+
+The operation rows time exact_value, exact_values over a stack of 256
+profiles, smoothed_gradient_estimate with 256 draws, exact_gradient,
 finite_difference_gradient (default step, one exact_values call), nash_gap,
 fenchel_coupling (entropy mirror, uniform reference) and
 horizon_bias_check (window 8, 1000 draws, contraction given) on three game
 sizes: (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with
-transition floor 0.01. The learner rows give microseconds per seed-
-iteration of B seeds with the entropy mirror, the default schedule and
-log_every=1000: B = 1, 3, 10 on matching-pennies and zerosum-switching,
-whose windows are 2 stages, and on perfbench's slow-mixing mixing-window
-game (seed 7, certified tau 40), whose windows grow from 57 to 554 stages.
-The log_every=1 rows run the checkpoint oracle (value, Nash gap and
-Fenchel coupling to the uniform reference) after every one of 100
-iterations, at B = 1, 3 and 10 on both zero-sum games and at B = 1 and 3
-on the (3, 3, 3) game. The learner[failing,B=b,log_every=1] rows do the
-same at B = 1 and 6 on the stay/switch game, with the power window preset:
-player 0 keeps or flips the state, so best responses and chains fail at
-many checkpoints and the failure path is timed (its warnings ignored). The
-learner[oracle_mode] row is perfbench's oracle-audit job on the (3, 3, 3)
-game: one seed, 40 iterations in oracle_mode with log_every=10 and 256
-decomposition draws, so each checkpoint adds the step decomposition to
-the oracle. Each is one run_batch call. Every learner row also records,
-per side, the cProfile count of Python and C function calls of one such
-call divided by its iterations (calls_per_iter) and by its
-seed-iterations (calls_per_seed_iter); unlike the times, the counts do not move with the
-host. The window rows time the last stage of B windows of H + 1 stages on
-the mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
+transition floor 0.01. The learner rows are one run_batch call each, of B
+seeds with the entropy mirror and the default schedule: at log_every=1000,
+B = 1, 3, 10 on matching-pennies and zerosum-switching, whose windows are 2
+stages, and on perfbench's slow-mixing mixing-window game (seed 7,
+certified tau 40), whose windows grow from 57 to 554 stages. The
+log_every=1 rows run the checkpoint oracle (value, Nash gap and Fenchel
+coupling to the uniform reference) after every one of 100 iterations, at
+B = 1, 3 and 10 on both zero-sum games and at B = 1 and 3 on the (3, 3, 3)
+game. The learner[failing,B=b,log_every=1] rows do the same at B = 1 and 6
+on the stay/switch game, with the power window preset: player 0 keeps or
+flips the state, so best responses and chains fail at many checkpoints and
+the failure path is timed (its warnings ignored). The learner[oracle_mode]
+row is perfbench's oracle-audit job on the (3, 3, 3) game: one seed, 40
+iterations in oracle_mode with log_every=10 and 256 decomposition draws.
+The window rows time the last stage of B windows of H + 1 stages on the
+mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
 games._window_ends call: once with its array kernel forced (the
 _window_ends rows) and once with every window walked by the scalar
-games._walk (the _walk rows); from them the change side's crossover, the
-stage-rows B * (H + 1) at which the two cost the same, is recorded.
-The job rows run perfbench's three job shapes end to end in one
-interpreter with one BLAS thread, as perfbench does: the mixing-window
-sweep (600 iterations, 3 seeds, Euclidean mirror), the zerosum
-convergence_benchmark on both games (2000 iterations, 3 seeds) and the
-oracle-audit run (40 iterations in oracle_mode, 256 draws), with the
-workloads' parameters and seed 7's games and learner seeds. Each side's
-src/sgl is copied under its own package name (sgl_parent, sgl_change; the
-package imports only relatively), so both load in the same interpreter,
-and for JOB_ROUNDS rounds every shape runs one job per side, the sides
-alternating which goes first. Each job row records per side the median and
-IQR of the seed-iterations per second, and with a baseline the median of
-the per-round ratios change / parent and the rounds the change was faster.
-With --baseline REV the same timings are also taken on that git revision's
-src/ (exported with git archive) and every row holds both sides. Each
-operation and size is timed in fresh interpreters, ten rounds per side
-with the sides alternating. The baseline must have this API, as every
-revision from dbf9f10 on does. Each side also records its src/sgl line
-count, the number of names in sgl.__all__, its count of defaulted function
-parameters, its counts of dataclass fields and of those with a default,
-the number of arguments (options and positionals, not -h) of each sgl
-subcommand as sgl.cli.build_parser() defines them, the wall time of a
-cold `import sgl` (median and IQR over fresh interpreters, the sides
-alternating) and the number of modules that import loads. Times differ
-more between interpreters than within one, so every row also records,
-per side, the IQR of the per-interpreter medians (round_iqr_us) and, with
-a baseline, in how many rounds the change's interpreter had the lower
-median (change_faster_rounds of ROUNDS); a speedup whose rounds split, or
-that sits inside round_iqr_us, is unresolved.
+games._walk (the _walk rows); from the change side's rows comes
+window_crossover, the stage-rows B * (H + 1) at which the two cost the
+same. The job rows run perfbench's three job shapes end to end with the
+workloads' parameters and seed 7's games and learner seeds: the
+mixing-window sweep (600 iterations, 3 seeds, Euclidean mirror), the
+zerosum convergence_benchmark on both games (2000 iterations, 3 seeds)
+and the oracle-audit run (40 iterations in oracle_mode, 256 draws).
 
-    python scripts/bench.py --baseline HEAD~1 --out BENCH_<n>.json
+One child interpreter, pinned to one BLAS thread as perfbench pins it,
+times every row. Each side's src/sgl is copied under its own package name
+(sgl_parent, sgl_change; the package imports only relatively), so with
+--baseline REV the working tree and REV's src/ (exported with git archive)
+load side by side; the baseline must have this API, as every revision from
+dbf9f10 on does. Every row's callable is built and called once on each
+side before any timing. Then, row by row, one call count is fixed for
+both sides, doubled until a round of that many calls lasts MIN_REPEAT_S on
+each, and ROUNDS rounds are timed, the sides alternating which goes first.
+A row records per side the microseconds per call of every round
+(rounds_us; per seed-iteration on the learner and job rows), their median
+(us) and their IQR q75 - q25 (round_iqr_us), and with a baseline the
+median of the per-round speedups parent / change and the rounds in which
+the change took less time (change_won_rounds; a tie counts for neither
+side). A speedup whose rounds split, or that sits inside round_iqr_us, is
+unresolved. Every learner row also records, per side, the cProfile count
+of Python and C function calls of one call divided by its iterations
+(calls_per_iter) and by its seed-iterations (calls_per_seed_iter); unlike
+the times, the counts do not move with the host.
+
+Each side also records its src/sgl line count, the number of names in
+sgl.__all__, its count of defaulted function parameters, its counts of
+dataclass fields and of those with a default, the number of arguments
+(options and positionals, not -h) of each sgl subcommand as
+sgl.cli.build_parser() defines them, the wall time of a cold `import sgl`
+(median and IQR over ROUNDS fresh interpreters per side, the sides
+alternating: a cold import is what they measure) and the number of
+modules that import loads.
 """
 
 import argparse
 import ast
 import cProfile
+import functools
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -121,46 +124,36 @@ FAILING_BATCHES = (1, 6)  # seeds per learner[failing,...] row, on the stay/swit
 ORACLE_MODE_ITERS = 40  # iterations of the oracle_mode row (perfbench oracle-audit)
 ORACLE_MODE_EVERY = 10  # and its iterations per checkpoint
 JOB_SHAPES = ("zerosum-converge", "mixing-window", "oracle-audit")  # perfbench's jobs
-JOB_ROUNDS = 30      # interleaved rounds of one job per shape and side
-ROUNDS = 10          # interpreter runs per side, operation and size
-REPEATS = 7          # timed repeats per interpreter run
-MIN_REPEAT_S = 0.02  # calls per repeat are doubled until a repeat lasts this long
+ROUNDS = 30          # timed rounds per side and row, and cold imports per side
+MIN_REPEAT_S = 0.02  # calls per round are doubled until a round lasts this long
+# as perfbench/run.py sets them
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def _time(fn) -> dict:
-    fn()
-    calls = 1
-    while True:
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        if time.perf_counter() - start >= MIN_REPEAT_S:
-            break
-        calls *= 2
-    samples = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        samples.append(1e6 * (time.perf_counter() - start) / calls)
-    return {"samples_us": samples, "calls_per_repeat": calls}
+def _rows() -> list:
+    """Every timed row as (op, size), in the order of the file; a job row
+    has no size."""
+    rows = [(op, size) for size in SIZES for op in OPS]
+    rows += [(f"learner[B={b}]", kind) for kind, bs in LEARNER_BATCHES.items() for b in bs]
+    rows += [
+        (f"learner[B={b},log_every=1]", kind) for kind, bs in ORACLE_BATCHES.items() for b in bs
+    ]
+    rows += [(f"learner[failing,B={b},log_every=1]", "stay-switch") for b in FAILING_BATCHES]
+    rows.append(("learner[oracle_mode]", "3s3p3a"))
+    rows += [
+        (f"{name}[B={b},H={h}]", "mixing-window")
+        for b, h in WINDOWS
+        for name in ("_window_ends", "_walk")
+    ]
+    return rows + [(f"job[{shape}]", None) for shape in JOB_SHAPES]
 
 
-def measure(src: pathlib.Path, op: str, size: str) -> dict:
-    """Timing of one operation at one size for the package under src."""
-    sys.path.insert(0, str(src))
-    import sgl
-    from sgl import analysis, games, generators, learner, mirror, spsa
-
-    if not pathlib.Path(sgl.__file__).resolve().is_relative_to(src.resolve()):
-        raise SystemExit(f"imported {sgl.__file__}, not the package under {src}")
-    if op.startswith("learner"):
-        return _time_learner(op, size)
-    if op.startswith(("_window_ends", "_walk")):
-        return _time_window(op)
-    game = generators.generate(
-        generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[size])
+def _operation(pkg, op: str, size: str):
+    """One call of an operation row at one size."""
+    analysis, games, learner, mirror, spsa = (
+        pkg.analysis, pkg.games, pkg.learner, pkg.mirror, pkg.spsa
     )
+    game = _game(pkg, size)
     rng = np.random.default_rng(1)
     policy = games.random_profile(game, rng, margin=0.3)
     profiles = [games.random_profile(game, rng, margin=0.3) for _ in range(STACK)]
@@ -169,43 +162,36 @@ def measure(src: pathlib.Path, op: str, size: str) -> dict:
         spsa.safety_net_for(game.n_states, m).radius for m in game.n_actions
     )
     if op == "exact_value":
-        return _time(lambda: analysis.exact_value(game, policy))
+        return functools.partial(analysis.exact_value, game, policy)
     if op == f"exact_values[B={STACK}]":
-        return _time(lambda: analysis.exact_values(game, stacks))
+        return functools.partial(analysis.exact_values, game, stacks)
     if op == f"smoothed_gradient_estimate[draws={STACK}]":
-        return _time(
-            lambda: spsa.smoothed_gradient_estimate(
-                game, policy, delta, STACK, np.random.default_rng(0)
-            )
+        return lambda: spsa.smoothed_gradient_estimate(
+            game, policy, delta, STACK, np.random.default_rng(0)
         )
     if op == "exact_gradient":
-        return _time(lambda: analysis.exact_gradient(game, policy))
+        return functools.partial(analysis.exact_gradient, game, policy)
     if op == "finite_difference_gradient":
-        return _time(lambda: analysis.finite_difference_gradient(game, policy))
+        return functools.partial(analysis.finite_difference_gradient, game, policy)
     if op == "nash_gap":
-        return _time(lambda: analysis.nash_gap(game, policy))
+        return functools.partial(analysis.nash_gap, game, policy)
     if op == "fenchel_coupling":
         reg = mirror.make_regularizer("entropy")
         scores = [rng.standard_normal((game.n_states, m)) for m in game.n_actions]
-        reference = games.uniform_profile(game)
-        return _time(lambda: mirror.fenchel_coupling(reg, reference, scores))
+        return functools.partial(mirror.fenchel_coupling, reg, games.uniform_profile(game), scores)
     if op == "horizon_bias_check[H=8,draws=1000]":
-        return _time(
-            lambda: learner.horizon_bias_check(
-                game, policy, 8, 1000, rng=0, contraction=0.5
-            )
+        return functools.partial(
+            learner.horizon_bias_check, game, policy, 8, 1000, rng=0, contraction=0.5
         )
     raise SystemExit(f"unknown operation {op!r}")
 
 
-def _time_learner(op: str, kind: str) -> dict:
-    """Microseconds per seed-iteration of one learner call over B seeds, and
-    the call's profiled function calls per iteration and per seed-iteration:
-    op is learner[B=b] (log_every=1000), learner[B=b,log_every=1],
+def _learner(pkg, op: str, kind: str):
+    """(call, seed-iterations) of one learner row's run_batch call: op is
+    learner[B=b] (log_every=1000), learner[B=b,log_every=1],
     learner[failing,B=b,log_every=1] (kind stay-switch) or
     learner[oracle_mode] (one seed, perfbench's oracle-audit job)."""
-    from sgl import games, generators, learner, mirror
-
+    games, learner, mirror = pkg.games, pkg.learner, pkg.mirror
     if op == "learner[oracle_mode]":
         batch, every = "1", "oracle_mode"
     else:
@@ -214,22 +200,11 @@ def _time_learner(op: str, kind: str) -> dict:
             .removesuffix("]").partition(",")
         )
     seeds = list(range(int(batch)))
-    if kind == "mixing-window":
-        game = _mixing_window_game()
-    elif kind == "stay-switch":
-        game = _stay_switch_game()
-    elif kind in SIZES:
-        game = generators.generate(
-            generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[kind])
-        )
-    else:
-        game = generators.generate(generators.GeneratorSpec(kind=kind))
+    game = _game(pkg, kind)
     if kind == "stay-switch":  # no certified mixing constant: the power window
         schedule = learner._preset_schedule(game, "power", None, 1.0)
-        warnings.simplefilter("ignore")
     else:
         schedule = learner.default_schedule(game)
-    reg = mirror.make_regularizer("entropy")
     if every == "oracle_mode":  # a decomposition at every checkpoint
         iters = ORACLE_MODE_ITERS
         options = {
@@ -243,24 +218,33 @@ def _time_learner(op: str, kind: str) -> dict:
         options = {"log_every": 1, "reference": games.uniform_profile(game)}
     else:
         iters, options = LEARNER_ITERS, {"log_every": 1000}
-    timed = _time(lambda: learner.run_batch(game, schedule, reg, iters, seeds, **options))
-    per_call = iters * len(seeds)
-    timed["samples_us"] = [us / per_call for us in timed["samples_us"]]
-    profile = cProfile.Profile()
-    profile.runcall(learner.run_batch, game, schedule, reg, iters, seeds, **options)
-    calls = pstats.Stats(profile).total_calls
-    timed["calls_per_iter"] = calls / iters
-    timed["calls_per_seed_iter"] = calls / per_call
-    return timed
+    reg = mirror.make_regularizer("entropy")
+    call = functools.partial(learner.run_batch, game, schedule, reg, iters, seeds, **options)
+    return call, iters * len(seeds)
 
 
-def _stay_switch_game():
+def _game(pkg, kind: str):
+    """The game of a row's size or kind, as pkg's StochasticGame."""
+    if kind == "mixing-window":
+        game = _mixing_window_game()
+        return pkg.games.StochasticGame(
+            game.n_states, game.n_actions, game.rewards, game.transitions, dict(game.meta)
+        )
+    if kind == "stay-switch":
+        return _stay_switch_game(pkg)
+    generators = pkg.generators
+    if kind in SIZES:
+        return generators.generate(
+            generators.GeneratorSpec(kind="random-ergodic", seed=0, **SIZES[kind])
+        )
+    return generators.generate(generators.GeneratorSpec(kind=kind))
+
+
+def _stay_switch_game(pkg):
     """Two states, two players with two actions: player 0's first action
     keeps the state and its second flips it, so its pure responses give
     reducible or periodic chains; the rewards are matching pennies'
     with the roles swapping between the states."""
-    from sgl import games
-
     rewards = np.zeros((2, 2, 4))
     rewards[0] = [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]]
     rewards[1] = 1.0 - rewards[0]
@@ -268,27 +252,28 @@ def _stay_switch_game():
     for s in range(2):
         transitions[s, :2, s] = 1.0
         transitions[s, 2:, 1 - s] = 1.0
-    return games.StochasticGame(2, (2, 2), rewards, transitions)
+    return pkg.games.StochasticGame(2, (2, 2), rewards, transitions)
 
 
+@functools.cache
 def _mixing_window_game():
-    sys.path.append(str(REPO))
+    """perfbench's mixing-window game of seed MIXING_SEED, built by the
+    working tree's sgl."""
     from perfbench.workloads import MixingWindow
 
     workload = MixingWindow()
     return workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
 
 
-def _time_window(op: str) -> dict:
-    """Microseconds of one games._window_ends call for the last stage of B
-    windows of H + 1 stages from state 0, each row with its own random
-    profile: op is _window_ends[B=b,H=h] (the array kernel forced) or
-    _walk[B=b,H=h] (every window walked by the scalar _walk)."""
-    from sgl import games
-
+def _window(pkg, op: str):
+    """One games._window_ends call for the last stage of B windows of H + 1
+    stages from state 0, each row with its own random profile: op is
+    _window_ends[B=b,H=h] (the array kernel forced) or _walk[B=b,H=h] (every
+    window walked by the scalar _walk)."""
+    games = pkg.games
     name, _, shape = op.partition("[B=")
     batch, height = (int(x) for x in shape.removesuffix("]").split(",H="))
-    game = _mixing_window_game()
+    game = _game(pkg, "mixing-window")
     rng = np.random.default_rng(1)
     blocks = [
         np.stack(blocks)
@@ -297,14 +282,22 @@ def _time_window(op: str) -> dict:
     u = rng.random((batch, height + 1, game.n_players + 1))
     cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
     starts = [0] * batch
-    games._KERNEL_STAGE_ROWS = 0 if name == "_window_ends" else math.inf
-    return _time(lambda: games._window_ends(game, cols, starts, u))
+    forced, default = (0 if name == "_window_ends" else math.inf), games._KERNEL_STAGE_ROWS
+
+    def call():  # the branch is forced for this call only
+        games._KERNEL_STAGE_ROWS = forced
+        try:
+            games._window_ends(game, cols, starts, u)
+        finally:
+            games._KERNEL_STAGE_ROWS = default
+
+    return call
 
 
 def _jobs(pkg, out: pathlib.Path) -> dict:
-    """perfbench's three job shapes on the package pkg, by name: (run, n),
-    where run(k) plays item k of the shape's pool, cycling through it, and a
-    job is n seed-iterations."""
+    """perfbench's three job shapes on pkg, by shape: (call, n), where a call
+    plays one job, the next item of the shape's pool, and a job is n
+    seed-iterations."""
     from perfbench.workloads import WORKLOADS, _learner_seeds
 
     games, generators, learner, mirror = pkg.games, pkg.generators, pkg.learner, pkg.mirror
@@ -313,10 +306,7 @@ def _jobs(pkg, out: pathlib.Path) -> dict:
     mixing_items = _learner_seeds(MIXING_SEED, (mixing.pool, mixing.seeds_per_job))
     audit_items = _learner_seeds(MIXING_SEED, audit.pool)
 
-    slow = _mixing_window_game()  # built by the working tree's sgl
-    slow = games.StochasticGame(
-        slow.n_states, slow.n_actions, slow.rewards, slow.transitions, dict(slow.meta)
-    )
+    slow = _game(pkg, "mixing-window")
     slow_schedule = learner.default_schedule(slow, tau=slow.mixing_certificate.tau)
     euclidean = mirror.make_regularizer("euclidean")
     oracle_game = generators.generate(
@@ -350,66 +340,104 @@ def _jobs(pkg, out: pathlib.Path) -> dict:
             decomposition_draws=audit.draws,
         )
 
+    def cycling(run):  # job k plays item k of the pool, cycling through it
+        items = itertools.count()
+        return lambda: run(next(items))
+
     return {
-        zerosum.name: (run_zerosum, zerosum.iters * zerosum.seeds_per_job * len(zerosum.kinds)),
-        mixing.name: (run_mixing, mixing.iters * mixing.seeds_per_job),
-        audit.name: (run_audit, audit.iters),
+        zerosum.name: (
+            cycling(run_zerosum), zerosum.iters * zerosum.seeds_per_job * len(zerosum.kinds)
+        ),
+        mixing.name: (cycling(run_mixing), mixing.iters * mixing.seeds_per_job),
+        audit.name: (cycling(run_audit), audit.iters),
     }
 
 
-def _measure_jobs(packages: pathlib.Path, names: list) -> dict:
-    """Seed-iterations per second of JOB_ROUNDS jobs of every shape on each
-    package under packages, by package and shape, the packages alternating
-    which goes first in each round."""
+def _callables(pkg, out: pathlib.Path) -> dict:
+    """Every row's (call, units per call) on pkg, by (op, size)."""
+    jobs = _jobs(pkg, out)
+    built = {}
+    for op, size in _rows():
+        if op.startswith("learner"):
+            built[op, size] = _learner(pkg, op, size)
+        elif op.startswith(("_window_ends", "_walk")):
+            built[op, size] = _window(pkg, op), 1
+        elif op.startswith("job["):
+            built[op, size] = jobs[op.removeprefix("job[").removesuffix("]")]
+        else:
+            built[op, size] = _operation(pkg, op, size), 1
+    return built
+
+
+def _round_s(call, calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(calls):
+        call()
+    return time.perf_counter() - start
+
+
+def _time_row(calls_by_side: dict) -> tuple:
+    """(n, rounds): one call count n for every side, doubled until n calls
+    last MIN_REPEAT_S on each, and per side the seconds per call of ROUNDS
+    rounds of n calls, the sides alternating which goes first."""
+    n = 1
+    while min(_round_s(call, n) for call in calls_by_side.values()) < MIN_REPEAT_S:
+        n *= 2
+    rounds = {side: [] for side in calls_by_side}
+    for r in range(ROUNDS):
+        for side in list(calls_by_side)[:: 1 if r % 2 == 0 else -1]:
+            rounds[side].append(_round_s(calls_by_side[side], n) / n)
+    return n, rounds
+
+
+def _record(op: str, size, calls: int, rounds_us: dict) -> dict:
+    """A row's record from each side's microseconds per call in every round:
+    per side the rounds, their median and their IQR q75 - q25; with a parent
+    side, the median over the rounds of parent / change and the rounds in
+    which the change took less time (a tie counts for neither side)."""
+    row = {"op": op, "size": size, "calls_per_round": calls}
+    for side, us in rounds_us.items():
+        q1, median, q3 = np.percentile(us, [25, 50, 75])
+        row[side] = {"us": float(median), "round_iqr_us": float(q3 - q1), "rounds_us": list(us)}
+    if "parent" in rounds_us:
+        pairs = list(zip(rounds_us["parent"], rounds_us["change"]))
+        row["speedup"] = float(np.median([p / c for p, c in pairs]))
+        row["change_won_rounds"] = sum(c < p for p, c in pairs)
+    return row
+
+
+def measure(packages: pathlib.Path, sides: list) -> list:
+    """Every row's record, timed in this interpreter on the package
+    sgl_<side> under packages of every side."""
     sys.path.insert(0, str(packages))
     # perfbench.workloads, and the working tree's sgl, which it imports
     sys.path += [str(REPO), str(REPO / "src")]
-    jobs = {}
-    for name in names:
-        pkg = importlib.import_module(name)
+    warnings.simplefilter("ignore")  # the failing rows' skipped checkpoints
+    built = {}
+    for side in sides:
+        pkg = importlib.import_module(f"sgl_{side}")
         if not pathlib.Path(pkg.__file__).resolve().is_relative_to(packages.resolve()):
             raise SystemExit(f"imported {pkg.__file__}, not the package under {packages}")
-        jobs[name] = _jobs(pkg, packages / f"{name}_out")
-    for name in names:  # first calls fill each game's caches
-        for run, _ in jobs[name].values():
-            run(0)
-    rates = {name: {shape: [] for shape in JOB_SHAPES} for name in names}
-    for r in range(JOB_ROUNDS):
-        for shape in JOB_SHAPES:
-            for name in names[:: 1 if r % 2 == 0 else -1]:
-                run, n = jobs[name][shape]
-                start = time.perf_counter()
-                run(r)
-                rates[name][shape].append(n / (time.perf_counter() - start))
-    return rates
-
-
-def _job_rows(sides: dict, tmp: pathlib.Path) -> list:
-    """The interleaved job rows: one interpreter runs every side's copy of
-    src/sgl, each under its own package name."""
-    packages = tmp / "packages"
-    names = []
-    for side, (src, _) in sides.items():
-        shutil.copytree(src / "sgl", packages / f"sgl_{side}")
-        names.append(f"sgl_{side}")
-    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-    one_thread = {var: "1" for var in threads}  # as perfbench/run.py sets them
-    rates = json.loads(subprocess.run(
-        [sys.executable, __file__, "--measure", str(packages), "jobs", ",".join(names)],
-        env={**os.environ, **one_thread}, check=True, capture_output=True, text=True,
-    ).stdout)
-    rows = []
-    for shape in JOB_SHAPES:
-        row = {"op": f"job[{shape}]", "rounds": JOB_ROUNDS}
-        for side in sides:
-            q1, median, q3 = np.percentile(rates[f"sgl_{side}"][shape], [25, 50, 75])
-            row[side] = {"seed_iters_per_s": float(median), "round_iqr": float(q3 - q1)}
-        if "parent" in sides:
-            parent, change = rates["sgl_parent"][shape], rates["sgl_change"][shape]
-            row["ratio"] = float(np.median([c / p for p, c in zip(parent, change)]))
-            row["change_faster_rounds"] = sum(int(c > p) for p, c in zip(parent, change))
-        rows.append(row)
-    return rows
+        built[side] = _callables(pkg, packages / f"sgl_{side}_out")
+    for side in sides:  # first calls fill each game's caches
+        for call, _ in built[side].values():
+            call()
+    records = []
+    for op, size in _rows():
+        n, rounds = _time_row({side: built[side][op, size][0] for side in sides})
+        row = _record(op, size, n, {
+            side: [1e6 * s / built[side][op, size][1] for s in rounds[side]] for side in sides
+        })
+        if op.startswith("learner"):
+            for side in sides:
+                call, seed_iters = built[side][op, size]
+                profile = cProfile.Profile()
+                profile.runcall(call)
+                total = pstats.Stats(profile).total_calls
+                row[side]["calls_per_iter"] = total / call.args[3]  # run_batch's iters
+                row[side]["calls_per_seed_iter"] = total / seed_iters
+        records.append(row)
+    return records
 
 
 def _crossover(rows: list) -> dict:
@@ -418,7 +446,7 @@ def _crossover(rows: list) -> dict:
     per-stage-row from its (3, 1) and (3, 450) rows, the walk's as
     per-stage-row from its (3, 450) row."""
     us = {
-        row["op"]: row["change"]["us_per_call"] for row in rows
+        row["op"]: row["change"]["us"] for row in rows
         if row["op"].startswith(("_window_ends", "_walk"))
     }
     short, long_ = "[B=3,H=1]", "[B=3,H=450]"
@@ -478,14 +506,14 @@ def _surface(src: pathlib.Path) -> dict:
 
 def _import_cost(sides: dict) -> dict:
     """Per side: median and IQR of the seconds a cold `import sgl` takes, over
-    ROUNDS * REPEATS fresh interpreters with the sides alternating, and the
-    number of modules it adds to sys.modules."""
+    ROUNDS fresh interpreters with the sides alternating, and the number of
+    modules it adds to sys.modules."""
     code = (
         "import sys, time; n = len(sys.modules); start = time.perf_counter(); "
         "import sgl; print(time.perf_counter() - start, len(sys.modules) - n)"
     )
     runs = {side: [] for side in sides}
-    for r in range(ROUNDS * REPEATS):
+    for r in range(ROUNDS):
         for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
             out = subprocess.run(
                 [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(sides[side])},
@@ -520,91 +548,37 @@ def _export(rev: str, dest: pathlib.Path) -> pathlib.Path:
     return dest / "src"
 
 
-def _summary(samples: list, calls: int) -> dict:
-    q1, median, q3 = np.percentile(samples, [25, 50, 75])
-    return {
-        "us_per_call": float(median),
-        "iqr_us": float(q3 - q1),
-        "repeats": len(samples),
-        "calls_per_repeat": calls,
-    }
-
-
-def _row(sides: dict, op: str, size: str) -> dict:
-    """One operation at one size on every side. Each round starts one
-    interpreter per side, alternating which side goes first, so drift of
-    the host's speed hits both sides alike."""
-    runs = {side: [] for side in sides}
-    for r in range(ROUNDS):
-        for side in list(sides)[:: 1 if r % 2 == 0 else -1]:
-            out = subprocess.run(
-                [sys.executable, __file__, "--measure", str(sides[side][0]), op, size],
-                check=True, capture_output=True, text=True,
-            ).stdout
-            runs[side].append(json.loads(out))
-    row = {"op": op, "size": size}
-    medians = {side: [np.median(t["samples_us"]) for t in timed] for side, timed in runs.items()}
-    for side, timed in runs.items():
-        samples = [s for t in timed for s in t["samples_us"]]
-        row[side] = _summary(samples, timed[0]["calls_per_repeat"])
-        q1, q3 = np.percentile(medians[side], [25, 75])
-        row[side]["round_iqr_us"] = float(q3 - q1)
-        for key in ("calls_per_iter", "calls_per_seed_iter"):
-            if key in timed[0]:  # the same in every round
-                row[side][key] = timed[0][key]
-    if "parent" in row:
-        row["speedup"] = row["parent"]["us_per_call"] / row["change"]["us_per_call"]
-        row["change_faster_rounds"] = sum(
-            int(c < p) for p, c in zip(medians["parent"], medians["change"])
-        )
-    return row
+# the child: load this file by path and time every row on the packages
+_CHILD = """
+import importlib.util, json, pathlib, sys
+spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
+bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench)
+print(json.dumps(bench.measure(pathlib.Path(sys.argv[2]), sys.argv[3:])))
+"""
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", help="BENCH_<n>.json file to write")
+    ap.add_argument("--out", required=True, help="BENCH_<n>.json file to write")
     ap.add_argument("--baseline", help="git revision timed next to the working tree")
-    ap.add_argument("--measure", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.measure:  # a child: SRC OP SIZE, or PACKAGES jobs NAMES
-        src, op, size = args.measure
-        if op == "jobs":
-            print(json.dumps(_measure_jobs(pathlib.Path(src), size.split(","))))
-        else:
-            print(json.dumps(measure(pathlib.Path(src), op, size)))
-        return 0
-    if not args.out:
-        ap.error("--out is required")
 
     dirty = bool(_git("status", "--porcelain", "--", "src"))
     head = _git("rev-parse", "HEAD") + ("+dirty" if dirty else "")
     sides = {"change": (REPO / "src", head)}
     with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
         if args.baseline:
             commit = _git("rev-parse", args.baseline)
-            sides = {"parent": (_export(commit, pathlib.Path(tmp)), commit), **sides}
-        rows = [_row(sides, op, size) for size in SIZES for op in OPS]
-        rows += [
-            _row(sides, f"learner[B={b}]", kind)
-            for kind, batches in LEARNER_BATCHES.items()
-            for b in batches
-        ]
-        rows += [
-            _row(sides, f"learner[B={b},log_every=1]", kind)
-            for kind, batches in ORACLE_BATCHES.items()
-            for b in batches
-        ]
-        rows += [
-            _row(sides, f"learner[failing,B={b},log_every=1]", "stay-switch")
-            for b in FAILING_BATCHES
-        ]
-        rows.append(_row(sides, "learner[oracle_mode]", "3s3p3a"))
-        rows += [
-            _row(sides, f"{name}[B={b},H={h}]", "mixing-window")
-            for b, h in WINDOWS
-            for name in ("_window_ends", "_walk")
-        ]
-        jobs = _job_rows(sides, pathlib.Path(tmp))
+            sides = {"parent": (_export(commit, tmp), commit), **sides}
+        packages = tmp / "packages"
+        for side, (src, _) in sides.items():
+            shutil.copytree(src / "sgl", packages / f"sgl_{side}")
+        rows = json.loads(subprocess.run(
+            [sys.executable, "-c", _CHILD, __file__, str(packages), *sides],
+            env={**os.environ, **ONE_THREAD}, check=True, stdout=subprocess.PIPE, text=True,
+        ).stdout)
         imports = _import_cost({side: src for side, (src, _) in sides.items()})
         env_sides = {
             side: {"commit": commit, "src_loc": _src_loc(src), **_surface(src), **imports[side]}
@@ -633,42 +607,35 @@ def main(argv=None) -> int:
                 "size": "3s3p3a", "iters": ORACLE_MODE_ITERS,
                 "log_every": ORACLE_MODE_EVERY, "draws": STACK, "seeds": 1,
             },
-            "unit": "us per seed-iteration",
             "calls": "cProfile calls of one call / iters (calls_per_iter) and / (iters * B)",
         },
         "rounds": {
             "count": ROUNDS,
-            "round_iqr_us": "IQR over the rounds of each interpreter's median",
-            "change_faster_rounds": "rounds whose change interpreter's median beat the parent's",
+            "min_round_s": MIN_REPEAT_S,
+            "protocol": "one interpreter, one BLAS thread, every side's package loaded; "
+                        "per row one call count, rounds alternating which side goes first",
+            "us": "median over the rounds of microseconds per call; "
+                  "per seed-iteration on the learner and job rows",
+            "round_iqr_us": "q75 - q25 over the rounds",
+            "speedup": "median over the rounds of parent / change",
+            "change_won_rounds": "rounds in which the change took less time; ties count for neither",
         },
         "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
         "window_crossover": _crossover(rows),
-        "jobs": {
-            "shapes": JOB_SHAPES,
-            "seed": MIXING_SEED,
-            "unit": "seed-iterations per second, median over the rounds",
-            "ratio": "median over the rounds of change / parent",
-        },
+        "jobs": {"shapes": JOB_SHAPES, "seed": MIXING_SEED},
         "rows": rows,
-        "job_rows": jobs,
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     for row in rows:
-        cells = [f"{side} {row[side]['us_per_call']:10.1f} us" for side in sides]
+        cells = [f"{side} {row[side]['us']:10.1f} us" for side in sides]
         cells += [
             f"{side} {row[side]['calls_per_iter']:6.1f} calls/it"
             for side in sides if "calls_per_iter" in row[side]
         ]
         speed = ""
         if "speedup" in row:
-            speed = f"  x{row['speedup']:.2f} ({row['change_faster_rounds']}/{ROUNDS} rounds)"
-        print(f"{row['op']:36s} {row['size']:17s} " + "  ".join(cells) + speed)
-    for row in jobs:
-        cells = [f"{side} {row[side]['seed_iters_per_s']:10.1f} /s" for side in sides]
-        speed = ""
-        if "ratio" in row:
-            speed = f"  x{row['ratio']:.2f} ({row['change_faster_rounds']}/{JOB_ROUNDS} rounds)"
-        print(f"{row['op']:36s} {'interleaved':17s} " + "  ".join(cells) + speed)
+            speed = f"  x{row['speedup']:.2f} ({row['change_won_rounds']}/{ROUNDS} rounds)"
+        print(f"{row['op']:36s} {row['size'] or '':17s} " + "  ".join(cells) + speed)
     print(f"wrote {args.out}")
     return 0
 

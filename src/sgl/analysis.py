@@ -101,14 +101,8 @@ class GapReport:
 
 
 def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
-    """Long-run average payoff of every player under a stationary profile.
-
-    It has _evaluate's bits, on its own path only because perfbench's
-    tracer pins the call tree exact_value -> analyze_chain.
-    """
-    P, p = analyze_chain(game, policy)
-    R = np.einsum("isj,sj->is", game.rewards, joint_weight_matrix(policy.probs))
-    return ValueReport(R @ p, R, p, P)
+    """Long-run average payoff of every player under a stationary profile."""
+    return _evaluate(game, policy)[1]
 
 
 def _evaluate(game: StochasticGame, profiles):
@@ -117,12 +111,12 @@ def _evaluate(game: StochasticGame, profiles):
     profiles is one PolicyProfile, whose blocks are checked already, or
     one (K, S, m_i) policy stack per player, each checked once here by
     check_policy_block (an error names the profile). Then come the joint
-    weights, the K chains, one stacked stationary solve, the stage rewards
-    and the values, each slice with exact_value's bits. Below about ten
-    profiles this is faster than the batch-last _batch_values, which wins
-    on the smoothed gradient's stacks of 256. A chain of a stack that
-    fails the solve raises the error it raises alone, with its position as
-    slice_index.
+    weights, the K chains and one stacked stationary solve (analyze_chain),
+    the stage rewards and the values, each slice with the bits of its
+    profile alone. Below about ten profiles this is faster than the
+    batch-last _batch_values, which wins on the smoothed gradient's stacks
+    of 256. A chain of a stack that fails the solve raises the error it
+    raises alone, with its position as slice_index.
     """
     if isinstance(profiles, PolicyProfile):
         blocks = profiles.probs
@@ -131,12 +125,11 @@ def _evaluate(game: StochasticGame, profiles):
         _check_compatible(game, profiles)
         blocks = [check_policy_block(np.asarray(b, dtype=float), i) for i, b in enumerate(profiles)]
     w = joint_weight_matrix(blocks)
-    P = np.einsum("...sj,sjt->...st", w, game.transitions)
     try:
-        p = stationary_distribution(P)
+        P, p = analyze_chain(game, w)
     except ErgodicityError as exc:
-        if P.ndim == 3:
-            _raise_alone(exc, 1, lambda k: stationary_distribution(P[k]))
+        if w.ndim == 3:
+            _raise_alone(exc, 1, lambda k: analyze_chain(game, w[k]))
         raise
     R = np.einsum("isj,...sj->...is", game.rewards, w)
     return blocks, ValueReport((R @ p[..., None])[..., 0], R, p, P)

@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -348,15 +349,25 @@ def joint_weight_matrix(blocks) -> np.ndarray:
     return w
 
 
-def induced_transition_matrix(game: StochasticGame, policy: PolicyProfile) -> np.ndarray:
+def induced_transition_matrix(game: StochasticGame, policy) -> np.ndarray:
     """State transition matrix of the chain induced by a profile.
 
-    Row s is the joint-action-probability-weighted mixture of the raw
-    transition rows at s; rows sum to one within 1e-12 by construction.
+    policy is a PolicyProfile or the (..., n_states, n_joint) joint-action
+    weights joint_weight_matrix returns, whose leading axes index a stack
+    of profiles and of the result. Row s is the joint-action-probability-
+    weighted mixture of the raw transition rows at s; rows sum to one
+    within 1e-12 by construction.
     """
-    _check_compatible(game, policy.probs)
-    w = joint_weight_matrix(policy.probs)
-    return np.einsum("sj,sjt->st", w, game.transitions)
+    if isinstance(policy, PolicyProfile):
+        _check_compatible(game, policy.probs)
+        w = joint_weight_matrix(policy.probs)
+    else:
+        w = np.asarray(policy, dtype=float)
+        if w.shape[-2:] != (game.n_states, game.n_joint):
+            raise DimensionError(
+                f"joint weights shape {w.shape} != (..., {game.n_states}, {game.n_joint})"
+            )
+    return np.einsum("...sj,sjt->...st", w, game.transitions)
 
 
 def _at_slice(message: str, k) -> ErgodicityError:
@@ -483,9 +494,11 @@ def _tau_from_contraction(c: float) -> float:
     return -1.0 / math.log(c)
 
 
-def analyze_chain(game: StochasticGame, policy: PolicyProfile) -> tuple[np.ndarray, np.ndarray]:
-    """(P, p): the induced chain and its stationary law, exact_value's chain
-    step; a function of its own only because perfbench's tracer times it."""
+def analyze_chain(game: StochasticGame, policy) -> tuple[np.ndarray, np.ndarray]:
+    """(P, p): the induced chain of a profile or of joint weights (as
+    induced_transition_matrix takes them) and its stationary law; the
+    chain step of the value core, a function of its own only because
+    perfbench's tracer times it."""
     P = induced_transition_matrix(game, policy)
     return P, stationary_distribution(P)
 
@@ -618,6 +631,27 @@ def _step_rows(pol_cols, trans_cols, strides, state, u):
     return *last, state
 
 
+# largest (rows, H + 1, players + 1) float array of window uniforms, rows
+# being a run's seeds or horizon_bias_check's draws, and rollout's stages
+# one such row; all three refuse more
+MAX_WINDOW_BYTES = 1 << 30
+
+
+def _window_bytes(rows: int, horizon: int, game: StochasticGame) -> int:
+    """Bytes of the float uniforms of rows windows of horizon + 1 stages: one
+    per player and one for the next state at every stage."""
+    return rows * (horizon + 1) * (game.n_players + 1) * 8
+
+
+def _count(name: str, value) -> int:
+    """value through operator.index: a float count raises DomainError naming
+    the argument instead of failing later or being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name}={value!r}: need an integer") from None
+
+
 def _window_ends(game, pol_cols, starts, u):
     """The last stage of one window per row: the only way a window is played.
 
@@ -674,13 +708,22 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
 
     states has shape (horizon,), actions (horizon, n_players) and rewards
     (horizon, n_players). Deterministic given rng, a seed or a Generator,
-    which is read once for a (horizon, n_players + 1) array of uniforms.
+    which is read once for a (horizon, n_players + 1) array of uniforms; a
+    horizon whose uniforms would take more than MAX_WINDOW_BYTES is refused
+    with DomainError.
     """
     _check_compatible(game, policy.probs)
+    start_state, horizon = _count("start_state", start_state), _count("horizon", horizon)
     if horizon < 1:
         raise DomainError("horizon must be at least 1")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
+    size = _window_bytes(1, horizon - 1, game)
+    if size > MAX_WINDOW_BYTES:
+        raise DomainError(
+            f"{horizon} stages need {size} bytes of uniforms, over the "
+            f"{MAX_WINDOW_BYTES}-byte cap"
+        )
 
     pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]
     u = np.random.default_rng(rng).random((horizon, game.n_players + 1))

@@ -22,6 +22,7 @@ import numpy as np
 from .analysis import nash_gap
 from .errors import ConfigError
 from .games import (
+    MAX_WINDOW_BYTES,
     PolicyProfile,
     StochasticGame,
     load_game,
@@ -30,7 +31,6 @@ from .games import (
     _read_json,
 )
 from .learner import (
-    MAX_WINDOW_BYTES,
     RunLog,
     Schedule,
     ScheduleReport,

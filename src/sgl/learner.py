@@ -30,12 +30,15 @@ from .analysis import (
 )
 from .errors import DomainError, ErgodicityError, ScheduleError
 from .games import (
+    MAX_WINDOW_BYTES,
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
     _check_compatible,
+    _count,
+    _window_bytes,
     _window_ends,
 )
 from .mirror import (
@@ -62,10 +65,6 @@ from .spsa import (
     _sphere_norms,
     _tangent,
 )
-
-# largest (rows, H + 1, players + 1) float array of window uniforms, rows
-# being a run's seeds or horizon_bias_check's draws; both refuse more
-MAX_WINDOW_BYTES = 1 << 30
 
 CSV_COLUMNS = (
     "t",
@@ -495,12 +494,6 @@ def _decomposition(
     )
 
 
-def _window_bytes(rows: int, horizon: int, game: StochasticGame) -> int:
-    """Bytes of the float uniforms of rows windows of horizon + 1 stages: one
-    per player and one for the next state at every stage."""
-    return rows * (horizon + 1) * (game.n_players + 1) * 8
-
-
 def run(
     game: StochasticGame,
     schedule: Schedule,
@@ -888,6 +881,8 @@ def horizon_bias_check(
     certified contraction to the power horizon. Draws whose uniforms would
     take more than MAX_WINDOW_BYTES are refused with DomainError.
     """
+    horizon, n_draws = _count("horizon", horizon), _count("n_draws", n_draws)
+    start_state = _count("start_state", start_state)
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     if n_draws < 2:

@@ -149,6 +149,25 @@ def _reference_best_response(game, policy, player, max_iters=1000):
     raise RuntimeError("reference policy iteration did not settle")
 
 
+def _reference_value(game, policy):
+    """exact_value's formula on a path of its own, apart from the stacked
+    value core: the chain of the profile's joint weights, its stationary
+    law, the stage rewards and the values. Returns a ValueReport."""
+    from sgl.analysis import ValueReport
+    from sgl.games import joint_weight_matrix, stationary_distribution
+
+    w = joint_weight_matrix(policy.probs)
+    P = np.einsum("sj,sjt->st", w, game.transitions)
+    p = stationary_distribution(P)
+    R = np.einsum("isj,sj->is", game.rewards, w)
+    return ValueReport(R @ p, R, p, P)
+
+
+@pytest.fixture
+def reference_value():
+    return _reference_value
+
+
 def _reference_nash_gap(game, policy):
     """nash_gap as a loop over players, each with its own policy iteration.
     Returns (gaps, best_values, best_actions)."""

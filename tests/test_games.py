@@ -136,6 +136,27 @@ class TestInducedMatrix:
         with pytest.raises(DimensionError):
             induced_transition_matrix(game, uniform_profile(other))
 
+    def test_joint_weights_give_each_profiles_chain(self):
+        # a stack of joint weights gives, slice for slice, the bits of each
+        # profile's own chain
+        game = small_random_game(5, n_states=3, n_players=3, n_actions=2)
+        rng = np.random.default_rng(4)
+        profiles = [random_profile(game, rng) for _ in range(4)]
+        w = games.joint_weight_matrix(
+            [np.stack([pi.probs[i] for pi in profiles]) for i in range(game.n_players)]
+        )
+        stacked = induced_transition_matrix(game, w)
+        assert stacked.shape == (4, 3, 3)
+        for k, pi in enumerate(profiles):
+            assert np.array_equal(stacked[k], induced_transition_matrix(game, pi))
+            assert np.array_equal(induced_transition_matrix(game, w[k]), stacked[k])
+
+    def test_wrongly_shaped_weights_raise(self):
+        game = small_random_game(2, n_states=2)  # 2 players, 4 joint actions
+        for shape in ((2, 3), (3, 4), (4,), (5, 2, 2)):
+            with pytest.raises(DimensionError, match="joint weights shape"):
+                induced_transition_matrix(game, np.full(shape, 0.25))
+
     def test_rows_stochastic_random_pairs(self):
         rng = np.random.default_rng(11)
         count = 0
@@ -484,6 +505,30 @@ class TestRollout:
             rollout(game, uniform_profile(game), 0, 0, np.random.default_rng(0))
         with pytest.raises(DomainError):
             rollout(game, uniform_profile(game), 5, 10, np.random.default_rng(0))
+
+    def test_float_counts_raise_named_errors(self):
+        game = small_random_game(0)
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match=r"horizon=3\.0: need an integer"):
+            rollout(game, policy, 0, 3.0, 0)
+        with pytest.raises(DomainError, match=r"start_state=1\.0: need an integer"):
+            rollout(game, policy, 1.0, 3, 0)
+        states, _, _ = rollout(game, policy, np.int64(1), np.int64(3), 0)
+        assert states.shape == (3,) and states[0] == 1
+
+    def test_horizon_over_the_byte_cap_is_refused(self, monkeypatch):
+        # 10**11 stages would take 2.18 TiB of uniforms
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match="byte cap"):
+            rollout(game, policy, 0, 10**11, 0)
+        # 5 stages, a uniform per player and one for the next state: at the
+        # cap the rollout runs, one byte under it is refused
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 5 * 3 * 8)
+        assert rollout(game, policy, 0, 5, 0)[0].shape == (5,)
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 5 * 3 * 8 - 1)
+        with pytest.raises(DomainError, match="byte cap"):
+            rollout(game, policy, 0, 5, 0)
 
     def test_matches_stage_by_stage_reference(self, reference_rollout):
         # 3 states, 3 players with 2, 3 and 2 actions; the walk must read

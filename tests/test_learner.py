@@ -963,6 +963,18 @@ class TestHorizonBias:
         with pytest.raises(DomainError, match="byte cap"):
             horizon_bias_check(game, policy, 2, 4, rng=0)
 
+    def test_float_counts_raise_named_errors(self):
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match=r"horizon=2\.5: need an integer"):
+            horizon_bias_check(game, policy, 2.5, 10)
+        with pytest.raises(DomainError, match=r"n_draws=10\.0: need an integer"):
+            horizon_bias_check(game, policy, 2, 10.0)
+        with pytest.raises(DomainError, match=r"start_state=0\.0: need an integer"):
+            horizon_bias_check(game, policy, 2, 10, start_state=0.0)
+        report = horizon_bias_check(game, policy, np.int64(2), np.int64(10), rng=0)
+        assert report.horizon == 2 and report.mean.shape == (2,)
+
     def test_matches_per_draw_rollout_loop(self, reference_rollout):
         # the loop of one rollout per draw that the single stream replaced:
         # 3 states, start state 1, and player 1 has a single action
