@@ -28,13 +28,21 @@ The window rows time the last stage of B windows of H + 1 stages on the
 mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
 games._window_ends call: once with its array kernel forced (the
 _window_ends rows) and once with every window walked by the scalar
-games._walk (the _walk rows); from the change side's rows comes
-window_crossover, the stage-rows B * (H + 1) at which the two cost the
-same. The job rows run perfbench's three job shapes end to end with the
+games._walk (the _walk rows). The _window_ends[periodic,B=3,H=450] row
+forces the kernel on the 3-cycle game, the mixing-window game whose every
+state moves to the next with probability 1: its stage maps never send two
+states to one, so the kernel composes every stage back to stage 0, its
+worst case. The job rows run perfbench's three job shapes end to end with the
 workloads' parameters and seed 7's games and learner seeds: the
 mixing-window sweep (600 iterations, 3 seeds, Euclidean mirror), the
 zerosum convergence_benchmark on both games (2000 iterations, 3 seeds)
 and the oracle-audit run (40 iterations in oracle_mode, 256 draws).
+
+The window scan times, on the change side only, one _window_ends call with
+the kernel forced against one with every window walked, interleaved in the
+same ROUNDS rounds, at B = 3 on the mixing-window game and stage-rows
+B * (H + 1) = 60, 90, ..., 240; window_crossover is the smallest stage-rows
+at which the kernel took less time in at least CROSSOVER_WINS rounds.
 
 One child interpreter, pinned to one BLAS thread as perfbench pins it,
 times every row. Each side's src/sgl is copied under its own package name
@@ -112,6 +120,8 @@ LEARNER_BATCHES = {  # seeds per learner row, by game
     "mixing-window": (1, 3, 10),
 }
 WINDOWS = ((3, 1), (3, 450), (1000, 8))  # (B, H) of the window rows
+SCAN_STAGE_ROWS = range(60, 241, 30)  # B * (H + 1) of the window scan, at B = 3
+CROSSOVER_WINS = 27  # rounds of ROUNDS the kernel must win at the crossover
 ORACLE_BATCHES = {  # seeds per log_every=1 learner row, by game
     "matching-pennies": (1, 3, 10),
     "zerosum-switching": (1, 3, 10),
@@ -145,6 +155,7 @@ def _rows() -> list:
         for b, h in WINDOWS
         for name in ("_window_ends", "_walk")
     ]
+    rows.append(("_window_ends[periodic,B=3,H=450]", "3-cycle"))
     return rows + [(f"job[{shape}]", None) for shape in JOB_SHAPES]
 
 
@@ -232,6 +243,10 @@ def _game(pkg, kind: str):
         )
     if kind == "stay-switch":
         return _stay_switch_game(pkg)
+    if kind == "3-cycle":
+        game = _mixing_window_game()
+        cycle = np.roll(np.eye(3), 1, axis=1)[:, None].repeat(game.n_joint, axis=1)
+        return pkg.games.StochasticGame(3, game.n_actions, game.rewards, cycle)
     generators = pkg.generators
     if kind in SIZES:
         return generators.generate(
@@ -265,15 +280,17 @@ def _mixing_window_game():
     return workload.build_game(MIXING_SEED, workload.calibrate_stay(MIXING_SEED))
 
 
-def _window(pkg, op: str):
+def _window(pkg, op: str, kind: str):
     """One games._window_ends call for the last stage of B windows of H + 1
-    stages from state 0, each row with its own random profile: op is
-    _window_ends[B=b,H=h] (the array kernel forced) or _walk[B=b,H=h] (every
-    window walked by the scalar _walk)."""
+    stages from state 0 on the game of kind, each row with its own random
+    profile: op is _window_ends[B=b,H=h] (the array kernel forced; the
+    3-cycle game's row is _window_ends[periodic,B=b,H=h]) or _walk[B=b,H=h]
+    (every window walked by the scalar _walk)."""
     games = pkg.games
-    name, _, shape = op.partition("[B=")
-    batch, height = (int(x) for x in shape.removesuffix("]").split(",H="))
-    game = _game(pkg, "mixing-window")
+    name, _, shape = op.partition("[")
+    fields = shape.removeprefix("periodic,").removesuffix("]").split(",")
+    batch, height = (int(field.partition("=")[2]) for field in fields)
+    game = _game(pkg, kind)
     rng = np.random.default_rng(1)
     blocks = [
         np.stack(blocks)
@@ -361,7 +378,7 @@ def _callables(pkg, out: pathlib.Path) -> dict:
         if op.startswith("learner"):
             built[op, size] = _learner(pkg, op, size)
         elif op.startswith(("_window_ends", "_walk")):
-            built[op, size] = _window(pkg, op), 1
+            built[op, size] = _window(pkg, op, size), 1
         elif op.startswith("job["):
             built[op, size] = jobs[op.removeprefix("job[").removesuffix("]")]
         else:
@@ -406,9 +423,10 @@ def _record(op: str, size, calls: int, rounds_us: dict) -> dict:
     return row
 
 
-def measure(packages: pathlib.Path, sides: list) -> list:
-    """Every row's record, timed in this interpreter on the package
-    sgl_<side> under packages of every side."""
+def measure(packages: pathlib.Path, sides: list) -> dict:
+    """Every row's record (rows) and the window scan's (window_scan), timed in
+    this interpreter on the package sgl_<side> under packages of every
+    side, the scan on the last side's."""
     sys.path.insert(0, str(packages))
     # perfbench.workloads, and the working tree's sgl, which it imports
     sys.path += [str(REPO), str(REPO / "src")]
@@ -437,28 +455,38 @@ def measure(packages: pathlib.Path, sides: list) -> list:
                 row[side]["calls_per_iter"] = total / call.args[3]  # run_batch's iters
                 row[side]["calls_per_seed_iter"] = total / seed_iters
         records.append(row)
+    return {"rows": records, "window_scan": _scan(importlib.import_module(f"sgl_{sides[-1]}"))}
+
+
+def _scan(pkg) -> list:
+    """One record per SCAN_STAGE_ROWS entry, as _record makes it with the
+    sides kernel (_window_ends, the kernel forced) and walk (_walk), timed
+    in the same rounds on pkg, with the stage-rows and the rounds in which
+    the kernel took less time (kernel_won_rounds)."""
+    records = []
+    for stage_rows in SCAN_STAGE_ROWS:
+        shape = f"[B=3,H={stage_rows // 3 - 1}]"
+        calls = {
+            side: _window(pkg, name + shape, "mixing-window")
+            for side, name in (("kernel", "_window_ends"), ("walk", "_walk"))
+        }
+        for call in calls.values():
+            call()
+        n, rounds = _time_row(calls)
+        us = {side: [1e6 * s for s in rounds[side]] for side in calls}
+        row = _record(f"window_scan{shape}", "mixing-window", n, us)
+        row["stage_rows"] = stage_rows
+        row["kernel_won_rounds"] = sum(k < w for k, w in zip(us["kernel"], us["walk"]))
+        records.append(row)
     return records
 
 
-def _crossover(rows: list) -> dict:
-    """Stage-rows B * (H + 1) at which one _window_ends call costs as much as
-    B scalar walks on the change side: the kernel's cost as fixed plus
-    per-stage-row from its (3, 1) and (3, 450) rows, the walk's as
-    per-stage-row from its (3, 450) row."""
-    us = {
-        row["op"]: row["change"]["us"] for row in rows
-        if row["op"].startswith(("_window_ends", "_walk"))
-    }
-    short, long_ = "[B=3,H=1]", "[B=3,H=450]"
-    slope = (us[f"_window_ends{long_}"] - us[f"_window_ends{short}"]) / (3 * 451 - 3 * 2)
-    fixed = us[f"_window_ends{short}"] - slope * 3 * 2
-    walk = us[f"_walk{long_}"] / (3 * 451)
-    return {
-        "kernel_fixed_us": fixed,
-        "kernel_us_per_stage_row": slope,
-        "walk_us_per_stage_row": walk,
-        "stage_rows": fixed / (walk - slope),
-    }
+def _crossover(scan: list):
+    """The smallest stage-rows of the window scan at which the kernel won
+    at least CROSSOVER_WINS rounds, or None if it won that many nowhere."""
+    return next(
+        (row["stage_rows"] for row in scan if row["kernel_won_rounds"] >= CROSSOVER_WINS), None
+    )
 
 
 def _src_loc(src: pathlib.Path) -> int:
@@ -575,7 +603,7 @@ def main(argv=None) -> int:
         packages = tmp / "packages"
         for side, (src, _) in sides.items():
             shutil.copytree(src / "sgl", packages / f"sgl_{side}")
-        rows = json.loads(subprocess.run(
+        timed = json.loads(subprocess.run(
             [sys.executable, "-c", _CHILD, __file__, str(packages), *sides],
             env={**os.environ, **ONE_THREAD}, check=True, stdout=subprocess.PIPE, text=True,
         ).stdout)
@@ -621,12 +649,16 @@ def main(argv=None) -> int:
             "change_won_rounds": "rounds in which the change took less time; ties count for neither",
         },
         "windows": {"game": "mixing-window", "shapes_b_h": WINDOWS, "unit": "us per call"},
-        "window_crossover": _crossover(rows),
+        "window_scan": timed["window_scan"],
+        "window_crossover": {
+            "stage_rows": _crossover(timed["window_scan"]),
+            "kernel_won_rounds_at_least": CROSSOVER_WINS,
+        },
         "jobs": {"shapes": JOB_SHAPES, "seed": MIXING_SEED},
-        "rows": rows,
+        "rows": timed["rows"],
     }
     pathlib.Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
-    for row in rows:
+    for row in timed["rows"]:
         cells = [f"{side} {row[side]['us']:10.1f} us" for side in sides]
         cells += [
             f"{side} {row[side]['calls_per_iter']:6.1f} calls/it"
@@ -636,6 +668,10 @@ def main(argv=None) -> int:
         if "speedup" in row:
             speed = f"  x{row['speedup']:.2f} ({row['change_won_rounds']}/{ROUNDS} rounds)"
         print(f"{row['op']:36s} {row['size'] or '':17s} " + "  ".join(cells) + speed)
+    for row in timed["window_scan"]:
+        print(f"{row['op']:36s} kernel {row['kernel']['us']:8.1f} us  walk "
+              f"{row['walk']['us']:8.1f} us  kernel won {row['kernel_won_rounds']}/{ROUNDS} rounds")
+    print(f"window_crossover {_crossover(timed['window_scan'])} stage-rows")
     print(f"wrote {args.out}")
     return 0
 

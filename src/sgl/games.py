@@ -37,6 +37,11 @@ _KERNEL_STAGE_ROWS = 120
 # (rows x states x stages) cells of the largest integer array _window_ends
 # builds at once; a longer window is played this many cells at a time
 _WINDOW_CHUNK = 1 << 18
+# stage maps _window_ends composes first, backward from a window's last
+# stage; under the shared uniforms most mixing-window suffixes send every
+# state to one state within this many stages, and then the stages before
+# cannot change the window's end
+_SUFFIX_STAGES = 128
 # cells rows * states * (CDF columns of every player and of the transitions)
 # of one stage over every state above which _window_ends steps its rows one
 # stage at a time instead; the two cost the same near 10**4 cells
@@ -592,8 +597,9 @@ def _stage_maps(pol_cols, flat_cols, strides, u):
     """Every stage's joint action and next state from every state.
 
     u holds the uniforms of L stages as (n + 1, rows, L) columns, one per
-    player and the last for the next state, each row's L stages contiguous;
-    pol_cols is as in _window_ends and flat_cols the game's (S - 1, S * J)
+    player and the last for the next state, each row's L stages contiguous:
+    one of _window_ends's backward chunks of a window. pol_cols is as in
+    _window_ends and flat_cols the game's (S - 1, S * J)
     transposed next-state CDF columns but the last. Returns two (rows, S, L)
     intp arrays: the flat index s * J + joint action of each stage's
     transition row and the next state. A player's action is the count of
@@ -616,6 +622,23 @@ def _stage_maps(pol_cols, flat_cols, strides, u):
         np.less_equal(col.take(at), column, out=below)
         after += below
     return at, after
+
+
+def _follow(maps):
+    """The state after all L stages of maps, a (rows, S, L) array of each
+    stage's next state, from every (row, state) before the first: pointer
+    doubling, log2(L) rounds of integer gathers."""
+    rows, n_states, stages = maps.shape
+    width = stages + 1
+    # node (r, s, h) is index (r * S + s) * width + h and points to the node
+    # of its next state one stage on; the end column points to itself
+    node = np.arange(rows * n_states * width).reshape(rows, n_states, width)
+    jump = np.empty_like(node)
+    jump[..., :-1] = maps * width + node[:, :1, 1:]
+    jump[..., -1] = node[..., -1]
+    for _ in range((stages - 1).bit_length()):
+        jump = jump.take(jump)
+    return jump[..., 0] // width % n_states
 
 
 def _step_rows(pol_cols, trans_cols, strides, state, u):
@@ -660,14 +683,19 @@ def _window_ends(game, pol_cols, starts, u):
     Python ints; u the (rows, H + 1, n + 1) uniforms, one row of n + 1 per
     stage. The game's _stage_tables give the rest. Fewer than
     _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are played by one scalar
-    _walk over every row. Otherwise every stage is played from every state
-    at once by _stage_maps, from u transposed once into contiguous
-    (n + 1, rows, H + 1) columns, and each start state follows the first H
-    stage maps by pointer doubling: log2(H) rounds of integer gathers; many
-    rows of a many-state game are instead stepped one stage at a time
-    (_step_rows). All three give the same bits. Returns the (rows,
-    n_players) payoffs of the last stage and the states after it, as a list
-    of Python ints.
+    _walk over every row. Otherwise stages are played from every state at
+    once by _stage_maps, from u transposed once into contiguous
+    (n + 1, rows, H + 1) columns, in chunks backward from stage H: the
+    first holds the last _SUFFIX_STAGES stage maps and stage H, and _follow
+    gives ends[r, s], the state at stage H from state s at the chunk's
+    start; each earlier chunk of at most _WINDOW_CHUNK cells is composed
+    into ends by one gather. Once every row's ends agree over all states the
+    stages before cannot change the end state, and no earlier chunk is
+    played; otherwise the chunks reach stage 0, where the start states are
+    applied. Many rows of a many-state game are instead stepped one stage
+    at a time (_step_rows). All three give the same bits. Returns the
+    (rows, n_players) payoffs of the last stage and the states after it, as
+    a list of Python ints.
     """
     strides, trans_cols, flat_cols, trans_lists, rewards, reward_lists = game._stage_tables
     rows, n_states = len(u), game.n_states
@@ -683,24 +711,17 @@ def _window_ends(game, pol_cols, starts, u):
     u = np.ascontiguousarray(u.transpose(2, 0, 1))
     horizon = u.shape[2] - 1
     step = max(1, _WINDOW_CHUNK // (rows * n_states))
-    lo = 0
-    while True:  # stages lo..hi, each chunk ending where the next begins
-        hi = min(lo + step, horizon)
-        at, maps = _stage_maps(pol_cols, flat_cols, strides, u[..., lo:hi + 1])
-        # node (r, s, h) is index (r * S + s) * width + h and points to the
-        # node of its next state one stage on; the end column points to itself
-        width = hi - lo + 1
-        node = np.arange(rows * n_states * width).reshape(rows, n_states, width)
-        jump = np.empty_like(node)
-        jump[..., :-1] = maps[..., :-1] * width + node[:, :1, 1:]
-        jump[..., -1] = node[..., -1]
-        for _ in range((hi - lo - 1).bit_length()):
-            jump = jump.take(jump)
-        state = jump[row, state, 0] // width % n_states
-        if hi == horizon:
-            joint = at[row, state, -1] - state * game.n_joint
-            return rewards[state, joint], maps[row, state, -1].tolist()
-        lo = hi
+    lo = max(0, horizon - min(step, _SUFFIX_STAGES))
+    at, maps = _stage_maps(pol_cols, flat_cols, strides, u[..., lo:])
+    # ends[r, s]: the state at stage H from state s at stage lo
+    ends = _follow(maps[..., :-1])
+    while lo and not (ends == ends[:, :1]).all():
+        hi, lo = lo, max(0, lo - step)
+        before = _follow(_stage_maps(pol_cols, flat_cols, strides, u[..., lo:hi])[1])
+        ends = np.take_along_axis(ends, before, axis=1)
+    state = ends[row, state]
+    joint = at[row, state, -1] - state * game.n_joint
+    return rewards[state, joint], maps[row, state, -1].tolist()
 
 
 def rollout(game, policy, start_state: int, horizon: int, rng):

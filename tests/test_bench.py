@@ -38,27 +38,22 @@ class TestRecord:
 
     def test_every_row_has_one_shape(self, bench):
         rows = bench._rows()
-        assert len(rows) == len(set(rows)) == 53
+        assert len(rows) == len(set(rows)) == 54
         records = [bench._record(op, size, 1, {"parent": [1.0], "change": [2.0]}) for op, size in rows]
         assert len({tuple(r) for r in records}) == 1
         assert {size for op, size in rows if op.startswith("job[")} == {None}
 
 
 def test_crossover_from_synthetic_window_rows(bench):
-    # kernel: 40 us fixed plus 0.05 us per stage-row; walk: 0.45 us per
-    # stage-row; they cost the same at 40 / (0.45 - 0.05) = 100 stage-rows
-    us = {
-        "_window_ends[B=3,H=1]": 40.0 + 0.05 * 6,
-        "_window_ends[B=3,H=450]": 40.0 + 0.05 * 1353,
-        "_walk[B=3,H=1]": 0.45 * 6,
-        "_walk[B=3,H=450]": 0.45 * 1353,
-        "_window_ends[B=1000,H=8]": 1.0,
-        "_walk[B=1000,H=8]": 1.0,
-    }
-    rows = [{"op": op, "change": {"us": t}} for op, t in us.items()]
-    rows.append({"op": "exact_value", "change": {"us": 1e9}})
-    crossover = bench._crossover(rows)
-    assert crossover["kernel_fixed_us"] == pytest.approx(40.0)
-    assert crossover["kernel_us_per_stage_row"] == pytest.approx(0.05)
-    assert crossover["walk_us_per_stage_row"] == pytest.approx(0.45)
-    assert crossover["stage_rows"] == pytest.approx(100.0)
+    # the kernel wins 26 of 30 rounds at 60 stage-rows, then 27, 25 and 30:
+    # the crossover is the first count with at least 27 wins
+    wins = {60: 26, 90: 27, 120: 25, 150: 30}
+    scan = [{"stage_rows": n, "kernel_won_rounds": k} for n, k in wins.items()]
+    assert bench.CROSSOVER_WINS == 27
+    assert bench._crossover(scan) == 90
+    assert bench._crossover(scan[:1]) is None
+
+
+def test_window_rows_include_the_periodic_worst_case(bench):
+    assert ("_window_ends[periodic,B=3,H=450]", "3-cycle") in bench._rows()
+    assert list(bench.SCAN_STAGE_ROWS) == [60, 90, 120, 150, 180, 210, 240]

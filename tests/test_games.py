@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from unittest import mock
@@ -594,24 +595,31 @@ def _prob_rows(rng, shape, n_out):
     return probs * np.where(rng.random(shape) < 0.3, 1.0 - 2.0**-40, 1.0)[..., None]
 
 
-def _window_case(rng, n_states, n_actions, horizon, rows):
+def _window_case(rng, n_states, n_actions, horizon, rows, chain="random"):
     """A game whose every (player, state, joint action) has its own reward,
     so a payoff names the last stage it was read at, and rows windows of
     horizon + 1 stages on it, each row with its own profile: (game,
-    pol_cols, starts, u)."""
+    pol_cols, starts, u). chain "cycle" moves every state s to s + 1 mod S
+    and "identity" keeps it, whatever the joint action: their stage maps
+    never send two states to one."""
     n = len(n_actions)
     n_joint = int(np.prod(n_actions))
     rewards = np.arange(n * n_states * n_joint, dtype=float).reshape(n, n_states, n_joint)
-    game = StochasticGame(
-        n_states, n_actions, rewards, _prob_rows(rng, (n_states, n_joint), n_states)
-    )
+    transitions = _prob_rows(rng, (n_states, n_joint), n_states)
+    if chain != "random":
+        shift = np.roll(np.eye(n_states), 1 if chain == "cycle" else 0, axis=1)
+        transitions = np.repeat(shift[:, None], n_joint, axis=1)
+    game = StochasticGame(n_states, n_actions, rewards, transitions)
     pol_cdf = [np.cumsum(_prob_rows(rng, (rows, n_states), m), axis=-1) for m in n_actions]
     trans_cdf = np.cumsum(game.transitions, axis=-1)
     u = rng.random((rows, horizon + 1, n + 1))
-    # some uniforms equal a CDF entry, and some lie above every entry
+    # some uniforms equal a CDF entry, and some lie above every entry; a
+    # deterministic chain keeps its next-state uniforms below 1, as every
+    # draw is (a uniform of 1.0 would move any state to the last)
     for r, h, i in zip(*(rng.integers(0, k, 20) for k in u.shape)):
         table = trans_cdf if i == n else pol_cdf[i][r]
-        u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
+        if i < n or chain == "random":
+            u[r, h, i] = rng.choice(table[rng.integers(len(table))].ravel())
     for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
         u[r, h, i] = 1.0 - 2.0**-50
     starts = rng.integers(0, n_states, rows).tolist()
@@ -637,25 +645,31 @@ def _assert_walks_each_row(game, pol_cols, starts, u, **constants):
 
 
 class TestWindowEnds:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n_states=st.sampled_from([1, 2, 3]),
         n_actions=st.sampled_from([(2,), (1,), (2, 1, 3), (3, 3), (1, 2), (2, 2, 2)]),
         horizon=st.sampled_from([0, 1, 2, 3, 64]),
         rows=st.integers(1, 4),
+        chain=st.sampled_from(["random", "cycle", "identity"]),
         chunk=st.sampled_from([games._WINDOW_CHUNK, 1, 7]),
+        suffix=st.sampled_from([games._SUFFIX_STAGES, 1, 2]),
         stage_cells=st.sampled_from([games._STAGE_MAP_CELLS, 0]),
         kernel_rows=st.sampled_from([games._KERNEL_STAGE_ROWS, 0, math.inf]),
     )
     def test_matches_scalar_walk_per_row(
-        self, seed, n_states, n_actions, horizon, rows, chunk, stage_cells, kernel_rows
+        self, seed, n_states, n_actions, horizon, rows, chain, chunk, suffix, stage_cells,
+        kernel_rows,
     ):
         # kernel_rows infinity walks each row, 0 plays the array kernel, in
-        # which stage_cells 0 steps the rows one stage at a time
+        # which stage_cells 0 steps the rows one stage at a time; a suffix of
+        # 1 or 2 stages composes a window's stage maps in many backward
+        # chunks, which a cycle or identity chain follows back to stage 0
         _assert_walks_each_row(
-            *_window_case(np.random.default_rng(seed), n_states, n_actions, horizon, rows),
-            _WINDOW_CHUNK=chunk, _STAGE_MAP_CELLS=stage_cells, _KERNEL_STAGE_ROWS=kernel_rows,
+            *_window_case(np.random.default_rng(seed), n_states, n_actions, horizon, rows, chain),
+            _WINDOW_CHUNK=chunk, _SUFFIX_STAGES=suffix, _STAGE_MAP_CELLS=stage_cells,
+            _KERNEL_STAGE_ROWS=kernel_rows,
         )
 
     @pytest.mark.parametrize("stages", [1, 7, None])
@@ -663,11 +677,28 @@ class TestWindowEnds:
     def test_long_windows_match_scalar_walk_per_row(self, horizon, stages):
         # mixing-window's windows: 3 states, two 3-action players, the stage
         # maps and pointer doubling forced, in chunks of 1 or 7 stages (a
-        # chunk holds _WINDOW_CHUNK rows * states * stages cells) or the default
+        # chunk holds _WINDOW_CHUNK rows * states * stages cells) or the
+        # default, after a first suffix of 1 stage or the default; the cycle
+        # never coalesces, so every chunk back to stage 0 is composed
         chunk = games._WINDOW_CHUNK if stages is None else stages * 3 * 3
+        for suffix, chain in itertools.product([1, games._SUFFIX_STAGES], ["random", "cycle"]):
+            _assert_walks_each_row(
+                *_window_case(np.random.default_rng(horizon), 3, (3, 3), horizon, 3, chain),
+                _WINDOW_CHUNK=chunk, _SUFFIX_STAGES=suffix, _KERNEL_STAGE_ROWS=0,
+            )
+
+    @pytest.mark.parametrize("suffix", [1, games._SUFFIX_STAGES])
+    def test_each_row_is_followed_until_its_own_states_agree(self, suffix):
+        # joint action 0 moves state s to s + 1 mod 3 and action 1 moves
+        # every state to 0: row 1 plays 1 and agrees after one stage, row 0
+        # plays 0 and never agrees, so it must still be followed to stage 0
+        cycle = np.roll(np.eye(3), 1, axis=1)
+        transitions = np.stack([cycle, np.eye(3)[[0, 0, 0]]], axis=1)
+        game = StochasticGame(3, (2,), np.arange(6.0).reshape(1, 3, 2), transitions)
+        pol_cols = [np.array([[[1.0]] * 3, [[0.0]] * 3])]
+        u = np.random.default_rng(5).random((2, 451, 2))
         _assert_walks_each_row(
-            *_window_case(np.random.default_rng(horizon), 3, (3, 3), horizon, 3),
-            _WINDOW_CHUNK=chunk, _KERNEL_STAGE_ROWS=0,
+            game, pol_cols, [1, 1], u, _SUFFIX_STAGES=suffix, _KERNEL_STAGE_ROWS=0
         )
 
     def test_stage_tables_are_the_per_row_cumsums(self):

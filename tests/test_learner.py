@@ -699,7 +699,8 @@ class TestRunBatch:
     def test_window_kernel_and_scalar_walk_write_the_same_bytes(self, tmp_path, monkeypatch):
         # a slow-mixing 3-state game has windows of 25-150 stages; the
         # crossover at 0 plays every window with the array kernel, at
-        # infinity with one scalar walk per seed
+        # infinity with one scalar walk per seed; the kernel composes a
+        # first suffix of 1 stage or the default
         base = generate(
             GeneratorSpec(kind="random-ergodic", n_states=3, n_actions=3, eps=0.1, seed=7)
         )
@@ -708,20 +709,23 @@ class TestRunBatch:
         sch = default_schedule(game)
         assert sch.horizon(0) >= 20
         logs = {}
-        for crossover in (0, math.inf):
+        for crossover, suffix in ((math.inf, 1), (0, 1), (0, games._SUFFIX_STAGES)):
             monkeypatch.setattr(games, "_KERNEL_STAGE_ROWS", crossover)
-            logs[crossover] = run_batch(
+            monkeypatch.setattr(games, "_SUFFIX_STAGES", suffix)
+            logs[crossover, suffix] = run_batch(
                 game, sch, make_regularizer("euclidean"), 80, [0, 3], oracle_mode=True,
                 reference=uniform_profile(game), log_every=20, decomposition_draws=16,
-                out_dirs=[tmp_path / f"{crossover}-{k}" for k in range(2)],
+                out_dirs=[tmp_path / f"{crossover}-{suffix}-{k}" for k in range(2)],
             )
-        for k in range(2):
-            for name in ("run.csv", "run.json"):
-                assert (tmp_path / f"0-{k}" / name).read_bytes() == (
-                    tmp_path / f"inf-{k}" / name
-                ).read_bytes()
-            assert logs[0][k].final_state.state == logs[math.inf][k].final_state.state
-            assert type(logs[0][k].final_state.state) is int
+        walk = logs.pop((math.inf, 1))
+        for (_, suffix), kernel in logs.items():
+            for k in range(2):
+                for name in ("run.csv", "run.json"):
+                    assert (tmp_path / f"0-{suffix}-{k}" / name).read_bytes() == (
+                        tmp_path / f"inf-1-{k}" / name
+                    ).read_bytes()
+                assert kernel[k].final_state.state == walk[k].final_state.state
+                assert type(kernel[k].final_state.state) is int
 
     def test_rejected_sphere_draw_is_drawn_again(self, monkeypatch, prefixed_stream):
         # seed 5's stream starts with a row whose first or last segment has
