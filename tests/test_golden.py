@@ -1,4 +1,5 @@
-"""Golden traces: learner, sweep, benchmark and CLI outputs pinned bit for bit.
+"""Golden traces: learner, sweep, benchmark and CLI outputs, and the
+batch-last oracle's values and gradients, pinned bit for bit.
 
 A refactor of the learner or its consumers must reproduce these exactly. A
 change that is meant to move a seed's trajectory re-pins them, with the
@@ -14,13 +15,16 @@ import pathlib
 import sys
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
+from sgl.analysis import exact_values, finite_difference_gradient
 from sgl.cli import main as cli_main
-from sgl.games import save_game, uniform_profile
+from sgl.games import random_profile, save_game, uniform_profile
 from sgl.generators import GeneratorSpec, convergence_benchmark, generate, sweep
 from sgl.learner import _preset_schedule, default_schedule, run
 from sgl.mirror import make_regularizer
+from sgl.spsa import safety_net_for, smoothed_gradient_estimate
 
 PINS = pathlib.Path(__file__).with_name("golden") / "traces.json"
 
@@ -40,6 +44,18 @@ LEARN_CASES = {
         ["--iters", "200", "--log-every", "50", "--ref", "uniform", "--oracle"],
     ),
 }
+
+# games of the batch-last pins: the (1, 3, 2) game's single-action player is
+# broadcast, not perturbed, by the smoothed gradient
+BATCH_SIZES = {
+    "2s2p2a": dict(n_states=2, n_players=2, n_actions=2),
+    "3s3p3a": dict(n_states=3, n_players=3, n_actions=3),
+    "3s(1,3,2)a": dict(n_states=3, n_players=3, n_actions=(1, 3, 2)),
+}
+BATCH_OPS = ("exact_values", "smoothed_gradient_estimate", "finite_difference_gradient")
+BATCH_PROFILES = 256
+# crosses spsa.ORACLE_BLOCK's 256-draw boundary
+SMOOTHING_DRAWS = 300
 
 
 def _sha256(path) -> str:
@@ -88,6 +104,26 @@ def trace_learn(case: str, tmp_dir) -> str:
     return buf.getvalue()
 
 
+def trace_batch_last(size: str, op: str) -> str:
+    """sha256 of the bytes of one batch-last oracle output on a
+    random-ergodic game of the size: exact_values of BATCH_PROFILES random
+    profiles, smoothed_gradient_estimate's means then stderrs at
+    SMOOTHING_DRAWS draws, or finite_difference_gradient, player by player."""
+    game = generate(GeneratorSpec(kind="random-ergodic", seed=0, **BATCH_SIZES[size]))
+    rng = np.random.default_rng(1)
+    policy = random_profile(game, rng, margin=0.3)
+    if op == "exact_values":
+        profiles = [random_profile(game, rng, margin=0.3) for _ in range(BATCH_PROFILES)]
+        arrays = [exact_values(game, [np.stack(b) for b in zip(*(q.probs for q in profiles))])]
+    elif op == "smoothed_gradient_estimate":
+        delta = 0.5 * min(safety_net_for(game.n_states, m).radius for m in game.n_actions)
+        means, stderrs = smoothed_gradient_estimate(game, policy, delta, SMOOTHING_DRAWS, 0)
+        arrays = [*means, *stderrs]
+    else:
+        arrays = finite_difference_gradient(game, policy)
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def pins():
     return json.loads(PINS.read_text())
@@ -112,6 +148,12 @@ def test_learn_summary(case, pins, tmp_path):
     assert trace_learn(case, tmp_path) == pins["learn"][case]
 
 
+@pytest.mark.parametrize("op", BATCH_OPS)
+@pytest.mark.parametrize("size", sorted(BATCH_SIZES))
+def test_batch_last_bits(size, op, pins):
+    assert trace_batch_last(size, op) == pins["batch_last"][size][op]
+
+
 def record() -> None:
     import tempfile
 
@@ -122,6 +164,10 @@ def record() -> None:
             "sweep_summary_sha256": trace_sweep(tmp / "sweep"),
             "convergence": {kind: trace_convergence(kind) for kind in KINDS},
             "learn": {},
+            "batch_last": {
+                size: {op: trace_batch_last(size, op) for op in BATCH_OPS}
+                for size in sorted(BATCH_SIZES)
+            },
         }
         for case in sorted(LEARN_CASES):
             (tmp / case).mkdir()
