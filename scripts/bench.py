@@ -8,9 +8,10 @@ The operation rows time exact_value, exact_values over a stack of 256
 profiles, smoothed_gradient_estimate with 256 draws, exact_gradient,
 finite_difference_gradient (default step, one exact_values call), nash_gap,
 fenchel_coupling (entropy mirror, uniform reference) and
-horizon_bias_check (window 8, 1000 draws, contraction given) on three game
-sizes: (2 states, 2 players, 2 actions), (3, 3, 3) and (20, 2, 4) with
-transition floor 0.01. The learner rows are one run_batch call each, of B
+horizon_bias_check (window 8, 1000 draws, contraction given) on four game
+sizes: (2 states, 2 players, 2 actions), (3, 3, 3), (20, 2, 4) with
+transition floor 0.01, and 3 states with actions (1, 3, 2), whose unequal
+action counts and single-action player take their own branches. The learner rows are one run_batch call each, of B
 seeds with the entropy mirror and the default schedule: at log_every=1000,
 B = 1, 3, 10 on matching-pennies and zerosum-switching, whose windows are 2
 stages, and on perfbench's slow-mixing mixing-window game (seed 7,
@@ -102,6 +103,7 @@ SIZES = {
     "2s2p2a": dict(n_states=2, n_players=2, n_actions=2),
     "3s3p3a": dict(n_states=3, n_players=3, n_actions=3),
     "20s2p4a": dict(n_states=20, n_players=2, n_actions=4, eps=0.01),
+    "3s(1,3,2)a": dict(n_states=3, n_players=3, n_actions=(1, 3, 2)),
 }
 STACK = 256          # profiles per exact_values call, draws per smoothed gradient
 OPS = (

@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, DomainError, ErgodicityError
 from .games import (
-    ROW_SUM_TOL,
     PolicyProfile,
     StochasticGame,
     _at_slice,
     _check_compatible,
+    _count,
     _slicewise,
     analyze_chain,
     check_policy_block,
@@ -154,17 +154,17 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
     blocks[i] is player i's (B, n_states, n_actions_i) policy stack; row k
     of the result is exact_value(...).values of the profile formed by every
     player's slice k, equal to it to roundoff (the products and sums run in
-    another order). Each stack gets the PolicyProfile checks (errors name
-    the profile) and is evaluated batch-last by _batch_values, whose B
-    chains share one stacked stationary solve. B = 0 gives a (0,
-    n_players) array.
+    another order). Each stack is copied once with its profile axis
+    innermost in memory and evaluated by _batch_values, which checks it as
+    PolicyProfile does (errors name the profile) and whose B chains share
+    one stacked stationary solve. B = 0 gives a (0, n_players) array.
     """
     if len(blocks) != game.n_players:
         raise DimensionError(
             f"policy stack has {len(blocks)} players, game has {game.n_players}"
         )
     n_profiles = len(blocks[0])
-    cols = []
+    stacks = []
     for i, (block, m) in enumerate(zip(blocks, game.n_actions)):
         arr = np.asarray(block, dtype=float)
         if arr.shape != (n_profiles, game.n_states, m):
@@ -172,28 +172,20 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
                 f"player {i} policy stack shape {arr.shape} != "
                 f"{(n_profiles, game.n_states, m)}"
             )
-        cols.append(arr.transpose(1, 2, 0).copy())
-    return _batch_values(game, cols).T
+        stacks.append(arr.transpose(1, 2, 0).copy().transpose(2, 0, 1))
+    return _batch_values(game, stacks).T
 
 
-def _batch_values(game: StochasticGame, cols) -> np.ndarray:
-    """Long-run average payoffs (n_players, B) of B profiles stored
-    batch-last: cols[i] is player i's (n_states, n_actions_i, B) stack,
-    which this checks as check_policy_block does (on a failure
-    check_policy_block itself raises, naming the profile) and clips in
-    place. With the profile axis innermost, the joint weights, the induced
-    chains and the stage rewards each run a few long loops, the last two as
-    one matmul against the game's _joint_tables. Above about ten profiles
-    this beats the row-layout _evaluate."""
-    S, B = game.n_states, cols[0].shape[-1]
-    for i, x in enumerate(cols):
-        if (x < -ROW_SUM_TOL).any() or not (np.abs(x.sum(axis=1) - 1.0) <= ROW_SUM_TOL).all():
-            check_policy_block(x.transpose(2, 0, 1), i)
-        np.clip(x, 0.0, None, out=x)
-    # joint actions row-major, the last player's action fastest
-    w = cols[0]
-    for x in cols[1:]:
-        w = (w[:, :, None] * x[:, None]).reshape(S, w.shape[1] * x.shape[1], B)
+def _batch_values(game: StochasticGame, stacks) -> np.ndarray:
+    """Long-run average payoffs (n_players, B) of B profiles: stacks[i] is
+    player i's (B, n_states, n_actions_i) policy stack with its profile
+    axis innermost in memory (a transposed view). check_policy_block and
+    joint_weight_matrix keep that layout, so the joint weights transposed
+    to (n_states, n_joint, B) are contiguous, and the induced chains and
+    the stage rewards are each one matmul against the game's _joint_tables.
+    Above about ten profiles this beats the row-layout _evaluate."""
+    blocks = [check_policy_block(x, i) for i, x in enumerate(stacks)]
+    w = joint_weight_matrix(blocks).transpose(1, 2, 0)                 # (S, J, B)
     transitions, rewards = game._joint_tables
     p = stationary_distribution((transitions @ w).transpose(2, 0, 1))   # (B, S)
     stage = rewards @ w                                                 # (S, n, B)
@@ -587,7 +579,7 @@ def lipschitz_probe(game: StochasticGame, n_pairs: int, rng=None) -> float:
     policy difference. Identical pairs are skipped; if every pair is
     identical, as when every player has one action, the probe is undefined.
     """
-    if n_pairs < 1:
+    if _count("n_pairs", n_pairs) < 1:
         raise DomainError("lipschitz_probe needs n_pairs >= 1")
     rng = np.random.default_rng(rng)
     best = None

@@ -344,10 +344,11 @@ def joint_weight_matrix(blocks) -> np.ndarray:
     """(..., n_states, n_joint) probabilities of every joint action per state.
 
     blocks[i] is player i's (..., n_states, m_i) policy block; leading axes
-    index a stack of profiles.
+    index a stack of profiles. The product starts from the first block, so
+    a stack whose profile axis is innermost in memory keeps it innermost.
     """
-    w = np.ones(blocks[0].shape[:-1] + (1,))
-    for block in blocks:
+    w = blocks[0]
+    for block in blocks[1:]:
         w = (w[..., :, None] * block[..., None, :]).reshape(
             block.shape[:-1] + (w.shape[-1] * block.shape[-1],)
         )

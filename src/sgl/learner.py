@@ -615,9 +615,10 @@ def run_batch(
     out_dirs, when given, holds one run.csv / run.json directory per seed.
     A run whose schedule overflows at its last iteration, or whose uniforms
     would take more than MAX_WINDOW_BYTES, is refused with ScheduleError
-    before its first iteration. An error raised for one seed (a negative
-    seed, say) carries the seed's position in `seeds` as its seed_index
-    attribute. The iterations run under one np.errstate(over="ignore",
+    before its first iteration, and so is, with DomainError, an oracle_mode
+    run whose decomposition_draws is not a positive integer. An error
+    raised for one seed (a negative seed, say) carries the seed's position
+    in `seeds` as its seed_index attribute. The iterations run under one np.errstate(over="ignore",
     invalid="ignore") and the checkpoints under the caller's error state.
     """
     try:  # a float count fails instead of being truncated
@@ -628,6 +629,8 @@ def run_batch(
         raise DomainError("iters must be nonnegative")
     if log_every < 1:
         raise DomainError("log_every must be at least 1")
+    if oracle_mode and _count("decomposition_draws", decomposition_draws) < 1:
+        raise DomainError("decomposition_draws must be positive")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
     seeds = list(seeds)
@@ -878,8 +881,9 @@ def horizon_bias_check(
     Runs n_draws independent rollouts of horizon + 1 stages from
     start_state, reads the reward at the final stage, and compares the mean
     against the exact value. The bound is n_states * max|reward| times the
-    certified contraction to the power horizon. Draws whose uniforms would
-    take more than MAX_WINDOW_BYTES are refused with DomainError.
+    certified contraction to the power horizon; a given contraction must be
+    finite and in [0, 1]. Draws whose uniforms would take more than
+    MAX_WINDOW_BYTES are refused with DomainError.
     """
     horizon, n_draws = _count("horizon", horizon), _count("n_draws", n_draws)
     start_state = _count("start_state", start_state)
@@ -889,6 +893,8 @@ def horizon_bias_check(
         raise DomainError("n_draws must be at least 2 for a standard error")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
+    if contraction is not None and not 0.0 <= contraction <= 1.0:  # NaN fails too
+        raise DomainError(f"contraction={contraction!r}: need a finite value in [0, 1]")
     size = _window_bytes(n_draws, horizon, game)
     if size > MAX_WINDOW_BYTES:
         raise DomainError(

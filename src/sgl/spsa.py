@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import _batch_values, exact_gradient, exact_value
 from .errors import DomainError, ScheduleError
-from .games import PolicyProfile, StochasticGame, _stack_prefix
+from .games import PolicyProfile, StochasticGame, _count, _stack_prefix
 
 REDUCED_TOL = 1e-12
 # sphere draws smoothed_gradient_estimate evaluates at once, as one
@@ -54,22 +54,11 @@ def lift_block(x: np.ndarray) -> np.ndarray:
     return np.clip(block, 0.0, None, out=block)
 
 
-def _lift_columns(x: np.ndarray) -> np.ndarray:
-    """lift_block of a batch-last (states, m-1, n) stack of draws, as a
-    clipped (states, m, n) stack; its checks run on that layout and, on a
-    failure, lift_block itself raises, naming the draw."""
-    block = np.empty((x.shape[0], x.shape[1] + 1, x.shape[2]))
-    block[:, :-1] = x
-    block[:, -1] = 1.0 - x.sum(axis=1)
-    if (x < -REDUCED_TOL).any() or (block[:, -1] < -REDUCED_TOL).any():
-        lift_block(x.transpose(2, 0, 1))
-    return np.clip(block, 0.0, None, out=block)
-
-
 def _complete(x: np.ndarray) -> np.ndarray:
     """Unchecked, unclipped full blocks of reduced points x (..., m-1): the
-    last action gets 1 minus the row sum."""
-    block = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+    last action gets 1 minus the row sum. The result keeps x's memory
+    order, which np.concatenate loses where x has one column."""
+    block = np.empty_like(x, shape=x.shape[:-1] + (x.shape[-1] + 1,))
     block[..., :-1] = x
     block[..., -1] = 1.0 - x.sum(axis=-1)
     return block
@@ -173,7 +162,7 @@ def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
 
 def sample_sphere(d: int, rng) -> np.ndarray:
     """Uniform draw from the unit sphere in d dimensions; rng: a seed or a Generator."""
-    if d < 1:
+    if _count("d", d) < 1:
         raise DomainError("sphere dimension must be at least 1")
     rng = np.random.default_rng(rng)
     while True:
@@ -282,9 +271,9 @@ def smoothed_gradient_estimate(
     of normals, redrawn whole under SPHERE_FLOOR's rule, so rng is read as
     by a row-by-row loop.
     Queries are evaluated ORACLE_BLOCK draws at a time: the block's
-    directions are transposed once, and the perturbation, the lift (with
-    lift_block's checks, naming the draw), the one-point samples and their
-    sums run with the draw axis innermost, on exact_values' batch-last core.
+    directions are transposed once, and the perturbation, lift_block, the
+    one-point samples and their sums run on (draws, states, m) views whose
+    draw axis is innermost in memory, as exact_values' core reads them.
     The means equal those of a per-draw exact_value loop to roundoff.
     Returns (means, stderrs) as per-player (states x (m-1)) arrays.
     """
@@ -295,9 +284,10 @@ def smoothed_gradient_estimate(
 
 
 def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
-    """The smoothed gradient's argument checks: a positive draw count, and a
-    positive query radius inside every active player's safety radius."""
-    if n_draws < 1:
+    """The smoothed gradient's argument checks: a positive integer draw
+    count, and a positive query radius inside every active player's safety
+    radius."""
+    if _count("n_draws", n_draws) < 1:
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
         raise DomainError("delta must be positive")
@@ -322,8 +312,6 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
     nets = nets_for(game)
     active = active_players(game)
     dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
-    # the nets with their centers shaped like one batch-last draw
-    column_nets = {i: SafetyNet(nets[i].center[..., None], nets[i].radius) for i in active}
     starts = np.cumsum([0, *dims]).tolist()
 
     sums = {i: np.zeros_like(base[i]) for i in active}
@@ -340,26 +328,29 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             raw[k:-1] = raw[k + 1:]
             rng.standard_normal(out=raw[-1])
             norms = [_sphere_norms(z) for z in segments]
-        # batch-last from here on: the draw axis is innermost
+        # (n, S, m) views of one transposed block: the draw axis is innermost
         columns = raw.T.copy()
         zs = {
-            i: (columns[a:b] / norms[j]).reshape(base[i].shape + (n,))
+            i: (columns[a:b] / norms[j]).reshape(base[i].shape + (n,)).transpose(2, 0, 1)
             for j, (i, a, b) in enumerate(zip(active, starts, starts[1:]))
         }
+        # a single-action player's block is repeated, not broadcast, so its
+        # draw axis is innermost too and the joint weights keep that layout
         queried = [
-            _perturb(base[i][..., None], zs[i], delta, column_nets[i])
+            lift_block(_perturb(base[i], zs[i], delta, nets[i]))
             if i in active
-            else np.broadcast_to(base[i][..., None], base[i].shape + (n,))
+            else np.repeat(lift_block(base[i])[..., None], n, axis=-1).transpose(2, 0, 1)
             for i in range(game.n_players)
         ]
-        values = _batch_values(game, [_lift_columns(x) for x in queried])
+        values = _batch_values(game, queried)
         # payoffs near the float range overflow here and below; the stderr is
         # then not finite, which the callers' checks refuse
         with np.errstate(over="ignore", invalid="ignore"):
             for j, i in enumerate(active):
-                samples = _one_point(values[i] - base_values[i], zs[i], delta, dims[j])
-                sums[i] += samples.sum(axis=-1)
-                sq_sums[i] += (samples * samples).sum(axis=-1)
+                payoffs = (values[i] - base_values[i])[:, None, None]
+                samples = _one_point(payoffs, zs[i], delta, dims[j])
+                sums[i] += samples.sum(axis=0)
+                sq_sums[i] += (samples * samples).sum(axis=0)
 
     means, stderrs = [], []
     for i in range(game.n_players):

@@ -32,12 +32,14 @@ from sgl.games import (
     StochasticGame,
     certification_sample,
     certify_mixing,
+    check_policy_block,
+    joint_weight_matrix,
     random_profile,
     uniform_profile,
 )
 from sgl.generators import GeneratorSpec, generate
 from sgl.mirror import BoundCheck
-from sgl.spsa import reduced_from_full
+from sgl.spsa import lift_block, reduced_from_full
 
 
 def random_game(seed, n_states=2, n_players=2, n_actions=2, eps=0.1):
@@ -262,6 +264,39 @@ class TestExactValues:
         with pytest.raises(DimensionError, match="player 1 policy stack shape"):
             exact_values(game, [stacks[0], stacks[1][:2]])
 
+    @pytest.mark.parametrize(
+        "n_actions", [(2, 2), (3, 1, 2), (4, 4), (9, 2)],
+        ids=["2x2", "single-action", "4x4", "9-action"],
+    )
+    @pytest.mark.parametrize("helper", ["check_policy_block", "joint_weight_matrix", "lift_block"])
+    def test_stack_helpers_keep_the_profile_axis_innermost(self, helper, n_actions):
+        # _batch_values reads (K, S, m) stacks whose profile axis K is
+        # innermost in memory: each helper keeps that layout and gives the
+        # bits of the same call on a C-order copy
+        game = mixed_action_game(3, n_actions=n_actions)
+        rng = np.random.default_rng(6)
+        profiles = [random_profile(game, rng) for _ in range(9)]
+        views = [
+            np.stack([p.probs[i] for p in profiles], axis=-1).transpose(2, 0, 1)
+            for i in range(game.n_players)
+        ]
+        assert all(v.strides[0] == v.itemsize for v in views)
+        if helper == "lift_block":  # of the reduced blocks of every active player
+            views = [v[..., :-1] for v, m in zip(views, n_actions) if m > 1]
+        apply = {
+            "check_policy_block": lambda bs: [check_policy_block(b, i) for i, b in enumerate(bs)],
+            "joint_weight_matrix": lambda bs: [joint_weight_matrix(bs)],
+            "lift_block": lambda bs: [lift_block(b) for b in bs],
+        }[helper]
+        for got, want in zip(apply(views), apply([np.ascontiguousarray(v) for v in views])):
+            assert got.strides[0] == got.itemsize
+            assert got.shape == want.shape
+            if helper == "lift_block" and max(n_actions) > 8:
+                # numpy sums 8 or more contiguous terms pairwise, so a C-order
+                # block's last column differs from the view's in roundoff
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            else:
+                assert got.tobytes() == want.tobytes()
 
 class TestExactGradient:
     def test_finite_differences_match_per_query_value_loop(self):
@@ -747,6 +782,10 @@ class TestLipschitzProbe:
             game.n_states, game.n_actions, np.zeros_like(game.rewards), game.transitions
         )
         assert lipschitz_probe(zero, n_pairs=20, rng=0) == pytest.approx(0.0, abs=1e-12)
+
+    def test_float_pair_count_raises_a_named_error(self):
+        with pytest.raises(DomainError, match=r"n_pairs=2\.0: need an integer"):
+            lipschitz_probe(random_game(1), n_pairs=2.0, rng=0)
 
     def test_identical_pair_is_degenerate(self):
         # with one action per player every sampled pair is identical

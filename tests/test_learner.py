@@ -816,6 +816,36 @@ class TestDecomposition:
             direct = (dims[i] / delta) * payoffs[i] * tangent(z[i], game.n_states)
             np.testing.assert_allclose(total, direct, atol=1e-10)
 
+    def test_float_smoothing_draws_raise_a_named_error(self):
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        z = [sample_sphere(reduced_dim(game.n_states, m), 0) for m in game.n_actions]
+        with pytest.raises(DomainError, match=r"n_draws=4\.0: need an integer"):
+            decompose_step(
+                game, uniform_profile(game), z, 0.1, np.array([0.4, -0.9]), rng=0,
+                smoothing_draws=4.0,
+            )
+
+    @pytest.mark.parametrize(
+        "draws, message",
+        [(0, "decomposition_draws must be positive"),
+         (4.0, r"decomposition_draws=4\.0: need an integer")],
+    )
+    def test_draw_count_refused_before_the_first_iteration(self, draws, message, monkeypatch):
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+
+        def no_window(*args):
+            raise AssertionError("a window was played")
+
+        monkeypatch.setattr(learner, "_window_ends", no_window)
+        with pytest.raises(DomainError, match=message):
+            run_batch(
+                game, default_schedule(game), ENTROPY, 10, [0, 1], oracle_mode=True,
+                log_every=5, decomposition_draws=draws,
+            )
+        # outside oracle_mode the draw count is not read
+        with pytest.raises(AssertionError, match="a window was played"):
+            run_batch(game, default_schedule(game), ENTROPY, 10, [0], decomposition_draws=draws)
+
     def test_evaluates_the_profile_once(self, monkeypatch):
         # one row-layout core call evaluates the decomposed profile and its
         # query together, and the parts have the bits of the one-profile
@@ -978,6 +1008,17 @@ class TestHorizonBias:
             horizon_bias_check(game, policy, 2, 10, start_state=0.0)
         report = horizon_bias_check(game, policy, np.int64(2), np.int64(10), rng=0)
         assert report.horizon == 2 and report.mean.shape == (2,)
+
+    @pytest.mark.parametrize("contraction", [-0.5, 1.5, math.nan, math.inf])
+    def test_contraction_outside_the_unit_interval_refused(self, contraction):
+        # a negative contraction once gave a negative bound, and NaN a NaN
+        # bound, both silently
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        with pytest.raises(DomainError, match=rf"contraction={contraction!r}: need a finite"):
+            horizon_bias_check(game, uniform_profile(game), 2, 10, rng=0, contraction=contraction)
+        for edge in (0.0, 1.0):
+            report = horizon_bias_check(game, uniform_profile(game), 2, 10, rng=0, contraction=edge)
+            assert np.all(report.bound >= 0.0)
 
     def test_matches_per_draw_rollout_loop(self, reference_rollout):
         # the loop of one rollout per draw that the single stream replaced:

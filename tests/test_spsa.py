@@ -245,6 +245,11 @@ class TestSampleSphere:
         with pytest.raises(DomainError):
             sample_sphere(0, np.random.default_rng(0))
 
+    def test_float_dimension_raises_a_named_error(self):
+        with pytest.raises(DomainError, match=r"d=2\.0: need an integer"):
+            sample_sphere(2.0, 0)
+        assert sample_sphere(np.int64(2), 0).shape == (2,)
+
 
 # ---------------------------------------------------------------------------
 # the estimator and lifting
@@ -303,6 +308,14 @@ class TestEstimator:
 
 
 class TestSmoothedGradient:
+    def test_float_draw_count_raises_a_named_error(self):
+        game = single_state_game(2)
+        policy = uniform_profile(game)
+        with pytest.raises(DomainError, match=r"n_draws=8\.0: need an integer"):
+            smoothed_gradient_estimate(game, policy, 0.2, 8.0, 0)
+        means, _ = smoothed_gradient_estimate(game, policy, 0.2, np.int64(8), 0)
+        assert [m.shape for m in means] == [(1, 1), (1, 1)]
+
     def test_matches_per_draw_reference_loop(self):
         # the one-exact_value-per-draw loop the stacked estimator replaced;
         # 300 draws cross a stacked-block boundary and player 1 has a
@@ -495,6 +508,11 @@ class TestBiasProbe:
         game = single_state_game(1)
         with pytest.raises(ScheduleError):
             bias_probe(game, uniform_profile(game), 0.6, n_draws=10, rng=0)
+
+    def test_float_draw_count_raises_a_named_error(self):
+        game = single_state_game(1)
+        with pytest.raises(DomainError, match=r"n_draws=8\.0: need an integer"):
+            bias_probe(game, uniform_profile(game), 0.2, n_draws=8.0, rng=0)
 
     def test_probe_within_lipschitz_envelope(self):
         # the smoothing bias is at most the gradient's Lipschitz constant
