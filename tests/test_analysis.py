@@ -298,6 +298,7 @@ class TestExactValues:
             else:
                 assert got.tobytes() == want.tobytes()
 
+
 class TestExactGradient:
     def test_finite_differences_match_per_query_value_loop(self):
         # the one-exact_value-per-point loop the stacked version replaced

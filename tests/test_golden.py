@@ -45,8 +45,8 @@ LEARN_CASES = {
     ),
 }
 
-# games of the batch-last pins: the (1, 3, 2) game's single-action player is
-# broadcast, not perturbed, by the smoothed gradient
+# games of the batch-last pins: the smoothed gradient carries the (1, 3, 2)
+# game's single-action player along unperturbed
 BATCH_SIZES = {
     "2s2p2a": dict(n_states=2, n_players=2, n_actions=2),
     "3s3p3a": dict(n_states=3, n_players=3, n_actions=3),
