@@ -113,10 +113,11 @@ def _evaluate(game: StochasticGame, profiles):
     check_policy_block (an error names the profile). Then come the joint
     weights, the K chains and one stacked stationary solve (analyze_chain),
     the stage rewards and the values, each slice with the bits of its
-    profile alone. Below about ten profiles this is faster than the
-    batch-last _batch_values, which wins on the smoothed gradient's stacks
-    of 256. A chain of a stack that fails the solve raises the error it
-    raises alone, with its position as slice_index.
+    profile alone at any stack size. That is why this core exists: the
+    matmul contraction of the batch-last _batch_values gives a row other
+    bits at another stack size, and a learner seed must have the same bits
+    alone or in any batch. A chain of a stack that fails the solve raises
+    the error it raises alone, with its position as slice_index.
     """
     if isinstance(profiles, PolicyProfile):
         blocks = profiles.probs

@@ -520,16 +520,6 @@ def _tagged(exc: Exception, index: int) -> Exception:
     return exc
 
 
-def _mirror_batch(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    """_map_block of every seed's (states x actions) block of y at once: both
-    mirror maps act on the last axis of any stack."""
-    try:
-        return _map_block(reg, y)
-    except DomainError as exc:  # non-finite scores: name the first such seed
-        finite = np.isfinite(y).reshape(len(y), -1).all(axis=1)
-        raise _tagged(exc, int(np.argmin(finite)))
-
-
 def _checkpoint_oracle(game, t, after, decomposed):
     """Every seed's values, Nash gaps and, in oracle_mode, StepDecomposition
     at checkpoint t, as three per-seed lists.
@@ -616,10 +606,13 @@ def run_batch(
     A run whose schedule overflows at its last iteration, or whose uniforms
     would take more than MAX_WINDOW_BYTES, is refused with ScheduleError
     before its first iteration, and so is, with DomainError, an oracle_mode
-    run whose decomposition_draws is not a positive integer. An error
-    raised for one seed (a negative seed, say) carries the seed's position
-    in `seeds` as its seed_index attribute. The iterations run under one np.errstate(over="ignore",
-    invalid="ignore") and the checkpoints under the caller's error state.
+    run whose decomposition_draws is not a positive integer, or a run whose
+    rewards could overflow: E = max_i 2 d_i |lifting_i| max|r_i| / min delta
+    bounds every estimate's norm and E * E must be finite; Y = max|y_0| +
+    iters * max gamma * E bounds every score and Y * S * max m must be
+    finite. No part of a run sets its own numpy error state.
+    An error raised for one seed (a negative seed, say) carries the seed's
+    position in `seeds` as its seed_index attribute.
     """
     try:  # a float count fails instead of being truncated
         iters, log_every = operator.index(iters), operator.index(log_every)
@@ -640,9 +633,9 @@ def run_batch(
         raise DomainError("out_dirs needs one directory per seed")
     if iters:
         # windows never shrink and (t+1)**p is monotone in t, so the last
-        # iteration has the longest window and is the first to overflow
+        # iteration is the first to overflow or to round the radius to zero
         try:
-            schedule.gamma(iters - 1), schedule.delta(iters - 1)
+            schedule.gamma(iters - 1), 1.0 / schedule.delta(iters - 1)
             longest = schedule.horizon(iters - 1)
         except (OverflowError, ZeroDivisionError) as exc:
             raise ScheduleError(
@@ -663,10 +656,24 @@ def run_batch(
     n_batch = len(seeds)
     n_players, n_states, n_actions = game.n_players, game.n_states, game.n_actions
     nets = nets_for(game)
-    liftings = [lifting_for(n_states, m) for m in n_actions]
     dims = [reduced_dim(n_states, m) for m in n_actions]
     active = active_players(game)
-    norm_cap = max(dims[i] * game.max_abs_reward(i) * liftings[i].op_norm for i in active)
+    init = _initial_scores(regularizer, game, init_policy)
+    if iters:
+        # gamma and delta are monotone in t; the 2 in E covers the oracle's
+        # difference of two estimates
+        delta_min = min(schedule.delta(0), schedule.delta(iters - 1), radius_cap)
+        E = max(
+            2.0 * dims[i] * lifting_for(n_states, n_actions[i]).op_norm * game.max_abs_reward(i)
+            for i in active
+        ) / delta_min
+        gamma_max = max(schedule.gamma(0), schedule.gamma(iters - 1))
+        Y = max(float(np.abs(y).max()) for y in init) + iters * gamma_max * E
+        if not (math.isfinite(E * E) and math.isfinite(Y * n_states * max(n_actions))):
+            raise DomainError(
+                f"rewards up to {max(map(game.max_abs_reward, active))} at query radius "
+                f"{delta_min} over {iters} iterations can overflow the estimates or scores"
+            )
 
     # group k holds players lo..hi-1 and cdf_cols[k] their played action-CDF
     # columns but the last (none for single-action players); raw holds each
@@ -694,9 +701,8 @@ def run_batch(
     raw_rows = list(raw)
     pol_cols = [cdf_cols[k][:, j] for k, j in slots]
 
-    init = _initial_scores(regularizer, game, init_policy)
     scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
-    policy = [_mirror_batch(regularizer, y) for y in scores]
+    policy = [_map_block(regularizer, y) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
     if reference is not None:
@@ -728,113 +734,95 @@ def run_batch(
     def blocks_of(arrays, b):
         return [arrays[k][b, j] for k, j in slots]
 
-    # one error state for the whole loop: an estimate whose norm overflows,
-    # on rewards near the float range, reaches the norm check below without
-    # a RuntimeWarning, and the checkpoints run under the caller's state
-    caller_errors = np.geterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(iters):
-            gamma = schedule.gamma(t)
-            delta = schedule.delta(t)
-            if delta > radius_cap:
-                delta = radius_cap
-                clamped += 1
-            horizon = schedule.horizon(t)
-            checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
+    for t in range(iters):
+        gamma = schedule.gamma(t)
+        delta = schedule.delta(t)
+        if delta > radius_cap:
+            delta = radius_cap
+            clamped += 1
+        horizon = schedule.horizon(t)
+        checkpoint = (t + 1) % log_every == 0 or (t + 1) == iters
 
-            # each seed's generator reads one row of normals, drawn again whole
-            # while it fails SPHERE_FLOOR
-            for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
-                try:
+        # each seed's generator reads one row of normals, drawn again whole
+        # while it fails SPHERE_FLOOR
+        for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
+            try:
+                rng.standard_normal(out=row)
+            except Exception as exc:
+                raise _tagged(exc, b)
+        norms = [_sphere_norms(z) for z in segments]
+        while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
+            for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
+                if min([x[b].min() for x in norms]) <= SPHERE_FLOOR:
                     rng.standard_normal(out=row)
-                except Exception as exc:
-                    raise _tagged(exc, b)
             norms = [_sphere_norms(z) for z in segments]
-            while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
-                for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
-                    if min([x[b].min() for x in norms]) <= SPHERE_FLOOR:
-                        rng.standard_normal(out=row)
-                norms = [_sphere_norms(z) for z in segments]
-            directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
+        directions = [z / x[..., None, None] for z, x in zip(shaped, norms)]
 
-            for (k, lo, _), d in zip(groups, directions):
-                x = _perturb(reduced[k], d, delta, nets[lo])
-                np.maximum(x, 0.0, out=x)  # roundoff dust only
-                np.add.accumulate(x, axis=-1, out=cdf_cols[k])  # cumsum's ufunc
-            if uniforms.shape[1] != horizon + 1:
-                uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
-                u_rows = list(uniforms)
-            for b, (rng, row) in enumerate(zip(rngs, u_rows)):
-                try:
-                    rng.random(out=row)
-                except Exception as exc:
-                    raise _tagged(exc, b)
-            payoffs, states = _window_ends(game, pol_cols, states, uniforms)
+        for (k, lo, _), d in zip(groups, directions):
+            x = _perturb(reduced[k], d, delta, nets[lo])
+            np.maximum(x, 0.0, out=x)  # roundoff dust only
+            np.add.accumulate(x, axis=-1, out=cdf_cols[k])  # cumsum's ufunc
+        if uniforms.shape[1] != horizon + 1:
+            uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
+            u_rows = list(uniforms)
+        for b, (rng, row) in enumerate(zip(rngs, u_rows)):
+            try:
+                rng.random(out=row)
+            except Exception as exc:
+                raise _tagged(exc, b)
+        payoffs, states = _window_ends(game, pol_cols, states, uniforms)
 
-            before = policy[:]
-            coeff_cap = norm_cap / delta * (1.0 + 1e-9)
-            for (k, lo, hi), d in zip(groups, directions):
-                lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
-                squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
-                norm = np.sqrt(np.add.reduce(squares, axis=-1))
-                if np.maximum.reduce(norm, axis=None) > coeff_cap:
-                    b, j = np.argwhere(norm > coeff_cap)[0]
-                    raise _tagged(
-                        DomainError(
-                            f"estimate norm {float(norm[b, j])} exceeds bound {norm_cap / delta} "
-                            f"at t={t}: the estimate's norm overflowed for rewards this large "
-                            "at this query radius"
-                        ),
-                        b,
-                    )
-                est_norms[:, lo:hi] = norm
-                scores[k] = scores[k] + gamma * lifted
-                policy[k] = _mirror_batch(regularizer, scores[k])
-                reduced[k] = policy[k][..., :-1]
+        before = policy[:]
+        for (k, lo, hi), d in zip(groups, directions):
+            lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
+            squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
+            est_norms[:, lo:hi] = np.sqrt(np.add.reduce(squares, axis=-1))
+            scores[k] = scores[k] + gamma * lifted
+            policy[k] = _map_block(regularizer, scores[k])
+            reduced[k] = policy[k][..., :-1]
 
-            if checkpoint:
-                decomposed = None
-                if oracle_mode:
-                    # the decomposition of the step just taken, from x_t: no
-                    # stream is read between that step and here
-                    drawn = {k: d for (k, _, _), d in zip(groups, directions)}
-                    decomposed = (
-                        [before[k][:, j] for k, j in slots],
-                        [drawn[k][:, j] if k in drawn else None for k, j in slots],
-                        delta, payoffs, rngs, decomposition_draws,
+        if checkpoint:
+            decomposed = None
+            if oracle_mode:
+                # the decomposition of the step just taken, from x_t: no
+                # stream is read between that step and here
+                drawn = {k: d for (k, _, _), d in zip(groups, directions)}
+                decomposed = (
+                    [before[k][:, j] for k, j in slots],
+                    [drawn[k][:, j] if k in drawn else None for k, j in slots],
+                    delta, payoffs, rngs, decomposition_draws,
+                )
+            values, gaps, decompositions = _checkpoint_oracle(
+                game, t, [policy[k][:, j] for k, j in slots], decomposed
+            )
+            fen_pp = dist = None
+            if reference is not None:
+                # the terms of fenchel_coupling's value, without its Bregman
+                # cross-check, and the distances, as (seeds, players) arrays
+                fen_pp = np.empty((n_batch, n_players))
+                dist = np.empty((n_batch, n_players))
+                for k, (lo, hi) in enumerate(spans):
+                    fen_pp[:, lo:hi] = _coupling_terms(
+                        regularizer, ref_h[k], ref_blocks[k], scores[k]
+                    )[0]
+                    diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
+                    dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
+            for b, log in enumerate(logs):
+                log.diagnostics.append(
+                    StepDiagnostics(
+                        t=t + 1,
+                        gamma=gamma,
+                        delta=delta,
+                        horizon=horizon,
+                        payoffs=payoffs[b].copy(),
+                        estimate_norms=est_norms[b].copy(),
+                        values=values[b],
+                        fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
+                        nash_gaps=gaps[b],
+                        dist_to_ref=None if dist is None else dist[b].copy(),
+                        decomposition=decompositions[b],
                     )
-                with np.errstate(**caller_errors):
-                    values, gaps, decompositions = _checkpoint_oracle(
-                        game, t, [policy[k][:, j] for k, j in slots], decomposed
-                    )
-                    fen_pp = dist = None
-                    if reference is not None:
-                        # the terms of fenchel_coupling's value, without its Bregman
-                        # cross-check, and the distances, as (seeds, players) arrays
-                        fen_pp = np.empty((n_batch, n_players))
-                        dist = np.empty((n_batch, n_players))
-                        for k, (lo, hi) in enumerate(spans):
-                            fen_pp[:, lo:hi] = _coupling_terms(
-                                regularizer, ref_h[k], ref_blocks[k], scores[k]
-                            )[0]
-                            diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
-                            dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
-                for b, log in enumerate(logs):
-                    log.diagnostics.append(
-                        StepDiagnostics(
-                            t=t + 1,
-                            gamma=gamma,
-                            delta=delta,
-                            horizon=horizon,
-                            payoffs=payoffs[b].copy(),
-                            estimate_norms=est_norms[b].copy(),
-                            values=values[b],
-                            fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
-                            nash_gaps=gaps[b],
-                            dist_to_ref=None if dist is None else dist[b].copy(),
-                            decomposition=decompositions[b],
-                        )
-                    )
+                )
 
     for b, log in enumerate(logs):
         log.clamped_steps = clamped

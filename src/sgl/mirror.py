@@ -19,6 +19,9 @@ from .games import PolicyProfile
 ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
 KINDS = (ENTROPY, EUCLIDEAN)
+# from max|y| * m = 2**12 on, the projection's cumulative sums carry 2**12
+# ulps of 1, near ROW_SUM_TOL, so each row is first shifted by its own max
+SHIFT_GATE = 4096.0
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,13 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    if not np.logical_and.reduce(np.isfinite(y), axis=None):
+    top = np.maximum.reduce(np.abs(y), axis=None, initial=0.0)
+    if not top < np.inf:  # NaN too
         raise DomainError("dual scores must be finite")
     if reg.kind == ENTROPY:
         return softmax_rows(y)
+    if top >= SHIFT_GATE / y.shape[-1]:  # the projection is the same along the ones vector
+        y = y - np.maximum.reduce(y, axis=-1, keepdims=True)
     return project_simplex(y)
 
 
@@ -146,7 +152,7 @@ def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
         rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=-1)
         count = is_top.sum(axis=-1)
         return (np.log1p(rest / count) + np.log(count) + top[..., 0]).sum(axis=-1)
-    q = project_simplex(y)
+    q = _map_block(reg, y)
     return (y * q).sum(axis=(-2, -1)) - 0.5 * (q * q).sum(axis=(-2, -1))
 
 

@@ -56,11 +56,15 @@ def lift_block(x: np.ndarray) -> np.ndarray:
 
 def _complete(x: np.ndarray) -> np.ndarray:
     """Unchecked, unclipped full blocks of reduced points x (..., m-1): the
-    last action gets 1 minus the row sum. The result keeps x's memory
-    order, which np.concatenate loses where x has one column."""
+    last action gets 1 minus the row sum, added a column at a time (numpy's
+    order below 8 terms) so its bits do not depend on x's memory order, which
+    the result keeps and np.concatenate would lose where x has one column."""
     block = np.empty_like(x, shape=x.shape[:-1] + (x.shape[-1] + 1,))
     block[..., :-1] = x
-    block[..., -1] = 1.0 - x.sum(axis=-1)
+    total = 0.0
+    for j in range(x.shape[-1]):
+        total = total + x[..., j]
+    block[..., -1] = 1.0 - total
     return block
 
 

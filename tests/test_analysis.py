@@ -291,12 +291,7 @@ class TestExactValues:
         for got, want in zip(apply(views), apply([np.ascontiguousarray(v) for v in views])):
             assert got.strides[0] == got.itemsize
             assert got.shape == want.shape
-            if helper == "lift_block" and max(n_actions) > 8:
-                # numpy sums 8 or more contiguous terms pairwise, so a C-order
-                # block's last column differs from the view's in roundoff
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
-            else:
-                assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == want.tobytes()
 
 
 class TestExactGradient:

@@ -620,11 +620,14 @@ class TestRunBatch:
             run_batch(game, sch, ENTROPY, 10**10, [0])
 
     @pytest.mark.parametrize(
-        "exponents", [{"gamma_exp": 400.0}, {"delta_exp": 400.0}, {"delta_exp": -400.0}]
+        "exponents",
+        [{"gamma_exp": 400.0}, {"delta_exp": 400.0}, {"delta_exp": -400.0},
+         {"delta_scale": 5e-324}],
     )
     def test_overflowing_steps_are_refused(self, exponents):
         # (t + 1) ** 400 overflows, and (t + 1) ** -400 underflows to a zero
-        # divisor, from t = 5 or 6 on; the check evaluates the last t, 9
+        # divisor, from t = 5 or 6 on, and the query radius 5e-324 / (t + 1)
+        # ** (1/3) rounds to zero from t = 7 on; the check evaluates the last t, 9
         game = generate(GeneratorSpec(kind="matching-pennies"))
         sch = Schedule(**{"gamma_exp": 1.0, "delta_exp": 1.0 / 3.0, **exponents})
         with pytest.raises(ScheduleError, match="schedule at t=9"):
@@ -637,16 +640,30 @@ class TestRunBatch:
         assert info.value.seed_index == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_estimate_is_a_domain_error(self):
-        # one-point estimates of rewards near 1e200 overflow at the query radius
+    def test_overflowing_estimate_is_a_domain_error(self, monkeypatch):
+        # one-point estimates of rewards near 1e200 overflow at the query
+        # radius, and steps of 1e308 take the scores of bounded estimates past
+        # the float range: each run is refused for the whole batch before any
+        # window
         base = generate(GeneratorSpec(kind="matching-pennies"))
         game = StochasticGame(1, (2, 2), 1e200 * base.rewards, base.transitions)
-        with pytest.raises(DomainError, match="overflowed for rewards this large") as info:
-            run_batch(game, default_schedule(game), ENTROPY, 4, [0, 1])
-        assert info.value.seed_index == 0
+
+        def no_window(*args):
+            raise AssertionError("a window was played")
+
+        monkeypatch.setattr(learner, "_window_ends", no_window)
+        for g, sch, largest in [
+            (game, default_schedule(game), r"1e\+200"),
+            (base, default_schedule(base, gamma_scale=1e308), r"1\.0"),
+        ]:
+            with pytest.raises(
+                DomainError, match=f"rewards up to {largest} at query radius .* over 4 iterations"
+            ) as info:
+                run_batch(g, sch, ENTROPY, 4, [0, 1])
+            assert not hasattr(info.value, "seed_index")
 
     def test_the_callers_error_state_is_kept(self):
-        # the loop runs under its own error state, entered once per call
+        # no part of a run sets its own error state
         game = generate(GeneratorSpec(kind="matching-pennies"))
         huge = StochasticGame(1, (2, 2), 1e200 * game.rewards, game.transitions)
         sch = default_schedule(game)
@@ -659,7 +676,7 @@ class TestRunBatch:
                 with pytest.raises(DomainError, match="seed -1 is negative"):
                     run_batch(game, sch, ENTROPY, 6, [0, -1])
                 assert np.geterr() == state
-                with pytest.raises(DomainError, match="overflowed for rewards this large"):
+                with pytest.raises(DomainError, match="can overflow the estimates or scores"):
                     run_batch(huge, default_schedule(huge), ENTROPY, 4, [0, 1])
                 assert np.geterr() == state
 

@@ -12,7 +12,7 @@ from scipy.special import logsumexp, xlogy
 
 import sgl
 from sgl.errors import DomainError
-from sgl.games import PolicyProfile, random_profile
+from sgl.games import ROW_SUM_TOL, PolicyProfile, random_profile
 from sgl.generators import GeneratorSpec, generate
 from sgl.mirror import (
     Regularizer,
@@ -82,8 +82,28 @@ class TestMirrorMap:
         np.testing.assert_allclose(policy.probs[0], project_simplex(y), atol=1e-15)
 
     def test_nonfinite_scores_rejected(self):
-        with pytest.raises(DomainError):
-            mirror_map(ENTROPY, [np.array([[np.inf, 0.0]])])
+        for reg in (ENTROPY, EUCLIDEAN):
+            for bad in (np.inf, -np.inf, np.nan):
+                with pytest.raises(DomainError, match="dual scores must be finite"):
+                    mirror_map(reg, [np.array([[1e300, 0.0], [bad, 0.0]])])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        exponent=st.integers(4, 100),
+        m=st.integers(2, 12),
+        data=st.data(),
+    )
+    def test_euclidean_rows_sum_to_one_at_large_scores(self, exponent, m, data):
+        # entries 10**exponent * (1 + k / 2**p): near-ties a few ulps apart
+        # and entries a unit or more apart, where the projection's sums of
+        # unshifted entries would lose the 1
+        k = data.draw(arrays(float, (3, m), elements=st.integers(-4, 4).map(float)))
+        p = data.draw(st.sampled_from([0, 10, 20, 40, 50, 52]))
+        sign = data.draw(st.sampled_from([1.0, -1.0]))
+        y = sign * 10.0**exponent * (1.0 + k / 2.0**p)
+        block = mirror_map(EUCLIDEAN, [y]).probs[0]
+        assert (block >= 0.0).all()
+        assert np.abs(block.sum(axis=1) - 1.0).max() <= ROW_SUM_TOL
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(float, (3, 4), elements=st.floats(-50, 50)))

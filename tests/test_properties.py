@@ -1,19 +1,22 @@
-"""Property test: on small random games every public entry point returns
-finite numbers or raises one of the package's own errors.
+"""Property tests: on small random games every public entry point returns
+finite numbers or raises one of the package's own errors, and the learner
+does so over the whole finite reward range.
 
 The games cover 1-3 states, single-action players, transition rows with
 zero entries (so chains may be reducible or periodic) and rewards up to
-1e6; profiles are uniform, random or pure (on the faces of the simplex).
+1e6, or up to 1e300 for the learner; profiles are uniform, random or pure
+(on the faces of the simplex).
 """
 
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgl import errors
+from sgl import errors, learner
 from sgl.analysis import (
     exact_gradient,
     exact_value,
@@ -55,11 +58,11 @@ def _finite(*items) -> bool:
 
 
 @st.composite
-def games(draw):
+def games(draw, scales=(0.0, 1.0, 1e6)):
     n_states = draw(st.integers(1, 3))
     n_actions = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scale = draw(st.sampled_from([0.0, 1.0, 1e6]))
+    scale = draw(st.sampled_from(scales))
     n_joint = int(np.prod(n_actions))
     # integer weights 0..3 give zero-floor rows; one entry is always positive
     weights = rng.integers(0, 4, size=(n_states, n_joint, n_states)).astype(float)
@@ -133,3 +136,37 @@ def test_entry_points_are_finite_or_raise_package_errors(drawn, kind, mirror, ho
             ),
             lambda log: (log.diagnostics, log.final_state.scores, log.final_state.policy),
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=games(scales=(0.0, 1.0, 1e6, 1e100, 1e200, 1e300)),
+    mirror=st.sampled_from(["entropy", "euclidean"]),
+    with_reference=st.booleans(),
+)
+def test_learner_is_finite_or_refused_before_its_first_window(drawn, mirror, with_reference):
+    # rewards whose one-point estimates or scores could overflow are refused
+    # before any window is played; every other run is finite, with no numpy
+    # overflow or invalid operation on the way; tau is given because a game
+    # whose mixing certificate fails has no default window
+    game, rng = drawn
+    seed = int(rng.integers(2**31))
+    windows, window_ends = [], learner._window_ends
+
+    def counted(*args):
+        windows.append(args)
+        return window_ends(*args)
+
+    with warnings.catch_warnings(), mock.patch.object(learner, "_window_ends", counted):
+        warnings.simplefilter("ignore")  # skipped checkpoint oracles warn
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            log = run(
+                game, default_schedule(game, tau=1.0), make_regularizer(mirror), 6, seed,
+                reference=uniform_profile(game) if with_reference else None, log_every=3,
+            )
+        except errors.DomainError:
+            assert not windows
+            return
+    assert len(windows) == 6
+    assert _finite(log.diagnostics, log.final_state.scores, log.final_state.policy)
