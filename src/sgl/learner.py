@@ -43,6 +43,7 @@ from .games import (
 )
 from .mirror import (
     ENTROPY,
+    SCORE_LIMIT,
     Regularizer,
     fenchel_coupling,  # still importable from this module
     _coupling_terms,
@@ -609,8 +610,8 @@ def run_batch(
     run whose decomposition_draws is not a positive integer, or a run whose
     rewards could overflow: E = max_i 2 d_i |lifting_i| max|r_i| / min delta
     bounds every estimate's norm and E * E must be finite; Y = max|y_0| +
-    iters * max gamma * E bounds every score and Y * S * max m must be
-    finite. No part of a run sets its own numpy error state.
+    iters * max gamma * E bounds every score and Y * S * max m may not pass
+    mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
     An error raised for one seed (a negative seed, say) carries the seed's
     position in `seeds` as its seed_index attribute.
     """
@@ -669,7 +670,7 @@ def run_batch(
         ) / delta_min
         gamma_max = max(schedule.gamma(0), schedule.gamma(iters - 1))
         Y = max(float(np.abs(y).max()) for y in init) + iters * gamma_max * E
-        if not (math.isfinite(E * E) and math.isfinite(Y * n_states * max(n_actions))):
+        if not (math.isfinite(E * E) and Y * n_states * max(n_actions) <= SCORE_LIMIT):
             raise DomainError(
                 f"rewards up to {max(map(game.max_abs_reward, active))} at query radius "
                 f"{delta_min} over {iters} iterations can overflow the estimates or scores"

@@ -20,8 +20,10 @@ ENTROPY = "entropy"
 EUCLIDEAN = "euclidean"
 KINDS = (ENTROPY, EUCLIDEAN)
 # from max|y| * m = 2**12 on, the projection's cumulative sums carry 2**12
-# ulps of 1, near ROW_SUM_TOL, so each row is first shifted by its own max
+# ulps of 1, near ROW_SUM_TOL, so such a row is first shifted by its own max
 SHIFT_GATE = 4096.0
+# up to max|y| * S * m = SCORE_LIMIT no map, conjugate or coupling of an (S x m) block overflows
+SCORE_LIMIT = float(np.finfo(float).max) / 2
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,15 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
 
 
 def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    top = np.maximum.reduce(np.abs(y), axis=None, initial=0.0)
-    if not top < np.inf:  # NaN too
-        raise DomainError("dual scores must be finite")
+    top = float(np.maximum.reduce(np.abs(y), axis=None, initial=0.0))
+    if not top * math.prod(y.shape[-2:]) <= SCORE_LIMIT:  # NaN too
+        raise DomainError(f"dual scores must be finite, with max|y| * S * m <= {SCORE_LIMIT:.6g}")
     if reg.kind == ENTROPY:
         return softmax_rows(y)
     if top >= SHIFT_GATE / y.shape[-1]:  # the projection is the same along the ones vector
-        y = y - np.maximum.reduce(y, axis=-1, keepdims=True)
+        # each row is shifted on its own max|y|, so it has its bits in any stack
+        rows = np.maximum.reduce(np.abs(y), axis=-1, keepdims=True) >= SHIFT_GATE / y.shape[-1]
+        y = np.where(rows, y - np.maximum.reduce(y, axis=-1, keepdims=True), y)
     return project_simplex(y)
 
 

@@ -30,7 +30,7 @@ from sgl.learner import (
     run_batch,
     validate_schedule,
 )
-from sgl.mirror import make_regularizer, mirror_map
+from sgl.mirror import SHIFT_GATE, make_regularizer, mirror_map
 from sgl.spsa import (
     lift_policy,
     lifting_for,
@@ -402,6 +402,23 @@ class TestRunBatch:
             tmp_path, game, [0, 5, 11], make_regularizer(mirror),
             reference=uniform_profile(game), log_every=50,
         )
+
+    def test_euclidean_seeds_on_both_sides_of_the_shift_gate(self, tmp_path):
+        # player 0's scores pass the Euclidean shift gate in some seeds and
+        # not in others while player 1's stay small and interior; the gate
+        # is row by row, so each seed writes its solo bytes
+        base = generate(
+            GeneratorSpec(kind="random-ergodic", n_states=2, n_players=2, n_actions=3, seed=1)
+        )
+        game = StochasticGame(
+            base.n_states, base.n_actions, base.rewards * [[[30.0]], [[1e-2]]], base.transitions
+        )
+        _, batch = self.check_matches_solo_runs(
+            tmp_path, game, [0, 1, 2, 3], make_regularizer("euclidean"), iters=100,
+            reference=uniform_profile(game), log_every=10,
+        )
+        tops = [np.abs(log.final_state.scores[0]).max() * 3 for log in batch]
+        assert min(tops) < SHIFT_GATE < max(tops)
 
     def test_single_action_player(self, tmp_path):
         game = generate(

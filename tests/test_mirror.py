@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sgl.errors import DomainError
 from sgl.games import ROW_SUM_TOL, PolicyProfile, random_profile
 from sgl.generators import GeneratorSpec, generate
 from sgl.mirror import (
+    SCORE_LIMIT,
     Regularizer,
     conjugate,
     fenchel_coupling,
@@ -82,10 +84,36 @@ class TestMirrorMap:
         np.testing.assert_allclose(policy.probs[0], project_simplex(y), atol=1e-15)
 
     def test_nonfinite_scores_rejected(self):
+        # past max|y| * S * m = SCORE_LIMIT a row shifted by its max, its
+        # cumulative sums or a block's conjugate could overflow
+        big = np.nextafter(SCORE_LIMIT / 4, np.inf)
         for reg in (ENTROPY, EUCLIDEAN):
-            for bad in (np.inf, -np.inf, np.nan):
+            for bad in (np.inf, -np.inf, np.nan, 1e308, big, -big):
                 with pytest.raises(DomainError, match="dual scores must be finite"):
                     mirror_map(reg, [np.array([[1e300, 0.0], [bad, 0.0]])])
+        with pytest.raises(DomainError, match="dual scores must be finite"):
+            conjugate(EUCLIDEAN, [np.array([[big, 0.0], [0.0, 0.0]])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = SCORE_LIMIT / 4
+            y = [np.array([[top, -top, -top, -top]])]
+            for reg, conj in ((ENTROPY, top), (EUCLIDEAN, top - 0.5)):
+                policy = mirror_map(reg, y)
+                assert policy.probs[0].tolist() == [[1.0, 0.0, 0.0, 0.0]]
+                report = fenchel_coupling(reg, policy, y)
+                assert report.conjugate == conjugate(reg, y) == conj
+
+    def test_euclidean_rows_keep_their_bits_in_any_stack(self):
+        # whether a row is shifted depends on that row alone: rows below the
+        # gate map with the same bits next to rows above it
+        rng = np.random.default_rng(4)
+        for m in (3, 5, 9):
+            small = rng.uniform(-0.4, 0.4, (6, m))
+            large = 1e4 + rng.uniform(-0.4, 0.4, (6, m))
+            block = mirror_map(EUCLIDEAN, [np.concatenate([small, large])]).probs[0]
+            for y, row in zip(np.concatenate([small, large]), block):
+                assert row.tobytes() == mirror_map(EUCLIDEAN, [y[None]]).probs[0].tobytes()
+            assert block[:6].tobytes() == project_simplex(small).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
