@@ -27,9 +27,12 @@ row is perfbench's oracle-audit job on the (3, 3, 3) game: one seed, 40
 iterations in oracle_mode with log_every=10 and 256 decomposition draws.
 The window rows time the last stage of B windows of H + 1 stages on the
 mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
-games._window_ends call: once with its array kernel forced (the
+games._window_ends call: once with its array branch forced (the
 _window_ends rows) and once with every window walked by the scalar
-games._walk (the _walk rows). The _window_ends[periodic,B=3,H=450] row
+games._walk (the _walk rows). The array branch plays the stage maps, or
+steps the rows one stage at a time (_step_rows) where rows * states * CDF
+columns pass games._STAGE_MAP_CELLS: at (1000, 8) the mixing-window game
+has 1000 * 3 * 6 = 18 000 such cells, so that row times _step_rows. The _window_ends[periodic,B=3,H=450] row
 forces the kernel on the 3-cycle game, the mixing-window game whose every
 state moves to the next with probability 1: its stage maps never send two
 states to one, so the kernel composes every stage back to stage 0, its
@@ -285,9 +288,10 @@ def _mixing_window_game():
 def _window(pkg, op: str, kind: str):
     """One games._window_ends call for the last stage of B windows of H + 1
     stages from state 0 on the game of kind, each row with its own random
-    profile: op is _window_ends[B=b,H=h] (the array kernel forced; the
-    3-cycle game's row is _window_ends[periodic,B=b,H=h]) or _walk[B=b,H=h]
-    (every window walked by the scalar _walk)."""
+    profile: op is _window_ends[B=b,H=h] (the array branch forced: the
+    stage maps, or _step_rows past games._STAGE_MAP_CELLS; the 3-cycle
+    game's row is _window_ends[periodic,B=b,H=h]) or _walk[B=b,H=h] (every
+    window walked by the scalar _walk)."""
     games = pkg.games
     name, _, shape = op.partition("[")
     fields = shape.removeprefix("periodic,").removesuffix("]").split(",")

@@ -661,10 +661,13 @@ def _step_rows(pol_cols, trans_cols, strides, state, u):
 MAX_WINDOW_BYTES = 1 << 30
 
 
-def _window_bytes(rows: int, horizon: int, game: StochasticGame) -> int:
-    """Bytes of the float uniforms of rows windows of horizon + 1 stages: one
-    per player and one for the next state at every stage."""
-    return rows * (horizon + 1) * (game.n_players + 1) * 8
+def _cap_window(game: StochasticGame, rows: int, horizon: int, error: type, what: str) -> None:
+    """Raise error, naming the windows as what, when rows windows of horizon
+    + 1 stages need more than MAX_WINDOW_BYTES of float uniforms: one per
+    player and one for the next state at every stage."""
+    size = rows * (horizon + 1) * (game.n_players + 1) * 8
+    if size > MAX_WINDOW_BYTES:
+        raise error(f"{what} need {size} bytes of uniforms, over the {MAX_WINDOW_BYTES}-byte cap")
 
 
 def _count(name: str, value) -> int:
@@ -740,12 +743,7 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
         raise DomainError("horizon must be at least 1")
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
-    size = _window_bytes(1, horizon - 1, game)
-    if size > MAX_WINDOW_BYTES:
-        raise DomainError(
-            f"{horizon} stages need {size} bytes of uniforms, over the "
-            f"{MAX_WINDOW_BYTES}-byte cap"
-        )
+    _cap_window(game, 1, horizon - 1, DomainError, f"{horizon} stages")
 
     pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]
     u = np.random.default_rng(rng).random((horizon, game.n_players + 1))

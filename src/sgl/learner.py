@@ -30,15 +30,14 @@ from .analysis import (
 )
 from .errors import DomainError, ErgodicityError, ScheduleError
 from .games import (
-    MAX_WINDOW_BYTES,
     MixingCertificate,
     PolicyProfile,
     StochasticGame,
     certify_mixing,  # still importable from this module
     game_hash,
+    _cap_window,
     _check_compatible,
     _count,
-    _window_bytes,
     _window_ends,
 )
 from .mirror import (
@@ -540,7 +539,6 @@ def _checkpoint_oracle(game, t, after, decomposed):
     before = queried = None
     if decomposed is not None:
         before, z, delta, payoffs, rngs, draws = decomposed
-        _check_smoothing(game, delta, draws)
         queried = [
             x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
             for x, d, net in zip(before, z, nets_for(game))
@@ -605,7 +603,7 @@ def run_batch(
     sphere draw is one row of normals, redrawn whole under SPHERE_FLOOR.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
     A run whose schedule overflows at its last iteration, or whose uniforms
-    would take more than MAX_WINDOW_BYTES, is refused with ScheduleError
+    would take more than games.MAX_WINDOW_BYTES, is refused with ScheduleError
     before its first iteration, and so is, with DomainError, an oracle_mode
     run whose decomposition_draws is not a positive integer, or a run whose
     rewards could overflow: E = max_i 2 d_i |lifting_i| max|r_i| / min delta
@@ -625,6 +623,7 @@ def run_batch(
         raise DomainError("log_every must be at least 1")
     if oracle_mode and _count("decomposition_draws", decomposition_draws) < 1:
         raise DomainError("decomposition_draws must be positive")
+    start_state = _count("start_state", start_state)
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
     seeds = list(seeds)
@@ -642,12 +641,10 @@ def run_batch(
             raise ScheduleError(
                 f"the schedule at t={iters - 1} overflows or underflows to zero ({exc})"
             ) from None
-        size = _window_bytes(len(seeds), longest, game)
-        if size > MAX_WINDOW_BYTES:
-            raise ScheduleError(
-                f"the window of {longest} stages at t={iters - 1} needs {size} bytes of "
-                f"uniforms for {len(seeds)} seeds, over the {MAX_WINDOW_BYTES}-byte cap"
-            )
+        _cap_window(
+            game, len(seeds), longest, ScheduleError,
+            f"{len(seeds)} seeds' windows of {longest + 1} stages at t={iters - 1}",
+        )
     for b, seed in enumerate(seeds):
         if seed < 0:  # numpy's default_rng says only "expected non-negative integer"
             raise _tagged(DomainError(f"seed {seed} is negative"), b)
@@ -746,11 +743,8 @@ def run_batch(
 
         # each seed's generator reads one row of normals, drawn again whole
         # while it fails SPHERE_FLOOR
-        for b, (rng, row) in enumerate(zip(rngs, raw_rows)):
-            try:
-                rng.standard_normal(out=row)
-            except Exception as exc:
-                raise _tagged(exc, b)
+        for rng, row in zip(rngs, raw_rows):
+            rng.standard_normal(out=row)
         norms = [_sphere_norms(z) for z in segments]
         while min([np.minimum.reduce(x, axis=None) for x in norms]) <= SPHERE_FLOOR:
             for b, (rng, row) in enumerate(zip(rngs, raw_rows)):  # practically never
@@ -766,11 +760,8 @@ def run_batch(
         if uniforms.shape[1] != horizon + 1:
             uniforms = np.empty((n_batch, horizon + 1, n_players + 1))
             u_rows = list(uniforms)
-        for b, (rng, row) in enumerate(zip(rngs, u_rows)):
-            try:
-                rng.random(out=row)
-            except Exception as exc:
-                raise _tagged(exc, b)
+        for rng, row in zip(rngs, u_rows):
+            rng.random(out=row)
         payoffs, states = _window_ends(game, pol_cols, states, uniforms)
 
         before = policy[:]
@@ -872,7 +863,7 @@ def horizon_bias_check(
     against the exact value. The bound is n_states * max|reward| times the
     certified contraction to the power horizon; a given contraction must be
     finite and in [0, 1]. Draws whose uniforms would take more than
-    MAX_WINDOW_BYTES are refused with DomainError.
+    games.MAX_WINDOW_BYTES are refused with DomainError.
     """
     horizon, n_draws = _count("horizon", horizon), _count("n_draws", n_draws)
     start_state = _count("start_state", start_state)
@@ -884,12 +875,7 @@ def horizon_bias_check(
         raise DomainError(f"start_state {start_state} out of range")
     if contraction is not None and not 0.0 <= contraction <= 1.0:  # NaN fails too
         raise DomainError(f"contraction={contraction!r}: need a finite value in [0, 1]")
-    size = _window_bytes(n_draws, horizon, game)
-    if size > MAX_WINDOW_BYTES:
-        raise DomainError(
-            f"{n_draws} windows of {horizon + 1} stages need {size} bytes of "
-            f"uniforms, over the {MAX_WINDOW_BYTES}-byte cap"
-        )
+    _cap_window(game, n_draws, horizon, DomainError, f"{n_draws} windows of {horizon + 1} stages")
     rng = np.random.default_rng(rng)
     if contraction is None:
         contraction = game.mixing_certificate.contraction

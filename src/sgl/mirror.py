@@ -123,10 +123,17 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(rows - row_theta[:, None], 0.0).reshape(y.shape)
 
 
-def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
+def _score_top(y: np.ndarray) -> float:
+    """max|y| of a (..., S, m) stack of scores, refused with DomainError when
+    max|y| * S * m passes SCORE_LIMIT, the domain of the maps and conjugates."""
     top = float(np.maximum.reduce(np.abs(y), axis=None, initial=0.0))
     if not top * math.prod(y.shape[-2:]) <= SCORE_LIMIT:  # NaN too
         raise DomainError(f"dual scores must be finite, with max|y| * S * m <= {SCORE_LIMIT:.6g}")
+    return top
+
+
+def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
+    top = _score_top(y)
     if reg.kind == ENTROPY:
         return softmax_rows(y)
     if top >= SHIFT_GATE / y.shape[-1]:  # the projection is the same along the ones vector
@@ -162,7 +169,10 @@ def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
 
 def conjugate(reg: Regularizer, scores) -> float:
     """Convex conjugate of the aggregate regularizer at the given scores."""
-    return sum(float(_conjugates(reg, np.asarray(y, float))) for y in scores)
+    scores = [np.asarray(y, float) for y in scores]
+    for y in scores:
+        _score_top(y)
+    return sum(float(_conjugates(reg, y)) for y in scores)
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +196,11 @@ def fenchel_coupling(reg: Regularizer, policy: PolicyProfile, scores) -> Fenchel
     the mirrored point.
     """
     scores = [np.asarray(y, float) for y in scores]
+    mirrored = mirror_map(reg, scores)  # refuses scores outside SCORE_LIMIT first
     terms = [
         _coupling_terms(reg, reg.block_value(p), p, y) for p, y in zip(policy.probs, scores)
     ]
     per_player = np.array([float(f) for f, _ in terms])
-    mirrored = mirror_map(reg, scores)
     interior = all((b > 0.0).all() for b in mirrored.probs)
     bregman = None
     if interior:

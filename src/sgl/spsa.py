@@ -171,14 +171,14 @@ def sample_sphere(d: int, rng) -> np.ndarray:
     rng = np.random.default_rng(rng)
     while True:
         z = rng.standard_normal(d)
-        norm = np.linalg.norm(z)
+        norm = _sphere_norms(z)
         if norm > SPHERE_FLOOR:
             return z / norm
 
 
 def _sphere_norms(z: np.ndarray) -> np.ndarray:
-    """Norms over the last axis with the bits of sample_sphere's norm (a
-    BLAS dot product, not a sum of squares)."""
+    """Norms over the last axis, the one sphere norm: a dot product, not a
+    sum of squares, so a vector's has np.linalg.norm's bits."""
     return np.sqrt(np.vecdot(z, z))
 
 
@@ -191,10 +191,10 @@ def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
-    norms = np.linalg.norm(z, axis=-1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > 1e-12)
-    if off.size:
-        k = off[0]
+    norms = _sphere_norms(z)
+    unit = np.abs(norms - 1.0) <= 1e-12
+    if not unit.all():  # NaN fails too
+        k = np.flatnonzero(~unit)[0]
         where = f" (draw {k})" if z.ndim > 1 else ""
         raise DomainError(
             f"perturbation direction{where} has norm {norms.flat[k]!r}, expected 1"

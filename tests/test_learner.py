@@ -609,20 +609,28 @@ class TestRunBatch:
         with pytest.raises(DomainError, match="log_every must be at least 1"):
             run_batch(game, default_schedule(game), ENTROPY, 10, [0, 1], log_every=log_every)
 
-    @pytest.mark.parametrize("counts", [{"log_every": 2.9}, {"log_every": 2.0}, {"iters": 6.5}])
+    @pytest.mark.parametrize(
+        "counts", [{"log_every": 2.9}, {"log_every": 2.0}, {"iters": 6.5}, {"start_state": 1.0}]
+    )
     def test_non_integer_counts_rejected(self, counts):
-        # a float is refused, not truncated: log_every 2.9 once ran as 2
+        # a float is refused, not truncated: log_every 2.9 once ran as 2, and
+        # a float start_state once reached the window walk of a many-state
+        # game and failed there with a TypeError
         game = generate(GeneratorSpec(kind="matching-pennies"))
-        args = {"iters": 6, "log_every": 2, **counts}
-        with pytest.raises(DomainError, match="need integers"):
-            run_batch(game, default_schedule(game), ENTROPY, args["iters"], [0],
-                      log_every=args["log_every"])
+        sch = default_schedule(game)
+        kw = {"log_every": 2, "start_state": 0, **counts}
+        iters = kw.pop("iters", 6)
+        message = r"start_state=1\.0: need an integer" if "start_state" in counts else "need integers"
+        with pytest.raises(DomainError, match=message):
+            run_batch(game, sch, ENTROPY, iters, [0], **kw)
+        with pytest.raises(DomainError, match=message):
+            run(game, sch, ENTROPY, iters, 0, **kw)
 
     def test_numpy_integer_counts_accepted(self, tmp_path):
         game = generate(GeneratorSpec(kind="matching-pennies"))
         sch = default_schedule(game)
         log = run(game, sch, ENTROPY, np.int64(6), 0, log_every=np.int32(2),
-                  out_dir=tmp_path / "np")
+                  start_state=np.int64(0), out_dir=tmp_path / "np")
         plain = run(game, sch, ENTROPY, 6, 0, log_every=2, out_dir=tmp_path / "int")
         assert [d.t for d in log.diagnostics] == [2, 4, 6]
         assert type(log.log_every) is int and type(log.iters) is int
@@ -724,9 +732,9 @@ class TestRunBatch:
         # the cap covers the whole batch: two seeds of 2-stage windows (tau 0)
         # with a uniform per player and one for the next state
         sch = default_schedule(game)
-        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8)
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8)
         assert len(run_batch(game, sch, ENTROPY, 5, [0, 1])) == 2
-        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8 - 1)
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 2 * 2 * 3 * 8 - 1)
         with pytest.raises(ScheduleError, match="byte cap"):
             run_batch(game, sch, ENTROPY, 5, [0, 1])
 
@@ -1025,9 +1033,9 @@ class TestHorizonBias:
             horizon_bias_check(game, policy, 10**9, 1000, rng=0)
         # 4 windows of 3 stages, a uniform per player and one for the next
         # state: at the cap the check runs, one byte under it is refused
-        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8)
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8)
         assert horizon_bias_check(game, policy, 2, 4, rng=0).mean.shape == (2,)
-        monkeypatch.setattr(learner, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8 - 1)
+        monkeypatch.setattr(games, "MAX_WINDOW_BYTES", 4 * 3 * 3 * 8 - 1)
         with pytest.raises(DomainError, match="byte cap"):
             horizon_bias_check(game, policy, 2, 4, rng=0)
 

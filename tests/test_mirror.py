@@ -91,10 +91,19 @@ class TestMirrorMap:
             for bad in (np.inf, -np.inf, np.nan, 1e308, big, -big):
                 with pytest.raises(DomainError, match="dual scores must be finite"):
                     mirror_map(reg, [np.array([[1e300, 0.0], [bad, 0.0]])])
-        with pytest.raises(DomainError, match="dual scores must be finite"):
-            conjugate(EUCLIDEAN, [np.array([[big, 0.0], [0.0, 0.0]])])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            # the conjugates and couplings refuse such scores before any
+            # log-sum-exp or projection, for either regularizer
+            for reg in (ENTROPY, EUCLIDEAN):
+                for bad in ([[big, 0.0, 0.0, 0.0]], [[1e308, -1e308]], [[np.inf, 0.0]],
+                            [[np.nan, 0.0]]):
+                    y = [np.array(bad)]
+                    uniform = PolicyProfile((np.full(y[0].shape, 1.0 / y[0].shape[1]),))
+                    with pytest.raises(DomainError, match="dual scores must be finite"):
+                        conjugate(reg, y)
+                    with pytest.raises(DomainError, match="dual scores must be finite"):
+                        fenchel_coupling(reg, uniform, y)
             top = SCORE_LIMIT / 4
             y = [np.array([[top, -top, -top, -top]])]
             for reg, conj in ((ENTROPY, top), (EUCLIDEAN, top - 0.5)):
