@@ -106,25 +106,22 @@ def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
 
 
 def _evaluate(game: StochasticGame, profiles):
-    """The row-layout value core: (clipped blocks, ValueReport).
+    """The row-layout value core: (blocks, ValueReport).
 
-    profiles is one PolicyProfile, whose blocks are checked already, or
-    one (K, S, m_i) policy stack per player, each checked once here by
-    check_policy_block (an error names the profile). Then come the joint
-    weights, the K chains and one stacked stationary solve (analyze_chain),
-    the stage rewards and the values, each slice with the bits of its
-    profile alone at any stack size. That is why this core exists: the
-    matmul contraction of the batch-last _batch_values gives a row other
-    bits at another stack size, and a learner seed must have the same bits
-    alone or in any batch. A chain of a stack that fails the solve raises
-    the error it raises alone, with its position as slice_index.
+    profiles is one PolicyProfile, checked when it was built, or one (K,
+    S, m_i) policy stack per player from the learner's checkpoint, simplex
+    rows by construction; neither is checked again, only its shapes
+    against the game. Then come the joint weights, the K chains and one
+    stacked stationary solve (analyze_chain), the stage rewards and the
+    values, each slice with the bits of its profile alone at any stack
+    size. That is why this core exists: the matmul contraction of the
+    batch-last _batch_values gives a row other bits at another stack size,
+    and a learner seed must have the same bits alone or in any batch. A
+    chain of a stack that fails the solve raises the error it raises alone,
+    with its position as slice_index.
     """
-    if isinstance(profiles, PolicyProfile):
-        blocks = profiles.probs
-        _check_compatible(game, blocks)
-    else:
-        _check_compatible(game, profiles)
-        blocks = [check_policy_block(np.asarray(b, dtype=float), i) for i, b in enumerate(profiles)]
+    blocks = profiles.probs if isinstance(profiles, PolicyProfile) else profiles
+    _check_compatible(game, blocks)
     w = joint_weight_matrix(blocks)
     try:
         P, p = analyze_chain(game, w)
@@ -156,9 +153,9 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
     of the result is exact_value(...).values of the profile formed by every
     player's slice k, equal to it to roundoff (the products and sums run in
     another order). Each stack is copied once with its profile axis
-    innermost in memory and evaluated by _batch_values, which checks it as
-    PolicyProfile does (errors name the profile) and whose B chains share
-    one stacked stationary solve. B = 0 gives a (0, n_players) array.
+    innermost in memory, checked as PolicyProfile does (errors name the
+    profile) and evaluated by _batch_values, whose B chains share one
+    stacked stationary solve. B = 0 gives a (0, n_players) array.
     """
     if len(blocks) != game.n_players:
         raise DimensionError(
@@ -173,20 +170,19 @@ def exact_values(game: StochasticGame, blocks) -> np.ndarray:
                 f"player {i} policy stack shape {arr.shape} != "
                 f"{(n_profiles, game.n_states, m)}"
             )
-        stacks.append(arr.transpose(1, 2, 0).copy().transpose(2, 0, 1))
+        stacks.append(check_policy_block(arr.transpose(1, 2, 0).copy().transpose(2, 0, 1), i))
     return _batch_values(game, stacks).T
 
 
 def _batch_values(game: StochasticGame, stacks) -> np.ndarray:
     """Long-run average payoffs (n_players, B) of B profiles: stacks[i] is
-    player i's (B, n_states, n_actions_i) policy stack with its profile
-    axis innermost in memory (a transposed view). check_policy_block and
-    joint_weight_matrix keep that layout, so the joint weights transposed
+    player i's (B, n_states, n_actions_i) policy stack, checked already,
+    with its profile axis innermost in memory (a transposed view).
+    joint_weight_matrix keeps that layout, so the joint weights transposed
     to (n_states, n_joint, B) are contiguous, and the induced chains and
     the stage rewards are each one matmul against the game's _joint_tables.
     Above about ten profiles this beats the row-layout _evaluate."""
-    blocks = [check_policy_block(x, i) for i, x in enumerate(stacks)]
-    w = joint_weight_matrix(blocks).transpose(1, 2, 0)                 # (S, J, B)
+    w = joint_weight_matrix(stacks).transpose(1, 2, 0)                 # (S, J, B)
     transitions, rewards = game._joint_tables
     p = stationary_distribution((transitions @ w).transpose(2, 0, 1))   # (B, S)
     stage = rewards @ w                                                 # (S, n, B)
@@ -520,7 +516,7 @@ def best_response(
 def _best_responses(game: StochasticGame, blocks):
     """Optimal gains (..., n) and actions (..., n, S) of every player
     against the others frozen, for the profile or stack of profiles blocks
-    holds (as _evaluate's clipped blocks): one _frozen_mdps and one
+    holds (as _evaluate's blocks): one _frozen_mdps and one
     _policy_iteration over all (profile, player) rows. A row's result does
     not depend on the rows beside it, so a failing profile raises what it
     raises alone (its n rows run again for the text), naming the player,

@@ -153,10 +153,7 @@ def _cmd_gradient(args) -> int:
     elif args.method == "fd":
         fd = analysis.finite_difference_gradient(game, policy, step=args.step)
         doc["gradient"] = [b.tolist() for b in fd]
-        doc["max_abs_diff_vs_exact"] = max(
-            float(np.abs(np.asarray(a) - np.asarray(b)).max()) if np.asarray(a).size else 0.0
-            for a, b in zip(doc["gradient"], exact)
-        )
+        doc["max_abs_diff_vs_exact"] = _max_abs_diff(fd, exact)
     else:  # spsa
         rng = np.random.default_rng(args.seed)
         means, stderrs = spsa.smoothed_gradient_estimate(
@@ -166,10 +163,7 @@ def _cmd_gradient(args) -> int:
         doc["draws"] = args.draws
         doc["gradient"] = [m.tolist() for m in means]
         doc["stderr"] = [s.tolist() for s in stderrs]
-        doc["max_abs_diff_vs_exact"] = max(
-            float(np.abs(m - np.asarray(e)).max()) if m.size else 0.0
-            for m, e in zip(means, exact)
-        )
+        doc["max_abs_diff_vs_exact"] = _max_abs_diff(means, exact)
     _emit(doc, args.out)
     if "max_abs_diff_vs_exact" in doc:
         print(
@@ -177,6 +171,14 @@ def _cmd_gradient(args) -> int:
             file=sys.stderr,
         )
     return 0
+
+
+def _max_abs_diff(blocks, exact) -> float:
+    """Largest entry of |block - exact| over the players' blocks."""
+    return max(
+        float(np.abs(b - np.asarray(e)).max()) if b.size else 0.0
+        for b, e in zip(blocks, exact)
+    )
 
 
 def _resolve_schedule(args, game) -> learner.Schedule:

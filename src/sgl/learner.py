@@ -411,58 +411,50 @@ def _exact_parts(game, before, queried, after):
     B = len(stacks[0][0])
     N, failures = len(stacks) * B, {}
     cat = [np.concatenate(players) for players in zip(*stacks)]
-    kept, (blocks, report) = _dropping(  # stacked row r: seed r % B's profile in stacks[r // B]
-        lambda rows: _evaluate(game, [x[rows] for x in cat]), 0, N, None, failures,
+    kept, (_, report) = _dropping(  # stacked row r: seed r % B's profile in stacks[r // B]
+        lambda rows: _evaluate(game, [x[rows] for x in cat]), list(range(N)), failures,
         lambda r: (r % B, "value" if after is not None and r >= N - B else "decomposition"),
     )
-    if kept is not None:  # full-size stacks again, NaN in the dropped rows
-        blocks = [_placed(x, kept, 0, N) for x in blocks]
-        report = ValueReport(*(_placed(x, kept, 0, N) for x in vars(report).values()))
-    values = report.values.reshape(-1, B, game.n_players)
+    values = _placed(report.values, kept, 0, N).reshape(-1, B, game.n_players)
     grads = best = None
     if before is not None:
-        rows, grads = _dropping(
+        rows, grads = _dropping(  # kept is sorted: stacked row r is report's row k if kept[k] == r
             lambda rows: _gradients(
-                game, [x[rows] for x in blocks],
-                ValueReport(*(x[rows] for x in vars(report).values())),
+                game, [x[rows] for x in cat],
+                ValueReport(*(x[np.searchsorted(kept, rows)] for x in vars(report).values())),
             ),
-            0, B, kept, failures, lambda r: (r, "decomposition"),
+            [r for r in kept if r < B], failures, lambda r: (r, "decomposition"),
         )
         grads = _placed(grads, rows, 0, B)
     if after is not None:
         rows, best = _dropping(
-            lambda rows: _best_responses(game, [x[rows] for x in blocks])[0],
-            N - B, N, kept, failures, lambda r: (r % B, "gap"),
+            lambda rows: _best_responses(game, [x[rows] for x in cat])[0],
+            [r for r in kept if r >= N - B], failures, lambda r: (r % B, "gap"),
         )
         best = _placed(best, rows, N - B, N)
     return values, grads, best, failures
 
 
-def _dropping(run, lo, hi, kept, failures, part):
-    """(rows, run(rows)) on the stacked rows lo..hi-1 in kept (None: all);
-    until a row fails, rows is None and run reads the slice lo:hi. An
-    ErgodicityError about slice k goes to failures under part(row k), and
-    run repeats without that part's rows."""
-    rows = None if kept is None else [r for r in kept if lo <= r < hi]
+def _dropping(run, rows, failures, part):
+    """(rows, run(rows)) on the list of stacked rows `rows`. An
+    ErgodicityError about slice k goes to failures under part(rows[k]),
+    and run repeats without that part's rows."""
     while True:
         try:
-            return rows, run(slice(lo, hi) if rows is None else rows)
+            return rows, run(rows)
         except ErgodicityError as exc:
             if not hasattr(exc, "slice_index"):
                 raise
-            rows = list(range(lo, hi)) if rows is None else rows
             failures[part(rows[exc.slice_index])] = exc
             rows = [r for r in rows if part(r) not in failures]
 
 
 def _placed(x, rows, lo, hi):
-    """x, a stage's results for the stacked rows `rows` of lo..hi-1 (None:
-    all), as hi - lo rows with NaN where a row is missing."""
-    if rows is None:
-        return x
-    out = np.full((hi - lo,) + x.shape[1:], np.nan)
-    out[[r - lo for r in rows]] = x
-    return out
+    """x, a stage's results for the stacked rows `rows` of lo..hi-1, as
+    hi - lo rows with NaN where a row is missing."""
+    out = np.full((hi,) + x.shape[1:], np.nan)
+    out[rows] = x
+    return out[lo:]
 
 
 def _decomposition(
@@ -607,7 +599,8 @@ def run_batch(
     before its first iteration, and so is, with DomainError, an oracle_mode
     run whose decomposition_draws is not a positive integer, or a run whose
     rewards could overflow: E = max_i 2 d_i |lifting_i| max|r_i| / min delta
-    bounds every estimate's norm and E * E must be finite; Y = max|y_0| +
+    bounds every estimate's norm and smoothing sample, and E * E (times
+    decomposition_draws in oracle_mode) must be finite; Y = max|y_0| +
     iters * max gamma * E bounds every score and Y * S * max m may not pass
     mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
     An error raised for one seed (a negative seed, say) carries the seed's
@@ -659,7 +652,7 @@ def run_batch(
     init = _initial_scores(regularizer, game, init_policy)
     if iters:
         # gamma and delta are monotone in t; the 2 in E covers the oracle's
-        # difference of two estimates
+        # difference of two estimates; E is at least spsa's smoothing bound E_i
         delta_min = min(schedule.delta(0), schedule.delta(iters - 1), radius_cap)
         E = max(
             2.0 * dims[i] * lifting_for(n_states, n_actions[i]).op_norm * game.max_abs_reward(i)
@@ -667,7 +660,8 @@ def run_batch(
         ) / delta_min
         gamma_max = max(schedule.gamma(0), schedule.gamma(iters - 1))
         Y = max(float(np.abs(y).max()) for y in init) + iters * gamma_max * E
-        if not (math.isfinite(E * E) and Y * n_states * max(n_actions) <= SCORE_LIMIT):
+        draws = decomposition_draws if oracle_mode else 1
+        if not (math.isfinite(draws * E * E) and Y * n_states * max(n_actions) <= SCORE_LIMIT):
             raise DomainError(
                 f"rewards up to {max(map(game.max_abs_reward, active))} at query radius "
                 f"{delta_min} over {iters} iterations can overflow the estimates or scores"
@@ -767,8 +761,9 @@ def run_batch(
         before = policy[:]
         for (k, lo, hi), d in zip(groups, directions):
             lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
-            squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
-            est_norms[:, lo:hi] = np.sqrt(np.add.reduce(squares, axis=-1))
+            if checkpoint:
+                squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
+                est_norms[:, lo:hi] = np.sqrt(np.add.reduce(squares, axis=-1))
             scores[k] = scores[k] + gamma * lifted
             policy[k] = _map_block(regularizer, scores[k])
             reduced[k] = policy[k][..., :-1]

@@ -289,8 +289,8 @@ def smoothed_gradient_estimate(
 
 def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
     """The smoothed gradient's argument checks: a positive integer draw
-    count, and a positive query radius inside every active player's safety
-    radius."""
+    count, a positive query radius inside every active player's safety
+    radius, and n_draws E_i E_i finite (E_i bounds a sample's entries)."""
     if _count("n_draws", n_draws) < 1:
         raise DomainError("n_draws must be positive")
     if not delta > 0.0:
@@ -303,6 +303,12 @@ def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
         if delta >= nets[i].radius:
             raise ScheduleError(
                 f"query radius {delta} exceeds safety radius {nets[i].radius}"
+            )
+        E = 2.0 * (reduced_dim(game.n_states, game.n_actions[i]) / delta) * game.max_abs_reward(i)
+        if not np.isfinite(n_draws * E * E):
+            raise DomainError(
+                f"rewards up to {game.max_abs_reward(i)} at query radius {delta} over "
+                f"{n_draws} draws can overflow the smoothed gradient's samples"
             )
 
 
@@ -347,14 +353,11 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             for i in range(game.n_players)
         ]
         values = _batch_values(game, queried)
-        # payoffs near the float range overflow here and below; the stderr is
-        # then not finite, which the callers' checks refuse
-        with np.errstate(over="ignore", invalid="ignore"):
-            for j, i in enumerate(active):
-                payoffs = (values[i] - base_values[i])[:, None, None]
-                samples = _one_point(payoffs, zs[i], delta, dims[j])
-                sums[i] += samples.sum(axis=0)
-                sq_sums[i] += (samples * samples).sum(axis=0)
+        for j, i in enumerate(active):
+            payoffs = (values[i] - base_values[i])[:, None, None]
+            samples = _one_point(payoffs, zs[i], delta, dims[j])
+            sums[i] += samples.sum(axis=0)
+            sq_sums[i] += (samples * samples).sum(axis=0)
 
     means, stderrs = [], []
     for i in range(game.n_players):
@@ -363,8 +366,7 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             stderrs.append(np.zeros((game.n_states, 0)))
             continue
         mean = sums[i] / n_draws
-        with np.errstate(over="ignore", invalid="ignore"):
-            var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
+        var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
         means.append(mean)
         stderrs.append(np.sqrt(var / n_draws))
     return means, stderrs

@@ -515,9 +515,6 @@ class TestStackedOracle:
     def test_checks_name_the_profile(self):
         game = random_game(3)
         stacks = [np.full((3, 2, 2), 0.5) for _ in range(2)]
-        stacks[1][2, 1] = [0.7, 0.4]
-        with pytest.raises(GameFormatError, match=r"row \(profile=2, player=1, state=1\)"):
-            _evaluate(game, stacks)
         with pytest.raises(DimensionError, match="3 players, game has 2"):
             _evaluate(game, stacks + stacks[:1])
 

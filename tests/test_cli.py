@@ -187,8 +187,9 @@ class TestGradient:
         assert "error: ergodicity check failed" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_nan_stderr_exits_one(self, tmp_path, capsys):
-        # squared samples of payoffs near 1e200 overflow: the variance is NaN
+    def test_overflowing_samples_exit_one(self, tmp_path, capsys):
+        # squared samples of payoffs near 1e200 would overflow: the smoothed
+        # gradient refuses the rewards before its first draw
         game_path = tmp_path / "mp_huge.json"
         save_game(scaled_game("matching-pennies", 1e200), game_path)
         argv = [
@@ -198,8 +199,7 @@ class TestGradient:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: stderr[0][0][0] is not a finite number" in captured.err
-        # the stderr summary follows the check, so a refused document has none
+        assert "over 2000 draws can overflow the smoothed gradient's samples" in captured.err
         assert "max abs difference" not in captured.err
 
 

@@ -888,6 +888,28 @@ class TestDecomposition:
         with pytest.raises(AssertionError, match="a window was played"):
             run_batch(game, default_schedule(game), ENTROPY, 10, [0], decomposition_draws=draws)
 
+    def test_a_failing_chain_leaves_the_later_seeds_parts(self, stay_switch_game):
+        # seed 0's x_t keeps the state under player 0's first action, so its
+        # chain is reducible and the first stage drops stacked rows 0 and B;
+        # the gradient stage then reads the later seeds' rows of a shorter
+        # report, and their values and gradients are those of each profile
+        # alone, bit for bit
+        from sgl.analysis import exact_gradient
+
+        game = stay_switch_game()
+        rng = np.random.default_rng(4)
+        profiles = [random_profile(game, rng, margin=0.05) for _ in range(3)]
+        before = [np.stack([p.probs[i] for p in profiles]) for i in range(2)]
+        before[0][0] = [[1.0, 0.0], [1.0, 0.0]]
+        values, grads, _, failures = learner._exact_parts(game, before, before, None)
+        assert list(failures) == [(0, "decomposition")]
+        assert np.isnan(values[:, 0]).all() and np.isnan(grads[0]).all()
+        for b in (1, 2):
+            gradient = exact_gradient(game, PolicyProfile(tuple(x[b] for x in before)))
+            assert np.array_equal(values[0, b], gradient.values)
+            for i in range(2):
+                assert np.array_equal(grads[b, i], gradient.blocks[i])
+
     def test_evaluates_the_profile_once(self, monkeypatch):
         # one row-layout core call evaluates the decomposed profile and its
         # query together, and the parts have the bits of the one-profile

@@ -1,11 +1,11 @@
 """Property tests: on small random games every public entry point returns
 finite numbers or raises one of the package's own errors, and the learner
-does so over the whole finite reward range.
+and the smoothed gradient do so over the whole finite reward range.
 
 The games cover 1-3 states, single-action players, transition rows with
 zero entries (so chains may be reducible or periodic) and rewards up to
-1e6, or up to 1e300 for the learner; profiles are uniform, random or pure
-(on the faces of the simplex).
+1e6, or up to 1e300 for the learner and the smoothed gradient; profiles
+are uniform, random or pure (on the faces of the simplex).
 """
 
 import dataclasses
@@ -33,7 +33,7 @@ from sgl.games import (
 )
 from sgl.learner import default_schedule, horizon_bias_check, run
 from sgl.mirror import make_regularizer
-from sgl.spsa import nets_for, smoothed_gradient_estimate
+from sgl.spsa import bias_probe, nets_for, smoothed_gradient_estimate
 
 PACKAGE_ERRORS = tuple(
     v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
@@ -170,3 +170,31 @@ def test_learner_is_finite_or_refused_before_its_first_window(drawn, mirror, wit
             return
     assert len(windows) == 6
     assert _finite(log.diagnostics, log.final_state.scores, log.final_state.policy)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=games(scales=(0.0, 1.0, 1e6, 1e100, 1e200, 1e300)),
+    kind=st.sampled_from(["uniform", "random", "pure"]),
+    n_draws=st.integers(1, 8),
+)
+def test_smoothed_gradient_is_finite_or_refused_before_its_first_draw(drawn, kind, n_draws):
+    # rewards whose one-point samples could overflow are refused before the
+    # generator is read; every other call is finite, with no numpy overflow
+    # or invalid operation on the way
+    game, rng = drawn
+    policy = _profile(game, rng, kind)
+    delta = 0.5 * min(net.radius for net in nets_for(game))
+    gen = np.random.default_rng(int(rng.integers(2**31)))
+    for fn in (smoothed_gradient_estimate, bias_probe):
+        state = gen.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                out = fn(game, policy, delta, n_draws, gen)
+            except errors.DomainError:
+                assert gen.bit_generator.state == state
+                continue
+            except PACKAGE_ERRORS:
+                continue
+        assert _finite(out)
