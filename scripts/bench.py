@@ -7,10 +7,13 @@ perfbench's jobs, written to a BENCH_<n>.json file.
 The operation rows time exact_value, exact_values over a stack of 256
 profiles, smoothed_gradient_estimate with 256 draws, exact_gradient,
 finite_difference_gradient (default step, one exact_values call), nash_gap,
-fenchel_coupling (entropy mirror, uniform reference) and
-horizon_bias_check (window 8, 1000 draws, contraction given) on four game
-sizes: (2 states, 2 players, 2 actions), (3, 3, 3), (20, 2, 4) with
-transition floor 0.01, and 3 states with actions (1, 3, 2), whose unequal
+fenchel_coupling (entropy mirror, uniform reference),
+horizon_bias_check (window 8, 1000 draws, contraction given) and the
+single-sample calls sample_sphere, perturb and estimate_gradient (one
+draw, one query and one estimate for the player with the most actions, as
+criterion 4 makes 400 000 of each) on four game sizes: (2 states, 2
+players, 2 actions), (3, 3, 3), (20, 2, 4) with transition floor 0.01,
+and 3 states with actions (1, 3, 2), whose unequal
 action counts and single-action player take their own branches. The learner rows are one run_batch call each, of B
 seeds with the entropy mirror and the default schedule: at log_every=1000,
 B = 1, 3, 10 on matching-pennies and zerosum-switching, whose windows are 2
@@ -118,6 +121,9 @@ OPS = (
     "nash_gap",
     "fenchel_coupling",
     "horizon_bias_check[H=8,draws=1000]",
+    "sample_sphere",
+    "perturb",
+    "estimate_gradient",
 )
 LEARNER_BATCHES = {  # seeds per learner row, by game
     "matching-pennies": (1, 3, 10),
@@ -199,6 +205,16 @@ def _operation(pkg, op: str, size: str):
         return functools.partial(
             learner.horizon_bias_check, game, policy, 8, 1000, rng=0, contraction=0.5
         )
+    i = int(np.argmax(game.n_actions))  # one player's single-sample calls
+    S, m = game.n_states, game.n_actions[i]
+    z = spsa.sample_sphere(spsa.reduced_dim(S, m), rng)
+    if op == "sample_sphere":
+        return functools.partial(spsa.sample_sphere, z.size, np.random.default_rng(0))
+    if op == "perturb":
+        base = spsa.reduce_policy(policy)[i]
+        return functools.partial(spsa.perturb, base, z, delta, spsa.safety_net_for(S, m))
+    if op == "estimate_gradient":
+        return functools.partial(spsa.estimate_gradient, 0.7, z, delta, spsa.lifting_for(S, m))
     raise SystemExit(f"unknown operation {op!r}")
 
 

@@ -117,33 +117,15 @@ def _evaluate(game: StochasticGame, profiles):
     size. That is why this core exists: the matmul contraction of the
     batch-last _batch_values gives a row other bits at another stack size,
     and a learner seed must have the same bits alone or in any batch. A
-    chain of a stack that fails the solve raises the error it raises alone,
-    with its position as slice_index.
+    stack's failing chain raises stationary_distribution's error, which
+    names the slice and carries the profile's position as slice_index.
     """
     blocks = profiles.probs if isinstance(profiles, PolicyProfile) else profiles
     _check_compatible(game, blocks)
     w = joint_weight_matrix(blocks)
-    try:
-        P, p = analyze_chain(game, w)
-    except ErgodicityError as exc:
-        if w.ndim == 3:
-            _raise_alone(exc, 1, lambda k: analyze_chain(game, w[k]))
-        raise
+    P, p = analyze_chain(game, w)
     R = np.einsum("isj,...sj->...is", game.rewards, w)
     return blocks, ValueReport((R @ p[..., None])[..., 0], R, p, P)
-
-
-def _raise_alone(exc, rows, alone):
-    """Raise exc, an ErgodicityError about row k of a stack of profiles of
-    `rows` rows each, as one about profile q = k // rows: q is its
-    slice_index and alone(q), the profile's own solve, gives its text."""
-    if hasattr(exc, "slice_index"):
-        q = exc.slice_index // rows
-        try:
-            alone(q)
-        except ErgodicityError as lone:
-            raise _at_slice(str(lone), q) from None
-    raise exc
 
 
 def exact_values(game: StochasticGame, blocks) -> np.ndarray:
@@ -466,6 +448,8 @@ def _policy_iteration(P, R, players):
         actions = nxt
         gain, h = _evaluate_deterministic(P, R, actions, players)
     unsettled = [players[i] for i in np.flatnonzero(moved)]
+    if not unsettled:  # an empty stack, with no sweep allowed
+        return gain, actions
     raise _at_slice(
         f"policy iteration for players {unsettled} did not settle in {_MAX_SWEEPS} sweeps",
         np.argmax(moved),
@@ -517,21 +501,18 @@ def _best_responses(game: StochasticGame, blocks):
     """Optimal gains (..., n) and actions (..., n, S) of every player
     against the others frozen, for the profile or stack of profiles blocks
     holds (as _evaluate's blocks): one _frozen_mdps and one
-    _policy_iteration over all (profile, player) rows. A row's result does
-    not depend on the rows beside it, so a failing profile raises what it
-    raises alone (its n rows run again for the text), naming the player,
-    with its position in the flattened stack as slice_index."""
+    _policy_iteration over all (profile, player) rows, each independent of
+    the others. A failing row's error names the player, and its slice_index
+    is the profile's position in a stack (the player's row for one profile)."""
     n, S = game.n_players, game.n_states
     P, R = _frozen_mdps(game, blocks, list(range(n)))
     lead = R.shape[:-3]
     P, R = P.reshape((-1,) + P.shape[-3:]), R.reshape((-1,) + R.shape[-2:])
     try:
         gain, actions = _policy_iteration(P, R, list(range(n)) * math.prod(lead))
-    except ErgodicityError as exc:  # profile q's players are rows q * n .. q * n + n - 1
-        if lead:  # one unstacked profile raises its own text already
-            _raise_alone(
-                exc, n, lambda q: _policy_iteration(P[q * n:][:n], R[q * n:][:n], list(range(n)))
-            )
+    except ErgodicityError as exc:
+        if lead and hasattr(exc, "slice_index"):  # row k is player k % n of profile k // n
+            exc.slice_index //= n
         raise
     return gain.reshape(lead + (n,)), actions.reshape(lead + (n, S))
 

@@ -15,7 +15,7 @@ import math
 import numbers
 import operator
 import pathlib
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -141,9 +141,9 @@ class ExperimentResult:
     seeds: list[int]
     iters: int
     schedule_reports: list[ScheduleReport]
-    runs: list[dict] = field(default_factory=list)
-    failures: list[dict] = field(default_factory=list)
-    aggregates: list[dict] = field(default_factory=list)
+    runs: list[dict]
+    failures: list[dict]
+    aggregates: list[dict]
 
     def summary(self) -> dict:
         return {
@@ -235,12 +235,8 @@ def sweep(
         raise ConfigError("sweep needs at least one seed")
     regularizer = regularizer or make_regularizer("entropy")
     tau = game.mixing_certificate.tau
-    result = ExperimentResult(
-        grid=grid,
-        seeds=seeds,
-        iters=iters,
-        schedule_reports=[validate_schedule(s, tau) for s in grid],
-    )
+    reports = [validate_schedule(s, tau) for s in grid]
+    runs, failures, aggregates = [], [], []
     out_path = pathlib.Path(out) if out is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
@@ -268,9 +264,7 @@ def sweep(
         logs = []
         for k, seed in enumerate(seeds):
             if k in errors:
-                result.failures.append(
-                    {"schedule_index": gi, "seed": seed, "error": errors[k]}
-                )
+                failures.append({"schedule_index": gi, "seed": seed, "error": errors[k]})
                 continue
             log = by_position[k]
             logs.append(log)
@@ -279,11 +273,10 @@ def sweep(
                 run_dir = out_path / f"run_g{gi}_s{seed}"
                 log.write(run_dir)
                 entry["csv"] = str(run_dir / "run.csv")
-            result.runs.append(entry)
-        result.aggregates.append(
-            {"schedule_index": gi, "checkpoints": _aggregate(logs)}
-        )
+            runs.append(entry)
+        aggregates.append({"schedule_index": gi, "checkpoints": _aggregate(logs)})
 
+    result = ExperimentResult(grid, seeds, iters, reports, runs, failures, aggregates)
     if out_path is not None:
         with open(out_path / "summary.json", "w") as fh:
             json.dump(result.summary(), fh, indent=1)

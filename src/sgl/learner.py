@@ -16,8 +16,9 @@ import json
 import math
 import operator
 import pathlib
+import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -306,9 +307,9 @@ class RunLog:
     game_digest: str
     iters: int
     log_every: int
-    diagnostics: list[StepDiagnostics] = field(default_factory=list)
-    final_state: LearnerState | None = None
-    clamped_steps: int = 0
+    diagnostics: list[StepDiagnostics]
+    final_state: LearnerState
+    clamped_steps: int
 
     def write(self, out_dir) -> None:
         out = pathlib.Path(out_dir)
@@ -406,7 +407,8 @@ def _exact_parts(game, before, queried, after):
     given) and the failures {(seed, part): the error its profile raises
     alone}. A seed's part is its "decomposition" (x_t and the query), its
     "value" (x_{t+1}) or its "gap" (best responses); a stage runs again
-    without a failing part, whose results are NaN. Reads no stream."""
+    without a failing part, whose results are NaN. A stage run on one
+    row r reads the unstacked x[r], the one-profile path. Reads no stream."""
     stacks = [x for x in (before, queried, after) if x is not None]
     B = len(stacks[0][0])
     N, failures = len(stacks) * B, {}
@@ -436,16 +438,22 @@ def _exact_parts(game, before, queried, after):
 
 
 def _dropping(run, rows, failures, part):
-    """(rows, run(rows)) on the list of stacked rows `rows`. An
-    ErgodicityError about slice k goes to failures under part(rows[k]),
-    and run repeats without that part's rows."""
+    """(rows, run(rows)) on the list of stacked rows `rows`. On an
+    ErgodicityError about slice k, row = rows[k] runs alone, run(row), and
+    its own error (the stacked one if it passes) goes to failures under
+    part(row); run repeats without that part's rows."""
     while True:
         try:
             return rows, run(rows)
         except ErgodicityError as exc:
             if not hasattr(exc, "slice_index"):
                 raise
-            failures[part(rows[exc.slice_index])] = exc
+            row = rows[exc.slice_index]
+            try:
+                run(row)
+            except ErgodicityError as alone:
+                exc = alone
+            failures[part(row)] = exc
             rows = [r for r in rows if part(r) not in failures]
 
 
@@ -597,12 +605,12 @@ def run_batch(
     A run whose schedule overflows at its last iteration, or whose uniforms
     would take more than games.MAX_WINDOW_BYTES, is refused with ScheduleError
     before its first iteration, and so is, with DomainError, an oracle_mode
-    run whose decomposition_draws is not a positive integer, or a run whose
-    rewards could overflow: E = max_i 2 d_i |lifting_i| max|r_i| / min delta
-    bounds every estimate's norm and smoothing sample, and E * E (times
-    decomposition_draws in oracle_mode) must be finite; Y = max|y_0| +
-    iters * max gamma * E bounds every score and Y * S * max m may not pass
-    mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
+    run whose decomposition_draws is not an integer from 1 to the largest
+    float, or a run whose rewards could overflow: E = max_i 2 d_i
+    |lifting_i| max|r_i| / min delta bounds every estimate's norm and
+    smoothing sample, and E * E (times decomposition_draws in oracle_mode)
+    must be finite; Y = max|y_0| + iters * max gamma * E bounds every score
+    and Y * S * max m may not pass mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
     An error raised for one seed (a negative seed, say) carries the seed's
     position in `seeds` as its seed_index attribute.
     """
@@ -614,8 +622,9 @@ def run_batch(
         raise DomainError("iters must be nonnegative")
     if log_every < 1:
         raise DomainError("log_every must be at least 1")
-    if oracle_mode and _count("decomposition_draws", decomposition_draws) < 1:
-        raise DomainError("decomposition_draws must be positive")
+    draws = _count("decomposition_draws", decomposition_draws) if oracle_mode else 1
+    if not 1 <= draws <= sys.float_info.max:  # int vs float compares exactly
+        raise DomainError("decomposition_draws must be positive and at most the largest float")
     start_state = _count("start_state", start_state)
     if not 0 <= start_state < game.n_states:
         raise DomainError(f"start_state {start_state} out of range")
@@ -660,7 +669,6 @@ def run_batch(
         ) / delta_min
         gamma_max = max(schedule.gamma(0), schedule.gamma(iters - 1))
         Y = max(float(np.abs(y).max()) for y in init) + iters * gamma_max * E
-        draws = decomposition_draws if oracle_mode else 1
         if not (math.isfinite(draws * E * E) and Y * n_states * max(n_actions) <= SCORE_LIMIT):
             raise DomainError(
                 f"rewards up to {max(map(game.max_abs_reward, active))} at query radius "
@@ -707,17 +715,7 @@ def run_batch(
         ]
 
     digest = game_hash(game)
-    logs = [
-        RunLog(
-            schedule=schedule,
-            seed=seed,
-            mirror_kind=regularizer.kind,
-            game_digest=digest,
-            iters=iters,
-            log_every=log_every,
-        )
-        for seed in seeds
-    ]
+    records = [[] for _ in seeds]  # each seed's StepDiagnostics, one per checkpoint
     states = [start_state] * n_batch
     clamped = 0
     est_norms = np.zeros((n_batch, n_players))
@@ -794,8 +792,8 @@ def run_batch(
                     )[0]
                     diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
                     dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
-            for b, log in enumerate(logs):
-                log.diagnostics.append(
+            for b, diagnostics in enumerate(records):
+                diagnostics.append(
                     StepDiagnostics(
                         t=t + 1,
                         gamma=gamma,
@@ -811,15 +809,26 @@ def run_batch(
                     )
                 )
 
-    for b, log in enumerate(logs):
-        log.clamped_steps = clamped
-        log.final_state = LearnerState(
-            scores=[y.copy() for y in blocks_of(scores, b)],
-            policy=PolicyProfile(tuple(blocks_of(policy, b))),
-            state=states[b],
+    logs = []
+    for b, (seed, diagnostics) in enumerate(zip(seeds, records)):
+        log = RunLog(
+            schedule=schedule,
+            seed=seed,
+            mirror_kind=regularizer.kind,
+            game_digest=digest,
+            iters=iters,
+            log_every=log_every,
+            diagnostics=diagnostics,
+            final_state=LearnerState(
+                scores=[y.copy() for y in blocks_of(scores, b)],
+                policy=PolicyProfile(tuple(blocks_of(policy, b))),
+                state=states[b],
+            ),
+            clamped_steps=clamped,
         )
         if out_dirs is not None:
             log.write(out_dirs[b])
+        logs.append(log)
     return logs
 
 

@@ -11,6 +11,7 @@ vectors back to simplex-tangent policy-shaped tensors.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -289,10 +290,11 @@ def smoothed_gradient_estimate(
 
 def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
     """The smoothed gradient's argument checks: a positive integer draw
-    count, a positive query radius inside every active player's safety
-    radius, and n_draws E_i E_i finite (E_i bounds a sample's entries)."""
-    if _count("n_draws", n_draws) < 1:
-        raise DomainError("n_draws must be positive")
+    count that a float holds, a positive query radius inside every active
+    player's safety radius, and n_draws E_i E_i finite (E_i bounds a
+    sample's entries)."""
+    if not 1 <= _count("n_draws", n_draws) <= sys.float_info.max:  # int vs float compares exactly
+        raise DomainError("n_draws must be positive and at most the largest float")
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     nets = nets_for(game)

@@ -38,6 +38,7 @@ from sgl.games import (
     uniform_profile,
 )
 from sgl.generators import GeneratorSpec, generate
+from sgl.learner import _exact_parts
 from sgl.mirror import BoundCheck
 from sgl.spsa import lift_block, reduced_from_full
 
@@ -520,7 +521,8 @@ class TestStackedOracle:
 
     def test_a_failing_chain_raises_its_own_error(self):
         # player 0 keeps the state under its first action: profile 1 of the
-        # stack is reducible and raises what it raises alone, naming no slice
+        # stack is reducible; the stacked error carries its position, and
+        # the checkpoint records what it raises alone, naming no slice
         rewards = np.zeros((2, 2, 4))
         transitions = np.zeros((2, 4, 2))
         for s in range(2):
@@ -533,14 +535,17 @@ class TestStackedOracle:
             exact_value(game, PolicyProfile((stacks[0][1], stacks[1][1])))
         with pytest.raises(ErgodicityError) as stacked:
             _evaluate(game, stacks)
-        assert str(stacked.value) == str(alone.value)
-        assert "slice" not in str(stacked.value)
         assert stacked.value.slice_index == 1
+        failures = _exact_parts(game, None, None, stacks)[3]
+        assert str(failures[1, "value"]) == str(alone.value)
+        assert "slice" not in str(failures[1, "value"])
 
     def test_a_failing_best_response_raises_its_own_error(self, stay_switch_game):
         # player 0 keeps or flips the state; against player 1's mixes in
         # profiles 1 and 2 its greedy candidate keeps both states or flips
-        # both, so those best responses fail, each as it fails alone
+        # both, so those best responses fail; the stacked error carries the
+        # first one's position, and the checkpoint records each as it fails
+        # alone
         game = stay_switch_game()
         mixes = ([[0.8, 0.2], [0.8, 0.2]], [[0.8, 0.2], [0.2, 0.8]],
                  [[0.2, 0.8], [0.8, 0.2]], [[0.3, 0.7], [0.3, 0.7]])
@@ -554,21 +559,27 @@ class TestStackedOracle:
             blocks = [np.stack([profiles[j].probs[i] for j in picked]) for i in range(2)]
             with pytest.raises(ErgodicityError) as stacked:
                 _best_responses(game, blocks)
-            assert str(stacked.value) == alone[k - 1]
             assert stacked.value.slice_index == picked.index(k)
+            failures = _exact_parts(game, None, None, blocks)[3]
+            for j in {1, 2} & set(picked):
+                assert str(failures[picked.index(j), "gap"]) == alone[j - 1]
         assert "of player 0: ergodicity check failed at slice 0:" in alone[0]
 
     def test_an_unsettled_best_response_names_its_profile(self, monkeypatch):
-        # no sweep is allowed, so every row is unsettled: the error names the
-        # first profile and its players only, as that profile alone does
+        # no sweep is allowed, so every row is unsettled: the stacked error
+        # carries the first profile's position, and the checkpoint records
+        # each profile's own players only, as that profile alone does
         game = random_game(5, n_states=3, n_players=2)
         rng = np.random.default_rng(2)
         profiles = [random_profile(game, rng, margin=0.1) for _ in range(3)]
         blocks = [np.stack([pi.probs[i] for pi in profiles]) for i in range(2)]
         monkeypatch.setattr(analysis, "_MAX_SWEEPS", 0)
-        with pytest.raises(ErgodicityError, match=r"players \[0, 1\] did not settle") as info:
+        with pytest.raises(ErgodicityError) as info:
             _best_responses(game, blocks)
         assert info.value.slice_index == 0
+        failures = _exact_parts(game, None, None, blocks)[3]
+        for k in range(3):
+            assert "players [0, 1] did not settle" in str(failures[k, "gap"])
 
     def test_a_singular_poisson_row_names_its_profile(self, monkeypatch):
         # the stacked Poisson solve has one row per (profile, player): a

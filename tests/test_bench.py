@@ -38,7 +38,7 @@ class TestRecord:
 
     def test_every_row_has_one_shape(self, bench):
         rows = bench._rows()
-        assert len(rows) == len(set(rows)) == 62
+        assert len(rows) == len(set(rows)) == 74
         records = [bench._record(op, size, 1, {"parent": [1.0], "change": [2.0]}) for op, size in rows]
         assert len({tuple(r) for r in records}) == 1
         assert {size for op, size in rows if op.startswith("job[")} == {None}

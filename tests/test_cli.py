@@ -202,6 +202,20 @@ class TestGradient:
         assert "over 2000 draws can overflow the smoothed gradient's samples" in captured.err
         assert "max abs difference" not in captured.err
 
+    def test_a_draw_count_beyond_the_largest_float_exits_one(self, tmp_path, capsys):
+        # such a count once raised a bare OverflowError (exit 2) where the
+        # smoothing door multiplied it into a float
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        argv = [
+            "gradient", "--game", str(game_path), "--policy", "uniform",
+            "--method", "spsa", "--draws", str(10**400),
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_draws must be positive and at most the largest float" in captured.err
+
 
 class TestLearn:
     def test_matching_pennies_with_sqrt_horizon_preset(self, tmp_path, capsys):

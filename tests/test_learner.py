@@ -10,7 +10,7 @@ import pytest
 
 from sgl import games, learner, spsa
 from sgl.analysis import exact_value, nash_gap
-from sgl.errors import DomainError, ScheduleError
+from sgl.errors import DomainError, ErgodicityError, ScheduleError
 from sgl.games import (
     PolicyProfile,
     StochasticGame,
@@ -499,14 +499,18 @@ class TestRunBatch:
         self, monkeypatch, stay_switch_game
     ):
         # the batch of the test above: every checkpoint makes one _evaluate
-        # call for all three seeds, and at t=19 the best responses run again
-        # for seeds 6 and 7 together, never alone. No checkpoint goes through
-        # the one-profile API, also where chains and decompositions fail
+        # call for all three seeds; at t=19 seed 9's best responses run once
+        # alone, unstacked, for the text of its warning, and then again for
+        # seeds 6 and 7 together. No checkpoint goes through the one-profile
+        # API, also where chains and decompositions fail
         import sgl.analysis as analysis
 
         evaluated, responded, inside, forbidden = [], [], [], []
-        def counted(real, seen):
-            return lambda g, blocks: seen.append(len(blocks[0])) or real(g, blocks)
+        def counted(real, seen):  # an unstacked block's len is S, not a stack size
+            def call(g, blocks):
+                seen.append(len(blocks[0]) if blocks[0].ndim == 3 else "alone")
+                return real(g, blocks)
+            return call
 
         def watched(real, name):
             return lambda *a, **k: (inside and forbidden.append(name)) or real(*a, **k)
@@ -536,7 +540,7 @@ class TestRunBatch:
                 game, sch, ENTROPY, 20, [6, 9, 7], reference=uniform_profile(game), log_every=5
             )
             assert evaluated == [3] * 4
-            assert responded == [3, 3, 3, 3, 2]
+            assert responded == [3, 3, 3, 3, "alone", 2]
             assert logs[1].diagnostics[-1].nash_gaps is None
             evaluated.clear()
             logs = run_batch(
@@ -596,6 +600,49 @@ class TestRunBatch:
             assert any(
                 m.startswith("oracle decomposition skipped") for m in messages
             ) == oracle_mode
+
+    @pytest.mark.parametrize("mirror", ("entropy", "euclidean"))
+    def test_checkpoint_warnings_read_as_the_profile_alone(
+        self, mirror, monkeypatch, stay_switch_game
+    ):
+        # every "checkpoint oracle skipped" warning reads as the one-profile
+        # API's error for that seed's x_{t+1}, at B = 1 and B = 6 alike: the
+        # stacked stage's slice never reaches the text
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        reg = make_regularizer(mirror)
+        seeds = list(range(6))
+        real_oracle = learner._checkpoint_oracle
+
+        def warned(batch):
+            profiles = []  # (t, seed, x_{t+1}) per checkpoint and seed, in warning order
+
+            def oracle(game, t, after, decomposed):
+                for b, seed in enumerate(batch):
+                    profiles.append((t, seed, PolicyProfile(tuple(x[b] for x in after))))
+                return real_oracle(game, t, after, decomposed)
+
+            monkeypatch.setattr(learner, "_checkpoint_oracle", oracle)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_batch(game, sch, reg, 30, batch, log_every=5)
+            expected = []
+            for t, seed, pi in profiles:
+                for alone in (exact_value, nash_gap):
+                    try:
+                        alone(game, pi)
+                    except ErgodicityError as exc:
+                        expected.append((t, seed, f"checkpoint oracle skipped at t={t}: {exc}"))
+                        break
+            assert [str(w.message) for w in caught] == [m for _, _, m in expected]
+            return expected
+
+        stacked = warned(seeds)
+        assert stacked == sorted(entry for k in seeds for entry in warned([k]))
+        stacked = [m for _, _, m in stacked]
+        assert any("best-response candidate" in m for m in stacked)
+        if mirror == "euclidean":
+            assert any("unit-circle" in m and "slice" not in m for m in stacked)
 
     def test_one_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))

@@ -462,6 +462,39 @@ class TestSmoothedGradient:
             smoothed_gradient_estimate(game, policy, delta, n_draws, np.random.default_rng(6))
         assert str(caught.value) == expected
 
+    def test_a_draw_count_beyond_the_largest_float_is_refused_unread(self, monkeypatch):
+        # n_draws * E * E once raised a bare OverflowError converting such a
+        # count to a float; the smoothing door and the learner refuse it by
+        # name before any generator is made or read, and a count a float
+        # holds is still judged by the product
+        from sgl.learner import default_schedule, run_batch
+        from sgl.mirror import make_regularizer
+
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        message = "must be positive and at most the largest float"
+        spsa._check_smoothing(game, 0.05, 10**300)
+        with pytest.raises(DomainError, match="over .* draws can overflow"):
+            spsa._check_smoothing(game, 0.05, 10**306)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for n_draws in (10**400, 2**1024 - 1):
+            with pytest.raises(DomainError, match=message):
+                spsa._check_smoothing(game, 0.05, n_draws)
+            with pytest.raises(DomainError, match=message):
+                smoothed_gradient_estimate(game, uniform_profile(game), 0.05, n_draws, rng)
+            assert rng.bit_generator.state == state
+
+        def no_generator(*args):
+            raise AssertionError("a generator was made")
+
+        schedule = default_schedule(game)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        with pytest.raises(DomainError, match="decomposition_draws " + message):
+            run_batch(
+                game, schedule, make_regularizer("entropy"), 10, [0], oracle_mode=True,
+                decomposition_draws=10**400,
+            )
+
     @pytest.mark.parametrize("n_draws, delta", [(0, 0.1), (-3, 0.1), (40, 0.0), (40, -0.05)])
     def test_bad_draws_or_delta_rejected(self, n_draws, delta):
         # through the estimator: the bias probe, the step decomposition and
