@@ -118,7 +118,7 @@ def _evaluate(game: StochasticGame, profiles):
     batch-last _batch_values gives a row other bits at another stack size,
     and a learner seed must have the same bits alone or in any batch. A
     stack's failing chain raises stationary_distribution's error, which
-    names the slice and carries the profile's position as slice_index.
+    reads as that profile's alone and carries its position as slice_index.
     """
     blocks = profiles.probs if isinstance(profiles, PolicyProfile) else profiles
     _check_compatible(game, blocks)
@@ -197,7 +197,8 @@ def _own_advantages(game: StochasticGame, blocks, report: ValueReport):
     profile and player in one stacked solve, then
     joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i. A singular
     system's error names the player, and its slice_index is the profile's
-    position in the flattened stack.
+    position in the flattened stack; an error without a slice_index passes
+    unchanged.
     """
     n, S = game.n_players, game.n_states
     lead = report.values.shape[:-1]
@@ -208,12 +209,13 @@ def _own_advantages(game: StochasticGame, blocks, report: ValueReport):
             P.reshape(-1, S, S),
             p.reshape(-1, S),
             (report.stage_rewards - report.values[..., None]).reshape(-1, S),
-            lambda k: f" for player {k % n}",
         ).reshape(lead + (n, S))
     except ErgodicityError as exc:
-        if hasattr(exc, "slice_index"):  # row k is player k % n of profile k // n
-            exc.slice_index //= n
-        raise
+        k = getattr(exc, "slice_index", None)
+        if k is None:
+            raise
+        # row k is player k % n of profile k // n
+        raise _at_slice(f"advantages of player {k % n}: {exc}", k // n) from exc
     future = np.moveaxis(game.transitions @ np.swapaxes(bias, -1, -2)[..., None, :, :], -1, -3)
     joint = game.rewards - report.values[..., None, None] + future   # (..., n, S, J)
     weighted = opponent_weights(game, blocks) * joint
@@ -389,13 +391,14 @@ def _frozen_mdps(game, blocks, players):
     return PR[..., :S], np.where(missing[:, None, :], -np.inf, PR[..., S])
 
 
-def _poisson(P, p, r, at):
+def _poisson(P, p, r):
     """Zero-mean biases (k, S) of a (k, S, S) stack of ergodic chains: row i
     solves (I - P[i] + 1 p[i]) h = r[i], with r[i] the stage rewards minus
     the gain, so p[i] . h = 0. One solve per slice, all in one stacked call;
-    a singular slice raises ErgodicityError, located by at(i)."""
+    a singular slice raises ErgodicityError naming the check, with its row
+    as slice_index, for the caller to name the player."""
     A = np.eye(P.shape[-1]) - P + p[:, None, :]
-    return _slicewise(np.linalg.solve, "singular Poisson system", at, A, r[..., None])[..., 0]
+    return _slicewise(np.linalg.solve, "singular Poisson system", A, r[..., None])[..., 0]
 
 
 def _evaluate_deterministic(P, R, actions, players):
@@ -410,7 +413,7 @@ def _evaluate_deterministic(P, R, actions, players):
     try:
         p = stationary_distribution(P_pi)
         gain = np.vecdot(p, R_pi)
-        h = _poisson(P_pi, p, R_pi - gain[:, None], lambda i: f" at slice {i}")
+        h = _poisson(P_pi, p, R_pi - gain[:, None])
     except ErgodicityError as exc:
         i = getattr(exc, "slice_index", None)
         if i is None:
@@ -431,7 +434,8 @@ def _policy_iteration(P, R, players):
     ties and the iteration terminates. Rows that have settled keep their
     actions, and with them their gains, bit for bit. Returns the optimal
     gains (k,) and actions (k, S). An error's slice_index is the row of
-    the failing candidate, or of the first row that did not settle.
+    the failing candidate, or of the first row that did not settle, and its
+    text names that row's player: the text the row raises alone.
     """
     stack, rows = np.arange(len(players))[:, None], np.arange(R.shape[1])
     actions = R.argmax(axis=2)
@@ -447,12 +451,11 @@ def _policy_iteration(P, R, players):
             return gain, actions
         actions = nxt
         gain, h = _evaluate_deterministic(P, R, actions, players)
-    unsettled = [players[i] for i in np.flatnonzero(moved)]
-    if not unsettled:  # an empty stack, with no sweep allowed
+    if not moved.any():  # an empty stack, with no sweep allowed
         return gain, actions
+    k = np.argmax(moved)
     raise _at_slice(
-        f"policy iteration for players {unsettled} did not settle in {_MAX_SWEEPS} sweeps",
-        np.argmax(moved),
+        f"policy iteration for player {players[k]} did not settle in {_MAX_SWEEPS} sweeps", k
     )
 
 
@@ -502,8 +505,9 @@ def _best_responses(game: StochasticGame, blocks):
     against the others frozen, for the profile or stack of profiles blocks
     holds (as _evaluate's blocks): one _frozen_mdps and one
     _policy_iteration over all (profile, player) rows, each independent of
-    the others. A failing row's error names the player, and its slice_index
-    is the profile's position in a stack (the player's row for one profile)."""
+    the others. A failing row's error reads as that profile's alone, naming
+    the player, and its slice_index is the profile's position in a stack
+    (the player's row for one profile)."""
     n, S = game.n_players, game.n_states
     P, R = _frozen_mdps(game, blocks, list(range(n)))
     lead = R.shape[:-3]

@@ -23,7 +23,8 @@ class ErgodicityError(SglError, RuntimeError):
 
     The message names the check that failed (eigenvalue multiplicity,
     singular solve, fixed-point residual). An error about one chain or
-    profile of a stacked call carries its position there as slice_index.
+    profile of a stacked call carries its position there as slice_index,
+    and only there: its message reads as that chain's or profile's own.
     """
 
 

@@ -383,9 +383,10 @@ def _at_slice(message: str, k) -> ErgodicityError:
     return exc
 
 
-def _slicewise(fn, check: str, at, *stacks):
+def _slicewise(fn, check: str, *stacks):
     """fn(*stacks), with a LinAlgError turned into an ErgodicityError that
-    names the first slice fn fails on alone."""
+    names the check, with the first slice fn fails on alone as its
+    slice_index (none if every slice passes alone)."""
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError:
@@ -393,9 +394,7 @@ def _slicewise(fn, check: str, at, *stacks):
             try:
                 fn(*(s[k : k + 1] for s in stacks))
             except np.linalg.LinAlgError as exc:
-                raise _at_slice(
-                    f"ergodicity check failed{at(k)}: {check} ({exc})", k
-                ) from exc
+                raise _at_slice(f"ergodicity check failed: {check} ({exc})", k) from exc
         raise ErgodicityError(f"ergodicity check failed: {check}") from None
 
 
@@ -411,19 +410,16 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     every row) passes the count, with one tolerance of margin for rounding.
     Then one stacked solve of the balance equations, with their last row
     replaced by the normalization, gives every distribution. Raises
-    ErgodicityError, naming the failing check (and, for a stack, the
-    slice), when a chain is not ergodic; a singular solve, or a solution
-    whose fixed-point residual exceeds STATIONARY_TOL, is reported the same
-    way.
+    ErgodicityError when a chain is not ergodic; a singular solve, or a
+    solution whose fixed-point residual exceeds STATIONARY_TOL, is reported
+    the same way. The text names the failing check and reads as the failing
+    slice's own error alone; its slice_index is that slice's position.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
         raise DimensionError(f"transition matrix must be square, got {P.shape}")
     stack = P.reshape((-1,) + P.shape[-2:])
     n = stack.shape[1]
-
-    def at(k) -> str:
-        return f" at slice {k}" if P.ndim == 3 else ""
 
     # each check is one ufunc reduction over the whole stack (a NaN fails
     # it), and the failing slice is located only on failure
@@ -433,7 +429,8 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         and np.minimum.reduce(stack, axis=None, initial=0.0) >= -ROW_SUM_TOL
     ):
         ok = (rows_off <= 1e-9).all(axis=1) & (stack >= -ROW_SUM_TOL).all(axis=(1, 2))
-        raise DomainError(f"matrix is not row-stochastic{at(np.argmin(ok))}")
+        where = f" at slice {np.argmin(ok)}" if P.ndim == 3 else ""
+        raise DomainError(f"matrix is not row-stochastic{where}")
 
     # the Doeblin screen: only these slices are counted, and counted slice k
     # is slice doubtful[k] of the stack
@@ -441,10 +438,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     if not np.minimum.reduce(alpha, initial=1.0) > 2 * _UNIT_EIG_TOL:
         doubtful = np.flatnonzero(alpha <= 2 * _UNIT_EIG_TOL)
         try:
-            eigvals = _slicewise(
-                np.linalg.eigvals, "eigenvalue computation failed",
-                lambda k: at(doubtful[k]), stack[doubtful],
-            )
+            eigvals = _slicewise(np.linalg.eigvals, "eigenvalue computation failed", stack[doubtful])
         except ErgodicityError as exc:
             if hasattr(exc, "slice_index"):
                 exc.slice_index = int(doubtful[exc.slice_index])
@@ -453,7 +447,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         if not (n_unit == 1).all():
             k = np.argmin(n_unit == 1)
             raise _at_slice(
-                f"ergodicity check failed{at(doubtful[k])}: unit-circle eigenvalue count "
+                f"ergodicity check failed: unit-circle eigenvalue count "
                 f"{n_unit[k]} != 1 (chain reducible or periodic)",
                 doubtful[k],
             )
@@ -462,18 +456,18 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     A[:, -1, :] = 1.0
     b = np.zeros((len(A), n, 1))
     b[:, -1] = 1.0
-    p = _slicewise(np.linalg.solve, "singular balance system", at, A, b)
+    p = _slicewise(np.linalg.solve, "singular balance system", A, b)
     p = np.maximum(p[:, :, 0], 0.0)
     total = np.add.reduce(p, axis=1, keepdims=True)
     if not np.minimum.reduce(total, axis=None, initial=1.0) > 0:
         k = np.argmin(total[:, 0] > 0)
-        raise _at_slice(f"ergodicity check failed{at(k)}: linear solve degenerate", k)
+        raise _at_slice("ergodicity check failed: linear solve degenerate", k)
     p = p / total
     residual = np.add.reduce(np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p), axis=1)
     if not np.maximum.reduce(residual, initial=0.0) <= STATIONARY_TOL:
         k = np.argmin(residual <= STATIONARY_TOL)
         raise _at_slice(
-            f"ergodicity check failed{at(k)}: fixed-point residual {residual[k]:.3e} "
+            f"ergodicity check failed: fixed-point residual {residual[k]:.3e} "
             f"> {STATIONARY_TOL}",
             k,
         )

@@ -14,7 +14,6 @@ import csv
 import itertools
 import json
 import math
-import operator
 import pathlib
 import sys
 import warnings
@@ -404,11 +403,10 @@ def _exact_parts(game, before, queried, after):
     m_i) stack per player, then _gradients of before and _best_responses
     against after. Returns the values (arguments given, B, n), the (B, n,
     S, max m) gradients, the (B, n) best-response gains (None where not
-    given) and the failures {(seed, part): the error its profile raises
-    alone}. A seed's part is its "decomposition" (x_t and the query), its
+    given) and the failures {(seed, part): the ErgodicityError of its
+    profile}. A seed's part is its "decomposition" (x_t and the query), its
     "value" (x_{t+1}) or its "gap" (best responses); a stage runs again
-    without a failing part, whose results are NaN. A stage run on one
-    row r reads the unstacked x[r], the one-profile path. Reads no stream."""
+    without a failing part, whose results are NaN. Reads no stream."""
     stacks = [x for x in (before, queried, after) if x is not None]
     B = len(stacks[0][0])
     N, failures = len(stacks) * B, {}
@@ -438,22 +436,17 @@ def _exact_parts(game, before, queried, after):
 
 
 def _dropping(run, rows, failures, part):
-    """(rows, run(rows)) on the list of stacked rows `rows`. On an
-    ErgodicityError about slice k, row = rows[k] runs alone, run(row), and
-    its own error (the stacked one if it passes) goes to failures under
-    part(row); run repeats without that part's rows."""
+    """(rows, run(rows)) on the list of stacked rows `rows`. An
+    ErgodicityError about slice k names no stack position, so it reads as
+    the profile of row rows[k] alone: it goes to failures as it is, under
+    part(rows[k]), and run repeats without that part's rows."""
     while True:
         try:
             return rows, run(rows)
         except ErgodicityError as exc:
             if not hasattr(exc, "slice_index"):
                 raise
-            row = rows[exc.slice_index]
-            try:
-                run(row)
-            except ErgodicityError as alone:
-                exc = alone
-            failures[part(row)] = exc
+            failures[part(rows[exc.slice_index])] = exc
             rows = [r for r in rows if part(r) not in failures]
 
 
@@ -529,10 +522,10 @@ def _checkpoint_oracle(game, t, after, decomposed):
     after, z[i] player i's (B, S, m_i - 1) directions (None for a single
     action) and one payoff row and stream per seed. One _exact_parts call
     covers every seed; the smoothed gradients stay per seed. A failed part
-    is None, with the warnings of the seed's solo run, in seed order; the
-    values stay where only the best responses fail. An error raised for
-    one seed, other than an ErgodicityError, carries its position as
-    seed_index.
+    is None and warns, in seed order, with the stacked stage's error, which
+    reads as the seed's solo run warns; the values stay where only the best
+    responses fail. An error raised for one seed, other than an
+    ErgodicityError, carries its position as seed_index.
     """
     n_batch = len(after[0])
     values, gaps, decompositions = [None] * n_batch, [None] * n_batch, [None] * n_batch
@@ -611,13 +604,10 @@ def run_batch(
     smoothing sample, and E * E (times decomposition_draws in oracle_mode)
     must be finite; Y = max|y_0| + iters * max gamma * E bounds every score
     and Y * S * max m may not pass mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
-    An error raised for one seed (a negative seed, say) carries the seed's
-    position in `seeds` as its seed_index attribute.
+    An error raised for one seed (a negative or a float seed, say) carries
+    the seed's position in `seeds` as its seed_index attribute.
     """
-    try:  # a float count fails instead of being truncated
-        iters, log_every = operator.index(iters), operator.index(log_every)
-    except TypeError:
-        raise DomainError(f"iters={iters!r}, log_every={log_every!r}: need integers") from None
+    iters, log_every = _count("iters", iters), _count("log_every", log_every)
     if iters < 0:
         raise DomainError("iters must be nonnegative")
     if log_every < 1:
@@ -648,8 +638,12 @@ def run_batch(
             f"{len(seeds)} seeds' windows of {longest + 1} stages at t={iters - 1}",
         )
     for b, seed in enumerate(seeds):
-        if seed < 0:  # numpy's default_rng says only "expected non-negative integer"
-            raise _tagged(DomainError(f"seed {seed} is negative"), b)
+        try:  # a NumPy integer seed becomes an int, which run.json can write
+            seeds[b] = _count("seed", seed)
+            if seeds[b] < 0:  # numpy's default_rng says only "expected non-negative integer"
+                raise DomainError(f"seed {seed} is negative")
+        except DomainError as exc:
+            raise _tagged(exc, b)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     radius_cap = 0.99 * min_safety_radius(game)
 

@@ -544,8 +544,8 @@ class TestStackedOracle:
         # player 0 keeps or flips the state; against player 1's mixes in
         # profiles 1 and 2 its greedy candidate keeps both states or flips
         # both, so those best responses fail; the stacked error carries the
-        # first one's position, and the checkpoint records each as it fails
-        # alone
+        # first one's position and reads as that profile alone, and the
+        # checkpoint records each as it fails alone
         game = stay_switch_game()
         mixes = ([[0.8, 0.2], [0.8, 0.2]], [[0.8, 0.2], [0.2, 0.8]],
                  [[0.2, 0.8], [0.8, 0.2]], [[0.3, 0.7], [0.3, 0.7]])
@@ -560,15 +560,17 @@ class TestStackedOracle:
             with pytest.raises(ErgodicityError) as stacked:
                 _best_responses(game, blocks)
             assert stacked.value.slice_index == picked.index(k)
+            assert str(stacked.value) == alone[k - 1]
             failures = _exact_parts(game, None, None, blocks)[3]
             for j in {1, 2} & set(picked):
                 assert str(failures[picked.index(j), "gap"]) == alone[j - 1]
-        assert "of player 0: ergodicity check failed at slice 0:" in alone[0]
+        assert "of player 0: ergodicity check failed: unit-circle" in alone[0]
+        assert not any("slice" in text for text in alone)
 
     def test_an_unsettled_best_response_names_its_profile(self, monkeypatch):
         # no sweep is allowed, so every row is unsettled: the stacked error
         # carries the first profile's position, and the checkpoint records
-        # each profile's own players only, as that profile alone does
+        # each profile's first unsettled player, as that profile alone does
         game = random_game(5, n_states=3, n_players=2)
         rng = np.random.default_rng(2)
         profiles = [random_profile(game, rng, margin=0.1) for _ in range(3)]
@@ -579,7 +581,10 @@ class TestStackedOracle:
         assert info.value.slice_index == 0
         failures = _exact_parts(game, None, None, blocks)[3]
         for k in range(3):
-            assert "players [0, 1] did not settle" in str(failures[k, "gap"])
+            assert "player 0 did not settle" in str(failures[k, "gap"])
+            with pytest.raises(ErgodicityError) as alone:
+                nash_gap(game, profiles[k])
+            assert str(failures[k, "gap"]) == str(alone.value)
 
     def test_a_singular_poisson_row_names_its_profile(self, monkeypatch):
         # the stacked Poisson solve has one row per (profile, player): a
@@ -591,13 +596,24 @@ class TestStackedOracle:
             game, [np.stack([pi.probs[i] for pi in profiles]) for i in range(2)]
         )
 
-        def singular(P, p, r, at):
-            raise games._at_slice(f"ergodicity check failed{at(3)}: singular Poisson system", 3)
+        def singular(P, p, r):
+            raise games._at_slice("ergodicity check failed: singular Poisson system", 3)
 
         monkeypatch.setattr(analysis, "_poisson", singular)
-        with pytest.raises(ErgodicityError, match="for player 1: singular") as info:
+        message = "^advantages of player 1: ergodicity check failed: singular Poisson system$"
+        with pytest.raises(ErgodicityError, match=message) as info:
             _gradients(game, blocks, report)
         assert info.value.slice_index == 1
+        # the solve's fallback locates no slice: its error passes unchanged
+        unlocated = ErgodicityError("ergodicity check failed: singular Poisson system")
+
+        def fallback(P, p, r):
+            raise unlocated
+
+        monkeypatch.setattr(analysis, "_poisson", fallback)
+        with pytest.raises(ErgodicityError) as info:
+            _gradients(game, blocks, report)
+        assert info.value is unlocated
 
     def test_empty_stacks(self):
         # a checkpoint whose profiles all failed runs a stage on no profile

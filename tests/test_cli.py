@@ -453,9 +453,9 @@ class TestSweepCommand:
         "key, value, message",
         [
             ("log_every", 0, "log_every must be at least 1"),
-            ("log_every", 2.9, "need integers"),
+            ("log_every", 2.9, "log_every=2.9: need an integer"),
             ("iters", -5, "iters must be nonnegative"),
-            ("iters", 10.5, "need integers"),
+            ("iters", 10.5, "iters=10.5: need an integer"),
         ],
     )
     def test_batch_wide_error_exits_one(self, tmp_path, capsys, key, value, message):

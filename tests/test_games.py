@@ -222,12 +222,13 @@ class TestStationary:
     def test_stack_names_the_non_ergodic_slice(self, bad):
         P = np.tile([[0.9, 0.1], [0.2, 0.8]], (5, 1, 1))
         P[3] = bad
-        with pytest.raises(ErgodicityError, match="slice 3: unit-circle eigenvalue"):
+        with pytest.raises(ErgodicityError, match="failed: unit-circle eigenvalue") as exc:
             stationary_distribution(P)
+        assert exc.value.slice_index == 3
 
     def test_singular_solve_is_ergodicity_error(self, monkeypatch):
         # with the eigenvalue screen bypassed, the identity's balance system
-        # is singular: the solve must name the slice, never raise LinAlgError
+        # is singular: the solve must locate the slice, never raise LinAlgError
         counted = []
 
         def one_unit_eigenvalue(a):
@@ -237,8 +238,9 @@ class TestStationary:
         monkeypatch.setattr(np.linalg, "eigvals", one_unit_eigenvalue)
         P = np.tile([[0.9, 0.1], [0.2, 0.8]], (4, 1, 1))
         P[2] = np.eye(2)
-        with pytest.raises(ErgodicityError, match="slice 2: singular balance system"):
+        with pytest.raises(ErgodicityError, match="failed: singular balance system") as exc:
             stationary_distribution(P)
+        assert exc.value.slice_index == 2
         with pytest.raises(ErgodicityError, match="failed: singular balance system"):
             stationary_distribution(np.eye(2))
         # the identity (alpha 0) is counted, alone; the positive slices are not
@@ -271,7 +273,7 @@ class TestStationary:
         P = self.ergodic_stack(3, 8, seed=5)
         P[5] = bad
         assert stationary_distribution(np.delete(P, 5, axis=0)).shape == (7, 3)
-        with pytest.raises(ErgodicityError, match="at slice 5: unit-circle eigenvalue") as exc:
+        with pytest.raises(ErgodicityError, match="failed: unit-circle eigenvalue") as exc:
             stationary_distribution(P)
         assert exc.value.slice_index == 5
         with pytest.raises(ErgodicityError, match="failed: unit-circle eigenvalue"):
@@ -288,7 +290,7 @@ class TestStationary:
         monkeypatch.setattr(np.linalg, "eigvals", fails_on_the_identity)
         P = self.ergodic_stack(3, 8, seed=6)
         P[5] = np.eye(3)
-        with pytest.raises(ErgodicityError, match="at slice 5: eigenvalue computation") as exc:
+        with pytest.raises(ErgodicityError, match="failed: eigenvalue computation") as exc:
             stationary_distribution(P)
         assert exc.value.slice_index == 5
 
@@ -337,7 +339,7 @@ class TestStationary:
         assert np.array_equal(exact_values(game, stacks), expected)
 
     def test_wrong_balance_solution_fails_the_residual_check(self, monkeypatch):
-        # a solve that returns a wrong vector for one slice must raise, naming
+        # a solve that returns a wrong vector for one slice must raise, locating
         # that slice, rather than hand the vector back
         real = np.linalg.solve
 
@@ -349,7 +351,7 @@ class TestStationary:
 
         monkeypatch.setattr(np.linalg, "solve", wrong_at_slice_2)
         P = np.tile([[0.9, 0.1], [0.2, 0.8]], (4, 1, 1))
-        with pytest.raises(ErgodicityError, match="at slice 2: fixed-point residual") as exc:
+        with pytest.raises(ErgodicityError, match="failed: fixed-point residual") as exc:
             stationary_distribution(P)
         assert exc.value.slice_index == 2
         np.testing.assert_allclose(stationary_distribution(P[:2]), [[2 / 3, 1 / 3]] * 2)

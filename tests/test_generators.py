@@ -211,7 +211,7 @@ class TestSweep:
         "kw, message",
         [
             ({"log_every": 0}, "log_every must be at least 1"),
-            ({"log_every": 2.9}, "need integers"),
+            ({"log_every": 2.9}, "log_every=2.9: need an integer"),
             ({"iters": -5}, "iters must be nonnegative"),
         ],
     )

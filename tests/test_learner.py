@@ -499,10 +499,10 @@ class TestRunBatch:
         self, monkeypatch, stay_switch_game
     ):
         # the batch of the test above: every checkpoint makes one _evaluate
-        # call for all three seeds; at t=19 seed 9's best responses run once
-        # alone, unstacked, for the text of its warning, and then again for
-        # seeds 6 and 7 together. No checkpoint goes through the one-profile
-        # API, also where chains and decompositions fail
+        # call for all three seeds; at t=19 seed 9's best responses fail in
+        # the stack, whose error is its warning as it stands, and run again
+        # for seeds 6 and 7 together. No checkpoint goes through the
+        # one-profile API, also where chains and decompositions fail
         import sgl.analysis as analysis
 
         evaluated, responded, inside, forbidden = [], [], [], []
@@ -540,7 +540,7 @@ class TestRunBatch:
                 game, sch, ENTROPY, 20, [6, 9, 7], reference=uniform_profile(game), log_every=5
             )
             assert evaluated == [3] * 4
-            assert responded == [3, 3, 3, 3, "alone", 2]
+            assert responded == [3, 3, 3, 3, 2]
             assert logs[1].diagnostics[-1].nash_gaps is None
             evaluated.clear()
             logs = run_batch(
@@ -667,7 +667,8 @@ class TestRunBatch:
         sch = default_schedule(game)
         kw = {"log_every": 2, "start_state": 0, **counts}
         iters = kw.pop("iters", 6)
-        message = r"start_state=1\.0: need an integer" if "start_state" in counts else "need integers"
+        ((name, value),) = counts.items()
+        message = f"^{name}={value}: need an integer$".replace(".", r"\.")
         with pytest.raises(DomainError, match=message):
             run_batch(game, sch, ENTROPY, iters, [0], **kw)
         with pytest.raises(DomainError, match=message):
@@ -710,6 +711,31 @@ class TestRunBatch:
         with pytest.raises(DomainError, match="seed -1 is negative") as info:
             run_batch(game, default_schedule(game), ENTROPY, 4, [0, 2, -1])
         assert info.value.seed_index == 2
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, "1", None], ids=repr)
+    def test_non_integer_seed_names_its_position(self, bad):
+        # a seed is read as a count, as iters is: a float, string or None
+        # seed is a named error for its position, not a bare TypeError
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = default_schedule(game)
+        message = f"^seed={bad!r}: need an integer$".replace(".", r"\.")
+        with pytest.raises(DomainError, match=message) as info:
+            run_batch(game, sch, ENTROPY, 4, [0, bad, 2])
+        assert info.value.seed_index == 1
+        with pytest.raises(DomainError, match=message) as info:
+            run(game, sch, ENTROPY, 4, bad)
+        assert info.value.seed_index == 0
+
+    def test_numpy_integer_seed_writes_its_run(self, tmp_path):
+        # an np.int64 seed once ran the whole job and then failed while
+        # writing run.json, leaving it empty beside a full run.csv
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        sch = default_schedule(game)
+        log = run(game, sch, ENTROPY, 3, np.int64(1), out_dir=tmp_path / "np")
+        run(game, sch, ENTROPY, 3, 1, out_dir=tmp_path / "int")
+        assert type(log.seed) is int
+        for name in ("run.csv", "run.json"):
+            assert (tmp_path / "np" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_estimate_is_a_domain_error(self, monkeypatch):

@@ -1,6 +1,8 @@
 """Property tests: on small random games every public entry point returns
 finite numbers or raises one of the package's own errors, and the learner
-and the smoothed gradient do so over the whole finite reward range.
+and the smoothed gradient do so over the whole finite reward range. An
+ergodicity error about one slice of a stack reads as that slice's own
+error alone, with its position only in slice_index.
 
 The games cover 1-3 states, single-action players, transition rows with
 zero entries (so chains may be reducible or periodic) and rewards up to
@@ -10,14 +12,18 @@ are uniform, random or pure (on the faces of the simplex).
 
 import dataclasses
 import warnings
+from itertools import product
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgl import errors, learner
 from sgl.analysis import (
+    _best_responses,
+    best_response,
     exact_gradient,
     exact_value,
     exact_values,
@@ -25,13 +31,15 @@ from sgl.analysis import (
     nash_gap,
 )
 from sgl.games import (
+    PolicyProfile,
     StochasticGame,
     deterministic_profile,
     random_profile,
     rollout,
+    stationary_distribution,
     uniform_profile,
 )
-from sgl.learner import default_schedule, horizon_bias_check, run
+from sgl.learner import _exact_parts, default_schedule, horizon_bias_check, run
 from sgl.mirror import make_regularizer
 from sgl.spsa import bias_probe, nets_for, smoothed_gradient_estimate
 
@@ -198,3 +206,99 @@ def test_smoothed_gradient_is_finite_or_refused_before_its_first_draw(drawn, kin
             except PACKAGE_ERRORS:
                 continue
         assert _finite(out)
+
+
+def _ergodic_chain(rng, n):
+    """A positive chain, or a lazy n-cycle, which has no positive column for
+    n >= 3 and so goes through the eigenvalue count."""
+    if rng.random() < 0.5:
+        P = rng.random((n, n)) + 0.05
+        return P / P.sum(axis=1, keepdims=True)
+    a = rng.uniform(0.1, 0.9)
+    return a * np.eye(n) + (1 - a) * np.roll(np.eye(n), 1, axis=1)
+
+
+def _failing_chain(rng, n, kind):
+    if kind == "identity":
+        return np.eye(n)
+    if kind == "periodic":
+        return np.roll(np.eye(n), 1, axis=1)
+    # reducible: two closed classes, each a positive chain
+    cut = int(rng.integers(1, n))
+    P = np.zeros((n, n))
+    for lo, hi in ((0, cut), (cut, n)):
+        block = rng.random((hi - lo, hi - lo)) + 0.05
+        P[lo:hi, lo:hi] = block / block.sum(axis=1, keepdims=True)
+    return P
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    size=st.integers(1, 8),
+    position=st.integers(0, 7),
+    kind=st.sampled_from(["periodic", "reducible", "identity"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stacked_chain_error_reads_as_its_slice_alone(n, size, position, kind, seed):
+    rng = np.random.default_rng(seed)
+    k = position % size
+    stack = np.array([_ergodic_chain(rng, n) for _ in range(size)])
+    stack[k] = _failing_chain(rng, n, kind)
+    with pytest.raises(errors.ErgodicityError) as alone:
+        stationary_distribution(stack[k])
+    with pytest.raises(errors.ErgodicityError) as stacked:
+        stationary_distribution(stack)
+    assert str(stacked.value) == str(alone.value)
+    assert "unit-circle eigenvalue count" in str(alone.value)
+    assert stacked.value.slice_index == k
+
+
+def _stay_switch(controller):
+    """Two states and two players with two actions: the controller's first
+    action keeps the state and its second flips it, and the rewards are
+    matching pennies' with the roles swapping between the states."""
+    rewards = np.zeros((2, 2, 4))
+    transitions = np.zeros((2, 4, 2))
+    for j, actions in enumerate(product(range(2), repeat=2)):
+        own, other = actions[controller], actions[1 - controller]
+        for s in range(2):
+            transitions[s, j, s if own == 0 else 1 - s] = 1.0
+            rewards[controller, s, j] = float((own == other) == (s == 0))
+    rewards[1 - controller] = 1.0 - rewards[controller]
+    return StochasticGame(2, (2, 2), rewards, transitions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    controller=st.integers(0, 1),
+    size=st.integers(1, 6),
+    position=st.integers(0, 5),
+    flips=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_failing_candidate_reads_the_same_from_every_entry(
+    controller, size, position, flips, seed
+):
+    # the controller's mixes are interior, so the other player's responses
+    # are ergodic; at profile k the other player's mixes make the
+    # controller's greedy candidate keep both states or flip both, so the
+    # stack fails at profile k or before it
+    rng = np.random.default_rng(seed)
+    k = position % size
+    game = _stay_switch(controller)
+    mix = rng.uniform(0.05, 0.95, size=(2, size, 2))  # (player, profile, state)
+    mix[1 - controller, k] = rng.uniform(0.05, 0.45, size=2) + [0.5 * (not flips), 0.5 * flips]
+    blocks = [np.stack([m, 1.0 - m], axis=-1) for m in mix]
+    with pytest.raises(errors.ErgodicityError) as stacked:
+        _best_responses(game, blocks)
+    j = stacked.value.slice_index
+    assert j <= k
+    text = str(stacked.value)
+    assert text.startswith("best-response candidate ") and f" of player {controller}: " in text
+    profile = PolicyProfile(tuple(b[j] for b in blocks))
+    for alone in (lambda: nash_gap(game, profile), lambda: best_response(game, profile, controller)):
+        with pytest.raises(errors.ErgodicityError) as info:
+            alone()
+        assert str(info.value) == text
+    assert str(_exact_parts(game, None, None, blocks)[3][j, "gap"]) == text
