@@ -67,9 +67,11 @@ median of the per-round speedups parent / change and the rounds in which
 the change took less time (change_won_rounds; a tie counts for neither
 side). A speedup whose rounds split, or that sits inside round_iqr_us, is
 unresolved. Every learner row also records, per side, the cProfile count
-of Python and C function calls of one call divided by its iterations
-(calls_per_iter) and by its seed-iterations (calls_per_seed_iter); unlike
-the times, the counts do not move with the host.
+of Python and C function calls of one call, summed over the profiler's
+entries so that every dataclass constructor counts, divided by its
+iterations (calls_per_iter) and by its seed-iterations
+(calls_per_seed_iter); unlike the times, the counts do not move with the
+host.
 
 Each side also records its src/sgl line count, the number of names in
 sgl.__all__, its count of defaulted function parameters, its counts of
@@ -93,7 +95,6 @@ import math
 import os
 import pathlib
 import platform
-import pstats
 import shutil
 import subprocess
 import sys
@@ -471,13 +472,20 @@ def measure(packages: pathlib.Path, sides: list) -> dict:
         if op.startswith("learner"):
             for side in sides:
                 call, seed_iters = built[side][op, size]
-                profile = cProfile.Profile()
-                profile.runcall(call)
-                total = pstats.Stats(profile).total_calls
+                total = _profiled_calls(call)
                 row[side]["calls_per_iter"] = total / call.args[3]  # run_batch's iters
                 row[side]["calls_per_seed_iter"] = total / seed_iters
         records.append(row)
     return {"rows": records, "window_scan": _scan(importlib.import_module(f"sgl_{sides[-1]}"))}
+
+
+def _profiled_calls(call) -> int:
+    """The calls call() makes, summed over cProfile's entries. Not pstats'
+    total_calls: pstats keys by (file, line, name), so every dataclass
+    __init__, all compiled from <string> at one line, counts as one."""
+    profile = cProfile.Profile()
+    profile.runcall(call)
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def _scan(pkg) -> list:
@@ -657,7 +665,8 @@ def main(argv=None) -> int:
                 "size": "3s3p3a", "iters": ORACLE_MODE_ITERS,
                 "log_every": ORACLE_MODE_EVERY, "draws": STACK, "seeds": 1,
             },
-            "calls": "cProfile calls of one call / iters (calls_per_iter) and / (iters * B)",
+            "calls": "calls of one call, summed over cProfile's entries, / iters "
+                     "(calls_per_iter) and / (iters * B)",
         },
         "rounds": {
             "count": ROUNDS,

@@ -22,6 +22,7 @@ from .games import (
     _at_slice,
     _check_compatible,
     _count,
+    _generator,
     _slicewise,
     analyze_chain,
     check_policy_block,
@@ -473,8 +474,7 @@ def best_response(
     small). Returns (value,
     actions, flags).
     """
-    if not 0 <= player < game.n_players:
-        raise DomainError(f"player {player} out of range for {game.n_players} players")
+    player = _count("player", player, 0, game.n_players - 1)
     P, R = _frozen_mdps(game, policy.probs, [player])
     if method == "policy-iteration":
         gain, actions = _policy_iteration(P, R, [player])
@@ -561,9 +561,7 @@ def lipschitz_probe(game: StochasticGame, n_pairs: int, rng=None) -> float:
     policy difference. Identical pairs are skipped; if every pair is
     identical, as when every player has one action, the probe is undefined.
     """
-    if _count("n_pairs", n_pairs) < 1:
-        raise DomainError("lipschitz_probe needs n_pairs >= 1")
-    rng = np.random.default_rng(rng)
+    n_pairs, rng = _count("n_pairs", n_pairs, 1, None), _generator(rng)
     best = None
     for _ in range(n_pairs):
         a, b = random_profile(game, rng, 0.05), random_profile(game, rng, 0.05)

@@ -304,7 +304,7 @@ def random_profile(game, rng, margin: float = 0.0) -> PolicyProfile:
     """Random policy profile; margin blends toward uniform so that every
     action keeps probability at least margin / n_actions. rng is a seed or
     a Generator."""
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     blocks = []
     for m in game.n_actions:
         raw = rng.dirichlet(np.ones(m), size=game.n_states)
@@ -320,7 +320,7 @@ def deterministic_profile(game: StochasticGame, actions) -> PolicyProfile:
     for i, m in enumerate(game.n_actions):
         block = np.zeros((game.n_states, m))
         for s in range(game.n_states):
-            block[s, actions[i][s]] = 1.0
+            block[s, _count(f"actions[{i}][{s}]", actions[i][s], 0, m - 1)] = 1.0
         blocks.append(block)
     return PolicyProfile(tuple(blocks))
 
@@ -533,7 +533,7 @@ def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
 def certification_sample(game, rng=None):
     """Uniform profile, pure-profile corners (capped), and _RANDOM_PROFILES
     random draws."""
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     samples = [uniform_profile(game)]
     n_corners = 1
     for m in game.n_actions:
@@ -664,13 +664,27 @@ def _cap_window(game: StochasticGame, rows: int, horizon: int, error: type, what
         raise error(f"{what} need {size} bytes of uniforms, over the {MAX_WINDOW_BYTES}-byte cap")
 
 
-def _count(name: str, value) -> int:
-    """value through operator.index: a float count raises DomainError naming
-    the argument instead of failing later or being truncated."""
+def _count(name: str, value, lo: int, hi) -> int:
+    """The one integer door: value through operator.index as an int from lo
+    to hi (None: no upper end; an int compares with a float hi exactly), or
+    DomainError naming the argument and the range. It shows a non-integer
+    value but no int, since str() of an int past 4300 digits raises."""
     try:
-        return operator.index(value)
+        n = operator.index(value)
     except TypeError:
-        raise DomainError(f"{name}={value!r}: need an integer") from None
+        name = f"{name}={value!r}"
+    else:
+        if lo <= n and (hi is None or n <= hi):
+            return n
+    allowed = f"of at least {lo}" if hi is None else f"from {lo} to {hi}"
+    raise DomainError(f"{name}: need an integer {allowed}")
+
+
+def _generator(rng) -> np.random.Generator:
+    """rng as a Generator: one passes through; None or a seed (via _count) makes one."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(None if rng is None else _count("rng", rng, 0, None))
 
 
 def _window_ends(game, pol_cols, starts, u):
@@ -732,15 +746,12 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     with DomainError.
     """
     _check_compatible(game, policy.probs)
-    start_state, horizon = _count("start_state", start_state), _count("horizon", horizon)
-    if horizon < 1:
-        raise DomainError("horizon must be at least 1")
-    if not 0 <= start_state < game.n_states:
-        raise DomainError(f"start_state {start_state} out of range")
+    start_state = _count("start_state", start_state, 0, game.n_states - 1)
+    horizon = _count("horizon", horizon, 1, None)
     _cap_window(game, 1, horizon - 1, DomainError, f"{horizon} stages")
 
     pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]
-    u = np.random.default_rng(rng).random((horizon, game.n_players + 1))
+    u = _generator(rng).random((horizon, game.n_players + 1))
     # Python floats a chunk of rows at a time bound a long rollout's memory
     rows = (row for lo in range(0, horizon, 4096) for row in u[lo:lo + 4096].tolist())
     strides, _, _, trans_lists, rewards, _ = game._stage_tables

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import operator
 import pathlib
 from dataclasses import asdict, dataclass, replace
 
@@ -28,6 +27,7 @@ from .games import (
     load_game,
     load_policy,
     uniform_profile,
+    _count,
     _read_json,
 )
 from .learner import (
@@ -39,6 +39,7 @@ from .learner import (
     run_batch,
     validate_schedule,
     _preset_schedule,
+    _seed_list,
 )
 from .mirror import Regularizer, make_regularizer
 
@@ -59,9 +60,10 @@ class GeneratorSpec:
     seed: int = 0
 
     def action_counts(self) -> tuple[int, ...]:
-        if isinstance(self.n_actions, int):
-            return (self.n_actions,) * self.n_players
-        return tuple(int(m) for m in self.n_actions)
+        counts = self.n_actions
+        if not isinstance(counts, (tuple, list)):
+            counts = (counts,) * _count("n_players", self.n_players, 1, None)
+        return tuple(_count("n_actions", m, 1, None) for m in counts)
 
 
 def _matching_pennies() -> StochasticGame:
@@ -84,38 +86,35 @@ def _zerosum_switching() -> StochasticGame:
 
 def _random_ergodic(spec: GeneratorSpec) -> StochasticGame:
     actions = spec.action_counts()
-    if spec.n_states < 1 or any(m < 1 for m in actions):
-        raise ConfigError("sizes must be positive")
+    n_states, seed = _count("n_states", spec.n_states, 1, None), _count("seed", spec.seed, 0, None)
     n_joint = math.prod(actions)
-    if 8 * spec.n_states * n_joint * spec.n_states > MAX_WINDOW_BYTES:
+    if 8 * n_states * n_joint * n_states > MAX_WINDOW_BYTES:
         raise ConfigError(
-            f"{n_joint} joint actions over {spec.n_states} states need a transition "
+            f"{n_joint} joint actions over {n_states} states need a transition "
             f"tensor over the {MAX_WINDOW_BYTES}-byte cap"
         )
-    if spec.eps < 0 or spec.eps * spec.n_states >= 1.0:
+    if spec.eps < 0 or spec.eps * n_states >= 1.0:
         raise ConfigError(
-            f"need eps * n_states < 1, got {spec.eps} * {spec.n_states}"
+            f"need eps * n_states < 1, got {spec.eps} * {n_states}"
         )
     if spec.reward_high < spec.reward_low:
         raise ConfigError("reward_high must be at least reward_low")
-    if spec.seed < 0:
-        raise ConfigError(f"seed {spec.seed} is negative; the seed must be a nonnegative integer")
-    rng = np.random.default_rng(spec.seed)
-    raw = rng.random((spec.n_states, n_joint, spec.n_states))
+    rng = np.random.default_rng(seed)
+    raw = rng.random((n_states, n_joint, n_states))
     raw /= raw.sum(axis=2, keepdims=True)
-    transitions = spec.eps + (1.0 - spec.eps * spec.n_states) * raw
+    transitions = spec.eps + (1.0 - spec.eps * n_states) * raw
     rewards = rng.uniform(
         spec.reward_low,
         spec.reward_high,
-        size=(len(actions), spec.n_states, n_joint),
+        size=(len(actions), n_states, n_joint),
     )
     meta = {
         "kind": "random-ergodic",
         "eps": spec.eps,
-        "seed": spec.seed,
+        "seed": seed,
         "reward_range": [spec.reward_low, spec.reward_high],
     }
-    return StochasticGame(spec.n_states, actions, rewards, transitions, meta)
+    return StochasticGame(n_states, actions, rewards, transitions, meta)
 
 
 def generate(spec: GeneratorSpec) -> StochasticGame:
@@ -198,19 +197,6 @@ def _aggregate(logs: list[RunLog]) -> list[dict]:
     return out
 
 
-def _int_seeds(seeds) -> list[int]:
-    """The seeds as ints; a float or string seed fails instead of being
-    truncated or parsed, and a negative one is refused by name."""
-    try:
-        seeds = [operator.index(seed) for seed in seeds]
-    except TypeError:
-        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}") from None
-    for seed in seeds:
-        if seed < 0:
-            raise ConfigError(f"seed {seed} is negative; seeds must be nonnegative integers")
-    return seeds
-
-
 def sweep(
     game: StochasticGame,
     grid,
@@ -230,9 +216,7 @@ def sweep(
     written there.
     """
     grid = list(grid)
-    seeds = _int_seeds(seeds)
-    if not seeds:
-        raise ConfigError("sweep needs at least one seed")
+    seeds = _seed_list(seeds)
     regularizer = regularizer or make_regularizer("entropy")
     tau = game.mixing_certificate.tau
     reports = [validate_schedule(s, tau) for s in grid]
@@ -301,12 +285,12 @@ def convergence_benchmark(
     distance no larger than at t = 1000, and median coupling over the last
     tenth of checkpoints below the first tenth.
     """
+    iters, seeds = _count("iters", iters, 1, None), _seed_list(seeds)
     game = generate(GeneratorSpec(kind=kind))
     reference = uniform_profile(game)
     schedule = default_schedule(game, gamma_scale=gamma_scale)
     reg = make_regularizer("entropy")
 
-    seeds = _int_seeds(seeds)
     logs = run_batch(
         game,
         schedule,

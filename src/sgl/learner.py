@@ -38,6 +38,7 @@ from .games import (
     _cap_window,
     _check_compatible,
     _count,
+    _generator,
     _window_ends,
 )
 from .mirror import (
@@ -513,6 +514,23 @@ def _tagged(exc: Exception, index: int) -> Exception:
     return exc
 
 
+def _seed_list(seeds) -> list[int]:
+    """seeds as ints through games._count, a seed's error tagged with its
+    position: the one seed door of run_batch, sweep and convergence_benchmark."""
+    try:
+        seeds = list(seeds)
+    except TypeError:
+        raise DomainError("seeds: need a list of integers") from None
+    if not seeds:
+        raise DomainError("seeds: need at least one seed")
+    for b, seed in enumerate(seeds):
+        try:  # a NumPy integer seed becomes an int, which run.json can write
+            seeds[b] = _count("seed", seed, 0, None)
+        except DomainError as exc:
+            raise _tagged(exc, b)
+    return seeds
+
+
 def _checkpoint_oracle(game, t, after, decomposed):
     """Every seed's values, Nash gaps and, in oracle_mode, StepDecomposition
     at checkpoint t, as three per-seed lists.
@@ -607,20 +625,12 @@ def run_batch(
     An error raised for one seed (a negative or a float seed, say) carries
     the seed's position in `seeds` as its seed_index attribute.
     """
-    iters, log_every = _count("iters", iters), _count("log_every", log_every)
-    if iters < 0:
-        raise DomainError("iters must be nonnegative")
-    if log_every < 1:
-        raise DomainError("log_every must be at least 1")
-    draws = _count("decomposition_draws", decomposition_draws) if oracle_mode else 1
-    if not 1 <= draws <= sys.float_info.max:  # int vs float compares exactly
-        raise DomainError("decomposition_draws must be positive and at most the largest float")
-    start_state = _count("start_state", start_state)
-    if not 0 <= start_state < game.n_states:
-        raise DomainError(f"start_state {start_state} out of range")
-    seeds = list(seeds)
-    if not seeds:
-        raise DomainError("run_batch needs at least one seed")
+    iters, log_every = _count("iters", iters, 0, None), _count("log_every", log_every, 1, None)
+    draws = 1
+    if oracle_mode:
+        draws = _count("decomposition_draws", decomposition_draws, 1, sys.float_info.max)
+    start_state = _count("start_state", start_state, 0, game.n_states - 1)
+    seeds = _seed_list(seeds)
     if out_dirs is not None and len(out_dirs) != len(seeds):
         raise DomainError("out_dirs needs one directory per seed")
     if iters:
@@ -637,13 +647,6 @@ def run_batch(
             game, len(seeds), longest, ScheduleError,
             f"{len(seeds)} seeds' windows of {longest + 1} stages at t={iters - 1}",
         )
-    for b, seed in enumerate(seeds):
-        try:  # a NumPy integer seed becomes an int, which run.json can write
-            seeds[b] = _count("seed", seed)
-            if seeds[b] < 0:  # numpy's default_rng says only "expected non-negative integer"
-                raise DomainError(f"seed {seed} is negative")
-        except DomainError as exc:
-            raise _tagged(exc, b)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     radius_cap = 0.99 * min_safety_radius(game)
 
@@ -769,7 +772,7 @@ def run_batch(
                 decomposed = (
                     [before[k][:, j] for k, j in slots],
                     [drawn[k][:, j] if k in drawn else None for k, j in slots],
-                    delta, payoffs, rngs, decomposition_draws,
+                    delta, payoffs, rngs, draws,
                 )
             values, gaps, decompositions = _checkpoint_oracle(
                 game, t, [policy[k][:, j] for k, j in slots], decomposed
@@ -863,18 +866,12 @@ def horizon_bias_check(
     finite and in [0, 1]. Draws whose uniforms would take more than
     games.MAX_WINDOW_BYTES are refused with DomainError.
     """
-    horizon, n_draws = _count("horizon", horizon), _count("n_draws", n_draws)
-    start_state = _count("start_state", start_state)
-    if horizon < 0:
-        raise DomainError("horizon must be nonnegative")
-    if n_draws < 2:
-        raise DomainError("n_draws must be at least 2 for a standard error")
-    if not 0 <= start_state < game.n_states:
-        raise DomainError(f"start_state {start_state} out of range")
+    horizon, n_draws = _count("horizon", horizon, 0, None), _count("n_draws", n_draws, 2, None)
+    start_state = _count("start_state", start_state, 0, game.n_states - 1)
     if contraction is not None and not 0.0 <= contraction <= 1.0:  # NaN fails too
         raise DomainError(f"contraction={contraction!r}: need a finite value in [0, 1]")
     _cap_window(game, n_draws, horizon, DomainError, f"{n_draws} windows of {horizon + 1} stages")
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     if contraction is None:
         contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values

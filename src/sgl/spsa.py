@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import _batch_values, exact_gradient, exact_value
 from .errors import DomainError, ScheduleError
-from .games import PolicyProfile, StochasticGame, _count, _stack_prefix
+from .games import PolicyProfile, StochasticGame, _count, _generator, _stack_prefix
 
 REDUCED_TOL = 1e-12
 # sphere draws smoothed_gradient_estimate evaluates at once, as one
@@ -116,9 +116,7 @@ def _tangent(x: np.ndarray) -> np.ndarray:
 def lifting_for(n_states: int, n_actions: int) -> Lifting:
     """The lifting of one player's reduced coordinates, with the spectral
     norm of its per-state block; each is built once and shared."""
-    if n_actions < 1:
-        raise DomainError("n_actions must be positive")
-    k = n_actions - 1
+    k = _count("n_actions", n_actions, 1, None) - 1
     block = np.vstack([np.eye(k), -np.ones((1, k))])
     return Lifting(n_states, n_actions, float(np.linalg.norm(block, 2)) if k else 0.0)
 
@@ -154,9 +152,7 @@ def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
     same minimum. Single-action players get an empty net and are skipped by
     perturbation. Each net is built once and shared, its center read-only.
     """
-    if n_actions < 1:
-        raise DomainError("n_actions must be positive")
-    k = n_actions - 1
+    k = _count("n_actions", n_actions, 1, None) - 1
     center = np.full((n_states, k), 1.0 / n_actions)
     center.flags.writeable = False
     if k == 0:
@@ -167,9 +163,7 @@ def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
 
 def sample_sphere(d: int, rng) -> np.ndarray:
     """Uniform draw from the unit sphere in d dimensions; rng: a seed or a Generator."""
-    if _count("d", d) < 1:
-        raise DomainError("sphere dimension must be at least 1")
-    rng = np.random.default_rng(rng)
+    d, rng = _count("d", d, 1, None), _generator(rng)
     while True:
         z = rng.standard_normal(d)
         norm = _sphere_norms(z)
@@ -200,6 +194,8 @@ def perturb(x: np.ndarray, z: np.ndarray, delta: float, net: SafetyNet) -> np.nd
         raise DomainError(
             f"perturbation direction{where} has norm {norms.flat[k]!r}, expected 1"
         )
+    if not delta > 0.0:  # NaN fails too
+        raise DomainError("delta must be positive")
     if delta >= net.radius:
         raise ScheduleError(
             f"query radius {delta} exceeds safety radius {net.radius}"
@@ -233,7 +229,7 @@ def estimate_gradient(
     payoff: float, z: np.ndarray, delta: float, lifting: Lifting
 ) -> GradientEstimate:
     """Scale the sphere direction by dim/delta times the observed payoff."""
-    if delta <= 0.0:
+    if not delta > 0.0:  # NaN fails too
         raise DomainError("delta must be positive")
     d = reduced_dim(lifting.n_states, lifting.n_actions)
     z = np.asarray(z, float).reshape(lifting.n_states, lifting.n_actions - 1)
@@ -293,8 +289,7 @@ def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
     count that a float holds, a positive query radius inside every active
     player's safety radius, and n_draws E_i E_i finite (E_i bounds a
     sample's entries)."""
-    if not 1 <= _count("n_draws", n_draws) <= sys.float_info.max:  # int vs float compares exactly
-        raise DomainError("n_draws must be positive and at most the largest float")
+    _count("n_draws", n_draws, 1, sys.float_info.max)
     if not delta > 0.0:
         raise DomainError("delta must be positive")
     nets = nets_for(game)
@@ -320,7 +315,7 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
     profile's exact values, as the control variate; its arguments must
     have passed _check_smoothing. The learner's oracle passes the values
     of its row-layout evaluation, which have exact_value's bits."""
-    rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     nets = nets_for(game)
     active = active_players(game)
     dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]

@@ -756,7 +756,7 @@ class TestNashGap:
     def test_unknown_player_or_method_rejected(self):
         game = random_game(3)
         policy = uniform_profile(game)
-        with pytest.raises(DomainError, match="out of range"):
+        with pytest.raises(DomainError, match="^player: need an integer from 0 to 1$"):
             best_response(game, policy, 2)
         with pytest.raises(DomainError, match="unknown best-response method"):
             best_response(game, policy, 0, method="value-iteration")

@@ -1,6 +1,7 @@
 """The arithmetic of scripts/bench.py's records, on synthetic rounds: no
 timing and no child process."""
 
+import dataclasses
 import importlib.util
 import pathlib
 
@@ -42,6 +43,25 @@ class TestRecord:
         records = [bench._record(op, size, 1, {"parent": [1.0], "change": [2.0]}) for op, size in rows]
         assert len({tuple(r) for r in records}) == 1
         assert {size for op, size in rows if op.startswith("job[")} == {None}
+
+
+def test_profiled_calls_count_every_dataclass_constructor(bench):
+    # every dataclass __init__ is compiled from <string> at one line, so
+    # pstats' total_calls once merged these two constructors into one entry
+    @dataclasses.dataclass
+    class First:
+        x: int
+
+    @dataclasses.dataclass
+    class Second:
+        y: int
+
+    def build():
+        return First(1), Second(2), Second(3)
+
+    # build, the three constructors and the profiler's own disable call;
+    # pstats.Stats(profile).total_calls reads 4
+    assert bench._profiled_calls(build) == 5
 
 
 def test_crossover_from_synthetic_window_rows(bench):

@@ -166,7 +166,8 @@ class TestGradient:
     def test_bad_estimator_argument_exits_one(self, game_file, capsys, flags):
         argv = ["gradient", "--game", str(game_file), "--policy", "uniform", *flags]
         assert main(argv) == 1
-        assert "must be positive" in capsys.readouterr().err
+        message = "n_draws: need an integer from 1 to" if "--draws" in flags else "must be positive"
+        assert message in capsys.readouterr().err
 
     def test_policy_file_argument(self, game_file, tmp_path, capsys):
         pol_path = tmp_path / "policy.json"
@@ -214,7 +215,7 @@ class TestGradient:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "n_draws must be positive and at most the largest float" in captured.err
+        assert "n_draws: need an integer from 1 to 1.7976931348623157e+308" in captured.err
 
 
 class TestLearn:
@@ -362,7 +363,7 @@ class TestLearn:
         save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
         argv = ["learn", "--game", str(game_path), "--iters", "20", "--log-every", "0"]
         assert main(argv) == 1
-        assert "log_every must be at least 1" in capsys.readouterr().err
+        assert "log_every: need an integer of at least 1" in capsys.readouterr().err
 
     def test_negative_log_window_exits_one(self, tmp_path, capsys):
         game_path = tmp_path / "mp.json"
@@ -452,9 +453,15 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("log_every", 0, "log_every must be at least 1"),
+            pytest.param(
+                "log_every", 0, "log_every: need an integer of at least 1",
+                id="log_every-0-log_every must be at least 1",
+            ),
             ("log_every", 2.9, "log_every=2.9: need an integer"),
-            ("iters", -5, "iters must be nonnegative"),
+            pytest.param(
+                "iters", -5, "iters: need an integer of at least 0",
+                id="iters--5-iters must be nonnegative",
+            ),
             ("iters", 10.5, "iters=10.5: need an integer"),
         ],
     )
@@ -482,8 +489,14 @@ class TestSweepCommand:
             ("grid", 3, "'grid' must be a list"),
             ("grid", [3], "bad grid entry 3"),
             ("seeds", 3, "'seeds' must be a list"),
-            ("seeds", ["x"], "seeds must be a list of integers"),
-            ("seeds", [1.5], "seeds must be a list of integers"),
+            pytest.param(
+                "seeds", ["x"], "seed='x': need an integer of at least 0",
+                id="seeds-value6-seeds must be a list of integers",
+            ),
+            pytest.param(
+                "seeds", [1.5], "seed=1.5: need an integer of at least 0",
+                id="seeds-value7-seeds must be a list of integers",
+            ),
             ("grid", [{"p": "1.0", "q": True, "T0": "0"}], "'p' must be a number, not '1.0'"),
             ("grid", [{"p": 1.0, "q": True, "T0": 0.0}], "'q' must be a number, not True"),
             ("grid", [{"p": 1, "q": 0.3, "T0": "0"}], "'T0' must be a number, not '0'"),

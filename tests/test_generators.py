@@ -89,7 +89,7 @@ class TestGenerate:
             generate(GeneratorSpec(kind="custom-file"))
 
     def test_negative_seed_is_named(self):
-        with pytest.raises(ConfigError, match="seed -1 is negative"):
+        with pytest.raises(DomainError, match="^seed: need an integer of at least 0$"):
             generate(GeneratorSpec(kind="random-ergodic", seed=-1))
 
     def test_generated_games_reload_through_validation(self, tmp_path):
@@ -210,9 +210,15 @@ class TestSweep:
     @pytest.mark.parametrize(
         "kw, message",
         [
-            ({"log_every": 0}, "log_every must be at least 1"),
+            pytest.param(
+                {"log_every": 0}, "log_every: need an integer of at least 1",
+                id="kw0-log_every must be at least 1",
+            ),
             ({"log_every": 2.9}, "log_every=2.9: need an integer"),
-            ({"iters": -5}, "iters must be nonnegative"),
+            pytest.param(
+                {"iters": -5}, "iters: need an integer of at least 0",
+                id="kw2-iters must be nonnegative",
+            ),
         ],
     )
     def test_batch_wide_error_raises(self, kw, message, monkeypatch):
@@ -284,7 +290,7 @@ class TestSweep:
 
     def test_negative_seed_is_named(self):
         game = self.make_game()
-        with pytest.raises(ConfigError, match="seed -1 is negative"):
+        with pytest.raises(DomainError, match="^seed: need an integer of at least 0$"):
             sweep(game, [default_schedule(game)], [0, -1], iters=4, log_every=2)
 
     def test_config_must_be_an_object(self, tmp_path):

@@ -653,7 +653,7 @@ class TestRunBatch:
     @pytest.mark.parametrize("log_every", [0, -5])
     def test_log_every_below_one_rejected(self, log_every):
         game = generate(GeneratorSpec(kind="matching-pennies"))
-        with pytest.raises(DomainError, match="log_every must be at least 1"):
+        with pytest.raises(DomainError, match="^log_every: need an integer of at least 1$"):
             run_batch(game, default_schedule(game), ENTROPY, 10, [0, 1], log_every=log_every)
 
     @pytest.mark.parametrize(
@@ -668,7 +668,10 @@ class TestRunBatch:
         kw = {"log_every": 2, "start_state": 0, **counts}
         iters = kw.pop("iters", 6)
         ((name, value),) = counts.items()
-        message = f"^{name}={value}: need an integer$".replace(".", r"\.")
+        allowed = {
+            "log_every": "of at least 1", "iters": "of at least 0", "start_state": "from 0 to 0"
+        }
+        message = f"^{name}={value}: need an integer {allowed[name]}$".replace(".", r"\.")
         with pytest.raises(DomainError, match=message):
             run_batch(game, sch, ENTROPY, iters, [0], **kw)
         with pytest.raises(DomainError, match=message):
@@ -708,7 +711,7 @@ class TestRunBatch:
 
     def test_negative_seed_names_its_position(self):
         game = generate(GeneratorSpec(kind="matching-pennies"))
-        with pytest.raises(DomainError, match="seed -1 is negative") as info:
+        with pytest.raises(DomainError, match="^seed: need an integer of at least 0$") as info:
             run_batch(game, default_schedule(game), ENTROPY, 4, [0, 2, -1])
         assert info.value.seed_index == 2
 
@@ -718,7 +721,7 @@ class TestRunBatch:
         # seed is a named error for its position, not a bare TypeError
         game = generate(GeneratorSpec(kind="matching-pennies"))
         sch = default_schedule(game)
-        message = f"^seed={bad!r}: need an integer$".replace(".", r"\.")
+        message = f"^seed={bad!r}: need an integer of at least 0$".replace(".", r"\.")
         with pytest.raises(DomainError, match=message) as info:
             run_batch(game, sch, ENTROPY, 4, [0, bad, 2])
         assert info.value.seed_index == 1
@@ -771,7 +774,7 @@ class TestRunBatch:
                 run_batch(game, sch, ENTROPY, 6, [0, 1], log_every=2,
                           reference=uniform_profile(game))
                 assert np.geterr() == state
-                with pytest.raises(DomainError, match="seed -1 is negative"):
+                with pytest.raises(DomainError, match="seed: need an integer of at least 0"):
                     run_batch(game, sch, ENTROPY, 6, [0, -1])
                 assert np.geterr() == state
                 with pytest.raises(DomainError, match="can overflow the estimates or scores"):
@@ -942,7 +945,8 @@ class TestDecomposition:
 
     @pytest.mark.parametrize(
         "draws, message",
-        [(0, "decomposition_draws must be positive"),
+        [pytest.param(0, "decomposition_draws: need an integer from 1 to",
+                      id="0-decomposition_draws must be positive"),
          (4.0, r"decomposition_draws=4\.0: need an integer")],
     )
     def test_draw_count_refused_before_the_first_iteration(self, draws, message, monkeypatch):
