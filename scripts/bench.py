@@ -27,7 +27,10 @@ on the stay/switch game, with the power window preset: player 0 keeps or
 flips the state, so best responses and chains fail at many checkpoints and
 the failure path is timed (its warnings ignored). The learner[oracle_mode]
 row is perfbench's oracle-audit job on the (3, 3, 3) game: one seed, 40
-iterations in oracle_mode with log_every=10 and 256 decomposition draws.
+iterations in oracle_mode with log_every=10 and 256 decomposition draws;
+the learner[oracle_mode,log_every=1] row is the same run with a
+decomposition after every iteration, where a block of checkpoints holds
+the most oracle checkpoints.
 The window rows time the last stage of B windows of H + 1 stages on the
 mixing-window game, at (B, H) = (3, 1), (3, 450) and (1000, 8), as one
 games._window_ends call: once with its array branch forced (the
@@ -161,7 +164,7 @@ def _rows() -> list:
         (f"learner[B={b},log_every=1]", kind) for kind, bs in ORACLE_BATCHES.items() for b in bs
     ]
     rows += [(f"learner[failing,B={b},log_every=1]", "stay-switch") for b in FAILING_BATCHES]
-    rows.append(("learner[oracle_mode]", "3s3p3a"))
+    rows += [("learner[oracle_mode]", "3s3p3a"), ("learner[oracle_mode,log_every=1]", "3s3p3a")]
     rows += [
         (f"{name}[B={b},H={h}]", "mixing-window")
         for b, h in WINDOWS
@@ -222,10 +225,12 @@ def _operation(pkg, op: str, size: str):
 def _learner(pkg, op: str, kind: str):
     """(call, seed-iterations) of one learner row's run_batch call: op is
     learner[B=b] (log_every=1000), learner[B=b,log_every=1],
-    learner[failing,B=b,log_every=1] (kind stay-switch) or
-    learner[oracle_mode] (one seed, perfbench's oracle-audit job)."""
+    learner[failing,B=b,log_every=1] (kind stay-switch),
+    learner[oracle_mode] (one seed, perfbench's oracle-audit job) or
+    learner[oracle_mode,log_every=1] (the same with a decomposition after
+    every iteration)."""
     games, learner, mirror = pkg.games, pkg.learner, pkg.mirror
-    if op == "learner[oracle_mode]":
+    if op.startswith("learner[oracle_mode"):
         batch, every = "1", "oracle_mode"
     else:
         batch, _, every = (
@@ -241,7 +246,7 @@ def _learner(pkg, op: str, kind: str):
     if every == "oracle_mode":  # a decomposition at every checkpoint
         iters = ORACLE_MODE_ITERS
         options = {
-            "log_every": ORACLE_MODE_EVERY,
+            "log_every": 1 if op.endswith(",log_every=1]") else ORACLE_MODE_EVERY,
             "reference": games.uniform_profile(game),
             "oracle_mode": True,
             "decomposition_draws": STACK,
@@ -663,7 +668,7 @@ def main(argv=None) -> int:
             "failing_batches": {"stay-switch": FAILING_BATCHES, "horizon": "power"},
             "oracle_mode": {
                 "size": "3s3p3a", "iters": ORACLE_MODE_ITERS,
-                "log_every": ORACLE_MODE_EVERY, "draws": STACK, "seeds": 1,
+                "log_every": [ORACLE_MODE_EVERY, 1], "draws": STACK, "seeds": 1,
             },
             "calls": "calls of one call, summed over cProfile's entries, / iters "
                      "(calls_per_iter) and / (iters * B)",

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import operator
+import sys
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -747,7 +748,7 @@ def rollout(game, policy, start_state: int, horizon: int, rng):
     """
     _check_compatible(game, policy.probs)
     start_state = _count("start_state", start_state, 0, game.n_states - 1)
-    horizon = _count("horizon", horizon, 1, None)
+    horizon = _count("horizon", horizon, 1, sys.maxsize)
     _cap_window(game, 1, horizon - 1, DomainError, f"{horizon} stages")
 
     pol_cols = [np.cumsum(block, axis=1)[:, :-1].tolist() for block in policy.probs]

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import pathlib
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -285,7 +286,7 @@ def convergence_benchmark(
     distance no larger than at t = 1000, and median coupling over the last
     tenth of checkpoints below the first tenth.
     """
-    iters, seeds = _count("iters", iters, 1, None), _seed_list(seeds)
+    iters, seeds = _count("iters", iters, 1, sys.maxsize), _seed_list(seeds)
     game = generate(GeneratorSpec(kind=kind))
     reference = uniform_profile(game)
     schedule = default_schedule(game, gamma_scale=gamma_scale)

@@ -63,6 +63,7 @@ from .spsa import (
     _one_point,
     _perturb,
     _smoothed_gradient,
+    _sphere_draws,
     _sphere_norms,
     _tangent,
 )
@@ -79,6 +80,9 @@ CSV_COLUMNS = (
     "dist_to_ref",
     "est_norm",
 )
+# checkpoints are evaluated in blocks: run_batch records each and makes one
+# _checkpoint_oracle call once a block's stacked profile rows would pass this
+_CHECKPOINT_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +403,32 @@ def decompose_step(
 
 
 def _exact_parts(game, before, queried, after):
-    """One _evaluate call over B seeds' decomposed profiles (before), their
-    queries and their updated profiles (after), each None or one (B, S,
-    m_i) stack per player, then _gradients of before and _best_responses
-    against after. Returns the values (arguments given, B, n), the (B, n,
-    S, max m) gradients, the (B, n) best-response gains (None where not
-    given) and the failures {(seed, part): the ErgodicityError of its
-    profile}. A seed's part is its "decomposition" (x_t and the query), its
+    """One _evaluate call over decomposed profiles (before), their queries
+    and their updated profiles (after), each None or one (*lead, S, m_i)
+    stack per player with the same leading axes lead: (seeds,), or
+    (checkpoints, seeds) for a block. Then _gradients of before and
+    _best_responses against after. Returns the values (arguments given,
+    *lead, n), the (*lead, n, S, max m) gradients, the (*lead, n)
+    best-response gains (None where not given) and the failures {(*entry,
+    part): the ErgodicityError of its profile}, an entry being a position
+    in lead. An entry's part is its "decomposition" (x_t and the query), its
     "value" (x_{t+1}) or its "gap" (best responses); a stage runs again
     without a failing part, whose results are NaN. Reads no stream."""
     stacks = [x for x in (before, queried, after) if x is not None]
-    B = len(stacks[0][0])
-    N, failures = len(stacks) * B, {}
-    cat = [np.concatenate(players) for players in zip(*stacks)]
-    kept, (_, report) = _dropping(  # stacked row r: seed r % B's profile in stacks[r // B]
+    lead = stacks[0][0].shape[:-2]
+    entries = list(itertools.product(*map(range, lead)))
+    E = len(entries)
+    N, failures = len(stacks) * E, {}
+    cat = [
+        np.concatenate([x.reshape((E,) + x.shape[-2:]) for x in players])
+        for players in zip(*stacks)
+    ]
+    first_value = N - E if after is not None else N
+    kept, (_, report) = _dropping(  # stacked row r: entry r % E's profile in stacks[r // E]
         lambda rows: _evaluate(game, [x[rows] for x in cat]), list(range(N)), failures,
-        lambda r: (r % B, "value" if after is not None and r >= N - B else "decomposition"),
+        lambda r: (*entries[r % E], "value" if r >= first_value else "decomposition"),
     )
-    values = _placed(report.values, kept, 0, N).reshape(-1, B, game.n_players)
+    values = _placed(report.values, kept, 0, N).reshape((-1,) + lead + (game.n_players,))
     grads = best = None
     if before is not None:
         rows, grads = _dropping(  # kept is sorted: stacked row r is report's row k if kept[k] == r
@@ -424,15 +436,15 @@ def _exact_parts(game, before, queried, after):
                 game, [x[rows] for x in cat],
                 ValueReport(*(x[np.searchsorted(kept, rows)] for x in vars(report).values())),
             ),
-            [r for r in kept if r < B], failures, lambda r: (r, "decomposition"),
+            [r for r in kept if r < E], failures, lambda r: (*entries[r], "decomposition"),
         )
-        grads = _placed(grads, rows, 0, B)
+        grads = _placed(grads, rows, 0, E).reshape(lead + grads.shape[1:])
     if after is not None:
         rows, best = _dropping(
             lambda rows: _best_responses(game, [x[rows] for x in cat])[0],
-            [r for r in kept if r >= N - B], failures, lambda r: (r % B, "gap"),
+            [r for r in kept if r >= N - E], failures, lambda r: (*entries[r % E], "gap"),
         )
-        best = _placed(best, rows, N - B, N)
+        best = _placed(best, rows, N - E, N).reshape(lead + best.shape[1:])
     return values, grads, best, failures
 
 
@@ -516,67 +528,97 @@ def _tagged(exc: Exception, index: int) -> Exception:
 
 def _seed_list(seeds) -> list[int]:
     """seeds as ints through games._count, a seed's error tagged with its
-    position: the one seed door of run_batch, sweep and convergence_benchmark."""
+    position: the one seed door of run_batch, sweep and convergence_benchmark.
+    A seed is refused, before any run, when the interpreter could not write
+    it in decimal (sys.get_int_max_str_digits; 0 is no limit), as run.json
+    must."""
     try:
         seeds = list(seeds)
     except TypeError:
         raise DomainError("seeds: need a list of integers") from None
     if not seeds:
         raise DomainError("seeds: need at least one seed")
+    digits = sys.get_int_max_str_digits()
     for b, seed in enumerate(seeds):
         try:  # a NumPy integer seed becomes an int, which run.json can write
             seeds[b] = _count("seed", seed, 0, None)
+            # below 2**(3 digits) < 10**digits a seed needs no power of ten
+            if digits and seeds[b].bit_length() > 3 * digits and seeds[b] >= 10**digits:
+                raise DomainError(
+                    f"seed at position {b}: has more than {digits} decimal digits, "
+                    "the interpreter's limit for writing an int (run.json holds the seed)"
+                )
         except DomainError as exc:
             raise _tagged(exc, b)
     return seeds
 
 
-def _checkpoint_oracle(game, t, after, decomposed):
-    """Every seed's values, Nash gaps and, in oracle_mode, StepDecomposition
-    at checkpoint t, as three per-seed lists.
+def _checkpoint_oracle(game, block, draws):
+    """The StepDiagnostics of a block of recorded checkpoints, one list of
+    per-seed records per checkpoint.
 
-    after holds one (B, S, m_i) policy stack per player; decomposed is None,
-    or (before, z, delta, payoffs, rngs, draws) with before stacked like
-    after, z[i] player i's (B, S, m_i - 1) directions (None for a single
-    action) and one payoff row and stream per seed. One _exact_parts call
-    covers every seed; the smoothed gradients stay per seed. A failed part
-    is None and warns, in seed order, with the stacked stage's error, which
-    reads as the seed's solo run warns; the values stay where only the best
-    responses fail. An error raised for one seed, other than an
+    Each checkpoint is recorded when run_batch reaches it, as (t, the
+    iterations completed, gamma, delta, horizon, payoffs, estimate norms,
+    Fenchel terms or None, distances or None, after, oracle): after holds
+    x_{t+1} as one (B, S, m_i) policy stack per player, and oracle is None
+    or, in oracle_mode,
+    (before, queried, z, states): x_t and its query stacked like after,
+    z[i] player i's (B, S, m_i - 1) directions (None for a single action)
+    and each seed's bit-generator state at the checkpoint, before run_batch
+    advanced it by the draws sphere rows of _sphere_draws. One
+    _exact_parts call covers every checkpoint and seed of the block; each
+    smoothed gradient then reads a generator restored to its seed's state,
+    so it has the bits it had when read at the checkpoint. A failed part is
+    None and warns, in (t, seed) order, with the stacked stage's error,
+    which reads as the seed's solo run warns; the values stay where only the
+    best responses fail. An error raised for one seed, other than an
     ErgodicityError, carries its position as seed_index.
     """
-    n_batch = len(after[0])
-    values, gaps, decompositions = [None] * n_batch, [None] * n_batch, [None] * n_batch
-    before = queried = None
-    if decomposed is not None:
-        before, z, delta, payoffs, rngs, draws = decomposed
-        queried = [
-            x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
-            for x, d, net in zip(before, z, nets_for(game))
-        ]
-    seed_values, grads, best, failures = _exact_parts(game, before, queried, after)
-    for b in range(n_batch):
-        try:
-            if decomposed is not None and (b, "decomposition") not in failures:
-                try:
-                    decompositions[b] = _decomposition(
-                        game, [x[b, :, :-1] for x in before], seed_values[0, b], grads[b],
-                        seed_values[1, b], [None if d is None else d[b] for d in z],
-                        delta, payoffs[b], rngs[b], draws,
-                    )
-                except ErgodicityError as exc:
-                    failures[b, "decomposition"] = exc
-            for part in ("decomposition", "value", "gap"):
-                if (b, part) in failures:
-                    what = {"decomposition": "oracle decomposition"}.get(part, "checkpoint oracle")
-                    warnings.warn(f"{what} skipped at t={t}: {failures[b, part]}")
-            if (b, "value") not in failures:
-                values[b] = seed_values[-1, b].copy()
-                if (b, "gap") not in failures:
-                    gaps[b] = best[b] - values[b]
-        except Exception as exc:
-            raise _tagged(exc, b)
-    return values, gaps, decompositions
+    after = [np.stack(x) for x in zip(*(after for *_, after, _ in block))]
+    before = queried = replay = None
+    if block[0][-1] is not None:  # an oracle_mode block
+        before, queried = (
+            [np.stack(x) for x in zip(*(oracle[k] for *_, oracle in block))] for k in (0, 1)
+        )
+        replay = np.random.Generator(np.random.PCG64())
+    values, grads, best, failures = _exact_parts(game, before, queried, after)
+    skipped = (
+        ("decomposition", "oracle decomposition"), ("value", "checkpoint oracle"),
+        ("gap", "checkpoint oracle"),
+    )
+    rows = []
+    for c, (t, gamma, delta, horizon, payoffs, norms, fen, dist, _, oracle) in enumerate(block):
+        row = []
+        for b in range(len(payoffs)):
+            value = gap = decomposition = None
+            try:
+                if oracle is not None and (c, b, "decomposition") not in failures:
+                    _, _, z, states = oracle
+                    replay.bit_generator.state = states[b]
+                    try:
+                        decomposition = _decomposition(
+                            game, [x[c, b, :, :-1] for x in before], values[0, c, b],
+                            grads[c, b], values[1, c, b], [None if d is None else d[b] for d in z],
+                            delta, payoffs[b], replay, draws,
+                        )
+                    except ErgodicityError as exc:
+                        failures[c, b, "decomposition"] = exc
+                for part, what in skipped:
+                    if (c, b, part) in failures:  # a warning names the iteration, t - 1
+                        warnings.warn(f"{what} skipped at t={t - 1}: {failures[c, b, part]}")
+                if (c, b, "value") not in failures:
+                    value = values[-1, c, b].copy()
+                    if (c, b, "gap") not in failures:
+                        gap = best[c, b] - value
+            except Exception as exc:
+                raise _tagged(exc, b)
+            row.append(StepDiagnostics(
+                t, gamma, delta, horizon, payoffs[b].copy(), norms[b].copy(), value,
+                None if fen is None else fen[b].copy(), gap,
+                None if dist is None else dist[b].copy(), decomposition,
+            ))
+        rows.append(row)
+    return rows
 
 
 def run_batch(
@@ -606,12 +648,23 @@ def run_batch(
     Scores, policies and directions are arrays of shape (seeds, players,
     states, actions), one per run of consecutive players with equal action
     counts, so every step runs once for the whole batch: one
-    games._window_ends call plays every seed's window, and one
-    _checkpoint_oracle call evaluates every seed's checkpoint (only
-    oracle_mode's smoothed-gradient draws stay per seed).
+    games._window_ends call plays every seed's window. A checkpoint is
+    recorded when it is reached, with its payoffs, estimate norms, Fenchel
+    terms and distances, and evaluated later in a block: one
+    _checkpoint_oracle call evaluates the block's checkpoints for every
+    seed (only oracle_mode's smoothed gradients stay per seed and
+    checkpoint). A block is flushed at the end of the run and before its
+    stacked profile rows, B per checkpoint and 3B in oracle_mode, would pass
+    _CHECKPOINT_ROWS; it holds at least one checkpoint. Its warnings fire at
+    the flush, in (t, seed) order, and an error raised there for a seed
+    carries that seed's seed_index, only after more iterations.
     Seed s reads its own np.random.default_rng(s) in the order a run of it
-    alone does, so its RunLog has the same bits alone or in any batch; its
-    sphere draw is one row of normals, redrawn whole under SPHERE_FLOOR.
+    alone does, so its RunLog has the same bits alone or in any batch, and
+    in any block; its sphere draw is one row of normals, redrawn whole under
+    SPHERE_FLOOR. At an oracle_mode checkpoint each seed's stream is read at
+    once for its decomposition_draws sphere rows (spsa._sphere_draws),
+    whatever its decomposition gives at the flush, whose smoothed gradient
+    draws the same rows again from the saved generator state.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
     A run whose schedule overflows at its last iteration, or whose uniforms
     would take more than games.MAX_WINDOW_BYTES, is refused with ScheduleError
@@ -621,11 +674,13 @@ def run_batch(
     |lifting_i| max|r_i| / min delta bounds every estimate's norm and
     smoothing sample, and E * E (times decomposition_draws in oracle_mode)
     must be finite; Y = max|y_0| + iters * max gamma * E bounds every score
-    and Y * S * max m may not pass mirror.SCORE_LIMIT. No part of a run sets its own numpy error state.
+    and Y * S * max m may not pass mirror.SCORE_LIMIT. No part of a run sets
+    its own numpy error state.
     An error raised for one seed (a negative or a float seed, say) carries
     the seed's position in `seeds` as its seed_index attribute.
     """
-    iters, log_every = _count("iters", iters, 0, None), _count("log_every", log_every, 1, None)
+    iters = _count("iters", iters, 0, sys.maxsize)
+    log_every = _count("log_every", log_every, 1, None)
     draws = 1
     if oracle_mode:
         draws = _count("decomposition_draws", decomposition_draws, 1, sys.float_info.max)
@@ -715,6 +770,10 @@ def run_batch(
     records = [[] for _ in seeds]  # each seed's StepDiagnostics, one per checkpoint
     states = [start_state] * n_batch
     clamped = 0
+    # recorded checkpoints wait in block for one _checkpoint_oracle call; a
+    # block holds at least one checkpoint, and no more than fit in
+    # _CHECKPOINT_ROWS stacked profile rows (B per checkpoint, 3B in oracle_mode)
+    block, per_block = [], max(1, _CHECKPOINT_ROWS // (n_batch * (3 if oracle_mode else 1)))
     est_norms = np.zeros((n_batch, n_players))
     uniforms = np.empty((n_batch, 0, n_players + 1))
 
@@ -764,19 +823,22 @@ def run_batch(
             reduced[k] = policy[k][..., :-1]
 
         if checkpoint:
-            decomposed = None
+            oracle = None
             if oracle_mode:
-                # the decomposition of the step just taken, from x_t: no
-                # stream is read between that step and here
+                # the decomposition of the step just taken, from x_t: each
+                # seed's stream is read here, for the smoothed gradient's
+                # draws, whatever the decomposition gives at the flush
                 drawn = {k: d for (k, _, _), d in zip(groups, directions)}
-                decomposed = (
-                    [before[k][:, j] for k, j in slots],
-                    [drawn[k][:, j] if k in drawn else None for k, j in slots],
-                    delta, payoffs, rngs, draws,
-                )
-            values, gaps, decompositions = _checkpoint_oracle(
-                game, t, [policy[k][:, j] for k, j in slots], decomposed
-            )
+                x_t = [before[k][:, j] for k, j in slots]
+                z = [drawn[k][:, j] if k in drawn else None for k, j in slots]
+                queried = [
+                    x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
+                    for x, d, net in zip(x_t, z, nets)
+                ]
+                oracle = (x_t, queried, z, [rng.bit_generator.state for rng in rngs])
+                for rng in rngs:
+                    for _ in _sphere_draws(game, draws, rng):
+                        pass
             fen_pp = dist = None
             if reference is not None:
                 # the terms of fenchel_coupling's value, without its Bregman
@@ -789,22 +851,15 @@ def run_batch(
                     )[0]
                     diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
                     dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
-            for b, diagnostics in enumerate(records):
-                diagnostics.append(
-                    StepDiagnostics(
-                        t=t + 1,
-                        gamma=gamma,
-                        delta=delta,
-                        horizon=horizon,
-                        payoffs=payoffs[b].copy(),
-                        estimate_norms=est_norms[b].copy(),
-                        values=values[b],
-                        fenchel_per_player=None if fen_pp is None else fen_pp[b].copy(),
-                        nash_gaps=gaps[b],
-                        dist_to_ref=None if dist is None else dist[b].copy(),
-                        decomposition=decompositions[b],
-                    )
-                )
+            block.append((
+                t + 1, gamma, delta, horizon, payoffs, est_norms.copy(), fen_pp, dist,
+                [policy[k][:, j] for k, j in slots], oracle,
+            ))
+            if len(block) == per_block or t + 1 == iters:
+                for row in _checkpoint_oracle(game, block, draws):
+                    for diagnostics, d in zip(records, row):
+                        diagnostics.append(d)
+                block = []
 
     logs = []
     for b, (seed, diagnostics) in enumerate(zip(seeds, records)):
@@ -866,7 +921,8 @@ def horizon_bias_check(
     finite and in [0, 1]. Draws whose uniforms would take more than
     games.MAX_WINDOW_BYTES are refused with DomainError.
     """
-    horizon, n_draws = _count("horizon", horizon, 0, None), _count("n_draws", n_draws, 2, None)
+    horizon = _count("horizon", horizon, 0, sys.maxsize)
+    n_draws = _count("n_draws", n_draws, 2, sys.maxsize)
     start_state = _count("start_state", start_state, 0, game.n_states - 1)
     if contraction is not None and not 0.0 <= contraction <= 1.0:  # NaN fails too
         raise DomainError(f"contraction={contraction!r}: need a finite value in [0, 1]")

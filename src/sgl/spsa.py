@@ -309,25 +309,18 @@ def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
             )
 
 
-def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
-    """smoothed_gradient_estimate about the reduced profile base (each
-    player's block without its last column), with base_values, the
-    profile's exact values, as the control variate; its arguments must
-    have passed _check_smoothing. The learner's oracle passes the values
-    of its row-layout evaluation, which have exact_value's bits."""
-    rng = _generator(rng)
-    nets = nets_for(game)
-    active = active_players(game)
-    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
+def _sphere_draws(game, n_draws, rng):
+    """The sphere rows of n_draws smoothed-gradient draws from rng, a
+    Generator, as (raw, norms) per block of at most ORACLE_BLOCK rows: raw
+    holds one row of normals per draw, every active player's reduced
+    segment side by side, and norms[j] the segment norms of active player j.
+    A row with a segment of norm at most SPHERE_FLOOR is dropped, the rows
+    after it move up and a new last row is drawn, as in a row-by-row loop.
+    Reading every block advances rng exactly as _smoothed_gradient does."""
+    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active_players(game)]
     starts = np.cumsum([0, *dims]).tolist()
-
-    sums = {i: np.zeros_like(base[i]) for i in active}
-    sq_sums = {i: np.zeros_like(base[i]) for i in active}
     for start in range(0, n_draws, ORACLE_BLOCK):
-        n = min(ORACLE_BLOCK, n_draws - start)
-        # one row per draw; a failing row is dropped, the rows after it move
-        # up and a new last row is drawn, as in a row-by-row loop
-        raw = rng.standard_normal((n, starts[-1]))
+        raw = rng.standard_normal((min(ORACLE_BLOCK, n_draws - start), starts[-1]))
         segments = [raw[:, a:b] for a, b in zip(starts, starts[1:])]
         norms = [_sphere_norms(z) for z in segments]
         while np.min(norms) <= SPHERE_FLOOR:  # practically never
@@ -335,6 +328,25 @@ def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
             raw[k:-1] = raw[k + 1:]
             rng.standard_normal(out=raw[-1])
             norms = [_sphere_norms(z) for z in segments]
+        yield raw, norms
+
+
+def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
+    """smoothed_gradient_estimate about the reduced profile base (each
+    player's block without its last column), with base_values, the
+    profile's exact values, as the control variate; its arguments must
+    have passed _check_smoothing. The learner's oracle passes the values
+    of its row-layout evaluation, which have exact_value's bits. The draws
+    come from _sphere_draws, then each block is evaluated."""
+    nets = nets_for(game)
+    active = active_players(game)
+    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
+    starts = np.cumsum([0, *dims]).tolist()
+
+    sums = {i: np.zeros_like(base[i]) for i in active}
+    sq_sums = {i: np.zeros_like(base[i]) for i in active}
+    for raw, norms in _sphere_draws(game, n_draws, _generator(rng)):
+        n = len(raw)
         # (n, S, m) views of one transposed block: the draw axis is innermost
         columns = raw.T.copy()
         zs = {

@@ -459,7 +459,7 @@ class TestSweepCommand:
             ),
             ("log_every", 2.9, "log_every=2.9: need an integer"),
             pytest.param(
-                "iters", -5, "iters: need an integer of at least 0",
+                "iters", -5, "iters: need an integer from 0 to ",
                 id="iters--5-iters must be nonnegative",
             ),
             ("iters", 10.5, "iters=10.5: need an integer"),

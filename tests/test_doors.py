@@ -5,6 +5,7 @@ IndexError, OverflowError or the ValueError of an int too long to print.
 """
 
 import dataclasses
+import json
 import re
 import sys
 import warnings
@@ -41,7 +42,7 @@ def _learn(iters=2, seeds=(0,), **kw):
 
 # (the name a refusal shows, lo, hi, a call with the argument set to v)
 INTEGER_ARGUMENTS = {
-    "run_batch.iters": ("iters", 0, None, lambda v: _learn(iters=v)),
+    "run_batch.iters": ("iters", 0, sys.maxsize, lambda v: _learn(iters=v)),
     "run_batch.log_every": ("log_every", 1, None, lambda v: _learn(3, log_every=v)),
     "run_batch.decomposition_draws": (
         "decomposition_draws", 1, FLOAT_MAX,
@@ -50,16 +51,16 @@ INTEGER_ARGUMENTS = {
     "run_batch.start_state": ("start_state", 0, 1, lambda v: _learn(start_state=v)),
     "run_batch.seeds": ("seed", 0, None, lambda v: _learn(seeds=[0, v])),
     "horizon_bias_check.horizon": (
-        "horizon", 0, None, lambda v: horizon_bias_check(GAME, POLICY, v, 3, rng=0)
+        "horizon", 0, sys.maxsize, lambda v: horizon_bias_check(GAME, POLICY, v, 3, rng=0)
     ),
     "horizon_bias_check.n_draws": (
-        "n_draws", 2, None, lambda v: horizon_bias_check(GAME, POLICY, 2, v, rng=0)
+        "n_draws", 2, sys.maxsize, lambda v: horizon_bias_check(GAME, POLICY, 2, v, rng=0)
     ),
     "horizon_bias_check.start_state": (
         "start_state", 0, 1,
         lambda v: horizon_bias_check(GAME, POLICY, 2, 3, rng=0, start_state=v),
     ),
-    "rollout.horizon": ("horizon", 1, None, lambda v: rollout(GAME, POLICY, 0, v, 0)),
+    "rollout.horizon": ("horizon", 1, sys.maxsize, lambda v: rollout(GAME, POLICY, 0, v, 0)),
     "rollout.start_state": ("start_state", 0, 1, lambda v: rollout(GAME, POLICY, v, 3, 0)),
     "sample_sphere.d": ("d", 1, None, lambda v: sample_sphere(v, 0)),
     "smoothed_gradient_estimate.n_draws": (
@@ -78,7 +79,7 @@ INTEGER_ARGUMENTS = {
         for field, lo in (("n_states", 1), ("n_players", 1), ("n_actions", 1), ("seed", 0))
     },
     "convergence_benchmark.iters": (
-        "iters", 1, None, lambda v: convergence_benchmark("matching-pennies", v, [0])
+        "iters", 1, sys.maxsize, lambda v: convergence_benchmark("matching-pennies", v, [0])
     ),
     "sweep.seeds": ("seed", 0, None, lambda v: sweep(GAME, [SCHEDULE], [1, v], 2, log_every=1)),
 }
@@ -147,6 +148,44 @@ def test_a_seed_list_is_a_nonempty_iterable(seeds, message):
     ):
         with pytest.raises(DomainError, match=f"^{message}$"):
             call()
+
+
+def test_a_seed_run_json_cannot_hold_is_refused(tmp_path):
+    # a seed past the interpreter's int-to-str limit once ran the whole job
+    # and then failed in json.dump, leaving a full run.csv beside an empty
+    # run.json; each seed door refuses it before the first iteration, by its
+    # position and the limit, without printing it
+    limit = sys.get_int_max_str_digits()
+    message = f"^seed at position 1: has more than {limit} decimal digits"
+    for call in (
+        lambda: run_batch(
+            GAME, SCHEDULE, ENTROPY, 3, [0, 10**5000],
+            out_dirs=[tmp_path / "a", tmp_path / "b"],
+        ),
+        lambda: sweep(GAME, [SCHEDULE], [1, 10**5000], 2, out=tmp_path / "sweep"),
+        lambda: convergence_benchmark("matching-pennies", 2, [0, 10**5000], out=tmp_path / "c"),
+    ):
+        with pytest.raises(DomainError, match=message) as info:
+            call()
+        assert info.value.seed_index == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_seed_limit_follows_the_interpreter(tmp_path):
+    # the limit is read at each call: at 640 digits (the least the
+    # interpreter allows) 10**640 is refused and 10**640 - 1 runs and is
+    # written; with no limit (0) 10**5000 runs
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(DomainError, match="^seed at position 0: has more than 640 decimal"):
+            run_batch(GAME, SCHEDULE, ENTROPY, 2, [10**640])
+        run_batch(GAME, SCHEDULE, ENTROPY, 2, [10**640 - 1], out_dirs=[tmp_path / "a"])
+        assert json.loads((tmp_path / "a" / "run.json").read_text())["seed"] == 10**640 - 1
+        sys.set_int_max_str_digits(0)
+        assert run_batch(GAME, SCHEDULE, ENTROPY, 2, [10**5000])[0].seed == 10**5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 RNG_ENTRY_POINTS = {

@@ -216,7 +216,7 @@ class TestSweep:
             ),
             ({"log_every": 2.9}, "log_every=2.9: need an integer"),
             pytest.param(
-                {"iters": -5}, "iters: need an integer of at least 0",
+                {"iters": -5}, "iters: need an integer from 0 to ",
                 id="kw2-iters must be nonnegative",
             ),
         ],

@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -334,19 +335,26 @@ class TestRun:
 
     def test_checkpoint_evaluates_the_profile_once(self, monkeypatch):
         # the values and the Nash gaps come from one row-layout core call
-        # per checkpoint, which evaluates the profile itself
+        # per block of checkpoints, which evaluates each profile itself: the
+        # three checkpoints make one block of three rows, or three blocks of
+        # one row under a block constant of 1
         import sgl.analysis as analysis
 
         calls = []
         real = analysis._evaluate
         for module in (analysis, learner):
             monkeypatch.setattr(
-                module, "_evaluate", lambda game, blocks: calls.append(1) or real(game, blocks)
+                module, "_evaluate",
+                lambda game, blocks: calls.append(len(blocks[0])) or real(game, blocks),
             )
         game = generate(GeneratorSpec(kind="zerosum-switching"))
         log = run(game, default_schedule(game), ENTROPY, 30, seed=1, log_every=10)
         assert len(log.diagnostics) == 3
-        assert len(calls) == len(log.diagnostics)
+        assert calls == [3]
+        calls.clear()
+        monkeypatch.setattr(learner, "_CHECKPOINT_ROWS", 1)
+        run(game, default_schedule(game), ENTROPY, 30, seed=1, log_every=10)
+        assert calls == [1] * 3
 
     def test_values_kept_where_a_best_response_is_reducible(self, stay_switch_game):
         # player 0's greedy candidate keeps both states (a reducible chain),
@@ -498,11 +506,12 @@ class TestRunBatch:
     def test_a_failing_best_response_is_dropped_from_the_stack(
         self, monkeypatch, stay_switch_game
     ):
-        # the batch of the test above: every checkpoint makes one _evaluate
-        # call for all three seeds; at t=19 seed 9's best responses fail in
-        # the stack, whose error is its warning as it stands, and run again
-        # for seeds 6 and 7 together. No checkpoint goes through the
-        # one-profile API, also where chains and decompositions fail
+        # the batch of the test above: its four checkpoints make one block,
+        # one _evaluate call for all twelve (checkpoint, seed) profiles; at
+        # t=19 seed 9's best responses fail in the stack, whose error is its
+        # warning as it stands, and run again for the other eleven rows
+        # together. No checkpoint goes through the one-profile API, also
+        # where chains and decompositions fail
         import sgl.analysis as analysis
 
         evaluated, responded, inside, forbidden = [], [], [], []
@@ -539,15 +548,17 @@ class TestRunBatch:
             logs = run_batch(
                 game, sch, ENTROPY, 20, [6, 9, 7], reference=uniform_profile(game), log_every=5
             )
-            assert evaluated == [3] * 4
-            assert responded == [3, 3, 3, 3, 2]
+            assert evaluated == [12]
+            assert responded == [12, 11]
             assert logs[1].diagnostics[-1].nash_gaps is None
             evaluated.clear()
+            # 6 seeds' x_t, queries and x_{t+1}: 18 rows a checkpoint, so
+            # blocks of three checkpoints (54 rows) and two blocks in all
             logs = run_batch(
                 game, sch, make_regularizer("euclidean"), 30, range(6), oracle_mode=True,
                 log_every=5, decomposition_draws=16,
             )
-        assert len(evaluated) > 6  # failing chains: some checkpoints evaluate again
+        assert evaluated[0] == 54 and len(evaluated) > 2  # failing chains: evaluated again
         assert any(d.values is None for log in logs for d in log.diagnostics)
         assert any(d.decomposition is None for log in logs for d in log.diagnostics)
         assert forbidden == []
@@ -617,10 +628,12 @@ class TestRunBatch:
         def warned(batch):
             profiles = []  # (t, seed, x_{t+1}) per checkpoint and seed, in warning order
 
-            def oracle(game, t, after, decomposed):
-                for b, seed in enumerate(batch):
-                    profiles.append((t, seed, PolicyProfile(tuple(x[b] for x in after))))
-                return real_oracle(game, t, after, decomposed)
+            def oracle(game, block, draws):
+                for checkpoint in block:  # t counts completed iterations, after is x_{t+1}
+                    t, after = checkpoint[0] - 1, checkpoint[8]
+                    for b, seed in enumerate(batch):
+                        profiles.append((t, seed, PolicyProfile(tuple(x[b] for x in after))))
+                return real_oracle(game, block, draws)
 
             monkeypatch.setattr(learner, "_checkpoint_oracle", oracle)
             with warnings.catch_warnings(record=True) as caught:
@@ -643,6 +656,123 @@ class TestRunBatch:
         assert any("best-response candidate" in m for m in stacked)
         if mirror == "euclidean":
             assert any("unit-circle" in m and "slice" not in m for m in stacked)
+
+    @pytest.mark.parametrize("oracle_mode", (False, True))
+    @pytest.mark.parametrize("kind", ("stay-switch", "3s3p3a"))
+    def test_checkpoint_blocks_keep_every_bit_and_warning(
+        self, kind, oracle_mode, tmp_path, monkeypatch, stay_switch_game
+    ):
+        # block constants 1, 7 and the default, at B = 6 and B = 1: blocks of
+        # one checkpoint, of a few and of many write the same run.csv and
+        # run.json bytes and final scores, and warn the same texts in the
+        # same order (the solo runs' merged by checkpoint in seed order). On
+        # the stay/switch game under the Euclidean mirror chains, best
+        # responses and decompositions fail inside the blocks
+        if kind == "stay-switch":
+            game, reg = stay_switch_game(), make_regularizer("euclidean")
+            sch = learner._preset_schedule(game, "power", None, 1.0)
+        else:
+            game, reg = generate(
+                GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3)
+            ), ENTROPY
+            sch = default_schedule(game)
+        seeds = list(range(6))
+        kw = dict(
+            reference=uniform_profile(game), log_every=3, oracle_mode=oracle_mode,
+            decomposition_draws=16,
+        )
+
+        def played(batch, name):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                logs = run_batch(
+                    game, sch, reg, 30, batch, out_dirs=[tmp_path / name / str(k) for k in batch],
+                    **kw,
+                )
+            files = [
+                [(tmp_path / name / str(k) / f).read_bytes() for f in ("run.csv", "run.json")]
+                for k in batch
+            ]
+            return files, [log.final_state.scores for log in logs], [str(w.message) for w in caught]
+
+        runs = {}
+        for rows in (1, 7, learner._CHECKPOINT_ROWS):
+            monkeypatch.setattr(learner, "_CHECKPOINT_ROWS", rows)
+            runs[rows, 6] = played(seeds, f"{rows}-batch")
+            solo = [played([k], f"{rows}-solo") for k in seeds]
+            runs[rows, 1] = tuple([x for one in solo for x in one[part]] for part in range(3))
+            merged = [
+                m for t in range(30) for one in solo for m in one[2]
+                if m.split(" skipped at t=")[1].startswith(f"{t}:")
+            ]
+            assert runs[rows, 6][2] == merged
+        (files, scores, messages), *others = runs.values()
+        for other_files, other_scores, _ in others:
+            assert other_files == files
+            assert all(
+                np.array_equal(x, y) for a, b in zip(scores, other_scores) for x, y in zip(a, b)
+            )
+        for rows in (1, 7, learner._CHECKPOINT_ROWS):
+            assert runs[rows, 6][2] == messages
+        if kind == "stay-switch":
+            assert any("best-response candidate" in m for m in messages)
+            assert any(m.startswith("checkpoint oracle skipped") and "eigenvalue" in m
+                       for m in messages)
+            skipped = any(m.startswith("oracle decomposition skipped") for m in messages)
+            assert skipped == oracle_mode
+
+    def test_a_skipped_decomposition_reads_the_stream_as_a_successful_one(
+        self, monkeypatch, stay_switch_game
+    ):
+        # an oracle_mode checkpoint advances each seed's stream by its
+        # decomposition draws when it is reached, so where a decomposition is
+        # skipped the next sphere rows are those of the same run with that
+        # checkpoint's exact stage patched to succeed (its failures dropped)
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        real_rng, real_parts = np.random.default_rng, learner._exact_parts
+
+        class Recording(np.random.Generator):
+            """The seed's generator, recording every sphere row it writes."""
+
+            def __init__(self, rng, rows):
+                super().__init__(rng.bit_generator)
+                self.rows = rows
+
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                drawn = super().standard_normal(size, dtype, out)
+                if out is not None:
+                    self.rows.append(out.copy())
+                return drawn
+
+        def sphere_rows(patched):
+            rows = {seed: [] for seed in range(6)}
+            monkeypatch.setattr(np.random, "default_rng", lambda s: Recording(real_rng(s), rows[s]))
+            if patched:
+                def succeeding(*args):
+                    values, grads, best, failures = real_parts(*args)
+                    kept = {k: e for k, e in failures.items() if k[-1] != "decomposition"}
+                    return values, grads, best, kept
+                monkeypatch.setattr(learner, "_exact_parts", succeeding)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                logs = run_batch(
+                    game, sch, make_regularizer("euclidean"), 30, range(6), oracle_mode=True,
+                    log_every=5, decomposition_draws=16,
+                )
+            monkeypatch.undo()
+            return rows, logs, [str(w.message) for w in caught]
+
+        rows, logs, messages = sphere_rows(False)
+        patched_rows, patched_logs, patched_messages = sphere_rows(True)
+        skipped = [m for m in messages if m.startswith("oracle decomposition skipped")]
+        assert skipped and not any(m in patched_messages for m in skipped)
+        assert any(d.decomposition is None for log in logs for d in log.diagnostics)
+        for seed in range(6):
+            assert len(rows[seed]) == len(patched_rows[seed]) == 30
+            assert all(np.array_equal(x, y) for x, y in zip(rows[seed], patched_rows[seed]))
+            for x, y in zip(logs[seed].final_state.scores, patched_logs[seed].final_state.scores):
+                assert np.array_equal(x, y)
 
     def test_one_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -669,7 +799,8 @@ class TestRunBatch:
         iters = kw.pop("iters", 6)
         ((name, value),) = counts.items()
         allowed = {
-            "log_every": "of at least 1", "iters": "of at least 0", "start_state": "from 0 to 0"
+            "log_every": "of at least 1", "iters": f"from 0 to {sys.maxsize}",
+            "start_state": "from 0 to 0",
         }
         message = f"^{name}={value}: need an integer {allowed[name]}$".replace(".", r"\.")
         with pytest.raises(DomainError, match=message):
