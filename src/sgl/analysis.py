@@ -10,6 +10,7 @@ stationary-weight times average advantage.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate, product
 
@@ -561,7 +562,7 @@ def lipschitz_probe(game: StochasticGame, n_pairs: int, rng=None) -> float:
     policy difference. Identical pairs are skipped; if every pair is
     identical, as when every player has one action, the probe is undefined.
     """
-    n_pairs, rng = _count("n_pairs", n_pairs, 1, None), _generator(rng)
+    n_pairs, rng = _count("n_pairs", n_pairs, 1, sys.maxsize), _generator(rng)
     best = None
     for _ in range(n_pairs):
         a, b = random_profile(game, rng, 0.05), random_profile(game, rng, 0.05)

@@ -10,7 +10,6 @@ The environment variable SGL_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -41,12 +40,6 @@ def _seed(text: str) -> int:
 
 
 _seed.__name__ = "seed"  # argparse's "invalid seed value: '-1'"
-
-
-def _load_policy_arg(game, value):
-    if value is None or value == "uniform":
-        return games.uniform_profile(game)
-    return games.load_policy(value)
 
 
 def _nonfinite_key(value, key: str) -> str | None:
@@ -90,7 +83,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = games.load_game(args.game)
-    policy = _load_policy_arg(game, args.policy)
+    policy = games._profile_arg(game, args.policy)
     rng = np.random.default_rng(args.seed)
     # the certificate learn, sweep and default_schedule use
     cert = game.mixing_certificate
@@ -142,7 +135,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_gradient(args) -> int:
     game = games.load_game(args.game)
-    policy = _load_policy_arg(game, args.policy)
+    policy = games._profile_arg(game, args.policy)
     exact = [
         spsa.reduced_from_full(b).tolist()
         for b in analysis.exact_gradient(game, policy).blocks
@@ -181,27 +174,16 @@ def _max_abs_diff(blocks, exact) -> float:
     )
 
 
-def _resolve_schedule(args, game) -> learner.Schedule:
-    """The preset of --horizon with --horizon-param and --gamma-scale, and
-    every other schedule flag that was given applied over it."""
-    base = learner._preset_schedule(game, args.horizon, args.horizon_param, args.gamma_scale)
-    overrides = {
-        "gamma_exp": args.gamma_exp,
-        "delta_exp": args.delta_exp,
-        "delta_scale": args.delta_scale,
-    }
-    return dataclasses.replace(base, **{k: v for k, v in overrides.items() if v is not None})
-
-
 def _cmd_learn(args) -> int:
     game = games.load_game(args.game)
     reg = mirror.make_regularizer(args.mirror)
     cert = game.mixing_certificate
-    schedule = _resolve_schedule(args, game)
-    reference = None if args.ref is None else _load_policy_arg(game, args.ref)
-    init_policy = (
-        None if args.init_policy is None else _load_policy_arg(game, args.init_policy)
+    schedule = learner._preset_schedule(
+        game, args.horizon, args.horizon_param, args.gamma_scale,
+        gamma_exp=args.gamma_exp, delta_exp=args.delta_exp, delta_scale=args.delta_scale,
     )
+    reference = games._profile_arg(game, args.ref)
+    init_policy = games._profile_arg(game, args.init_policy)
     report = learner.validate_schedule(schedule, cert.tau)
     if not report.ok:
         failing = [k for k, v in report.conditions.items() if not v]
@@ -292,7 +274,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="exact analysis document for a game")
     p.add_argument("--game", required=True)
-    p.add_argument("--policy", default=None, help="policy file or 'uniform'")
+    p.add_argument("--policy", default="uniform", help="policy file or 'uniform'")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out", default=None)

@@ -260,14 +260,6 @@ class PolicyProfile:
             blocks.append(arr)
         object.__setattr__(self, "probs", tuple(blocks))
 
-    @property
-    def n_players(self) -> int:
-        return len(self.probs)
-
-    @property
-    def n_states(self) -> int:
-        return self.probs[0].shape[0]
-
     def replace(self, player: int, block: np.ndarray) -> "PolicyProfile":
         blocks = list(self.probs)
         blocks[player] = np.asarray(block, dtype=float)
@@ -487,14 +479,6 @@ def dobrushin_coefficient(P: np.ndarray) -> float:
     return 0.0 if c < 1e-12 else c
 
 
-def _tau_from_contraction(c: float) -> float:
-    if c <= 0.0:
-        return 0.0
-    if c >= 1.0:
-        return math.inf
-    return -1.0 / math.log(c)
-
-
 def analyze_chain(game: StochasticGame, policy) -> tuple[np.ndarray, np.ndarray]:
     """(P, p): the induced chain of a profile or of joint weights (as
     induced_transition_matrix takes them) and its stationary law; the
@@ -507,9 +491,9 @@ def analyze_chain(game: StochasticGame, policy) -> tuple[np.ndarray, np.ndarray]
 def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
     """Worst-case Dobrushin contraction over a finite sample of policies.
 
-    Returns the maximum coefficient over the sample and the implied mixing
-    constant; a coefficient of 1 for any sample is reported as a failure
-    (the index of the first offending policy is recorded).
+    Returns the maximum coefficient c over the sample and the implied mixing
+    constant -1 / log c; a coefficient of 1 for any sample is reported as a
+    failure (the index of the first offending policy is recorded).
     """
     policies = list(sample_policies)
     if not policies:
@@ -524,7 +508,7 @@ def certify_mixing(game: StochasticGame, sample_policies) -> MixingCertificate:
     ok = failing is None
     return MixingCertificate(
         contraction=worst,
-        tau=_tau_from_contraction(worst) if ok else math.inf,
+        tau=(-1.0 / math.log(worst) if worst > 0.0 else 0.0) if ok else math.inf,
         ok=ok,
         failing_index=failing,
         eps_floor=float(game.transitions.min()),
@@ -829,3 +813,11 @@ def policy_from_dict(data: dict) -> PolicyProfile:
 
 def load_policy(path) -> PolicyProfile:
     return policy_from_dict(_read_json(path, GameFormatError, "not valid UTF-8 JSON"))
+
+
+def _profile_arg(game: StochasticGame, value) -> PolicyProfile | None:
+    """The profile a run input names (--policy, --ref, --init-policy, a sweep
+    config's ref): None for None, uniform for "uniform", else a policy file."""
+    if value is None:
+        return None
+    return uniform_profile(game) if value == "uniform" else load_policy(value)

@@ -15,7 +15,7 @@ import math
 import numbers
 import pathlib
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .games import (
     PolicyProfile,
     StochasticGame,
     load_game,
-    load_policy,
     uniform_profile,
     _count,
+    _profile_arg,
     _read_json,
 )
 from .learner import (
@@ -45,6 +45,10 @@ from .learner import (
 from .mirror import Regularizer, make_regularizer
 
 KINDS = ("random-ergodic", "matching-pennies", "zerosum-switching")
+# floats in the byte cap: the transition tensor holds at least n_states**2 and
+# each action count, the reward tensor n_players
+_CELLS = MAX_WINDOW_BYTES // 8
+_JOINT_TOP = 10**100  # a joint-action count is exact below this, where it stops
 
 
 @dataclass(frozen=True)
@@ -63,8 +67,8 @@ class GeneratorSpec:
     def action_counts(self) -> tuple[int, ...]:
         counts = self.n_actions
         if not isinstance(counts, (tuple, list)):
-            counts = (counts,) * _count("n_players", self.n_players, 1, None)
-        return tuple(_count("n_actions", m, 1, None) for m in counts)
+            counts = (counts,) * _count("n_players", self.n_players, 1, _CELLS)
+        return tuple(_count("n_actions", m, 1, _CELLS) for m in counts)
 
 
 def _matching_pennies() -> StochasticGame:
@@ -87,12 +91,16 @@ def _zerosum_switching() -> StochasticGame:
 
 def _random_ergodic(spec: GeneratorSpec) -> StochasticGame:
     actions = spec.action_counts()
-    n_states, seed = _count("n_states", spec.n_states, 1, None), _count("seed", spec.seed, 0, None)
-    n_joint = math.prod(actions)
-    if 8 * n_states * n_joint * n_states > MAX_WINDOW_BYTES:
+    n_states = _count("n_states", spec.n_states, 1, math.isqrt(_CELLS))
+    seed = _count("seed", spec.seed, 0, None)
+    n_joint = 1
+    for m in actions:
+        n_joint = min(n_joint * m, _JOINT_TOP)
+    if 8 * n_states * n_joint * max(n_states, len(actions)) > MAX_WINDOW_BYTES:
+        shown = "10**100 or more" if n_joint == _JOINT_TOP else n_joint
         raise ConfigError(
-            f"{n_joint} joint actions over {n_states} states need a transition "
-            f"tensor over the {MAX_WINDOW_BYTES}-byte cap"
+            f"{shown} joint actions over {n_states} states and {len(actions)} players "
+            f"need a transition or reward tensor over the {MAX_WINDOW_BYTES}-byte cap"
         )
     if spec.eps < 0 or spec.eps * n_states >= 1.0:
         raise ConfigError(
@@ -364,13 +372,14 @@ def schedule_from_grid_entry(entry: dict, game: StochasticGame) -> Schedule:
         return float(value)
 
     try:
-        overrides = {"gamma_exp": real("p", entry["p"]), "delta_exp": real("q", entry["q"])}
+        p, q = real("p", entry["p"]), real("q", entry["q"])
         gamma0 = real("gamma0", entry.get("gamma0", 1.0))
-        if "delta0" in entry:
-            overrides["delta_scale"] = real("delta0", entry["delta0"])
+        delta0 = real("delta0", entry["delta0"]) if "delta0" in entry else None
         horizon = str(entry.get("horizon", "log"))
-        base = _preset_schedule(game, horizon, real("T0", entry["T0"]), gamma0)
-        return replace(base, **overrides)
+        return _preset_schedule(
+            game, horizon, real("T0", entry["T0"]), gamma0,
+            gamma_exp=p, delta_exp=q, delta_scale=delta0,
+        )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid entry {entry!r}: {exc}") from exc
 
@@ -380,20 +389,13 @@ def run_sweep_config(path) -> ExperimentResult:
     cfg = load_sweep_config(path)
     game = load_game(cfg["game"])
     grid = [schedule_from_grid_entry(e, game) for e in cfg["grid"]]
-    ref = cfg.get("ref", "uniform")
-    if ref == "uniform":
-        reference = uniform_profile(game)
-    elif ref is None:
-        reference = None
-    else:
-        reference = load_policy(ref)
     return sweep(
         game,
         grid,
         cfg["seeds"],
         cfg["iters"],
         regularizer=make_regularizer(cfg.get("mirror", "entropy")),
-        reference=reference,
+        reference=_profile_arg(game, cfg.get("ref", "uniform")),
         log_every=cfg.get("log_every", 100),
         out=cfg.get("out"),
     )

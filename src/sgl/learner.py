@@ -17,7 +17,7 @@ import math
 import pathlib
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -154,18 +154,20 @@ def certified_tau(cert: MixingCertificate) -> float:
 
 
 def _preset_schedule(
-    game: StochasticGame, horizon_mode: str, horizon_param: float | None, gamma_scale: float
+    game: StochasticGame, horizon_mode: str, horizon_param: float | None, gamma_scale: float,
+    **given,
 ) -> Schedule:
     """Exponents (1, 1/3), query scale a quarter of the tightest safety
     radius, and the window parameter horizon_param; when it is None, the
     mode's own: twice the certified mixing constant in log mode, 1/2 in
-    power mode."""
+    power mode. Then every Schedule field given that is not None (the CLI's
+    flags, a grid entry's p, q and delta0) replaces the preset's."""
     if horizon_param is None:
         if horizon_mode == "log":
             horizon_param = 2.0 * certified_tau(game.mixing_certificate)
         else:
             horizon_param = 0.5
-    return Schedule(
+    preset = Schedule(
         gamma_exp=1.0,
         delta_exp=1.0 / 3.0,
         gamma_scale=gamma_scale,
@@ -173,6 +175,8 @@ def _preset_schedule(
         horizon_mode=horizon_mode,
         horizon_param=horizon_param,
     )
+    given = {k: v for k, v in given.items() if v is not None}
+    return replace(preset, **given) if given else preset
 
 
 def default_schedule(

@@ -18,7 +18,9 @@ import numpy as np
 
 from .analysis import _batch_values, exact_gradient, exact_value
 from .errors import DomainError, ScheduleError
-from .games import PolicyProfile, StochasticGame, _count, _generator, _stack_prefix
+from .games import (
+    MAX_WINDOW_BYTES, PolicyProfile, StochasticGame, _count, _generator, _stack_prefix
+)
 
 REDUCED_TOL = 1e-12
 # sphere draws smoothed_gradient_estimate evaluates at once, as one
@@ -162,8 +164,9 @@ def safety_net_for(n_states: int, n_actions: int) -> SafetyNet:
 
 
 def sample_sphere(d: int, rng) -> np.ndarray:
-    """Uniform draw from the unit sphere in d dimensions; rng: a seed or a Generator."""
-    d, rng = _count("d", d, 1, None), _generator(rng)
+    """Uniform draw from the unit sphere in d dimensions, at most as many as
+    fit MAX_WINDOW_BYTES as floats; rng: a seed or a Generator."""
+    d, rng = _count("d", d, 1, MAX_WINDOW_BYTES // 8), _generator(rng)
     while True:
         z = rng.standard_normal(d)
         norm = _sphere_norms(z)

@@ -781,6 +781,47 @@ class TestNashGap:
         with pytest.raises(ErgodicityError, match=named):
             best_response(game, policy, 1)
 
+    def test_enumeration_skips_non_ergodic_candidates_by_flag(self):
+        # on the keep/flip game of the test above, player 1's candidates
+        # that keep both states (the identity) or flip both (period 2) are
+        # skipped and flagged; keeping one state and leaving the other wins
+        rewards = np.random.default_rng(3).random((2, 2, 4))
+        rewards[1] = [[1.0, 0.0, 1.0, 0.0]] * 2
+        transitions = np.zeros((2, 4, 2))
+        for s in range(2):
+            transitions[s, 0::2, s] = 1.0
+            transitions[s, 1::2, 1 - s] = 1.0
+        game = StochasticGame(2, (2, 2), rewards, transitions)
+        value, actions, flags = best_response(game, uniform_profile(game), 1, method="enumerate")
+        assert flags == (
+            "player 1: skipped non-ergodic candidate (0, 0)",
+            "player 1: skipped non-ergodic candidate (1, 1)",
+        )
+        assert value == pytest.approx(1.0, abs=1e-12) and actions == (0, 1)
+
+    def test_enumeration_with_no_ergodic_candidate_raises(self):
+        # no action ever leaves a state: every deterministic response is reducible
+        game = StochasticGame(2, (2,), np.zeros((1, 2, 2)), np.stack([np.eye(2)] * 2, axis=1))
+        with pytest.raises(
+            ErgodicityError,
+            match="^ergodicity check failed: no ergodic deterministic response for player 0$",
+        ):
+            best_response(game, uniform_profile(game), 0, method="enumerate")
+
+    def test_an_unlocated_candidate_error_passes_through(self, monkeypatch):
+        # an ErgodicityError that names no slice is not any one candidate's:
+        # the deterministic evaluation raises it unchanged
+        error = ErgodicityError("ergodicity check failed: whole stack")
+
+        def failing(P):
+            raise error
+
+        monkeypatch.setattr(analysis, "stationary_distribution", failing)
+        game = random_game(3)
+        with pytest.raises(ErgodicityError) as exc:
+            best_response(game, uniform_profile(game), 0)
+        assert exc.value is error
+
     def test_residual_zero_iff_gap_zero_on_matching_pennies(self):
         game = generate(GeneratorSpec(kind="matching-pennies"))
         at_nash = uniform_profile(game)

@@ -8,7 +8,8 @@ import pytest
 
 from sgl import cli, errors, learner
 from sgl.cli import main
-from sgl.games import StochasticGame, save_game
+from sgl.analysis import exact_value
+from sgl.games import StochasticGame, load_game, save_game, uniform_profile
 from sgl.generators import GeneratorSpec, generate
 
 
@@ -82,6 +83,15 @@ class TestAnalyze:
             assert key in doc
         assert doc["mixing"]["ok"] is True
         assert doc["mismatch_estimate"]["certificate"] == "sampled lower bound"
+
+    def test_default_policy_is_uniform(self, game_file, capsys):
+        docs = []
+        for extra in ([], ["--policy", "uniform"]):
+            assert main(["analyze", "--game", str(game_file), *extra]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0] == docs[1]
+        game = load_game(game_file)
+        assert docs[0]["values"] == exact_value(game, uniform_profile(game)).values.tolist()
 
     def test_reports_the_certificate_learn_uses(self, tmp_path, capsys):
         # the oracle-audit game: a certificate from --samples and --seed
@@ -365,6 +375,32 @@ class TestLearn:
         assert main(argv) == 1
         assert "log_every: need an integer of at least 1" in capsys.readouterr().err
 
+    def test_profile_arguments_name_uniform_or_a_file(self, tmp_path, capsys):
+        # --ref and --init-policy read "uniform" and a policy file alike; with
+        # no --ref the run has no reference and reports no distance
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), tmp_path / "mp.json")
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text(json.dumps({"probs": [[[0.5, 0.5]]] * 2}))
+        learn = ["learn", "--game", str(tmp_path / "mp.json"), "--iters", "4", "--log-every", "2"]
+        docs = []
+        for name in (None, "uniform", str(uniform)):
+            extra = [] if name is None else ["--ref", name, "--init-policy", name]
+            assert main([*learn, *extra]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert "final_dist_to_ref" not in docs[0]
+        assert docs[1] == docs[2] and "final_dist_to_ref" in docs[1]
+
+    def test_zero_iterations_report_no_checkpoint(self, tmp_path, capsys):
+        # no iteration, no checkpoint: the summary has the initial policy and
+        # no values, gap or distance, with or without a reference
+        game_path = tmp_path / "mp.json"
+        save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
+        for ref in ([], ["--ref", "uniform"]):
+            assert main(["learn", "--game", str(game_path), "--iters", "0", *ref]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["iters"] == 0 and doc["final_policy"] == [[[0.5, 0.5]]] * 2
+            assert not {"final_values", "final_nash_gap", "final_dist_to_ref"} & doc.keys()
+
     def test_negative_log_window_exits_one(self, tmp_path, capsys):
         game_path = tmp_path / "mp.json"
         save_game(generate(GeneratorSpec(kind="matching-pennies")), game_path)
@@ -415,6 +451,20 @@ class TestGenerateCommand:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--actions", str(10**3000), str(10**3000)], "n_actions: need an integer from 1 to "),
+        (["--players", str(10**3000)], "n_players: need an integer from 1 to "),
+        (["--states", str(10**3000)], "n_states: need an integer from 1 to "),
+    ], ids=["actions", "players", "states"])
+    def test_huge_counts_exit_one_by_name(self, tmp_path, capsys, flags, message):
+        # 10**3000 parses as an int; its door refuses it by name, where the
+        # byte-cap message once raised the str-limit ValueError (exit 2)
+        out = tmp_path / "x.json"
+        argv = ["generate", "--kind", "random-ergodic", *flags, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_too_many_joint_actions_exits_one(self, tmp_path, capsys):
         # 3**40 joint actions; an int64 product would wrap to a negative size

@@ -6,6 +6,7 @@ IndexError, OverflowError or the ValueError of an int too long to print.
 
 import dataclasses
 import json
+import math
 import re
 import sys
 import warnings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from sgl.analysis import best_response, lipschitz_probe
 from sgl.errors import DomainError
 from sgl.games import (
+    MAX_WINDOW_BYTES,
     certification_sample,
     deterministic_profile,
     random_profile,
@@ -62,21 +64,28 @@ INTEGER_ARGUMENTS = {
     ),
     "rollout.horizon": ("horizon", 1, sys.maxsize, lambda v: rollout(GAME, POLICY, 0, v, 0)),
     "rollout.start_state": ("start_state", 0, 1, lambda v: rollout(GAME, POLICY, v, 3, 0)),
-    "sample_sphere.d": ("d", 1, None, lambda v: sample_sphere(v, 0)),
+    "sample_sphere.d": ("d", 1, MAX_WINDOW_BYTES // 8, lambda v: sample_sphere(v, 0)),
     "smoothed_gradient_estimate.n_draws": (
         "n_draws", 1, FLOAT_MAX, lambda v: smoothed_gradient_estimate(GAME, POLICY, 0.05, v, 0)
     ),
-    "lipschitz_probe.n_pairs": ("n_pairs", 1, None, lambda v: lipschitz_probe(GAME, v, 0)),
+    "lipschitz_probe.n_pairs": (
+        "n_pairs", 1, sys.maxsize, lambda v: lipschitz_probe(GAME, v, 0)
+    ),
     "best_response.player": ("player", 0, 1, lambda v: best_response(GAME, POLICY, v)),
     "deterministic_profile.actions": (
         "actions[1][0]", 0, 1, lambda v: deterministic_profile(GAME, [[0, 1], [v, 0]])
     ),
     **{
         f"GeneratorSpec.{field}": (
-            field, lo, None,
+            field, lo, hi,
             lambda v, field=field: generate(GeneratorSpec(kind="random-ergodic", **{field: v})),
         )
-        for field, lo in (("n_states", 1), ("n_players", 1), ("n_actions", 1), ("seed", 0))
+        for field, lo, hi in (
+            ("n_states", 1, math.isqrt(MAX_WINDOW_BYTES // 8)),
+            ("n_players", 1, MAX_WINDOW_BYTES // 8),
+            ("n_actions", 1, MAX_WINDOW_BYTES // 8),
+            ("seed", 0, None),
+        )
     },
     "convergence_benchmark.iters": (
         "iters", 1, sys.maxsize, lambda v: convergence_benchmark("matching-pennies", v, [0])

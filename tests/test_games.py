@@ -98,6 +98,25 @@ class TestGameConstruction:
         assert np.array_equal(policy.probs[0], [[1.0 + 5e-13, 0.0], [0.25, 0.75]])
         assert not np.shares_memory(policy.probs[0], block)
 
+    @pytest.mark.parametrize(
+        "n_states, n_actions, transitions, message",
+        [
+            (0, (2,), np.ones((1, 2, 1)), "n_states must be a positive integer"),
+            (1, (2, 0), np.ones((1, 0, 1)), "every player needs at least one action"),
+            (1, (), np.ones((1, 1, 1)), "every player needs at least one action"),
+            (1, (2,), np.full((1, 2, 2), 0.5), r"transitions shape \(1, 2, 2\) != \(1, 2, 1\)"),
+        ],
+        ids=["no-state", "no-action", "no-player", "transitions-shape"],
+    )
+    def test_bad_sizes_are_format_errors(self, n_states, n_actions, transitions, message):
+        rewards = np.zeros((len(n_actions), n_states, math.prod(n_actions)))
+        with pytest.raises(GameFormatError, match=f"^{message}$"):
+            StochasticGame(n_states, n_actions, rewards, transitions)
+
+    def test_policy_block_must_be_two_dimensional(self):
+        with pytest.raises(DimensionError, match=r"^player 1 policy must be 2-d \(states x"):
+            PolicyProfile((np.array([[0.5, 0.5]]), np.array([0.5, 0.5])))
+
 
 # ---------------------------------------------------------------------------
 # induced transition matrix
@@ -278,6 +297,47 @@ class TestStationary:
         assert exc.value.slice_index == 5
         with pytest.raises(ErgodicityError, match="failed: unit-circle eigenvalue"):
             stationary_distribution(bad)
+
+    @pytest.mark.parametrize("P", [np.full((2, 3), 1 / 3), np.ones(2), np.ones((1, 1, 2, 2))])
+    def test_non_square_input_is_a_dimension_error(self, P):
+        with pytest.raises(DimensionError, match="^transition matrix must be square, got"):
+            stationary_distribution(P)
+
+    def test_a_degenerate_solve_names_its_slice(self, monkeypatch):
+        # a solve whose solutions for slices 1 and 2 are negated: clipped at
+        # zero they sum to zero, reported for the first of them
+        real = np.linalg.solve
+
+        def negated(A, b):
+            x = real(A, b)
+            x[1:] *= -1.0
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", negated)
+        message = "^ergodicity check failed: linear solve degenerate$"
+        with pytest.raises(ErgodicityError, match=message) as exc:
+            stationary_distribution(self.ergodic_stack(3, 3, seed=2))
+        assert exc.value.slice_index == 1
+
+    @pytest.mark.parametrize("name, check", [
+        ("solve", "singular balance system"), ("eigvals", "eigenvalue computation failed")
+    ])
+    def test_a_stack_failing_only_as_a_whole_names_no_slice(self, monkeypatch, name, check):
+        # each slice passes alone, so the error is the stack's, with no
+        # slice_index; the two slices have a zero Doeblin coefficient and so
+        # reach the eigenvalue count
+        real = getattr(np.linalg, name)
+
+        def stacked_only(a, *rest):
+            if len(a) > 1:
+                raise np.linalg.LinAlgError("did not converge")
+            return real(a, *rest)
+
+        monkeypatch.setattr(np.linalg, name, stacked_only)
+        cycle = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(ErgodicityError, match=f"^ergodicity check failed: {check}$") as exc:
+            stationary_distribution(np.stack([cycle, cycle.T]))
+        assert not hasattr(exc.value, "slice_index")
 
     def test_failed_eigenvalue_computation_names_the_callers_slice(self, monkeypatch):
         real = np.linalg.eigvals
@@ -836,6 +896,17 @@ class TestGameFiles:
         path.write_bytes(b'{"probs": [[[1.0]]], "note": "caf\xe9"}')
         with pytest.raises(GameFormatError, match="not valid UTF-8 JSON"):
             games.load_policy(path)
+
+    def test_meta_must_be_an_object(self):
+        doc = games.game_to_dict(small_random_game(1))
+        doc["meta"] = ["random-ergodic"]
+        with pytest.raises(GameFormatError, match="^meta must be an object$"):
+            games.game_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [{}, {"probs": 3}, {"probs": [[["x"]]]}])
+    def test_malformed_policy_document(self, doc):
+        with pytest.raises(GameFormatError, match="^malformed policy document: "):
+            games.policy_from_dict(doc)
 
     def test_infinite_state_count_is_a_format_error(self, tmp_path):
         # JSON's 1e400 parses as float infinity, which int() refuses with OverflowError

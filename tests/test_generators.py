@@ -92,6 +92,30 @@ class TestGenerate:
         with pytest.raises(DomainError, match="^seed: need an integer of at least 0$"):
             generate(GeneratorSpec(kind="random-ergodic", seed=-1))
 
+    def test_reversed_reward_range_rejected(self):
+        with pytest.raises(ConfigError, match="^reward_high must be at least reward_low$"):
+            generate(GeneratorSpec(kind="random-ergodic", reward_low=1.0, reward_high=0.0))
+
+    def test_a_huge_joint_action_count_is_never_formed(self):
+        # 400 players of 2**27 actions: the count stops at 10**100, so the
+        # refusal neither builds nor prints a 3000-digit int
+        with pytest.raises(
+            ConfigError, match=r"^10\*\*100 or more joint actions over 2 states and 400 players "
+        ):
+            generate(GeneratorSpec(kind="random-ergodic", n_players=400, n_actions=2**27))
+
+    def test_the_byte_cap_covers_the_reward_tensor(self, monkeypatch):
+        # single-action players add no joint action, but a reward row each
+        monkeypatch.setattr(generators, "MAX_WINDOW_BYTES", 8 * 2 * 10)
+        game = generate(GeneratorSpec(kind="random-ergodic", n_players=10, n_actions=1))
+        assert game.n_players == 10
+        with pytest.raises(
+            ConfigError,
+            match="^1 joint actions over 2 states and 11 players need a transition or reward "
+            "tensor over the 160-byte cap$",
+        ):
+            generate(GeneratorSpec(kind="random-ergodic", n_players=11, n_actions=1))
+
     def test_generated_games_reload_through_validation(self, tmp_path):
         for kind in ("matching-pennies", "zerosum-switching", "random-ergodic"):
             game = generate(GeneratorSpec(kind=kind, seed=1))
@@ -239,6 +263,21 @@ class TestSweep:
             sweep(game, [sch], [0, 1], args["iters"], log_every=args["log_every"])
         assert len(calls) == 1
 
+    def test_a_sweep_whose_every_seed_fails(self, monkeypatch):
+        # each batch fails for its first seed: every seed is recorded as
+        # failed, and the schedule's aggregates hold no checkpoint
+        def failing(game, schedule, regularizer, iters, seeds, **kw):
+            raise learner._tagged(DomainError(f"seed {seeds[0]} failed"), 0)
+
+        monkeypatch.setattr(generators, "run_batch", failing)
+        game = self.make_game()
+        result = sweep(game, [default_schedule(game)], [3, 4], iters=10, log_every=5)
+        assert result.runs == []
+        assert result.failures == [
+            {"schedule_index": 0, "seed": seed, "error": f"seed {seed} failed"} for seed in (3, 4)
+        ]
+        assert result.aggregates == [{"schedule_index": 0, "checkpoints": []}]
+
     def test_aggregates_are_quartiles_over_seeds(self):
         game = self.make_game()
         sch = default_schedule(game)
@@ -275,6 +314,33 @@ class TestSweep:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["grid"][1]["theorem_conditions"]["ok"] is False
         assert (tmp_path / "out" / "run_g0_s0" / "run.csv").exists()
+
+    @pytest.mark.parametrize("ref", ["absent", "uniform", None, "file"])
+    def test_config_reference(self, tmp_path, ref):
+        # a config's ref is the uniform profile when absent or "uniform", no
+        # reference when null, and otherwise the policy file it names
+        game = self.make_game()
+        save_game(game, tmp_path / "game.json")
+        policy = random_profile(game, 4, margin=0.1)
+        policy_path = tmp_path / "policy.json"
+        policy_path.write_text(json.dumps({"probs": [b.tolist() for b in policy.probs]}))
+        cfg = {
+            "game": str(tmp_path / "game.json"),
+            "grid": [{"p": 1.0, "q": 1 / 3, "T0": 0.0}],
+            "seeds": [0, 1],
+            "iters": 20,
+            "log_every": 10,
+        }
+        if ref != "absent":
+            cfg["ref"] = str(policy_path) if ref == "file" else ref
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        result = run_sweep_config(cfg_path)
+        reference = {"file": policy, None: None}.get(ref, uniform_profile(game))
+        expected = sweep(game, result.grid, [0, 1], 20, reference=reference, log_every=10)
+        assert result.aggregates == expected.aggregates
+        distances = [c["dist_to_ref"]["median"] for c in result.aggregates[0]["checkpoints"]]
+        assert (distances == [None, None]) == (ref is None)
 
     def test_config_missing_key(self, tmp_path):
         cfg_path = tmp_path / "sweep.json"

@@ -24,6 +24,7 @@ from sgl.generators import GeneratorSpec, generate, schedule_from_grid_entry
 from sgl.learner import (
     CSV_COLUMNS,
     Schedule,
+    StepDiagnostics,
     decompose_step,
     default_schedule,
     horizon_bias_check,
@@ -214,6 +215,12 @@ class TestValidateSchedule:
         sch = Schedule(1.0, 1 / 3, horizon_mode="power", horizon_param=0.5)
         assert validate_schedule(sch, tau=5.0).conditions["horizon_term_summable"]
 
+    def test_an_infinite_mixing_constant_fails_the_window_condition(self):
+        # p - q alone passes 1 here, so only the tau = inf rule fails it
+        sch = Schedule(2.0, 0.5, horizon_mode="log", horizon_param=1.0)
+        assert validate_schedule(sch, tau=1.0).conditions["horizon_term_summable"]
+        assert not validate_schedule(sch, tau=math.inf).conditions["horizon_term_summable"]
+
 
 # ---------------------------------------------------------------------------
 # the run loop
@@ -298,6 +305,17 @@ class TestRun:
         )
         with pytest.raises(DomainError):
             run(game, default_schedule(game), ENTROPY, 0, seed=0, init_policy=boundary)
+
+    def test_euclidean_init_policy_is_its_own_score(self):
+        # the Euclidean mirror map fixes a point of the simplex, so the
+        # initial scores are the initial policy itself
+        game = generate(GeneratorSpec(kind="zerosum-switching"))
+        start = random_profile(game, 5, margin=0.1)
+        reg = make_regularizer("euclidean")
+        log = run(game, default_schedule(game), reg, 0, 0, init_policy=start)
+        for y, x, b in zip(log.final_state.scores, log.final_state.policy.probs, start.probs):
+            assert np.array_equal(y, b)
+            np.testing.assert_allclose(x, b, rtol=0, atol=1e-15)
 
     def test_csv_schema_and_sidecar(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -721,6 +739,55 @@ class TestRunBatch:
             skipped = any(m.startswith("oracle decomposition skipped") for m in messages)
             assert skipped == oracle_mode
 
+    def test_a_failing_smoothed_gradient_skips_only_its_decomposition(self, monkeypatch):
+        # the flush's smoothed gradients of (checkpoint 1, seed 2) and
+        # (checkpoint 2, seed 0) raise a located ErgodicityError: each
+        # decomposition is skipped with a warning, in (t, seed) order, its
+        # value and gap kept; each checkpoint read its draws when reached
+        # (the draw rule), so every other record and the final scores are
+        # the unpatched run's
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3))
+        sch = default_schedule(game)
+        kw = dict(
+            oracle_mode=True, log_every=5, decomposition_draws=16, reference=uniform_profile(game)
+        )
+        plain = run_batch(game, sch, ENTROPY, 20, range(3), **kw)
+        real, calls = learner._smoothed_gradient, []
+
+        def failing(*args):
+            calls.append(None)  # one call per (checkpoint, seed), checkpoint-major
+            if len(calls) in (6, 7):
+                raise games._at_slice("ergodicity check failed: patched", 0)
+            return real(*args)
+
+        monkeypatch.setattr(learner, "_smoothed_gradient", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            patched = run_batch(game, sch, ENTROPY, 20, range(3), **kw)
+        assert [str(w.message) for w in caught] == [
+            f"oracle decomposition skipped at t={t}: ergodicity check failed: patched"
+            for t in (9, 14)
+        ]
+
+        def cells(d, skipped):
+            """A record's fields, its decomposition's parts spread out (None if skipped)."""
+            parts = None if skipped else [*vars(d.decomposition).values()]
+            return [parts if name == "decomposition" else getattr(d, name)
+                    for name in StepDiagnostics.__dataclass_fields__]
+
+        def same(a, b):
+            if isinstance(a, (tuple, list)):
+                return len(a) == len(b) and all(map(same, a, b))
+            return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+        for b in range(3):
+            for c, (d, e) in enumerate(zip(plain[b].diagnostics, patched[b].diagnostics)):
+                skipped = (c, b) in ((1, 2), (2, 0))
+                assert (e.decomposition is None) == skipped and d.decomposition is not None
+                assert e.values is not None and e.nash_gaps is not None
+                assert same(cells(d, skipped), cells(e, skipped))
+            assert same(plain[b].final_state.scores, patched[b].final_state.scores)
+
     def test_a_skipped_decomposition_reads_the_stream_as_a_successful_one(
         self, monkeypatch, stay_switch_game
     ):
@@ -773,6 +840,12 @@ class TestRunBatch:
             assert all(np.array_equal(x, y) for x, y in zip(rows[seed], patched_rows[seed]))
             for x, y in zip(logs[seed].final_state.scores, patched_logs[seed].final_state.scores):
                 assert np.array_equal(x, y)
+
+    def test_out_dirs_need_one_directory_per_seed(self, tmp_path):
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        with pytest.raises(DomainError, match="^out_dirs needs one directory per seed$"):
+            run_batch(game, default_schedule(game), ENTROPY, 2, [0, 1], out_dirs=[tmp_path / "a"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_one_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="zerosum-switching"))
@@ -1117,6 +1190,34 @@ class TestDecomposition:
             assert np.array_equal(values[0, b], gradient.values)
             for i in range(2):
                 assert np.array_equal(grads[b, i], gradient.blocks[i])
+
+    def test_a_failing_profile_raises_its_own_error(self, stay_switch_game):
+        # player 0 keeps the state in both states: the decomposed profile's
+        # chain is reducible, and decompose_step raises that profile's error
+        # as exact_value does, although its query is ergodic
+        game = stay_switch_game()
+        policy = PolicyProfile((np.array([[1.0, 0.0], [1.0, 0.0]]), np.full((2, 2), 0.5)))
+        with pytest.raises(ErgodicityError) as alone:
+            exact_value(game, policy)
+        z = [sample_sphere(reduced_dim(2, 2), k) for k in range(2)]
+        with pytest.raises(ErgodicityError) as exc:
+            decompose_step(game, policy, z, 0.01, np.zeros(2), np.random.default_rng(0), 8)
+        assert str(exc.value) == str(alone.value)
+
+    def test_an_unlocated_stage_error_passes_through(self, monkeypatch):
+        # an ErgodicityError with no slice_index is no one profile's: the
+        # stage raises it as it is, with no failure recorded
+        error = ErgodicityError("ergodicity check failed: whole stack")
+
+        def failing(game, blocks):
+            raise error
+
+        monkeypatch.setattr(learner, "_evaluate", failing)
+        game = generate(GeneratorSpec(kind="matching-pennies"))
+        before = [b[None] for b in uniform_profile(game).probs]
+        with pytest.raises(ErgodicityError) as exc:
+            learner._exact_parts(game, before, before, None)
+        assert exc.value is error
 
     def test_evaluates_the_profile_once(self, monkeypatch):
         # one row-layout core call evaluates the decomposed profile and its

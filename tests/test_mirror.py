@@ -415,6 +415,12 @@ class TestRegularizerGeometry:
         with pytest.raises(DomainError, match="negative"):
             ENTROPY.block_value(np.array([[1.1, -0.1], [0.5, 0.5]]))
 
+    def test_entropy_gradient_refuses_the_boundary(self):
+        block = np.array([[1.0, 0.0], [0.5, 0.5]])
+        with pytest.raises(DomainError, match="^entropy gradient undefined on the boundary$"):
+            ENTROPY.block_gradient(block)
+        assert np.array_equal(EUCLIDEAN.block_gradient(block), block)
+
     def test_import_loads_no_scipy(self):
         src = pathlib.Path(sgl.__file__).resolve().parents[1]
         code = "import sgl, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
