@@ -83,6 +83,11 @@ def _cmd_validate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     game = games.load_game(args.game)
+    # the sample profiles, one float per state and action each, fit the byte cap
+    samples = games._count(
+        "samples", args.samples, 1,
+        games.MAX_WINDOW_BYTES // (8 * game.n_states * sum(game.n_actions)),
+    )
     policy = games._profile_arg(game, args.policy)
     rng = np.random.default_rng(args.seed)
     # the certificate learn, sweep and default_schedule use
@@ -111,7 +116,7 @@ def _cmd_analyze(args) -> int:
     report = analysis.exact_value(game, policy)
     grad = analysis.exact_gradient(game, policy)
     gaps = analysis.nash_gap(game, policy)
-    sample_profiles = [games.random_profile(game, rng, margin=0.05) for _ in range(args.samples)]
+    sample_profiles = [games.random_profile(game, rng, margin=0.05) for _ in range(samples)]
     sample_profiles.append(games.uniform_profile(game))
     doc.update(
         {
@@ -125,7 +130,7 @@ def _cmd_analyze(args) -> int:
                 "certificate": "sampled lower bound",
             },
             "lipschitz_estimate": analysis.lipschitz_probe(
-                game, n_pairs=max(2, args.samples), rng=rng
+                game, n_pairs=max(2, samples), rng=rng
             ),
         }
     )

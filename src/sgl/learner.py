@@ -50,7 +50,9 @@ from .mirror import (
     _map_block,
 )
 from .spsa import (
+    ORACLE_BLOCK,
     SPHERE_FLOOR,
+    action_spans,
     active_players,
     lift_block,
     lifting_for,
@@ -60,6 +62,7 @@ from .spsa import (
     reduced_dim,
     reduced_from_full,
     _check_smoothing,
+    _lift_players,
     _one_point,
     _perturb,
     _smoothed_gradient,
@@ -397,11 +400,13 @@ def decompose_step(
     if failures:
         raise next(iter(failures.values()))
     z = [
-        np.asarray(directions[i], float).reshape(x.shape) if i in active else None
-        for i, x in enumerate(reduced)
+        np.stack([np.asarray(directions[i], float).reshape(reduced[i].shape)
+                  for i in range(lo, hi)]) if lo in active else None
+        for lo, hi in action_spans(game.n_actions)
     ]
     return _decomposition(
-        game, reduced, values[0, 0], grads[0], values[1, 0], z, delta, payoffs, rng,
+        game, reduced, values[0, 0], grads[0], values[1, 0], z, delta,
+        np.asarray(payoffs, dtype=float), _sphere_draws(game, smoothing_draws, _generator(rng)),
         smoothing_draws,
     )
 
@@ -476,32 +481,32 @@ def _placed(x, rows, lo, hi):
 
 
 def _decomposition(
-    game, base, base_values, gradient, query_values, z, delta, payoffs, rng, draws
+    game, base, base_values, gradient, query_values, z, delta, payoffs, blocks, draws
 ) -> StepDecomposition:
     """One seed's StepDecomposition from its exact parts: the decomposed
     profile's reduced blocks base, its values (the smoothed gradient's
     control variate) and (n, S, max m) gradient, the query's values, and
-    each player's (S, m_i - 1) direction z[i] (None for a single action).
-    Reads rng for the smoothed gradient's draws."""
-    smoothed, _ = _smoothed_gradient(game, base, base_values, delta, draws, rng)
-    grad, smooth_bias, noise, window = [], [], [], []
-    for i, m in enumerate(game.n_actions):
-        if z[i] is None:
-            for part in (grad, smooth_bias, noise, window):
-                part.append(np.zeros((game.n_states, m)))
+    z[k], the (players, S, m - 1) directions of the k-th span of players
+    with equal action counts (action_spans; None for single actions).
+    The smoothed gradient reads its draws from blocks, _sphere_draws'
+    (raw, norms) blocks. Each span's parts are one array with a players
+    axis."""
+    smoothed, _ = _smoothed_gradient(game, base, base_values, delta, draws, blocks)
+    parts = ([], [], [], [])
+    for (lo, hi), sm, zk in zip(action_spans(game.n_actions), smoothed, z):
+        m = game.n_actions[lo]
+        if zk is None:
+            for part in parts:
+                part.extend(np.zeros((hi - lo, game.n_states, m)))
             continue
         d = reduced_dim(game.n_states, m)
-        g = _tangent(reduced_from_full(gradient[i, :, :m]))
-        sm = _tangent(smoothed[i])
-        at_query = _tangent(_one_point(query_values[i], z[i], delta, d))
-        realized = _tangent(_one_point(payoffs[i], z[i], delta, d))
-        grad.append(g)
-        smooth_bias.append(sm - g)
-        noise.append(at_query - sm)
-        window.append(realized - at_query)
-    return StepDecomposition(
-        tuple(grad), tuple(smooth_bias), tuple(noise), tuple(window), query_values.copy()
-    )
+        g = _tangent(reduced_from_full(gradient[lo:hi, :, :m]))
+        sm = _tangent(sm)
+        at_query = _tangent(_one_point(query_values[lo:hi, None, None], zk, delta, d))
+        realized = _tangent(_one_point(payoffs[lo:hi, None, None], zk, delta, d))
+        for part, x in zip(parts, (g, sm - g, at_query - sm, realized - at_query)):
+            part.extend(x)
+    return StepDecomposition(*map(tuple, parts), query_values.copy())
 
 
 def run(
@@ -565,26 +570,28 @@ def _checkpoint_oracle(game, block, draws):
     iterations completed, gamma, delta, horizon, payoffs, estimate norms,
     Fenchel terms or None, distances or None, after, oracle): after holds
     x_{t+1} as one (B, S, m_i) policy stack per player, and oracle is None
-    or, in oracle_mode,
-    (before, queried, z, states): x_t and its query stacked like after,
-    z[i] player i's (B, S, m_i - 1) directions (None for a single action)
-    and each seed's bit-generator state at the checkpoint, before run_batch
-    advanced it by the draws sphere rows of _sphere_draws. One
-    _exact_parts call covers every checkpoint and seed of the block; each
-    smoothed gradient then reads a generator restored to its seed's state,
-    so it has the bits it had when read at the checkpoint. A failed part is
-    None and warns, in (t, seed) order, with the stacked stage's error,
-    which reads as the seed's solo run warns; the values stay where only the
-    best responses fail. An error raised for one seed, other than an
-    ErgodicityError, carries its position as seed_index.
+    or, in oracle_mode, (before, queried, z, sphere): x_t and its query
+    stacked like after, z[k] the (B, players, S, m - 1) directions of the
+    k-th span of players with equal action counts (None for single
+    actions) and sphere[b] an iterator over seed b's draws sphere rows, the
+    (raw, norms) blocks of spsa._sphere_draws: a list read at the
+    checkpoint, or, at the block's last checkpoint, the generator that
+    reads them from the seed's stream during this call. One _exact_parts
+    call covers every checkpoint and seed of the block; each smoothed
+    gradient then reads its rows, and a skipped or failed decomposition
+    reads the rows it left, so the stream ends where a successful one
+    leaves it. A failed part is None and warns, in (t, seed) order, with
+    the stacked stage's error, which reads as the seed's solo run warns;
+    the values stay where only the best responses fail. An error raised
+    for one seed, other than an ErgodicityError, carries its position as
+    seed_index.
     """
     after = [np.stack(x) for x in zip(*(after for *_, after, _ in block))]
-    before = queried = replay = None
+    before = queried = None
     if block[0][-1] is not None:  # an oracle_mode block
         before, queried = (
             [np.stack(x) for x in zip(*(oracle[k] for *_, oracle in block))] for k in (0, 1)
         )
-        replay = np.random.Generator(np.random.PCG64())
     values, grads, best, failures = _exact_parts(game, before, queried, after)
     skipped = (
         ("decomposition", "oracle decomposition"), ("value", "checkpoint oracle"),
@@ -596,17 +603,20 @@ def _checkpoint_oracle(game, block, draws):
         for b in range(len(payoffs)):
             value = gap = decomposition = None
             try:
-                if oracle is not None and (c, b, "decomposition") not in failures:
-                    _, _, z, states = oracle
-                    replay.bit_generator.state = states[b]
-                    try:
-                        decomposition = _decomposition(
-                            game, [x[c, b, :, :-1] for x in before], values[0, c, b],
-                            grads[c, b], values[1, c, b], [None if d is None else d[b] for d in z],
-                            delta, payoffs[b], replay, draws,
-                        )
-                    except ErgodicityError as exc:
-                        failures[c, b, "decomposition"] = exc
+                if oracle is not None:
+                    _, _, z, sphere = oracle
+                    if (c, b, "decomposition") not in failures:
+                        try:
+                            decomposition = _decomposition(
+                                game, [x[c, b, :, :-1] for x in before], values[0, c, b],
+                                grads[c, b], values[1, c, b],
+                                [None if d is None else d[b] for d in z], delta, payoffs[b],
+                                sphere[b], draws,
+                            )
+                        except ErgodicityError as exc:
+                            failures[c, b, "decomposition"] = exc
+                    for _ in sphere[b]:  # the rows a skipped or failed one left unread
+                        pass
                 for part, what in skipped:
                     if (c, b, part) in failures:  # a warning names the iteration, t - 1
                         warnings.warn(f"{what} skipped at t={t - 1}: {failures[c, b, part]}")
@@ -659,16 +669,19 @@ def run_batch(
     seed (only oracle_mode's smoothed gradients stay per seed and
     checkpoint). A block is flushed at the end of the run and before its
     stacked profile rows, B per checkpoint and 3B in oracle_mode, would pass
-    _CHECKPOINT_ROWS; it holds at least one checkpoint. Its warnings fire at
-    the flush, in (t, seed) order, and an error raised there for a seed
-    carries that seed's seed_index, only after more iterations.
+    _CHECKPOINT_ROWS, or, in oracle_mode, before the sphere rows its
+    checkpoints keep would pass _CHECKPOINT_ROWS * spsa.ORACLE_BLOCK; it
+    holds at least one checkpoint. Its warnings fire at the flush, in (t,
+    seed) order, and an error raised there for a seed carries that seed's
+    seed_index, only after more iterations.
     Seed s reads its own np.random.default_rng(s) in the order a run of it
     alone does, so its RunLog has the same bits alone or in any batch, and
     in any block; its sphere draw is one row of normals, redrawn whole under
-    SPHERE_FLOOR. At an oracle_mode checkpoint each seed's stream is read at
+    SPHERE_FLOOR. At an oracle_mode checkpoint each seed's stream is read
     once for its decomposition_draws sphere rows (spsa._sphere_draws),
-    whatever its decomposition gives at the flush, whose smoothed gradient
-    draws the same rows again from the saved generator state.
+    before the next iteration and whatever its decomposition gives: a
+    checkpoint that waits for a later flush reads and keeps them, the one
+    that flushes reads them during the flush.
     out_dirs, when given, holds one run.csv / run.json directory per seed.
     A run whose schedule overflows at its last iteration, or whose uniforms
     would take more than games.MAX_WINDOW_BYTES, is refused with ScheduleError
@@ -737,11 +750,7 @@ def run_batch(
     # side. Active group g is groups[g] = (k, lo, hi); segments[g] is its
     # (seeds, players, reduced dim) view of raw and shaped[g] the same view
     # shaped like the group's reduced policies.
-    spans, lo = [], 0
-    for _, members in itertools.groupby(n_actions):
-        hi = lo + len(list(members))
-        spans.append((lo, hi))
-        lo = hi
+    spans = action_spans(n_actions)
     slots = [(k, i - lo) for k, (lo, hi) in enumerate(spans) for i in range(lo, hi)]
     raw = np.empty((n_batch, sum(dims)))
     cdf_cols = [np.empty((n_batch, hi - lo, n_states, n_actions[lo] - 1)) for lo, hi in spans]
@@ -776,8 +785,11 @@ def run_batch(
     clamped = 0
     # recorded checkpoints wait in block for one _checkpoint_oracle call; a
     # block holds at least one checkpoint, and no more than fit in
-    # _CHECKPOINT_ROWS stacked profile rows (B per checkpoint, 3B in oracle_mode)
+    # _CHECKPOINT_ROWS stacked profile rows (B per checkpoint, 3B in
+    # oracle_mode); the sphere rows its checkpoints keep, B * draws each,
+    # stay within _CHECKPOINT_ROWS * ORACLE_BLOCK
     block, per_block = [], max(1, _CHECKPOINT_ROWS // (n_batch * (3 if oracle_mode else 1)))
+    kept = 0
     est_norms = np.zeros((n_batch, n_players))
     uniforms = np.empty((n_batch, 0, n_players + 1))
 
@@ -827,22 +839,28 @@ def run_batch(
             reduced[k] = policy[k][..., :-1]
 
         if checkpoint:
+            flush = len(block) + 1 == per_block or t + 1 == iters
             oracle = None
             if oracle_mode:
-                # the decomposition of the step just taken, from x_t: each
-                # seed's stream is read here, for the smoothed gradient's
-                # draws, whatever the decomposition gives at the flush
+                # the decomposition of the step just taken, from x_t, with
+                # each seed's next draws sphere rows: read here, or, at a
+                # checkpoint that flushes, during the flush
+                flush = flush or kept + n_batch * draws > _CHECKPOINT_ROWS * ORACLE_BLOCK
                 drawn = {k: d for (k, _, _), d in zip(groups, directions)}
-                x_t = [before[k][:, j] for k, j in slots]
-                z = [drawn[k][:, j] if k in drawn else None for k, j in slots]
-                queried = [
-                    x if d is None else lift_block(_perturb(x[..., :-1], d, delta, net))
-                    for x, d, net in zip(x_t, z, nets)
-                ]
-                oracle = (x_t, queried, z, [rng.bit_generator.state for rng in rngs])
-                for rng in rngs:
-                    for _ in _sphere_draws(game, draws, rng):
-                        pass
+                queried = []
+                for k, (lo, hi) in enumerate(spans):
+                    x = before[k]
+                    if k in drawn:
+                        x = _lift_players(_perturb(x[..., :-1], drawn[k], delta, nets[lo]))
+                    queried += [x[:, j] for j in range(hi - lo)]
+                sphere = [_sphere_draws(game, draws, rng) for rng in rngs]
+                if not flush:
+                    sphere = [iter(list(x)) for x in sphere]
+                    kept += n_batch * draws
+                oracle = (
+                    [before[k][:, j] for k, j in slots], queried,
+                    [drawn.get(k) for k in range(len(spans))], sphere,
+                )
             fen_pp = dist = None
             if reference is not None:
                 # the terms of fenchel_coupling's value, without its Bregman
@@ -859,11 +877,11 @@ def run_batch(
                 t + 1, gamma, delta, horizon, payoffs, est_norms.copy(), fen_pp, dist,
                 [policy[k][:, j] for k, j in slots], oracle,
             ))
-            if len(block) == per_block or t + 1 == iters:
+            if flush:
                 for row in _checkpoint_oracle(game, block, draws):
                     for diagnostics, d in zip(records, row):
                         diagnostics.append(d)
-                block = []
+                block, kept = [], 0
 
     logs = []
     for b, (seed, diagnostics) in enumerate(zip(seeds, records)):

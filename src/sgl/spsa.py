@@ -11,6 +11,7 @@ vectors back to simplex-tangent policy-shaped tensors.
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -86,9 +87,10 @@ def reduced_dim(n_states: int, n_actions: int) -> int:
 
 def reduced_from_full(grad_block: np.ndarray) -> np.ndarray:
     """Chain rule from policy coordinates: entry a becomes entry a minus the
-    last action's entry within the same state."""
+    last action's entry within the same state, in one (states x m) block or
+    a (..., states, m) stack of them."""
     g = np.asarray(grad_block, dtype=float)
-    return g[:, :-1] - g[:, -1:]
+    return g[..., :-1] - g[..., -1:]
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +278,18 @@ def smoothed_gradient_estimate(
     by a row-by-row loop.
     Queries are evaluated ORACLE_BLOCK draws at a time: the block's
     directions are transposed once, and the perturbation, lift_block, the
-    one-point samples and their sums run on (draws, states, m) views whose
-    draw axis is innermost in memory, as exact_values' core reads them.
+    one-point samples and their sums run on (draws, players, states, m)
+    views, one per span of players with equal action counts, whose draw
+    axis is innermost in memory, as exact_values' core reads them.
     The means equal those of a per-draw exact_value loop to roundoff.
     Returns (means, stderrs) as per-player (states x (m-1)) arrays.
     """
     _check_smoothing(game, delta, n_draws)
-    return _smoothed_gradient(
-        game, reduce_policy(policy), exact_value(game, policy).values, delta, n_draws, rng
+    means, stderrs = _smoothed_gradient(
+        game, reduce_policy(policy), exact_value(game, policy).values, delta, n_draws,
+        _sphere_draws(game, n_draws, _generator(rng)),
     )
+    return [x for span in means for x in span], [x for span in stderrs for x in span]
 
 
 def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
@@ -312,75 +317,110 @@ def _check_smoothing(game: StochasticGame, delta: float, n_draws: int) -> None:
             )
 
 
+def action_spans(n_actions) -> list[tuple[int, int]]:
+    """The spans (lo, hi) of consecutive players lo..hi-1 with equal action
+    counts, in player order: the groups whose blocks the learner and the
+    smoothed gradient stack on one players axis."""
+    spans, lo = [], 0
+    for _, members in itertools.groupby(n_actions):
+        hi = lo + len(list(members))
+        spans.append((lo, hi))
+        lo = hi
+    return spans
+
+
 def _sphere_draws(game, n_draws, rng):
     """The sphere rows of n_draws smoothed-gradient draws from rng, a
     Generator, as (raw, norms) per block of at most ORACLE_BLOCK rows: raw
     holds one row of normals per draw, every active player's reduced
-    segment side by side, and norms[j] the segment norms of active player j.
-    A row with a segment of norm at most SPHERE_FLOOR is dropped, the rows
-    after it move up and a new last row is drawn, as in a row-by-row loop.
-    Reading every block advances rng exactly as _smoothed_gradient does."""
-    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active_players(game)]
-    starts = np.cumsum([0, *dims]).tolist()
+    segment side by side, and norms[g] the (rows, players) segment norms
+    of the g-th span of active players (action_spans). A row with a
+    segment of norm at most SPHERE_FLOOR is dropped, the rows after it move
+    up and a new last row is drawn, as in a row-by-row loop. Blocks are
+    drawn as they are asked for, so reading every block reads rng for
+    exactly the n_draws rows."""
+    shapes = [
+        (hi - lo, reduced_dim(game.n_states, game.n_actions[lo]))
+        for lo, hi in action_spans(game.n_actions) if game.n_actions[lo] >= 2
+    ]
+    starts = np.cumsum([0] + [p * d for p, d in shapes]).tolist()
     for start in range(0, n_draws, ORACLE_BLOCK):
         raw = rng.standard_normal((min(ORACLE_BLOCK, n_draws - start), starts[-1]))
-        segments = [raw[:, a:b] for a, b in zip(starts, starts[1:])]
+        segments = [
+            raw[:, a:b].reshape(-1, *shape) for a, b, shape in zip(starts, starts[1:], shapes)
+        ]
         norms = [_sphere_norms(z) for z in segments]
-        while np.min(norms) <= SPHERE_FLOOR:  # practically never
-            k = np.flatnonzero(np.min(norms, axis=0) <= SPHERE_FLOOR)[0]
+        while min([x.min() for x in norms]) <= SPHERE_FLOOR:  # practically never
+            k = np.flatnonzero(np.min([x.min(axis=1) for x in norms], axis=0) <= SPHERE_FLOOR)[0]
             raw[k:-1] = raw[k + 1:]
             rng.standard_normal(out=raw[-1])
             norms = [_sphere_norms(z) for z in segments]
         yield raw, norms
 
 
-def _smoothed_gradient(game, base, base_values, delta, n_draws, rng):
+def _lift_players(x: np.ndarray) -> np.ndarray:
+    """lift_block of an (n, players, states, m-1) stack of draws for a span
+    of players. Its error is the first failing player's own: where the
+    stack fails, the players are lifted one at a time, and lift_block's
+    error of x[:, p] names the draw."""
+    try:
+        return lift_block(x)
+    except DomainError:
+        return np.stack([lift_block(x[:, p]) for p in range(x.shape[1])], axis=1)
+
+
+def _smoothed_gradient(game, base, base_values, delta, n_draws, blocks):
     """smoothed_gradient_estimate about the reduced profile base (each
     player's block without its last column), with base_values, the
-    profile's exact values, as the control variate; its arguments must
+    profile's exact values, as the control variate, over the n_draws sphere
+    rows of blocks, _sphere_draws' (raw, norms) blocks; its arguments must
     have passed _check_smoothing. The learner's oracle passes the values
-    of its row-layout evaluation, which have exact_value's bits. The draws
-    come from _sphere_draws, then each block is evaluated."""
+    of its row-layout evaluation, which have exact_value's bits. Each span
+    of players with equal action counts (action_spans) is one array with a
+    players axis. Returns (means, stderrs), one (players, S, m - 1) array
+    per span, a span of single-action players' with m - 1 = 0 columns."""
     nets = nets_for(game)
-    active = active_players(game)
-    dims = [reduced_dim(game.n_states, game.n_actions[i]) for i in active]
-    starts = np.cumsum([0, *dims]).tolist()
+    spans = action_spans(game.n_actions)
+    bases = [np.array(base[lo:hi]) for lo, hi in spans]
+    active = [k for k, (lo, _) in enumerate(spans) if game.n_actions[lo] >= 2]
+    starts = np.cumsum([0] + [bases[k].size for k in active]).tolist()
 
-    sums = {i: np.zeros_like(base[i]) for i in active}
-    sq_sums = {i: np.zeros_like(base[i]) for i in active}
-    for raw, norms in _sphere_draws(game, n_draws, _generator(rng)):
+    sums = {k: np.zeros(bases[k].shape) for k in active}
+    sq_sums = {k: np.zeros(bases[k].shape) for k in active}
+    for raw, norms in blocks:
         n = len(raw)
-        # (n, S, m) views of one transposed block: the draw axis is innermost
+        # (n, players, S, m - 1) views of one transposed block: the draw
+        # axis is innermost
         columns = raw.T.copy()
         zs = {
-            i: (columns[a:b] / norms[j]).reshape(base[i].shape + (n,)).transpose(2, 0, 1)
-            for j, (i, a, b) in enumerate(zip(active, starts, starts[1:]))
+            k: (columns[a:b].reshape(x.shape[1], -1, n) / x.T[:, None])
+            .reshape(bases[k].shape + (n,)).transpose(3, 0, 1, 2)
+            for k, a, b, x in zip(active, starts, starts[1:], norms)
         }
-        # a single-action player's block is repeated, not broadcast, so its
+        # a single-action span's blocks are repeated, not broadcast, so its
         # draw axis is innermost too and the joint weights keep that layout
-        queried = [
-            lift_block(_perturb(base[i], zs[i], delta, nets[i]))
-            if i in active
-            else np.repeat(lift_block(base[i])[..., None], n, axis=-1).transpose(2, 0, 1)
-            for i in range(game.n_players)
-        ]
+        queried = []
+        for k, (lo, hi) in enumerate(spans):
+            if k in zs:
+                lifted = _lift_players(_perturb(bases[k], zs[k], delta, nets[lo]))
+            else:
+                lifted = np.repeat(lift_block(bases[k])[..., None], n, axis=-1)
+                lifted = lifted.transpose(3, 0, 1, 2)
+            queried += [lifted[:, p] for p in range(hi - lo)]
         values = _batch_values(game, queried)
-        for j, i in enumerate(active):
-            payoffs = (values[i] - base_values[i])[:, None, None]
-            samples = _one_point(payoffs, zs[i], delta, dims[j])
-            sums[i] += samples.sum(axis=0)
-            sq_sums[i] += (samples * samples).sum(axis=0)
+        for k in active:
+            lo, hi = spans[k]
+            d = reduced_dim(game.n_states, game.n_actions[lo])
+            payoffs = (values[lo:hi] - base_values[lo:hi, None]).T[:, :, None, None]
+            samples = _one_point(payoffs, zs[k], delta, d)
+            sums[k] += samples.sum(axis=0)
+            sq_sums[k] += (samples * samples).sum(axis=0)
 
-    means, stderrs = [], []
-    for i in range(game.n_players):
-        if i not in active:
-            means.append(np.zeros((game.n_states, 0)))
-            stderrs.append(np.zeros((game.n_states, 0)))
-            continue
-        mean = sums[i] / n_draws
-        var = np.clip(sq_sums[i] / n_draws - mean * mean, 0.0, None)
-        means.append(mean)
-        stderrs.append(np.sqrt(var / n_draws))
+    means, stderrs = [np.zeros(x.shape) for x in bases], [np.zeros(x.shape) for x in bases]
+    for k in active:
+        means[k] = sums[k] / n_draws
+        var = np.clip(sq_sums[k] / n_draws - means[k] * means[k], 0.0, None)
+        stderrs[k] = np.sqrt(var / n_draws)
     return means, stderrs
 
 

@@ -4,11 +4,16 @@ one raises DomainError naming the argument, never a bare TypeError,
 IndexError, OverflowError or the ValueError of an int too long to print.
 """
 
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
+import pathlib
 import re
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -17,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgl.analysis import best_response, lipschitz_probe
+from sgl.cli import _cmd_analyze
 from sgl.errors import DomainError
 from sgl.games import (
     MAX_WINDOW_BYTES,
@@ -24,6 +30,7 @@ from sgl.games import (
     deterministic_profile,
     random_profile,
     rollout,
+    save_game,
     uniform_profile,
 )
 from sgl.generators import GeneratorSpec, convergence_benchmark, generate, sweep
@@ -40,6 +47,17 @@ FLOAT_MAX = sys.float_info.max
 
 def _learn(iters=2, seeds=(0,), **kw):
     return run_batch(GAME, SCHEDULE, ENTROPY, iters, list(seeds), **kw)
+
+
+def _analyze(samples):
+    """The document `sgl analyze` prints for GAME with args.samples set as is."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp, "game.json")
+        save_game(GAME, path)
+        args = argparse.Namespace(game=path, policy="uniform", samples=samples, seed=0, out=None)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _cmd_analyze(args)
+    return out.getvalue()
 
 
 # (the name a refusal shows, lo, hi, a call with the argument set to v)
@@ -91,6 +109,8 @@ INTEGER_ARGUMENTS = {
         "iters", 1, sys.maxsize, lambda v: convergence_benchmark("matching-pennies", v, [0])
     ),
     "sweep.seeds": ("seed", 0, None, lambda v: sweep(GAME, [SCHEDULE], [1, v], 2, log_every=1)),
+    # a sample profile is 2 states x 4 actions of floats
+    "analyze.samples": ("samples", 1, MAX_WINDOW_BYTES // (8 * 2 * 4), _analyze),
 }
 
 

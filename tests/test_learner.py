@@ -841,6 +841,143 @@ class TestRunBatch:
             for x, y in zip(logs[seed].final_state.scores, patched_logs[seed].final_state.scores):
                 assert np.array_equal(x, y)
 
+    def test_each_checkpoint_reads_its_sphere_rows_once(self, monkeypatch):
+        # one _sphere_draws read per (checkpoint, seed), under either module's
+        # name: the flush's smoothed gradient reads the rows the checkpoint
+        # kept, or reads them live, and draws none a second time
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3))
+        real, calls = spsa._sphere_draws, []
+
+        def counting(game, n_draws, rng):
+            calls.append(n_draws)
+            return real(game, n_draws, rng)
+
+        monkeypatch.setattr(learner, "_sphere_draws", counting)
+        monkeypatch.setattr(spsa, "_sphere_draws", counting)
+        monkeypatch.setattr(learner, "_CHECKPOINT_ROWS", 18)  # blocks of two checkpoints
+        logs = run_batch(
+            game, default_schedule(game), ENTROPY, 20, range(3), oracle_mode=True, log_every=5,
+            decomposition_draws=300,
+        )
+        assert calls == [300] * 12
+        assert all(d.decomposition is not None for log in logs for d in log.diagnostics)
+
+    @pytest.mark.parametrize("fault", ("skipped", "raises", "raises-after-a-block"))
+    def test_a_decomposition_failing_at_the_flush_reads_its_rows(self, fault, monkeypatch):
+        # checkpoint 1 (t=10) flushes its block and reads its sphere rows
+        # during the flush; where seed 1's decomposition there is skipped, or
+        # its smoothed gradient raises before or after reading one of the two
+        # blocks, the rows left unread are read, so the stream ends where
+        # the successful decomposition leaves it: every later record and the
+        # final scores are the unpatched run's
+        game = generate(GeneratorSpec(kind="random-ergodic", n_states=3, n_players=3, n_actions=3))
+        monkeypatch.setattr(learner, "_CHECKPOINT_ROWS", 12)  # blocks of two checkpoints
+        kw = dict(oracle_mode=True, log_every=5, decomposition_draws=300)
+        plain = run_batch(game, default_schedule(game), ENTROPY, 20, range(2), **kw)
+        if fault == "skipped":
+            real_parts = learner._exact_parts
+
+            def skipping(*args):
+                values, grads, best, failures = real_parts(*args)
+                if not skipping.done:
+                    skipping.done = True
+                    failures[1, 1, "decomposition"] = ErgodicityError("patched")
+                return values, grads, best, failures
+
+            skipping.done = False
+            monkeypatch.setattr(learner, "_exact_parts", skipping)
+        else:
+            real, calls = learner._smoothed_gradient, []
+
+            def failing(*args):
+                calls.append(None)  # checkpoint-major: (checkpoint 1, seed 1) is the 4th
+                if len(calls) == 4:
+                    if fault == "raises-after-a-block":
+                        next(iter(args[-1]))
+                    raise ErgodicityError("patched")
+                return real(*args)
+
+            monkeypatch.setattr(learner, "_smoothed_gradient", failing)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            patched = run_batch(game, default_schedule(game), ENTROPY, 20, range(2), **kw)
+        assert [str(w.message) for w in caught] == ["oracle decomposition skipped at t=9: patched"]
+
+        def cells(d):
+            parts = vars(d.decomposition).values()
+            return [d.payoffs, d.values, d.nash_gaps, *(x for part in parts for x in part)]
+
+        for b in range(2):
+            for c, (d, e) in enumerate(zip(plain[b].diagnostics, patched[b].diagnostics)):
+                if (c, b) == (1, 1):
+                    assert e.decomposition is None
+                    continue
+                assert all(np.array_equal(x, y) for x, y in zip(cells(d), cells(e)))
+            for x, y in zip(plain[b].final_state.scores, patched[b].final_state.scores):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("draws", (16, 2000))
+    def test_kept_sphere_rows_stay_bounded_and_move_no_bit(
+        self, draws, tmp_path, monkeypatch, stay_switch_game
+    ):
+        # a block keeps the sphere rows of every checkpoint but its last, and
+        # flushes before they would pass _CHECKPOINT_ROWS * ORACLE_BLOCK: at
+        # 2000 draws that cuts the blocks of the default constant at B = 6,
+        # at 16 draws never. On both sides of the bound, block constants 1,
+        # 7 and the default at B = 6 and B = 1 write the same run.csv and
+        # run.json bytes, final scores, decompositions and warnings
+        game, reg = stay_switch_game(), make_regularizer("euclidean")
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        real, blocks = learner._checkpoint_oracle, []
+
+        def recording(game, block, n_draws):
+            blocks.append((len(block), len(block[0][4])))  # (checkpoints, seeds)
+            return real(game, block, n_draws)
+
+        monkeypatch.setattr(learner, "_checkpoint_oracle", recording)
+        seeds = list(range(6))
+
+        def played(batch, name):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                logs = run_batch(
+                    game, sch, reg, 30, batch, out_dirs=[tmp_path / name / str(k) for k in batch],
+                    oracle_mode=True, log_every=3, decomposition_draws=draws,
+                )
+            files = [
+                [(tmp_path / name / str(k) / f).read_bytes() for f in ("run.csv", "run.json")]
+                for k in batch
+            ]
+            parts = [
+                [None if d.decomposition is None else [*vars(d.decomposition).values()]
+                 for d in log.diagnostics]
+                for log in logs
+            ]
+            return (
+                files, [log.final_state.scores for log in logs], parts,
+                sorted(str(w.message) for w in caught),
+            )
+
+        def same(a, b):
+            if isinstance(a, (tuple, list)):
+                return len(a) == len(b) and all(map(same, a, b))
+            return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+        runs, default = [], learner._CHECKPOINT_ROWS
+        for rows in (1, 7, default):
+            monkeypatch.setattr(learner, "_CHECKPOINT_ROWS", rows)
+            blocks.clear()
+            runs.append(played(seeds, f"{rows}-batch"))
+            if rows == default:  # ten checkpoints, three to a block but for the row bound
+                assert (len(blocks) > 4) == (draws > 16)
+            solo = [played([k], f"{rows}-solo") for k in seeds]
+            runs.append(tuple([x for one in solo for x in one[part]] for part in range(3)) + (
+                sorted(m for one in solo for m in one[3]),
+            ))
+            assert all((c - 1) * b * draws <= rows * spsa.ORACLE_BLOCK for c, b in blocks)
+        assert all(same(run, runs[0]) for run in runs[1:])
+        assert any(part is None for log in runs[0][2] for part in log)  # some are skipped
+
     def test_out_dirs_need_one_directory_per_seed(self, tmp_path):
         game = generate(GeneratorSpec(kind="matching-pennies"))
         with pytest.raises(DomainError, match="^out_dirs needs one directory per seed$"):

@@ -472,6 +472,20 @@ class TestSmoothedGradient:
             smoothed_gradient_estimate(game, policy, delta, n_draws, np.random.default_rng(6))
         assert str(caught.value) == expected
 
+    def test_a_player_group_lift_names_its_first_failing_player(self):
+        # a span of players with equal action counts is lifted as one
+        # (draws, players, states, m - 1) stack; where it fails, the error is
+        # the first failing player's own, naming that player's first failing
+        # draw, though a later player leaves the simplex at an earlier draw
+        x = np.full((3, 2, 1, 2), 0.25)
+        x[0, 1, 0, 0] = -0.5  # player 1 leaves at draw 0
+        x[2, 0, 0, 1] = 0.9  # player 0's row sums past 1 at draw 2
+        message = r"^reduced row \(draw=2, state=0\) sums to more than 1$"
+        with pytest.raises(DomainError, match=message):
+            spsa._lift_players(x)
+        inside = np.full((3, 2, 1, 2), 0.25)
+        assert np.array_equal(spsa._lift_players(inside), lift_block(inside))
+
     def test_a_draw_count_beyond_the_largest_float_is_refused_unread(self, monkeypatch):
         # n_draws * E * E once raised a bare OverflowError converting such a
         # count to a float; the smoothing door and the learner refuse it by
