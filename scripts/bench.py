@@ -91,6 +91,7 @@ import ast
 import cProfile
 import functools
 import importlib
+import inspect
 import io
 import itertools
 import json
@@ -313,7 +314,10 @@ def _window(pkg, op: str, kind: str):
     profile: op is _window_ends[B=b,H=h] (the array branch forced: the
     stage maps, or _step_rows past games._STAGE_MAP_CELLS; the 3-cycle
     game's row is _window_ends[periodic,B=b,H=h]) or _walk[B=b,H=h] (every
-    window walked by the scalar _walk)."""
+    window walked by the scalar _walk). The CDF columns come in the layout
+    pkg's _window_ends takes: one (B, players, S, m - 1) array per span of
+    players with equal action counts (its cdf_cols), or, before that
+    layout, one (B, S, m - 1) array per player (pol_cols)."""
     games = pkg.games
     name, _, shape = op.partition("[")
     fields = shape.removeprefix("periodic,").removesuffix("]").split(",")
@@ -326,6 +330,8 @@ def _window(pkg, op: str, kind: str):
     ]
     u = rng.random((batch, height + 1, game.n_players + 1))
     cols = [np.cumsum(b, axis=2)[..., :-1] for b in blocks]
+    if "cdf_cols" in inspect.signature(games._window_ends).parameters:
+        cols = [np.stack(cols[lo:hi], axis=1) for lo, hi in pkg.spsa.action_spans(game.n_actions)]
     starts = [0] * batch
     forced, default = (0 if name == "_window_ends" else math.inf), games._KERNEL_STAGE_ROWS
 

@@ -578,13 +578,13 @@ def _stage_maps(pol_cols, flat_cols, strides, u):
 
     u holds the uniforms of L stages as (n + 1, rows, L) columns, one per
     player and the last for the next state, each row's L stages contiguous:
-    one of _window_ends's backward chunks of a window. pol_cols is as in
-    _window_ends and flat_cols the game's (S - 1, S * J)
-    transposed next-state CDF columns but the last. Returns two (rows, S, L)
-    intp arrays: the flat index s * J + joint action of each stage's
-    transition row and the next state. A player's action is the count of
-    its CDF columns <= u, all but the last column, as in _walk; the next
-    state is the same count over the transition row.
+    one of _window_ends's backward chunks of a window. pol_cols[i] is player
+    i's (rows, S, m_i - 1) view of _window_ends's span arrays and flat_cols
+    the game's (S - 1, S * J) transposed next-state CDF columns but the
+    last. Returns two (rows, S, L) intp arrays: the flat index s * J + joint
+    action of each stage's transition row and the next state. A player's
+    action is the count of its CDF columns <= u, all but the last column, as
+    in _walk; the next state is the same count over the transition row.
     """
     n_states = pol_cols[0].shape[1]
     n_joint = flat_cols.shape[1] // n_states
@@ -624,7 +624,7 @@ def _follow(maps):
 def _step_rows(pol_cols, trans_cols, strides, state, u):
     """_window_ends played one stage at a time for all rows at once, from
     each row's own state only: one Python step per stage, but no stage is
-    played from every state."""
+    played from every state. pol_cols is as in _stage_maps."""
     row = np.arange(len(u))
     for stage in u.transpose(1, 0, 2):
         joint = np.zeros(len(u), dtype=int)
@@ -672,34 +672,38 @@ def _generator(rng) -> np.random.Generator:
     return np.random.default_rng(None if rng is None else _count("rng", rng, 0, None))
 
 
-def _window_ends(game, pol_cols, starts, u):
+def _window_ends(game, cdf_cols, starts, u):
     """The last stage of one window per row: the only way a window is played.
 
-    pol_cols[i] is player i's (rows, S, m_i - 1) action-CDF columns, all but
-    the last, of each row's profile; starts the rows' start states, as
-    Python ints; u the (rows, H + 1, n + 1) uniforms, one row of n + 1 per
-    stage. The game's _stage_tables give the rest. Fewer than
-    _KERNEL_STAGE_ROWS stage-rows rows * (H + 1) are played by one scalar
-    _walk over every row. Otherwise stages are played from every state at
-    once by _stage_maps, from u transposed once into contiguous
-    (n + 1, rows, H + 1) columns, in chunks backward from stage H: the
-    first holds the last _SUFFIX_STAGES stage maps and stage H, and _follow
-    gives ends[r, s], the state at stage H from state s at the chunk's
-    start; each earlier chunk of at most _WINDOW_CHUNK cells is composed
-    into ends by one gather. Once every row's ends agree over all states the
-    stages before cannot change the end state, and no earlier chunk is
-    played; otherwise the chunks reach stage 0, where the start states are
-    applied. Many rows of a many-state game are instead stepped one stage
-    at a time (_step_rows). All three give the same bits. Returns the
-    (rows, n_players) payoffs of the last stage and the states after it, as
-    a list of Python ints.
+    cdf_cols[k] is the (rows, players, S, m - 1) action-CDF columns but the
+    last of each row's profile for span k of players with m actions each
+    (spsa.action_spans); starts the rows' start states, as Python ints; u
+    the (rows, H + 1, n + 1) uniforms, one row of n + 1 per stage. The
+    game's _stage_tables give the rest. Fewer than _KERNEL_STAGE_ROWS
+    stage-rows rows * (H + 1) are played by one scalar _walk over every row,
+    from one tolist per span. Otherwise each player's (rows, S, m - 1) view
+    is read, and stages are played from every state at once by _stage_maps,
+    from u transposed once into contiguous (n + 1, rows, H + 1) columns, in
+    chunks backward from stage H: the first holds the last _SUFFIX_STAGES
+    stage maps and stage H, and _follow gives ends[r, s], the state at stage
+    H from state s at the chunk's start; each earlier chunk of at most
+    _WINDOW_CHUNK cells is composed into ends by one gather. Once every
+    row's ends agree over all states the stages before cannot change the end
+    state, and no earlier chunk is played; otherwise the chunks reach stage
+    0, where the start states are applied. Many rows of a many-state game
+    are instead stepped one stage at a time (_step_rows). All three give the
+    same bits. Returns the (rows, n_players) payoffs of the last stage and
+    the states after it, as a list of Python ints.
     """
     strides, trans_cols, flat_cols, trans_lists, rewards, reward_lists = game._stage_tables
     rows, n_states = len(u), game.n_states
     if rows * u.shape[1] < _KERNEL_STAGE_ROWS:
-        pols = zip(*[cols.tolist() for cols in pol_cols])
+        pols, *more = [cols.tolist() for cols in cdf_cols]
+        for lists in more:  # each row's players, span after span
+            pols = map(operator.add, pols, lists)
         ends = _walk(pols, trans_lists, strides, starts, u.tolist(), None)
         return np.array([reward_lists[s][j] for s, j, _ in ends]), [s for _, _, s in ends]
+    pol_cols = [cols[:, j] for cols in cdf_cols for j in range(cols.shape[1])]
     row, state = np.arange(rows), np.asarray(starts)
     columns = trans_cols.shape[2] + sum(cols.shape[-1] for cols in pol_cols)
     if rows * n_states * columns > _STAGE_MAP_CELLS:

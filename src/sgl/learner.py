@@ -48,6 +48,7 @@ from .mirror import (
     fenchel_coupling,  # still importable from this module
     _coupling_terms,
     _map_block,
+    _score_top,
 )
 from .spsa import (
     ORACLE_BLOCK,
@@ -662,9 +663,10 @@ def run_batch(
     Scores, policies and directions are arrays of shape (seeds, players,
     states, actions), one per run of consecutive players with equal action
     counts, so every step runs once for the whole batch: one
-    games._window_ends call plays every seed's window. A checkpoint is
-    recorded when it is reached, with its payoffs, estimate norms, Fenchel
-    terms and distances, and evaluated later in a block: one
+    games._window_ends call plays every seed's window from these groups'
+    CDF arrays, filled in place. A checkpoint is recorded when it is
+    reached, with its payoffs, estimate norms, Fenchel terms and distances,
+    and evaluated later in a block: one
     _checkpoint_oracle call evaluates the block's checkpoints for every
     seed (only oracle_mode's smoothed gradients stay per seed and
     checkpoint). A block is flushed at the end of the run and before its
@@ -691,8 +693,10 @@ def run_batch(
     |lifting_i| max|r_i| / min delta bounds every estimate's norm and
     smoothing sample, and E * E (times decomposition_draws in oracle_mode)
     must be finite; Y = max|y_0| + iters * max gamma * E bounds every score
-    and Y * S * max m may not pass mirror.SCORE_LIMIT. No part of a run sets
-    its own numpy error state.
+    and Y * S * max m may not pass mirror.SCORE_LIMIT: the loop's only score
+    check, as its maps skip mirror._score_top, which the initial map and the
+    checkpoints' Euclidean conjugates pass. No part of a run sets its own
+    numpy error state.
     An error raised for one seed (a negative or a float seed, say) carries
     the seed's position in `seeds` as its seed_index attribute.
     """
@@ -764,10 +768,10 @@ def run_batch(
             shaped.append(z.reshape(cdf_cols[k].shape))
             start += width
     raw_rows = list(raw)
-    pol_cols = [cdf_cols[k][:, j] for k, j in slots]
 
     scores = [np.repeat(np.stack(init[lo:hi])[None], n_batch, axis=0) for lo, hi in spans]
-    policy = [_map_block(regularizer, y) for y in scores]
+    # the loop's maps skip this door: the bound Y covers their scores
+    policy = [_map_block(regularizer, _score_top(y)) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
     if reference is not None:
@@ -826,7 +830,7 @@ def run_batch(
             u_rows = list(uniforms)
         for rng, row in zip(rngs, u_rows):
             rng.random(out=row)
-        payoffs, states = _window_ends(game, pol_cols, states, uniforms)
+        payoffs, states = _window_ends(game, cdf_cols, states, uniforms)
 
         before = policy[:]
         for (k, lo, hi), d in zip(groups, directions):
@@ -953,11 +957,12 @@ def horizon_bias_check(
     if contraction is None:
         contraction = game.mixing_certificate.contraction
     exact = exact_value(game, policy).values
-    pol_cols = [np.cumsum(block, axis=1)[:, :-1] for block in policy.probs]
+    spans = action_spans(game.n_actions)
+    cdf_cols = [np.cumsum(np.stack(policy.probs[lo:hi]), axis=-1)[..., :-1] for lo, hi in spans]
     # one window per draw, all with the same policy and start state, read
     # from the stream in one call
     samples, _ = _window_ends(
-        game, [np.broadcast_to(c, (n_draws,) + c.shape) for c in pol_cols],
+        game, [np.broadcast_to(c, (n_draws,) + c.shape) for c in cdf_cols],
         [start_state] * n_draws, rng.random((n_draws, horizon + 1, game.n_players + 1)),
     )
     mean = samples.mean(axis=0)

@@ -96,11 +96,12 @@ class BoundCheck:
 
 
 def softmax_rows(y: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis of y, any number of leading axes."""
+    """Softmax over the last axis of a float y of any shape, in one temporary."""
     # the ufunc reductions behind y.max and e.sum, called directly
-    shifted = y - np.maximum.reduce(y, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = y - np.maximum.reduce(y, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -123,19 +124,21 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(rows - row_theta[:, None], 0.0).reshape(y.shape)
 
 
-def _score_top(y: np.ndarray) -> float:
-    """max|y| of a (..., S, m) stack of scores, refused with DomainError when
+def _score_top(y: np.ndarray) -> np.ndarray:
+    """y, a (..., S, m) stack of scores, refused with DomainError when
     max|y| * S * m passes SCORE_LIMIT, the domain of the maps and conjugates."""
     top = float(np.maximum.reduce(np.abs(y), axis=None, initial=0.0))
     if not top * math.prod(y.shape[-2:]) <= SCORE_LIMIT:  # NaN too
         raise DomainError(f"dual scores must be finite, with max|y| * S * m <= {SCORE_LIMIT:.6g}")
-    return top
+    return y
 
 
 def _map_block(reg: Regularizer, y: np.ndarray) -> np.ndarray:
-    top = _score_top(y)
+    """Mirror map of a (..., S, m) float stack of scores, unchecked: y comes
+    through _score_top, or within a bound like run_batch's loop's."""
     if reg.kind == ENTROPY:
         return softmax_rows(y)
+    top = np.maximum.reduce(np.abs(y), axis=None, initial=0.0)
     if top >= SHIFT_GATE / y.shape[-1]:  # the projection is the same along the ones vector
         # each row is shifted on its own max|y|, so it has its bits in any stack
         rows = np.maximum.reduce(np.abs(y), axis=-1, keepdims=True) >= SHIFT_GATE / y.shape[-1]
@@ -149,7 +152,7 @@ def mirror_map(reg: Regularizer, scores) -> PolicyProfile:
     Entropy kind gives the per-state softmax (logit choice); Euclidean kind
     gives the per-state simplex projection.
     """
-    return PolicyProfile(tuple(_map_block(reg, np.asarray(y, float)) for y in scores))
+    return PolicyProfile(tuple(_map_block(reg, _score_top(np.asarray(y, float))) for y in scores))
 
 
 def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
@@ -163,7 +166,7 @@ def _conjugates(reg: Regularizer, y: np.ndarray) -> np.ndarray:
         rest = np.where(is_top, 0.0, np.exp(y - top)).sum(axis=-1)
         count = is_top.sum(axis=-1)
         return (np.log1p(rest / count) + np.log(count) + top[..., 0]).sum(axis=-1)
-    q = _map_block(reg, y)
+    q = _map_block(reg, _score_top(y))
     return (y * q).sum(axis=(-2, -1)) - 0.5 * (q * q).sum(axis=(-2, -1))
 
 

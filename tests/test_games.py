@@ -661,9 +661,10 @@ def _window_case(rng, n_states, n_actions, horizon, rows, chain="random"):
     """A game whose every (player, state, joint action) has its own reward,
     so a payoff names the last stage it was read at, and rows windows of
     horizon + 1 stages on it, each row with its own profile: (game,
-    pol_cols, starts, u). chain "cycle" moves every state s to s + 1 mod S
-    and "identity" keeps it, whatever the joint action: their stage maps
-    never send two states to one."""
+    cdf_cols, starts, u), cdf_cols holding one (rows, players, S, m - 1)
+    array per span of players with equal action counts. chain "cycle"
+    moves every state s to s + 1 mod S and "identity" keeps it, whatever
+    the joint action: their stage maps never send two states to one."""
     n = len(n_actions)
     n_joint = int(np.prod(n_actions))
     rewards = np.arange(n * n_states * n_joint, dtype=float).reshape(n, n_states, n_joint)
@@ -685,21 +686,23 @@ def _window_case(rng, n_states, n_actions, horizon, rows, chain="random"):
     for r, h, i in zip(*(rng.integers(0, k, 5) for k in u.shape)):
         u[r, h, i] = 1.0 - 2.0**-50
     starts = rng.integers(0, n_states, rows).tolist()
-    return game, [c[..., :-1] for c in pol_cdf], starts, u
+    spans = spsa.action_spans(n_actions)
+    return game, [np.stack(pol_cdf[lo:hi], axis=1)[..., :-1] for lo, hi in spans], starts, u
 
 
-def _assert_walks_each_row(game, pol_cols, starts, u, **constants):
+def _assert_walks_each_row(game, cdf_cols, starts, u, **constants):
     """_window_ends under the given module constants equals one scalar _walk
-    per row."""
+    per row, which reads each player's columns of its span array."""
     strides = np.cumprod((game.n_actions + (1,))[::-1])[::-1][1:].tolist()
     trans_cols = np.cumsum(game.transitions, axis=-1)[..., :-1]
     with mock.patch.multiple(games, **constants):
-        payoffs, after = games._window_ends(game, pol_cols, starts, u)
+        payoffs, after = games._window_ends(game, cdf_cols, starts, u)
     assert payoffs.shape == (len(u), game.n_players)
     assert all(type(x) is int for x in after)
     for r in range(len(u)):
         [(last, joint, end)] = games._walk(
-            [[c[r].tolist() for c in pol_cols]], trans_cols.tolist(), strides,
+            [[player.tolist() for c in cdf_cols for player in c[r]]],
+            trans_cols.tolist(), strides,
             [starts[r]], [u[r].tolist()], None,
         )
         assert np.array_equal(payoffs[r], game.rewards[:, last, joint])
@@ -757,11 +760,33 @@ class TestWindowEnds:
         cycle = np.roll(np.eye(3), 1, axis=1)
         transitions = np.stack([cycle, np.eye(3)[[0, 0, 0]]], axis=1)
         game = StochasticGame(3, (2,), np.arange(6.0).reshape(1, 3, 2), transitions)
-        pol_cols = [np.array([[[1.0]] * 3, [[0.0]] * 3])]
+        cdf_cols = [np.array([[[[1.0]] * 3], [[[0.0]] * 3]])]
         u = np.random.default_rng(5).random((2, 451, 2))
         _assert_walks_each_row(
-            game, pol_cols, [1, 1], u, _SUFFIX_STAGES=suffix, _KERNEL_STAGE_ROWS=0
+            game, cdf_cols, [1, 1], u, _SUFFIX_STAGES=suffix, _KERNEL_STAGE_ROWS=0
         )
+
+    @pytest.mark.parametrize(
+        "branch, constants",
+        [
+            ("_walk", dict(_KERNEL_STAGE_ROWS=math.inf)),
+            ("_stage_maps", dict(_KERNEL_STAGE_ROWS=0, _STAGE_MAP_CELLS=math.inf)),
+            ("_step_rows", dict(_KERNEL_STAGE_ROWS=0, _STAGE_MAP_CELLS=0)),
+        ],
+    )
+    def test_unequal_spans_match_a_per_player_walk(self, branch, constants):
+        # 3s(1,3,2)a: three spans of one player each, the first with one
+        # action and no CDF columns; each branch is forced in turn and reads
+        # the span arrays with the bits of one walk per row over each
+        # player's own columns
+        rng = np.random.default_rng(8)
+        game, cdf_cols, starts, u = _window_case(rng, 3, (1, 3, 2), 40, 5)
+        assert [c.shape for c in cdf_cols] == [(5, 1, 3, 0), (5, 1, 3, 2), (5, 1, 3, 1)]
+        spied = mock.patch.object(games, branch, wraps=getattr(games, branch))
+        with spied as spy:
+            _assert_walks_each_row(game, cdf_cols, starts, u, **constants)
+        # one call of the branch; the per-row reference walks 5 more times
+        assert spy.call_count == (6 if branch == "_walk" else 1)
 
     def test_stage_tables_are_the_per_row_cumsums(self):
         game = small_random_game(3, n_states=3, n_players=2, n_actions=3)

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sgl import games, learner, spsa
+from sgl import games, learner, mirror, spsa
 from sgl.analysis import exact_value, nash_gap
 from sgl.errors import DomainError, ErgodicityError, ScheduleError
 from sgl.games import (
@@ -445,6 +445,37 @@ class TestRunBatch:
         )
         tops = [np.abs(log.final_state.scores[0]).max() * 3 for log in batch]
         assert min(tops) < SHIFT_GATE < max(tops)
+
+    @pytest.mark.parametrize("kind", ("entropy", "euclidean"))
+    def test_the_loop_maps_its_scores_without_the_score_check(self, kind, monkeypatch):
+        # the pre-run bound Y * S * max m <= SCORE_LIMIT covers every score,
+        # so only the initial map (one call per span) and the checkpoints'
+        # Euclidean conjugates (one per span and checkpoint) pass the door
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=3, n_players=3, n_actions=(1, 3, 2), seed=0
+            )
+        )
+        score_top, callers = mirror._score_top, []
+
+        def counted(y):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a comprehension's frame
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return score_top(y)
+
+        monkeypatch.setattr(mirror, "_score_top", counted)
+        monkeypatch.setattr(learner, "_score_top", counted)
+        for oracle_mode in (False, True):
+            callers.clear()
+            run_batch(
+                game, default_schedule(game), make_regularizer(kind), 30, [0, 1],
+                reference=uniform_profile(game), log_every=10, oracle_mode=oracle_mode,
+                decomposition_draws=8,
+            )
+            conjugates = 3 * 3 if kind == "euclidean" else 0
+            assert sorted(callers) == ["_conjugates"] * conjugates + ["run_batch"] * 3
 
     def test_single_action_player(self, tmp_path):
         game = generate(
@@ -1573,6 +1604,36 @@ class TestHorizonBias:
         assert np.array_equal(
             report.stderr, samples.std(axis=0, ddof=1) / math.sqrt(n_draws)
         )
+
+    @pytest.mark.parametrize(
+        "horizon, n_draws, cells, mean, stderr",
+        [
+            # the scalar walk
+            (2, 10, games._STAGE_MAP_CELLS,
+             [0.22556232470403356, 0.6128586854792477, 0.9136604195429465],
+             [0.017479359736246078, 0.043627484961072556, 0.04534193861852327]),
+            # the stage maps, and the rows stepped one stage at a time
+            *[(8, 600, cells,
+               [0.30651184168158774, 0.6590419393664385, 0.726512528083396],
+               [0.008894981155357416, 0.00809831250446032, 0.012571434769461147])
+              for cells in (math.inf, 0)],
+        ],
+    )
+    def test_span_columns_keep_the_values_of_per_player_columns(
+        self, horizon, n_draws, cells, mean, stderr, monkeypatch
+    ):
+        # values pinned from _window_ends's per-player layout, on a game
+        # whose spans are unequal and whose first player has one action
+        game = generate(
+            GeneratorSpec(
+                kind="random-ergodic", n_states=3, n_players=3, n_actions=(1, 3, 2), seed=0
+            )
+        )
+        policy = random_profile(game, np.random.default_rng(1))
+        monkeypatch.setattr(games, "_STAGE_MAP_CELLS", cells)
+        report = horizon_bias_check(game, policy, horizon, n_draws, rng=3, contraction=0.5)
+        assert report.mean.tolist() == mean and report.stderr.tolist() == stderr
+        assert np.array_equal(report.bias, np.abs(report.mean - exact_value(game, policy).values))
 
     def test_bad_arguments(self):
         game = generate(GeneratorSpec(kind="random-ergodic", n_states=2, seed=9))
