@@ -24,7 +24,9 @@ from .games import (
     _check_compatible,
     _count,
     _generator,
+    _raised,
     _slicewise,
+    _stationary,
     analyze_chain,
     check_policy_block,
     induced_transition_matrix,
@@ -110,24 +112,32 @@ def exact_value(game: StochasticGame, policy: PolicyProfile) -> ValueReport:
 def _evaluate(game: StochasticGame, profiles):
     """The row-layout value core: (blocks, ValueReport).
 
-    profiles is one PolicyProfile, checked when it was built, or one (K,
-    S, m_i) policy stack per player from the learner's checkpoint, simplex
-    rows by construction; neither is checked again, only its shapes
-    against the game. Then come the joint weights, the K chains and one
-    stacked stationary solve (analyze_chain), the stage rewards and the
-    values, each slice with the bits of its profile alone at any stack
-    size. That is why this core exists: the matmul contraction of the
-    batch-last _batch_values gives a row other bits at another stack size,
-    and a learner seed must have the same bits alone or in any batch. A
-    stack's failing chain raises stationary_distribution's error, which
-    reads as that profile's alone and carries its position as slice_index.
+    profiles is one PolicyProfile or one (K, S, m_i) policy stack per
+    player, simplex rows by construction; only its shapes are checked,
+    against the game. Each slice has the bits of its profile alone at any
+    stack size, as a learner seed needs and the batch-last _batch_values
+    does not. A failing chain (analyze_chain) raises the error its profile
+    raises alone, with its position as slice_index; _values returns every
+    failure instead.
     """
     blocks = profiles.probs if isinstance(profiles, PolicyProfile) else profiles
     _check_compatible(game, blocks)
     w = joint_weight_matrix(blocks)
-    P, p = analyze_chain(game, w)
+    return blocks, _report(game, w, *analyze_chain(game, w))
+
+
+def _values(game: StochasticGame, stacks):
+    """_evaluate's report of stacked profiles that fit the game, with _stationary's failures."""
+    w = joint_weight_matrix(stacks)
+    P = induced_transition_matrix(game, w)
+    p, failures = _stationary(P)
+    return _report(game, w, P, p), failures
+
+
+def _report(game: StochasticGame, w, P, p) -> ValueReport:
+    """The ValueReport of joint weights w, their chains P and laws p."""
     R = np.einsum("isj,...sj->...is", game.rewards, w)
-    return blocks, ValueReport((R @ p[..., None])[..., 0], R, p, P)
+    return ValueReport((R @ p[..., None])[..., 0], R, p, P)
 
 
 def exact_values(game: StochasticGame, blocks) -> np.ndarray:
@@ -191,46 +201,45 @@ def opponent_weights(game: StochasticGame, blocks) -> np.ndarray:
 
 
 def _own_advantages(game: StochasticGame, blocks, report: ValueReport):
-    """(joint, own, bias) of the profiles _evaluate returned blocks and
-    report for, each with the profiles' leading axes: own is (..., n, S,
-    max n_actions), zero past a player's action count.
+    """(joint, own, bias, failures) of the profiles _evaluate returned
+    blocks and report for, the first three with the profiles' leading axes:
+    own is (..., n, S, max n_actions), zero past a player's action count.
 
     Solves (I - P + 1 p) h_i = R_i - V_i 1 (so p . h_i = 0) for every
     profile and player in one stacked solve, then
     joint[i, s, a] = r_i(s, a) - V_i + transitions[s, a] . h_i. A singular
-    system's error names the player, and its slice_index is the profile's
-    position in the flattened stack; an error without a slice_index passes
-    unchanged.
+    system's rows are NaN, and failures {position in the flattened stack:
+    error} names each profile's first singular player (a NaN report row
+    gives NaN rows only).
     """
     n, S = game.n_players, game.n_states
     lead = report.values.shape[:-1]
     P = np.broadcast_to(report.transition_matrix[..., None, :, :], lead + (n, S, S))
     p = np.broadcast_to(report.stationary[..., None, :], lead + (n, S))
-    try:
-        bias = _poisson(
-            P.reshape(-1, S, S),
-            p.reshape(-1, S),
-            (report.stage_rewards - report.values[..., None]).reshape(-1, S),
-        ).reshape(lead + (n, S))
-    except ErgodicityError as exc:
-        k = getattr(exc, "slice_index", None)
-        if k is None:
-            raise
-        # row k is player k % n of profile k // n
-        raise _at_slice(f"advantages of player {k % n}: {exc}", k // n) from exc
+    bias, singular = _poisson(
+        P.reshape(-1, S, S),
+        p.reshape(-1, S),
+        (report.stage_rewards - report.values[..., None]).reshape(-1, S),
+    )
+    bias = bias.reshape(lead + (n, S))
+    failures = {}
+    for k, exc in singular.items():  # row k is player k % n of profile k // n
+        failures.setdefault(k // n, _at_slice(f"advantages of player {k % n}: {exc}", k // n))
     future = np.moveaxis(game.transitions @ np.swapaxes(bias, -1, -2)[..., None, :, :], -1, -3)
     joint = game.rewards - report.values[..., None, None] + future   # (..., n, S, J)
     weighted = opponent_weights(game, blocks) * joint
     # a sum over a non-last axis adds the joint actions one at a time, in order
     own = (weighted[..., None] * game._own_actions[:, None]).sum(axis=-2)
-    return joint, own, bias
+    return joint, own, bias, failures
 
 
-def _gradients(game: StochasticGame, blocks, report: ValueReport) -> np.ndarray:
+def _gradients(game: StochasticGame, blocks, report: ValueReport):
     """(..., n, S, max n_actions) payoff gradients of the profiles
     _evaluate returned blocks and report for: stationary weight times own
-    advantage, zero past a player's action count."""
-    return report.stationary[..., None, :, None] * _own_advantages(game, blocks, report)[1]
+    advantage, zero past a player's action count; and the failures of
+    _own_advantages."""
+    _, own, _, failures = _own_advantages(game, blocks, report)
+    return report.stationary[..., None, :, None] * own, failures
 
 
 def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
@@ -242,7 +251,7 @@ def advantages(game: StochasticGame, policy: PolicyProfile) -> AdvantageTable:
     truncated sum is kept as a test oracle.
     """
     blocks, report = _evaluate(game, policy)
-    joint, own, bias = _own_advantages(game, blocks, report)
+    joint, own, bias = _raised(*_own_advantages(game, blocks, report))
     return AdvantageTable(
         joint,
         tuple(own[i, :, :m] for i, m in enumerate(game.n_actions)),
@@ -256,7 +265,7 @@ def exact_gradient(game: StochasticGame, policy: PolicyProfile) -> ExactGradient
     """Per-player payoff gradient: stationary weight times own advantage,
     the one-profile case of _gradients."""
     blocks, report = _evaluate(game, policy)
-    grad = _gradients(game, blocks, report)
+    grad = _raised(*_gradients(game, blocks, report))
     return ExactGradient(
         tuple(grad[i, :, :m] for i, m in enumerate(game.n_actions)),
         report.values,
@@ -394,37 +403,31 @@ def _frozen_mdps(game, blocks, players):
 
 
 def _poisson(P, p, r):
-    """Zero-mean biases (k, S) of a (k, S, S) stack of ergodic chains: row i
-    solves (I - P[i] + 1 p[i]) h = r[i], with r[i] the stage rewards minus
-    the gain, so p[i] . h = 0. One solve per slice, all in one stacked call;
-    a singular slice raises ErgodicityError naming the check, with its row
-    as slice_index, for the caller to name the player."""
+    """Zero-mean biases (k, S) of a (k, S, S) stack of ergodic chains, in
+    one stacked call, and _slicewise's failures {row: error}: row i solves
+    (I - P[i] + 1 p[i]) h = r[i], r[i] the stage rewards minus the gain."""
     A = np.eye(P.shape[-1]) - P + p[:, None, :]
-    return _slicewise(np.linalg.solve, "singular Poisson system", A, r[..., None])[..., 0]
+    h, failures = _slicewise(np.linalg.solve, "singular Poisson system", A, r[..., None])
+    return h[..., 0], failures
 
 
 def _evaluate_deterministic(P, R, actions, players):
-    """Gains (k,) and zero-mean biases (k, S) of one deterministic policy per
-    MDP of the stack: one stationary solve and one Poisson solve for all.
-    A non-ergodic candidate raises ErgodicityError naming its player, with
-    its row as slice_index."""
+    """Gains (k,), zero-mean biases (k, S) and failures {row: error naming
+    the candidate and its player} of one deterministic policy per MDP of the
+    stack: one stationary solve, then one Poisson solve, for all."""
     k, S = actions.shape
     stack, rows = np.arange(k)[:, None], np.arange(S)
     P_pi = P[stack, rows, actions]                        # (k, S, S)
     R_pi = R[stack, rows, actions]                        # (k, S)
-    try:
-        p = stationary_distribution(P_pi)
-        gain = np.vecdot(p, R_pi)
-        h = _poisson(P_pi, p, R_pi - gain[:, None])
-    except ErgodicityError as exc:
-        i = getattr(exc, "slice_index", None)
-        if i is None:
-            raise
-        raise _at_slice(
+    p, failed = _stationary(P_pi)
+    gain = np.vecdot(p, R_pi)
+    h, singular = _poisson(P_pi, p, R_pi - gain[:, None])
+    return gain, h, {  # a failed chain's NaN Poisson row fails no solve
+        i: _at_slice(
             f"best-response candidate {tuple(actions[i].tolist())} of player "
             f"{players[i]}: {exc}", i
-        ) from exc
-    return gain, h
+        ) for i, exc in (failed | singular).items()
+    }
 
 
 def _policy_iteration(P, R, players):
@@ -435,13 +438,14 @@ def _policy_iteration(P, R, players):
     action only when it wins by more than 1e-12, so the incumbent keeps
     ties and the iteration terminates. Rows that have settled keep their
     actions, and with them their gains, bit for bit. Returns the optimal
-    gains (k,) and actions (k, S). An error's slice_index is the row of
-    the failing candidate, or of the first row that did not settle, and its
-    text names that row's player: the text the row raises alone.
+    gains (k,), actions (k, S) and failures {row: the error it raises
+    alone}, by sweep, then check, then row: a failing candidate's row is
+    retired (its NaN biases never move it), as is one still moving after
+    _MAX_SWEEPS sweeps.
     """
     stack, rows = np.arange(len(players))[:, None], np.arange(R.shape[1])
     actions = R.argmax(axis=2)
-    gain, h = _evaluate_deterministic(P, R, actions, players)
+    gain, h, failures = _evaluate_deterministic(P, R, actions, players)
     moved = np.ones(len(players), dtype=bool)
     for _ in range(_MAX_SWEEPS):
         q = R + (P @ h[:, None, :, None])[..., 0]          # (k, S, m)
@@ -450,15 +454,15 @@ def _policy_iteration(P, R, players):
         nxt = np.where(q.max(axis=2) > incumbent + 1e-12, best, actions)
         moved = (nxt != actions).any(axis=1)
         if not moved.any():
-            return gain, actions
+            return gain, actions, failures
         actions = nxt
-        gain, h = _evaluate_deterministic(P, R, actions, players)
-    if not moved.any():  # an empty stack, with no sweep allowed
-        return gain, actions
-    k = np.argmax(moved)
-    raise _at_slice(
-        f"policy iteration for player {players[k]} did not settle in {_MAX_SWEEPS} sweeps", k
-    )
+        gain, h, failed = _evaluate_deterministic(P, R, actions, players)
+        failures |= {k: exc for k, exc in failed.items() if k not in failures}
+    for k in np.flatnonzero(moved):  # none in an empty stack
+        failures.setdefault(int(k), _at_slice(
+            f"policy iteration for player {players[k]} did not settle in {_MAX_SWEEPS} sweeps", k
+        ))
+    return gain, actions, failures
 
 
 def best_response(
@@ -478,7 +482,7 @@ def best_response(
     player = _count("player", player, 0, game.n_players - 1)
     P, R = _frozen_mdps(game, policy.probs, [player])
     if method == "policy-iteration":
-        gain, actions = _policy_iteration(P, R, [player])
+        gain, actions = _raised(*_policy_iteration(P, R, [player]))
         return float(gain[0]), tuple(actions[0].tolist()), ()
     if method != "enumerate":
         raise DomainError(f"unknown best-response method {method!r}")
@@ -486,9 +490,8 @@ def best_response(
     flags: list[str] = []
     best, best_actions = -np.inf, None
     for combo in product(range(game.n_actions[player]), repeat=game.n_states):
-        try:
-            gain, _ = _evaluate_deterministic(P, R, np.array([combo]), [player])
-        except ErgodicityError:
+        gain, _, failures = _evaluate_deterministic(P, R, np.array([combo]), [player])
+        if failures:
             flags.append(f"player {player}: skipped non-ergodic candidate {combo}")
             continue
         if gain[0] > best:
@@ -504,22 +507,25 @@ def best_response(
 def _best_responses(game: StochasticGame, blocks):
     """Optimal gains (..., n) and actions (..., n, S) of every player
     against the others frozen, for the profile or stack of profiles blocks
-    holds (as _evaluate's blocks): one _frozen_mdps and one
-    _policy_iteration over all (profile, player) rows, each independent of
-    the others. A failing row's error reads as that profile's alone, naming
-    the player, and its slice_index is the profile's position in a stack
-    (the player's row for one profile)."""
+    holds (as _evaluate's blocks): _responses, raising its first failure."""
+    return _raised(*_responses(game, blocks))
+
+
+def _responses(game: StochasticGame, blocks):
+    """(gains, actions, failures): one _frozen_mdps and one _policy_iteration
+    over all (profile, player) rows, a failing row's gain NaN. failures
+    {position in a stack, or player for one profile: error} holds each
+    failing profile's first error, which reads as the profile's alone."""
     n, S = game.n_players, game.n_states
     P, R = _frozen_mdps(game, blocks, list(range(n)))
     lead = R.shape[:-3]
     P, R = P.reshape((-1,) + P.shape[-3:]), R.reshape((-1,) + R.shape[-2:])
-    try:
-        gain, actions = _policy_iteration(P, R, list(range(n)) * math.prod(lead))
-    except ErgodicityError as exc:
-        if lead and hasattr(exc, "slice_index"):  # row k is player k % n of profile k // n
-            exc.slice_index //= n
-        raise
-    return gain.reshape(lead + (n,)), actions.reshape(lead + (n, S))
+    gain, actions, failed = _policy_iteration(P, R, list(range(n)) * math.prod(lead))
+    failures = {}
+    for k, exc in failed.items():  # row k is player k % n of profile k // n
+        gain[k], exc.slice_index = np.nan, k // n if lead else k
+        failures.setdefault(exc.slice_index, exc)
+    return gain.reshape(lead + (n,)), actions.reshape(lead + (n, S)), failures
 
 
 def nash_gap(game: StochasticGame, policy: PolicyProfile) -> GapReport:

@@ -376,19 +376,35 @@ def _at_slice(message: str, k) -> ErgodicityError:
     return exc
 
 
+def _raised(*results):
+    """A stage's results, the last of which are its failures: the first
+    failure is raised, if there is one, or the other results returned."""
+    for exc in results[-1].values():
+        raise exc
+    return results[0] if len(results) == 2 else results[:-1]
+
+
 def _slicewise(fn, check: str, *stacks):
-    """fn(*stacks), with a LinAlgError turned into an ErgodicityError that
-    names the check, with the first slice fn fails on alone as its
-    slice_index (none if every slice passes alone)."""
+    """(fn(*stacks), failures {slice: ErgodicityError naming the check}).
+    On a LinAlgError each slice runs alone; one that fails gets a NaN row,
+    and fn runs once more on the others, which keep their bits. If every
+    slice passes alone, the stack's error is raised, naming no slice."""
     try:
-        return fn(*stacks)
+        return fn(*stacks), {}
     except np.linalg.LinAlgError:
+        failures = {}
         for k in range(len(stacks[0])):
             try:
                 fn(*(s[k : k + 1] for s in stacks))
             except np.linalg.LinAlgError as exc:
-                raise _at_slice(f"ergodicity check failed: {check} ({exc})", k) from exc
-        raise ErgodicityError(f"ergodicity check failed: {check}") from None
+                failures[k] = _at_slice(f"ergodicity check failed: {check} ({exc})", k)
+        if not failures:
+            raise ErgodicityError(f"ergodicity check failed: {check}") from None
+        good = np.setdiff1d(np.arange(len(stacks[0])), list(failures))
+        x = fn(*(s[good] for s in stacks))
+        out = np.full((len(stacks[0]),) + x.shape[1:], np.nan, dtype=x.dtype)
+        out[good] = x
+        return out, failures
 
 
 def stationary_distribution(P: np.ndarray) -> np.ndarray:
@@ -402,12 +418,18 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     most 1 - alpha, so a slice with a larger alpha (a column positive in
     every row) passes the count, with one tolerance of margin for rounding.
     Then one stacked solve of the balance equations, with their last row
-    replaced by the normalization, gives every distribution. Raises
-    ErgodicityError when a chain is not ergodic; a singular solve, or a
-    solution whose fixed-point residual exceeds STATIONARY_TOL, is reported
-    the same way. The text names the failing check and reads as the failing
-    slice's own error alone; its slice_index is that slice's position.
+    replaced by the normalization, gives every distribution. A chain that
+    is not ergodic, a singular solve or a residual above STATIONARY_TOL
+    raises the first failure of _stationary, by check, then by slice: an
+    ErgodicityError naming the check, with the slice as slice_index.
     """
+    return _raised(*_stationary(P))
+
+
+def _stationary(P: np.ndarray):
+    """stationary_distribution's (p, failures {slice: error}), ordered by
+    check, then by slice; a failing slice's row is NaN, and its balance
+    system the identity once it failed. Input errors still raise."""
     P = np.asarray(P, dtype=float)
     if P.ndim not in (2, 3) or P.shape[-1] != P.shape[-2]:
         raise DimensionError(f"transition matrix must be square, got {P.shape}")
@@ -415,7 +437,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     n = stack.shape[1]
 
     # each check is one ufunc reduction over the whole stack (a NaN fails
-    # it), and the failing slice is located only on failure
+    # it), and the failing slices are located only on failure
     rows_off = np.abs(np.add.reduce(stack, axis=2) - 1.0)
     if not (
         np.maximum.reduce(rows_off, axis=None, initial=0.0) <= 1e-9
@@ -425,46 +447,54 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
         where = f" at slice {np.argmin(ok)}" if P.ndim == 3 else ""
         raise DomainError(f"matrix is not row-stochastic{where}")
 
+    failures = {}
+
+    def failing(slices, checks):  # each slice fails the check named next in checks
+        for k, check in zip(slices.tolist(), checks):
+            failures.setdefault(k, _at_slice(f"ergodicity check failed: {check}", k))
+
     # the Doeblin screen: only these slices are counted, and counted slice k
     # is slice doubtful[k] of the stack
     alpha = np.add.reduce(np.minimum.reduce(stack, axis=1), axis=1)
     if not np.minimum.reduce(alpha, initial=1.0) > 2 * _UNIT_EIG_TOL:
         doubtful = np.flatnonzero(alpha <= 2 * _UNIT_EIG_TOL)
-        try:
-            eigvals = _slicewise(np.linalg.eigvals, "eigenvalue computation failed", stack[doubtful])
-        except ErgodicityError as exc:
-            if hasattr(exc, "slice_index"):
-                exc.slice_index = int(doubtful[exc.slice_index])
-            raise
+        eigvals, failed = _slicewise(
+            np.linalg.eigvals, "eigenvalue computation failed", stack[doubtful]
+        )
+        for k, exc in failed.items():
+            exc.slice_index = int(doubtful[k])
+            failures[exc.slice_index] = exc
         n_unit = np.sum(np.abs(eigvals) > 1.0 - _UNIT_EIG_TOL, axis=1)
-        if not (n_unit == 1).all():
-            k = np.argmin(n_unit == 1)
-            raise _at_slice(
-                f"ergodicity check failed: unit-circle eigenvalue count "
-                f"{n_unit[k]} != 1 (chain reducible or periodic)",
-                doubtful[k],
-            )
+        bad = n_unit != 1  # a failed computation's NaN counts 0
+        failing(doubtful[bad], (
+            f"unit-circle eigenvalue count {c} != 1 (chain reducible or periodic)"
+            for c in n_unit[bad]
+        ))
 
     A = np.swapaxes(stack, 1, 2) - np.eye(n)
     A[:, -1, :] = 1.0
+    if failures:
+        A[list(failures)] = np.eye(n)
     b = np.zeros((len(A), n, 1))
     b[:, -1] = 1.0
-    p = _slicewise(np.linalg.solve, "singular balance system", A, b)
+    p, failed = _slicewise(np.linalg.solve, "singular balance system", A, b)
+    failures.update(failed)
     p = np.maximum(p[:, :, 0], 0.0)
     total = np.add.reduce(p, axis=1, keepdims=True)
     if not np.minimum.reduce(total, axis=None, initial=1.0) > 0:
-        k = np.argmin(total[:, 0] > 0)
-        raise _at_slice("ergodicity check failed: linear solve degenerate", k)
+        bad = ~(total[:, 0] > 0)
+        failing(np.flatnonzero(bad), ["linear solve degenerate"] * len(stack))
+        total[bad] = np.nan
     p = p / total
     residual = np.add.reduce(np.abs(np.matmul(p[:, None, :], stack)[:, 0] - p), axis=1)
     if not np.maximum.reduce(residual, initial=0.0) <= STATIONARY_TOL:
-        k = np.argmin(residual <= STATIONARY_TOL)
-        raise _at_slice(
-            f"ergodicity check failed: fixed-point residual {residual[k]:.3e} "
-            f"> {STATIONARY_TOL}",
-            k,
-        )
-    return p.reshape(P.shape[:-1])
+        bad = ~(residual <= STATIONARY_TOL)
+        failing(np.flatnonzero(bad), (
+            f"fixed-point residual {r:.3e} > {STATIONARY_TOL}" for r in residual[bad]
+        ))
+    if failures:
+        p[list(failures)] = np.nan
+    return p.reshape(P.shape[:-1]), failures
 
 
 def dobrushin_coefficient(P: np.ndarray) -> float:

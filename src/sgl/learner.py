@@ -23,9 +23,9 @@ import numpy as np
 
 from .analysis import (
     ValueReport,
-    _best_responses,
-    _evaluate,
     _gradients,
+    _responses,
+    _values,
     exact_value,
 )
 from .errors import DomainError, ErgodicityError, ScheduleError
@@ -39,6 +39,7 @@ from .games import (
     _check_compatible,
     _count,
     _generator,
+    _raised,
     _window_ends,
 )
 from .mirror import (
@@ -384,8 +385,8 @@ def decompose_step(
     directions[i] is the sphere draw used for player i (None for a skipped
     single-action player), payoffs[i] the realized value sample, and the
     smoothed gradient is estimated from rng with smoothing_draws queries.
-    The one-seed case of run_batch's oracle checkpoint: one _evaluate call
-    for the profile and its query, then _decomposition.
+    The one-seed case of run_batch's oracle checkpoint: _exact_parts over
+    the profile and its query, raising its first failure, then _decomposition.
     """
     _check_smoothing(game, delta, smoothing_draws)
     nets = nets_for(game)
@@ -395,11 +396,9 @@ def decompose_step(
         lift_block(perturb(reduced[i], directions[i], delta, nets[i])) if i in active else block
         for i, block in enumerate(policy.probs)
     ]
-    values, grads, _, failures = _exact_parts(
+    values, grads, _ = _raised(*_exact_parts(
         game, [b[None] for b in policy.probs], [q[None] for q in queried], None
-    )
-    if failures:
-        raise next(iter(failures.values()))
+    ))
     z = [
         np.stack([np.asarray(directions[i], float).reshape(reduced[i].shape)
                   for i in range(lo, hi)]) if lo in active else None
@@ -413,72 +412,46 @@ def decompose_step(
 
 
 def _exact_parts(game, before, queried, after):
-    """One _evaluate call over decomposed profiles (before), their queries
+    """One _values call over decomposed profiles (before), their queries
     and their updated profiles (after), each None or one (*lead, S, m_i)
-    stack per player with the same leading axes lead: (seeds,), or
-    (checkpoints, seeds) for a block. Then _gradients of before and
-    _best_responses against after. Returns the values (arguments given,
-    *lead, n), the (*lead, n, S, max m) gradients, the (*lead, n)
-    best-response gains (None where not given) and the failures {(*entry,
-    part): the ErgodicityError of its profile}, an entry being a position
-    in lead. An entry's part is its "decomposition" (x_t and the query), its
-    "value" (x_{t+1}) or its "gap" (best responses); a stage runs again
-    without a failing part, whose results are NaN. Reads no stream."""
+    stack per player with leading axes lead, (seeds,) or (checkpoints,
+    seeds); then one _gradients call on before and one _responses call on
+    after. Returns the values (arguments given, *lead, n), the (*lead, n,
+    S, max m) gradients, the (*lead, n) best-response gains (None where not
+    given) and the failures {(*entry, part): its profile's first
+    ErgodicityError}, an entry being a position in lead and its part its
+    "decomposition" (x_t and the query), "value" (x_{t+1}) or "gap" (none
+    for a failed value), whose results are NaN. Reads no stream."""
     stacks = [x for x in (before, queried, after) if x is not None]
     lead = stacks[0][0].shape[:-2]
     entries = list(itertools.product(*map(range, lead)))
     E = len(entries)
     N, failures = len(stacks) * E, {}
+    # stacked row r: entry r % E's profile in stacks[r // E]
     cat = [
         np.concatenate([x.reshape((E,) + x.shape[-2:]) for x in players])
         for players in zip(*stacks)
     ]
     first_value = N - E if after is not None else N
-    kept, (_, report) = _dropping(  # stacked row r: entry r % E's profile in stacks[r // E]
-        lambda rows: _evaluate(game, [x[rows] for x in cat]), list(range(N)), failures,
-        lambda r: (*entries[r % E], "value" if r >= first_value else "decomposition"),
-    )
-    values = _placed(report.values, kept, 0, N).reshape((-1,) + lead + (game.n_players,))
+    report, failed = _values(game, cat)
+    for r, exc in failed.items():  # a part keeps its first error, by check, then row
+        part = "value" if r >= first_value else "decomposition"
+        failures.setdefault((*entries[r % E], part), exc)
+    values = report.values.reshape((-1,) + lead + (game.n_players,))
     grads = best = None
     if before is not None:
-        rows, grads = _dropping(  # kept is sorted: stacked row r is report's row k if kept[k] == r
-            lambda rows: _gradients(
-                game, [x[rows] for x in cat],
-                ValueReport(*(x[np.searchsorted(kept, rows)] for x in vars(report).values())),
-            ),
-            [r for r in kept if r < E], failures, lambda r: (*entries[r], "decomposition"),
-        )
-        grads = _placed(grads, rows, 0, E).reshape(lead + grads.shape[1:])
+        head = ValueReport(*(x[:E] for x in vars(report).values()))
+        grads, failed = _gradients(game, [x[:E] for x in cat], head)
+        grads = grads.reshape(lead + grads.shape[1:])
+        for r, exc in failed.items():
+            failures.setdefault((*entries[r], "decomposition"), exc)
     if after is not None:
-        rows, best = _dropping(
-            lambda rows: _best_responses(game, [x[rows] for x in cat])[0],
-            [r for r in kept if r >= N - E], failures, lambda r: (*entries[r % E], "gap"),
-        )
-        best = _placed(best, rows, N - E, N).reshape(lead + best.shape[1:])
+        best, _, failed = _responses(game, [x[N - E:] for x in cat])
+        best = best.reshape(lead + best.shape[1:])
+        for r, exc in failed.items():
+            if (*entries[r], "value") not in failures:
+                failures[(*entries[r], "gap")] = exc
     return values, grads, best, failures
-
-
-def _dropping(run, rows, failures, part):
-    """(rows, run(rows)) on the list of stacked rows `rows`. An
-    ErgodicityError about slice k names no stack position, so it reads as
-    the profile of row rows[k] alone: it goes to failures as it is, under
-    part(rows[k]), and run repeats without that part's rows."""
-    while True:
-        try:
-            return rows, run(rows)
-        except ErgodicityError as exc:
-            if not hasattr(exc, "slice_index"):
-                raise
-            failures[part(rows[exc.slice_index])] = exc
-            rows = [r for r in rows if part(r) not in failures]
-
-
-def _placed(x, rows, lo, hi):
-    """x, a stage's results for the stacked rows `rows` of lo..hi-1, as
-    hi - lo rows with NaN where a row is missing."""
-    out = np.full((hi,) + x.shape[1:], np.nan)
-    out[rows] = x
-    return out[lo:]
 
 
 def _decomposition(
@@ -568,26 +541,37 @@ def _checkpoint_oracle(game, block, draws):
     per-seed records per checkpoint.
 
     Each checkpoint is recorded when run_batch reaches it, as (t, the
-    iterations completed, gamma, delta, horizon, payoffs, estimate norms,
-    Fenchel terms or None, distances or None, after, oracle): after holds
-    x_{t+1} as one (B, S, m_i) policy stack per player, and oracle is None
-    or, in oracle_mode, (before, queried, z, sphere): x_t and its query
-    stacked like after, z[k] the (B, players, S, m - 1) directions of the
-    k-th span of players with equal action counts (None for single
-    actions) and sphere[b] an iterator over seed b's draws sphere rows, the
-    (raw, norms) blocks of spsa._sphere_draws: a list read at the
-    checkpoint, or, at the block's last checkpoint, the generator that
-    reads them from the seed's stream during this call. One _exact_parts
-    call covers every checkpoint and seed of the block; each smoothed
-    gradient then reads its rows, and a skipped or failed decomposition
-    reads the rows it left, so the stream ends where a successful one
-    leaves it. A failed part is None and warns, in (t, seed) order, with
-    the stacked stage's error, which reads as the seed's solo run warns;
-    the values stay where only the best responses fail. An error raised
-    for one seed, other than an ErgodicityError, carries its position as
-    seed_index.
+    iterations completed, gamma, delta, horizon, payoffs, lifted, scores,
+    coupling, after, oracle): lifted[k] and scores[k] hold the (B, players,
+    S, m) estimates and updated scores of span k of players with equal
+    action counts (lifted None for single actions), coupling None or the
+    reference's (regularizer, values, blocks) by span, after x_{t+1} as one
+    (B, S, m_i) stack per player, and oracle None or, in oracle_mode,
+    (before, queried, z, sphere): x_t and its query stacked like after, span
+    k's (B, players, S, m - 1) directions z[k] (None for single actions) and
+    sphere[b] an iterator over seed b's (raw, norms) blocks of draws sphere
+    rows (spsa._sphere_draws), read at the checkpoint or, at the block's
+    last, from the seed's stream during this call. The block's estimate
+    norms, Fenchel terms (one _coupling_terms call per span) and distances
+    are formed here, each entry with its solo bits, and one _exact_parts
+    call evaluates it; a skipped or failed decomposition reads the rows it
+    left. A failed part is None and warns, in (t, seed) order, with its
+    profile's error alone; another error carries its seed_index.
     """
     after = [np.stack(x) for x in zip(*(after for *_, after, _ in block))]
+    shape = (len(block), len(block[0][4]), game.n_players)  # (checkpoints, seeds, players)
+    norms, fen, dist, coupling = np.zeros(shape), np.empty(shape), np.empty(shape), block[0][7]
+    for k, (lo, hi) in enumerate(action_spans(game.n_actions)):
+        flat = shape[:2] + (hi - lo, -1)  # one row per checkpoint, seed and player
+        if block[0][5][k] is not None:
+            x = np.stack([record[5][k] for record in block])
+            norms[..., lo:hi] = np.sqrt(np.add.reduce((x * x).reshape(flat), axis=-1))
+        if coupling is not None:  # fenchel_coupling's terms, without its Bregman check
+            reg, ref_h, ref_blocks = coupling
+            y = np.stack([record[6][k] for record in block])
+            fen[..., lo:hi] = _coupling_terms(reg, ref_h[k], ref_blocks[k], y)[0]
+            diff = (np.stack(after[lo:hi], axis=2) - ref_blocks[k]).reshape(flat)
+            dist[..., lo:hi] = np.sqrt(np.vecdot(diff, diff))
     before = queried = None
     if block[0][-1] is not None:  # an oracle_mode block
         before, queried = (
@@ -599,7 +583,7 @@ def _checkpoint_oracle(game, block, draws):
         ("gap", "checkpoint oracle"),
     )
     rows = []
-    for c, (t, gamma, delta, horizon, payoffs, norms, fen, dist, _, oracle) in enumerate(block):
+    for c, (t, gamma, delta, horizon, payoffs, *_, oracle) in enumerate(block):
         row = []
         for b in range(len(payoffs)):
             value = gap = decomposition = None
@@ -628,9 +612,9 @@ def _checkpoint_oracle(game, block, draws):
             except Exception as exc:
                 raise _tagged(exc, b)
             row.append(StepDiagnostics(
-                t, gamma, delta, horizon, payoffs[b].copy(), norms[b].copy(), value,
-                None if fen is None else fen[b].copy(), gap,
-                None if dist is None else dist[b].copy(), decomposition,
+                t, gamma, delta, horizon, payoffs[b].copy(), norms[c, b].copy(), value,
+                None if coupling is None else fen[c, b].copy(), gap,
+                None if coupling is None else dist[c, b].copy(), decomposition,
             ))
         rows.append(row)
     return rows
@@ -665,17 +649,14 @@ def run_batch(
     counts, so every step runs once for the whole batch: one
     games._window_ends call plays every seed's window from these groups'
     CDF arrays, filled in place. A checkpoint is recorded when it is
-    reached, with its payoffs, estimate norms, Fenchel terms and distances,
-    and evaluated later in a block: one
-    _checkpoint_oracle call evaluates the block's checkpoints for every
-    seed (only oracle_mode's smoothed gradients stay per seed and
-    checkpoint). A block is flushed at the end of the run and before its
-    stacked profile rows, B per checkpoint and 3B in oracle_mode, would pass
-    _CHECKPOINT_ROWS, or, in oracle_mode, before the sphere rows its
-    checkpoints keep would pass _CHECKPOINT_ROWS * spsa.ORACLE_BLOCK; it
-    holds at least one checkpoint. Its warnings fire at the flush, in (t,
-    seed) order, and an error raised there for a seed carries that seed's
-    seed_index, only after more iterations.
+    reached, as references to its arrays, and a block of them makes one
+    _checkpoint_oracle call, which forms their numbers for every seed. A
+    block is flushed at the end of the run and before its stacked profile
+    rows, B per checkpoint and 3B in oracle_mode, would pass
+    _CHECKPOINT_ROWS, or before the sphere rows its checkpoints keep would
+    pass _CHECKPOINT_ROWS * spsa.ORACLE_BLOCK; it holds at least one
+    checkpoint. Its warnings fire at the flush, in (t, seed) order, and an
+    error raised there for a seed carries its seed_index.
     Seed s reads its own np.random.default_rng(s) in the order a run of it
     alone does, so its RunLog has the same bits alone or in any batch, and
     in any block; its sphere draw is one row of normals, redrawn whole under
@@ -774,14 +755,12 @@ def run_batch(
     policy = [_map_block(regularizer, _score_top(y)) for y in scores]
     reduced = [p[..., :-1] for p in policy]
 
-    if reference is not None:
+    coupling = None
+    if reference is not None:  # the regularizer, the reference's values and blocks by group
         _check_compatible(game, reference.probs)
-        # the reference's blocks and regularizer values, by group
-        ref_blocks = [np.stack(reference.probs[lo:hi]) for lo, hi in spans]
-        ref_h = [
-            np.array([regularizer.block_value(x) for x in reference.probs[lo:hi]])
-            for lo, hi in spans
-        ]
+        coupling = regularizer, [
+            np.array(list(map(regularizer.block_value, reference.probs[lo:hi]))) for lo, hi in spans
+        ], [np.stack(reference.probs[lo:hi]) for lo, hi in spans]
 
     digest = game_hash(game)
     records = [[] for _ in seeds]  # each seed's StepDiagnostics, one per checkpoint
@@ -794,7 +773,7 @@ def run_batch(
     # stay within _CHECKPOINT_ROWS * ORACLE_BLOCK
     block, per_block = [], max(1, _CHECKPOINT_ROWS // (n_batch * (3 if oracle_mode else 1)))
     kept = 0
-    est_norms = np.zeros((n_batch, n_players))
+    lifted = [None] * len(spans)  # each group's lifted estimates; None for single actions
     uniforms = np.empty((n_batch, 0, n_players + 1))
 
     def blocks_of(arrays, b):
@@ -834,11 +813,8 @@ def run_batch(
 
         before = policy[:]
         for (k, lo, hi), d in zip(groups, directions):
-            lifted = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
-            if checkpoint:
-                squares = (lifted * lifted).reshape(n_batch, hi - lo, -1)
-                est_norms[:, lo:hi] = np.sqrt(np.add.reduce(squares, axis=-1))
-            scores[k] = scores[k] + gamma * lifted
+            lifted[k] = x = _tangent(_one_point(payoffs[:, lo:hi, None, None], d, delta, dims[lo]))
+            scores[k] = scores[k] + gamma * x
             policy[k] = _map_block(regularizer, scores[k])
             reduced[k] = policy[k][..., :-1]
 
@@ -865,20 +841,8 @@ def run_batch(
                     [before[k][:, j] for k, j in slots], queried,
                     [drawn.get(k) for k in range(len(spans))], sphere,
                 )
-            fen_pp = dist = None
-            if reference is not None:
-                # the terms of fenchel_coupling's value, without its Bregman
-                # cross-check, and the distances, as (seeds, players) arrays
-                fen_pp = np.empty((n_batch, n_players))
-                dist = np.empty((n_batch, n_players))
-                for k, (lo, hi) in enumerate(spans):
-                    fen_pp[:, lo:hi] = _coupling_terms(
-                        regularizer, ref_h[k], ref_blocks[k], scores[k]
-                    )[0]
-                    diff = (policy[k] - ref_blocks[k]).reshape(n_batch, hi - lo, -1)
-                    dist[:, lo:hi] = np.sqrt(np.vecdot(diff, diff))
             block.append((
-                t + 1, gamma, delta, horizon, payoffs, est_norms.copy(), fen_pp, dist,
+                t + 1, gamma, delta, horizon, payoffs, lifted[:], scores[:], coupling,
                 [policy[k][:, j] for k, j in slots], oracle,
             ))
             if flush:

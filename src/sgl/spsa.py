@@ -244,8 +244,8 @@ def estimate_gradient(
 
 def _one_point(payoff, z: np.ndarray, delta: float, d: int) -> np.ndarray:
     """Unchecked reduced estimate (d / delta) * payoff * z; payoff is a
-    scalar or an array that broadcasts against a stack of directions z."""
-    return (d / delta) * np.asarray(payoff, dtype=float) * z
+    float or a float array that broadcasts against a stack of directions z."""
+    return (d / delta) * payoff * z
 
 
 # ---------------------------------------------------------------------------

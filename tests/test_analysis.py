@@ -487,7 +487,8 @@ class TestStackedOracle:
         profiles = interior + face_profiles(game, rng, 4)
         stacks = [np.stack([pi.probs[i] for pi in profiles]) for i in range(game.n_players)]
         blocks, report = _evaluate(game, stacks)
-        grads = _gradients(game, blocks, report)
+        grads, failures = _gradients(game, blocks, report)
+        assert not failures
         best, actions = _best_responses(game, blocks)
         for k, pi in enumerate(profiles):
             value = reference_value(game, pi)
@@ -596,14 +597,18 @@ class TestStackedOracle:
             game, [np.stack([pi.probs[i] for pi in profiles]) for i in range(2)]
         )
 
-        def singular(P, p, r):
-            raise games._at_slice("ergodicity check failed: singular Poisson system", 3)
+        def singular(P, p, r):  # row 3 failed: a NaN row and its error
+            h = np.zeros(r.shape)
+            h[3] = np.nan
+            return h, {3: games._at_slice("ergodicity check failed: singular Poisson system", 3)}
 
         monkeypatch.setattr(analysis, "_poisson", singular)
-        message = "^advantages of player 1: ergodicity check failed: singular Poisson system$"
-        with pytest.raises(ErgodicityError, match=message) as info:
-            _gradients(game, blocks, report)
-        assert info.value.slice_index == 1
+        grads, failures = _gradients(game, blocks, report)
+        assert list(failures) == [1] and failures[1].slice_index == 1
+        assert str(failures[1]) == (
+            "advantages of player 1: ergodicity check failed: singular Poisson system"
+        )
+        assert np.isnan(grads[1, 1]).all()
         # the solve's fallback locates no slice: its error passes unchanged
         unlocated = ErgodicityError("ergodicity check failed: singular Poisson system")
 
@@ -615,6 +620,62 @@ class TestStackedOracle:
             _gradients(game, blocks, report)
         assert info.value is unlocated
 
+    @staticmethod
+    def singular_poisson_report(game):
+        """Four profiles' blocks and report, in which profiles 1 and 3 have
+        the identity as their chain and the uniform law: their systems
+        I - P + 1 p have equal rows, so every player's is singular."""
+        rng = np.random.default_rng(6)
+        profiles = [random_profile(game, rng, margin=0.1) for _ in range(4)]
+        blocks, report = _evaluate(
+            game, [np.stack([pi.probs[i] for pi in profiles]) for i in range(game.n_players)]
+        )
+        P, p = report.transition_matrix.copy(), report.stationary.copy()
+        P[[1, 3]] = np.eye(game.n_states)
+        p[[1, 3]] = 1.0 / game.n_states
+        return blocks, analysis.ValueReport(report.values, report.stage_rewards, p, P)
+
+    def test_the_first_singular_poisson_row_is_raised(self, monkeypatch):
+        # one profile's Poisson solve stacks one system per player; a solve
+        # patched to fail on players 1's and 2's right-hand sides fails two
+        # rows: advantages and exact_gradient raise player 1's error
+        game = random_game(7, n_states=3, n_players=3)
+        policy = random_profile(game, np.random.default_rng(8), margin=0.1)
+        report = exact_value(game, policy)
+        marked = (report.stage_rewards - report.values[:, None])[1:]
+        real = np.linalg.solve
+
+        def singular_at_marked(a, b):
+            if any(np.array_equal(x[:, 0], r) for x in b for r in marked):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_marked)
+        for alone in (advantages, exact_gradient):
+            with pytest.raises(ErgodicityError) as info:
+                alone(game, policy)
+            assert str(info.value) == (
+                "advantages of player 1: ergodicity check failed: "
+                "singular Poisson system (Singular matrix)"
+            )
+            assert info.value.slice_index == 0
+
+    def test_own_advantages_return_every_singular_profile(self):
+        # each singular profile's rows are NaN and its error is its first
+        # player's; the other profiles keep the bits they have alone
+        game = random_game(5, n_states=3, n_players=2)
+        blocks, report = self.singular_poisson_report(game)
+        joint, own, bias, failures = analysis._own_advantages(game, blocks, report)
+        assert list(failures) == [1, 3]
+        assert all(exc.slice_index == k for k, exc in failures.items())
+        assert all(str(exc).startswith("advantages of player 0: ") for exc in failures.values())
+        assert np.isnan(bias[[1, 3]]).all() and np.isnan(own[[1, 3]]).all()
+        for k in (0, 2):
+            pi = PolicyProfile(tuple(x[k] for x in blocks))
+            table = advantages(game, pi)
+            assert np.array_equal(bias[k], table.bias)
+            assert np.array_equal(joint[k], table.joint)
+
     def test_empty_stacks(self):
         # a checkpoint whose profiles all failed runs a stage on no profile
         game = mixed_action_game(4, n_actions=(2, 1, 3))
@@ -625,7 +686,7 @@ class TestStackedOracle:
         blocks, report = _evaluate(game, stacks)
         assert report.values.shape == (0, n)
         assert report.transition_matrix.shape == (0, S, S)
-        assert _gradients(game, blocks, report).shape == (0, n, S, 3)
+        assert _gradients(game, blocks, report)[0].shape == (0, n, S, 3)
         best, actions = _best_responses(game, blocks)
         assert best.shape == (0, n) and actions.shape == (0, n, S)
 
@@ -808,6 +869,54 @@ class TestNashGap:
         ):
             best_response(game, uniform_profile(game), 0, method="enumerate")
 
+    @staticmethod
+    def two_state_mdps():
+        """Two single-agent MDP rows on two states with two actions. In row
+        0 every action moves to either state with probability 1/2, so its
+        greedy policy is optimal at once; in row 1 action 0 keeps the state
+        and action 1 leaves it, each with probability 0.9, and the first
+        sweep moves state 1 from its greedy action to action 1."""
+        P = np.full((2, 2, 2, 2), 0.5)
+        P[1, :, 0] = [[0.9, 0.1], [0.1, 0.9]]
+        P[1, :, 1] = [[0.1, 0.9], [0.9, 0.1]]
+        R = np.array([[[1.0, 0.0], [0.5, 0.0]]] * 2)
+        return P, R
+
+    def test_an_unsettled_row_fails_among_settled_rows(self, monkeypatch):
+        # with one sweep allowed, row 1 is still moving: it fails as it does
+        # alone, and row 0 keeps its settled bits
+        P, R = self.two_state_mdps()
+        gain, actions, failures = analysis._policy_iteration(P, R, [0, 1])
+        assert not failures and actions.tolist() == [[0, 0], [0, 1]]
+        monkeypatch.setattr(analysis, "_MAX_SWEEPS", 1)
+        short_gain, short_actions, failures = analysis._policy_iteration(P, R, [0, 1])
+        assert list(failures) == [1] and failures[1].slice_index == 1
+        assert str(failures[1]) == "policy iteration for player 1 did not settle in 1 sweeps"
+        assert short_gain[0] == gain[0] and short_actions[0].tolist() == [0, 0]
+        alone = analysis._policy_iteration(P[1:], R[1:], [1])[2]
+        assert str(alone[0]) == str(failures[1])
+
+    def test_a_failing_row_retires_and_the_others_sweep_on(self, monkeypatch):
+        # row 1's second candidate fails: it keeps that candidate with a
+        # NaN gain and moves no more, and row 0 settles with its own bits
+        P, R = self.two_state_mdps()
+        gain, actions, _ = analysis._policy_iteration(P, R, [0, 1])
+        real, calls = analysis._evaluate_deterministic, []
+
+        def failing_second(P, R, actions, players):
+            g, h, failures = real(P, R, actions, players)
+            calls.append(actions.copy())
+            if len(calls) == 2:
+                g[1], h[1] = np.nan, np.nan
+                failures[1] = games._at_slice("ergodicity check failed: patched", 1)
+            return g, h, failures
+
+        monkeypatch.setattr(analysis, "_evaluate_deterministic", failing_second)
+        retired_gain, retired_actions, failures = analysis._policy_iteration(P, R, [0, 1])
+        assert len(calls) == 2 and list(failures) == [1]
+        assert np.isnan(retired_gain[1]) and retired_actions[1].tolist() == [0, 1]
+        assert retired_gain[0] == gain[0] and retired_actions[0].tolist() == actions[0].tolist()
+
     def test_an_unlocated_candidate_error_passes_through(self, monkeypatch):
         # an ErgodicityError that names no slice is not any one candidate's:
         # the deterministic evaluation raises it unchanged
@@ -816,7 +925,7 @@ class TestNashGap:
         def failing(P):
             raise error
 
-        monkeypatch.setattr(analysis, "stationary_distribution", failing)
+        monkeypatch.setattr(analysis, "_stationary", failing)
         game = random_game(3)
         with pytest.raises(ErgodicityError) as exc:
             best_response(game, uniform_profile(game), 0)

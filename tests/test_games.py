@@ -354,6 +354,57 @@ class TestStationary:
             stationary_distribution(P)
         assert exc.value.slice_index == 5
 
+    @staticmethod
+    def two_failing_checks(monkeypatch):
+        """A stack whose slice 1 is ergodic but has a singular balance
+        system (the solve fails on any stack that holds its system) and
+        whose slice 2 is periodic, so it fails the eigenvalue count, an
+        earlier check; slices 0 and 3 are ergodic."""
+        real = np.linalg.solve
+        marked = np.array([[0.3, 0.7], [0.6, 0.4]])
+        row = (marked.T - np.eye(2))[0]  # the first row of its balance system
+
+        def singular_at_marked(a, b):
+            if any(np.array_equal(s[0], row) for s in a):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_marked)
+        P = np.tile([[0.9, 0.1], [0.2, 0.8]], (4, 1, 1))
+        P[3] = [[0.5, 0.5], [0.7, 0.3]]
+        P[1], P[2] = marked, [[0.0, 1.0], [1.0, 0.0]]
+        return P
+
+    def test_the_earlier_check_is_raised_for_a_stack(self, monkeypatch):
+        # slice 1 fails a later check than slice 2: the stack raises slice
+        # 2's error, the text it raises alone, with its position
+        P = self.two_failing_checks(monkeypatch)
+        with pytest.raises(ErgodicityError, match="singular balance system"):
+            stationary_distribution(P[1])
+        with pytest.raises(ErgodicityError) as alone:
+            stationary_distribution(P[2])
+        with pytest.raises(ErgodicityError) as stacked:
+            stationary_distribution(P)
+        assert str(stacked.value) == str(alone.value)
+        assert "unit-circle eigenvalue count 2 != 1" in str(stacked.value)
+        assert stacked.value.slice_index == 2
+
+    def test_the_core_returns_every_failure_and_keeps_the_other_bits(self, monkeypatch):
+        # each failing slice's row is NaN and its error is the one it
+        # raises alone, ordered by check; the singular system's slice gets
+        # the identity in one more stacked solve, and the others keep the
+        # bits they have alone
+        P = self.two_failing_checks(monkeypatch)
+        p, failures = games._stationary(P)
+        assert list(failures) == [2, 1]
+        for k, exc in failures.items():
+            with pytest.raises(ErgodicityError) as alone:
+                stationary_distribution(P[k])
+            assert str(exc) == str(alone.value) and exc.slice_index == k
+        assert np.isnan(p[[1, 2]]).all()
+        for k in (0, 3):
+            assert np.array_equal(p[k], stationary_distribution(P[k]))
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("scale", [2 * (1 + 1e-3), 2 * (1 - 1e-3), 1 + 1e-3, 1 - 1e-3])
     def test_screen_verdict_matches_the_eigenvalue_count(self, n, scale, monkeypatch):

@@ -353,17 +353,18 @@ class TestRun:
 
     def test_checkpoint_evaluates_the_profile_once(self, monkeypatch):
         # the values and the Nash gaps come from one row-layout core call
-        # per block of checkpoints, which evaluates each profile itself: the
+        # per block of checkpoints (_values, which returns its failures; no
+        # one-profile _evaluate), which evaluates each profile itself: the
         # three checkpoints make one block of three rows, or three blocks of
         # one row under a block constant of 1
         import sgl.analysis as analysis
 
         calls = []
-        real = analysis._evaluate
-        for module in (analysis, learner):
+        for module, name in ((analysis, "_values"), (learner, "_values"), (analysis, "_evaluate")):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                module, "_evaluate",
-                lambda game, blocks: calls.append(len(blocks[0])) or real(game, blocks),
+                module, name,
+                lambda game, blocks, real=real: calls.append(len(blocks[0])) or real(game, blocks),
             )
         game = generate(GeneratorSpec(kind="zerosum-switching"))
         log = run(game, default_schedule(game), ENTROPY, 30, seed=1, log_every=10)
@@ -450,7 +451,8 @@ class TestRunBatch:
     def test_the_loop_maps_its_scores_without_the_score_check(self, kind, monkeypatch):
         # the pre-run bound Y * S * max m <= SCORE_LIMIT covers every score,
         # so only the initial map (one call per span) and the checkpoints'
-        # Euclidean conjugates (one per span and checkpoint) pass the door
+        # Euclidean conjugates (one per span and block, formed at the flush;
+        # the three checkpoints make one block) pass the door
         game = generate(
             GeneratorSpec(
                 kind="random-ergodic", n_states=3, n_players=3, n_actions=(1, 3, 2), seed=0
@@ -474,7 +476,7 @@ class TestRunBatch:
                 reference=uniform_profile(game), log_every=10, oracle_mode=oracle_mode,
                 decomposition_draws=8,
             )
-            conjugates = 3 * 3 if kind == "euclidean" else 0
+            conjugates = 3 if kind == "euclidean" else 0
             assert sorted(callers) == ["_conjugates"] * conjugates + ["run_batch"] * 3
 
     def test_single_action_player(self, tmp_path):
@@ -556,11 +558,12 @@ class TestRunBatch:
         self, monkeypatch, stay_switch_game
     ):
         # the batch of the test above: its four checkpoints make one block,
-        # one _evaluate call for all twelve (checkpoint, seed) profiles; at
-        # t=19 seed 9's best responses fail in the stack, whose error is its
-        # warning as it stands, and run again for the other eleven rows
-        # together. No checkpoint goes through the one-profile API, also
-        # where chains and decompositions fail
+        # one _values call for all twelve (checkpoint, seed) profiles; at
+        # t=19 seed 9's best responses fail in the stack, which returns that
+        # failure, its warning as it stands, and the other eleven rows' gaps
+        # from the same call. No checkpoint goes through the one-profile
+        # API, and no stage runs twice, also where chains and
+        # decompositions fail
         import sgl.analysis as analysis
 
         evaluated, responded, inside, forbidden = [], [], [], []
@@ -573,7 +576,7 @@ class TestRunBatch:
         def watched(real, name):
             return lambda *a, **k: (inside and forbidden.append(name)) or real(*a, **k)
 
-        for name, seen in (("_evaluate", evaluated), ("_best_responses", responded)):
+        for name, seen in (("_values", evaluated), ("_responses", responded)):
             monkeypatch.setattr(learner, name, counted(getattr(learner, name), seen))
         for module, name in (
             (learner, "decompose_step"), (learner, "PolicyProfile"), (learner, "exact_value"),
@@ -598,7 +601,7 @@ class TestRunBatch:
                 game, sch, ENTROPY, 20, [6, 9, 7], reference=uniform_profile(game), log_every=5
             )
             assert evaluated == [12]
-            assert responded == [12, 11]
+            assert responded == [12]
             assert logs[1].diagnostics[-1].nash_gaps is None
             evaluated.clear()
             # 6 seeds' x_t, queries and x_{t+1}: 18 rows a checkpoint, so
@@ -607,10 +610,112 @@ class TestRunBatch:
                 game, sch, make_regularizer("euclidean"), 30, range(6), oracle_mode=True,
                 log_every=5, decomposition_draws=16,
             )
-        assert evaluated[0] == 54 and len(evaluated) > 2  # failing chains: evaluated again
+        assert evaluated == [54, 54]  # failing chains too: one call per block
         assert any(d.values is None for log in logs for d in log.diagnostics)
         assert any(d.decomposition is None for log in logs for d in log.diagnostics)
         assert forbidden == []
+
+    def test_a_block_failing_in_every_stage_runs_each_stage_once(
+        self, monkeypatch, stay_switch_game
+    ):
+        # on the stay/switch game under the Euclidean mirror x_{t+1} chains
+        # and best responses fail inside the blocks, and a solve patched to
+        # fail on one x_t's Poisson system fails that decomposition in the
+        # gradient stage, in a block where the other two stages fail too.
+        # Each stage runs once per block, and the warnings are the
+        # one-profile APIs' errors for each (t, seed), in (t, seed) order
+        from sgl.analysis import exact_gradient
+
+        game = stay_switch_game()
+        sch = learner._preset_schedule(game, "power", None, 1.0)
+        reg = make_regularizer("euclidean")
+        seeds = list(range(6))
+        real_oracle, blocks, calls = learner._checkpoint_oracle, [], []
+
+        def oracle(game, block, draws):
+            blocks.append([  # (t, seed, x_t, its query, x_{t+1}) per checkpoint and seed
+                (record[0] - 1, seed, *(
+                    PolicyProfile(tuple(x[b] for x in stack))
+                    for stack in (record[-1][0], record[-1][1], record[8])
+                ))
+                for record in block for b, seed in enumerate(seeds)
+            ])
+            return real_oracle(game, block, draws)
+
+        def counted(name):
+            real = getattr(learner, name)
+            return lambda *args: calls.append(name) or real(*args)
+
+        def played():
+            blocks.clear()
+            calls.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_batch(
+                    game, sch, reg, 30, seeds, oracle_mode=True, log_every=5,
+                    decomposition_draws=16,
+                )
+            return [str(w.message) for w in caught]
+
+        def first_error(*checks):
+            for check in checks:
+                try:
+                    check()
+                except ErgodicityError as exc:
+                    return str(exc)
+            return None
+
+        monkeypatch.setattr(learner, "_checkpoint_oracle", oracle)
+        for name in ("_values", "_gradients", "_responses"):
+            monkeypatch.setattr(learner, name, counted(name))
+        played()
+
+        def system(profile):  # the Poisson system I - P + 1 p of the profile's chain
+            report = exact_value(game, profile)
+            return np.eye(game.n_states) - report.transition_matrix + report.stationary
+
+        # the marked x_t: the first that passes in a block whose values and
+        # gaps fail somewhere, and whose system is not the identity, which
+        # every ergodic best-response candidate's 0-1 chain has here
+        for block in blocks:
+            values = [first_error(lambda: exact_value(game, x)) for *_, x in block]
+            gaps = [first_error(lambda: nash_gap(game, x)) for *_, x in block]
+            if not (any(values) and any(g and not v for v, g in zip(values, gaps))):
+                continue
+            marked = next((
+                system(before) for _, _, before, query, _ in block
+                if not first_error(
+                    lambda: exact_value(game, query), lambda: exact_gradient(game, before)
+                ) and not np.array_equal(system(before), np.eye(game.n_states))
+            ), None)
+            if marked is not None:
+                break
+        real_solve = np.linalg.solve
+
+        def singular_at_marked(a, b):
+            if any(np.array_equal(x, marked) for x in a):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_marked)
+        messages = played()
+        assert calls == ["_values", "_gradients", "_responses"] * len(blocks)
+        expected = []
+        for block in blocks:
+            for t, _, before, query, after in block:
+                decomposition = first_error(
+                    lambda: exact_value(game, before), lambda: exact_value(game, query),
+                    lambda: exact_gradient(game, before),
+                )
+                if decomposition:
+                    expected.append(f"oracle decomposition skipped at t={t}: {decomposition}")
+                value = first_error(lambda: exact_value(game, after), lambda: nash_gap(game, after))
+                if value:
+                    expected.append(f"checkpoint oracle skipped at t={t}: {value}")
+        assert messages == expected
+        assert sum("singular Poisson system" in m for m in messages) == 1
+        assert any("best-response candidate" in m for m in messages)
+        assert any(m.startswith("checkpoint oracle") and "eigenvalue" in m for m in messages)
 
     @pytest.mark.parametrize("oracle_mode", (False, True))
     @pytest.mark.parametrize("mirror", ("entropy", "euclidean"))
@@ -1380,7 +1485,7 @@ class TestDecomposition:
         def failing(game, blocks):
             raise error
 
-        monkeypatch.setattr(learner, "_evaluate", failing)
+        monkeypatch.setattr(learner, "_values", failing)
         game = generate(GeneratorSpec(kind="matching-pennies"))
         before = [b[None] for b in uniform_profile(game).probs]
         with pytest.raises(ErgodicityError) as exc:
@@ -1403,10 +1508,10 @@ class TestDecomposition:
         z = [sample_sphere(reduced_dim(3, 3), rng) for _ in range(3)]
         delta, payoffs = 0.05, np.array([0.3, 0.6, 0.1])
         seen = []
-        real = analysis._evaluate
-        for module in (analysis, learner):
+        for module, name in ((analysis, "_values"), (learner, "_values"), (analysis, "_evaluate")):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                module, "_evaluate", lambda g, blocks: seen.append(blocks) or real(g, blocks)
+                module, name, lambda g, blocks, real=real: seen.append(blocks) or real(g, blocks)
             )
         dec = decompose_step(game, policy, z, delta, payoffs, rng=0, smoothing_draws=16)
         monkeypatch.undo()
